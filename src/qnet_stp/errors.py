@@ -106,7 +106,8 @@ class SolverLimitError(InternalError):
 
 
 class HeuristicFailedError(InternalError):
-    """Tree-packing heuristic gave up; ``partial`` holds the trees found so far."""
+    """Tree-packing heuristic gave up; ``partial`` holds the trees found so far,
+    each as a list of ``[u, v]`` edges (JSON-ready), or None."""
 
     code = "HeuristicFailed"
 

@@ -450,10 +450,22 @@ def contract(g: WeightedGraph, p: VertexPartition) -> WeightedGraph:
     Parallel rates (and epsilons) between two blocks are summed; edges
     internal to a block disappear.  A singleton block keeps its label, a
     larger block is labelled by joining its members with ``+``, so
-    contracting the finest partition returns the graph unchanged.
+    contracting the finest partition returns the graph unchanged.  Where
+    a joined label equals another block's label, every multi-node block
+    with that label gets the first free suffix ``#1``, ``#2``, ...
+    The new graph's ``node_ids`` follow the order of ``p.blocks``.
     """
     _check_partition_of(g, p)
-    labels = ["+".join(b) if len(b) > 1 else b[0] for b in p.blocks]
+    joined = ["+".join(b) for b in p.blocks]
+    labels = list(joined)
+    taken = set(joined)
+    for i, b in enumerate(p.blocks):
+        if len(b) > 1 and joined.count(joined[i]) > 1:
+            k = 1
+            while f"{joined[i]}#{k}" in taken:
+                k += 1
+            labels[i] = f"{joined[i]}#{k}"
+            taken.add(labels[i])
     block = p.block_of()
     agg: dict[tuple[int, int], list[Fraction]] = {}
     for e in g.edges:

@@ -464,7 +464,7 @@ def basic_algorithm(
         except OracleLimitError as exc:
             raise HeuristicFailedError(
                 f"greedy failed ({reason}) and the oracle hit a cap: {exc}",
-                partial=tuple(chosen),
+                partial=[tree.to_json_list() for tree in chosen],
             ) from exc
         merged = dict(oracle.diagnostics)
         merged.update(diagnostics)
@@ -594,10 +594,9 @@ def _general_pack(
     subset = cert.violating_subset
     rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
-    merged_label = "+".join(rest) if len(rest) > 1 else rest[0]
-    contracted = contract(
-        g, VertexPartition.from_blocks([[v] for v in subset] + [list(rest)])
-    )
+    partition = VertexPartition.from_blocks([[v] for v in subset] + [list(rest)])
+    contracted = contract(g, partition)
+    merged_label = contracted.node_ids[partition.blocks.index(rest)]
     remainder = induced_subgraph(g, rest)
     if not is_connected(remainder, positive_only=True):
         raise MergeFailedError(

@@ -29,6 +29,7 @@ from .rate_core import (
     SUBSET_CAP_NODES,
     BottleneckCertificate,
     RateReport,
+    _integer_weights,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -74,25 +75,40 @@ class BottleneckReport:
 
 
 def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
-    """The strongest two-block bound: the minimum cut over all bipartitions."""
-    nodes = g.sorted_nodes()
-    rest = nodes[1:]
-    best: Optional[Fraction] = None
+    """The strongest two-block bound: the minimum cut over all bipartitions.
+
+    The side holding the smallest label walks every subset of the other
+    nodes in Gray-code order, so each step moves one node and updates the
+    integer-scaled cut from that node's weight to the side.  Among
+    minimum cuts the partition with the smallest ``blocks`` wins, so the
+    result does not depend on the visit order.
+    """
+    nodes, scale, w = _integer_weights(g)
+    n = len(nodes)
+    degree = [sum(row) for row in w]
+    inside = [True] + [False] * (n - 1)
+    size = 1
+    to_side = list(w[0])  # weight from each node to the side
+    cut = degree[0]
+    best: Optional[int] = None
     best_partition: Optional[VertexPartition] = None
-    for mask in range(1 << len(rest)):
-        side = {nodes[0]} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-        if len(side) == len(nodes):
+    for step in range(1 << (n - 1)):
+        if step:
+            x = (step & -step).bit_length()  # Gray code: flip bit x - 1, i.e. node x
+            sign = -1 if inside[x] else 1
+            cut += sign * (degree[x] - 2 * to_side[x])
+            inside[x] = not inside[x]
+            size += sign
+            for j, weight in enumerate(w[x]):
+                to_side[j] += sign * weight
+        if size == n or (best is not None and cut > best):
             continue
-        cut = sum(
-            (e.rate for e in g.edges if (e.u in side) != (e.v in side)),
-            Fraction(0),
-        )
-        partition = VertexPartition.from_blocks(
-            [sorted(side), sorted(set(nodes) - side)]
-        )
-        if best is None or cut < best or (cut == best and partition.blocks < best_partition.blocks):
+        side = [v for v, s in zip(nodes, inside) if s]
+        other = [v for v, s in zip(nodes, inside) if not s]
+        partition = VertexPartition.from_blocks([side, other])
+        if best is None or cut < best or partition.blocks < best_partition.blocks:
             best, best_partition = cut, partition
-    return best, best_partition
+    return Fraction(best, scale), best_partition
 
 
 def bottleneck_report(
@@ -212,15 +228,22 @@ def evaluate_addition(
     added = parse_rational(rate)
     if added <= 0:
         raise NegativeRateError(f"candidate rate must be positive, got {added}")
-    before = nwt_rate(g, max_nodes=max_nodes)
+    before = nwt_rate(g, max_nodes=max_nodes).rate
+    return _score_addition(g, u, v, added, before, max_nodes)
+
+
+def _score_addition(
+    g: WeightedGraph, u: str, v: str, added: Fraction, before: Fraction, max_nodes: int
+) -> AugmentationResult:
+    """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known."""
     augmented = g.with_edge(u, v, added)
     after = nwt_rate(augmented, max_nodes=max_nodes)
     return AugmentationResult(
         edge=edge_key(u, v),
         added_rate=added,
-        rate_before=before.rate,
+        rate_before=before,
         rate_after=after.rate,
-        delta=after.rate - before.rate,
+        delta=after.rate - before,
         minimizing_partition=after.minimizing_partition,
         narrative=_partition_narrative(after),
         graph=augmented,
@@ -299,8 +322,9 @@ def best_additions(
     current = g
     remaining = list(pool)
     for _ in range(min(budget, len(pool))):
+        before = steps[-1].rate_after if steps else initial
         scored = [
-            (evaluate_addition(current, u, v, rate, max_nodes=max_nodes), i)
+            (_score_addition(current, u, v, rate, before, max_nodes), i)
             for i, (u, v, rate) in enumerate(remaining)
         ]
         scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))
@@ -345,7 +369,8 @@ def _exhaustive_plan(
     steps: list[AugmentationResult] = []
     current = g
     for u, v, rate in best_choice or ():
-        step = evaluate_addition(current, u, v, rate, max_nodes=max_nodes)
+        before = steps[-1].rate_after if steps else initial
+        step = _score_addition(current, u, v, rate, before, max_nodes)
         steps.append(step)
         current = step.graph
     return Plan(

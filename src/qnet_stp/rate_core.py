@@ -6,7 +6,9 @@ Nash-Williams/Tutte spanning-tree-packing bound
     rate = min over partitions P (>= 2 blocks) of
            (sum of rates crossing P) / (block count - 1),
 
-evaluated here by exhaustive partition enumeration in exact arithmetic.
+evaluated here in exact arithmetic by a depth-first scan over partitions
+in restricted-growth order that skips, exactly, every branch which
+cannot beat the best value found so far.
 The module also provides the per-partition bound, the all-singletons
 bound, the finite-length (floored) variant, a closed form for triangles,
 and the per-subset "no bottleneck" test that decides whether the
@@ -36,8 +38,6 @@ from .netgraph import (
     cross_edges,
     format_rational,
     is_connected,
-    proper_vertex_subsets,
-    restricted_growth_strings,
 )
 
 #: Largest node count for which the per-subset bottleneck scan is allowed.
@@ -72,13 +72,40 @@ def _require_rateable(g: WeightedGraph) -> None:
         raise DisconnectedError("positive-rate subgraph is not connected")
 
 
-def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateReport:
-    """Exact conference-key rate of ``g`` by full partition enumeration.
+def _integer_weights(g: WeightedGraph) -> tuple[tuple[str, ...], int, list[list[int]]]:
+    """Label order, scale and integer weight matrix shared by the exact scans.
 
-    Ties are broken toward the partition seen first in restricted-growth
-    order.  Internally rates are rescaled to integers so the (possibly
-    millions of) partition evaluations run on machine integers; the final
-    value is returned as an exact :class:`~fractions.Fraction`.
+    Node ``i`` is the ``i``-th label in sorted order; ``w[i][j]`` is the
+    rate of edge ``(i, j)`` times ``scale`` (the lcm of the rate
+    denominators), 0 where there is no edge.
+    """
+    labels = g.sorted_nodes()
+    idx = {v: i for i, v in enumerate(labels)}
+    scale = math.lcm(*(e.rate.denominator for e in g.edges)) if g.edges else 1
+    w = [[0] * len(labels) for _ in labels]
+    for e in g.edges:
+        i, j = idx[e.u], idx[e.v]
+        w[i][j] = w[j][i] = e.rate.numerator * (scale // e.rate.denominator)
+    return labels, scale, w
+
+
+def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateReport:
+    """Exact conference-key rate of ``g`` by a depth-first partition scan.
+
+    Partitions are visited as restricted growth strings in lexicographic
+    order over the nodes in sorted-label order: node ``i`` tries blocks
+    ``0..p`` in turn, ``p`` opening a new block.  The cross sum is kept
+    incrementally on integer-scaled rates (node ``i`` adds its weight to
+    lower-indexed nodes minus its weight into the block it joins), and the
+    last node's choices are evaluated together from per-block weights.
+
+    With incumbent ``A / B`` (cross sum over block count - 1), a prefix
+    with cross sum ``c`` over ``p`` blocks is skipped when
+    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) >= 0``,
+    ``back_k`` being node ``k``'s weight to lower-indexed nodes: no
+    completion of it is strictly smaller.  Only a strictly smaller value
+    replaces the incumbent, so the result is the first minimizer in
+    restricted-growth order, the same as a full enumeration.
 
     Raises:
         TrivialNetworkError: fewer than 2 nodes.
@@ -86,32 +113,51 @@ def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateR
         ExactModeLimitError: more nodes than ``max_nodes``.
     """
     _require_rateable(g)
-    labels = g.sorted_nodes()
-    n = len(labels)
+    n = g.node_count
     if n > max_nodes:
         raise ExactModeLimitError(
             f"partition enumeration over {n} nodes exceeds the cap of {max_nodes}"
         )
-    idx = {v: i for i, v in enumerate(labels)}
-    scale = math.lcm(*(e.rate.denominator for e in g.edges)) if g.edges else 1
-    int_edges = [(idx[e.u], idx[e.v], int(e.rate * scale)) for e in g.edges if e.rate > 0]
+    labels, scale, w = _integer_weights(g)
+    lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
+    back = [sum(x for _, x in row) for row in lower]
+    rgs = [0] * n
+    best_cross = best_pm1 = 0
+    best_rgs: Optional[tuple[int, ...]] = None
+    # slack[i] = sum over k >= i of min(0, back[k] * best_pm1 - best_cross)
+    slack = [0] * (n + 1)
 
-    best_cross = None  # integer cross-rate sum at the best partition
-    best_pm1 = 1
-    best_rgs: tuple[int, ...] = ()
-    for rgs in restricted_growth_strings(n):
-        p = max(rgs) + 1
-        if p < 2:
-            continue
-        cross = 0
-        for iu, iv, w in int_edges:
-            if rgs[iu] != rgs[iv]:
-                cross += w
-        pm1 = p - 1
-        # bound = cross / (pm1 * scale); strict < keeps the first minimizer
-        if best_cross is None or cross * best_pm1 < best_cross * pm1:
-            best_cross, best_pm1, best_rgs = cross, pm1, rgs
-    assert best_cross is not None
+    def improve(cross: int, pm1: int) -> None:
+        nonlocal best_cross, best_pm1, best_rgs
+        best_cross, best_pm1, best_rgs = cross, pm1, tuple(rgs)
+        for k in range(n - 1, -1, -1):
+            slack[k] = slack[k + 1] + min(0, back[k] * pm1 - cross)
+
+    def visit(i: int, cross: int, p: int) -> None:
+        # nodes 0..i-1 are placed in p blocks with cross sum `cross`
+        if best_rgs is not None and cross * best_pm1 - best_cross * (p - 1) + slack[i] >= 0:
+            return
+        into = [0] * p
+        for j, x in lower[i]:
+            into[rgs[j]] += x
+        cross += back[i]
+        if i == n - 1:
+            heavy = max(into)
+            if p > 1 and (best_rgs is None or (cross - heavy) * best_pm1 < best_cross * (p - 1)):
+                rgs[i] = into.index(heavy)
+                improve(cross - heavy, p - 1)
+            if best_rgs is None or cross * best_pm1 < best_cross * p:
+                rgs[i] = p
+                improve(cross, p)
+            return
+        for b in range(p):
+            rgs[i] = b
+            visit(i + 1, cross - into[b], p)
+        rgs[i] = p
+        visit(i + 1, cross, p + 1)
+
+    visit(1, 0, 1)
+    assert best_rgs is not None
     rate = Fraction(best_cross, best_pm1 * scale)
     finest = g.total_rate() / (n - 1)
     return RateReport(
@@ -192,59 +238,84 @@ class BottleneckCertificate:
         }
 
 
-def _attachment_rate(g: WeightedGraph, inside: set[str]) -> Fraction:
-    """Sum of rates of edges with at least one endpoint in ``inside``."""
-    return sum((e.rate for e in g.edges if e.u in inside or e.v in inside), Fraction(0))
-
-
 def check_no_bottleneck(
     g: WeightedGraph, *, max_nodes: int = SUBSET_CAP_NODES
 ) -> BottleneckCertificate:
     """Scan proper node subsets for a rate bottleneck.
 
-    Subsets are visited by ascending cardinality, then lexicographically,
-    and the first violator is reported.  The test per subset ``I`` is
+    Subsets are visited by ascending cardinality, then lexicographically
+    over the sorted labels, and the first violator is reported.  The
+    test per subset ``I`` is
 
         total_rate / (N - 1)  <=  attachment_rate(I) / |I|
 
     whose failure certifies that some coarser partition (single out the
     members of ``I``, contract the rest) beats the all-singletons bound.
+    It runs on integer-scaled rates as ``total*|I| > attach(I)*(N-1)``,
+    with ``attach(I)`` the weighted degrees of ``I`` minus its internal
+    weight, kept incrementally along a depth-first walk over each
+    cardinality; only the violator's certificate is built in exact
+    rationals.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
         ExactModeLimitError: more nodes than ``max_nodes``.
     """
     _require_rateable(g)
-    labels = g.sorted_nodes()
-    n = len(labels)
+    n = g.node_count
     if n > max_nodes:
         raise ExactModeLimitError(
             f"subset scan over {n} nodes exceeds the cap of {max_nodes}"
         )
-    total = g.total_rate()
-    network_bound = total / (n - 1)
-    for subset in proper_vertex_subsets(labels):
-        inside = set(subset)
-        attachment = _attachment_rate(g, inside) / len(subset)
-        if network_bound > attachment:
-            rest = [v for v in labels if v not in inside]
-            restgraph_rate = sum(
-                (e.rate for e in g.edges if e.u not in inside and e.v not in inside),
-                Fraction(0),
-            )
-            sub_bound = (
-                restgraph_rate / (n - len(subset) - 1) if n - len(subset) > 1 else None
-            )
-            partition = VertexPartition.from_blocks([[v] for v in subset] + [rest])
-            return BottleneckCertificate(
-                violating_subset=subset,
-                network_bound=network_bound,
-                attachment_bound=attachment,
-                subnetwork_bound=sub_bound,
-                contracted=contract(g, partition),
-                partition=partition,
-            )
-    return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
+    labels, _, w = _integer_weights(g)
+    degree = [sum(row) for row in w]
+    total = sum(degree) // 2
+    chosen: list[int] = []
+
+    def search(k: int, start: int, attach: int, to_chosen: list[int]) -> bool:
+        # chosen holds fewer than k members; to_chosen[j] = weight from j to them
+        if len(chosen) == k - 1:
+            limit = total * k
+            for j in range(start, n):
+                if limit > (attach + degree[j] - to_chosen[j]) * (n - 1):
+                    chosen.append(j)
+                    return True
+            return False
+        for j in range(start, n - k + len(chosen) + 1):
+            chosen.append(j)
+            if search(
+                k,
+                j + 1,
+                attach + degree[j] - to_chosen[j],
+                [a + b for a, b in zip(to_chosen, w[j])],
+            ):
+                return True
+            chosen.pop()
+        return False
+
+    network_bound = g.total_rate() / (n - 1)
+    if not any(search(k, 0, 0, [0] * n) for k in range(1, n)):
+        return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
+    subset = tuple(labels[j] for j in chosen)
+    inside = set(subset)
+    attachment = sum(
+        (e.rate for e in g.edges if e.u in inside or e.v in inside), Fraction(0)
+    ) / len(subset)
+    rest = [v for v in labels if v not in inside]
+    restgraph_rate = sum(
+        (e.rate for e in g.edges if e.u not in inside and e.v not in inside),
+        Fraction(0),
+    )
+    sub_bound = restgraph_rate / (len(rest) - 1) if len(rest) > 1 else None
+    partition = VertexPartition.from_blocks([[v] for v in subset] + [rest])
+    return BottleneckCertificate(
+        violating_subset=subset,
+        network_bound=network_bound,
+        attachment_bound=attachment,
+        subnetwork_bound=sub_bound,
+        contracted=contract(g, partition),
+        partition=partition,
+    )
 
 
 def triangle_rate(r12: Fraction, r13: Fraction, r23: Fraction) -> Fraction:

@@ -6,7 +6,7 @@ import pytest
 from qnet_stp.cli import main, parse_candidates, read_caps
 from qnet_stp.errors import SchemaError
 
-from conftest import build, ring
+from conftest import build, complete, ring
 
 
 @pytest.fixture
@@ -177,6 +177,30 @@ def test_analyze_text(capsys, hexagon_path):
     code, out = run(capsys, "analyze", hexagon_path, "--format", "text")
     assert code == 0
     assert "no bottleneck" in out
+
+
+def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
+    # {a,b} contracts to "a+b", which is already a node label
+    path = graph_file("plus.json", build(
+        ["a", "b", "a+b"], [("a", "b", 5), ("a", "a+b", 1), ("b", "a+b", 1)]
+    ))
+    code, out = run(capsys, "analyze", path)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["minimizing_partition"] == [["a", "b"], ["a+b"]]
+    assert sorted(doc["contracted"]["nodes"]) == ["a+b", "a+b#1"]
+    code, out = run(capsys, "pack", path)
+    assert code == 0
+    assert json.loads(out)["achieved_rate"] == "2"
+
+
+def test_pack_gives_up_with_partial_json(capsys, graph_file):
+    # the greedy packer stalls on unit K10 and the oracle would need 9 rounds
+    code, out = run(capsys, "pack", graph_file("k10.json", complete(10)))
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"]["code"] == "HeuristicFailed"
+    assert doc["partial"] and all(len(tree) == 9 for tree in doc["partial"])
 
 
 def test_optimize_picks_best_link(capsys, hexagon_path):

@@ -165,6 +165,16 @@ def test_contract_keeps_singleton_labels(tri_pendant):
     assert c.rate("1+2+3", "4") == 1
 
 
+def test_contract_makes_clashing_joined_labels_unique():
+    nodes = ["a", "b+c", "a+b", "c", "a+b+c#1"]
+    g = build(nodes, [("a", "a+b", 1), ("b+c", "c", 1), ("c", "a+b+c#1", 1)])
+    p = VertexPartition.from_blocks([["a", "b+c"], ["a+b", "c"], ["a+b+c#1"]])
+    c = contract(g, p)
+    # both merged blocks join to "a+b+c"; "#1" is already a node
+    assert c.node_ids == ("a+b+c#2", "a+b+c#3", "a+b+c#1")
+    assert c.rate("a+b+c#2", "a+b+c#3") == 2
+
+
 def test_induced_subgraph(square_diag):
     sub = induced_subgraph(square_diag, ["1", "2", "3"])
     assert sub.sorted_nodes() == ("1", "2", "3")

@@ -202,3 +202,29 @@ def test_plan_json(hexagon):
     assert doc["initial_rate"] == "6/5"
     assert doc["final_rate"] == "7/5"
     assert doc["steps"][0]["edge"] == ["1", "4"]
+
+
+def test_plans_scan_each_graph_once(hexagon, monkeypatch):
+    import qnet_stp.planner as planner
+
+    calls = []
+
+    def counting(g, **kwargs):
+        calls.append(g)
+        return nwt_rate(g, **kwargs)
+
+    monkeypatch.setattr(planner, "nwt_rate", counting)
+    candidates = [("1", "4"), ("2", "6"), ("1", "5")]
+    greedy = best_additions(hexagon, candidates, 2)
+    # initial rate, then one scan per candidate and step: 3 + 2
+    assert len(calls) == 1 + 3 + 2
+    calls.clear()
+    exhaustive = best_additions(hexagon, candidates, 2, exhaustive=True)
+    # initial rate, three combinations, two replayed steps
+    assert len(calls) == 1 + 3 + 2
+    monkeypatch.undo()
+    for plan in (greedy, exhaustive):
+        current = hexagon
+        for step in plan.steps:
+            assert step == evaluate_addition(current, *step.edge, step.added_rate)
+            current = step.graph
