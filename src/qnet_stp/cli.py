@@ -155,6 +155,15 @@ def cmd_rate(args, caps) -> int:
     return 0
 
 
+def _packer_caps(caps) -> dict:
+    """The caps the greedy packers and their oracle fallback honour."""
+    return {
+        "backtrack_cap": caps["backtrack"],
+        "oracle_rounds": caps["oracle_rounds"],
+        "max_trees": caps["trees"],
+    }
+
+
 def _make_packing(g, method: str, rounds: Optional[int], caps):
     if method == "oracle":
         n = rounds if rounds is not None else g.node_count - 1
@@ -164,8 +173,8 @@ def _make_packing(g, method: str, rounds: Optional[int], caps):
     if rounds is not None:
         raise SchemaError("--rounds only applies to --method oracle")
     if method == "basic":
-        return basic_algorithm(g, backtrack_cap=caps["backtrack"])
-    return general_algorithm(g, backtrack_cap=caps["backtrack"])
+        return basic_algorithm(g, **_packer_caps(caps))
+    return general_algorithm(g, **_packer_caps(caps))
 
 
 def cmd_pack(args, caps) -> int:
@@ -200,7 +209,7 @@ def cmd_simulate(args, caps) -> int:
             g, args.rounds, max_rounds=caps["oracle_rounds"], max_trees=caps["trees"]
         )
     else:
-        outcome = general_algorithm(g, backtrack_cap=caps["backtrack"])
+        outcome = general_algorithm(g, **_packer_caps(caps))
     pk = outcome.packing
     transcript = run_packing_protocol(g, pk, args.seed)
     doc = transcript.to_json_dict()
@@ -208,8 +217,7 @@ def cmd_simulate(args, caps) -> int:
     doc["rate"] = format_rational(packing_rate(pk))
     if args.audit:
         report = secrecy_audit(g, pk, max_bits=caps["audit"])
-        audit_doc = report.to_json_dict()
-        audit_doc.pop("histograms", None)
+        audit_doc = report.to_json_dict(histograms=False)
         audit_doc["secrecy"] = "uniform" if report.uniform else "nonuniform"
         doc["audit"] = audit_doc
     emit(doc)
@@ -228,24 +236,35 @@ def cmd_analyze(args, caps) -> int:
     return 0
 
 
-def parse_candidates(raw: str) -> list[tuple[str, str, object]]:
-    """Parse "1-4,2-6" (optionally "u-v:rate") into candidate triples."""
+def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
+    """Parse "1-4,2-6" (optionally "u-v:rate") into candidate triples.
+
+    A link with one ``-`` splits there.  A link with more is split where
+    both sides are node ``labels`` (so ``a-1-c`` links ``a-1`` and ``c``);
+    no such split, or more than one, is a SchemaError.
+    """
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         link, _, rate = item.partition(":")
-        parts = link.split("-")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+        cuts = [i for i, ch in enumerate(link) if ch == "-"]
+        splits = [(link[:i], link[i + 1:]) for i in cuts]
+        if len(splits) > 1:
+            splits = [(u, v) for u, v in splits if u in labels and v in labels]
+        if len(splits) > 1:
+            raise SchemaError(f"candidate {item!r} splits into node labels in more than one way")
+        if not splits or not all(splits[0]):
             raise SchemaError(f"candidate {item!r} is not of the form u-v or u-v:rate")
-        out.append((parts[0], parts[1], parse_rational(rate) if rate else 1))
+        u, v = splits[0]
+        out.append((u, v, parse_rational(rate) if rate else 1))
     return out
 
 
 def cmd_optimize(args, caps) -> int:
     g = load_graph(args.input)
-    candidates = parse_candidates(args.candidates) if args.candidates else []
+    candidates = parse_candidates(args.candidates, set(g.node_ids)) if args.candidates else []
     plan = best_additions(
         g,
         candidates,
@@ -303,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph JSON file")
     p.add_argument("--rounds", type=int, help="pack exactly this many rounds (exact oracle)")
     p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--audit", action="store_true", help="exhaustive secrecy audit")
+    p.add_argument("--audit", action="store_true", help="exact secrecy audit (GF(2) rank check)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="bottleneck structure report")

@@ -19,7 +19,11 @@ packing.  Besides validation and conversions this module provides:
   networks: split off the first violating subset, pack the contraction
   and the remainder separately, and splice the results;
 * :func:`brute_force_packing` -- exact optimum by exhaustive search over
-  enumerated trees (the test oracle);
+  enumerated trees (the test oracle).  The search recurses once per
+  spanning tree, so networks with more than ``ORACLE_TREE_CAP`` trees
+  are refused with :class:`OracleLimitError` before any tree is
+  enumerated; the greedy packers' fallback then reports
+  :class:`HeuristicFailedError`;
 * :func:`reweight_by_lp` -- optimal weights for a fixed tree list.
 """
 
@@ -44,6 +48,7 @@ from .netgraph import (
     EdgeKey,
     Multigraph,
     SpanningTree,
+    TREE_ENUMERATION_CAP,
     VertexPartition,
     WeightedGraph,
     contract,
@@ -60,6 +65,11 @@ BACKTRACK_CAP = 10_000
 
 #: Largest round count the exhaustive oracle accepts.
 ORACLE_ROUND_CAP = 8
+
+#: Most spanning trees the exhaustive oracle searches.  Its search
+#: recurses once per tree, so this keeps it below Python's default
+#: recursion limit of 1000 with room for the caller's frames.
+ORACLE_TREE_CAP = 800
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def brute_force_packing(
     rounds: int,
     *,
     max_rounds: int = ORACLE_ROUND_CAP,
-    max_trees: int = 10**6,
+    max_trees: int = TREE_ENUMERATION_CAP,
 ) -> PackingOutcome:
     """Exact maximum multigraph packing for ``rounds`` rounds.
 
@@ -291,7 +301,8 @@ def brute_force_packing(
     lexicographically smallest tree multiset.
 
     Raises:
-        OracleLimitError: ``rounds`` above ``max_rounds`` or too many trees.
+        OracleLimitError: ``rounds`` above ``max_rounds``, or more trees
+            than ``max_trees`` or ``ORACLE_TREE_CAP``.
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
@@ -311,26 +322,28 @@ def brute_force_packing(
             optimal=_optimal_flag(g, Fraction(0)),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
-    trees = list(enumerate_spanning_trees(capacity_graph, max_trees=max_trees))
+    trees = list(enumerate_spanning_trees(
+        capacity_graph, max_trees=min(max_trees, ORACLE_TREE_CAP)
+    ))
     key_index = {key: i for i, (key, _) in enumerate(usable)}
     tree_edges = [tuple(key_index[k] for k in t.edges) for t in trees]
+    node_index = {v: i for i, v in enumerate(g.node_ids)}
+    tree_degrees = [tuple((node_index[v], t.degree(v)) for v in t.vertices()) for t in trees]
     start_caps = tuple(cap for _, cap in usable)
     need = g.node_count - 1
-    incident: dict[str, tuple[int, ...]] = {
-        v: tuple(i for i, (key, _) in enumerate(usable) if v in key) for v in g.node_ids
-    }
-
-    def upper_bound(caps: tuple[int, ...]) -> int:
-        by_volume = sum(caps) // need
-        by_degree = min(sum(caps[i] for i in idxs) for idxs in incident.values())
-        return min(by_volume, by_degree)
+    start_degree = [sum(cap for key, cap in usable if v in key) for v in g.node_ids]
 
     memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
-    def explore(i: int, caps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # ``volume`` and ``degree`` are the capacity total and each node's
+    # incident capacity, carried down the search: no tree packs more than
+    # volume // need trees, nor more than any node's degree.
+    def explore(
+        i: int, caps: tuple[int, ...], volume: int, degree: list[int]
+    ) -> tuple[int, tuple[int, ...]]:
         if i == len(trees):
             return 0, ()
-        bound = upper_bound(caps)
+        bound = min(volume // need, min(degree))
         if bound == 0:
             return 0, (0,) * (len(trees) - i)
         state = (i, caps)
@@ -338,16 +351,21 @@ def brute_force_packing(
         if hit is not None:
             return hit
         best_k, best_choice = -1, ()
-        max_fit = min(caps[e] for e in tree_edges[i])
+        edges = tree_edges[i]
+        max_fit = min(caps[e] for e in edges)
         for count in range(max_fit, -1, -1):
             if count:
                 reduced = list(caps)
-                for e in tree_edges[i]:
+                for e in edges:
                     reduced[e] -= count
-                reduced = tuple(reduced)
+                lowered = degree[:]
+                for v, d in tree_degrees[i]:
+                    lowered[v] -= count * d
+                sub_k, sub_choice = explore(
+                    i + 1, tuple(reduced), volume - count * need, lowered
+                )
             else:
-                reduced = caps
-            sub_k, sub_choice = explore(i + 1, reduced)
+                sub_k, sub_choice = explore(i + 1, caps, volume, degree)
             if count + sub_k > best_k:
                 best_k, best_choice = count + sub_k, (count,) + sub_choice
                 if best_k == bound:
@@ -356,7 +374,7 @@ def brute_force_packing(
         memo[state] = result
         return result
 
-    k, choice = explore(0, start_caps)
+    k, choice = explore(0, start_caps, sum(start_caps), start_degree)
     chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
     packing = TreePacking.multigraph(
         [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
@@ -427,6 +445,8 @@ def basic_algorithm(
     g: WeightedGraph,
     *,
     backtrack_cap: int = BACKTRACK_CAP,
+    oracle_rounds: int = ORACLE_ROUND_CAP,
+    max_trees: int = TREE_ENUMERATION_CAP,
 ) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
@@ -436,7 +456,8 @@ def basic_algorithm(
     the remaining trees in descending weight order for one whose removal
     leaves precisely one unit-weight spanning tree.  If the search budget
     runs out the exhaustive oracle finishes the job (flagged in
-    diagnostics).
+    diagnostics).  ``max_trees`` bounds the candidate enumeration and,
+    with ``oracle_rounds``, the oracle.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
@@ -460,7 +481,9 @@ def basic_algorithm(
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = reason
         try:
-            oracle = brute_force_packing(g, n)
+            oracle = brute_force_packing(
+                g, n, max_rounds=oracle_rounds, max_trees=max_trees
+            )
         except OracleLimitError as exc:
             raise HeuristicFailedError(
                 f"greedy failed ({reason}) and the oracle hit a cap: {exc}",
@@ -497,7 +520,7 @@ def basic_algorithm(
             return fallback("positive-weight edges no longer span the network")
         try:
             candidates = sorted(
-                enumerate_spanning_trees(support),
+                enumerate_spanning_trees(support, max_trees=max_trees),
                 key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
             )
         except OracleLimitError:
@@ -538,6 +561,8 @@ def general_algorithm(
     g: WeightedGraph,
     *,
     backtrack_cap: int = BACKTRACK_CAP,
+    oracle_rounds: int = ORACLE_ROUND_CAP,
+    max_trees: int = TREE_ENUMERATION_CAP,
 ) -> PackingOutcome:
     """Optimal-rate packing for integer rates, bottlenecks included.
 
@@ -547,7 +572,8 @@ def general_algorithm(
     splice each contracted tree (its edges at the merged node re-expanded
     to concrete cross edges with remaining capacity, lexicographically
     first) onto the matching remainder tree, pairing instances by sorted
-    index over a common round count.
+    index over a common round count.  The caps reach every
+    :func:`basic_algorithm` call and the oracle fallback.
 
     Raises:
         PreconditionFailedError: non-integer rates.
@@ -557,14 +583,17 @@ def general_algorithm(
     _require_rateable(g)
     _integer_rates(g)
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
+    caps = {"backtrack_cap": backtrack_cap, "oracle_rounds": oracle_rounds, "max_trees": max_trees}
     try:
-        packing = _general_pack(g, diagnostics, 0, backtrack_cap)
+        packing = _general_pack(g, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = str(exc)
         rounds = nwt_rate(g).rate.denominator
         try:
-            oracle = brute_force_packing(g, rounds)
+            oracle = brute_force_packing(
+                g, rounds, max_rounds=oracle_rounds, max_trees=max_trees
+            )
         except OracleLimitError as limit:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the oracle hit a cap: {limit}", partial=None
@@ -579,13 +608,11 @@ def general_algorithm(
     )
 
 
-def _general_pack(
-    g: WeightedGraph, diagnostics: dict, depth: int, backtrack_cap: int
-) -> TreePacking:
+def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: dict) -> TreePacking:
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
     cert = check_no_bottleneck(g)
     if cert.ok:
-        outcome = basic_algorithm(g, backtrack_cap=backtrack_cap)
+        outcome = basic_algorithm(g, **caps)
         diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
         if outcome.diagnostics.get("fallback"):
             diagnostics["fallback"] = True
@@ -602,8 +629,8 @@ def _general_pack(
         raise MergeFailedError(
             f"remainder network on {list(rest)} is not connected; cannot split"
         )
-    pk_contracted = _general_pack(contracted, diagnostics, depth + 1, backtrack_cap)
-    pk_remainder = _general_pack(remainder, diagnostics, depth + 1, backtrack_cap)
+    pk_contracted = _general_pack(contracted, diagnostics, depth + 1, caps)
+    pk_remainder = _general_pack(remainder, diagnostics, depth + 1, caps)
     return _splice(g, subset, merged_label, pk_contracted, pk_remainder)
 
 

@@ -10,9 +10,11 @@ bit; nothing more leaks, because each announcement is masked by a bit
 used nowhere else.
 
 The module simulates the full protocol (deterministically seeded),
-accounts the security budget, and provides an exhaustive secrecy audit
-that enumerates every key assignment and checks the conference key is
-uniform given the transcript.
+accounts the security budget, and provides an exact secrecy audit that
+checks the conference key is uniform given the transcript.  Transcript
+and key are GF(2)-linear in the key bits, so the audit is a rank
+comparison, equivalent to enumerating every key assignment; it keeps the
+enumeration's cap of ``AUDIT_BIT_CAP`` key bits.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
 from .netgraph import EdgeKey, Multigraph, SpanningTree, WeightedGraph, edge_key, format_rational
 from .packing import TreePacking, multigraph_from_weighted
 
-#: Exhaustive audits enumerate 2^bits assignments; refuse beyond this.
+#: Largest key-bit count (2^bits assignments) the secrecy audit accepts.
 AUDIT_BIT_CAP = 20
 
 PRNG_ALGORITHM = "python-random-mt19937"
@@ -459,17 +461,23 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
 
 
 # ---------------------------------------------------------------------------
-# exhaustive secrecy audit
+# exact secrecy audit
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Result of the exhaustive secrecy check.
+    """Result of the exact secrecy check.
 
     ``uniform`` means: for every realizable transcript, all conference
     keys are equally likely.  ``edge_disjoint`` reports whether the
     consumption schedule uses every key bit at most once (the property
     the one-time-pad argument rests on).
+
+    ``histograms`` (audits of at most 12 key bits, else None) maps every
+    realizable transcript to the number of key assignments that give
+    each conference key.  It is built on each read from ``span``: the
+    announcement count and the reduced GF(2) basis of the image of the
+    map from key assignments to (transcript, conference key).
     """
 
     uniform: bool
@@ -477,9 +485,29 @@ class AuditReport:
     total_bits: int
     conference_bits: int
     violations: tuple[str, ...] = ()
-    histograms: Optional[dict] = None
+    span: Optional[tuple[int, tuple[int, ...]]] = None
 
-    def to_json_dict(self) -> dict:
+    @property
+    def histograms(self) -> Optional[dict]:
+        # Each realizable (transcript, key) pair is a vector of the span,
+        # reached by 2^(bits - rank) assignments.
+        if self.span is None:
+            return None
+        announcements, basis = self.span
+        count = 1 << (self.total_bits - len(basis))
+        vectors = [0]
+        for b in basis:
+            vectors += [v ^ b for v in vectors]
+        histograms: dict[tuple, dict[tuple, int]] = {}
+        for v in vectors:
+            transcript = tuple((v >> i) & 1 for i in range(announcements))
+            key = tuple(
+                (v >> (announcements + k)) & 1 for k in range(self.conference_bits)
+            )
+            histograms.setdefault(transcript, {})[key] = count
+        return histograms
+
+    def to_json_dict(self, *, histograms: bool = True) -> dict:
         doc = {
             "uniform": self.uniform,
             "edge_disjoint": self.edge_disjoint,
@@ -487,14 +515,27 @@ class AuditReport:
             "conference_bits": self.conference_bits,
             "violations": list(self.violations),
         }
-        if self.histograms is not None:
+        table = self.histograms if histograms else None
+        if table is not None:
             doc["histograms"] = {
                 "".join(map(str, transcript)): {
                     "".join(map(str, key)): count for key, count in sorted(hist.items())
                 }
-                for transcript, hist in sorted(self.histograms.items())
+                for transcript, hist in sorted(table.items())
             }
         return doc
+
+
+def _gf2_basis(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced echelon basis (leading bits descending) of the GF(2) span of
+    ``vectors``, each an int read as a bit vector; unique per span."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
+    return tuple(basis)
 
 
 def secrecy_audit(
@@ -504,7 +545,17 @@ def secrecy_audit(
     schedule: Optional[Sequence[Mapping[EdgeKey, int]]] = None,
     max_bits: int = AUDIT_BIT_CAP,
 ) -> AuditReport:
-    """Enumerate every key assignment; check the key is uniform given the transcript.
+    """Check exactly that the key is uniform given the transcript.
+
+    Every announcement is the XOR of two key bits and every conference
+    bit is a key bit, so the map from the ``2^bits`` key assignments to
+    (transcript, conference key) is GF(2)-linear.  Each transcript's
+    assignments form a coset of the kernel of the transcript map, so the
+    key is uniform given every transcript exactly when the joint map's
+    rank exceeds the transcript map's rank by the number of conference
+    bits.  The verdict, the violations and the histograms equal those of
+    enumerating every assignment; the first transcript that enumeration
+    in mask order would flag is always the all-zero one.
 
     A custom ``schedule`` (per-instance edge -> bit index) may be passed
     to audit a corrupted consumption plan, e.g. one reusing a bit across
@@ -569,31 +620,25 @@ def secrecy_audit(
                 ann_positions.append((in_pos, position[key]))
         conference_positions.append(position[orientation.conference_edge])
 
-    histograms: dict[tuple, dict[tuple, int]] = {}
-    for mask in range(1 << total_bits):
-        transcript = tuple(
-            ((mask >> p) ^ (mask >> q)) & 1 for p, q in ann_positions
-        )
-        key = tuple((mask >> p) & 1 for p in conference_positions)
-        histograms.setdefault(transcript, {})
-        histograms[transcript][key] = histograms[transcript].get(key, 0) + 1
-
-    key_space = 1 << len(conference_positions)
-    uniform = True
-    for transcript, hist in histograms.items():
-        counts = set(hist.values())
-        if len(hist) != key_space or len(counts) != 1:
-            uniform = False
-            violations.append(
-                "conference key not uniform for transcript "
-                + "".join(map(str, transcript))
-            )
-            break
+    # Column j: key bit j's contribution, announcement i at bit i and
+    # conference bit k at bit (announcement count + k).
+    shift = len(ann_positions)
+    columns = [0] * total_bits
+    for i, (p, q) in enumerate(ann_positions):
+        columns[p] ^= 1 << i
+        columns[q] ^= 1 << i
+    for k, p in enumerate(conference_positions):
+        columns[p] ^= 1 << (shift + k)
+    joint = _gf2_basis(columns)
+    transcript_rank = len(_gf2_basis(c & ((1 << shift) - 1) for c in columns))
+    uniform = len(joint) - transcript_rank == len(conference_positions)
+    if not uniform:
+        violations.append("conference key not uniform for transcript " + "0" * shift)
     return AuditReport(
         uniform=uniform,
         edge_disjoint=len(seen_bits) == scheduled_uses,
         total_bits=total_bits,
         conference_bits=len(conference_positions),
         violations=tuple(violations),
-        histograms=histograms if total_bits <= 12 else None,
+        span=(shift, joint) if total_bits <= 12 else None,
     )

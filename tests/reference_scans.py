@@ -1,14 +1,18 @@
-"""Plain exhaustive versions of the three exact scans, kept as test oracles.
+"""Plain exhaustive versions of the exact scans, kept as test oracles.
 
 Each one visits every candidate in the order its library counterpart is
 specified to honour and evaluates it from scratch:
 
 * :func:`nwt_rate` -- every restricted growth string, every edge summed;
 * :func:`check_no_bottleneck` -- every proper subset in exact rationals;
-* :func:`best_bipartition` -- every bipartition cut in exact rationals.
+* :func:`best_bipartition` -- every bipartition cut in exact rationals;
+* :func:`secrecy_audit` -- every key assignment, one histogram each;
+* :func:`brute_force_packing` -- the memoized multiplicity search,
+  re-summing its capacity bound at every state.
 
-They cost Bell(N), 2^N and 2^(N-1) full evaluations, so they are only
-meant for small N.
+They cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
+oracle recurses once per spanning tree, so they are only meant for small
+inputs.
 """
 
 from __future__ import annotations
@@ -16,8 +20,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qnet_stp import BottleneckCertificate, RateReport, VertexPartition, contract
-from qnet_stp.netgraph import proper_vertex_subsets, restricted_growth_strings
+from qnet_stp import (
+    BottleneckCertificate,
+    PackingOutcome,
+    RateReport,
+    TreePacking,
+    VertexPartition,
+    WeightedGraph,
+    contract,
+)
+from qnet_stp.errors import InvalidPackingError, KeyDepletedError
+from qnet_stp.netgraph import (
+    Multigraph,
+    enumerate_spanning_trees,
+    is_connected,
+    proper_vertex_subsets,
+    restricted_growth_strings,
+)
+from qnet_stp.packing import _optimal_flag, multigraph_from_weighted
+from qnet_stp.protocol import consumption_schedule, orient_tree
 
 
 def nwt_rate(g) -> RateReport:
@@ -101,3 +122,144 @@ def best_bipartition(g) -> tuple[Fraction, VertexPartition]:
         if best is None or cut < best or (cut == best and partition.blocks < best_partition.blocks):
             best, best_partition = cut, partition
     return best, best_partition
+
+
+def secrecy_audit(g, pk, *, schedule=None) -> dict:
+    """Every field of the audit report, from all 2^bits key assignments.
+
+    The transcript and the conference key are evaluated for every mask;
+    the key is uniform iff every transcript's histogram holds every key
+    with one count.  Histograms are kept up to 12 bits, as in the library.
+    """
+    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
+    pool_sizes = Multigraph(g, mpk.rounds).multiplicities()
+    total_bits = sum(pool_sizes.values())
+    if schedule is None:
+        schedule = consumption_schedule(g, mpk)
+    instances = list(mpk.instances())
+    if len(schedule) != len(instances):
+        raise InvalidPackingError("schedule length does not match the tree instances")
+    offsets = {}
+    base = 0
+    for key in sorted(pool_sizes):
+        offsets[key] = base
+        base += pool_sizes[key]
+
+    violations = []
+    seen_bits = {}
+    scheduled_uses = 0
+    ann_positions = []
+    conference_positions = []
+    for (_, _, tree), consumed in zip(instances, schedule):
+        orientation = orient_tree(tree)
+        position = {}
+        for key in tree.edges:
+            index = consumed[key]
+            if not 0 <= index < pool_sizes[key]:
+                raise KeyDepletedError(f"edge {key} has no bit at index {index}")
+            pos = offsets[key] + index
+            if pos in seen_bits:
+                violations.append(
+                    f"bit {index} of edge {key} reused by instances "
+                    f"{seen_bits[pos]} and {len(conference_positions)}"
+                )
+            else:
+                seen_bits[pos] = len(conference_positions)
+            scheduled_uses += 1
+            position[key] = pos
+        for node in sorted(orientation.out_edges):
+            in_pos = position[orientation.in_edge[node]]
+            for key in orientation.out_edges[node]:
+                ann_positions.append((in_pos, position[key]))
+        conference_positions.append(position[orientation.conference_edge])
+
+    histograms = {}
+    for mask in range(1 << total_bits):
+        transcript = tuple(((mask >> p) ^ (mask >> q)) & 1 for p, q in ann_positions)
+        key = tuple((mask >> p) & 1 for p in conference_positions)
+        histograms.setdefault(transcript, {})
+        histograms[transcript][key] = histograms[transcript].get(key, 0) + 1
+
+    key_space = 1 << len(conference_positions)
+    uniform = True
+    for transcript, hist in histograms.items():
+        if len(hist) != key_space or len(set(hist.values())) != 1:
+            uniform = False
+            violations.append(
+                "conference key not uniform for transcript " + "".join(map(str, transcript))
+            )
+            break
+    return {
+        "uniform": uniform,
+        "edge_disjoint": len(seen_bits) == scheduled_uses,
+        "total_bits": total_bits,
+        "conference_bits": len(conference_positions),
+        "violations": tuple(violations),
+        "histograms": histograms if total_bits <= 12 else None,
+    }
+
+
+def brute_force_packing(g, rounds) -> PackingOutcome:
+    """Exact maximum multigraph packing: every spanning tree, every
+    multiplicity, memoized on (tree index, remaining capacities) and cut
+    off by a volume and degree bound summed afresh at every state."""
+    caps_map = Multigraph(g, rounds).multiplicities()
+    usable = [(key, cap) for key, cap in sorted(caps_map.items()) if cap > 0]
+    capacity_graph = WeightedGraph(
+        g.node_ids, [(k[0], k[1], Fraction(c)) for k, c in usable]
+    ) if usable else None
+    if capacity_graph is None or not is_connected(capacity_graph, positive_only=True):
+        return PackingOutcome(
+            packing=TreePacking.multigraph([], [], rounds, source="oracle"),
+            achieved_rate=Fraction(0),
+            optimal=_optimal_flag(g, Fraction(0)),
+            diagnostics={"oracle_states": 0, "tree_candidates": 0},
+        )
+    trees = list(enumerate_spanning_trees(capacity_graph))
+    key_index = {key: i for i, (key, _) in enumerate(usable)}
+    tree_edges = [tuple(key_index[k] for k in t.edges) for t in trees]
+    need = g.node_count - 1
+    incident = [
+        tuple(i for i, (key, _) in enumerate(usable) if v in key) for v in g.node_ids
+    ]
+
+    def upper_bound(caps):
+        by_volume = sum(caps) // need
+        by_degree = min(sum(caps[i] for i in idxs) for idxs in incident)
+        return min(by_volume, by_degree)
+
+    memo = {}
+
+    def explore(i, caps):
+        if i == len(trees):
+            return 0, ()
+        bound = upper_bound(caps)
+        if bound == 0:
+            return 0, (0,) * (len(trees) - i)
+        state = (i, caps)
+        if state in memo:
+            return memo[state]
+        best_k, best_choice = -1, ()
+        for count in range(min(caps[e] for e in tree_edges[i]), -1, -1):
+            reduced = list(caps)
+            for e in tree_edges[i]:
+                reduced[e] -= count
+            sub_k, sub_choice = explore(i + 1, tuple(reduced))
+            if count + sub_k > best_k:
+                best_k, best_choice = count + sub_k, (count,) + sub_choice
+                if best_k == bound:
+                    break
+        memo[state] = (best_k, best_choice)
+        return memo[state]
+
+    k, choice = explore(0, tuple(cap for _, cap in usable))
+    chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
+    rate = Fraction(k, rounds)
+    return PackingOutcome(
+        packing=TreePacking.multigraph(
+            [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
+        ),
+        achieved_rate=rate,
+        optimal=_optimal_flag(g, rate),
+        diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
+    )

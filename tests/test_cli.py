@@ -203,6 +203,52 @@ def test_pack_gives_up_with_partial_json(capsys, graph_file):
     assert doc["partial"] and all(len(tree) == 9 for tree in doc["partial"])
 
 
+@pytest.mark.parametrize("n, trees", [(6, 1296), (8, 262144)])
+def test_pack_refuses_oracle_beyond_tree_cap(capsys, graph_file, n, trees):
+    # the greedy packer stalls on unit K6 and K8; the oracle used to
+    # recurse once per spanning tree and die with a RecursionError
+    path = graph_file(f"k{n}.json", complete(n))
+    for method in ("general", "basic"):
+        code, out = run(capsys, "pack", path, "--method", method)
+        assert code == 4
+        doc = json.loads(out)
+        assert doc["error"]["code"] == "HeuristicFailed"
+        assert f"{trees} spanning trees exceed the cap of 800" in doc["error"]["message"]
+    code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "1")
+    assert code == 3
+    assert json.loads(out)["error"]["code"] == "OracleLimit"
+
+
+def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
+    path = graph_file("k10.json", complete(10))
+    monkeypatch.setenv("QNET_STP_CAPS", "oracle_rounds=5")
+    for method in ("general", "basic"):
+        code, out = run(capsys, "pack", path, "--method", method)
+        assert code == 4
+        assert "9 rounds exceed the oracle cap of 5" in json.loads(out)["error"]["message"]
+    monkeypatch.setenv("QNET_STP_CAPS", "trees=100")
+    code, out = run(capsys, "pack", graph_file("k6.json", complete(6)))
+    assert code == 4
+    assert "exceed the cap of 100" in json.loads(out)["error"]["message"]
+
+
+def test_optimize_candidates_with_dash_labels(capsys, graph_file):
+    path = graph_file("dash.json", build(
+        ["a", "a-1", "b", "1-b", "c"],
+        [("a", "a-1", 1), ("a-1", "b", 1), ("b", "1-b", 1), ("1-b", "c", 1), ("a", "c", 1)],
+    ))
+    code, out = run(capsys, "optimize", path, "--candidates", "a-1-c:2", "--budget", "1")
+    assert code == 0
+    assert json.loads(out)["steps"][0]["edge"] == ["a-1", "c"]
+    # "a-1-b" could link a-1 with b, or a with 1-b
+    code, out = run(capsys, "optimize", path, "--candidates", "a-1-b", "--budget", "1")
+    assert code == 2
+    assert "more than one way" in json.loads(out)["error"]["message"]
+    code, out = run(capsys, "optimize", path, "--candidates", "a-2-c", "--budget", "1")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "Schema"
+
+
 def test_optimize_picks_best_link(capsys, hexagon_path):
     code, out = run(
         capsys, "optimize", hexagon_path,
@@ -296,3 +342,8 @@ def test_parse_candidates():
         parse_candidates("14")
     with pytest.raises(SchemaError):
         parse_candidates("1-2-3")
+    labels = {"a-1", "c", "a"}
+    assert parse_candidates("a-1-c,a-c", labels) == [("a-1", "c", 1), ("a", "c", 1)]
+    assert parse_candidates("x-y", labels) == [("x", "y", 1)]  # one dash: split as before
+    with pytest.raises(SchemaError):
+        parse_candidates("a-1-c-d", labels)

@@ -1,0 +1,77 @@
+"""The CLI's exit-code contract on generated networks.
+
+Every ``qnet-stp`` call exits 0, 2, 3 or 4 and prints JSON (the README's
+promise); no traceback escapes.  Networks are seeded random graphs on
+up to six nodes whose labels mix letters with ``+``, ``-`` and ``:``,
+characters that contraction labels, candidate specs and rate suffixes
+also use.
+"""
+
+import json
+import random
+
+import pytest
+
+from qnet_stp.cli import main
+
+from conftest import build
+
+PIECES = ("a", "b", "c", "1", "2", "+", "-", ":")
+TREE_RATES = ("1", "1", "2", "1/2")
+EXTRA_RATES = TREE_RATES + ("0",)
+
+
+def labels(rng, n):
+    out = set()
+    while len(out) < n:
+        out.add("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 3))))
+    return sorted(out, key=lambda _: rng.random())
+
+
+def random_network(rng):
+    n = rng.randint(2, 6)
+    nodes = labels(rng, n)
+    edges = {
+        frozenset((nodes[i], nodes[rng.randrange(i)])): rng.choice(TREE_RATES)
+        for i in range(1, n)
+    }
+    for _ in range(rng.randint(0, n)):
+        edges.setdefault(frozenset(rng.sample(nodes, 2)), rng.choice(EXTRA_RATES))
+    return build(nodes, [(*sorted(key), rate) for key, rate in edges.items()])
+
+
+def commands(rng, g):
+    labels_ = g.sorted_nodes()
+    present = {e.key for e in g.edges}
+    missing = [f"{u}-{v}" for i, u in enumerate(labels_) for v in labels_[i + 1:]
+               if (u, v) not in present]
+    spec = ",".join(rng.sample(missing, min(3, len(missing)))) or "x-y"
+    return [
+        ["rate"],
+        ["analyze"],
+        ["pack"],
+        ["pack", "--method", "basic"],
+        ["pack", "--method", "oracle", "--rounds", str(rng.randint(1, 2))],
+        ["simulate", "--seed", str(rng.randrange(100))],
+        ["simulate", "--audit"],
+        ["simulate", "--rounds", "1", "--audit"],
+        # "=" keeps argparse from reading a spec that starts with "-" as a flag
+        ["optimize", f"--candidates={spec}", "--budget", str(rng.randint(1, 2))],
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_command_exits_by_contract_with_json(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    path = tmp_path / "g.json"
+    for _ in range(5):
+        g = random_network(rng)
+        path.write_text(g.to_json(), encoding="utf-8")
+        for argv in commands(rng, g):
+            code = main([argv[0], str(path), *argv[1:]])
+            out = capsys.readouterr().out
+            assert code in (0, 2, 3, 4), (argv, g.to_json())
+            doc = json.loads(out)
+            assert (code == 0) == ("error" not in doc), (argv, out)
+        assert main(["export-dot", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("graph network {")

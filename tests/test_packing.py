@@ -24,7 +24,7 @@ from qnet_stp.errors import (
     SchemaError,
 )
 from qnet_stp.netgraph import enumerate_spanning_trees
-from qnet_stp.packing import multigraph_from_weighted, weighted_from_multigraph
+from qnet_stp.packing import ORACLE_TREE_CAP, multigraph_from_weighted, weighted_from_multigraph
 
 from conftest import build, complete, random_connected_graph, ring
 
@@ -159,6 +159,20 @@ def test_round_cap():
 def test_tree_cap(k4):
     with pytest.raises(OracleLimitError):
         brute_force_packing(k4, 1, max_trees=10)
+
+
+def test_oracle_searches_up_to_its_tree_cap():
+    # two K4s and a triangle glued at cut vertices: 16 * 16 * 3 = 768 trees,
+    # one recursion level each, just under the cap
+    edges = [(u, v, 1) for block in (("1", "2", "3", "4"), ("4", "5", "6", "7"))
+             for i, u in enumerate(block) for v in block[i + 1:]]
+    edges += [("7", "8", 1), ("8", "9", 1), ("7", "9", 1)]
+    g = build([str(i) for i in range(1, 10)], edges)
+    out = brute_force_packing(g, 1)
+    assert ORACLE_TREE_CAP >= out.diagnostics["tree_candidates"] == 768
+    assert out.achieved_rate == 1  # one round, one tree
+    with pytest.raises(OracleLimitError, match="1296 spanning trees exceed the cap of 800"):
+        brute_force_packing(complete(6), 1)
 
 
 def test_exact_prefers_lexicographic_smallest(triangle):

@@ -1,8 +1,9 @@
 """The exact scans agree with their exhaustive reference versions.
 
 Full results are compared -- rate report, every certificate field, the
-bipartition pair -- so visit order and tie-breaks are checked too, not
-just the optimum.
+bipartition pair, every audit report field with its histograms, the
+whole oracle outcome -- so visit order and tie-breaks are checked too,
+not just the optimum.
 """
 
 import random
@@ -10,11 +11,20 @@ from fractions import Fraction
 
 import pytest
 
-from qnet_stp import check_no_bottleneck, nwt_rate
+from qnet_stp import (
+    TreePacking,
+    brute_force_packing,
+    check_no_bottleneck,
+    enumerate_spanning_trees,
+    nwt_rate,
+    secrecy_audit,
+)
+from qnet_stp.netgraph import Multigraph
 from qnet_stp.planner import _best_bipartition
+from qnet_stp.protocol import consumption_schedule
 
 import reference_scans
-from conftest import build, complete, ring
+from conftest import build, complete, random_connected_graph, ring
 
 RATES = ("1", "2", "3", "1/2", "3/2", "2/3", "5/4", "7/3")
 ALPHABET = tuple("abcdefghijklmnopqrstuvwxyz") + tuple(str(i) for i in range(10))
@@ -91,3 +101,88 @@ def test_scans_match_reference_on_larger_graphs(make):
 
 def test_scans_match_reference_on_two_cliques_hub(two_cliques_hub):
     assert_same_scans(two_cliques_hub)
+
+
+def random_packing(rng, g, rounds):
+    """Random spanning trees with random multiplicities that fit ``rounds``."""
+    room = Multigraph(g, rounds).multiplicities()
+    trees = list(enumerate_spanning_trees(g))
+    rng.shuffle(trees)
+    chosen, mults = [], []
+    for tree in trees[: rng.randint(1, 4)]:
+        fit = min(room[k] for k in tree.edges)
+        count = rng.randint(0, fit) if fit else 0
+        if count:
+            for k in tree.edges:
+                room[k] -= count
+            chosen.append(tree)
+            mults.append(count)
+    return TreePacking.multigraph(chosen, mults, rounds)
+
+
+def reuse_schedule(rng, g, pk):
+    """The protocol's schedule with one or two bits pointed at bits used elsewhere."""
+    schedule = [dict(step) for step in consumption_schedule(g, pk)]
+    for _ in range(rng.randint(1, 2)):
+        step = rng.choice(schedule)
+        key = rng.choice(sorted(step))
+        step[key] = rng.choice([s[key] for s in schedule if key in s])
+    return schedule
+
+
+def assert_same_audit(g, pk, schedule=None):
+    report = secrecy_audit(g, pk, schedule=schedule)
+    expected = reference_scans.secrecy_audit(g, pk, schedule=schedule)
+    assert {field: getattr(report, field) for field in expected} == expected
+    return report
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_audit_matches_every_assignment(seed):
+    rng = random.Random(seed)
+    verdicts = set()
+    for n in range(2, 6):
+        for rounds in (1, 2):
+            for _ in range(4):
+                g = random_connected_graph(rng, max_nodes=n, max_extra=2, rates=(1, 2))
+                if Multigraph(g, rounds).total_edges() > 14:
+                    continue
+                pk = random_packing(rng, g, rounds)
+                verdicts.add(assert_same_audit(g, pk).uniform)
+                for _ in range(2 if pk.trees else 0):
+                    verdicts.add(assert_same_audit(g, pk, reuse_schedule(rng, g, pk)).uniform)
+    assert verdicts == {True, False}
+
+
+def test_audit_histograms_only_up_to_twelve_bits():
+    g = ring(4)
+    for rounds, kept in ((3, True), (4, False)):  # 12 and 16 key bits
+        pk = brute_force_packing(g, rounds).packing
+        report = assert_same_audit(g, pk)
+        assert (report.histograms is not None) == kept
+        assert ("histograms" in report.to_json_dict()) == kept
+        assert "histograms" not in report.to_json_dict(histograms=False)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_oracle_matches_reference_search(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(12):
+        g = random_connected_graph(rng, max_nodes=5, max_extra=5, rates=(1, 2, 3, "1/2", "3/2"))
+        for rounds in range(1, 4):
+            outcome = brute_force_packing(g, rounds)
+            expected = reference_scans.brute_force_packing(g, rounds)
+            assert outcome.to_json_dict() == expected.to_json_dict()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete(4, rate=2),
+    lambda: complete(4, rate=Fraction(3, 2)),
+    lambda: complete(5),
+], ids=["k4-rate2", "k4-rate3/2", "k5"])
+def test_oracle_matches_reference_search_on_dense_graphs(make):
+    # thousands of memoized states, so the bound prunes for real
+    g = make()
+    for rounds in range(1, 4 if g.node_count == 5 else 5):
+        outcome = brute_force_packing(g, rounds)
+        assert outcome.to_json_dict() == reference_scans.brute_force_packing(g, rounds).to_json_dict()
