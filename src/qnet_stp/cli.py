@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     HeuristicFailedError,
-    InternalError,
     LimitError,
     QNetError,
     SchemaError,
@@ -57,7 +56,6 @@ DOT_PALETTE = (
 DEFAULT_CAPS = {
     "partitions": PARTITION_CAP_NODES,
     "subsets": SUBSET_CAP_NODES,
-    "lp": 16,
     "trees": TREE_ENUMERATION_CAP,
     "audit": AUDIT_BIT_CAP,
     "backtrack": BACKTRACK_CAP,
@@ -156,11 +154,13 @@ def cmd_rate(args, caps) -> int:
 
 
 def _packer_caps(caps) -> dict:
-    """The caps the greedy packers and their oracle fallback honour."""
+    """The caps the greedy packers, their scans and their oracle fallback honour."""
     return {
         "backtrack_cap": caps["backtrack"],
         "oracle_rounds": caps["oracle_rounds"],
         "max_trees": caps["trees"],
+        "max_nodes": caps["partitions"],
+        "subset_cap": caps["subsets"],
     }
 
 
@@ -168,7 +168,8 @@ def _make_packing(g, method: str, rounds: Optional[int], caps):
     if method == "oracle":
         n = rounds if rounds is not None else g.node_count - 1
         return brute_force_packing(
-            g, n, max_rounds=caps["oracle_rounds"], max_trees=caps["trees"]
+            g, n, max_rounds=caps["oracle_rounds"], max_trees=caps["trees"],
+            max_nodes=caps["partitions"],
         )
     if rounds is not None:
         raise SchemaError("--rounds only applies to --method oracle")
@@ -202,15 +203,10 @@ def cmd_pack(args, caps) -> int:
 
 def cmd_simulate(args, caps) -> int:
     g = load_graph(args.input)
-    if args.rounds is not None:
-        if args.rounds < 1:
-            raise SchemaError(f"round count must be positive, got {args.rounds}")
-        outcome = brute_force_packing(
-            g, args.rounds, max_rounds=caps["oracle_rounds"], max_trees=caps["trees"]
-        )
-    else:
-        outcome = general_algorithm(g, **_packer_caps(caps))
-    pk = outcome.packing
+    if args.rounds is not None and args.rounds < 1:
+        raise SchemaError(f"round count must be positive, got {args.rounds}")
+    method = "general" if args.rounds is None else "oracle"
+    pk = _make_packing(g, method, args.rounds, caps).packing
     transcript = run_packing_protocol(g, pk, args.seed)
     doc = transcript.to_json_dict()
     doc["packing"] = pk.to_json_dict()
@@ -299,8 +295,15 @@ def cmd_export_dot(args, caps) -> int:
 # dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as :class:`SchemaError`, so they exit 2 with JSON."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qnet-stp",
         description="Conference-key rates and spanning-tree packings for QKD networks",
     )
@@ -346,9 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         caps = read_caps()
         return args.func(args, caps)
     except HeuristicFailedError as exc:

@@ -23,7 +23,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -34,6 +34,7 @@ from .errors import (
     InvalidSubsetError,
     NegativeRateError,
     OracleLimitError,
+    PreconditionFailedError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -303,24 +304,54 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(nodes, edges)
 
 
+def integer_rates(g: WeightedGraph, need: str) -> dict[EdgeKey, int]:
+    """Every edge's rate as an int, in edge order.
+
+    Raises:
+        PreconditionFailedError: at the first non-integer rate; the message
+            ends with ``need``, the caller's reason for integers.
+    """
+    rates = {}
+    for e in g.edges:
+        if e.rate.denominator != 1:
+            raise PreconditionFailedError(
+                f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; {need}"
+            )
+        rates[e.key] = int(e.rate)
+    return rates
+
+
+def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeKey]:
+    """Kruskal over ``keys`` in the given order: the keys that join two components.
+
+    Every endpoint must be one of ``nodes``.  The result is a spanning
+    tree of ``nodes`` exactly when it has ``len(nodes) - 1`` keys; the
+    scan stops once it has.
+    """
+    parent = {v: v for v in nodes}
+    size = len(parent) - 1
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    forest: list[EdgeKey] = []
+    for key in keys:
+        ru, rv = find(key[0]), find(key[1])
+        if ru != rv:
+            parent[ru] = rv
+            forest.append(key)
+            if len(forest) == size:
+                break
+    return forest
+
+
 def is_connected(g: WeightedGraph, positive_only: bool = False) -> bool:
     """True when ``g`` is connected (optionally counting only rate>0 edges)."""
-    nodes = g.node_ids
-    if len(nodes) == 1:
-        return True
-    start = nodes[0]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for key in g.edges_at(node):
-            if positive_only and g._by_key[key].rate == 0:
-                continue
-            other = key[1] if key[0] == node else key[0]
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return len(seen) == len(nodes)
+    keys = (e.key for e in g.edges if e.rate or not positive_only)
+    return len(spanning_forest(g.node_ids, keys)) == g.node_count - 1
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +571,12 @@ class SpanningTree:
 
 def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:
     """True when ``tree`` uses edges of ``g`` and spans every node acyclically."""
-    n = g.node_count
-    if len(tree.edges) != n - 1:
-        return False
-    if len(set(tree.edges)) != len(tree.edges):
-        return False
-    parent = {v: v for v in g.node_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in tree.edges:
-        if not g.has_edge(u, v):
-            return False
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    keys = tree.edges
+    return (
+        len(keys) == g.node_count - 1
+        and all(g.has_edge(u, v) for u, v in keys)
+        and len(spanning_forest(g.node_ids, keys)) == len(keys)
+    )
 
 
 def count_spanning_trees(g: WeightedGraph) -> int:
@@ -621,43 +637,24 @@ def enumerate_spanning_trees(
         return
     keys = [e.key for e in g.positive_edges()]  # already sorted
     m = len(keys)
-    parent: dict[str, str] = {v: v for v in g.node_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def can_complete(i: int) -> bool:
-        snapshot = dict(parent)
-        comps = len({find(v) for v in g.node_ids})
-        for u, v in keys[i:]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-                if comps == 1:
-                    break
-        parent.clear()
-        parent.update(snapshot)
-        return comps == 1
-
     chosen: list[EdgeKey] = []
 
     def walk(i: int) -> Iterator[SpanningTree]:
         if len(chosen) == n - 1:
             yield SpanningTree(tuple(chosen))
             return
-        if i == m or len(chosen) + (m - i) < n - 1 or not can_complete(i):
+        if len(chosen) + (m - i) < n - 1:
             return
-        u, v = keys[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        # ``chosen`` is a forest, so it heads the forest of chosen + keys[i:]:
+        # that forest spans iff some completion exists, and keys[i] joins
+        # two components of ``chosen`` iff it comes next.
+        forest = spanning_forest(g.node_ids, chosen + keys[i:])
+        if len(forest) < n - 1:
+            return
+        if forest[len(chosen)] == keys[i]:
             chosen.append(keys[i])
             yield from walk(i + 1)
             chosen.pop()
-            parent[ru] = ru
         yield from walk(i + 1)
 
     yield from walk(0)

@@ -42,23 +42,28 @@ from .errors import (
     OracleLimitError,
     PreconditionFailedError,
     SchemaError,
-    TrivialNetworkError,
 )
 from .netgraph import (
     EdgeKey,
     Multigraph,
     SpanningTree,
     TREE_ENUMERATION_CAP,
-    VertexPartition,
     WeightedGraph,
-    contract,
     enumerate_spanning_trees,
     format_rational,
     induced_subgraph,
+    integer_rates,
     is_connected,
     is_spanning_tree,
+    spanning_forest,
 )
-from .rate_core import PARTITION_CAP_NODES, _require_rateable, check_no_bottleneck, nwt_rate
+from .rate_core import (
+    PARTITION_CAP_NODES,
+    SUBSET_CAP_NODES,
+    _require_rateable,
+    check_no_bottleneck,
+    nwt_rate,
+)
 
 #: Candidate budget for the next-to-last greedy tree search.
 BACKTRACK_CAP = 10_000
@@ -151,6 +156,10 @@ class TreePacking:
         else:
             for idx, tree in enumerate(self.trees):
                 yield idx, 0, tree
+
+    def as_multigraph(self) -> TreePacking:
+        """This packing in multigraph mode (see :func:`multigraph_from_weighted`)."""
+        return self if self.mode == "multigraph" else multigraph_from_weighted(self)
 
     def edge_usage(self) -> dict[EdgeKey, Fraction]:
         """Total weight (or multiplicity) laid on each edge."""
@@ -291,6 +300,7 @@ def brute_force_packing(
     *,
     max_rounds: int = ORACLE_ROUND_CAP,
     max_trees: int = TREE_ENUMERATION_CAP,
+    max_nodes: int = PARTITION_CAP_NODES,
 ) -> PackingOutcome:
     """Exact maximum multigraph packing for ``rounds`` rounds.
 
@@ -298,7 +308,9 @@ def brute_force_packing(
     exhaustively (with memoization and capacity bounds), so the returned
     tree count is the true maximum for the multigraph whose edge
     multiplicities are ``floor(rounds * rate)``.  Ties resolve to the
-    lexicographically smallest tree multiset.
+    lexicographically smallest tree multiset.  ``optimal`` compares the
+    result with the partition scan's rate, or is None above ``max_nodes``
+    nodes.
 
     Raises:
         OracleLimitError: ``rounds`` above ``max_rounds``, or more trees
@@ -319,7 +331,7 @@ def brute_force_packing(
         return PackingOutcome(
             packing=empty,
             achieved_rate=Fraction(0),
-            optimal=_optimal_flag(g, Fraction(0)),
+            optimal=_optimal_flag(g, Fraction(0), max_nodes),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
     trees = list(enumerate_spanning_trees(
@@ -383,53 +395,26 @@ def brute_force_packing(
     return PackingOutcome(
         packing=packing,
         achieved_rate=rate,
-        optimal=_optimal_flag(g, rate),
+        optimal=_optimal_flag(g, rate, max_nodes),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
 
 
-def _optimal_flag(g: WeightedGraph, rate: Fraction) -> Optional[bool]:
-    if g.node_count > PARTITION_CAP_NODES:
+def _optimal_flag(g: WeightedGraph, rate: Fraction, max_nodes: int) -> Optional[bool]:
+    if g.node_count > max_nodes:
         return None
-    return rate == nwt_rate(g).rate
+    return rate == nwt_rate(g, max_nodes=max_nodes).rate
 
 
 # ---------------------------------------------------------------------------
 # greedy algorithm (no bottleneck, integer rates)
 # ---------------------------------------------------------------------------
 
-def _integer_rates(g: WeightedGraph) -> dict[EdgeKey, int]:
-    rates = {}
-    for e in g.edges:
-        if e.rate.denominator != 1:
-            raise PreconditionFailedError(
-                f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; "
-                "this algorithm needs integer rates"
-            )
-        rates[e.key] = int(e.rate)
-    return rates
-
-
 def _max_weight_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optional[SpanningTree]:
     """Kruskal on descending weight (ties to the smaller edge key)."""
     order = sorted((k for k, w in weight.items() if w > 0), key=lambda k: (-weight[k], k))
-    parent = {v: v for v in g.node_ids}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    picked = []
-    for key in order:
-        ru, rv = find(key[0]), find(key[1])
-        if ru != rv:
-            parent[ru] = rv
-            picked.append(key)
-            if len(picked) == g.node_count - 1:
-                return SpanningTree.of(picked)
-    return None
+    picked = spanning_forest(g.node_ids, order)
+    return SpanningTree.of(picked) if len(picked) == g.node_count - 1 else None
 
 
 def _unit_residual_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optional[SpanningTree]:
@@ -447,6 +432,8 @@ def basic_algorithm(
     backtrack_cap: int = BACKTRACK_CAP,
     oracle_rounds: int = ORACLE_ROUND_CAP,
     max_trees: int = TREE_ENUMERATION_CAP,
+    max_nodes: int = PARTITION_CAP_NODES,
+    subset_cap: int = SUBSET_CAP_NODES,
 ) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
@@ -457,16 +444,18 @@ def basic_algorithm(
     leaves precisely one unit-weight spanning tree.  If the search budget
     runs out the exhaustive oracle finishes the job (flagged in
     diagnostics).  ``max_trees`` bounds the candidate enumeration and,
-    with ``oracle_rounds``, the oracle.
+    with ``oracle_rounds`` and ``max_nodes``, the oracle; ``subset_cap``
+    bounds the bottleneck scan.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
+        ExactModeLimitError: more nodes than ``subset_cap``.
         HeuristicFailedError: greedy and oracle both failed (carries the
             trees found so far).
     """
     _require_rateable(g)
-    rates = _integer_rates(g)
-    cert = check_no_bottleneck(g)
+    rates = integer_rates(g, "this algorithm needs integer rates")
+    cert = check_no_bottleneck(g, max_nodes=subset_cap)
     if not cert.ok:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
@@ -482,7 +471,7 @@ def basic_algorithm(
         diagnostics["fallback_reason"] = reason
         try:
             oracle = brute_force_packing(
-                g, n, max_rounds=oracle_rounds, max_trees=max_trees
+                g, n, max_rounds=oracle_rounds, max_trees=max_trees, max_nodes=max_nodes
             )
         except OracleLimitError as exc:
             raise HeuristicFailedError(
@@ -563,6 +552,8 @@ def general_algorithm(
     backtrack_cap: int = BACKTRACK_CAP,
     oracle_rounds: int = ORACLE_ROUND_CAP,
     max_trees: int = TREE_ENUMERATION_CAP,
+    max_nodes: int = PARTITION_CAP_NODES,
+    subset_cap: int = SUBSET_CAP_NODES,
 ) -> PackingOutcome:
     """Optimal-rate packing for integer rates, bottlenecks included.
 
@@ -573,26 +564,34 @@ def general_algorithm(
     to concrete cross edges with remaining capacity, lexicographically
     first) onto the matching remainder tree, pairing instances by sorted
     index over a common round count.  The caps reach every
-    :func:`basic_algorithm` call and the oracle fallback.
+    :func:`basic_algorithm` call, every bottleneck scan (``subset_cap``),
+    the oracle fallback and the partition scans (``max_nodes``).
 
     Raises:
         PreconditionFailedError: non-integer rates.
+        ExactModeLimitError: a scan over more nodes than its cap.
         HeuristicFailedError: a merge failed and the oracle also could not
             finish.
     """
     _require_rateable(g)
-    _integer_rates(g)
+    integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
-    caps = {"backtrack_cap": backtrack_cap, "oracle_rounds": oracle_rounds, "max_trees": max_trees}
+    caps = {
+        "backtrack_cap": backtrack_cap,
+        "oracle_rounds": oracle_rounds,
+        "max_trees": max_trees,
+        "max_nodes": max_nodes,
+        "subset_cap": subset_cap,
+    }
     try:
         packing = _general_pack(g, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = str(exc)
-        rounds = nwt_rate(g).rate.denominator
+        rounds = nwt_rate(g, max_nodes=max_nodes).rate.denominator
         try:
             oracle = brute_force_packing(
-                g, rounds, max_rounds=oracle_rounds, max_trees=max_trees
+                g, rounds, max_rounds=oracle_rounds, max_trees=max_trees, max_nodes=max_nodes
             )
         except OracleLimitError as limit:
             raise HeuristicFailedError(
@@ -603,14 +602,14 @@ def general_algorithm(
     return PackingOutcome(
         packing=packing,
         achieved_rate=rate,
-        optimal=_optimal_flag(g, rate),
+        optimal=_optimal_flag(g, rate, max_nodes),
         diagnostics=diagnostics,
     )
 
 
 def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: dict) -> TreePacking:
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
-    cert = check_no_bottleneck(g)
+    cert = check_no_bottleneck(g, max_nodes=caps["subset_cap"])
     if cert.ok:
         outcome = basic_algorithm(g, **caps)
         diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
@@ -621,9 +620,8 @@ def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: dict) -
     subset = cert.violating_subset
     rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
-    partition = VertexPartition.from_blocks([[v] for v in subset] + [list(rest)])
-    contracted = contract(g, partition)
-    merged_label = contracted.node_ids[partition.blocks.index(rest)]
+    contracted = cert.contracted
+    merged_label = contracted.node_ids[cert.partition.blocks.index(rest)]
     remainder = induced_subgraph(g, rest)
     if not is_connected(remainder, positive_only=True):
         raise MergeFailedError(

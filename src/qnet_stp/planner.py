@@ -131,7 +131,7 @@ def bottleneck_report(
             f"{g.node_count} nodes exceed the cap of {max_nodes}"
         )
     report: RateReport = nwt_rate(g, max_nodes=max_nodes)
-    bip_bound, _ = _best_bipartition(g)
+    bip_bound, bip_partition = _best_bipartition(g)
     certificate = check_no_bottleneck(g, max_nodes=subset_cap)
     partition = report.minimizing_partition
     if report.finest_is_optimal:
@@ -143,8 +143,8 @@ def bottleneck_report(
         )
     elif bip_bound == report.rate:
         kind = "bipartition"
-        bip_partition = partition if partition.block_count == 2 else _best_bipartition(g)[1]
-        partition = bip_partition
+        if partition.block_count != 2:
+            partition = bip_partition
         contracted = contract(g, partition)
         narrative = (
             f"bipartition bottleneck {partition}: the cut of rate "

@@ -32,8 +32,16 @@ from .errors import (
     OracleLimitError,
     PreconditionFailedError,
 )
-from .netgraph import EdgeKey, Multigraph, SpanningTree, WeightedGraph, edge_key, format_rational
-from .packing import TreePacking, multigraph_from_weighted
+from .netgraph import (
+    EdgeKey,
+    Multigraph,
+    SpanningTree,
+    WeightedGraph,
+    edge_key,
+    format_rational,
+    integer_rates,
+)
+from .packing import TreePacking
 
 #: Largest key-bit count (2^bits assignments) the secrecy audit accepts.
 AUDIT_BIT_CAP = 20
@@ -100,15 +108,10 @@ def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise PreconditionFailedError(f"round count must be a positive integer, got {rounds!r}")
-    for e in g.edges:
-        if e.rate.denominator != 1:
-            raise PreconditionFailedError(
-                f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; keys come in whole bits"
-            )
     rng = random.Random(seed)
     pools = {}
-    for e in g.edges:  # already sorted by key
-        pools[e.key] = tuple(rng.getrandbits(1) for _ in range(rounds * int(e.rate)))
+    for key, rate in integer_rates(g, "keys come in whole bits").items():  # sorted by key
+        pools[key] = tuple(rng.getrandbits(1) for _ in range(rounds * rate))
     return KeyMaterial(pools, seed=seed)
 
 
@@ -336,7 +339,7 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
     Raises:
         KeyDepletedError: the packing overuses some edge.
     """
-    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
+    mpk = pk.as_multigraph()
     caps = Multigraph(g, mpk.rounds).multiplicities()
     cursor: dict[EdgeKey, int] = {k: 0 for k in caps}
     schedule = []
@@ -373,7 +376,7 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     With a common epsilon per edge this gives (edge count) * epsilon per
     tree and (instances) * (edge count) * epsilon overall.
     """
-    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
+    mpk = pk.as_multigraph()
     per_tree = []
     for _, _, tree in mpk.instances():
         per_tree.append(
@@ -423,7 +426,7 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
         InvalidPackingError / KeyDepletedError: the packing does not fit.
         PreconditionFailedError: non-integer rates.
     """
-    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
+    mpk = pk.as_multigraph()
     schedule = consumption_schedule(g, mpk)
     km = generate_keys(g, mpk.rounds, seed)
     announcements: list[Announcement] = []
@@ -565,13 +568,9 @@ def secrecy_audit(
         OracleLimitError: more than ``max_bits`` total key bits.
         PreconditionFailedError: non-integer rates.
     """
-    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
-    for e in g.edges:
-        if e.rate.denominator != 1:
-            raise PreconditionFailedError(
-                f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; keys come in whole bits"
-            )
-    pool_sizes = Multigraph(g, mpk.rounds).multiplicities()
+    mpk = pk.as_multigraph()
+    rates = integer_rates(g, "keys come in whole bits")
+    pool_sizes = {key: mpk.rounds * rate for key, rate in rates.items()}
     total_bits = sum(pool_sizes.values())
     if total_bits > max_bits:
         raise OracleLimitError(

@@ -8,7 +8,11 @@ specified to honour and evaluates it from scratch:
 * :func:`best_bipartition` -- every bipartition cut in exact rationals;
 * :func:`secrecy_audit` -- every key assignment, one histogram each;
 * :func:`brute_force_packing` -- the memoized multiplicity search,
-  re-summing its capacity bound at every state.
+  re-summing its capacity bound at every state;
+* :func:`is_connected`, :func:`is_spanning_tree`,
+  :func:`enumerate_spanning_trees` and :func:`max_weight_tree` -- a
+  depth-first search and three union-find loops of their own, the
+  enumeration restoring a snapshot after each look-ahead.
 
 They cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
 oracle recurses once per spanning tree, so they are only meant for small
@@ -29,15 +33,22 @@ from qnet_stp import (
     WeightedGraph,
     contract,
 )
-from qnet_stp.errors import InvalidPackingError, KeyDepletedError
+from qnet_stp.errors import (
+    DisconnectedError,
+    InvalidPackingError,
+    KeyDepletedError,
+    OracleLimitError,
+)
 from qnet_stp.netgraph import (
+    PARTITION_CAP_NODES,
+    TREE_ENUMERATION_CAP,
     Multigraph,
-    enumerate_spanning_trees,
-    is_connected,
+    SpanningTree,
+    count_spanning_trees,
     proper_vertex_subsets,
     restricted_growth_strings,
 )
-from qnet_stp.packing import _optimal_flag, multigraph_from_weighted
+from qnet_stp.packing import multigraph_from_weighted
 from qnet_stp.protocol import consumption_schedule, orient_tree
 
 
@@ -212,7 +223,7 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
         return PackingOutcome(
             packing=TreePacking.multigraph([], [], rounds, source="oracle"),
             achieved_rate=Fraction(0),
-            optimal=_optimal_flag(g, Fraction(0)),
+            optimal=optimal_flag(g, Fraction(0)),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
     trees = list(enumerate_spanning_trees(capacity_graph))
@@ -260,6 +271,141 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
             [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
         ),
         achieved_rate=rate,
-        optimal=_optimal_flag(g, rate),
+        optimal=optimal_flag(g, rate),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
+
+
+def optimal_flag(g, rate):
+    """Whether ``rate`` is the network's rate; None beyond the partition cap."""
+    if g.node_count > PARTITION_CAP_NODES:
+        return None
+    return rate == nwt_rate(g).rate
+
+
+def is_connected(g, positive_only=False) -> bool:
+    """Depth-first search from the first node (optionally over rate>0 edges)."""
+    nodes = g.node_ids
+    if len(nodes) == 1:
+        return True
+    start = nodes[0]
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        for key in g.edges_at(node):
+            if positive_only and g.rate(*key) == 0:
+                continue
+            other = key[1] if key[0] == node else key[0]
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(nodes)
+
+
+def is_spanning_tree(g, tree) -> bool:
+    """Right size, no repeated edge, every edge in ``g``, no cycle."""
+    n = g.node_count
+    if len(tree.edges) != n - 1:
+        return False
+    if len(set(tree.edges)) != len(tree.edges):
+        return False
+    parent = {v: v for v in g.node_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in tree.edges:
+        if not g.has_edge(u, v):
+            return False
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def enumerate_spanning_trees(g, *, max_trees=TREE_ENUMERATION_CAP):
+    """Every spanning tree of the positive-rate subgraph, lexicographically.
+
+    Include-then-exclude over the sorted positive edges; a branch is cut
+    when the chosen edges plus the remaining ones cannot span, tested on
+    the union-find state and then restored from a snapshot.
+    """
+    if not is_connected(g, positive_only=True):
+        raise DisconnectedError("positive-rate subgraph is not connected")
+    total = count_spanning_trees(g)
+    if total > max_trees:
+        raise OracleLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
+    n = g.node_count
+    if n == 1:
+        yield SpanningTree(())
+        return
+    keys = [e.key for e in g.positive_edges()]
+    m = len(keys)
+    parent = {v: v for v in g.node_ids}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def can_complete(i):
+        snapshot = dict(parent)
+        comps = len({find(v) for v in g.node_ids})
+        for u, v in keys[i:]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                comps -= 1
+                if comps == 1:
+                    break
+        parent.clear()
+        parent.update(snapshot)
+        return comps == 1
+
+    chosen = []
+
+    def walk(i):
+        if len(chosen) == n - 1:
+            yield SpanningTree(tuple(chosen))
+            return
+        if i == m or len(chosen) + (m - i) < n - 1 or not can_complete(i):
+            return
+        u, v = keys[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append(keys[i])
+            yield from walk(i + 1)
+            chosen.pop()
+            parent[ru] = ru
+        yield from walk(i + 1)
+
+    yield from walk(0)
+
+
+def max_weight_tree(g, weight):
+    """Kruskal on descending weight (ties to the smaller key); None if the
+    positive-weight edges do not span."""
+    order = sorted((k for k, w in weight.items() if w > 0), key=lambda k: (-weight[k], k))
+    parent = {v: v for v in g.node_ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    picked = []
+    for key in order:
+        ru, rv = find(key[0]), find(key[1])
+        if ru != rv:
+            parent[ru] = rv
+            picked.append(key)
+            if len(picked) == g.node_count - 1:
+                return SpanningTree.of(picked)
+    return None

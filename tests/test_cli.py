@@ -232,6 +232,52 @@ def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
     assert "exceed the cap of 100" in json.loads(out)["error"]["message"]
 
 
+TWO_TRIANGLES = build(
+    ["a", "b", "c", "d", "e", "f"],
+    [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("d", "e", 1), ("e", "f", 1), ("d", "f", 1),
+     ("c", "d", 1)],
+)
+
+
+def test_subset_cap_reaches_the_packers(capsys, graph_file, monkeypatch):
+    path = graph_file("two_triangles.json", TWO_TRIANGLES)
+    monkeypatch.setenv("QNET_STP_CAPS", "subsets=2")
+    for argv in (["pack"], ["pack", "--method", "basic"], ["simulate"]):
+        code, out = run(capsys, argv[0], path, *argv[1:])
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "code": "ExactModeLimit", "message": "subset scan over 6 nodes exceeds the cap of 2",
+        }
+
+
+def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypatch):
+    path = graph_file("two_triangles.json", TWO_TRIANGLES)
+    for caps, optimal in (("", True), ("partitions=2", None)):
+        monkeypatch.setenv("QNET_STP_CAPS", caps)
+        for argv in (["pack"], ["pack", "--method", "oracle", "--rounds", "1"]):
+            code, out = run(capsys, argv[0], path, *argv[1:])
+            assert code == 0
+            assert json.loads(out)["optimal"] is optimal
+
+
+def test_partition_cap_reaches_the_splice_fallback(capsys, graph_file, monkeypatch):
+    # the remainder {2,3,4,5} is disconnected, so the split fails and the
+    # fallback scans partitions for the oracle's round count
+    path = graph_file("split.json", build(
+        ["1", "2", "3", "4", "5"],
+        [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
+    ))
+    code, out = run(capsys, "pack", path)
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["fallback"] is True
+    monkeypatch.setenv("QNET_STP_CAPS", "partitions=4")
+    code, out = run(capsys, "pack", path)
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "partition enumeration over 5 nodes exceeds the cap of 4"
+    )
+
+
 def test_optimize_candidates_with_dash_labels(capsys, graph_file):
     path = graph_file("dash.json", build(
         ["a", "a-1", "b", "1-b", "c"],
@@ -333,6 +379,27 @@ def test_read_caps_defaults_and_overrides():
         read_caps("trees=abc")
     with pytest.raises(SchemaError):
         read_caps("trees=0")
+    assert sorted(caps) == ["audit", "backtrack", "oracle_rounds", "partitions", "subsets", "trees"]
+    with pytest.raises(SchemaError, match="unknown cap 'lp'"):
+        read_caps("lp=16")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--candidates", "-a-b"],
+     "qnet-stp optimize: argument --candidates: expected one argument"),
+    (["rate", "--bogus"], "qnet-stp: unrecognized arguments: --bogus"),
+])
+def test_usage_errors_print_json(capsys, hexagon_path, argv, message):
+    code, out = run(capsys, argv[0], hexagon_path, *argv[1:])
+    assert code == 2
+    assert json.loads(out) == {"error": {"code": "Schema", "message": message}}
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qnet-stp rate")
 
 
 def test_parse_candidates():

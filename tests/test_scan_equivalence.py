@@ -2,8 +2,8 @@
 
 Full results are compared -- rate report, every certificate field, the
 bipartition pair, every audit report field with its histograms, the
-whole oracle outcome -- so visit order and tie-breaks are checked too,
-not just the optimum.
+whole oracle outcome, the ordered list of spanning trees -- so visit
+order and tie-breaks are checked too, not just the optimum.
 """
 
 import random
@@ -12,14 +12,19 @@ from fractions import Fraction
 import pytest
 
 from qnet_stp import (
+    SpanningTree,
     TreePacking,
     brute_force_packing,
     check_no_bottleneck,
     enumerate_spanning_trees,
+    is_connected,
+    is_spanning_tree,
     nwt_rate,
     secrecy_audit,
 )
+from qnet_stp.errors import DisconnectedError, OracleLimitError
 from qnet_stp.netgraph import Multigraph
+from qnet_stp.packing import _max_weight_tree
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
 
@@ -186,3 +191,65 @@ def test_oracle_matches_reference_search_on_dense_graphs(make):
     for rounds in range(1, 4 if g.node_count == 5 else 5):
         outcome = brute_force_packing(g, rounds)
         assert outcome.to_json_dict() == reference_scans.brute_force_packing(g, rounds).to_json_dict()
+
+
+def any_graph(rng, n):
+    """Random edges at rates 0, 1 and 2 on ``n`` random labels, often disconnected."""
+    labels = rng.sample(ALPHABET, n)
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    return build(labels, [(a, b, rng.choice((0, 1, 1, 2))) for a, b in chosen])
+
+
+def trees_or_error(enumerate_, g):
+    try:
+        return list(enumerate_(g, max_trees=3000))
+    except (DisconnectedError, OracleLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def tree_candidates(rng, g, trees):
+    """Valid trees and trees with a foreign edge, a repeated edge, a cycle
+    or the wrong size, each as a sorted or an unsorted key tuple."""
+    keys = [e.key for e in g.edges]
+    labels = g.sorted_nodes()
+    foreign = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+               if not g.has_edge(a, b)] + [("!", labels[0])]
+    valid = [list(t.edges) for t in rng.sample(trees, min(3, len(trees)))]
+    out = valid + [
+        rng.sample(keys, size)  # trees, forests and cycles
+        for size in (g.node_count - 1 + rng.choice((-1, 0, 0, 1)) for _ in range(6))
+        if 0 <= size <= len(keys)
+    ]
+    for edges in valid:
+        if edges:
+            out += [edges[1:] + [rng.choice(foreign)], edges[1:] + [edges[-1]], edges[1:]]
+        out.append(edges + [rng.choice(keys or foreign)])
+    return [SpanningTree(tuple(edges)) for edges in out]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_spanning_tree_helpers_match_reference(seed):
+    rng = random.Random(200 + seed)
+    for n in range(1, 9):
+        for _ in range(6):
+            g = any_graph(rng, n) if rng.random() < 0.5 else random_graph(rng, n)
+            for positive_only in (False, True):
+                assert is_connected(g, positive_only) == reference_scans.is_connected(
+                    g, positive_only
+                )
+            trees = trees_or_error(enumerate_spanning_trees, g)
+            assert trees == trees_or_error(reference_scans.enumerate_spanning_trees, g)
+            for tree in tree_candidates(rng, g, trees if isinstance(trees, list) else []):
+                assert is_spanning_tree(g, tree) == reference_scans.is_spanning_tree(g, tree)
+            if n > 1:  # the greedy packers need two nodes
+                weight = {e.key: rng.randint(-1, 3) for e in g.edges}
+                assert _max_weight_tree(g, weight) == reference_scans.max_weight_tree(g, weight)
+
+
+def test_enumeration_matches_reference_on_k6_minus_two_edges():
+    g = complete(6)
+    g = build(g.node_ids, [(e.u, e.v, 1) for e in g.edges if e.key not in (("1", "2"), ("3", "4"))])
+    trees = list(enumerate_spanning_trees(g))
+    assert len(trees) == 576
+    assert trees == list(reference_scans.enumerate_spanning_trees(g))
