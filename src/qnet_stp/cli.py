@@ -232,28 +232,54 @@ def cmd_analyze(args, caps) -> int:
     return 0
 
 
+def _link_splits(link: str, labels) -> list[tuple[str, str]]:
+    """A link with one ``-`` splits there; one with more, where both sides are ``labels``."""
+    splits = [(link[:i], link[i + 1:]) for i, ch in enumerate(link) if ch == "-"]
+    if len(splits) > 1:
+        splits = [(u, v) for u, v in splits if u in labels and v in labels]
+    return splits
+
+
+def _reads_as_rate(text: str) -> bool:
+    try:
+        parse_rational(text or "1")
+    except SchemaError:
+        return False
+    return True
+
+
 def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
     """Parse "1-4,2-6" (optionally "u-v:rate") into candidate triples.
 
-    A link with one ``-`` splits there.  A link with more is split where
-    both sides are node ``labels`` (so ``a-1-c`` links ``a-1`` and ``c``);
-    no such split, or more than one, is a SchemaError.
+    An item reads as a link, or as ``link:rate`` with the rate after any
+    ``:``.  A link splits at its one ``-``, or, if it has more, where
+    both sides are node ``labels`` (so ``a-1-c`` links ``a-1`` and
+    ``c``).  The readings whose two ends are both labels and whose rate
+    parses decide: with labels ``a`` and ``b:1``, ``a-b:1`` links them at
+    rate 1 and ``a-b:1:2`` at rate 2.  With no such reading the rate
+    starts at the first ``:``.  More than one such reading, or no split
+    at all, is a SchemaError.
     """
     out = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
-        link, _, rate = item.partition(":")
-        cuts = [i for i, ch in enumerate(link) if ch == "-"]
-        splits = [(link[:i], link[i + 1:]) for i in cuts]
-        if len(splits) > 1:
-            splits = [(u, v) for u, v in splits if u in labels and v in labels]
-        if len(splits) > 1:
+        suffixes = [len(item)] + [i for i, ch in enumerate(item) if ch == ":"]
+        readings = [
+            (u, v, item[i + 1:])
+            for i in suffixes
+            for u, v in _link_splits(item[:i], labels)
+            if u in labels and v in labels and _reads_as_rate(item[i + 1:])
+        ]
+        if len(readings) > 1:
             raise SchemaError(f"candidate {item!r} splits into node labels in more than one way")
-        if not splits or not all(splits[0]):
+        if not readings:
+            link, _, rate = item.partition(":")
+            readings = [(u, v, rate) for u, v in _link_splits(link, labels) if u and v]
+        if not readings:
             raise SchemaError(f"candidate {item!r} is not of the form u-v or u-v:rate")
-        u, v = splits[0]
+        u, v, rate = readings[0]
         out.append((u, v, parse_rational(rate) if rate else 1))
     return out
 

@@ -79,24 +79,29 @@ def build_lp(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> LPInstance:
         ExactModeLimitError: more nodes than ``max_nodes``.
     """
     _require_rateable(g)
+    subsets, bounds = zip(*_subset_bounds(g, max_nodes))
+    return LPInstance(
+        nodes=g.sorted_nodes(),
+        subsets=subsets,
+        bounds=bounds,
+        total_rate=g.total_rate(),
+    )
+
+
+def _subset_bounds(g: WeightedGraph, max_nodes: int):
+    """Yield ``(subset, rate internal to it)`` per nonempty proper subset, in order.
+
+    Raises:
+        ExactModeLimitError: more nodes than ``max_nodes``, before any subset.
+    """
     labels = g.sorted_nodes()
     if len(labels) > max_nodes:
         raise ExactModeLimitError(
             f"subset LP over {len(labels)} nodes exceeds the cap of {max_nodes}"
         )
-    subsets = tuple(proper_vertex_subsets(labels))
-    bounds = []
-    for subset in subsets:
+    for subset in proper_vertex_subsets(labels):
         inside = set(subset)
-        bounds.append(
-            sum((e.rate for e in g.edges if e.u in inside and e.v in inside), Fraction(0))
-        )
-    return LPInstance(
-        nodes=labels,
-        subsets=subsets,
-        bounds=tuple(bounds),
-        total_rate=g.total_rate(),
-    )
+        yield subset, sum((e.rate for e in g.edges if e.u in inside and e.v in inside), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,6 @@ def _simplex_max(
     rows: list[list[Fraction]],
     limits: list[Fraction],
     gains: list[Fraction],
-    pivot_limit: int = PIVOT_LIMIT,
 ) -> tuple[Fraction, list[Fraction], list[Fraction], list[int], int]:
     """Maximize ``gains . x`` subject to ``rows @ x <= limits``, ``x >= 0``.
 
@@ -172,8 +176,8 @@ def _simplex_max(
         if leave is None:
             raise SolverLimitError("objective unbounded; the model is inconsistent")
         pivots += 1
-        if pivots > pivot_limit:
-            raise SolverLimitError(f"exceeded {pivot_limit} simplex pivots")
+        if pivots > PIVOT_LIMIT:
+            raise SolverLimitError(f"exceeded {PIVOT_LIMIT} simplex pivots")
         pivot_row = tab[leave]
         inv = pivot_row[enter]
         pivot_row = [x / inv for x in pivot_row]
@@ -263,14 +267,16 @@ def verify_constraints(
 
     Returns ``(True, None)`` or ``(False, first violated subset)`` in the
     deterministic subset order.
+
+    Raises:
+        PreconditionFailedError: a node has no rate.
+        ExactModeLimitError: more nodes than ``LP_CAP_NODES`` (the scan
+            visits ``2^N - 2`` subsets).
     """
-    labels = g.sorted_nodes()
-    missing = [v for v in labels if v not in rates]
+    missing = [v for v in g.sorted_nodes() if v not in rates]
     if missing:
         raise PreconditionFailedError(f"no announcement rate for node {missing[0]!r}")
-    for subset in proper_vertex_subsets(labels):
-        inside = set(subset)
-        bound = sum((e.rate for e in g.edges if e.u in inside and e.v in inside), Fraction(0))
+    for subset, bound in _subset_bounds(g, LP_CAP_NODES):
         if sum((Fraction(rates[v]) for v in subset), Fraction(0)) < bound:
             return False, subset
     return True, None
@@ -306,23 +312,20 @@ def rates_from_packing(g: WeightedGraph, packing) -> CommunicationRates:
     Raises:
         InvalidPackingError: the packing does not fit in ``g``.
     """
-    from .packing import validate_packing, weighted_from_multigraph
+    from .packing import validate_packing
 
     check = validate_packing(g, packing)
     if not check.ok:
         raise InvalidPackingError(check.reason)
-    pk = packing if packing.mode == "weighted" else weighted_from_multigraph(packing)
-    usage: dict = {e.key: Fraction(0) for e in g.edges}
+    usage = packing.edge_usage()
     rates = {v: Fraction(0) for v in g.node_ids}
-    for tree, w in zip(pk.trees, pk.weights):
-        for u, v in tree.edges:
-            usage[(u, v)] += w
+    for tree, w in zip(packing.trees, packing.weights):
         for v in g.node_ids:
             d = tree.degree(v)
             if d:
                 rates[v] += w * (d - 1)
     for e in g.edges:
-        leftover = e.rate - usage[e.key]
+        leftover = e.rate - Fraction(usage.get(e.key, 0), packing.rounds)
         rates[e.u] += leftover / 2
         rates[e.v] += leftover / 2
     return CommunicationRates(rates=rates, provenance="packing")

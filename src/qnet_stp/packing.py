@@ -1,16 +1,14 @@
 """Edge-disjoint spanning-tree packings of rate-weighted networks.
 
 A packing assigns spanning trees to a network without exceeding any
-edge's capacity.  Two equivalent representations are supported:
+edge's capacity: trees with integer multiplicities over ``rounds``
+rounds, usage ``<= floor(rounds * rate)`` per edge.  A ``weighted``
+packing is the same object built from rational tree weights (usage
+``<= rate``): its ``rounds`` is the weights' least common denominator.
 
-* ``weighted`` -- trees with rational weights, edge usage
-  ``sum of weights of trees containing the edge <= rate``;
-* ``multigraph`` -- trees with integer multiplicities over ``rounds``
-  rounds, usage ``<= floor(rounds * rate)`` per edge.
-
-The packing rate (weight sum, or tree count per round) never exceeds the
-partition bound from :mod:`.rate_core`, and equals it for an optimal
-packing.  Besides validation and conversions this module provides:
+The packing rate (trees per round, i.e. the weight sum) never exceeds
+the partition bound from :mod:`.rate_core`, and equals it for an
+optimal packing.  Besides validation this module provides:
 
 * :func:`basic_algorithm` -- greedy maximum-weight-tree extraction for
   integer-rate networks without bottlenecks (with a bounded search over
@@ -83,37 +81,30 @@ ORACLE_TREE_CAP = 800
 
 @dataclass(frozen=True)
 class TreePacking:
-    """A collection of spanning trees with weights or multiplicities.
+    """Spanning trees with integer multiplicities over ``rounds`` rounds.
 
-    Canonical form: trees sorted lexicographically, duplicates merged,
-    zero-weight entries dropped.  Build instances via :meth:`weighted`
-    or :meth:`multigraph`.
+    A weighted packing's ``rounds`` is the least common denominator of
+    its weights, which :attr:`weights` derives back; ``mode`` only says
+    how the packing was built and how it prints.  Canonical form: trees
+    sorted lexicographically, duplicates merged, zero entries dropped.
+    Build instances via :meth:`weighted` or :meth:`multigraph`.
     """
 
     mode: str
     trees: tuple[SpanningTree, ...]
-    weights: tuple[Fraction, ...] = ()
-    multiplicities: tuple[int, ...] = ()
-    rounds: Optional[int] = None
+    multiplicities: tuple[int, ...]
+    rounds: int
     source: str = "manual"
 
     @classmethod
     def weighted(cls, trees, weights, source: str = "manual") -> TreePacking:
-        trees = [SpanningTree.of(t.edges) if isinstance(t, SpanningTree) else SpanningTree.of(t)
-                 for t in trees]
-        weights = [Fraction(w) for w in weights]
-        if len(trees) != len(weights):
-            raise InvalidPackingError("one weight per tree required")
-        if any(w < 0 for w in weights):
-            raise InvalidPackingError("negative tree weight")
-        merged: dict[SpanningTree, Fraction] = {}
-        for t, w in zip(trees, weights):
-            merged[t] = merged.get(t, Fraction(0)) + w
-        kept = sorted((t for t, w in merged.items() if w > 0), key=lambda t: t.edges)
+        kept, merged = _merge(trees, weights, Fraction, "weight")
+        rounds = math.lcm(*(w.denominator for w in merged))
         return cls(
             mode="weighted",
-            trees=tuple(kept),
-            weights=tuple(merged[t] for t in kept),
+            trees=kept,
+            multiplicities=tuple(w.numerator * (rounds // w.denominator) for w in merged),
+            rounds=rounds,
             source=source,
         )
 
@@ -121,53 +112,37 @@ class TreePacking:
     def multigraph(cls, trees, multiplicities, rounds: int, source: str = "manual") -> TreePacking:
         if not isinstance(rounds, int) or rounds < 1:
             raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
-        trees = [SpanningTree.of(t.edges) if isinstance(t, SpanningTree) else SpanningTree.of(t)
-                 for t in trees]
-        mults = [int(m) for m in multiplicities]
-        if len(trees) != len(mults):
-            raise InvalidPackingError("one multiplicity per tree required")
-        if any(m < 0 for m in mults):
-            raise InvalidPackingError("negative tree multiplicity")
-        merged: dict[SpanningTree, int] = {}
-        for t, m in zip(trees, mults):
-            merged[t] = merged.get(t, 0) + m
-        kept = sorted((t for t, m in merged.items() if m > 0), key=lambda t: t.edges)
+        kept, merged = _merge(trees, multiplicities, int, "multiplicity")
         return cls(
             mode="multigraph",
-            trees=tuple(kept),
-            multiplicities=tuple(merged[t] for t in kept),
+            trees=kept,
+            multiplicities=tuple(merged),
             rounds=rounds,
             source=source,
         )
 
     @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Each tree's weight: its multiplicity per round."""
+        return tuple(Fraction(m, self.rounds) for m in self.multiplicities)
+
+    @property
     def tree_count(self) -> int:
         """Number of tree instances (multiplicities counted)."""
-        if self.mode == "multigraph":
-            return sum(self.multiplicities)
-        return len(self.trees)
+        return sum(self.multiplicities)
 
     def instances(self) -> Iterator[tuple[int, int, SpanningTree]]:
         """Yield ``(tree_index, copy_index, tree)`` in deterministic order."""
-        if self.mode == "multigraph":
-            for idx, (tree, mult) in enumerate(zip(self.trees, self.multiplicities)):
-                for copy in range(mult):
-                    yield idx, copy, tree
-        else:
-            for idx, tree in enumerate(self.trees):
-                yield idx, 0, tree
+        for idx, (tree, mult) in enumerate(zip(self.trees, self.multiplicities)):
+            for copy in range(mult):
+                yield idx, copy, tree
 
-    def as_multigraph(self) -> TreePacking:
-        """This packing in multigraph mode (see :func:`multigraph_from_weighted`)."""
-        return self if self.mode == "multigraph" else multigraph_from_weighted(self)
-
-    def edge_usage(self) -> dict[EdgeKey, Fraction]:
-        """Total weight (or multiplicity) laid on each edge."""
-        usage: dict[EdgeKey, Fraction] = {}
-        amounts = self.weights if self.mode == "weighted" else self.multiplicities
-        for tree, amount in zip(self.trees, amounts):
+    def edge_usage(self) -> dict[EdgeKey, int]:
+        """Tree instances laid on each edge."""
+        usage: dict[EdgeKey, int] = {}
+        for tree, mult in zip(self.trees, self.multiplicities):
             for key in tree.edges:
-                usage[key] = usage.get(key, Fraction(0)) + amount
+                usage[key] = usage.get(key, 0) + mult
         return usage
 
     def to_json_dict(self) -> dict:
@@ -178,6 +153,22 @@ class TreePacking:
             doc["multiplicities"] = list(self.multiplicities)
             doc["rounds"] = self.rounds
         return doc
+
+
+def _merge(trees, amounts, convert, what: str) -> tuple[tuple[SpanningTree, ...], list]:
+    """Canonical trees and amounts: duplicates summed, zeros dropped, sorted."""
+    trees = [SpanningTree.of(t.edges) if isinstance(t, SpanningTree) else SpanningTree.of(t)
+             for t in trees]
+    amounts = [convert(a) for a in amounts]
+    if len(trees) != len(amounts):
+        raise InvalidPackingError(f"one {what} per tree required")
+    if any(a < 0 for a in amounts):
+        raise InvalidPackingError(f"negative tree {what}")
+    merged: dict[SpanningTree, object] = {}
+    for t, a in zip(trees, amounts):
+        merged[t] = merged.get(t, 0) + a
+    kept = sorted((t for t, a in merged.items() if a > 0), key=lambda t: t.edges)
+    return tuple(kept), [merged[t] for t in kept]
 
 
 @dataclass(frozen=True)
@@ -192,9 +183,13 @@ class PackingOutcome:
     """A packing plus how it was obtained and how good it is."""
 
     packing: TreePacking
-    achieved_rate: Fraction
     optimal: Optional[bool]
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def achieved_rate(self) -> Fraction:
+        """The packing's trees per round."""
+        return packing_rate(self.packing)
 
     def to_json_dict(self) -> dict:
         return {
@@ -206,11 +201,14 @@ class PackingOutcome:
 
 
 # ---------------------------------------------------------------------------
-# validation, rate, conversions
+# validation, rate, mode switches
 # ---------------------------------------------------------------------------
 
 def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
-    """Check tree shape and per-edge capacity; report the first offence."""
+    """Check tree shape and per-edge capacity; report the first offence.
+
+    A weighted packing's offence is reported in weights.
+    """
     for tree in pk.trees:
         if not is_spanning_tree(g, tree):
             bad = next((key for key in tree.edges if not g.has_edge(*key)), None)
@@ -220,51 +218,37 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
                 reason=f"tree {list(tree.edges)} is not a spanning tree of the network",
             )
     usage = pk.edge_usage()
-    if pk.mode == "weighted":
-        capacity = {e.key: e.rate for e in g.edges}
-    else:
-        capacity = {k: Fraction(m) for k, m in Multigraph(g, pk.rounds).multiplicities().items()}
+    capacity = Multigraph(g, pk.rounds).multiplicities()
     for key in sorted(usage):
         if usage[key] > capacity[key]:
+            carried, cap = usage[key], capacity[key]
+            if pk.mode == "weighted":
+                carried, cap = Fraction(carried, pk.rounds), g.rate(*key)
             return PackingValidation(
                 ok=False,
                 violated_edge=key,
-                reason=(
-                    f"edge {key} carries {usage[key]} but has capacity {capacity[key]}"
-                ),
+                reason=f"edge {key} carries {carried} but has capacity {cap}",
             )
     return PackingValidation(ok=True)
 
 
 def packing_rate(pk: TreePacking) -> Fraction:
-    """Weight sum (weighted mode) or trees-per-round (multigraph mode)."""
-    if pk.mode == "weighted":
-        return sum(pk.weights, Fraction(0))
+    """Trees per round, i.e. the weight sum."""
     return Fraction(sum(pk.multiplicities), pk.rounds)
 
 
 def weighted_from_multigraph(pk: TreePacking) -> TreePacking:
-    """Convert multiplicities over rounds into weights (rate preserved)."""
+    """The same packing, printed by weight (rate preserved)."""
     if pk.mode != "multigraph":
         raise InvalidPackingError("expected a multigraph-mode packing")
-    return TreePacking.weighted(
-        pk.trees,
-        [Fraction(m, pk.rounds) for m in pk.multiplicities],
-        source=pk.source,
-    )
+    return TreePacking.weighted(pk.trees, pk.weights, source=pk.source)
 
 
 def multigraph_from_weighted(pk: TreePacking) -> TreePacking:
-    """Convert weights into multiplicities over the least usable round count."""
+    """The same packing, printed by multiplicity over the least usable round count."""
     if pk.mode != "weighted":
         raise InvalidPackingError("expected a weighted-mode packing")
-    rounds = math.lcm(*(w.denominator for w in pk.weights)) if pk.weights else 1
-    return TreePacking.multigraph(
-        pk.trees,
-        [int(w * rounds) for w in pk.weights],
-        rounds,
-        source=pk.source,
-    )
+    return TreePacking.multigraph(pk.trees, pk.multiplicities, pk.rounds, source=pk.source)
 
 
 def reweight_by_lp(g: WeightedGraph, trees: Sequence[SpanningTree]) -> TreePacking:
@@ -330,7 +314,6 @@ def brute_force_packing(
         empty = TreePacking.multigraph([], [], rounds, source="oracle")
         return PackingOutcome(
             packing=empty,
-            achieved_rate=Fraction(0),
             optimal=_optimal_flag(g, Fraction(0), max_nodes),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
@@ -391,11 +374,9 @@ def brute_force_packing(
     packing = TreePacking.multigraph(
         [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
     )
-    rate = Fraction(k, rounds)
     return PackingOutcome(
         packing=packing,
-        achieved_rate=rate,
-        optimal=_optimal_flag(g, rate, max_nodes),
+        optimal=_optimal_flag(g, Fraction(k, rounds), max_nodes),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
 
@@ -482,7 +463,6 @@ def basic_algorithm(
         merged.update(diagnostics)
         return PackingOutcome(
             packing=oracle.packing,
-            achieved_rate=oracle.achieved_rate,
             optimal=oracle.optimal,
             diagnostics=merged,
         )
@@ -533,10 +513,9 @@ def basic_algorithm(
     packing = TreePacking.multigraph(
         chosen, [1] * len(chosen), n, source="heuristic"
     )
-    # duplicates merged by the constructor; rate is the tree count per round
+    # duplicates merged by the constructor
     return PackingOutcome(
         packing=packing,
-        achieved_rate=Fraction(total_trees, n),
         optimal=True,  # no bottleneck: the all-singletons bound is attained
         diagnostics=diagnostics,
     )
@@ -598,11 +577,9 @@ def general_algorithm(
                 f"splice failed ({exc}) and the oracle hit a cap: {limit}", partial=None
             ) from limit
         packing = oracle.packing
-    rate = packing_rate(packing)
     return PackingOutcome(
         packing=packing,
-        achieved_rate=rate,
-        optimal=_optimal_flag(g, rate, max_nodes),
+        optimal=_optimal_flag(g, packing_rate(packing), max_nodes),
         diagnostics=diagnostics,
     )
 
@@ -641,18 +618,10 @@ def _splice(
 ) -> TreePacking:
     """Combine sub-packings of the contraction and the remainder network."""
     rounds = math.lcm(pk_contracted.rounds, pk_remainder.rounds)
-    scale_c = rounds // pk_contracted.rounds
-    scale_r = rounds // pk_remainder.rounds
-    contracted_instances = [
-        tree
-        for tree, mult in zip(pk_contracted.trees, pk_contracted.multiplicities)
-        for _ in range(mult * scale_c)
-    ]
-    remainder_instances = [
-        tree
-        for tree, mult in zip(pk_remainder.trees, pk_remainder.multiplicities)
-        for _ in range(mult * scale_r)
-    ]
+    contracted_instances, remainder_instances = (
+        [tree for _, _, tree in pk.instances() for _ in range(rounds // pk.rounds)]
+        for pk in (pk_contracted, pk_remainder)
+    )
     count = min(len(contracted_instances), len(remainder_instances))
     if count == 0:
         raise MergeFailedError("one side of the split packs no trees")

@@ -60,14 +60,14 @@ class KeyMaterial:
     the consumption schedule deterministic and auditable.
     """
 
-    def __init__(self, pools: Mapping[EdgeKey, Sequence[int]], seed=None,
-                 algorithm: str = PRNG_ALGORITHM):
+    algorithm = PRNG_ALGORITHM
+
+    def __init__(self, pools: Mapping[EdgeKey, Sequence[int]], seed=None):
         self.pools = {k: tuple(int(b) for b in pools[k]) for k in sorted(pools)}
         for key, pool in self.pools.items():
             if any(b not in (0, 1) for b in pool):
                 raise InvalidEdgeError(f"non-bit key material on edge {key}")
         self.seed = seed
-        self.algorithm = algorithm
         self._cursor = {k: 0 for k in self.pools}
 
     def bits(self, u: str, v: str) -> tuple[int, ...]:
@@ -339,11 +339,10 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
     Raises:
         KeyDepletedError: the packing overuses some edge.
     """
-    mpk = pk.as_multigraph()
-    caps = Multigraph(g, mpk.rounds).multiplicities()
+    caps = Multigraph(g, pk.rounds).multiplicities()
     cursor: dict[EdgeKey, int] = {k: 0 for k in caps}
     schedule = []
-    for _, _, tree in mpk.instances():
+    for _, _, tree in pk.instances():
         step = {}
         for key in tree.edges:
             if key not in caps:
@@ -376,9 +375,8 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     With a common epsilon per edge this gives (edge count) * epsilon per
     tree and (instances) * (edge count) * epsilon overall.
     """
-    mpk = pk.as_multigraph()
     per_tree = []
-    for _, _, tree in mpk.instances():
+    for _, _, tree in pk.instances():
         per_tree.append(
             sum((Fraction(epsilons[key]) for key in tree.edges), Fraction(0))
         )
@@ -426,14 +424,13 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
         InvalidPackingError / KeyDepletedError: the packing does not fit.
         PreconditionFailedError: non-integer rates.
     """
-    mpk = pk.as_multigraph()
-    schedule = consumption_schedule(g, mpk)
-    km = generate_keys(g, mpk.rounds, seed)
+    schedule = consumption_schedule(g, pk)
+    km = generate_keys(g, pk.rounds, seed)
     announcements: list[Announcement] = []
     conference: list[int] = []
     recovered: dict[str, list[int]] = {v: [] for v in g.node_ids}
     unanimity = True
-    for (tree_idx, copy_idx, tree), consumed in zip(mpk.instances(), schedule):
+    for (tree_idx, copy_idx, tree), consumed in zip(pk.instances(), schedule):
         orientation = orient_tree(tree)
         anns = announce(orientation, km, copy_idx, tree_index=tree_idx)
         announcements.extend(anns)
@@ -450,14 +447,14 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
         v: {key: km.pools[key] for key in sorted(g.edges_at(v))} for v in g.node_ids
     }
     return ProtocolTranscript(
-        rounds=mpk.rounds,
+        rounds=pk.rounds,
         conference_key=tuple(conference),
         unanimity=unanimity,
         announcements=tuple(announcements),
         recovered={v: tuple(bits) for v, bits in recovered.items()},
         node_views=node_views,
         consumed={k: km.cursor(k) for k in km.pools},
-        budget=security_budget(mpk, g.epsilon_map()),
+        budget=security_budget(pk, g.epsilon_map()),
         prng_algorithm=km.algorithm,
         seed=seed,
     )
@@ -568,9 +565,8 @@ def secrecy_audit(
         OracleLimitError: more than ``max_bits`` total key bits.
         PreconditionFailedError: non-integer rates.
     """
-    mpk = pk.as_multigraph()
     rates = integer_rates(g, "keys come in whole bits")
-    pool_sizes = {key: mpk.rounds * rate for key, rate in rates.items()}
+    pool_sizes = {key: pk.rounds * rate for key, rate in rates.items()}
     total_bits = sum(pool_sizes.values())
     if total_bits > max_bits:
         raise OracleLimitError(
@@ -578,8 +574,8 @@ def secrecy_audit(
             f"(2^{total_bits} assignments)"
         )
     if schedule is None:
-        schedule = consumption_schedule(g, mpk)
-    instances = list(mpk.instances())
+        schedule = consumption_schedule(g, pk)
+    instances = list(pk.instances())
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")
 

@@ -48,7 +48,6 @@ from qnet_stp.netgraph import (
     proper_vertex_subsets,
     restricted_growth_strings,
 )
-from qnet_stp.packing import multigraph_from_weighted
 from qnet_stp.protocol import consumption_schedule, orient_tree
 
 
@@ -142,12 +141,11 @@ def secrecy_audit(g, pk, *, schedule=None) -> dict:
     the key is uniform iff every transcript's histogram holds every key
     with one count.  Histograms are kept up to 12 bits, as in the library.
     """
-    mpk = pk if pk.mode == "multigraph" else multigraph_from_weighted(pk)
-    pool_sizes = Multigraph(g, mpk.rounds).multiplicities()
+    pool_sizes = Multigraph(g, pk.rounds).multiplicities()
     total_bits = sum(pool_sizes.values())
     if schedule is None:
-        schedule = consumption_schedule(g, mpk)
-    instances = list(mpk.instances())
+        schedule = consumption_schedule(g, pk)
+    instances = list(pk.instances())
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")
     offsets = {}
@@ -222,7 +220,6 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
     if capacity_graph is None or not is_connected(capacity_graph, positive_only=True):
         return PackingOutcome(
             packing=TreePacking.multigraph([], [], rounds, source="oracle"),
-            achieved_rate=Fraction(0),
             optimal=optimal_flag(g, Fraction(0)),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
@@ -265,13 +262,11 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
 
     k, choice = explore(0, tuple(cap for _, cap in usable))
     chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
-    rate = Fraction(k, rounds)
     return PackingOutcome(
         packing=TreePacking.multigraph(
             [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
         ),
-        achieved_rate=rate,
-        optimal=optimal_flag(g, rate),
+        optimal=optimal_flag(g, Fraction(k, rounds)),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
 

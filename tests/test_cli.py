@@ -295,6 +295,29 @@ def test_optimize_candidates_with_dash_labels(capsys, graph_file):
     assert json.loads(out)["error"]["code"] == "Schema"
 
 
+def test_optimize_candidates_with_colon_labels(capsys, graph_file):
+    path = graph_file("colon.json", build(
+        ["a", "b", "b:1", "c"], [("a", "c", 1), ("b", "c", 1), ("b:1", "c", 1)],
+    ))
+    # "a-b:1" could link a with b at rate 1, or a with b:1
+    code, out = run(capsys, "optimize", path, "--candidates", "a-b:1", "--budget", "1")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "Schema" and "more than one way" in error["message"]
+    # "1:2" is no rate, so this reads one way only
+    code, out = run(capsys, "optimize", path, "--candidates", "a-b:1:2", "--budget", "1")
+    assert code == 0
+    step = json.loads(out)["steps"][0]
+    assert (step["edge"], step["added_rate"]) == (["a", "b:1"], "2")
+    path = graph_file("colon_only.json", build(
+        ["a", "b:1", "c"], [("a", "c", 1), ("b:1", "c", 1)],
+    ))
+    code, out = run(capsys, "optimize", path, "--candidates", "a-b:1", "--budget", "1")
+    assert code == 0
+    step = json.loads(out)["steps"][0]
+    assert (step["edge"], step["added_rate"]) == (["a", "b:1"], "1")
+
+
 def test_optimize_picks_best_link(capsys, hexagon_path):
     code, out = run(
         capsys, "optimize", hexagon_path,

@@ -35,6 +35,9 @@ def test_lp_instance_shape(triangle):
 def test_lp_cap():
     with pytest.raises(ExactModeLimitError):
         build_lp(ring(17))
+    # refused before the 2^17 - 2 subsets are scanned
+    with pytest.raises(ExactModeLimitError, match="17 nodes exceeds the cap of 16"):
+        verify_constraints(ring(17), {str(i): Fraction(1) for i in range(1, 18)})
 
 
 def test_triangle_solution(triangle):
