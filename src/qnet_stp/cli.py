@@ -154,12 +154,10 @@ def cmd_rate(args, caps) -> int:
 
 
 def _packer_caps(caps) -> dict:
-    """The caps the greedy packers, their scans and their oracle fallback honour."""
+    """The caps the greedy packers, their scans and their exact fallback honour."""
     return {
         "backtrack_cap": caps["backtrack"],
-        "oracle_rounds": caps["oracle_rounds"],
         "max_trees": caps["trees"],
-        "max_nodes": caps["partitions"],
         "subset_cap": caps["subsets"],
     }
 
@@ -175,7 +173,7 @@ def _make_packing(g, method: str, rounds: Optional[int], caps):
         raise SchemaError("--rounds only applies to --method oracle")
     if method == "basic":
         return basic_algorithm(g, **_packer_caps(caps))
-    return general_algorithm(g, **_packer_caps(caps))
+    return general_algorithm(g, max_nodes=caps["partitions"], **_packer_caps(caps))
 
 
 def cmd_pack(args, caps) -> int:

@@ -106,14 +106,17 @@ class SolverLimitError(InternalError):
 
 
 class HeuristicFailedError(InternalError):
-    """Tree-packing heuristic gave up; ``partial`` holds the trees found so far,
-    each as a list of ``[u, v]`` edges (JSON-ready), or None."""
+    """Tree packing gave up; ``partial`` holds the trees found so far,
+    each as a list of ``[u, v]`` edges (JSON-ready), or None;
+    ``partition``, when set, is a vertex partition proving that the
+    requested trees do not fit."""
 
     code = "HeuristicFailed"
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial=None, partition=None):
         super().__init__(message)
         self.partial = partial
+        self.partition = partition
 
 
 class MergeFailedError(InternalError):

@@ -12,22 +12,27 @@ optimal packing.  Besides validation this module provides:
 
 * :func:`basic_algorithm` -- greedy maximum-weight-tree extraction for
   integer-rate networks without bottlenecks (with a bounded search over
-  the next-to-last tree, falling back to the oracle);
+  the next-to-last tree, falling back to the exact packer);
 * :func:`general_algorithm` -- recursive reduction of bottleneck
   networks: split off the first violating subset, pack the contraction
-  and the remainder separately, and splice the results;
+  and the remainder separately, and splice the results (falling back to
+  the exact packer when a split fails);
+* :func:`exact_packing` -- a given number of edge-disjoint spanning
+  trees by matroid partition (Edmonds), in polynomial time, or a
+  partition that proves they do not fit;
 * :func:`brute_force_packing` -- exact optimum by exhaustive search over
-  enumerated trees (the test oracle).  The search recurses once per
-  spanning tree, so networks with more than ``ORACLE_TREE_CAP`` trees
-  are refused with :class:`OracleLimitError` before any tree is
-  enumerated; the greedy packers' fallback then reports
-  :class:`HeuristicFailedError`;
+  enumerated trees (``--method oracle`` and the test oracle).  The
+  search recurses once per spanning tree, so networks with more than
+  ``ORACLE_TREE_CAP`` trees are refused with :class:`OracleLimitError`
+  before any tree is enumerated, and the search stops with the same
+  error past ``ORACLE_STATE_CAP`` memoized states;
 * :func:`reweight_by_lp` -- optimal weights for a fixed tree list.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -46,7 +51,9 @@ from .netgraph import (
     Multigraph,
     SpanningTree,
     TREE_ENUMERATION_CAP,
+    VertexPartition,
     WeightedGraph,
+    edge_key,
     enumerate_spanning_trees,
     format_rational,
     induced_subgraph,
@@ -73,6 +80,12 @@ ORACLE_ROUND_CAP = 8
 #: recurses once per tree, so this keeps it below Python's default
 #: recursion limit of 1000 with room for the caller's frames.
 ORACLE_TREE_CAP = 800
+
+#: Most memoized states the exhaustive oracle builds before it gives up,
+#: about a second of search.  The largest memo any test or seed-0
+#: benchmark job builds is 168,711 states (the six-node square with a
+#: diagonal and a tail, over 5 rounds).
+ORACLE_STATE_CAP = 250_000
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +310,9 @@ def brute_force_packing(
     nodes.
 
     Raises:
-        OracleLimitError: ``rounds`` above ``max_rounds``, or more trees
-            than ``max_trees`` or ``ORACLE_TREE_CAP``.
+        OracleLimitError: ``rounds`` above ``max_rounds``, more trees
+            than ``max_trees`` or ``ORACLE_TREE_CAP``, or more memoized
+            states than ``ORACLE_STATE_CAP``.
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
@@ -328,48 +342,59 @@ def brute_force_packing(
     need = g.node_count - 1
     start_degree = [sum(cap for key, cap in usable if v in key) for v in g.node_ids]
 
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    # ``volume`` and ``degree`` are the capacity total and each node's
-    # incident capacity, carried down the search: no tree packs more than
-    # volume // need trees, nor more than any node's degree.
-    def explore(
-        i: int, caps: tuple[int, ...], volume: int, degree: list[int]
-    ) -> tuple[int, tuple[int, ...]]:
+    # A search state is (capacities, volume, degree): ``volume`` and
+    # ``degree`` are the capacity total and each node's incident capacity,
+    # carried down the search: no tree packs more than volume // need
+    # trees, nor more than any node's degree.
+    def take(i: int, caps: tuple[int, ...], volume: int, degree: list[int], count: int):
+        if not count:
+            return caps, volume, degree
+        reduced = list(caps)
+        for e in tree_edges[i]:
+            reduced[e] -= count
+        lowered = degree[:]
+        for v, d in tree_degrees[i]:
+            lowered[v] -= count * d
+        return tuple(reduced), volume - count * need, lowered
+
+    def explore(i: int, caps: tuple[int, ...], volume: int, degree: list[int]) -> int:
+        """Most trees from tree ``i`` on; the memo keeps counts only."""
         if i == len(trees):
-            return 0, ()
+            return 0
         bound = min(volume // need, min(degree))
         if bound == 0:
-            return 0, (0,) * (len(trees) - i)
+            return 0
         state = (i, caps)
         hit = memo.get(state)
         if hit is not None:
             return hit
-        best_k, best_choice = -1, ()
-        edges = tree_edges[i]
-        max_fit = min(caps[e] for e in edges)
-        for count in range(max_fit, -1, -1):
-            if count:
-                reduced = list(caps)
-                for e in edges:
-                    reduced[e] -= count
-                lowered = degree[:]
-                for v, d in tree_degrees[i]:
-                    lowered[v] -= count * d
-                sub_k, sub_choice = explore(
-                    i + 1, tuple(reduced), volume - count * need, lowered
-                )
-            else:
-                sub_k, sub_choice = explore(i + 1, caps, volume, degree)
-            if count + sub_k > best_k:
-                best_k, best_choice = count + sub_k, (count,) + sub_choice
-                if best_k == bound:
-                    break
-        result = (best_k, best_choice)
-        memo[state] = result
-        return result
+        best = -1
+        for count in range(min(caps[e] for e in tree_edges[i]), -1, -1):
+            best = max(best, count + explore(i + 1, *take(i, caps, volume, degree, count)))
+            if best == bound:
+                break
+        memo[state] = best
+        if len(memo) > ORACLE_STATE_CAP:
+            raise OracleLimitError(
+                f"exhaustive search passed {ORACLE_STATE_CAP} memoized states"
+            )
+        return best
 
-    k, choice = explore(0, start_caps, sum(start_caps), start_degree)
+    state = (start_caps, sum(start_caps), start_degree)
+    k = left = explore(0, *state)
+    # Replay from memo hits: each tree takes the largest count that still
+    # reaches the optimum, the first maximizer of the descending search.
+    choice = []
+    for i in range(len(trees)):
+        count = next(
+            c for c in range(min(state[0][e] for e in tree_edges[i]), -1, -1)
+            if c + explore(i + 1, *take(i, *state, c)) == left
+        )
+        choice.append(count)
+        state = take(i, *state, count)
+        left -= count
     chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
     packing = TreePacking.multigraph(
         [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
@@ -385,6 +410,131 @@ def _optimal_flag(g: WeightedGraph, rate: Fraction, max_nodes: int) -> Optional[
     if g.node_count > max_nodes:
         return None
     return rate == nwt_rate(g, max_nodes=max_nodes).rate
+
+
+# ---------------------------------------------------------------------------
+# exact packer (matroid partition)
+# ---------------------------------------------------------------------------
+
+def exact_packing(
+    g: WeightedGraph, rounds: int, target: int, *, max_trees: int = TREE_ENUMERATION_CAP
+) -> TreePacking:
+    """``target`` edge-disjoint spanning trees of the ``rounds``-round multigraph.
+
+    Edmonds' matroid partition over ``target`` forests, run on
+    capacities: edge key ``e`` sits in at most ``floor(rounds * rate_e)``
+    forests, at most once in each.  Each forest in turn is seeded by
+    Kruskal over the sorted keys with spare capacity.  Then each
+    augmentation is a breadth-first search for a shortest exchange path:
+    a spare copy enters a forest, which pushes out an edge of the cycle
+    it closes, which enters another forest, and so on until a copy joins
+    two components of some forest.  The search starts from every key
+    with spare capacity in sorted-key order and scans forests by index
+    and cycle edges along the tree path, and the first copy that joins
+    two components wins, so the result is the same on every run.
+
+    When no path exists, the keys the search reached split the nodes
+    into components.  All of them sit in each forest's span and every
+    crossing copy is already placed, so fewer than
+    ``target * (blocks - 1)`` copies cross that partition and, by
+    Nash-Williams and Tutte, ``target`` trees do not fit.
+
+    Raises:
+        HeuristicFailedError: ``target`` above ``max_trees``, or no such
+            packing exists; ``partition`` then holds the proof.
+    """
+    if target > max_trees:
+        raise HeuristicFailedError(f"{target} trees exceed the tree cap of {max_trees}")
+    nodes = g.sorted_nodes()
+    capacity = {k: m for k, m in Multigraph(g, rounds).multiplicities().items() if m}
+    spare = dict(capacity)
+    forests: list[set[EdgeKey]] = []
+    for _ in range(target):
+        forest = spanning_forest(nodes, [k for k, m in spare.items() if m])
+        for key in forest:
+            spare[key] -= 1
+        forests.append(set(forest))
+    for _ in range(target * (len(nodes) - 1) - sum(map(len, forests))):
+        moves, reached = _exchange_path(nodes, forests, [k for k, m in spare.items() if m])
+        if moves is None:
+            _, _, root = _rooted(nodes, spanning_forest(nodes, sorted(reached)))
+            blocks: dict[str, list[str]] = {}
+            for v in nodes:
+                blocks.setdefault(root[v], []).append(v)
+            partition = VertexPartition.from_blocks(blocks.values())
+            crossing = sum(m for (u, v), m in capacity.items() if root[u] != root[v])
+            raise HeuristicFailedError(
+                f"{target} edge-disjoint spanning trees do not fit over {rounds} rounds: "
+                f"partition {partition} is crossed by {crossing} edge copies, fewer than "
+                f"{target} x {partition.block_count - 1}",
+                partition=partition,
+            )
+        spare[moves[-1][0]] -= 1
+        for key, into, out_of in moves:
+            forests[into].add(key)
+            if out_of is not None:
+                forests[out_of].discard(key)
+    return TreePacking.multigraph(
+        [SpanningTree.of(f) for f in forests], [1] * target, rounds, source="exact"
+    )
+
+
+def _exchange_path(nodes, forests, sources):
+    """Shortest exchange path from a spare copy of a ``sources`` key.
+
+    Returns ``(moves, None)`` with ``moves`` the ``(key, into, out_of)``
+    steps, last to first (``out_of`` None for the spare copy), or
+    ``(None, reached)`` with the keys the search reached.
+    """
+    rooted = [_rooted(nodes, forest) for forest in forests]
+    pred: dict = {(key, None): None for key in sources}
+    queue = deque(pred)
+    while queue:
+        node = queue.popleft()
+        key = node[0]
+        for i, forest in enumerate(forests):
+            if key in forest:
+                continue
+            parent, depth, root = rooted[i]
+            u, v = key
+            if root[u] != root[v]:
+                moves, into = [], i
+                while node is not None:
+                    moves.append((node[0], into, node[1]))
+                    into, node = node[1], pred[node]
+                return moves, None
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                step = (edge_key(u, parent[u]), i)
+                if step not in pred:
+                    pred[step] = node
+                    queue.append(step)
+                u = parent[u]
+    return None, {key for key, _ in pred}
+
+
+def _rooted(nodes, forest) -> tuple[dict, dict, dict]:
+    """Parent, depth and root of every node in a forest of edge keys."""
+    adjacent: dict[str, list[str]] = {v: [] for v in nodes}
+    for u, v in forest:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    parent: dict = {}
+    depth: dict = {}
+    root: dict = {}
+    for r in nodes:
+        if r in root:
+            continue
+        parent[r], depth[r], root[r] = None, 0, r
+        stack = [r]
+        while stack:
+            x = stack.pop()
+            for y in adjacent[x]:
+                if y not in root:
+                    parent[y], depth[y], root[y] = x, depth[x] + 1, r
+                    stack.append(y)
+    return parent, depth, root
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +561,7 @@ def basic_algorithm(
     g: WeightedGraph,
     *,
     backtrack_cap: int = BACKTRACK_CAP,
-    oracle_rounds: int = ORACLE_ROUND_CAP,
     max_trees: int = TREE_ENUMERATION_CAP,
-    max_nodes: int = PARTITION_CAP_NODES,
     subset_cap: int = SUBSET_CAP_NODES,
 ) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
@@ -422,17 +570,19 @@ def basic_algorithm(
     exactly ``sum of rates`` trees fit.  Trees are extracted one at a
     time by maximum weight; the next-to-last tree is chosen by searching
     the remaining trees in descending weight order for one whose removal
-    leaves precisely one unit-weight spanning tree.  If the search budget
-    runs out the exhaustive oracle finishes the job (flagged in
-    diagnostics).  ``max_trees`` bounds the candidate enumeration and,
-    with ``oracle_rounds`` and ``max_nodes``, the oracle; ``subset_cap``
-    bounds the bottleneck scan.
+    leaves precisely one unit-weight spanning tree.  If the greedy
+    stalls, :func:`exact_packing` builds ``total / (N - 1)`` trees per
+    round over the fewest rounds that make that a whole number (flagged
+    in diagnostics).  ``max_trees`` bounds the candidate enumeration and
+    the exact packer's tree count; ``subset_cap`` bounds the bottleneck
+    scan.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
         ExactModeLimitError: more nodes than ``subset_cap``.
-        HeuristicFailedError: greedy and oracle both failed (carries the
-            trees found so far).
+        HeuristicFailedError: the greedy stalled and the exact packer's
+            tree count is above ``max_trees`` (carries the trees found so
+            far).
     """
     _require_rateable(g)
     rates = integer_rates(g, "this algorithm needs integer rates")
@@ -450,22 +600,15 @@ def basic_algorithm(
     def fallback(reason: str) -> PackingOutcome:
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = reason
+        rate = cert.network_bound
         try:
-            oracle = brute_force_packing(
-                g, n, max_rounds=oracle_rounds, max_trees=max_trees, max_nodes=max_nodes
-            )
-        except OracleLimitError as exc:
+            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=max_trees)
+        except HeuristicFailedError as exc:
             raise HeuristicFailedError(
-                f"greedy failed ({reason}) and the oracle hit a cap: {exc}",
+                f"greedy failed ({reason}) and the exact packer stopped: {exc}",
                 partial=[tree.to_json_list() for tree in chosen],
             ) from exc
-        merged = dict(oracle.diagnostics)
-        merged.update(diagnostics)
-        return PackingOutcome(
-            packing=oracle.packing,
-            optimal=oracle.optimal,
-            diagnostics=merged,
-        )
+        return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
     for _ in range(max(total_trees - 2, 0)):
         tree = _max_weight_tree(g, weight)
@@ -529,7 +672,6 @@ def general_algorithm(
     g: WeightedGraph,
     *,
     backtrack_cap: int = BACKTRACK_CAP,
-    oracle_rounds: int = ORACLE_ROUND_CAP,
     max_trees: int = TREE_ENUMERATION_CAP,
     max_nodes: int = PARTITION_CAP_NODES,
     subset_cap: int = SUBSET_CAP_NODES,
@@ -542,41 +684,35 @@ def general_algorithm(
     splice each contracted tree (its edges at the merged node re-expanded
     to concrete cross edges with remaining capacity, lexicographically
     first) onto the matching remainder tree, pairing instances by sorted
-    index over a common round count.  The caps reach every
+    index over a common round count.  If a split or a splice fails,
+    :func:`exact_packing` packs the whole network at its rate over the
+    rate's denominator in rounds.  The caps reach every
     :func:`basic_algorithm` call, every bottleneck scan (``subset_cap``),
-    the oracle fallback and the partition scans (``max_nodes``).
+    the exact packer's tree count (``max_trees``) and the partition
+    scans (``max_nodes``).
 
     Raises:
         PreconditionFailedError: non-integer rates.
         ExactModeLimitError: a scan over more nodes than its cap.
-        HeuristicFailedError: a merge failed and the oracle also could not
-            finish.
+        HeuristicFailedError: a split failed and the exact packer's tree
+            count is above ``max_trees``.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
-    caps = {
-        "backtrack_cap": backtrack_cap,
-        "oracle_rounds": oracle_rounds,
-        "max_trees": max_trees,
-        "max_nodes": max_nodes,
-        "subset_cap": subset_cap,
-    }
+    caps = {"backtrack_cap": backtrack_cap, "max_trees": max_trees, "subset_cap": subset_cap}
     try:
         packing = _general_pack(g, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = str(exc)
-        rounds = nwt_rate(g, max_nodes=max_nodes).rate.denominator
+        rate = nwt_rate(g, max_nodes=max_nodes).rate
         try:
-            oracle = brute_force_packing(
-                g, rounds, max_rounds=oracle_rounds, max_trees=max_trees, max_nodes=max_nodes
-            )
-        except OracleLimitError as limit:
+            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=max_trees)
+        except HeuristicFailedError as stop:
             raise HeuristicFailedError(
-                f"splice failed ({exc}) and the oracle hit a cap: {limit}", partial=None
-            ) from limit
-        packing = oracle.packing
+                f"splice failed ({exc}) and the exact packer stopped: {stop}"
+            ) from stop
     return PackingOutcome(
         packing=packing,
         optimal=_optimal_flag(g, packing_rate(packing), max_nodes),

@@ -194,42 +194,74 @@ def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
     assert json.loads(out)["achieved_rate"] == "2"
 
 
-def test_pack_gives_up_with_partial_json(capsys, graph_file):
-    # the greedy packer stalls on unit K10 and the oracle would need 9 rounds
-    code, out = run(capsys, "pack", graph_file("k10.json", complete(10)))
+def test_pack_gives_up_with_partial_json(capsys, graph_file, monkeypatch):
+    # the greedy packer stalls on unit K10; the exact packer finishes the
+    # job with 5 trees in 1 round, unless the trees cap is below that
+    path = graph_file("k10.json", complete(10))
+    code, out = run(capsys, "pack", path)
+    assert code == 0
+    assert json.loads(out)["optimal"] is True
+    monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
+    code, out = run(capsys, "pack", path)
     assert code == 4
     doc = json.loads(out)
     assert doc["error"]["code"] == "HeuristicFailed"
+    assert "5 trees exceed the tree cap of 4" in doc["error"]["message"]
     assert doc["partial"] and all(len(tree) == 9 for tree in doc["partial"])
 
 
 @pytest.mark.parametrize("n, trees", [(6, 1296), (8, 262144)])
 def test_pack_refuses_oracle_beyond_tree_cap(capsys, graph_file, n, trees):
-    # the greedy packer stalls on unit K6 and K8; the oracle used to
-    # recurse once per spanning tree and die with a RecursionError
+    # the greedy packer stalls on unit K6 and K8 and the exact packer
+    # finishes; only a direct oracle call still meets the oracle's tree cap
     path = graph_file(f"k{n}.json", complete(n))
+    for method in ("general", "basic"):
+        code, out = run(capsys, "pack", path, "--method", method)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["optimal"] is True
+        assert doc["diagnostics"]["fallback"] is True
+        assert doc["packing"]["multiplicities"] == [1] * (n // 2)
+    code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "1")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["error"]["code"] == "OracleLimit"
+    assert f"{trees} spanning trees exceed the cap of 800" in doc["error"]["message"]
+
+
+def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
+    # the fallback is the exact packer: the trees cap reaches it, and the
+    # oracle's round cap reaches only a direct oracle call
+    path = graph_file("k10.json", complete(10))
+    monkeypatch.setenv("QNET_STP_CAPS", "oracle_rounds=5")
+    for method in ("general", "basic"):
+        code, out = run(capsys, "pack", path, "--method", method)
+        assert code == 0
+        assert json.loads(out)["optimal"] is True
+    code, out = run(capsys, "pack", path, "--method", "oracle")
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == "9 rounds exceed the oracle cap of 5"
+    monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
     for method in ("general", "basic"):
         code, out = run(capsys, "pack", path, "--method", method)
         assert code == 4
         doc = json.loads(out)
         assert doc["error"]["code"] == "HeuristicFailed"
-        assert f"{trees} spanning trees exceed the cap of 800" in doc["error"]["message"]
-    code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "1")
+        assert "exact packer stopped: 5 trees exceed the tree cap of 4" in doc["error"]["message"]
+
+
+def test_oracle_memo_cap_exits_3(capsys, graph_file):
+    # K6 minus two disjoint edges at 5 rounds: 576 trees, and the search
+    # would run for minutes without the memo cap
+    g = complete(6)
+    path = graph_file("k6m2.json", build(
+        g.node_ids, [(e.u, e.v, e.rate) for e in g.edges if e.key not in (("1", "2"), ("3", "4"))]
+    ))
+    code, out = run(capsys, "pack", path, "--method", "oracle")
     assert code == 3
-    assert json.loads(out)["error"]["code"] == "OracleLimit"
-
-
-def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
-    path = graph_file("k10.json", complete(10))
-    monkeypatch.setenv("QNET_STP_CAPS", "oracle_rounds=5")
-    for method in ("general", "basic"):
-        code, out = run(capsys, "pack", path, "--method", method)
-        assert code == 4
-        assert "9 rounds exceed the oracle cap of 5" in json.loads(out)["error"]["message"]
-    monkeypatch.setenv("QNET_STP_CAPS", "trees=100")
-    code, out = run(capsys, "pack", graph_file("k6.json", complete(6)))
-    assert code == 4
-    assert "exceed the cap of 100" in json.loads(out)["error"]["message"]
+    assert json.loads(out)["error"] == {
+        "code": "OracleLimit", "message": "exhaustive search passed 250000 memoized states",
+    }
 
 
 TWO_TRIANGLES = build(

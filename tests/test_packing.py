@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from qnet_stp import (
     TreePacking,
     basic_algorithm,
     brute_force_packing,
+    exact_packing,
     general_algorithm,
     nwt_length,
     nwt_rate,
@@ -17,13 +19,15 @@ from qnet_stp import (
     reweight_by_lp,
     validate_packing,
 )
+from qnet_stp.cli import main
 from qnet_stp.errors import (
+    HeuristicFailedError,
     InvalidPackingError,
     OracleLimitError,
     PreconditionFailedError,
     SchemaError,
 )
-from qnet_stp.netgraph import enumerate_spanning_trees
+from qnet_stp.netgraph import Multigraph, enumerate_spanning_trees
 from qnet_stp.packing import ORACLE_TREE_CAP, multigraph_from_weighted, weighted_from_multigraph
 
 from conftest import build, complete, random_connected_graph, ring
@@ -182,6 +186,82 @@ def test_exact_prefers_lexicographic_smallest(triangle):
         (("1", "2"), ("2", "3")),
         (("1", "3"), ("2", "3")),
     ]
+
+
+# ---------------------------------------------------------------------------
+# exact packer (matroid partition)
+# ---------------------------------------------------------------------------
+
+def test_exact_packing_on_complete_graphs():
+    for n in (6, 8, 10, 12):
+        g = complete(n)
+        pk = exact_packing(g, 1, n // 2)
+        assert (pk.tree_count, pk.rounds, pk.source) == (n // 2, 1, "exact")
+        assert validate_packing(g, pk).ok
+
+
+def test_exact_packing_is_deterministic(square_diag_tail):
+    assert exact_packing(square_diag_tail, 2, 3) == exact_packing(square_diag_tail, 2, 3)
+
+
+def test_exact_packing_names_a_refuting_partition(tri_pendant):
+    # 8 edge copies over 2 rounds: 2 trees fit, 3 would need 9
+    assert exact_packing(tri_pendant, 2, 2).tree_count == 2
+    with pytest.raises(HeuristicFailedError) as info:
+        exact_packing(tri_pendant, 2, 3)
+    assert str(info.value) == (
+        "3 edge-disjoint spanning trees do not fit over 2 rounds: "
+        "partition {1}{2}{3}{4} is crossed by 8 edge copies, fewer than 3 x 3"
+    )
+    assert info.value.partition.is_finest()
+
+
+def test_exact_packing_floors_capacities():
+    # rate 1/2 edges carry no copy in one round
+    g = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", "1/2"), ("1", "3", "1/2")])
+    with pytest.raises(HeuristicFailedError, match="crossed by 1 edge copies, fewer than 1 x 2"):
+        exact_packing(g, 1, 1)
+    assert exact_packing(g, 2, 1).tree_count == 1
+    assert exact_packing(g, 1, 0).trees == ()
+
+
+def test_exact_packing_honours_the_tree_cap():
+    with pytest.raises(HeuristicFailedError, match="4 trees exceed the tree cap of 3"):
+        exact_packing(complete(8), 1, 4, max_trees=3)
+
+
+def probe_graph(n, seed):
+    """Sparse N/seed: a random tree on N nodes plus N random pairs, rates 1..3."""
+    rng = random.Random(seed)
+    nodes = [str(i) for i in range(1, n + 1)]
+    edges = {}
+    for i in range(1, n):
+        key = tuple(sorted((nodes[i], nodes[rng.randrange(i)])))
+        edges[key] = rng.randint(1, 3)
+    for _ in range(n):
+        edges.setdefault(tuple(sorted(rng.sample(nodes, 2))), rng.randint(1, 3))
+    return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
+
+
+PROBES = {f"sparse{n}/{s}": (probe_graph, n, s)
+          for n in (6, 7, 8, 9, 10, 12) for s in range(1, 6)}
+PROBES.update({f"k{n}": (lambda n, _: complete(n), n, None) for n in (6, 8, 10, 12)})
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_pack_is_optimal_on_probe_graphs(name, tmp_path, capsys):
+    # several of these hung in the oracle fallback or exited 4
+    make, n, seed = PROBES[name]
+    g = make(n, seed)
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json(), encoding="utf-8")
+    assert main(["pack", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["optimal"] is True
+    spec = doc["packing"]
+    pk = TreePacking.multigraph(spec["trees"], spec["multiplicities"], spec["rounds"])
+    assert validate_packing(g, pk).ok
+    assert pk.tree_count == nwt_rate(g).rate * pk.rounds
 
 
 # ---------------------------------------------------------------------------

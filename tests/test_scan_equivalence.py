@@ -17,12 +17,14 @@ from qnet_stp import (
     brute_force_packing,
     check_no_bottleneck,
     enumerate_spanning_trees,
+    exact_packing,
     is_connected,
     is_spanning_tree,
     nwt_rate,
     secrecy_audit,
+    validate_packing,
 )
-from qnet_stp.errors import DisconnectedError, OracleLimitError
+from qnet_stp.errors import DisconnectedError, HeuristicFailedError, OracleLimitError
 from qnet_stp.netgraph import Multigraph
 from qnet_stp.packing import _max_weight_tree
 from qnet_stp.planner import _best_bipartition
@@ -191,6 +193,40 @@ def test_oracle_matches_reference_search_on_dense_graphs(make):
     for rounds in range(1, 4 if g.node_count == 5 else 5):
         outcome = brute_force_packing(g, rounds)
         assert outcome.to_json_dict() == reference_scans.brute_force_packing(g, rounds).to_json_dict()
+
+
+def integer_graph(rng, n):
+    """Random tree at rates 1..3 on ``n`` labels, plus extra edges at rates 0..3."""
+    labels = rng.sample(ALPHABET, n)
+    edges = {frozenset((labels[i], labels[rng.randrange(i)])): rng.randint(1, 3)
+             for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        edges.setdefault(frozenset(rng.sample(labels, 2)), rng.randint(0, 3))
+    return build(labels, [(*sorted(key), r) for key, r in edges.items()])
+
+
+def assert_partition_refutes(g, rounds, target, partition):
+    """Fewer than ``target * (blocks - 1)`` edge copies cross ``partition``."""
+    block = partition.block_of()
+    crossing = sum(m for (u, v), m in Multigraph(g, rounds).multiplicities().items()
+                   if block[u] != block[v])
+    assert crossing < target * (partition.block_count - 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_packer_reaches_the_reference_oracle_count(seed):
+    rng = random.Random(300 + seed)
+    for _ in range(10):
+        g = integer_graph(rng, rng.randint(2, 6))
+        for rounds in (1, 2, 3):
+            best = reference_scans.brute_force_packing(g, rounds).packing.tree_count
+            pk = exact_packing(g, rounds, best)
+            assert (pk.tree_count, pk.rounds) == (best, rounds)
+            assert validate_packing(g, pk).ok
+            with pytest.raises(HeuristicFailedError) as info:
+                exact_packing(g, rounds, best + 1)
+            assert str(info.value.partition) in str(info.value)
+            assert_partition_refutes(g, rounds, best + 1, info.value.partition)
 
 
 def any_graph(rng, n):
