@@ -22,7 +22,6 @@ from .netgraph import (
     WeightedGraph,
     contract,
     count_spanning_trees,
-    enumerate_partitions,
     enumerate_spanning_trees,
     induced_subgraph,
     is_connected,
@@ -41,15 +40,8 @@ from .rate_core import (
 )
 from .lp_core import (
     CommunicationRates,
-    LPInstance,
-    LPSolution,
-    build_lp,
     explicit_rates_no_bottleneck,
     rates_from_packing,
-    solve_lp,
-    solve_z,
-    verify_constraints,
-    verify_optimality,
 )
 from .packing import (
     PackingOutcome,
@@ -100,7 +92,6 @@ __all__ = [
     "is_connected",
     "contract",
     "induced_subgraph",
-    "enumerate_partitions",
     "enumerate_spanning_trees",
     "count_spanning_trees",
     "is_spanning_tree",
@@ -112,14 +103,7 @@ __all__ = [
     "finest_bound",
     "check_no_bottleneck",
     "triangle_rate",
-    "LPInstance",
-    "LPSolution",
     "CommunicationRates",
-    "build_lp",
-    "solve_lp",
-    "solve_z",
-    "verify_optimality",
-    "verify_constraints",
     "rates_from_packing",
     "explicit_rates_no_bottleneck",
     "TreePacking",

@@ -93,6 +93,8 @@ def load_graph(path: str) -> WeightedGraph:
             text = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_graph(text)
 
 
@@ -100,13 +102,18 @@ def load_graph(path: str) -> WeightedGraph:
 # DOT emission
 # ---------------------------------------------------------------------------
 
+def _dot_id(text: str) -> str:
+    """``text`` as a quoted DOT ID, ``\\`` and ``"`` escaped so it closes where it should."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_dot(g: WeightedGraph, name: str = "network") -> str:
     lines = [f"graph {name} {{", "  node [shape=circle];"]
     for node in g.sorted_nodes():
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for e in g.edges:
         label = format_rational(e.rate)
-        lines.append(f'  "{e.u}" -- "{e.v}" [label="{label}"];')
+        lines.append(f'  {_dot_id(e.u)} -- {_dot_id(e.v)} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -127,9 +134,10 @@ def packing_dot(g: WeightedGraph, pk: TreePacking, name: str = "packing") -> str
         lines.append(f'    color="{color}";')
         lines.append(f'    node [shape=circle, color="{color}"];')
         for node in sorted(tree.vertices()):
-            lines.append(f'    "t{i}_{node}" [label="{node}"];')
+            lines.append(f"    {_dot_id(f't{i}_{node}')} [label={_dot_id(node)}];")
         for u, v in tree.edges:
-            lines.append(f'    "t{i}_{u}" -- "t{i}_{v}" [color="{color}"];')
+            ends = " -- ".join(_dot_id(f"t{i}_{x}") for x in (u, v))
+            lines.append(f'    {ends} [color="{color}"];')
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

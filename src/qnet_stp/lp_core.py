@@ -1,138 +1,35 @@
-"""Exact linear programming for multipartite key distillation.
+"""Announcement rates for omniscience, and the one exact LP solver.
 
-The central program: every node ``i`` publicly announces ``R_i`` bits per
-round so that afterwards all nodes know all raw keys (omniscience).  The
-announcements are feasible iff for every nonempty proper node subset
-``I``::
+Every node ``i`` publicly announces ``R_i`` bits per round so that
+afterwards all nodes know all raw keys (omniscience).  The announcements
+suffice iff for every nonempty proper node subset ``I``::
 
     sum_{i in I} R_i  >=  total rate of edges internal to I
 
-and the distillable conference key rate is
+and with the least total ``sum_i R_i`` the conference key rate is
+``total rate - sum_i R_i``.  An optimal spanning-tree packing realizes
+such rates (:func:`rates_from_packing`), and bottleneck-free networks
+have them in closed form (:func:`explicit_rates_no_bottleneck`), so the
+library never builds the 2^N-row program itself; the test suite keeps
+it as an oracle.
 
-    Z = (total rate of all edges) - min sum_i R_i.
-
-Everything here runs on :class:`fractions.Fraction`; the solver is a
-dense-tableau simplex with Bland's rule, so it terminates with the exact
-optimum and returns a basis certificate that can be re-verified.
-
-To keep the tableau small the solver pivots on the maximization form of
-the program (one row per node instead of one row per subset, feasible at
-zero, single phase); the optimal ``R`` vector is recovered exactly from
-the reduced costs of the final tableau, and :func:`verify_optimality`
-re-checks the certificate from scratch.
+:func:`_simplex_max` is the package's one LP solver: a dense-tableau
+simplex with Bland's rule over :class:`fractions.Fraction`, used to
+reweight a fixed tree list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
-from .errors import (
-    ExactModeLimitError,
-    InvalidPackingError,
-    PreconditionFailedError,
-    SolverLimitError,
-)
-from .netgraph import WeightedGraph, format_rational, proper_vertex_subsets
-from .rate_core import _require_rateable, check_no_bottleneck
-
-#: Largest node count for which the subset LP is built (2^N - 2 constraints).
-LP_CAP_NODES = 16
+from .errors import InvalidPackingError, PreconditionFailedError, SolverLimitError
+from .netgraph import WeightedGraph, format_rational
+from .rate_core import check_no_bottleneck
 
 #: Hard stop for simplex pivots; Bland's rule terminates long before this.
 PIVOT_LIMIT = 500_000
-
-
-@dataclass(frozen=True)
-class LPInstance:
-    """The omniscience program for one network.
-
-    One constraint per nonempty proper subset of nodes, in deterministic
-    order (cardinality ascending, then lexicographic): the announcement
-    sum over the subset must cover the rate internal to the subset.
-    """
-
-    nodes: tuple[str, ...]
-    subsets: tuple[tuple[str, ...], ...]
-    bounds: tuple[Fraction, ...]
-    total_rate: Fraction
-
-    @property
-    def constraint_count(self) -> int:
-        return len(self.subsets)
-
-    def to_text(self) -> str:
-        """Plain-text listing of the objective and every inequality."""
-        lines = ["minimize " + " + ".join(f"R_{v}" for v in self.nodes)]
-        for subset, bound in zip(self.subsets, self.bounds):
-            lhs = " + ".join(f"R_{v}" for v in subset)
-            lines.append(f"  {lhs} >= {format_rational(bound)}")
-        return "\n".join(lines)
-
-
-def build_lp(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> LPInstance:
-    """Construct the omniscience program for ``g``.
-
-    Raises:
-        TrivialNetworkError / DisconnectedError: as for rates.
-        ExactModeLimitError: more nodes than ``max_nodes``.
-    """
-    _require_rateable(g)
-    subsets, bounds = zip(*_subset_bounds(g, max_nodes))
-    return LPInstance(
-        nodes=g.sorted_nodes(),
-        subsets=subsets,
-        bounds=bounds,
-        total_rate=g.total_rate(),
-    )
-
-
-def _subset_bounds(g: WeightedGraph, max_nodes: int):
-    """Yield ``(subset, rate internal to it)`` per nonempty proper subset, in order.
-
-    Raises:
-        ExactModeLimitError: more nodes than ``max_nodes``, before any subset.
-    """
-    labels = g.sorted_nodes()
-    if len(labels) > max_nodes:
-        raise ExactModeLimitError(
-            f"subset LP over {len(labels)} nodes exceeds the cap of {max_nodes}"
-        )
-    for subset in proper_vertex_subsets(labels):
-        inside = set(subset)
-        yield subset, sum((e.rate for e in g.edges if e.u in inside and e.v in inside), Fraction(0))
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    """Exact optimum of an :class:`LPInstance`.
-
-    ``announcement_rates`` is aligned with the instance's node order.
-    ``support`` holds the nonzero multipliers of the binding subsets from
-    the final basis -- together with the rates it forms a certificate:
-    :func:`verify_optimality` checks primal feasibility, multiplier
-    feasibility, and that both objectives coincide.
-    """
-
-    announcement_rates: tuple[Fraction, ...]
-    omniscience_rate: Fraction  # minimal total announcement rate
-    key_rate: Fraction  # total edge rate minus omniscience rate
-    basis: tuple[int, ...]
-    support: tuple[tuple[tuple[str, ...], Fraction], ...]
-    pivots: int
-
-    def rates_by_node(self, inst: LPInstance) -> dict[str, Fraction]:
-        return dict(zip(inst.nodes, self.announcement_rates))
-
-    def to_json_dict(self, inst: LPInstance) -> dict:
-        return {
-            "announcement_rates": {
-                v: format_rational(r) for v, r in zip(inst.nodes, self.announcement_rates)
-            },
-            "omniscience_rate": format_rational(self.omniscience_rate),
-            "key_rate": format_rational(self.key_rate),
-        }
 
 
 def _simplex_max(
@@ -197,97 +94,12 @@ def _simplex_max(
     return obj[-1], x[:n], multipliers, basis, pivots
 
 
-def solve_lp(inst: LPInstance) -> LPSolution:
-    """Solve the omniscience program exactly.
-
-    The tableau has one row per node and one column per subset (the
-    program's maximization form, feasible at zero); at optimality the
-    slack reduced costs are exactly the optimal announcement rates.
-    """
-    node_count = len(inst.nodes)
-    membership = [
-        [Fraction(int(v in subset)) for subset in inst.subsets] for v in inst.nodes
-    ]
-    value, packing, rates, basis, pivots = _simplex_max(
-        membership,
-        [Fraction(1)] * node_count,
-        list(inst.bounds),
-    )
-    support = tuple(
-        (inst.subsets[j], w) for j, w in enumerate(packing) if w > 0
-    )
-    return LPSolution(
-        announcement_rates=tuple(rates),
-        omniscience_rate=value,
-        key_rate=inst.total_rate - value,
-        basis=tuple(basis),
-        support=support,
-        pivots=pivots,
-    )
-
-
-def solve_z(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> Fraction:
-    """Distillable conference-key rate of ``g`` via the subset LP."""
-    return solve_lp(build_lp(g, max_nodes=max_nodes)).key_rate
-
-
-def verify_optimality(inst: LPInstance, sol: LPSolution) -> bool:
-    """Re-check a solution's certificate from scratch.
-
-    Confirms (a) the rates satisfy every subset constraint, (b) the
-    support multipliers are a feasible solution of the maximization form
-    (nonnegative, per-node load at most 1), and (c) both objectives
-    agree.  Weak duality then pins the common value as the exact optimum.
-    """
-    rate_of = dict(zip(inst.nodes, sol.announcement_rates))
-    if any(r < 0 for r in sol.announcement_rates):
-        return False
-    for subset, bound in zip(inst.subsets, inst.bounds):
-        if sum((rate_of[v] for v in subset), Fraction(0)) < bound:
-            return False
-    load = {v: Fraction(0) for v in inst.nodes}
-    mult_value = Fraction(0)
-    bound_of = dict(zip(inst.subsets, inst.bounds))
-    for subset, w in sol.support:
-        if w < 0:
-            return False
-        for v in subset:
-            load[v] += w
-        mult_value += w * bound_of[subset]
-    if any(l > 1 for l in load.values()):
-        return False
-    total = sum(sol.announcement_rates, Fraction(0))
-    return total == sol.omniscience_rate == mult_value
-
-
-def verify_constraints(
-    g: WeightedGraph, rates: Mapping[str, Fraction]
-) -> tuple[bool, Optional[tuple[str, ...]]]:
-    """Check announcement rates against every subset constraint of ``g``.
-
-    Returns ``(True, None)`` or ``(False, first violated subset)`` in the
-    deterministic subset order.
-
-    Raises:
-        PreconditionFailedError: a node has no rate.
-        ExactModeLimitError: more nodes than ``LP_CAP_NODES`` (the scan
-            visits ``2^N - 2`` subsets).
-    """
-    missing = [v for v in g.sorted_nodes() if v not in rates]
-    if missing:
-        raise PreconditionFailedError(f"no announcement rate for node {missing[0]!r}")
-    for subset, bound in _subset_bounds(g, LP_CAP_NODES):
-        if sum((Fraction(rates[v]) for v in subset), Fraction(0)) < bound:
-            return False, subset
-    return True, None
-
-
 @dataclass(frozen=True)
 class CommunicationRates:
     """Per-node announcement rates plus where they came from."""
 
     rates: dict[str, Fraction]
-    provenance: str  # "lp" | "packing" | "closed-form"
+    provenance: str  # "packing" | "closed-form"
 
     def total(self) -> Fraction:
         return sum(self.rates.values(), Fraction(0))

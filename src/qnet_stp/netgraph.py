@@ -7,13 +7,12 @@ rate computation, so every derived quantity is exact.
 
 Conventions used throughout the package:
 
-* Node labels are strings.  Wherever an order matters (partition
-  enumeration, subset enumeration, tie-breaking) nodes are taken in
-  lexicographic label order.
+* Node labels are strings.  Wherever an order matters (subset order,
+  tie-breaking) nodes are taken in lexicographic label order.
 * An edge is identified by its canonical key ``(u, v)`` with ``u < v``.
-* Vertex partitions are enumerated via restricted growth strings in
-  lexicographic order, so every run of the library visits partitions in
-  the same sequence.
+* A vertex partition has one canonical form, whatever built it;
+  :meth:`VertexPartition.from_rgs` reads one off a restricted growth
+  string, the order in which ``rate_core`` scans partitions.
 * All value types are immutable after construction.
 """
 
@@ -28,7 +27,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
-    ExactModeLimitError,
     InvalidEdgeError,
     InvalidPartitionError,
     InvalidSubsetError,
@@ -40,7 +38,7 @@ from .errors import (
     UnknownNodeError,
 )
 
-#: Largest node count for which full vertex-partition enumeration is allowed.
+#: Largest node count for which the partition scan of ``rate_core`` is allowed.
 PARTITION_CAP_NODES = 12
 
 #: Largest number of spanning trees the enumerator will agree to produce.
@@ -281,7 +279,7 @@ def parse_graph(text: str) -> WeightedGraph:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
@@ -414,53 +412,6 @@ class VertexPartition:
 
     def __str__(self) -> str:
         return "{" + "}{".join(",".join(b) for b in self.blocks) + "}"
-
-
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every restricted growth string of length ``n``, lexicographically.
-
-    A restricted growth string ``a`` satisfies ``a[0] == 0`` and
-    ``a[i] <= 1 + max(a[:i])``; strings correspond 1:1 to set partitions
-    of ``n`` items, so the sequence has Bell(n) elements.
-    """
-    if n <= 0:
-        return
-    a = [0] * n
-    b = [1] * n  # b[i] = 1 + max(a[:i]) for i >= 1
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        nb = b[j] + 1 if a[j] == b[j] else b[j]
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = nb
-
-
-def enumerate_partitions(
-    g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES
-) -> Iterator[VertexPartition]:
-    """Yield every partition of ``g``'s vertices with at least two blocks.
-
-    Order is the lexicographic restricted-growth-string order over nodes
-    sorted by label, which makes tie-breaking reproducible everywhere.
-
-    Raises:
-        ExactModeLimitError: when ``g`` has more than ``max_nodes`` nodes.
-    """
-    labels = g.sorted_nodes()
-    if len(labels) > max_nodes:
-        raise ExactModeLimitError(
-            f"partition enumeration over {len(labels)} nodes exceeds the cap of {max_nodes}"
-        )
-    for rgs in restricted_growth_strings(len(labels)):
-        if max(rgs) == 0:
-            continue  # single block
-        yield VertexPartition.from_rgs(labels, rgs)
 
 
 def _check_partition_of(g: WeightedGraph, p: VertexPartition) -> None:

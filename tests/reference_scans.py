@@ -14,6 +14,19 @@ specified to honour and evaluates it from scratch:
   depth-first search and three union-find loops of their own, the
   enumeration restoring a snapshot after each look-ahead.
 
+Two oracles reach the library's answers by another route altogether:
+
+* :func:`restricted_growth_strings` and :func:`enumerate_partitions` --
+  every vertex partition, Bell(N) of them, for checking a property of
+  the rate against each one;
+* :func:`build_lp`, :func:`solve_lp` and :func:`solve_z` -- the
+  omniscience program, one row per proper subset, solved by the
+  library's simplex; its key rate is the secret-key capacity, which the
+  paper proves equal to the packing rate :func:`qnet_stp.nwt_rate`
+  returns.  :func:`verify_optimality` re-checks its certificate and
+  :func:`verify_constraints` checks any announcement vector against
+  every subset.
+
 They cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
 oracle recurses once per spanning tree, so they are only meant for small
 inputs.
@@ -22,7 +35,9 @@ inputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Mapping, Optional
 
 from qnet_stp import (
     BottleneckCertificate,
@@ -35,20 +50,250 @@ from qnet_stp import (
 )
 from qnet_stp.errors import (
     DisconnectedError,
+    ExactModeLimitError,
     InvalidPackingError,
     KeyDepletedError,
     OracleLimitError,
+    PreconditionFailedError,
 )
+from qnet_stp.lp_core import _simplex_max
 from qnet_stp.netgraph import (
     PARTITION_CAP_NODES,
     TREE_ENUMERATION_CAP,
     Multigraph,
     SpanningTree,
     count_spanning_trees,
+    format_rational,
     proper_vertex_subsets,
-    restricted_growth_strings,
 )
 from qnet_stp.protocol import consumption_schedule, orient_tree
+from qnet_stp.rate_core import _require_rateable
+
+#: Largest node count for which the subset LP is built (2^N - 2 constraints).
+LP_CAP_NODES = 16
+
+
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield every restricted growth string of length ``n``, lexicographically.
+
+    A restricted growth string ``a`` satisfies ``a[0] == 0`` and
+    ``a[i] <= 1 + max(a[:i])``; strings correspond 1:1 to set partitions
+    of ``n`` items, so the sequence has Bell(n) elements.
+    """
+    if n <= 0:
+        return
+    a = [0] * n
+    b = [1] * n  # b[i] = 1 + max(a[:i]) for i >= 1
+    while True:
+        yield tuple(a)
+        j = n - 1
+        while j > 0 and a[j] == b[j]:
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        nb = b[j] + 1 if a[j] == b[j] else b[j]
+        for i in range(j + 1, n):
+            a[i] = 0
+            b[i] = nb
+
+
+def enumerate_partitions(
+    g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES
+) -> Iterator[VertexPartition]:
+    """Yield every partition of ``g``'s vertices with at least two blocks.
+
+    Order is the lexicographic restricted-growth-string order over nodes
+    sorted by label, the order :func:`qnet_stp.nwt_rate` breaks ties in.
+
+    Raises:
+        ExactModeLimitError: when ``g`` has more than ``max_nodes`` nodes.
+    """
+    labels = g.sorted_nodes()
+    if len(labels) > max_nodes:
+        raise ExactModeLimitError(
+            f"partition enumeration over {len(labels)} nodes exceeds the cap of {max_nodes}"
+        )
+    for rgs in restricted_growth_strings(len(labels)):
+        if max(rgs) == 0:
+            continue  # single block
+        yield VertexPartition.from_rgs(labels, rgs)
+
+
+@dataclass(frozen=True)
+class LPInstance:
+    """The omniscience program for one network.
+
+    One constraint per nonempty proper subset of nodes, in deterministic
+    order (cardinality ascending, then lexicographic): the announcement
+    sum over the subset must cover the rate internal to the subset.
+    """
+
+    nodes: tuple[str, ...]
+    subsets: tuple[tuple[str, ...], ...]
+    bounds: tuple[Fraction, ...]
+    total_rate: Fraction
+
+    @property
+    def constraint_count(self) -> int:
+        return len(self.subsets)
+
+    def to_text(self) -> str:
+        """Plain-text listing of the objective and every inequality."""
+        lines = ["minimize " + " + ".join(f"R_{v}" for v in self.nodes)]
+        for subset, bound in zip(self.subsets, self.bounds):
+            lhs = " + ".join(f"R_{v}" for v in subset)
+            lines.append(f"  {lhs} >= {format_rational(bound)}")
+        return "\n".join(lines)
+
+
+def build_lp(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> LPInstance:
+    """Construct the omniscience program for ``g``.
+
+    Raises:
+        TrivialNetworkError / DisconnectedError: as for rates.
+        ExactModeLimitError: more nodes than ``max_nodes``.
+    """
+    _require_rateable(g)
+    subsets, bounds = zip(*_subset_bounds(g, max_nodes))
+    return LPInstance(
+        nodes=g.sorted_nodes(),
+        subsets=subsets,
+        bounds=bounds,
+        total_rate=g.total_rate(),
+    )
+
+
+def _subset_bounds(g: WeightedGraph, max_nodes: int):
+    """Yield ``(subset, rate internal to it)`` per nonempty proper subset, in order.
+
+    Raises:
+        ExactModeLimitError: more nodes than ``max_nodes``, before any subset.
+    """
+    labels = g.sorted_nodes()
+    if len(labels) > max_nodes:
+        raise ExactModeLimitError(
+            f"subset LP over {len(labels)} nodes exceeds the cap of {max_nodes}"
+        )
+    for subset in proper_vertex_subsets(labels):
+        inside = set(subset)
+        yield subset, sum((e.rate for e in g.edges if e.u in inside and e.v in inside), Fraction(0))
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """Exact optimum of an :class:`LPInstance`.
+
+    ``announcement_rates`` is aligned with the instance's node order.
+    ``support`` holds the nonzero multipliers of the binding subsets from
+    the final basis -- together with the rates it forms a certificate:
+    :func:`verify_optimality` checks primal feasibility, multiplier
+    feasibility, and that both objectives coincide.
+    """
+
+    announcement_rates: tuple[Fraction, ...]
+    omniscience_rate: Fraction  # minimal total announcement rate
+    key_rate: Fraction  # total edge rate minus omniscience rate
+    basis: tuple[int, ...]
+    support: tuple[tuple[tuple[str, ...], Fraction], ...]
+    pivots: int
+
+    def rates_by_node(self, inst: LPInstance) -> dict[str, Fraction]:
+        return dict(zip(inst.nodes, self.announcement_rates))
+
+    def to_json_dict(self, inst: LPInstance) -> dict:
+        return {
+            "announcement_rates": {
+                v: format_rational(r) for v, r in zip(inst.nodes, self.announcement_rates)
+            },
+            "omniscience_rate": format_rational(self.omniscience_rate),
+            "key_rate": format_rational(self.key_rate),
+        }
+
+
+def solve_lp(inst: LPInstance) -> LPSolution:
+    """Solve the omniscience program exactly.
+
+    The tableau has one row per node and one column per subset (the
+    program's maximization form, feasible at zero); at optimality the
+    slack reduced costs are exactly the optimal announcement rates.
+    """
+    node_count = len(inst.nodes)
+    membership = [
+        [Fraction(int(v in subset)) for subset in inst.subsets] for v in inst.nodes
+    ]
+    value, packing, rates, basis, pivots = _simplex_max(
+        membership,
+        [Fraction(1)] * node_count,
+        list(inst.bounds),
+    )
+    support = tuple(
+        (inst.subsets[j], w) for j, w in enumerate(packing) if w > 0
+    )
+    return LPSolution(
+        announcement_rates=tuple(rates),
+        omniscience_rate=value,
+        key_rate=inst.total_rate - value,
+        basis=tuple(basis),
+        support=support,
+        pivots=pivots,
+    )
+
+
+def solve_z(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> Fraction:
+    """Distillable conference-key rate of ``g`` via the subset LP."""
+    return solve_lp(build_lp(g, max_nodes=max_nodes)).key_rate
+
+
+def verify_optimality(inst: LPInstance, sol: LPSolution) -> bool:
+    """Re-check a solution's certificate from scratch.
+
+    Confirms (a) the rates satisfy every subset constraint, (b) the
+    support multipliers are a feasible solution of the maximization form
+    (nonnegative, per-node load at most 1), and (c) both objectives
+    agree.  Weak duality then pins the common value as the exact optimum.
+    """
+    rate_of = dict(zip(inst.nodes, sol.announcement_rates))
+    if any(r < 0 for r in sol.announcement_rates):
+        return False
+    for subset, bound in zip(inst.subsets, inst.bounds):
+        if sum((rate_of[v] for v in subset), Fraction(0)) < bound:
+            return False
+    load = {v: Fraction(0) for v in inst.nodes}
+    mult_value = Fraction(0)
+    bound_of = dict(zip(inst.subsets, inst.bounds))
+    for subset, w in sol.support:
+        if w < 0:
+            return False
+        for v in subset:
+            load[v] += w
+        mult_value += w * bound_of[subset]
+    if any(l > 1 for l in load.values()):
+        return False
+    total = sum(sol.announcement_rates, Fraction(0))
+    return total == sol.omniscience_rate == mult_value
+
+
+def verify_constraints(
+    g: WeightedGraph, rates: Mapping[str, Fraction]
+) -> tuple[bool, Optional[tuple[str, ...]]]:
+    """Check announcement rates against every subset constraint of ``g``.
+
+    Returns ``(True, None)`` or ``(False, first violated subset)`` in the
+    deterministic subset order.
+
+    Raises:
+        PreconditionFailedError: a node has no rate.
+        ExactModeLimitError: more nodes than ``LP_CAP_NODES`` (the scan
+            visits ``2^N - 2`` subsets).
+    """
+    missing = [v for v in g.sorted_nodes() if v not in rates]
+    if missing:
+        raise PreconditionFailedError(f"no announcement rate for node {missing[0]!r}")
+    for subset, bound in _subset_bounds(g, LP_CAP_NODES):
+        if sum((Fraction(rates[v]) for v in subset), Fraction(0)) < bound:
+            return False, subset
+    return True, None
 
 
 def nwt_rate(g) -> RateReport:

@@ -18,7 +18,6 @@ from qnet_stp import (
     best_additions,
     brute_force_packing,
     check_no_bottleneck,
-    enumerate_partitions,
     evaluate_addition,
     explicit_rates_no_bottleneck,
     general_algorithm,
@@ -33,14 +32,13 @@ from qnet_stp import (
     run_packing_protocol,
     secrecy_audit,
     security_budget,
-    solve_z,
     validate_packing,
-    verify_constraints,
 )
 from qnet_stp.netgraph import VertexPartition, WeightedGraph, contract
 from qnet_stp.protocol import consumption_schedule
 
 from conftest import build, complete, random_connected_graph, ring
+from reference_scans import enumerate_partitions, solve_z, verify_constraints
 
 RESULTS = []
 

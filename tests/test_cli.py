@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -403,6 +404,24 @@ def test_export_dot_golden(capsys, triangle_path):
         '  "2" -- "3" [label="1"];\n'
         "}\n"
     )
+
+
+QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
+    # every quoted token closes on its own line and unescapes to the label
+    labels = ['a"b', 'a\\"b', "c\\"]
+    g = build(labels, [(u, v, 1) for i, u in enumerate(labels) for v in labels[i + 1:]])
+    path = graph_file("quotes.json", g)
+    for argv in (["export-dot", path], ["pack", path, "--format", "dot"]):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        tokens = set()
+        for line in out.splitlines():
+            assert '"' not in QUOTED.sub("", line), (argv, line)
+            tokens.update(re.sub(r"\\(.)", r"\1", t[1:-1]) for t in QUOTED.findall(line))
+        assert set(labels) <= tokens, argv
 
 
 # ---------------------------------------------------------------------------

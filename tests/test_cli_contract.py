@@ -1,10 +1,11 @@
-"""The CLI's exit-code contract on generated networks.
+"""The CLI's exit-code contract on generated networks and unreadable files.
 
 Every ``qnet-stp`` call exits 0, 2, 3 or 4 and prints JSON (the README's
 promise); no traceback escapes.  Networks are seeded random graphs on
 up to six nodes whose labels mix letters with ``+``, ``-`` and ``:``,
 characters that contraction labels, candidate specs and rate suffixes
-also use.
+also use.  Files nested too deeply for the JSON parser, or not UTF-8,
+are schema errors.
 """
 
 import json
@@ -75,3 +76,15 @@ def test_every_command_exits_by_contract_with_json(seed, tmp_path, capsys):
             assert (code == 0) == ("error" not in doc), (argv, out)
         assert main(["export-dot", str(path)]) == 0
         assert capsys.readouterr().out.startswith("graph network {")
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep", "not-utf8"])
+@pytest.mark.parametrize(
+    "command", ["rate", "pack", "simulate", "analyze", "optimize", "export-dot"]
+)
+def test_unreadable_file_is_a_schema_error(command, content, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "Schema"

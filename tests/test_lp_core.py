@@ -5,15 +5,10 @@ import pytest
 
 from qnet_stp import (
     brute_force_packing,
-    build_lp,
     explicit_rates_no_bottleneck,
     nwt_rate,
     packing_rate,
     rates_from_packing,
-    solve_lp,
-    solve_z,
-    verify_constraints,
-    verify_optimality,
 )
 from qnet_stp.errors import (
     ExactModeLimitError,
@@ -22,6 +17,13 @@ from qnet_stp.errors import (
 )
 
 from conftest import build, complete, random_connected_graph, ring
+from reference_scans import (
+    build_lp,
+    solve_lp,
+    solve_z,
+    verify_constraints,
+    verify_optimality,
+)
 
 
 def test_lp_instance_shape(triangle):

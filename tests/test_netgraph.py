@@ -11,7 +11,6 @@ from qnet_stp import (
     WeightedGraph,
     contract,
     count_spanning_trees,
-    enumerate_partitions,
     enumerate_spanning_trees,
     induced_subgraph,
     is_connected,
@@ -32,10 +31,10 @@ from qnet_stp.netgraph import (
     cross_edges,
     edge_key,
     parse_rational,
-    restricted_growth_strings,
 )
 
 from conftest import build, complete, ring
+from reference_scans import enumerate_partitions, restricted_growth_strings
 
 
 # ---------------------------------------------------------------------------

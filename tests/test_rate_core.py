@@ -21,9 +21,9 @@ from qnet_stp.errors import (
     SchemaError,
     TrivialNetworkError,
 )
-from qnet_stp.netgraph import enumerate_partitions
 
 from conftest import build, complete, random_connected_graph, ring
+from reference_scans import enumerate_partitions
 
 
 # ---------------------------------------------------------------------------
