@@ -219,7 +219,7 @@ def cmd_simulate(args, caps) -> int:
     doc["rate"] = format_rational(packing_rate(pk))
     if args.audit:
         report = secrecy_audit(g, pk, max_bits=caps["audit"])
-        audit_doc = report.to_json_dict(histograms=False)
+        audit_doc = report.to_json_dict()
         audit_doc["secrecy"] = "uniform" if report.uniform else "nonuniform"
         doc["audit"] = audit_doc
     emit(doc)

@@ -199,9 +199,6 @@ class WeightedGraph:
     def positive_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.rate > 0)
 
-    def rate_map(self) -> dict[EdgeKey, Fraction]:
-        return {e.key: e.rate for e in self.edges}
-
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
         return {e.key: e.epsilon for e in self.edges}
 
@@ -279,7 +276,7 @@ def parse_graph(text: str) -> WeightedGraph:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also ints over the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")

@@ -9,20 +9,23 @@ announcements along its path and ends up holding the conference edge's
 bit; nothing more leaks, because each announcement is masked by a bit
 used nowhere else.
 
-The module simulates the full protocol (deterministically seeded),
-accounts the security budget, and provides an exact secrecy audit that
-checks the conference key is uniform given the transcript.  Transcript
-and key are GF(2)-linear in the key bits, so the audit is a rank
-comparison, equivalent to enumerating every key assignment; it keeps the
-enumeration's cap of ``AUDIT_BIT_CAP`` key bits.
+The module simulates the full protocol (deterministically seeded):
+:func:`consumption_schedule` alone decides which key bit each tree
+instance uses, and announcing, recovering and the audit read its steps.
+It also accounts the security budget and provides an exact secrecy
+audit that checks the conference key is uniform given the transcript.
+Transcript and key are GF(2)-linear in the key bits, so the audit is a
+rank comparison, equivalent to enumerating every key assignment; it
+keeps the enumeration's cap of ``AUDIT_BIT_CAP`` key bits.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     IncompleteTranscriptError,
@@ -34,7 +37,6 @@ from .errors import (
 )
 from .netgraph import (
     EdgeKey,
-    Multigraph,
     SpanningTree,
     WeightedGraph,
     edge_key,
@@ -54,10 +56,10 @@ PRNG_ALGORITHM = "python-random-mt19937"
 # ---------------------------------------------------------------------------
 
 class KeyMaterial:
-    """Per-edge pools of raw key bits with a consumption cursor.
+    """Per-edge pools of raw key bits, read by index.
 
-    Bits are consumed in order, one per tree per edge; the cursor makes
-    the consumption schedule deterministic and auditable.
+    The pools never change: which bit each tree instance uses is decided
+    by :func:`consumption_schedule` alone.
     """
 
     algorithm = PRNG_ALGORITHM
@@ -68,32 +70,35 @@ class KeyMaterial:
             if any(b not in (0, 1) for b in pool):
                 raise InvalidEdgeError(f"non-bit key material on edge {key}")
         self.seed = seed
-        self._cursor = {k: 0 for k in self.pools}
 
     def bits(self, u: str, v: str) -> tuple[int, ...]:
         return self.pools[edge_key(u, v)]
 
     def bit(self, key: EdgeKey, index: int) -> int:
-        pool = self.pools[key]
+        """Bit ``index`` of edge ``key``'s pool.
+
+        Raises:
+            InvalidEdgeError: no key material for ``key``.
+            KeyDepletedError: the pool has no bit at ``index``.
+        """
+        pool = self.pools.get(key)
+        if pool is None:
+            raise InvalidEdgeError(f"no key material for edge {key}")
         if not 0 <= index < len(pool):
             raise KeyDepletedError(f"edge {key} has no bit at index {index}")
         return pool[index]
 
-    def available(self, key: EdgeKey) -> int:
-        return len(self.pools[key]) - self._cursor[key]
 
-    def cursor(self, key: EdgeKey) -> int:
-        return self._cursor[key]
+def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
+    """Key bits per edge over ``rounds`` rounds: ``rounds`` times its rate.
 
-    def consume(self, key: EdgeKey) -> tuple[int, int]:
-        """Take the next unconsumed bit of ``key``: returns (index, bit)."""
-        if key not in self.pools:
-            raise InvalidEdgeError(f"no key material for edge {key}")
-        index = self._cursor[key]
-        if index >= len(self.pools[key]):
-            raise KeyDepletedError(f"edge {key} ran out of key bits")
-        self._cursor[key] = index + 1
-        return index, self.pools[key][index]
+    Raises:
+        PreconditionFailedError: a non-positive round count or non-integer rates.
+    """
+    if not isinstance(rounds, int) or rounds < 1:
+        raise PreconditionFailedError(f"round count must be a positive integer, got {rounds!r}")
+    rates = integer_rates(g, "keys come in whole bits")  # sorted by key
+    return {key: rounds * rate for key, rate in rates.items()}
 
 
 def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
@@ -106,12 +111,9 @@ def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
     Raises:
         PreconditionFailedError: non-integer rates.
     """
-    if not isinstance(rounds, int) or rounds < 1:
-        raise PreconditionFailedError(f"round count must be a positive integer, got {rounds!r}")
+    sizes = _pool_sizes(g, rounds)
     rng = random.Random(seed)
-    pools = {}
-    for key, rate in integer_rates(g, "keys come in whole bits").items():  # sorted by key
-        pools[key] = tuple(rng.getrandbits(1) for _ in range(rounds * rate))
+    pools = {key: tuple(rng.getrandbits(1) for _ in range(size)) for key, size in sizes.items()}
     return KeyMaterial(pools, seed=seed)
 
 
@@ -136,6 +138,13 @@ class TreeOrientation:
     in_edge: Mapping[str, EdgeKey]
     out_edges: Mapping[str, tuple[EdgeKey, ...]]
     parent: Mapping[str, Optional[str]]
+
+    def relays(self) -> Iterator[tuple[str, EdgeKey, EdgeKey]]:
+        """(announcer, in-edge, out-edge) per announcement, in publishing
+        order: announcers sorted, then each one's out-edges sorted."""
+        for node in sorted(self.out_edges):
+            for key in self.out_edges[node]:
+                yield node, self.in_edge[node], key
 
 
 def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -> TreeOrientation:
@@ -212,41 +221,35 @@ class Announcement:
 def announce(
     orientation: TreeOrientation,
     km: KeyMaterial,
+    consumed: Mapping[EdgeKey, int],
     round_label: int = 0,
     *,
     tree_index: int = 0,
 ) -> list[Announcement]:
-    """Consume one bit per tree edge and publish the relaying XORs.
+    """Publish the relaying XORs of one tree instance.
 
+    ``consumed`` maps every tree edge to the index of the key bit this
+    instance uses on it (one step of :func:`consumption_schedule`).
     Every node with outbound edges announces, per outbound edge, the XOR
     of its inbound bit with that edge's bit; a tree with E edges yields
     E - 1 announcements (nothing is announced on the conference edge).
 
     Raises:
-        KeyDepletedError: an edge's pool is exhausted.
+        InvalidEdgeError / KeyDepletedError: an index ``km`` has no bit for.
     """
-    consumed: dict[EdgeKey, tuple[int, int]] = {}
-    for key in orientation.tree.edges:  # lexicographic consumption order
-        consumed[key] = km.consume(key)
-    out = []
-    for node in sorted(orientation.out_edges):
-        in_key = orientation.in_edge[node]
-        in_index, in_bit = consumed[in_key]
-        for key in orientation.out_edges[node]:
-            index, bit = consumed[key]
-            out.append(
-                Announcement(
-                    tree=tree_index,
-                    round=round_label,
-                    announcer=node,
-                    edge=key,
-                    value=in_bit ^ bit,
-                    in_edge=in_key,
-                    edge_bit_index=index,
-                    in_bit_index=in_index,
-                )
-            )
-    return out
+    return [
+        Announcement(
+            tree=tree_index,
+            round=round_label,
+            announcer=node,
+            edge=key,
+            value=km.bit(in_key, consumed[in_key]) ^ km.bit(key, consumed[key]),
+            in_edge=in_key,
+            edge_bit_index=consumed[key],
+            in_bit_index=consumed[in_key],
+        )
+        for node, in_key, key in orientation.relays()
+    ]
 
 
 @dataclass(frozen=True)
@@ -263,36 +266,26 @@ def recover(
     orientation: TreeOrientation,
     announcements: Iterable[Announcement],
     km: KeyMaterial,
-    *,
-    consumed: Optional[Mapping[EdgeKey, int]] = None,
+    consumed: Mapping[EdgeKey, int],
 ) -> Recovery:
     """Recover the conference bit at ``node`` from one tree's transcript.
 
-    Starting from the node's own inbound-edge bit, each hop XORs in the
-    announcement made on the current edge, moving one step toward the
-    conference edge.  ``consumed`` may pin the per-edge bit indices (as
-    recorded by the protocol run); otherwise they are read from the
-    announcements themselves.
+    Starting from the bit of the node's own inbound edge at its index in
+    ``consumed`` (the instance's step of :func:`consumption_schedule`),
+    each hop XORs in the announcement made on the current edge, moving
+    one step toward the conference edge.
 
     Raises:
-        IncompleteTranscriptError: a needed announcement (or index) is missing.
+        IncompleteTranscriptError: a needed announcement is missing.
     """
     if node not in orientation.in_edge:
         raise InvalidEdgeError(f"node {node!r} is not spanned by the tree")
     by_edge = {a.edge: a for a in announcements}
-    ce = orientation.conference_edge
     current = node
     key = orientation.in_edge[current]
-    if key == ce:
-        index = _conference_bit_index(orientation, by_edge, km, consumed)
-        return Recovery(node=node, bit=km.bit(ce, index), chain=(("key", ce),))
-    head = by_edge.get(key)
-    if head is None:
-        raise IncompleteTranscriptError(f"no announcement for edge {key}")
-    index = consumed[key] if consumed is not None else head.edge_bit_index
-    bit = km.bit(key, index)
+    bit = km.bit(key, consumed[key])
     chain: list[tuple] = [("key", key)]
-    while key != ce:
+    while key != orientation.conference_edge:
         ann = by_edge.get(key)
         if ann is None:
             raise IncompleteTranscriptError(f"no announcement for edge {key}")
@@ -303,29 +296,6 @@ def recover(
     return Recovery(node=node, bit=bit, chain=tuple(chain))
 
 
-def _conference_bit_index(
-    orientation: TreeOrientation,
-    by_edge: Mapping[EdgeKey, Announcement],
-    km: KeyMaterial,
-    consumed: Optional[Mapping[EdgeKey, int]],
-) -> int:
-    ce = orientation.conference_edge
-    if consumed is not None:
-        if ce not in consumed:
-            raise IncompleteTranscriptError(f"no consumed index for conference edge {ce}")
-        return consumed[ce]
-    for ann in by_edge.values():
-        if ann.in_edge == ce:
-            return ann.in_bit_index
-    # single-edge tree with no announcements: the latest consumed bit
-    index = km.cursor(ce) - 1
-    if index < 0:
-        raise IncompleteTranscriptError(
-            f"cannot locate the consumed bit for conference edge {ce}"
-        )
-    return index
-
-
 # ---------------------------------------------------------------------------
 # full protocol run
 # ---------------------------------------------------------------------------
@@ -333,24 +303,28 @@ def _conference_bit_index(
 def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
     """Per tree instance, the key-bit index used on each tree edge.
 
-    Instances are processed in packing order, each taking the next
-    unconsumed bit of every edge it contains.
+    This is the one place that assigns key bits: instances are processed
+    in packing order, each taking the next unused bit of every edge it
+    contains, and the announcements, the recovery and the secrecy audit
+    all read these steps.
 
     Raises:
+        InvalidPackingError: a tree uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge.
+        PreconditionFailedError: non-integer rates.
     """
-    caps = Multigraph(g, pk.rounds).multiplicities()
-    cursor: dict[EdgeKey, int] = {k: 0 for k in caps}
+    sizes = _pool_sizes(g, pk.rounds)
+    used: dict[EdgeKey, int] = {k: 0 for k in sizes}
     schedule = []
     for _, _, tree in pk.instances():
         step = {}
         for key in tree.edges:
-            if key not in caps:
+            if key not in sizes:
                 raise InvalidPackingError(f"tree uses unknown edge {key}")
-            if cursor[key] >= caps[key]:
+            if used[key] >= sizes[key]:
                 raise KeyDepletedError(f"edge {key} ran out of key bits")
-            step[key] = cursor[key]
-            cursor[key] += 1
+            step[key] = used[key]
+            used[key] += 1
         schedule.append(step)
     return schedule
 
@@ -392,8 +366,7 @@ class ProtocolTranscript:
     unanimity: bool
     announcements: tuple[Announcement, ...]
     recovered: Mapping[str, tuple[int, ...]]
-    node_views: Mapping[str, Mapping[EdgeKey, tuple[int, ...]]]
-    consumed: Mapping[EdgeKey, int]
+    consumed: Mapping[EdgeKey, int]  # per edge, the key bits the schedule used
     budget: SecurityBudget
     prng_algorithm: str
     seed: object
@@ -429,31 +402,22 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     announcements: list[Announcement] = []
     conference: list[int] = []
     recovered: dict[str, list[int]] = {v: [] for v in g.node_ids}
-    unanimity = True
     for (tree_idx, copy_idx, tree), consumed in zip(pk.instances(), schedule):
         orientation = orient_tree(tree)
-        anns = announce(orientation, km, copy_idx, tree_index=tree_idx)
+        anns = announce(orientation, km, consumed, copy_idx, tree_index=tree_idx)
         announcements.extend(anns)
-        bits = {}
         for node in g.node_ids:
-            rec = recover(node, orientation, anns, km, consumed=consumed)
-            bits[node] = rec.bit
-            recovered[node].append(rec.bit)
-        reference = km.bit(orientation.conference_edge, consumed[orientation.conference_edge])
-        if any(b != reference for b in bits.values()):
-            unanimity = False
-        conference.append(reference)
-    node_views = {
-        v: {key: km.pools[key] for key in sorted(g.edges_at(v))} for v in g.node_ids
-    }
+            recovered[node].append(recover(node, orientation, anns, km, consumed).bit)
+        ce = orientation.conference_edge
+        conference.append(km.bit(ce, consumed[ce]))
+    uses = Counter(key for step in schedule for key in step)
     return ProtocolTranscript(
         rounds=pk.rounds,
         conference_key=tuple(conference),
-        unanimity=unanimity,
+        unanimity=all(bits == conference for bits in recovered.values()),
         announcements=tuple(announcements),
         recovered={v: tuple(bits) for v, bits in recovered.items()},
-        node_views=node_views,
-        consumed={k: km.cursor(k) for k in km.pools},
+        consumed={k: uses[k] for k in km.pools},
         budget=security_budget(pk, g.epsilon_map()),
         prng_algorithm=km.algorithm,
         seed=seed,
@@ -472,12 +436,6 @@ class AuditReport:
     keys are equally likely.  ``edge_disjoint`` reports whether the
     consumption schedule uses every key bit at most once (the property
     the one-time-pad argument rests on).
-
-    ``histograms`` (audits of at most 12 key bits, else None) maps every
-    realizable transcript to the number of key assignments that give
-    each conference key.  It is built on each read from ``span``: the
-    announcement count and the reduced GF(2) basis of the image of the
-    map from key assignments to (transcript, conference key).
     """
 
     uniform: bool
@@ -485,57 +443,26 @@ class AuditReport:
     total_bits: int
     conference_bits: int
     violations: tuple[str, ...] = ()
-    span: Optional[tuple[int, tuple[int, ...]]] = None
 
-    @property
-    def histograms(self) -> Optional[dict]:
-        # Each realizable (transcript, key) pair is a vector of the span,
-        # reached by 2^(bits - rank) assignments.
-        if self.span is None:
-            return None
-        announcements, basis = self.span
-        count = 1 << (self.total_bits - len(basis))
-        vectors = [0]
-        for b in basis:
-            vectors += [v ^ b for v in vectors]
-        histograms: dict[tuple, dict[tuple, int]] = {}
-        for v in vectors:
-            transcript = tuple((v >> i) & 1 for i in range(announcements))
-            key = tuple(
-                (v >> (announcements + k)) & 1 for k in range(self.conference_bits)
-            )
-            histograms.setdefault(transcript, {})[key] = count
-        return histograms
-
-    def to_json_dict(self, *, histograms: bool = True) -> dict:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "uniform": self.uniform,
             "edge_disjoint": self.edge_disjoint,
             "total_bits": self.total_bits,
             "conference_bits": self.conference_bits,
             "violations": list(self.violations),
         }
-        table = self.histograms if histograms else None
-        if table is not None:
-            doc["histograms"] = {
-                "".join(map(str, transcript)): {
-                    "".join(map(str, key)): count for key, count in sorted(hist.items())
-                }
-                for transcript, hist in sorted(table.items())
-            }
-        return doc
 
 
-def _gf2_basis(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced echelon basis (leading bits descending) of the GF(2) span of
-    ``vectors``, each an int read as a bit vector; unique per span."""
-    basis: list[int] = []
+def _gf2_rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of ``vectors``, each an int read as a bit vector."""
+    basis: list[int] = []  # distinct leading bits, descending
     for v in vectors:
         for b in basis:
             v = min(v, v ^ b)
         if v:
-            basis = sorted([min(b, b ^ v) for b in basis] + [v], reverse=True)
-    return tuple(basis)
+            basis = sorted(basis + [v], reverse=True)
+    return len(basis)
 
 
 def secrecy_audit(
@@ -553,8 +480,8 @@ def secrecy_audit(
     assignments form a coset of the kernel of the transcript map, so the
     key is uniform given every transcript exactly when the joint map's
     rank exceeds the transcript map's rank by the number of conference
-    bits.  The verdict, the violations and the histograms equal those of
-    enumerating every assignment; the first transcript that enumeration
+    bits.  The verdict and the violations equal those of enumerating
+    every assignment; the first transcript that enumeration
     in mask order would flag is always the all-zero one.
 
     A custom ``schedule`` (per-instance edge -> bit index) may be passed
@@ -565,8 +492,7 @@ def secrecy_audit(
         OracleLimitError: more than ``max_bits`` total key bits.
         PreconditionFailedError: non-integer rates.
     """
-    rates = integer_rates(g, "keys come in whole bits")
-    pool_sizes = {key: pk.rounds * rate for key, rate in rates.items()}
+    pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
     if total_bits > max_bits:
         raise OracleLimitError(
@@ -590,7 +516,7 @@ def secrecy_audit(
     scheduled_uses = 0
     ann_positions: list[tuple[int, int]] = []
     conference_positions: list[int] = []
-    for (tree_idx, copy_idx, tree), consumed in zip(instances, schedule):
+    for (_, _, tree), consumed in zip(instances, schedule):
         orientation = orient_tree(tree)
         position = {}
         for key in tree.edges:
@@ -609,10 +535,8 @@ def secrecy_audit(
                 seen_bits[pos] = len(conference_positions)
             scheduled_uses += 1
             position[key] = pos
-        for node in sorted(orientation.out_edges):
-            in_pos = position[orientation.in_edge[node]]
-            for key in orientation.out_edges[node]:
-                ann_positions.append((in_pos, position[key]))
+        for _, in_key, key in orientation.relays():
+            ann_positions.append((position[in_key], position[key]))
         conference_positions.append(position[orientation.conference_edge])
 
     # Column j: key bit j's contribution, announcement i at bit i and
@@ -624,9 +548,8 @@ def secrecy_audit(
         columns[q] ^= 1 << i
     for k, p in enumerate(conference_positions):
         columns[p] ^= 1 << (shift + k)
-    joint = _gf2_basis(columns)
-    transcript_rank = len(_gf2_basis(c & ((1 << shift) - 1) for c in columns))
-    uniform = len(joint) - transcript_rank == len(conference_positions)
+    transcript_rank = _gf2_rank(c & ((1 << shift) - 1) for c in columns)
+    uniform = _gf2_rank(columns) - transcript_rank == len(conference_positions)
     if not uniform:
         violations.append("conference key not uniform for transcript " + "0" * shift)
     return AuditReport(
@@ -635,5 +558,4 @@ def secrecy_audit(
         total_bits=total_bits,
         conference_bits=len(conference_positions),
         violations=tuple(violations),
-        span=(shift, joint) if total_bits <= 12 else None,
     )

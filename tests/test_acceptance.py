@@ -258,10 +258,11 @@ def test_criterion_6_protocol_and_secrecy():
                [(u, v, 1) for u, v in relay_edges])
     km = generate_keys(g9, 1, seed=11)
     ori = orient_tree(t, conference_edge=("6", "7"))
-    anns = announce(ori, km)
+    first = dict.fromkeys(t.edges, 0)  # the first instance's bit indices
+    anns = announce(ori, km, first)
     if len(anns) != 7:
         failures.append(f"relay tree: {len(anns)} announcements")
-    rec = recover("1", ori, anns, km)
+    rec = recover("1", ori, anns, km, first)
     if rec.chain != (("key", ("1", "4")),
                      ("announcement", "4", ("1", "4")),
                      ("announcement", "6", ("4", "6"))):

@@ -4,8 +4,8 @@ Every ``qnet-stp`` call exits 0, 2, 3 or 4 and prints JSON (the README's
 promise); no traceback escapes.  Networks are seeded random graphs on
 up to six nodes whose labels mix letters with ``+``, ``-`` and ``:``,
 characters that contraction labels, candidate specs and rate suffixes
-also use.  Files nested too deeply for the JSON parser, or not UTF-8,
-are schema errors.
+also use.  Files nested too deeply for the JSON parser, not UTF-8, or
+holding an integer longer than the parser converts are schema errors.
 """
 
 import json
@@ -78,7 +78,12 @@ def test_every_command_exits_by_contract_with_json(seed, tmp_path, capsys):
         assert capsys.readouterr().out.startswith("graph network {")
 
 
-@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff\xfe{}"], ids=["deep", "not-utf8"])
+LONG_INT = b'{"nodes":["a","b"],"edges":[{"u":"a","v":"b","rate":' + b"1" * 5000 + b"}]}"
+
+
+@pytest.mark.parametrize(
+    "content", [b"[" * 100_000, b"\xff\xfe{}", LONG_INT], ids=["deep", "not-utf8", "long-int"]
+)
 @pytest.mark.parametrize(
     "command", ["rate", "pack", "simulate", "analyze", "optimize", "export-dot"]
 )

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -61,24 +62,19 @@ def test_zero_rate_edge_gets_no_bits():
     assert km.bits("2", "3") == ()
 
 
-def test_consume_cursor(triangle):
+def test_bit_reads_pool_by_index(triangle):
     km = generate_keys(triangle, 2, seed=1)
-    idx0, bit0 = km.consume(("1", "2"))
-    idx1, bit1 = km.consume(("1", "2"))
-    assert (idx0, idx1) == (0, 1)
-    assert (bit0, bit1) == km.bits("1", "2")
-    with pytest.raises(KeyDepletedError):
-        km.consume(("1", "2"))  # only two bits existed
-    assert km.available(("1", "3")) == 2  # other edges untouched
+    assert (km.bit(("1", "2"), 0), km.bit(("1", "2"), 1)) == km.bits("1", "2")
 
 
 def test_depletion(triangle):
     km = generate_keys(triangle, 1, seed=1)
-    km.consume(("1", "2"))
     with pytest.raises(KeyDepletedError):
-        km.consume(("1", "2"))
+        km.bit(("1", "2"), 1)  # only one bit exists
+    with pytest.raises(KeyDepletedError):
+        km.bit(("1", "2"), -1)
     with pytest.raises(InvalidEdgeError):
-        km.consume(("1", "9"))
+        km.bit(("1", "9"), 0)
 
 
 def test_key_material_validates_bits():
@@ -120,12 +116,17 @@ def test_orientation_rejects_foreign_edge(relay_tree_edges):
 # announcements and recovery
 # ---------------------------------------------------------------------------
 
+def first_bits(tree):
+    """The schedule step of a tree's first instance: bit 0 of every edge."""
+    return dict.fromkeys(tree.edges, 0)
+
+
 def test_relay_tree_announcement_count(relay_tree_edges):
     t = SpanningTree.of(relay_tree_edges)
     g = build([str(i) for i in range(1, 10)],
               [(u, v, 1) for u, v in relay_tree_edges])
     km = generate_keys(g, 1, seed=3)
-    anns = announce(orient_tree(t, conference_edge=("6", "7")), km)
+    anns = announce(orient_tree(t, conference_edge=("6", "7")), km, first_bits(t))
     assert len(anns) == 7  # one per non-conference edge
     announced_edges = {a.edge for a in anns}
     assert ("6", "7") not in announced_edges
@@ -138,8 +139,8 @@ def test_relay_tree_recovery_chain(relay_tree_edges):
               [(u, v, 1) for u, v in relay_tree_edges])
     km = generate_keys(g, 1, seed=3)
     ori = orient_tree(t, conference_edge=("6", "7"))
-    anns = announce(ori, km)
-    rec = recover("1", ori, anns, km)
+    anns = announce(ori, km, first_bits(t))
+    rec = recover("1", ori, anns, km, first_bits(t))
     # leaf 1 peels two relays on its way to the trunk edge
     assert rec.chain == (
         ("key", ("1", "4")),
@@ -149,14 +150,14 @@ def test_relay_tree_recovery_chain(relay_tree_edges):
     trunk_bit = km.bit(("6", "7"), 0)
     assert rec.bit == trunk_bit
     for node in g.node_ids:
-        assert recover(node, ori, anns, km).bit == trunk_bit
+        assert recover(node, ori, anns, km, first_bits(t)).bit == trunk_bit
 
 
 def test_announcement_values_are_xors(triangle):
     km = generate_keys(triangle, 1, seed=9)
     t = SpanningTree.of([("1", "2"), ("1", "3")])
     ori = orient_tree(t)  # conference edge (1,2)
-    anns = announce(ori, km)
+    anns = announce(ori, km, first_bits(t))
     assert len(anns) == 1
     a = anns[0]
     assert a.announcer == "1"
@@ -170,10 +171,10 @@ def test_recover_needs_full_transcript(relay_tree_edges):
               [(u, v, 1) for u, v in relay_tree_edges])
     km = generate_keys(g, 1, seed=3)
     ori = orient_tree(t, conference_edge=("6", "7"))
-    anns = announce(ori, km)
+    anns = announce(ori, km, first_bits(t))
     partial = [a for a in anns if a.edge != ("4", "6")]
     with pytest.raises(IncompleteTranscriptError):
-        recover("1", ori, partial, km)
+        recover("1", ori, partial, km, first_bits(t))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,25 @@ def test_unanimity_across_seeds(triangle, tri_pendant, star4):
         pk = general_algorithm(g).packing
         for seed in range(100):
             assert run_packing_protocol(g, pk, seed).unanimity
+
+
+def test_run_follows_the_consumption_schedule(triangle, tri_pendant, star4):
+    # the run announces exactly what announce() gives for each schedule
+    # step, and reports each edge's bit count as its uses in the schedule
+    for g in (triangle, tri_pendant, star4):
+        pk = general_algorithm(g).packing
+        schedule = consumption_schedule(g, pk)
+        for seed in range(10):
+            km = generate_keys(g, pk.rounds, seed)
+            expected = [
+                a
+                for (i, copy, tree), step in zip(pk.instances(), schedule)
+                for a in announce(orient_tree(tree), km, step, copy, tree_index=i)
+            ]
+            tr = run_packing_protocol(g, pk, seed)
+            assert list(tr.announcements) == expected
+            assert set(tr.consumed) == set(km.pools)
+            assert tr.consumed == Counter(key for step in schedule for key in step)
 
 
 def test_run_rejects_overfull_packing(triangle):
@@ -262,7 +282,6 @@ def test_audit_uniform_on_triangle(triangle):
     assert report.total_bits == 6
     assert report.conference_bits == 3
     assert not report.violations
-    assert report.histograms  # small enough to keep
 
 
 def test_audit_uniform_on_single_edge():

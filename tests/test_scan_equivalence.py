@@ -1,9 +1,9 @@
 """The exact scans agree with their exhaustive reference versions.
 
 Full results are compared -- rate report, every certificate field, the
-bipartition pair, every audit report field with its histograms, the
-whole oracle outcome, the ordered list of spanning trees -- so visit
-order and tie-breaks are checked too, not just the optimum.
+bipartition pair, every audit report field, the whole oracle outcome,
+the ordered list of spanning trees -- so visit order and tie-breaks are
+checked too, not just the optimum.
 """
 
 import random
@@ -140,6 +140,7 @@ def reuse_schedule(rng, g, pk):
 def assert_same_audit(g, pk, schedule=None):
     report = secrecy_audit(g, pk, schedule=schedule)
     expected = reference_scans.secrecy_audit(g, pk, schedule=schedule)
+    del expected["histograms"]  # a view only the enumeration keeps
     assert {field: getattr(report, field) for field in expected} == expected
     return report
 
@@ -161,14 +162,10 @@ def test_audit_matches_every_assignment(seed):
     assert verdicts == {True, False}
 
 
-def test_audit_histograms_only_up_to_twelve_bits():
+def test_audit_matches_every_assignment_on_ring4():
     g = ring(4)
-    for rounds, kept in ((3, True), (4, False)):  # 12 and 16 key bits
-        pk = brute_force_packing(g, rounds).packing
-        report = assert_same_audit(g, pk)
-        assert (report.histograms is not None) == kept
-        assert ("histograms" in report.to_json_dict()) == kept
-        assert "histograms" not in report.to_json_dict(histograms=False)
+    for rounds in (3, 4):  # 12 and 16 key bits
+        assert_same_audit(g, brute_force_packing(g, rounds).packing)
 
 
 @pytest.mark.parametrize("seed", range(8))
