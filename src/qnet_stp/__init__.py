@@ -15,6 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .netgraph import (
+    Caps,
     Edge,
     Multigraph,
     SpanningTree,
@@ -83,6 +84,7 @@ __all__ = [
     "ValidationError",
     "LimitError",
     "InternalError",
+    "Caps",
     "Edge",
     "WeightedGraph",
     "VertexPartition",

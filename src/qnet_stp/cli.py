@@ -27,16 +27,13 @@ from .errors import (
     ValidationError,
 )
 from .netgraph import (
-    PARTITION_CAP_NODES,
-    TREE_ENUMERATION_CAP,
+    Caps,
     WeightedGraph,
     format_rational,
     parse_graph,
     parse_rational,
 )
 from .packing import (
-    BACKTRACK_CAP,
-    ORACLE_ROUND_CAP,
     TreePacking,
     basic_algorithm,
     brute_force_packing,
@@ -44,8 +41,8 @@ from .packing import (
     packing_rate,
 )
 from .planner import best_additions, bottleneck_report
-from .protocol import AUDIT_BIT_CAP, run_packing_protocol, secrecy_audit
-from .rate_core import SUBSET_CAP_NODES, nwt_rate
+from .protocol import run_packing_protocol, secrecy_audit
+from .rate_core import nwt_rate
 
 #: Color cycle for per-tree DOT subgraphs (ColorBrewer Dark2).
 DOT_PALETTE = (
@@ -53,38 +50,10 @@ DOT_PALETTE = (
     "#66a61e", "#e6ab02", "#a6761d", "#666666",
 )
 
-DEFAULT_CAPS = {
-    "partitions": PARTITION_CAP_NODES,
-    "subsets": SUBSET_CAP_NODES,
-    "trees": TREE_ENUMERATION_CAP,
-    "audit": AUDIT_BIT_CAP,
-    "backtrack": BACKTRACK_CAP,
-    "oracle_rounds": ORACLE_ROUND_CAP,
-}
 
-
-def read_caps(env: Optional[str] = None) -> dict[str, int]:
-    """Merge QNET_STP_CAPS overrides ("key=value,...") onto the defaults."""
-    caps = dict(DEFAULT_CAPS)
-    raw = os.environ.get("QNET_STP_CAPS", "") if env is None else env
-    if not raw.strip():
-        return caps
-    for item in raw.split(","):
-        if "=" not in item:
-            raise SchemaError(f"cap override {item!r} is not of the form key=value")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in caps:
-            raise SchemaError(
-                f"unknown cap {key!r}; known caps: {', '.join(sorted(caps))}"
-            )
-        try:
-            caps[key] = int(value)
-        except ValueError:
-            raise SchemaError(f"cap {key!r} needs an integer, got {value.strip()!r}")
-        if caps[key] < 1:
-            raise SchemaError(f"cap {key!r} must be positive")
-    return caps
+def read_caps(env: Optional[str] = None) -> Caps:
+    """The caps in force: ``env``, or else QNET_STP_CAPS, parsed by :meth:`Caps.parse`."""
+    return Caps.parse(os.environ.get("QNET_STP_CAPS", "") if env is None else env)
 
 
 def load_graph(path: str) -> WeightedGraph:
@@ -153,7 +122,7 @@ def emit(doc) -> None:
 
 def cmd_rate(args, caps) -> int:
     g = load_graph(args.input)
-    report = nwt_rate(g, max_nodes=caps["partitions"])
+    report = nwt_rate(g, caps=caps)
     if args.format == "text":
         sys.stdout.write(format_rational(report.rate) + "\n")
     else:
@@ -161,27 +130,15 @@ def cmd_rate(args, caps) -> int:
     return 0
 
 
-def _packer_caps(caps) -> dict:
-    """The caps the greedy packers, their scans and their exact fallback honour."""
-    return {
-        "backtrack_cap": caps["backtrack"],
-        "max_trees": caps["trees"],
-        "subset_cap": caps["subsets"],
-    }
-
-
 def _make_packing(g, method: str, rounds: Optional[int], caps):
     if method == "oracle":
         n = rounds if rounds is not None else g.node_count - 1
-        return brute_force_packing(
-            g, n, max_rounds=caps["oracle_rounds"], max_trees=caps["trees"],
-            max_nodes=caps["partitions"],
-        )
+        return brute_force_packing(g, n, caps=caps)
     if rounds is not None:
         raise SchemaError("--rounds only applies to --method oracle")
     if method == "basic":
-        return basic_algorithm(g, **_packer_caps(caps))
-    return general_algorithm(g, max_nodes=caps["partitions"], **_packer_caps(caps))
+        return basic_algorithm(g, caps=caps)
+    return general_algorithm(g, caps=caps)
 
 
 def cmd_pack(args, caps) -> int:
@@ -218,7 +175,7 @@ def cmd_simulate(args, caps) -> int:
     doc["packing"] = pk.to_json_dict()
     doc["rate"] = format_rational(packing_rate(pk))
     if args.audit:
-        report = secrecy_audit(g, pk, max_bits=caps["audit"])
+        report = secrecy_audit(g, pk, caps=caps)
         audit_doc = report.to_json_dict()
         audit_doc["secrecy"] = "uniform" if report.uniform else "nonuniform"
         doc["audit"] = audit_doc
@@ -228,9 +185,7 @@ def cmd_simulate(args, caps) -> int:
 
 def cmd_analyze(args, caps) -> int:
     g = load_graph(args.input)
-    report = bottleneck_report(
-        g, max_nodes=caps["partitions"], subset_cap=caps["subsets"]
-    )
+    report = bottleneck_report(g, caps=caps)
     if args.format == "text":
         sys.stdout.write(report.narrative + "\n")
     else:
@@ -293,13 +248,7 @@ def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
 def cmd_optimize(args, caps) -> int:
     g = load_graph(args.input)
     candidates = parse_candidates(args.candidates, set(g.node_ids)) if args.candidates else []
-    plan = best_additions(
-        g,
-        candidates,
-        args.budget,
-        exhaustive=args.exhaustive,
-        max_nodes=caps["partitions"],
-    )
+    plan = best_additions(g, candidates, args.budget, exhaustive=args.exhaustive, caps=caps)
     if args.format == "text":
         sys.stdout.write(f"initial rate {format_rational(plan.initial_rate)}\n")
         for step in plan.steps:

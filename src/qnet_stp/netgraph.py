@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -38,18 +38,63 @@ from .errors import (
     UnknownNodeError,
 )
 
-#: Largest node count for which the partition scan of ``rate_core`` is allowed.
-PARTITION_CAP_NODES = 12
-
-#: Largest number of spanning trees the enumerator will agree to produce.
-TREE_ENUMERATION_CAP = 10**6
-
 EdgeKey = tuple[str, str]
+
+
+@dataclass(frozen=True)
+class Caps:
+    """The exactness caps: the largest instance each exact search takes on.
+
+    The field names are the ``QNET_STP_CAPS`` keys (see :meth:`parse`).
+    """
+
+    partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
+    subsets: int = 20  # nodes in a bottleneck subset scan
+    trees: int = 10**6  # spanning trees enumerated, or packed by the packers
+    audit: int = 20  # key bits in the secrecy audit
+    backtrack: int = 10_000  # next-to-last tree candidates the greedy packer tries
+    oracle_rounds: int = 8  # rounds the exhaustive oracle packs
+
+    @classmethod
+    def parse(cls, text: str) -> Caps:
+        """The defaults with ``"key=value,..."`` overrides applied.
+
+        Raises:
+            SchemaError: a malformed item, an unknown key, or a value that
+                is not a positive integer.
+        """
+        if not text.strip():
+            return cls()
+        names = sorted(f.name for f in fields(cls))
+        values: dict[str, int] = {}
+        for item in text.split(","):
+            if "=" not in item:
+                raise SchemaError(f"cap override {item!r} is not of the form key=value")
+            key, _, value = item.partition("=")
+            key = key.strip()
+            if key not in names:
+                raise SchemaError(f"unknown cap {key!r}; known caps: {', '.join(names)}")
+            try:
+                values[key] = int(value)
+            except ValueError:
+                raise SchemaError(f"cap {key!r} needs an integer, got {value.strip()!r}")
+            if values[key] < 1:
+                raise SchemaError(f"cap {key!r} must be positive")
+        return cls(**values)
+
+
+CAPS = Caps()
 
 
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------
+
+#: Numerators and denominators must stay below this (at most 1000
+#: digits), well inside Python's 4300-digit limit for printing an int.
+_RATIONAL_BOUND = 10**1000
+_TOO_LONG = "rational with more than 1000 digits in its numerator or denominator"
+
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from JSON-level data.
@@ -59,29 +104,43 @@ def parse_rational(value) -> Fraction:
     are rejected on purpose: they would silently destroy exactness.
 
     Raises:
-        SchemaError: on floats, malformed strings, or other types.
+        SchemaError: on floats, malformed strings, other types, or a
+            numerator or denominator of more than 1000 digits.
     """
     if isinstance(value, bool):
         raise SchemaError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise SchemaError(
             f"refusing float {value!r}: quote it as a string (e.g. \"1/4\") for exactness"
         )
     if isinstance(value, str):
+        # a five-digit exponent alone passes the bound: refuse it before
+        # Fraction expands it
+        if len(value.lower().partition("e")[2].lstrip("+-0")) > 4:
+            raise SchemaError(_TOO_LONG)
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"malformed rational {value!r}") from exc
-    raise SchemaError(f"expected a rational, got {type(value).__name__}")
+    elif isinstance(value, (int, Fraction)):
+        x = Fraction(value)
+    else:
+        raise SchemaError(f"expected a rational, got {type(value).__name__}")
+    if abs(x.numerator) >= _RATIONAL_BOUND or x.denominator >= _RATIONAL_BOUND:
+        raise SchemaError(_TOO_LONG)
+    return x
 
 
 def format_rational(x: Fraction) -> str:
-    """Render a rational in lowest terms, ``"p/q"`` or plain ``"p"``."""
-    return str(x)
+    """Render a rational in lowest terms, ``"p/q"`` or plain ``"p"``.
+
+    Raises:
+        SchemaError: a numerator or denominator too long to print.
+    """
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise SchemaError(f"rational too long to print: {exc}") from exc
 
 
 def edge_key(u: str, v: str) -> EdgeKey:
@@ -563,7 +622,7 @@ def count_spanning_trees(g: WeightedGraph) -> int:
 
 
 def enumerate_spanning_trees(
-    g: WeightedGraph, *, max_trees: int = TREE_ENUMERATION_CAP
+    g: WeightedGraph, *, max_trees: int = CAPS.trees
 ) -> Iterator[SpanningTree]:
     """Yield every spanning tree of the positive-rate subgraph of ``g``.
 

@@ -47,10 +47,11 @@ from .errors import (
     SchemaError,
 )
 from .netgraph import (
+    CAPS,
+    Caps,
     EdgeKey,
     Multigraph,
     SpanningTree,
-    TREE_ENUMERATION_CAP,
     VertexPartition,
     WeightedGraph,
     edge_key,
@@ -62,19 +63,7 @@ from .netgraph import (
     is_spanning_tree,
     spanning_forest,
 )
-from .rate_core import (
-    PARTITION_CAP_NODES,
-    SUBSET_CAP_NODES,
-    _require_rateable,
-    check_no_bottleneck,
-    nwt_rate,
-)
-
-#: Candidate budget for the next-to-last greedy tree search.
-BACKTRACK_CAP = 10_000
-
-#: Largest round count the exhaustive oracle accepts.
-ORACLE_ROUND_CAP = 8
+from .rate_core import _require_rateable, check_no_bottleneck, nwt_rate
 
 #: Most spanning trees the exhaustive oracle searches.  Its search
 #: recurses once per tree, so this keeps it below Python's default
@@ -291,14 +280,7 @@ def reweight_by_lp(g: WeightedGraph, trees: Sequence[SpanningTree]) -> TreePacki
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_packing(
-    g: WeightedGraph,
-    rounds: int,
-    *,
-    max_rounds: int = ORACLE_ROUND_CAP,
-    max_trees: int = TREE_ENUMERATION_CAP,
-    max_nodes: int = PARTITION_CAP_NODES,
-) -> PackingOutcome:
+def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> PackingOutcome:
     """Exact maximum multigraph packing for ``rounds`` rounds.
 
     Enumerates every spanning tree and searches multiplicity assignments
@@ -306,21 +288,21 @@ def brute_force_packing(
     tree count is the true maximum for the multigraph whose edge
     multiplicities are ``floor(rounds * rate)``.  Ties resolve to the
     lexicographically smallest tree multiset.  ``optimal`` compares the
-    result with the partition scan's rate, or is None above ``max_nodes``
-    nodes.
+    result with the partition scan's rate, or is None above
+    ``caps.partitions`` nodes.
 
     Raises:
-        OracleLimitError: ``rounds`` above ``max_rounds``, more trees
-            than ``max_trees`` or ``ORACLE_TREE_CAP``, or more memoized
-            states than ``ORACLE_STATE_CAP``.
+        OracleLimitError: ``rounds`` above ``caps.oracle_rounds``, more
+            trees than ``caps.trees`` or ``ORACLE_TREE_CAP``, or more
+            memoized states than ``ORACLE_STATE_CAP``.
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
-    if rounds > max_rounds:
-        raise OracleLimitError(f"{rounds} rounds exceed the oracle cap of {max_rounds}")
+    if rounds > caps.oracle_rounds:
+        raise OracleLimitError(f"{rounds} rounds exceed the oracle cap of {caps.oracle_rounds}")
     _require_rateable(g)
-    caps_map = Multigraph(g, rounds).multiplicities()
-    usable = [(key, cap) for key, cap in sorted(caps_map.items()) if cap > 0]
+    capacity = Multigraph(g, rounds).multiplicities()
+    usable = [(key, cap) for key, cap in sorted(capacity.items()) if cap > 0]
     capacity_graph = WeightedGraph(
         g.node_ids, [(k[0], k[1], Fraction(c)) for k, c in usable]
     ) if usable else None
@@ -328,17 +310,17 @@ def brute_force_packing(
         empty = TreePacking.multigraph([], [], rounds, source="oracle")
         return PackingOutcome(
             packing=empty,
-            optimal=_optimal_flag(g, Fraction(0), max_nodes),
+            optimal=_optimal_flag(g, Fraction(0), caps),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
     trees = list(enumerate_spanning_trees(
-        capacity_graph, max_trees=min(max_trees, ORACLE_TREE_CAP)
+        capacity_graph, max_trees=min(caps.trees, ORACLE_TREE_CAP)
     ))
     key_index = {key: i for i, (key, _) in enumerate(usable)}
     tree_edges = [tuple(key_index[k] for k in t.edges) for t in trees]
     node_index = {v: i for i, v in enumerate(g.node_ids)}
     tree_degrees = [tuple((node_index[v], t.degree(v)) for v in t.vertices()) for t in trees]
-    start_caps = tuple(cap for _, cap in usable)
+    start_spare = tuple(cap for _, cap in usable)
     need = g.node_count - 1
     start_degree = [sum(cap for key, cap in usable if v in key) for v in g.node_ids]
 
@@ -348,10 +330,10 @@ def brute_force_packing(
     # ``degree`` are the capacity total and each node's incident capacity,
     # carried down the search: no tree packs more than volume // need
     # trees, nor more than any node's degree.
-    def take(i: int, caps: tuple[int, ...], volume: int, degree: list[int], count: int):
+    def take(i: int, spare: tuple[int, ...], volume: int, degree: list[int], count: int):
         if not count:
-            return caps, volume, degree
-        reduced = list(caps)
+            return spare, volume, degree
+        reduced = list(spare)
         for e in tree_edges[i]:
             reduced[e] -= count
         lowered = degree[:]
@@ -359,20 +341,20 @@ def brute_force_packing(
             lowered[v] -= count * d
         return tuple(reduced), volume - count * need, lowered
 
-    def explore(i: int, caps: tuple[int, ...], volume: int, degree: list[int]) -> int:
+    def explore(i: int, spare: tuple[int, ...], volume: int, degree: list[int]) -> int:
         """Most trees from tree ``i`` on; the memo keeps counts only."""
         if i == len(trees):
             return 0
         bound = min(volume // need, min(degree))
         if bound == 0:
             return 0
-        state = (i, caps)
+        state = (i, spare)
         hit = memo.get(state)
         if hit is not None:
             return hit
         best = -1
-        for count in range(min(caps[e] for e in tree_edges[i]), -1, -1):
-            best = max(best, count + explore(i + 1, *take(i, caps, volume, degree, count)))
+        for count in range(min(spare[e] for e in tree_edges[i]), -1, -1):
+            best = max(best, count + explore(i + 1, *take(i, spare, volume, degree, count)))
             if best == bound:
                 break
         memo[state] = best
@@ -382,7 +364,7 @@ def brute_force_packing(
             )
         return best
 
-    state = (start_caps, sum(start_caps), start_degree)
+    state = (start_spare, sum(start_spare), start_degree)
     k = left = explore(0, *state)
     # Replay from memo hits: each tree takes the largest count that still
     # reaches the optimum, the first maximizer of the descending search.
@@ -401,15 +383,15 @@ def brute_force_packing(
     )
     return PackingOutcome(
         packing=packing,
-        optimal=_optimal_flag(g, Fraction(k, rounds), max_nodes),
+        optimal=_optimal_flag(g, Fraction(k, rounds), caps),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
 
 
-def _optimal_flag(g: WeightedGraph, rate: Fraction, max_nodes: int) -> Optional[bool]:
-    if g.node_count > max_nodes:
+def _optimal_flag(g: WeightedGraph, rate: Fraction, caps: Caps) -> Optional[bool]:
+    if g.node_count > caps.partitions:
         return None
-    return rate == nwt_rate(g, max_nodes=max_nodes).rate
+    return rate == nwt_rate(g, caps=caps).rate
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +399,7 @@ def _optimal_flag(g: WeightedGraph, rate: Fraction, max_nodes: int) -> Optional[
 # ---------------------------------------------------------------------------
 
 def exact_packing(
-    g: WeightedGraph, rounds: int, target: int, *, max_trees: int = TREE_ENUMERATION_CAP
+    g: WeightedGraph, rounds: int, target: int, *, max_trees: int = CAPS.trees
 ) -> TreePacking:
     """``target`` edge-disjoint spanning trees of the ``rounds``-round multigraph.
 
@@ -557,13 +539,7 @@ def _unit_residual_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optiona
     return tree if is_spanning_tree(g, tree) else None
 
 
-def basic_algorithm(
-    g: WeightedGraph,
-    *,
-    backtrack_cap: int = BACKTRACK_CAP,
-    max_trees: int = TREE_ENUMERATION_CAP,
-    subset_cap: int = SUBSET_CAP_NODES,
-) -> PackingOutcome:
+def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
     Over ``N - 1`` rounds each edge offers ``(N - 1) * rate`` uses and
@@ -571,22 +547,23 @@ def basic_algorithm(
     time by maximum weight; the next-to-last tree is chosen by searching
     the remaining trees in descending weight order for one whose removal
     leaves precisely one unit-weight spanning tree.  If the greedy
-    stalls, :func:`exact_packing` builds ``total / (N - 1)`` trees per
-    round over the fewest rounds that make that a whole number (flagged
-    in diagnostics).  ``max_trees`` bounds the candidate enumeration and
-    the exact packer's tree count; ``subset_cap`` bounds the bottleneck
-    scan.
+    stalls, or would extract more than ``caps.trees`` trees,
+    :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
+    the fewest rounds that make that a whole number (flagged in
+    diagnostics).  ``caps.trees`` also bounds the candidate enumeration
+    and the exact packer's tree count; ``caps.backtrack`` bounds the
+    candidates tried and ``caps.subsets`` the bottleneck scan.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
-        ExactModeLimitError: more nodes than ``subset_cap``.
+        ExactModeLimitError: more nodes than ``caps.subsets``.
         HeuristicFailedError: the greedy stalled and the exact packer's
-            tree count is above ``max_trees`` (carries the trees found so
+            tree count is above ``caps.trees`` (carries the trees found so
             far).
     """
     _require_rateable(g)
     rates = integer_rates(g, "this algorithm needs integer rates")
-    cert = check_no_bottleneck(g, max_nodes=subset_cap)
+    cert = check_no_bottleneck(g, caps=caps)
     if not cert.ok:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
@@ -602,7 +579,7 @@ def basic_algorithm(
         diagnostics["fallback_reason"] = reason
         rate = cert.network_bound
         try:
-            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=max_trees)
+            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
         except HeuristicFailedError as exc:
             raise HeuristicFailedError(
                 f"greedy failed ({reason}) and the exact packer stopped: {exc}",
@@ -610,6 +587,8 @@ def basic_algorithm(
             ) from exc
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
+    if total_trees > caps.trees:
+        return fallback(f"{total_trees} trees exceed the tree cap of {caps.trees}")
     for _ in range(max(total_trees - 2, 0)):
         tree = _max_weight_tree(g, weight)
         if tree is None:
@@ -632,13 +611,13 @@ def basic_algorithm(
             return fallback("positive-weight edges no longer span the network")
         try:
             candidates = sorted(
-                enumerate_spanning_trees(support, max_trees=max_trees),
+                enumerate_spanning_trees(support, max_trees=caps.trees),
                 key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
             )
         except OracleLimitError:
             return fallback("too many candidate trees to search")
         done = False
-        for candidate in candidates[:backtrack_cap]:
+        for candidate in candidates[:caps.backtrack]:
             diagnostics["backtracks"] += 1
             for key in candidate.edges:
                 weight[key] -= 1
@@ -668,14 +647,7 @@ def basic_algorithm(
 # general algorithm (bottlenecks via contraction)
 # ---------------------------------------------------------------------------
 
-def general_algorithm(
-    g: WeightedGraph,
-    *,
-    backtrack_cap: int = BACKTRACK_CAP,
-    max_trees: int = TREE_ENUMERATION_CAP,
-    max_nodes: int = PARTITION_CAP_NODES,
-    subset_cap: int = SUBSET_CAP_NODES,
-) -> PackingOutcome:
+def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     """Optimal-rate packing for integer rates, bottlenecks included.
 
     While some subset violates the bottleneck test, split on the first
@@ -686,45 +658,43 @@ def general_algorithm(
     first) onto the matching remainder tree, pairing instances by sorted
     index over a common round count.  If a split or a splice fails,
     :func:`exact_packing` packs the whole network at its rate over the
-    rate's denominator in rounds.  The caps reach every
-    :func:`basic_algorithm` call, every bottleneck scan (``subset_cap``),
-    the exact packer's tree count (``max_trees``) and the partition
-    scans (``max_nodes``).
+    rate's denominator in rounds.  ``caps`` reaches every
+    :func:`basic_algorithm` call, every bottleneck and partition scan
+    and the exact packer's tree count.
 
     Raises:
         PreconditionFailedError: non-integer rates.
         ExactModeLimitError: a scan over more nodes than its cap.
         HeuristicFailedError: a split failed and the exact packer's tree
-            count is above ``max_trees``.
+            count is above ``caps.trees``.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
-    caps = {"backtrack_cap": backtrack_cap, "max_trees": max_trees, "subset_cap": subset_cap}
     try:
         packing = _general_pack(g, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
         diagnostics["fallback"] = True
         diagnostics["fallback_reason"] = str(exc)
-        rate = nwt_rate(g, max_nodes=max_nodes).rate
+        rate = nwt_rate(g, caps=caps).rate
         try:
-            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=max_trees)
+            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
     return PackingOutcome(
         packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), max_nodes),
+        optimal=_optimal_flag(g, packing_rate(packing), caps),
         diagnostics=diagnostics,
     )
 
 
-def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: dict) -> TreePacking:
+def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: Caps) -> TreePacking:
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
-    cert = check_no_bottleneck(g, max_nodes=caps["subset_cap"])
+    cert = check_no_bottleneck(g, caps=caps)
     if cert.ok:
-        outcome = basic_algorithm(g, **caps)
+        outcome = basic_algorithm(g, caps=caps)
         diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
         if outcome.diagnostics.get("fallback"):
             diagnostics["fallback"] = True

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import EmptyPlanError, ExactModeLimitError, NegativeRateError, SchemaError
 from .netgraph import (
-    PARTITION_CAP_NODES,
+    CAPS,
+    Caps,
     EdgeKey,
     VertexPartition,
     WeightedGraph,
@@ -26,7 +27,6 @@ from .netgraph import (
     parse_rational,
 )
 from .rate_core import (
-    SUBSET_CAP_NODES,
     BottleneckCertificate,
     RateReport,
     _integer_weights,
@@ -111,12 +111,7 @@ def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
     return Fraction(best, scale), best_partition
 
 
-def bottleneck_report(
-    g: WeightedGraph,
-    *,
-    max_nodes: int = PARTITION_CAP_NODES,
-    subset_cap: int = SUBSET_CAP_NODES,
-) -> BottleneckReport:
+def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckReport:
     """Classify the binding structure behind the network's key rate.
 
     The report names the minimizing partition, contracts the graph onto
@@ -125,14 +120,14 @@ def bottleneck_report(
     bipartition bound is strictly looser).  The subset certificate, when
     a bottleneck exists, carries both forms of the per-subset test.
     """
-    if g.node_count > max_nodes:
+    if g.node_count > caps.partitions:
         raise ExactModeLimitError(
             f"bottleneck report needs partition enumeration; "
-            f"{g.node_count} nodes exceed the cap of {max_nodes}"
+            f"{g.node_count} nodes exceed the cap of {caps.partitions}"
         )
-    report: RateReport = nwt_rate(g, max_nodes=max_nodes)
+    report: RateReport = nwt_rate(g, caps=caps)
     bip_bound, bip_partition = _best_bipartition(g)
-    certificate = check_no_bottleneck(g, max_nodes=subset_cap)
+    certificate = check_no_bottleneck(g, caps=caps)
     partition = report.minimizing_partition
     if report.finest_is_optimal:
         kind = "none"
@@ -215,7 +210,7 @@ def evaluate_addition(
     v: str,
     rate=1,
     *,
-    max_nodes: int = PARTITION_CAP_NODES,
+    caps: Caps = CAPS,
 ) -> AugmentationResult:
     """Score one candidate link by the exact rate of the augmented network.
 
@@ -228,16 +223,16 @@ def evaluate_addition(
     added = parse_rational(rate)
     if added <= 0:
         raise NegativeRateError(f"candidate rate must be positive, got {added}")
-    before = nwt_rate(g, max_nodes=max_nodes).rate
-    return _score_addition(g, u, v, added, before, max_nodes)
+    before = nwt_rate(g, caps=caps).rate
+    return _score_addition(g, u, v, added, before, caps)
 
 
 def _score_addition(
-    g: WeightedGraph, u: str, v: str, added: Fraction, before: Fraction, max_nodes: int
+    g: WeightedGraph, u: str, v: str, added: Fraction, before: Fraction, caps: Caps
 ) -> AugmentationResult:
     """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known."""
     augmented = g.with_edge(u, v, added)
-    after = nwt_rate(augmented, max_nodes=max_nodes)
+    after = nwt_rate(augmented, caps=caps)
     return AugmentationResult(
         edge=edge_key(u, v),
         added_rate=added,
@@ -295,7 +290,7 @@ def best_additions(
     budget: int,
     *,
     exhaustive: bool = False,
-    max_nodes: int = PARTITION_CAP_NODES,
+    caps: Caps = CAPS,
 ) -> Plan:
     """Plan up to ``budget`` link additions from ``candidates``.
 
@@ -313,18 +308,18 @@ def best_additions(
     pool = _normalize_candidates(candidates)
     if budget > 0 and not pool:
         raise EmptyPlanError("no candidate links to choose from")
-    initial = nwt_rate(g, max_nodes=max_nodes).rate
+    initial = nwt_rate(g, caps=caps).rate
     if budget == 0:
         return Plan(mode="greedy", initial_rate=initial, final_rate=initial, steps=())
     if exhaustive:
-        return _exhaustive_plan(g, pool, budget, initial, max_nodes)
+        return _exhaustive_plan(g, pool, budget, initial, caps)
     steps: list[AugmentationResult] = []
     current = g
     remaining = list(pool)
     for _ in range(min(budget, len(pool))):
         before = steps[-1].rate_after if steps else initial
         scored = [
-            (_score_addition(current, u, v, rate, before, max_nodes), i)
+            (_score_addition(current, u, v, rate, before, caps), i)
             for i, (u, v, rate) in enumerate(remaining)
         ]
         scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))
@@ -345,7 +340,7 @@ def _exhaustive_plan(
     pool: list[tuple[str, str, Fraction]],
     budget: int,
     initial: Fraction,
-    max_nodes: int,
+    caps: Caps,
 ) -> Plan:
     import itertools
     import math
@@ -363,14 +358,14 @@ def _exhaustive_plan(
         augmented = g
         for u, v, rate in combo:
             augmented = augmented.with_edge(u, v, rate)
-        rate_after = nwt_rate(augmented, max_nodes=max_nodes).rate
+        rate_after = nwt_rate(augmented, caps=caps).rate
         if best_rate is None or rate_after > best_rate:
             best_rate, best_choice = rate_after, combo
     steps: list[AugmentationResult] = []
     current = g
     for u, v, rate in best_choice or ():
         before = steps[-1].rate_after if steps else initial
-        step = _score_addition(current, u, v, rate, before, max_nodes)
+        step = _score_addition(current, u, v, rate, before, caps)
         steps.append(step)
         current = step.graph
     return Plan(

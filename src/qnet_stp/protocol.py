@@ -16,7 +16,7 @@ It also accounts the security budget and provides an exact secrecy
 audit that checks the conference key is uniform given the transcript.
 Transcript and key are GF(2)-linear in the key bits, so the audit is a
 rank comparison, equivalent to enumerating every key assignment; it
-keeps the enumeration's cap of ``AUDIT_BIT_CAP`` key bits.
+keeps the enumeration's cap of ``caps.audit`` key bits.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .errors import (
     PreconditionFailedError,
 )
 from .netgraph import (
+    CAPS,
+    Caps,
     EdgeKey,
     SpanningTree,
     WeightedGraph,
@@ -44,9 +46,6 @@ from .netgraph import (
     integer_rates,
 )
 from .packing import TreePacking
-
-#: Largest key-bit count (2^bits assignments) the secrecy audit accepts.
-AUDIT_BIT_CAP = 20
 
 PRNG_ALGORITHM = "python-random-mt19937"
 
@@ -218,6 +217,13 @@ class Announcement:
         }
 
 
+def _bit_index(consumed: Mapping[EdgeKey, int], key: EdgeKey) -> int:
+    """``consumed[key]``; InvalidPackingError if the step misses tree edge ``key``."""
+    if key not in consumed:
+        raise InvalidPackingError(f"schedule misses edge {key} of a tree")
+    return consumed[key]
+
+
 def announce(
     orientation: TreeOrientation,
     km: KeyMaterial,
@@ -235,21 +241,23 @@ def announce(
     E - 1 announcements (nothing is announced on the conference edge).
 
     Raises:
+        InvalidPackingError: ``consumed`` misses a tree edge.
         InvalidEdgeError / KeyDepletedError: an index ``km`` has no bit for.
     """
-    return [
-        Announcement(
+    announcements = []
+    for node, in_key, key in orientation.relays():
+        in_index, index = _bit_index(consumed, in_key), _bit_index(consumed, key)
+        announcements.append(Announcement(
             tree=tree_index,
             round=round_label,
             announcer=node,
             edge=key,
-            value=km.bit(in_key, consumed[in_key]) ^ km.bit(key, consumed[key]),
+            value=km.bit(in_key, in_index) ^ km.bit(key, index),
             in_edge=in_key,
-            edge_bit_index=consumed[key],
-            in_bit_index=consumed[in_key],
-        )
-        for node, in_key, key in orientation.relays()
-    ]
+            edge_bit_index=index,
+            in_bit_index=in_index,
+        ))
+    return announcements
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,7 @@ def recover(
     one step toward the conference edge.
 
     Raises:
+        InvalidPackingError: ``consumed`` misses a tree edge.
         IncompleteTranscriptError: a needed announcement is missing.
     """
     if node not in orientation.in_edge:
@@ -283,7 +292,7 @@ def recover(
     by_edge = {a.edge: a for a in announcements}
     current = node
     key = orientation.in_edge[current]
-    bit = km.bit(key, consumed[key])
+    bit = km.bit(key, _bit_index(consumed, key))
     chain: list[tuple] = [("key", key)]
     while key != orientation.conference_edge:
         ann = by_edge.get(key)
@@ -470,7 +479,7 @@ def secrecy_audit(
     pk: TreePacking,
     *,
     schedule: Optional[Sequence[Mapping[EdgeKey, int]]] = None,
-    max_bits: int = AUDIT_BIT_CAP,
+    caps: Caps = CAPS,
 ) -> AuditReport:
     """Check exactly that the key is uniform given the transcript.
 
@@ -489,14 +498,16 @@ def secrecy_audit(
     two trees; the default schedule is the protocol's own.
 
     Raises:
-        OracleLimitError: more than ``max_bits`` total key bits.
+        OracleLimitError: more than ``caps.audit`` total key bits.
+        InvalidPackingError: a tree uses an edge the network lacks, or the
+            schedule misses a tree edge or does not match the instances.
         PreconditionFailedError: non-integer rates.
     """
     pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
-    if total_bits > max_bits:
+    if total_bits > caps.audit:
         raise OracleLimitError(
-            f"{total_bits} key bits exceed the audit cap of {max_bits} "
+            f"{total_bits} key bits exceed the audit cap of {caps.audit} "
             f"(2^{total_bits} assignments)"
         )
     if schedule is None:
@@ -520,9 +531,9 @@ def secrecy_audit(
         orientation = orient_tree(tree)
         position = {}
         for key in tree.edges:
-            if key not in consumed:
-                raise InvalidPackingError(f"schedule misses edge {key} of a tree")
-            index = consumed[key]
+            if key not in pool_sizes:
+                raise InvalidPackingError(f"tree uses unknown edge {key}")
+            index = _bit_index(consumed, key)
             if not 0 <= index < pool_sizes[key]:
                 raise KeyDepletedError(f"edge {key} has no bit at index {index}")
             pos = offsets[key] + index

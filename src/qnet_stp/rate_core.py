@@ -31,7 +31,8 @@ from .errors import (
     TrivialNetworkError,
 )
 from .netgraph import (
-    PARTITION_CAP_NODES,
+    CAPS,
+    Caps,
     VertexPartition,
     WeightedGraph,
     contract,
@@ -39,10 +40,6 @@ from .netgraph import (
     format_rational,
     is_connected,
 )
-
-#: Largest node count for which the per-subset bottleneck scan is allowed.
-SUBSET_CAP_NODES = 20
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -89,7 +86,7 @@ def _integer_weights(g: WeightedGraph) -> tuple[tuple[str, ...], int, list[list[
     return labels, scale, w
 
 
-def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateReport:
+def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
     """Exact conference-key rate of ``g`` by a depth-first partition scan.
 
     Partitions are visited as restricted growth strings in lexicographic
@@ -110,13 +107,13 @@ def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateR
     Raises:
         TrivialNetworkError: fewer than 2 nodes.
         DisconnectedError: positive-rate subgraph not connected.
-        ExactModeLimitError: more nodes than ``max_nodes``.
+        ExactModeLimitError: more nodes than ``caps.partitions``.
     """
     _require_rateable(g)
     n = g.node_count
-    if n > max_nodes:
+    if n > caps.partitions:
         raise ExactModeLimitError(
-            f"partition enumeration over {n} nodes exceeds the cap of {max_nodes}"
+            f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
         )
     labels, scale, w = _integer_weights(g)
     lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
@@ -167,7 +164,7 @@ def nwt_rate(g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES) -> RateR
     )
 
 
-def nwt_length(g: WeightedGraph, rounds: int, *, max_nodes: int = PARTITION_CAP_NODES) -> int:
+def nwt_length(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> int:
     """Attainable conference-key length (in bits) over ``rounds`` rounds.
 
     Equals ``floor(rounds * rate)``: flooring is monotone, so the
@@ -176,7 +173,7 @@ def nwt_length(g: WeightedGraph, rounds: int, *, max_nodes: int = PARTITION_CAP_
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
-    scaled = rounds * nwt_rate(g, max_nodes=max_nodes).rate
+    scaled = rounds * nwt_rate(g, caps=caps).rate
     return scaled.numerator // scaled.denominator
 
 
@@ -238,9 +235,7 @@ class BottleneckCertificate:
         }
 
 
-def check_no_bottleneck(
-    g: WeightedGraph, *, max_nodes: int = SUBSET_CAP_NODES
-) -> BottleneckCertificate:
+def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCertificate:
     """Scan proper node subsets for a rate bottleneck.
 
     Subsets are visited by ascending cardinality, then lexicographically
@@ -259,14 +254,12 @@ def check_no_bottleneck(
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
-        ExactModeLimitError: more nodes than ``max_nodes``.
+        ExactModeLimitError: more nodes than ``caps.subsets``.
     """
     _require_rateable(g)
     n = g.node_count
-    if n > max_nodes:
-        raise ExactModeLimitError(
-            f"subset scan over {n} nodes exceeds the cap of {max_nodes}"
-        )
+    if n > caps.subsets:
+        raise ExactModeLimitError(f"subset scan over {n} nodes exceeds the cap of {caps.subsets}")
     labels, _, w = _integer_weights(g)
     degree = [sum(row) for row in w]
     total = sum(degree) // 2

@@ -18,6 +18,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"[{status}] criterion {number}: {name}")
 
 
+@pytest.fixture(autouse=True)
+def default_caps(monkeypatch):
+    """Every test starts from the default caps, whatever the caller's environment."""
+    monkeypatch.delenv("QNET_STP_CAPS", raising=False)
+
+
 def build(nodes, edges):
     return WeightedGraph(
         nodes, [(u, v, Fraction(r)) for u, v, r in edges]

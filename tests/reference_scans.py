@@ -58,8 +58,7 @@ from qnet_stp.errors import (
 )
 from qnet_stp.lp_core import _simplex_max
 from qnet_stp.netgraph import (
-    PARTITION_CAP_NODES,
-    TREE_ENUMERATION_CAP,
+    CAPS,
     Multigraph,
     SpanningTree,
     count_spanning_trees,
@@ -99,7 +98,7 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_partitions(
-    g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES
+    g: WeightedGraph, *, max_nodes: int = CAPS.partitions
 ) -> Iterator[VertexPartition]:
     """Yield every partition of ``g``'s vertices with at least two blocks.
 
@@ -518,7 +517,7 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
 
 def optimal_flag(g, rate):
     """Whether ``rate`` is the network's rate; None beyond the partition cap."""
-    if g.node_count > PARTITION_CAP_NODES:
+    if g.node_count > CAPS.partitions:
         return None
     return rate == nwt_rate(g).rate
 
@@ -568,7 +567,7 @@ def is_spanning_tree(g, tree) -> bool:
     return True
 
 
-def enumerate_spanning_trees(g, *, max_trees=TREE_ENUMERATION_CAP):
+def enumerate_spanning_trees(g, *, max_trees=CAPS.trees):
     """Every spanning tree of the positive-rate subgraph, lexicographically.
 
     Include-then-exclude over the sorted positive edges; a branch is cut

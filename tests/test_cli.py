@@ -208,7 +208,7 @@ def test_pack_gives_up_with_partial_json(capsys, graph_file, monkeypatch):
     doc = json.loads(out)
     assert doc["error"]["code"] == "HeuristicFailed"
     assert "5 trees exceed the tree cap of 4" in doc["error"]["message"]
-    assert doc["partial"] and all(len(tree) == 9 for tree in doc["partial"])
+    assert doc["partial"] == []
 
 
 @pytest.mark.parametrize("n, trees", [(6, 1296), (8, 262144)])
@@ -424,6 +424,62 @@ def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
         assert set(labels) <= tokens, argv
 
 
+@pytest.mark.parametrize("caps, g, argv, code, expected", [
+    ("audit=5", ring(4), ["simulate", "--audit"], 3, {"error": {
+        "code": "OracleLimit",
+        "message": "12 key bits exceed the audit cap of 5 (2^12 assignments)",
+    }}),
+    ("", complete(4), ["pack", "--method", "basic"], 0, {
+        "optimal": True, "diagnostics": {"backtracks": 2, "fallback": False},
+    }),
+    ("backtrack=1", complete(4), ["pack", "--method", "basic"], 0, {
+        "optimal": True, "diagnostics": {
+            "backtracks": 1, "fallback": True,
+            "fallback_reason": "no next-to-last tree leaves a clean final tree",
+        },
+    }),
+])
+def test_audit_and_backtrack_caps_reach_the_cli(
+    capsys, graph_file, monkeypatch, caps, g, argv, code, expected
+):
+    monkeypatch.setenv("QNET_STP_CAPS", caps)
+    got, out = run(capsys, argv[0], graph_file("g.json", g), *argv[1:])
+    assert got == code
+    doc = json.loads(out)
+    assert {key: doc[key] for key in expected} == expected
+
+
+def _long_rationals():
+    nines = "9" * 4300
+    triangle = ["a", "b", "c"]
+    edges = [("a", "b"), ("b", "c"), ("a", "c")]
+    ring6 = [str(i) for i in range(6)]
+    return {
+        # a 5001-digit rate, and rates whose sum has 4301 digits
+        "1e5000": (triangle, ['"1e5000"', "1", "1"], edges),
+        "nines quoted": (triangle, [f'"{nines}"'] * 3, edges),
+        "nines bare": (triangle, [nines] * 3, edges),
+        # 1000-digit denominators whose least common multiple passes 4300 digits
+        "ring6": (ring6, [f'"1/{10 ** 999 + i}"' for i in range(6)],
+                  [(ring6[i], ring6[(i + 1) % 6]) for i in range(6)]),
+    }
+
+
+@pytest.mark.parametrize("name, command", [
+    (name, command)
+    for name in ("1e5000", "nines quoted", "nines bare")
+    for command in ("rate", "analyze", "export-dot")
+] + [("ring6", "rate"), ("ring6", "analyze")])
+def test_rationals_too_long_to_print_are_schema_errors(capsys, tmp_path, name, command):
+    nodes, rates, edges = _long_rationals()[name]
+    items = ",".join(f'{{"u": "{u}", "v": "{v}", "rate": {r}}}' for (u, v), r in zip(edges, rates))
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"nodes": {json.dumps(nodes)}, "edges": [{items}]}}', encoding="utf-8")
+    code, out = run(capsys, command, str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "Schema"
+
+
 # ---------------------------------------------------------------------------
 # caps and candidate parsing
 # ---------------------------------------------------------------------------
@@ -446,14 +502,14 @@ def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
 
 def test_read_caps_defaults_and_overrides():
     caps = read_caps("")
-    assert caps["partitions"] == 12 and caps["audit"] == 20
+    assert caps.partitions == 12 and caps.audit == 20
     caps = read_caps("trees=500, backtrack=7")
-    assert caps["trees"] == 500 and caps["backtrack"] == 7
+    assert caps.trees == 500 and caps.backtrack == 7
     with pytest.raises(SchemaError):
         read_caps("trees=abc")
     with pytest.raises(SchemaError):
         read_caps("trees=0")
-    assert sorted(caps) == ["audit", "backtrack", "oracle_rounds", "partitions", "subsets", "trees"]
+    assert sorted(vars(caps)) == ["audit", "backtrack", "oracle_rounds", "partitions", "subsets", "trees"]
     with pytest.raises(SchemaError, match="unknown cap 'lp'"):
         read_caps("lp=16")
 

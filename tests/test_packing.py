@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnet_stp import (
+    Caps,
     PackingOutcome,
     SpanningTree,
     TreePacking,
@@ -162,7 +163,7 @@ def test_round_cap():
 
 def test_tree_cap(k4):
     with pytest.raises(OracleLimitError):
-        brute_force_packing(k4, 1, max_trees=10)
+        brute_force_packing(k4, 1, caps=Caps(trees=10))
 
 
 def test_oracle_searches_up_to_its_tree_cap():
@@ -302,8 +303,15 @@ def test_basic_requires_integer_rates():
         basic_algorithm(g)
 
 
+def test_basic_refuses_more_greedy_trees_than_the_tree_cap():
+    # 4000 trees over 3 rounds: the greedy would extract each one in turn
+    g = build(ring(4).node_ids, [(e.u, e.v, 1000) for e in ring(4).edges])
+    with pytest.raises(HeuristicFailedError, match="4000 trees exceed the tree cap of 100"):
+        basic_algorithm(g, caps=Caps(trees=100))
+
+
 def test_basic_fallback_still_optimal(triangle):
-    out = basic_algorithm(triangle, backtrack_cap=0)
+    out = basic_algorithm(triangle, caps=Caps(backtrack=0))
     assert out.achieved_rate == Fraction(3, 2)
     assert out.diagnostics["fallback"]
     assert validate_packing(triangle, out.packing).ok

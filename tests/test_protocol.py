@@ -20,6 +20,7 @@ from qnet_stp import (
 from qnet_stp.errors import (
     IncompleteTranscriptError,
     InvalidEdgeError,
+    InvalidPackingError,
     KeyDepletedError,
     OracleLimitError,
     PreconditionFailedError,
@@ -306,6 +307,27 @@ def test_audit_bit_cap(hexagon):
     pk = general_algorithm(hexagon).packing  # 6 edges x 5 rounds = 30 bits
     with pytest.raises(OracleLimitError):
         secrecy_audit(hexagon, pk)
+
+
+PATH3 = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
+FOREIGN_TREE = SpanningTree.of([("1", "2"), ("1", "3")])  # (1,3) is not a path edge
+
+
+def test_audit_rejects_a_tree_edge_the_network_lacks():
+    pk = TreePacking.multigraph([FOREIGN_TREE], [1], 1)
+    with pytest.raises(InvalidPackingError, match=r"tree uses unknown edge \('1', '3'\)"):
+        secrecy_audit(PATH3, pk, schedule=[{("1", "2"): 0, ("1", "3"): 0}])
+
+
+def test_announce_and_recover_reject_a_step_missing_a_tree_edge():
+    km = generate_keys(PATH3, 1, seed=0)
+    step = {("1", "2"): 0, ("2", "3"): 0}  # the path's own schedule step
+    orientation = orient_tree(FOREIGN_TREE)
+    message = r"schedule misses edge \('1', '3'\) of a tree"
+    with pytest.raises(InvalidPackingError, match=message):
+        announce(orientation, km, step)
+    with pytest.raises(InvalidPackingError, match=message):
+        recover("3", orientation, [], km, step)
 
 
 def test_schedule_matches_run_consumption(tri_pendant):
