@@ -6,7 +6,7 @@ plain text.  Output is deterministic: identical inputs, flags and seed
 produce byte-identical bytes.
 
 Exit codes: 0 success, 2 input/validation error, 3 a resource cap was
-hit, 4 internal failure (heuristic gave up; partial state is emitted).
+hit, 4 internal failure (a packer gave up).
 Caps can be overridden with QNET_STP_CAPS, e.g.
 ``QNET_STP_CAPS="partitions=10,trees=50000"``.
 """

@@ -106,9 +106,9 @@ class SolverLimitError(InternalError):
 
 
 class HeuristicFailedError(InternalError):
-    """Tree packing gave up; ``partial`` holds the trees found so far,
-    each as a list of ``[u, v]`` edges (JSON-ready), or None;
-    ``partition``, when set, is a vertex partition proving that the
+    """Tree packing gave up; ``partial`` is ``[]`` when the greedy packer
+    refused before extracting any tree (the CLI prints it as is), else
+    None; ``partition``, when set, is a vertex partition proving that the
     requested trees do not fit."""
 
     code = "HeuristicFailed"

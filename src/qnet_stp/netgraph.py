@@ -116,7 +116,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         # a five-digit exponent alone passes the bound: refuse it before
         # Fraction expands it
-        if len(value.lower().partition("e")[2].lstrip("+-0")) > 4:
+        if len(value.strip().lower().partition("e")[2].lstrip("+-0")) > 4:
             raise SchemaError(_TOO_LONG)
         try:
             x = Fraction(value)

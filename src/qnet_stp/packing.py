@@ -547,19 +547,17 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     time by maximum weight; the next-to-last tree is chosen by searching
     the remaining trees in descending weight order for one whose removal
     leaves precisely one unit-weight spanning tree.  If the greedy
-    stalls, or would extract more than ``caps.trees`` trees,
-    :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
-    the fewest rounds that make that a whole number (flagged in
-    diagnostics).  ``caps.trees`` also bounds the candidate enumeration
-    and the exact packer's tree count; ``caps.backtrack`` bounds the
-    candidates tried and ``caps.subsets`` the bottleneck scan.
+    stalls, :func:`exact_packing` builds ``total / (N - 1)`` trees per
+    round over the fewest rounds that make that a whole number (flagged
+    in diagnostics).  With more than ``caps.trees`` trees in all it
+    refuses before the first; that cap also bounds the candidate
+    enumeration, ``caps.backtrack`` the candidates tried and
+    ``caps.subsets`` the bottleneck scan.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
         ExactModeLimitError: more nodes than ``caps.subsets``.
-        HeuristicFailedError: the greedy stalled and the exact packer's
-            tree count is above ``caps.trees`` (carries the trees found so
-            far).
+        HeuristicFailedError: the rates sum past ``caps.trees``.
     """
     _require_rateable(g)
     rates = integer_rates(g, "this algorithm needs integer rates")
@@ -582,13 +580,16 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
             packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
         except HeuristicFailedError as exc:
             raise HeuristicFailedError(
-                f"greedy failed ({reason}) and the exact packer stopped: {exc}",
-                partial=[tree.to_json_list() for tree in chosen],
+                f"greedy failed ({reason}) and the exact packer stopped: {exc}", partial=[]
             ) from exc
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
     if total_trees > caps.trees:
-        return fallback(f"{total_trees} trees exceed the tree cap of {caps.trees}")
+        reason = f"{total_trees} trees exceed the tree cap of {caps.trees}"
+        if cert.network_bound.numerator <= caps.trees:
+            # exact packing takes minutes at a few thousand trees: not started
+            raise HeuristicFailedError(reason, partial=[])
+        return fallback(reason)
     for _ in range(max(total_trees - 2, 0)):
         tree = _max_weight_tree(g, weight)
         if tree is None:
@@ -665,8 +666,8 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     Raises:
         PreconditionFailedError: non-integer rates.
         ExactModeLimitError: a scan over more nodes than its cap.
-        HeuristicFailedError: a split failed and the exact packer's tree
-            count is above ``caps.trees``.
+        HeuristicFailedError: rates sum past ``caps.trees``, or a split
+            failed and the exact packer's tree count is above that cap.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")

@@ -196,8 +196,9 @@ def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
 
 
 def test_pack_gives_up_with_partial_json(capsys, graph_file, monkeypatch):
-    # the greedy packer stalls on unit K10; the exact packer finishes the
-    # job with 5 trees in 1 round, unless the trees cap is below that
+    # the greedy packer stalls on unit K10 and the exact packer finishes
+    # the job with 5 trees in 1 round; a trees cap below the 45 greedy
+    # trees refuses before any tree is extracted
     path = graph_file("k10.json", complete(10))
     code, out = run(capsys, "pack", path)
     assert code == 0

@@ -59,7 +59,8 @@ def test_parse_rational_bounds_digits():
     assert parse_rational(10**1000 - 1) == 10**1000 - 1
     assert parse_rational("1/" + "9" * 1000) == Fraction(1, 10**1000 - 1)
     assert parse_rational("1e999") == 10**999
-    for bad in (10**1000, -(10**1000), Fraction(1, 10**1000), "1e1000", "1e-1000", "1e99999"):
+    assert parse_rational(" 1e999  ") == 10**999
+    for bad in (10**1000, -(10**1000), Fraction(1, 10**1000), "1e1000", "1e-1000", "1e99999", "1e99999 "):
         with pytest.raises(SchemaError, match="more than 1000 digits"):
             parse_rational(bad)
 

@@ -303,11 +303,16 @@ def test_basic_requires_integer_rates():
         basic_algorithm(g)
 
 
-def test_basic_refuses_more_greedy_trees_than_the_tree_cap():
-    # 4000 trees over 3 rounds: the greedy would extract each one in turn
-    g = build(ring(4).node_ids, [(e.u, e.v, 1000) for e in ring(4).edges])
-    with pytest.raises(HeuristicFailedError, match="4000 trees exceed the tree cap of 100"):
-        basic_algorithm(g, caps=Caps(trees=100))
+@pytest.mark.parametrize("rate, cap", [(1000, 100), (3000, 10_000)])
+def test_basic_refuses_more_greedy_trees_than_the_tree_cap(rate, cap):
+    # 4 * rate trees over 3 rounds: the greedy would extract each one in
+    # turn.  At rate 3000 the network rate, 4000, is whole and under the
+    # cap, but packing it exactly takes minutes: the refusal must come first
+    g = build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges])
+    message = f"{4 * rate} trees exceed the tree cap of {cap}"
+    with pytest.raises(HeuristicFailedError, match=message) as exc:
+        basic_algorithm(g, caps=Caps(trees=cap))
+    assert exc.value.partial == []
 
 
 def test_basic_fallback_still_optimal(triangle):
