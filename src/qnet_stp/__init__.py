@@ -17,10 +17,10 @@ from .errors import (
 from .netgraph import (
     Caps,
     Edge,
-    Multigraph,
     SpanningTree,
     VertexPartition,
     WeightedGraph,
+    capacities,
     contract,
     count_spanning_trees,
     enumerate_spanning_trees,
@@ -89,7 +89,7 @@ __all__ = [
     "WeightedGraph",
     "VertexPartition",
     "SpanningTree",
-    "Multigraph",
+    "capacities",
     "parse_graph",
     "is_connected",
     "contract",

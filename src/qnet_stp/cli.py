@@ -20,7 +20,6 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import (
-    HeuristicFailedError,
     LimitError,
     QNetError,
     SchemaError,
@@ -334,12 +333,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         caps = read_caps()
         return args.func(args, caps)
-    except HeuristicFailedError as exc:
-        doc = {"error": {"code": exc.code, "message": str(exc)}}
-        if exc.partial is not None:
-            doc["partial"] = exc.partial
-        emit(doc)
-        return 4
     except QNetError as exc:
         emit({"error": {"code": exc.code, "message": str(exc)}})
         if isinstance(exc, ValidationError):

@@ -106,16 +106,13 @@ class SolverLimitError(InternalError):
 
 
 class HeuristicFailedError(InternalError):
-    """Tree packing gave up; ``partial`` is ``[]`` when the greedy packer
-    refused before extracting any tree (the CLI prints it as is), else
-    None; ``partition``, when set, is a vertex partition proving that the
-    requested trees do not fit."""
+    """Tree packing gave up; ``partition``, when set, is a vertex
+    partition proving that the requested trees do not fit."""
 
     code = "HeuristicFailed"
 
-    def __init__(self, message: str, partial=None, partition=None):
+    def __init__(self, message: str, partition=None):
         super().__init__(message)
-        self.partial = partial
         self.partition = partition
 
 

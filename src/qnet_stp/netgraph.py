@@ -121,7 +121,11 @@ def parse_rational(value) -> Fraction:
         try:
             x = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"malformed rational {value!r}") from exc
+            # past Python's int-string limit Fraction fails before the bound
+            if sum(map(str.isdigit, value)) > 1000:
+                raise SchemaError(_TOO_LONG) from exc
+            cut = "..." if len(value) > 80 else ""
+            raise SchemaError(f"malformed rational {value[:80]!r}{cut}") from exc
     elif isinstance(value, (int, Fraction)):
         x = Fraction(value)
     else:
@@ -671,27 +675,12 @@ def enumerate_spanning_trees(
 # multigraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Multigraph:
-    """``rounds`` copies of a network, giving each edge an integer multiplicity.
+def capacities(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
+    """Parallel edges per key in ``rounds`` copies of a network: ``floor(rounds * rate)``.
 
-    Edge ``e`` of the base graph contributes ``floor(rounds * rate_e)``
-    parallel unit-capacity edges.
+    Raises:
+        SchemaError: a round count that is not a positive integer.
     """
-
-    base: WeightedGraph
-    rounds: int
-
-    def __post_init__(self):
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise SchemaError(f"round count must be a positive integer, got {self.rounds!r}")
-
-    def multiplicity(self, u: str, v: str) -> int:
-        scaled = self.rounds * self.base.rate(u, v)
-        return scaled.numerator // scaled.denominator
-
-    def multiplicities(self) -> dict[EdgeKey, int]:
-        return {e.key: self.multiplicity(e.u, e.v) for e in self.base.edges}
-
-    def total_edges(self) -> int:
-        return sum(self.multiplicities().values())
+    if not isinstance(rounds, int) or rounds < 1:
+        raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
+    return {e.key: rounds * e.rate.numerator // e.rate.denominator for e in g.edges}

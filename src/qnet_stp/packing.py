@@ -25,7 +25,7 @@ optimal packing.  Besides validation this module provides:
   search recurses once per spanning tree, so networks with more than
   ``ORACLE_TREE_CAP`` trees are refused with :class:`OracleLimitError`
   before any tree is enumerated, and the search stops with the same
-  error past ``ORACLE_STATE_CAP`` memoized states;
+  error once it has tried ``ORACLE_STEP_BUDGET`` tree counts;
 * :func:`reweight_by_lp` -- optimal weights for a fixed tree list.
 """
 
@@ -50,10 +50,10 @@ from .netgraph import (
     CAPS,
     Caps,
     EdgeKey,
-    Multigraph,
     SpanningTree,
     VertexPartition,
     WeightedGraph,
+    capacities,
     edge_key,
     enumerate_spanning_trees,
     format_rational,
@@ -70,11 +70,13 @@ from .rate_core import _require_rateable, check_no_bottleneck, nwt_rate
 #: recursion limit of 1000 with room for the caller's frames.
 ORACLE_TREE_CAP = 800
 
-#: Most memoized states the exhaustive oracle builds before it gives up,
-#: about a second of search.  The largest memo any test or seed-0
-#: benchmark job builds is 168,711 states (the six-node square with a
-#: diagonal and a tail, over 5 rounds).
-ORACLE_STATE_CAP = 250_000
+#: Most tree counts the exhaustive oracle tries before it gives up,
+#: about a second of search.  Each try recurses into the next tree, and
+#: one memoized state may try up to ``floor(rounds * rate)`` counts, so
+#: the tries, not the states, bound the time.  The largest search any
+#: test or seed-0 benchmark job makes is 265,437 tries (the six-node
+#: square with a diagonal and a tail, over 5 rounds).
+ORACLE_STEP_BUDGET = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ class PackingOutcome:
 
 
 # ---------------------------------------------------------------------------
-# validation, rate, mode switches
+# validation, rate
 # ---------------------------------------------------------------------------
 
 def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
@@ -220,7 +222,7 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
                 reason=f"tree {list(tree.edges)} is not a spanning tree of the network",
             )
     usage = pk.edge_usage()
-    capacity = Multigraph(g, pk.rounds).multiplicities()
+    capacity = capacities(g, pk.rounds)
     for key in sorted(usage):
         if usage[key] > capacity[key]:
             carried, cap = usage[key], capacity[key]
@@ -237,20 +239,6 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
 def packing_rate(pk: TreePacking) -> Fraction:
     """Trees per round, i.e. the weight sum."""
     return Fraction(sum(pk.multiplicities), pk.rounds)
-
-
-def weighted_from_multigraph(pk: TreePacking) -> TreePacking:
-    """The same packing, printed by weight (rate preserved)."""
-    if pk.mode != "multigraph":
-        raise InvalidPackingError("expected a multigraph-mode packing")
-    return TreePacking.weighted(pk.trees, pk.weights, source=pk.source)
-
-
-def multigraph_from_weighted(pk: TreePacking) -> TreePacking:
-    """The same packing, printed by multiplicity over the least usable round count."""
-    if pk.mode != "weighted":
-        raise InvalidPackingError("expected a weighted-mode packing")
-    return TreePacking.multigraph(pk.trees, pk.multiplicities, pk.rounds, source=pk.source)
 
 
 def reweight_by_lp(g: WeightedGraph, trees: Sequence[SpanningTree]) -> TreePacking:
@@ -294,14 +282,12 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     Raises:
         OracleLimitError: ``rounds`` above ``caps.oracle_rounds``, more
             trees than ``caps.trees`` or ``ORACLE_TREE_CAP``, or more
-            memoized states than ``ORACLE_STATE_CAP``.
+            tree counts tried than ``ORACLE_STEP_BUDGET``.
     """
-    if not isinstance(rounds, int) or rounds < 1:
-        raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
+    capacity = capacities(g, rounds)
     if rounds > caps.oracle_rounds:
         raise OracleLimitError(f"{rounds} rounds exceed the oracle cap of {caps.oracle_rounds}")
     _require_rateable(g)
-    capacity = Multigraph(g, rounds).multiplicities()
     usable = [(key, cap) for key, cap in sorted(capacity.items()) if cap > 0]
     capacity_graph = WeightedGraph(
         g.node_ids, [(k[0], k[1], Fraction(c)) for k, c in usable]
@@ -325,6 +311,7 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     start_degree = [sum(cap for key, cap in usable if v in key) for v in g.node_ids]
 
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    steps = 0
 
     # A search state is (capacities, volume, degree): ``volume`` and
     # ``degree`` are the capacity total and each node's incident capacity,
@@ -343,6 +330,7 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
 
     def explore(i: int, spare: tuple[int, ...], volume: int, degree: list[int]) -> int:
         """Most trees from tree ``i`` on; the memo keeps counts only."""
+        nonlocal steps
         if i == len(trees):
             return 0
         bound = min(volume // need, min(degree))
@@ -354,14 +342,15 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
             return hit
         best = -1
         for count in range(min(spare[e] for e in tree_edges[i]), -1, -1):
+            steps += 1
+            if steps > ORACLE_STEP_BUDGET:
+                raise OracleLimitError(
+                    f"exhaustive search passed its budget of {ORACLE_STEP_BUDGET} tree counts"
+                )
             best = max(best, count + explore(i + 1, *take(i, spare, volume, degree, count)))
             if best == bound:
                 break
         memo[state] = best
-        if len(memo) > ORACLE_STATE_CAP:
-            raise OracleLimitError(
-                f"exhaustive search passed {ORACLE_STATE_CAP} memoized states"
-            )
         return best
 
     state = (start_spare, sum(start_spare), start_degree)
@@ -428,7 +417,7 @@ def exact_packing(
     if target > max_trees:
         raise HeuristicFailedError(f"{target} trees exceed the tree cap of {max_trees}")
     nodes = g.sorted_nodes()
-    capacity = {k: m for k, m in Multigraph(g, rounds).multiplicities().items() if m}
+    capacity = {k: m for k, m in capacities(g, rounds).items() if m}
     spare = dict(capacity)
     forests: list[set[EdgeKey]] = []
     for _ in range(target):
@@ -568,28 +557,16 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
         )
     n = g.node_count - 1
     total_trees = sum(rates.values())
+    if total_trees > caps.trees:
+        raise HeuristicFailedError(f"{total_trees} trees exceed the tree cap of {caps.trees}")
     weight = {k: n * r for k, r in rates.items() if r > 0}
     diagnostics: dict = {"backtracks": 0, "fallback": False}
     chosen: list[SpanningTree] = []
 
     def fallback(reason: str) -> PackingOutcome:
-        diagnostics["fallback"] = True
-        diagnostics["fallback_reason"] = reason
-        rate = cert.network_bound
-        try:
-            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
-        except HeuristicFailedError as exc:
-            raise HeuristicFailedError(
-                f"greedy failed ({reason}) and the exact packer stopped: {exc}", partial=[]
-            ) from exc
+        packing = _exact_fallback(g, cert.network_bound, reason, diagnostics, caps)
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
-    if total_trees > caps.trees:
-        reason = f"{total_trees} trees exceed the tree cap of {caps.trees}"
-        if cert.network_bound.numerator <= caps.trees:
-            # exact packing takes minutes at a few thousand trees: not started
-            raise HeuristicFailedError(reason, partial=[])
-        return fallback(reason)
     for _ in range(max(total_trees - 2, 0)):
         tree = _max_weight_tree(g, weight)
         if tree is None:
@@ -644,6 +621,15 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     )
 
 
+def _exact_fallback(
+    g: WeightedGraph, rate: Fraction, reason: str, diagnostics: dict, caps: Caps
+) -> TreePacking:
+    """:func:`exact_packing` at ``rate`` over its denominator in rounds, flagged in diagnostics."""
+    diagnostics["fallback"] = True
+    diagnostics["fallback_reason"] = reason
+    return exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
+
+
 # ---------------------------------------------------------------------------
 # general algorithm (bottlenecks via contraction)
 # ---------------------------------------------------------------------------
@@ -675,11 +661,9 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     try:
         packing = _general_pack(g, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
-        diagnostics["fallback"] = True
-        diagnostics["fallback_reason"] = str(exc)
         rate = nwt_rate(g, caps=caps).rate
         try:
-            packing = exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
+            packing = _exact_fallback(g, rate, str(exc), diagnostics, caps)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
@@ -733,7 +717,7 @@ def _splice(
     if count == 0:
         raise MergeFailedError("one side of the split packs no trees")
     inside = set(subset)
-    capacity = Multigraph(g, rounds).multiplicities()
+    capacity = capacities(g, rounds)
     used: dict[EdgeKey, int] = {}
     # cross edges available to each subset node, lexicographic
     cross_of: dict[str, list[EdgeKey]] = {v: [] for v in subset}

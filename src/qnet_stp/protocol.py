@@ -41,6 +41,7 @@ from .netgraph import (
     EdgeKey,
     SpanningTree,
     WeightedGraph,
+    capacities,
     edge_key,
     format_rational,
     integer_rates,
@@ -96,8 +97,8 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """
     if not isinstance(rounds, int) or rounds < 1:
         raise PreconditionFailedError(f"round count must be a positive integer, got {rounds!r}")
-    rates = integer_rates(g, "keys come in whole bits")  # sorted by key
-    return {key: rounds * rate for key, rate in rates.items()}
+    integer_rates(g, "keys come in whole bits")
+    return capacities(g, rounds)
 
 
 def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:

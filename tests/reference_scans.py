@@ -59,8 +59,8 @@ from qnet_stp.errors import (
 from qnet_stp.lp_core import _simplex_max
 from qnet_stp.netgraph import (
     CAPS,
-    Multigraph,
     SpanningTree,
+    capacities,
     count_spanning_trees,
     format_rational,
     proper_vertex_subsets,
@@ -385,7 +385,7 @@ def secrecy_audit(g, pk, *, schedule=None) -> dict:
     the key is uniform iff every transcript's histogram holds every key
     with one count.  Histograms are kept up to 12 bits, as in the library.
     """
-    pool_sizes = Multigraph(g, pk.rounds).multiplicities()
+    pool_sizes = capacities(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
     if schedule is None:
         schedule = consumption_schedule(g, pk)
@@ -456,7 +456,7 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
     """Exact maximum multigraph packing: every spanning tree, every
     multiplicity, memoized on (tree index, remaining capacities) and cut
     off by a volume and degree bound summed afresh at every state."""
-    caps_map = Multigraph(g, rounds).multiplicities()
+    caps_map = capacities(g, rounds)
     usable = [(key, cap) for key, cap in sorted(caps_map.items()) if cap > 0]
     capacity_graph = WeightedGraph(
         g.node_ids, [(k[0], k[1], Fraction(c)) for k, c in usable]

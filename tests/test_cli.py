@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,7 +196,7 @@ def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
     assert json.loads(out)["achieved_rate"] == "2"
 
 
-def test_pack_gives_up_with_partial_json(capsys, graph_file, monkeypatch):
+def test_pack_gives_up_past_the_tree_cap(capsys, graph_file, monkeypatch):
     # the greedy packer stalls on unit K10 and the exact packer finishes
     # the job with 5 trees in 1 round; a trees cap below the 45 greedy
     # trees refuses before any tree is extracted
@@ -207,9 +208,8 @@ def test_pack_gives_up_with_partial_json(capsys, graph_file, monkeypatch):
     code, out = run(capsys, "pack", path)
     assert code == 4
     doc = json.loads(out)
-    assert doc["error"]["code"] == "HeuristicFailed"
-    assert "5 trees exceed the tree cap of 4" in doc["error"]["message"]
-    assert doc["partial"] == []
+    assert sorted(doc) == ["error"]
+    assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
 
 
 @pytest.mark.parametrize("n, trees", [(6, 1296), (8, 262144)])
@@ -248,13 +248,13 @@ def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
         code, out = run(capsys, "pack", path, "--method", method)
         assert code == 4
         doc = json.loads(out)
-        assert doc["error"]["code"] == "HeuristicFailed"
-        assert "exact packer stopped: 5 trees exceed the tree cap of 4" in doc["error"]["message"]
+        assert sorted(doc) == ["error"]
+        assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
 
 
-def test_oracle_memo_cap_exits_3(capsys, graph_file):
+def test_oracle_step_budget_exits_3(capsys, graph_file):
     # K6 minus two disjoint edges at 5 rounds: 576 trees, and the search
-    # would run for minutes without the memo cap
+    # would run for minutes without the budget
     g = complete(6)
     path = graph_file("k6m2.json", build(
         g.node_ids, [(e.u, e.v, e.rate) for e in g.edges if e.key not in (("1", "2"), ("3", "4"))]
@@ -262,8 +262,20 @@ def test_oracle_memo_cap_exits_3(capsys, graph_file):
     code, out = run(capsys, "pack", path, "--method", "oracle")
     assert code == 3
     assert json.loads(out)["error"] == {
-        "code": "OracleLimit", "message": "exhaustive search passed 250000 memoized states",
+        "code": "OracleLimit", "message": "exhaustive search passed its budget of 400000 tree counts",
     }
+
+
+def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
+    # a 4-ring at rate 100 has few search states, but each tries up to
+    # 100 * rounds tree counts: a cap on states let this run for 20 s
+    path = graph_file("ring100.json", build(ring(4).node_ids, [(e.u, e.v, 100) for e in ring(4).edges]))
+    for argv in (["pack", path, "--method", "oracle"], ["simulate", path, "--rounds", "3"]):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert json.loads(out)["error"]["message"] == "exhaustive search passed its budget of 400000 tree counts"
+        assert time.perf_counter() - start < 8
 
 
 TWO_TRIANGLES = build(

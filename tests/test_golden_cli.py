@@ -7,10 +7,6 @@ over the fixture's missing links).  The exit code and the digest of
 stdout must match ``golden_cli.json``, so a refactor that is meant to
 keep the output proves that it kept it byte for byte.
 
-The table was recorded from the code before the exact secrecy audit and
-the bounded oracle landed.  ``CHANGED`` and ``PACKED`` list the only
-cases whose output differs from that recording, and why.
-
 To re-record (only when an output is meant to change, and say so in
 CHANGES.md)::
 
@@ -24,43 +20,15 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from qnet_stp import TreePacking, nwt_rate, validate_packing
 from qnet_stp.cli import main
 
 from conftest import build, complete, ring
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
-
-#: Cases whose output differs from the recording on purpose, with the
-#: exit code they now give.  Before, the exact oracle recursed once per
-#: spanning tree and died with a RecursionError traceback on unit K6
-#: (1296 trees) and K8 (262,144); now it refuses more than
-#: ``ORACLE_TREE_CAP`` trees before enumerating any, so a direct oracle
-#: call (``--method oracle``, ``simulate --rounds``) exits 3 with
-#: OracleLimit JSON.
-CHANGED = {
-    "k6 pack --method oracle": 3,
-    "k6 pack --method oracle --rounds 2": 3,
-    "k6 simulate --rounds 2 --seed 7": 3,
-    "k6 simulate --rounds 2 --audit": 3,
-}
-
-#: Cases that died the same way through the greedy packers' oracle
-#: fallback and now exit 0: the greedy stalls on unit K6 and K8, and the
-#: exact packer finishes.  Their packing is checked, not digested.
-PACKED = (
-    "k6 pack --method general",
-    "k6 pack --method basic",
-    "k6 simulate",
-    "k6 simulate --audit",
-    "k8 pack --method general",
-    "k8 pack --method basic",
-)
 
 
 def fixtures() -> dict:
@@ -130,8 +98,8 @@ def cases():
             yield f"{name} {' '.join(argv)}", g, argv
 
 
-def run_cli(g, argv, directory) -> tuple:
-    """(exit code or escaping exception class, stdout)."""
+def run_case(g, argv, directory) -> tuple:
+    """(exit code or escaping exception class, sha256 of stdout)."""
     path = os.path.join(directory, "graph.json")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(g.to_json())
@@ -141,28 +109,7 @@ def run_cli(g, argv, directory) -> tuple:
             code = main([argv[0], path, *argv[1:]])
         except Exception as exc:  # recorded, never raised past the run
             code = type(exc).__name__
-    return code, out.getvalue()
-
-
-def run_case(g, argv, directory) -> tuple:
-    """(exit code or escaping exception class, sha256 of stdout)."""
-    code, out = run_cli(g, argv, directory)
-    return code, hashlib.sha256(out.encode()).hexdigest()
-
-
-def assert_optimal_packing(g, argv, out):
-    """A valid packing at the network's rate: rate x rounds trees."""
-    doc = json.loads(out)
-    if argv[0] == "pack":
-        assert doc["optimal"] is True
-        rate = Fraction(doc["achieved_rate"])
-    else:  # simulate prints the packing's rate, no flag
-        rate = Fraction(doc["rate"])
-    assert rate == nwt_rate(g).rate
-    spec = doc["packing"]
-    pk = TreePacking.multigraph(spec["trees"], spec["multiplicities"], spec["rounds"])
-    assert validate_packing(g, pk).ok
-    assert pk.tree_count == rate * pk.rounds
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 CASES = list(cases())
@@ -172,24 +119,13 @@ CASES = list(cases())
 def test_golden_cli_output(case, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     g, argv = next((g, argv) for name, g, argv in CASES if name == case)
-    if case in PACKED:
-        assert golden[case][0] == "RecursionError"
-        code, out = run_cli(g, argv, str(tmp_path))
-        assert code == 0
-        assert_optimal_packing(g, argv, out)
-        return
     code, digest = run_case(g, argv, str(tmp_path))
-    if case in CHANGED:
-        assert golden[case][0] == "RecursionError"
-        assert code == CHANGED[case]
-        return
     assert [code, digest] == golden[case]
 
 
 def test_golden_table_covers_every_case():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(name for name, _, _ in CASES)
-    assert set(CHANGED) | set(PACKED) <= set(golden)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnet_stp import (
-    Multigraph,
     SpanningTree,
     VertexPartition,
     WeightedGraph,
+    capacities,
     contract,
     count_spanning_trees,
     enumerate_spanning_trees,
@@ -60,9 +60,16 @@ def test_parse_rational_bounds_digits():
     assert parse_rational("1/" + "9" * 1000) == Fraction(1, 10**1000 - 1)
     assert parse_rational("1e999") == 10**999
     assert parse_rational(" 1e999  ") == 10**999
-    for bad in (10**1000, -(10**1000), Fraction(1, 10**1000), "1e1000", "1e-1000", "1e99999", "1e99999 "):
+    # leading zeros past 1000 digits, still under Python's int-string limit
+    assert parse_rational("1/" + "0" * 4000 + "1") == 1
+    for bad in (10**1000, -(10**1000), Fraction(1, 10**1000), "1e1000", "1e-1000", "1e99999", "1e99999 ",
+                "9" * 5000, "1." + "0" * 5000):
         with pytest.raises(SchemaError, match="more than 1000 digits"):
             parse_rational(bad)
+    # a malformed input is quoted, but not all of it
+    with pytest.raises(SchemaError, match="^malformed rational 'xxx") as info:
+        parse_rational("x" * 5000)
+    assert len(str(info.value)) < 120
 
 
 def test_parse_graph_roundtrip(triangle):
@@ -240,9 +247,11 @@ def test_non_tree_rejected(k4):
 
 def test_multigraph_floors():
     g = build(["1", "2", "3"], [("1", "2", "3/2"), ("2", "3", "2/3"), ("1", "3", 1)])
-    m = Multigraph(g, 2)
-    assert m.multiplicities() == {("1", "2"): 3, ("2", "3"): 1, ("1", "3"): 2}
-    assert m.total_edges() == 6
+    assert capacities(g, 2) == {("1", "2"): 3, ("2", "3"): 1, ("1", "3"): 2}
+    assert capacities(g, 1) == {("1", "2"): 1, ("2", "3"): 0, ("1", "3"): 1}
+    for bad in (0, -1, 1.5, "2"):
+        with pytest.raises(SchemaError, match="round count must be a positive integer"):
+            capacities(g, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from qnet_stp.errors import (
     PreconditionFailedError,
     SchemaError,
 )
-from qnet_stp.netgraph import Multigraph, enumerate_spanning_trees
-from qnet_stp.packing import ORACLE_TREE_CAP, multigraph_from_weighted, weighted_from_multigraph
+from qnet_stp.netgraph import enumerate_spanning_trees
+from qnet_stp.packing import ORACLE_TREE_CAP
 
 from conftest import build, complete, random_connected_graph, ring
 
@@ -98,10 +98,10 @@ def test_weighted_capacity_check():
 
 def test_mode_conversion_roundtrip(triangle):
     pk = brute_force_packing(triangle, 2).packing
-    w = weighted_from_multigraph(pk)
+    w = TreePacking.weighted(pk.trees, pk.weights)
     assert w.weights == (Fraction(1, 2),) * 3
     assert packing_rate(w) == packing_rate(pk) == Fraction(3, 2)
-    back = multigraph_from_weighted(w)
+    back = TreePacking.multigraph(w.trees, w.multiplicities, w.rounds)
     assert back.rounds == 2
     assert back.multiplicities == (1, 1, 1)
 
@@ -118,7 +118,8 @@ def test_weighted_roundtrip_preserves_rate(weights):
         tree(("1", "2"), ("1", "3")),
     ][: len(weights)]
     pk = TreePacking.weighted(trees, weights)
-    back = weighted_from_multigraph(multigraph_from_weighted(pk))
+    multi = TreePacking.multigraph(pk.trees, pk.multiplicities, pk.rounds)
+    back = TreePacking.weighted(multi.trees, multi.weights)
     assert packing_rate(back) == packing_rate(pk)
     assert back == pk
 
@@ -310,9 +311,9 @@ def test_basic_refuses_more_greedy_trees_than_the_tree_cap(rate, cap):
     # cap, but packing it exactly takes minutes: the refusal must come first
     g = build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges])
     message = f"{4 * rate} trees exceed the tree cap of {cap}"
-    with pytest.raises(HeuristicFailedError, match=message) as exc:
+    with pytest.raises(HeuristicFailedError) as exc:
         basic_algorithm(g, caps=Caps(trees=cap))
-    assert exc.value.partial == []
+    assert str(exc.value) == message
 
 
 def test_basic_fallback_still_optimal(triangle):

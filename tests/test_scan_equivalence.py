@@ -25,7 +25,7 @@ from qnet_stp import (
     validate_packing,
 )
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError, OracleLimitError
-from qnet_stp.netgraph import Multigraph
+from qnet_stp.netgraph import capacities
 from qnet_stp.packing import _max_weight_tree
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
@@ -112,7 +112,7 @@ def test_scans_match_reference_on_two_cliques_hub(two_cliques_hub):
 
 def random_packing(rng, g, rounds):
     """Random spanning trees with random multiplicities that fit ``rounds``."""
-    room = Multigraph(g, rounds).multiplicities()
+    room = capacities(g, rounds)
     trees = list(enumerate_spanning_trees(g))
     rng.shuffle(trees)
     chosen, mults = [], []
@@ -153,7 +153,7 @@ def test_audit_matches_every_assignment(seed):
         for rounds in (1, 2):
             for _ in range(4):
                 g = random_connected_graph(rng, max_nodes=n, max_extra=2, rates=(1, 2))
-                if Multigraph(g, rounds).total_edges() > 14:
+                if sum(capacities(g, rounds).values()) > 14:
                     continue
                 pk = random_packing(rng, g, rounds)
                 verdicts.add(assert_same_audit(g, pk).uniform)
@@ -205,7 +205,7 @@ def integer_graph(rng, n):
 def assert_partition_refutes(g, rounds, target, partition):
     """Fewer than ``target * (blocks - 1)`` edge copies cross ``partition``."""
     block = partition.block_of()
-    crossing = sum(m for (u, v), m in Multigraph(g, rounds).multiplicities().items()
+    crossing = sum(m for (u, v), m in capacities(g, rounds).items()
                    if block[u] != block[v])
     assert crossing < target * (partition.block_count - 1)
 
