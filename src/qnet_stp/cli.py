@@ -14,6 +14,7 @@ Caps can be overridden with QNET_STP_CAPS, e.g.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,7 +283,9 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qnet-stp`` parser, built on first use and shared by every :func:`main` call."""
     parser = _Parser(
         prog="qnet-stp",
         description="Conference-key rates and spanning-tree packings for QKD networks",

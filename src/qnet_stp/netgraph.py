@@ -33,6 +33,7 @@ from .errors import (
     NegativeRateError,
     OracleLimitError,
     PreconditionFailedError,
+    QNetError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -265,6 +266,20 @@ class WeightedGraph:
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
         return {e.key: e.epsilon for e in self.edges}
 
+    def link_key(self, u: str, v: str) -> EdgeKey:
+        """Key of a link between ``u`` and ``v``, which may or may not exist yet.
+
+        Raises:
+            UnknownNodeError: either end is not a node.
+            SelfLoopError: ``u == v``.
+        """
+        if not (self.has_node(u) and self.has_node(v)):
+            missing = u if not self.has_node(u) else v
+            raise UnknownNodeError(f"unknown node {missing!r}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at node {u!r}")
+        return edge_key(u, v)
+
     # -- derivation ------------------------------------------------------
 
     def with_edge(self, u: str, v: str, rate, epsilon=Fraction(0)) -> WeightedGraph:
@@ -274,14 +289,9 @@ class WeightedGraph:
         adding capacity to an existing link is not an error.
         """
         rate, epsilon = Fraction(rate), Fraction(epsilon)
-        if not (self.has_node(u) and self.has_node(v)):
-            missing = u if not self.has_node(u) else v
-            raise UnknownNodeError(f"unknown node {missing!r}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at node {u!r}")
+        key = self.link_key(u, v)
         if rate < 0 or epsilon < 0:
             raise NegativeRateError(f"negative addition on edge ({u},{v})")
-        key = edge_key(u, v)
         new_edges = []
         merged = False
         for e in self.edges:
@@ -675,12 +685,22 @@ def enumerate_spanning_trees(
 # multigraphs
 # ---------------------------------------------------------------------------
 
+def check_rounds(rounds, error: type[QNetError] = SchemaError) -> int:
+    """``rounds`` if it is a positive integer round count; ``error`` if not."""
+    if not isinstance(rounds, int) or rounds < 1:
+        raise error(f"round count must be a positive integer, got {rounds!r}")
+    return rounds
+
+
 def capacities(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """Parallel edges per key in ``rounds`` copies of a network: ``floor(rounds * rate)``.
 
     Raises:
         SchemaError: a round count that is not a positive integer.
     """
-    if not isinstance(rounds, int) or rounds < 1:
-        raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
+    return _floors(g, check_rounds(rounds))
+
+
+def _floors(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
+    """:func:`capacities` for a round count already checked (a packing's, say)."""
     return {e.key: rounds * e.rate.numerator // e.rate.denominator for e in g.edges}

@@ -44,7 +44,6 @@ from .errors import (
     MergeFailedError,
     OracleLimitError,
     PreconditionFailedError,
-    SchemaError,
 )
 from .netgraph import (
     CAPS,
@@ -53,7 +52,9 @@ from .netgraph import (
     SpanningTree,
     VertexPartition,
     WeightedGraph,
+    _floors,
     capacities,
+    check_rounds,
     edge_key,
     enumerate_spanning_trees,
     format_rational,
@@ -114,8 +115,7 @@ class TreePacking:
 
     @classmethod
     def multigraph(cls, trees, multiplicities, rounds: int, source: str = "manual") -> TreePacking:
-        if not isinstance(rounds, int) or rounds < 1:
-            raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
+        check_rounds(rounds)
         kept, merged = _merge(trees, multiplicities, int, "multiplicity")
         return cls(
             mode="multigraph",
@@ -222,7 +222,7 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
                 reason=f"tree {list(tree.edges)} is not a spanning tree of the network",
             )
     usage = pk.edge_usage()
-    capacity = capacities(g, pk.rounds)
+    capacity = _floors(g, pk.rounds)
     for key in sorted(usage):
         if usage[key] > capacity[key]:
             carried, cap = usage[key], capacity[key]
@@ -717,7 +717,7 @@ def _splice(
     if count == 0:
         raise MergeFailedError("one side of the split packs no trees")
     inside = set(subset)
-    capacity = capacities(g, rounds)
+    capacity = _floors(g, rounds)
     used: dict[EdgeKey, int] = {}
     # cross edges available to each subset node, lexicographic
     cross_of: dict[str, list[EdgeKey]] = {v: [] for v in subset}

@@ -3,13 +3,15 @@
 Answers two operator questions: *where* is the network's rate lost
 (which vertex groups, once contracted, expose the binding cut), and
 *which* candidate link is worth adding.  Evaluation is exact — every
-candidate is scored by recomputing the partition-minimum rate on the
-augmented graph — so the greedy plan's trajectory is authoritative,
-not an estimate.
+candidate is scored by the partition-minimum rate of the augmented
+weight matrix, or dropped by a partition that proves it cannot win —
+so the greedy plan's trajectory is authoritative, not an estimate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,6 +32,7 @@ from .rate_core import (
     BottleneckCertificate,
     RateReport,
     _integer_weights,
+    _partition_scan,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -284,6 +287,30 @@ def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
     return out
 
 
+def _scanner(g: WeightedGraph):
+    """``scan(additions, leader)``: the rate of ``g`` with ``additions`` added.
+
+    Each call scans a copy of ``g``'s integer weight matrix with the
+    additions' weights added, rescaled to the lcm of the scale and their
+    denominators.  It gives ``None`` as soon as a partition shows the rate
+    is at most ``leader``.
+    """
+    labels, scale, w = _integer_weights(g)
+    index = {v: i for i, v in enumerate(labels)}
+
+    def scan(additions, leader: Optional[Fraction]) -> Optional[Fraction]:
+        new_scale = math.lcm(scale, *(rate.denominator for _, _, rate in additions))
+        m = [[x * (new_scale // scale) for x in row] for row in w]
+        for u, v, rate in additions:
+            i, j = index[u], index[v]
+            m[i][j] += rate.numerator * (new_scale // rate.denominator)
+            m[j][i] = m[i][j]
+        found = _partition_scan(m, None if leader is None else leader * new_scale)
+        return None if found is None else Fraction(found[0], found[1] * new_scale)
+
+    return scan
+
+
 def best_additions(
     g: WeightedGraph,
     candidates: Sequence,
@@ -295,13 +322,20 @@ def best_additions(
     """Plan up to ``budget`` link additions from ``candidates``.
 
     Greedy mode repeatedly adds the candidate whose augmented network has
-    the highest exact rate, breaking ties toward the lexicographically
-    smallest edge.  Exhaustive mode tries every ordered selection and is
-    only meant for a handful of additions.
+    the highest exact rate; ties go to the smallest edge key, then to the
+    smallest added rate, then to the earliest in ``candidates``.
+    Exhaustive mode tries every selection of ``budget`` candidates (the
+    first best in ``sorted`` order wins) and is only meant for a handful
+    of additions.  Candidates are scored on ``g``'s integer weight matrix;
+    once a leader exists, a candidate's partition scan stops at the first
+    partition whose value is at most the leader's rate, which proves the
+    candidate cannot win.  Only the chosen additions' networks are built.
 
     Raises:
         EmptyPlanError: a positive budget with no candidates at all.
         SchemaError: malformed candidates or a negative budget.
+        UnknownNodeError / SelfLoopError: the first bad candidate, in
+            ``candidates`` order (greedy) or ``sorted`` order (exhaustive).
     """
     if not isinstance(budget, int) or budget < 0:
         raise SchemaError(f"budget must be a non-negative integer, got {budget!r}")
@@ -311,40 +345,40 @@ def best_additions(
     initial = nwt_rate(g, caps=caps).rate
     if budget == 0:
         return Plan(mode="greedy", initial_rate=initial, final_rate=initial, steps=())
-    if exhaustive:
-        return _exhaustive_plan(g, pool, budget, initial, caps)
+    choice = _exhaustive_choice(g, pool, budget) if exhaustive else _greedy_choice(g, pool, budget)
     steps: list[AugmentationResult] = []
-    current = g
-    remaining = list(pool)
-    for _ in range(min(budget, len(pool))):
-        before = steps[-1].rate_after if steps else initial
-        scored = [
-            (_score_addition(current, u, v, rate, before, caps), i)
-            for i, (u, v, rate) in enumerate(remaining)
-        ]
-        scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))
-        best, index = scored[0]
-        steps.append(best)
-        current = best.graph
-        del remaining[index]
+    current, before = g, initial
+    for u, v, added in choice:
+        step = _score_addition(current, u, v, added, before, caps)
+        steps.append(step)
+        current, before = step.graph, step.rate_after
     return Plan(
-        mode="greedy",
+        mode="exhaustive" if exhaustive else "greedy",
         initial_rate=initial,
-        final_rate=steps[-1].rate_after if steps else initial,
+        final_rate=before,
         steps=tuple(steps),
     )
 
 
-def _exhaustive_plan(
-    g: WeightedGraph,
-    pool: list[tuple[str, str, Fraction]],
-    budget: int,
-    initial: Fraction,
-    caps: Caps,
-) -> Plan:
-    import itertools
-    import math
+def _greedy_choice(g: WeightedGraph, pool: list, budget: int) -> list:
+    """The greedy plan's additions, in order, visiting candidates in tie-break order."""
+    for u, v, _ in pool:
+        g.link_key(u, v)
+    scan = _scanner(g)
+    remaining = sorted(pool, key=lambda c: (edge_key(c[0], c[1]), c[2]))
+    choice: list = []
+    for _ in range(min(budget, len(pool))):
+        leader = leader_rate = None
+        for position, candidate in enumerate(remaining):
+            rate = scan([*choice, candidate], leader_rate)
+            if rate is not None:
+                leader, leader_rate = position, rate
+        choice.append(remaining.pop(leader))
+    return choice
 
+
+def _exhaustive_choice(g: WeightedGraph, pool: list, budget: int) -> tuple:
+    """The first best combination of ``budget`` candidates, in ``sorted`` order."""
     size = min(budget, len(pool))
     combos = math.comb(len(pool), size)
     if combos > EXHAUSTIVE_PLAN_CAP:
@@ -352,25 +386,13 @@ def _exhaustive_plan(
             f"{combos} candidate combinations exceed the exhaustive-plan cap "
             f"of {EXHAUSTIVE_PLAN_CAP}"
         )
-    best_choice = None
-    best_rate = None
-    for combo in itertools.combinations(sorted(pool), size):
-        augmented = g
-        for u, v, rate in combo:
-            augmented = augmented.with_edge(u, v, rate)
-        rate_after = nwt_rate(augmented, caps=caps).rate
-        if best_rate is None or rate_after > best_rate:
-            best_rate, best_choice = rate_after, combo
-    steps: list[AugmentationResult] = []
-    current = g
-    for u, v, rate in best_choice or ():
-        before = steps[-1].rate_after if steps else initial
-        step = _score_addition(current, u, v, rate, before, caps)
-        steps.append(step)
-        current = step.graph
-    return Plan(
-        mode="exhaustive",
-        initial_rate=initial,
-        final_rate=steps[-1].rate_after if steps else initial,
-        steps=tuple(steps),
-    )
+    ordered = sorted(pool)
+    for u, v, _ in ordered:
+        g.link_key(u, v)
+    scan = _scanner(g)
+    choice = best_rate = None
+    for combo in itertools.combinations(ordered, size):
+        rate = scan(combo, best_rate)
+        if rate is not None:
+            best_rate, choice = rate, combo
+    return choice

@@ -41,7 +41,8 @@ from .netgraph import (
     EdgeKey,
     SpanningTree,
     WeightedGraph,
-    capacities,
+    _floors,
+    check_rounds,
     edge_key,
     format_rational,
     integer_rates,
@@ -95,10 +96,9 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     Raises:
         PreconditionFailedError: a non-positive round count or non-integer rates.
     """
-    if not isinstance(rounds, int) or rounds < 1:
-        raise PreconditionFailedError(f"round count must be a positive integer, got {rounds!r}")
+    check_rounds(rounds, PreconditionFailedError)
     integer_rates(g, "keys come in whole bits")
-    return capacities(g, rounds)
+    return _floors(g, rounds)
 
 
 def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
@@ -507,10 +507,7 @@ def secrecy_audit(
     pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
     if total_bits > caps.audit:
-        raise OracleLimitError(
-            f"{total_bits} key bits exceed the audit cap of {caps.audit} "
-            f"(2^{total_bits} assignments)"
-        )
+        raise OracleLimitError(f"{total_bits} key bits exceed the audit cap of {caps.audit}")
     if schedule is None:
         schedule = consumption_schedule(g, pk)
     instances = list(pk.instances())

@@ -27,7 +27,6 @@ from .errors import (
     ExactModeLimitError,
     InvalidPartitionError,
     NegativeRateError,
-    SchemaError,
     TrivialNetworkError,
 )
 from .netgraph import (
@@ -35,6 +34,7 @@ from .netgraph import (
     Caps,
     VertexPartition,
     WeightedGraph,
+    check_rounds,
     contract,
     cross_edges,
     format_rational,
@@ -86,36 +86,22 @@ def _integer_weights(g: WeightedGraph) -> tuple[tuple[str, ...], int, list[list[
     return labels, scale, w
 
 
-def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
-    """Exact conference-key rate of ``g`` by a depth-first partition scan.
+class _AtMostCutoff(Exception):
+    """Raised inside :func:`_partition_scan` when a partition reaches its cutoff."""
 
-    Partitions are visited as restricted growth strings in lexicographic
-    order over the nodes in sorted-label order: node ``i`` tries blocks
-    ``0..p`` in turn, ``p`` opening a new block.  The cross sum is kept
-    incrementally on integer-scaled rates (node ``i`` adds its weight to
-    lower-indexed nodes minus its weight into the block it joins), and the
-    last node's choices are evaluated together from per-block weights.
 
-    With incumbent ``A / B`` (cross sum over block count - 1), a prefix
-    with cross sum ``c`` over ``p`` blocks is skipped when
-    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) >= 0``,
-    ``back_k`` being node ``k``'s weight to lower-indexed nodes: no
-    completion of it is strictly smaller.  Only a strictly smaller value
-    replaces the incumbent, so the result is the first minimizer in
-    restricted-growth order, the same as a full enumeration.
+def _partition_scan(
+    w: list[list[int]], cutoff: Optional[Fraction] = None
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """Minimum of ``cross / (blocks - 1)`` over partitions of the weight matrix ``w``.
 
-    Raises:
-        TrivialNetworkError: fewer than 2 nodes.
-        DisconnectedError: positive-rate subgraph not connected.
-        ExactModeLimitError: more nodes than ``caps.partitions``.
+    Returns ``(cross, blocks - 1, rgs)`` of the first minimizer in
+    restricted-growth order, or ``None`` as soon as some partition's value
+    is at most ``cutoff`` (in the units of ``w``): the minimum is then at
+    most ``cutoff`` too.  ``w`` must be connected and have two or more
+    nodes.  The scan is the one :func:`nwt_rate` documents.
     """
-    _require_rateable(g)
-    n = g.node_count
-    if n > caps.partitions:
-        raise ExactModeLimitError(
-            f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
-        )
-    labels, scale, w = _integer_weights(g)
+    n = len(w)
     lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
     back = [sum(x for _, x in row) for row in lower]
     rgs = [0] * n
@@ -126,6 +112,8 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
 
     def improve(cross: int, pm1: int) -> None:
         nonlocal best_cross, best_pm1, best_rgs
+        if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
+            raise _AtMostCutoff
         best_cross, best_pm1, best_rgs = cross, pm1, tuple(rgs)
         for k in range(n - 1, -1, -1):
             slack[k] = slack[k + 1] + min(0, back[k] * pm1 - cross)
@@ -153,8 +141,49 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
         rgs[i] = p
         visit(i + 1, cross, p + 1)
 
-    visit(1, 0, 1)
+    try:
+        visit(1, 0, 1)
+    except _AtMostCutoff:
+        return None
     assert best_rgs is not None
+    return best_cross, best_pm1, best_rgs
+
+
+def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
+    """Exact conference-key rate of ``g`` by a depth-first partition scan.
+
+    Partitions are visited as restricted growth strings in lexicographic
+    order over the nodes in sorted-label order: node ``i`` tries blocks
+    ``0..p`` in turn, ``p`` opening a new block.  The cross sum is kept
+    incrementally on integer-scaled rates (node ``i`` adds its weight to
+    lower-indexed nodes minus its weight into the block it joins), and the
+    last node's choices are evaluated together from per-block weights.
+
+    With incumbent ``A / B`` (cross sum over block count - 1), a prefix
+    with cross sum ``c`` over ``p`` blocks is skipped when
+    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) >= 0``,
+    ``back_k`` being node ``k``'s weight to lower-indexed nodes: no
+    completion of it is strictly smaller.  Only a strictly smaller value
+    replaces the incumbent, so the result is the first minimizer in
+    restricted-growth order, the same as a full enumeration.
+
+    The scan is :func:`_partition_scan`; the planner runs it on candidate
+    weight matrices with a cutoff, to stop at the first partition whose
+    value is at most the leader's rate.
+
+    Raises:
+        TrivialNetworkError: fewer than 2 nodes.
+        DisconnectedError: positive-rate subgraph not connected.
+        ExactModeLimitError: more nodes than ``caps.partitions``.
+    """
+    _require_rateable(g)
+    n = g.node_count
+    if n > caps.partitions:
+        raise ExactModeLimitError(
+            f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
+        )
+    labels, scale, w = _integer_weights(g)
+    best_cross, best_pm1, best_rgs = _partition_scan(w)
     rate = Fraction(best_cross, best_pm1 * scale)
     finest = g.total_rate() / (n - 1)
     return RateReport(
@@ -171,8 +200,7 @@ def nwt_length(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> int:
     partition minimizing the exact rate also minimizes the floored
     per-partition value.
     """
-    if not isinstance(rounds, int) or rounds < 1:
-        raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
+    check_rounds(rounds)
     scaled = rounds * nwt_rate(g, caps=caps).rate
     return scaled.numerator // scaled.denominator
 

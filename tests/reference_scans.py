@@ -9,6 +9,8 @@ specified to honour and evaluates it from scratch:
 * :func:`secrecy_audit` -- every key assignment, one histogram each;
 * :func:`brute_force_packing` -- the memoized multiplicity search,
   re-summing its capacity bound at every state;
+* :func:`best_additions` -- one augmented network and one full rate
+  scan per candidate (greedy) or per combination (exhaustive);
 * :func:`is_connected`, :func:`is_spanning_tree`,
   :func:`enumerate_spanning_trees` and :func:`max_weight_tree` -- a
   depth-first search and three union-find loops of their own, the
@@ -34,11 +36,13 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
 
+import qnet_stp
 from qnet_stp import (
     BottleneckCertificate,
     PackingOutcome,
@@ -65,6 +69,7 @@ from qnet_stp.netgraph import (
     format_rational,
     proper_vertex_subsets,
 )
+from qnet_stp.planner import Plan, _normalize_candidates, _score_addition
 from qnet_stp.protocol import consumption_schedule, orient_tree
 from qnet_stp.rate_core import _require_rateable
 
@@ -648,3 +653,49 @@ def max_weight_tree(g, weight):
             if len(picked) == g.node_count - 1:
                 return SpanningTree.of(picked)
     return None
+
+
+def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:
+    """The link-placement plan, scoring every candidate on its own network.
+
+    Greedy: each candidate's augmented network is built and scanned in
+    full, and the candidates are sorted by ``(-rate_after, edge,
+    added_rate)``.  Exhaustive: every combination of ``sorted`` candidates
+    is built edge by edge and scanned in full; the first best wins.
+    """
+    pool = _normalize_candidates(candidates)
+    initial = qnet_stp.nwt_rate(g).rate
+    steps = []
+    current = g
+    if exhaustive:
+        best_choice = best_rate = None
+        for combo in itertools.combinations(sorted(pool), min(budget, len(pool))):
+            augmented = g
+            for u, v, rate in combo:
+                augmented = augmented.with_edge(u, v, rate)
+            rate_after = qnet_stp.nwt_rate(augmented).rate
+            if best_rate is None or rate_after > best_rate:
+                best_rate, best_choice = rate_after, combo
+        for u, v, rate in best_choice:
+            before = steps[-1].rate_after if steps else initial
+            steps.append(_score_addition(current, u, v, rate, before, CAPS))
+            current = steps[-1].graph
+    else:
+        remaining = list(pool)
+        for _ in range(min(budget, len(pool))):
+            before = steps[-1].rate_after if steps else initial
+            scored = [
+                (_score_addition(current, u, v, rate, before, CAPS), i)
+                for i, (u, v, rate) in enumerate(remaining)
+            ]
+            scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))
+            best, index = scored[0]
+            steps.append(best)
+            current = best.graph
+            del remaining[index]
+    return Plan(
+        mode="exhaustive" if exhaustive else "greedy",
+        initial_rate=initial,
+        final_rate=steps[-1].rate_after if steps else initial,
+        steps=tuple(steps),
+    )

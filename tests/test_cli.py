@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qnet_stp.cli import main, parse_candidates, read_caps
+from qnet_stp.cli import build_parser, main, parse_candidates, read_caps
 from qnet_stp.errors import SchemaError
 
 from conftest import build, complete, ring
@@ -440,7 +440,7 @@ def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
 @pytest.mark.parametrize("caps, g, argv, code, expected", [
     ("audit=5", ring(4), ["simulate", "--audit"], 3, {"error": {
         "code": "OracleLimit",
-        "message": "12 key bits exceed the audit cap of 5 (2^12 assignments)",
+        "message": "12 key bits exceed the audit cap of 5",
     }}),
     ("", complete(4), ["pack", "--method", "basic"], 0, {
         "optimal": True, "diagnostics": {"backtracks": 2, "fallback": False},
@@ -536,6 +536,27 @@ def test_usage_errors_print_json(capsys, hexagon_path, argv, message):
     code, out = run(capsys, argv[0], hexagon_path, *argv[1:])
     assert code == 2
     assert json.loads(out) == {"error": {"code": "Schema", "message": message}}
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, hexagon_path):
+    assert build_parser() is build_parser()
+    plan = ["optimize", hexagon_path, "--candidates", "1-4,2-6,1-5", "--budget", "2"]
+    for first, then in [
+        (plan + ["--exhaustive"], plan),
+        (["pack", hexagon_path, "--method", "oracle", "--rounds", "2"], ["pack", hexagon_path]),
+        (["rate", hexagon_path, "--format", "dot"], ["rate", hexagon_path]),
+    ]:
+        build_parser.cache_clear()
+        alone = run(capsys, *then)
+        assert run(capsys, *first)[0] in (0, 2)
+        assert run(capsys, *then) == alone
+    assert json.loads(run(capsys, *plan)[1])["mode"] == "greedy"
+    code, out = run(capsys, "rate", hexagon_path, "--format", "dot")
+    assert (code, json.loads(out)["error"]["code"]) == (2, "Schema")
+    code, out = run(capsys, "pack", hexagon_path)
+    doc = json.loads(out)
+    # the general packer's plan over N - 1 rounds, not the oracle's two
+    assert (code, doc["packing"]["rounds"], "splits" in doc["diagnostics"]) == (0, 5, True)
 
 
 def test_help_still_exits_zero(capsys):

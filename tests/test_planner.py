@@ -15,9 +15,12 @@ from qnet_stp.errors import (
     EmptyPlanError,
     NegativeRateError,
     SchemaError,
+    SelfLoopError,
     UnknownNodeError,
 )
+from qnet_stp.rate_core import _partition_scan
 
+import reference_scans
 from conftest import build, random_connected_graph
 
 
@@ -208,23 +211,95 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
     import qnet_stp.planner as planner
 
     calls = []
+    scans = []
 
     def counting(g, **kwargs):
         calls.append(g)
         return nwt_rate(g, **kwargs)
 
+    def counting_scan(w, cutoff=None):
+        scans.append(cutoff)
+        return _partition_scan(w, cutoff)
+
     monkeypatch.setattr(planner, "nwt_rate", counting)
+    monkeypatch.setattr(planner, "_partition_scan", counting_scan)
     candidates = [("1", "4"), ("2", "6"), ("1", "5")]
     greedy = best_additions(hexagon, candidates, 2)
-    # initial rate, then one scan per candidate and step: 3 + 2
-    assert len(calls) == 1 + 3 + 2
+    # initial rate, then the two chosen steps
+    assert len(calls) == 1 + 2
+    # one candidate matrix per candidate and step: 3 + 2; the first of each step has no cutoff
+    assert len(scans) == 3 + 2
+    assert [cutoff is None for cutoff in scans] == [True, False, False, True, False]
     calls.clear()
+    scans.clear()
     exhaustive = best_additions(hexagon, candidates, 2, exhaustive=True)
-    # initial rate, three combinations, two replayed steps
-    assert len(calls) == 1 + 3 + 2
+    # initial rate, then the two steps of the winning combination
+    assert len(calls) == 1 + 2
+    # one candidate matrix per combination
+    assert len(scans) == 3
     monkeypatch.undo()
     for plan in (greedy, exhaustive):
         current = hexagon
         for step in plan.steps:
             assert step == evaluate_addition(current, *step.edge, step.added_rate)
             current = step.graph
+
+
+def ring_with_chords(rng, n):
+    """An ``n``-ring with a few chords, rates drawn from whole and half units."""
+    nodes = [str(i) for i in range(1, n + 1)]
+    edges = {(nodes[i], nodes[(i + 1) % n]): rng.choice(("1", "1", "2", "1/2")) for i in range(n)}
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(nodes, 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges[(u, v)] = rng.choice(("1", "3/2"))
+    return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
+
+
+def candidate_pool(rng, g):
+    """Chords with new denominators, an existing edge, a duplicate and a reversed copy."""
+    nodes = g.sorted_nodes()
+    pool = []
+    for _ in range(rng.randint(2, 4)):
+        u, v = rng.sample(nodes, 2)
+        pool.append((u, v, rng.choice(("1", "1", "1/3", "5/2"))))
+    existing = rng.choice(g.edges)
+    pool.append((existing.v, existing.u, rng.choice(("1", "1/3"))))
+    pool.append(rng.choice(pool))
+    u, v, rate = rng.choice(pool)
+    pool.append((v, u, rate))
+    rng.shuffle(pool)
+    return pool
+
+
+def test_plans_match_the_per_candidate_reference():
+    rng = random.Random(11)
+    top_ties = 0
+    for _ in range(30):
+        g = ring_with_chords(rng, rng.randint(4, 8))
+        pool = candidate_pool(rng, g)
+        first = [evaluate_addition(g, u, v, rate) for u, v, rate in pool]
+        best = max(r.rate_after for r in first)
+        top_ties += len({(r.edge, r.added_rate) for r in first if r.rate_after == best}) > 1
+        for budget in (1, 2, 3):
+            for exhaustive in (False, True):
+                got = best_additions(g, pool, budget, exhaustive=exhaustive)
+                want = reference_scans.best_additions(g, pool, budget, exhaustive=exhaustive)
+                assert got.to_json_dict() == want.to_json_dict()
+                assert [s.graph for s in got.steps] == [s.graph for s in want.steps]
+    assert top_ties > 0
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_plans_refuse_the_first_bad_candidate(hexagon, exhaustive):
+    # pool order: the self-loop first; sorted order: the unknown node first
+    pool = [("1", "4"), ("6", "6"), ("1", "99"), ("2", "5")]
+    with pytest.raises((UnknownNodeError, SelfLoopError)) as got:
+        best_additions(hexagon, pool, 2, exhaustive=exhaustive)
+    with pytest.raises((UnknownNodeError, SelfLoopError)) as want:
+        reference_scans.best_additions(hexagon, pool, 2, exhaustive=exhaustive)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    if exhaustive:
+        assert (type(got.value), str(got.value)) == (UnknownNodeError, "unknown node '99'")
+    else:
+        assert (type(got.value), str(got.value)) == (SelfLoopError, "self-loop at node '6'")

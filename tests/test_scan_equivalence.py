@@ -29,6 +29,7 @@ from qnet_stp.netgraph import capacities
 from qnet_stp.packing import _max_weight_tree
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
+from qnet_stp.rate_core import _integer_weights, _partition_scan
 
 import reference_scans
 from conftest import build, complete, random_connected_graph, ring
@@ -79,6 +80,21 @@ def test_scans_match_reference_with_uniform_rates():
         assert_same_scans(build(g.node_ids, [(e.u, e.v, 1) for e in g.edges]))
         assert_same_scans(complete(n, rate=Fraction(2, 3)))
         assert_same_scans(ring(n) if n > 2 else complete(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_scan_stops_exactly_at_its_cutoff(seed):
+    # the scan with a cutoff gives up only when the minimum is at most the cutoff
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        g = random_graph(rng, n)
+        _, scale, w = _integer_weights(g)
+        full = _partition_scan(w)
+        value = Fraction(full[0], full[1])
+        assert Fraction(full[0], full[1] * scale) == nwt_rate(g).rate
+        for cutoff in (value - Fraction(1, 7), value, value + Fraction(1, 7), Fraction(0)):
+            got = _partition_scan(w, cutoff)
+            assert got == (None if value <= cutoff else full)
 
 
 def sparse(rng, n, extra):
