@@ -166,8 +166,6 @@ def cmd_pack(args, caps) -> int:
 
 def cmd_simulate(args, caps) -> int:
     g = load_graph(args.input)
-    if args.rounds is not None and args.rounds < 1:
-        raise SchemaError(f"round count must be positive, got {args.rounds}")
     method = "general" if args.rounds is None else "oracle"
     pk = _make_packing(g, method, args.rounds, caps).packing
     transcript = run_packing_protocol(g, pk, args.seed)

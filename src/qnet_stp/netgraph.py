@@ -601,38 +601,38 @@ def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:
 
 
 def count_spanning_trees(g: WeightedGraph) -> int:
-    """Number of spanning trees of the positive-rate subgraph (matrix-tree)."""
+    """Number of spanning trees of the positive-rate subgraph (matrix-tree).
+
+    The determinant of a Laplacian minor by fraction-free (Bareiss)
+    elimination: every division is exact, so the arithmetic stays in
+    ints.  0 when the positive-rate subgraph is disconnected.
+    """
     labels = g.sorted_nodes()
-    n = len(labels)
-    if n == 1:
-        return 1
+    size = len(labels) - 1
     idx = {v: i for i, v in enumerate(labels)}
-    lap = [[Fraction(0)] * n for _ in range(n)]
+    lap = [[0] * (size + 1) for _ in labels]
     for e in g.positive_edges():
         i, j = idx[e.u], idx[e.v]
         lap[i][i] += 1
         lap[j][j] += 1
         lap[i][j] -= 1
         lap[j][i] -= 1
-    # determinant of the (n-1)x(n-1) principal minor, exact Gaussian elimination
     m = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
-    size = n - 1
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
+    sign, previous = 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if m[r][k]), None)
         if pivot is None:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * top[k] - lead * top[j]) // previous
+        previous = top[k]
+    return sign * previous
 
 
 def enumerate_spanning_trees(
@@ -642,6 +642,14 @@ def enumerate_spanning_trees(
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
     The total count is pre-checked with the matrix-tree theorem.
+
+    The walk decides each key in order: include it, then exclude it.  It
+    keeps the components of the chosen prefix, with undo, and holds the
+    invariant that the prefix plus the undecided keys span the network.
+    A key inside one component closes a cycle and is skipped; including
+    a key keeps the invariant; only excluding a key that joins two
+    components needs a check, one :func:`spanning_forest` over the
+    components and the keys after it.
 
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``.
@@ -653,30 +661,37 @@ def enumerate_spanning_trees(
     if total > max_trees:
         raise OracleLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
-    if n == 1:
-        yield SpanningTree(())
-        return
     keys = [e.key for e in g.positive_edges()]  # already sorted
-    m = len(keys)
+    component = {v: i for i, v in enumerate(g.node_ids)}
+    members = {i: [v] for v, i in component.items()}
     chosen: list[EdgeKey] = []
+
+    def spans(i: int) -> bool:
+        """Whether the keys from ``i`` on join the components of ``chosen``."""
+        pairs = ((component[u], component[v]) for u, v in keys[i:])
+        return len(spanning_forest(set(component.values()), pairs)) == n - 1 - len(chosen)
 
     def walk(i: int) -> Iterator[SpanningTree]:
         if len(chosen) == n - 1:
             yield SpanningTree(tuple(chosen))
             return
-        if len(chosen) + (m - i) < n - 1:
-            return
-        # ``chosen`` is a forest, so it heads the forest of chosen + keys[i:]:
-        # that forest spans iff some completion exists, and keys[i] joins
-        # two components of ``chosen`` iff it comes next.
-        forest = spanning_forest(g.node_ids, chosen + keys[i:])
-        if len(forest) < n - 1:
-            return
-        if forest[len(chosen)] == keys[i]:
-            chosen.append(keys[i])
-            yield from walk(i + 1)
-            chosen.pop()
+        while component[keys[i][0]] == component[keys[i][1]]:  # closes a cycle
+            i += 1
+        # include keys[i]: relabel the smaller component into the larger
+        a, b = component[keys[i][0]], component[keys[i][1]]
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for v in members[b]:
+            component[v] = a
+        members[a].extend(members[b])
+        chosen.append(keys[i])
         yield from walk(i + 1)
+        chosen.pop()  # undo, then exclude keys[i]
+        del members[a][-len(members[b]):]
+        for v in members[b]:
+            component[v] = b
+        if spans(i + 1):
+            yield from walk(i + 1)
 
     yield from walk(0)
 

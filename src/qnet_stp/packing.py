@@ -64,7 +64,16 @@ from .netgraph import (
     is_spanning_tree,
     spanning_forest,
 )
-from .rate_core import _require_rateable, check_no_bottleneck, nwt_rate
+from .rate_core import (
+    BottleneckCertificate,
+    _integer_weights,
+    _partition_scan,
+    _require_rateable,
+    check_no_bottleneck,
+    finest_bound,
+    nwt_rate,
+    partition_bound,
+)
 
 #: Most spanning trees the exhaustive oracle searches.  Its search
 #: recurses once per tree, so this keeps it below Python's default
@@ -275,8 +284,9 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     exhaustively (with memoization and capacity bounds), so the returned
     tree count is the true maximum for the multigraph whose edge
     multiplicities are ``floor(rounds * rate)``.  Ties resolve to the
-    lexicographically smallest tree multiset.  ``optimal`` compares the
-    result with the partition scan's rate, or is None above
+    lexicographically smallest tree multiset.  ``optimal`` says whether
+    the result attains the network's rate (the finest partition's bound,
+    else a partition scan cut off at the result's rate), or is None above
     ``caps.partitions`` nodes.
 
     Raises:
@@ -377,10 +387,24 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     )
 
 
-def _optimal_flag(g: WeightedGraph, rate: Fraction, caps: Caps) -> Optional[bool]:
+def _optimal_flag(
+    g: WeightedGraph, rate: Fraction, caps: Caps, witness: Optional[VertexPartition] = None
+) -> Optional[bool]:
+    """Whether a packing ``rate`` equals the network's rate; None above ``caps.partitions``.
+
+    ``rate`` must come from a valid packing, so it never exceeds the
+    rate.  A partition whose bound equals it proves it optimal: the
+    finest partition, then ``witness`` (say, a bottleneck certificate's
+    partition), both in linear time.  Otherwise the partition scan runs
+    with ``rate`` as its cutoff and stops at the first partition whose
+    value is at most ``rate``, which exists iff ``rate`` is optimal.
+    """
     if g.node_count > caps.partitions:
         return None
-    return rate == nwt_rate(g, caps=caps).rate
+    if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
+        return True
+    _, scale, w = _integer_weights(g)
+    return _partition_scan(w, rate * scale) is None
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +565,11 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     in diagnostics).  With more than ``caps.trees`` trees in all it
     refuses before the first; that cap also bounds the candidate
     enumeration, ``caps.backtrack`` the candidates tried and
-    ``caps.subsets`` the bottleneck scan.
+    ``caps.subsets`` the bottleneck scan.  No bottleneck means the
+    all-singletons bound is the rate, so the packing is optimal with no
+    partition scan.  :func:`general_algorithm` runs the same greedy on
+    each bottleneck-free network it reaches, without repeating the scan
+    it made there.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
@@ -549,13 +577,19 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
         HeuristicFailedError: the rates sum past ``caps.trees``.
     """
     _require_rateable(g)
-    rates = integer_rates(g, "this algorithm needs integer rates")
+    integer_rates(g, "this algorithm needs integer rates")
     cert = check_no_bottleneck(g, caps=caps)
     if not cert.ok:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
         )
+    return _greedy_pack(g, caps)
+
+
+def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
+    """:func:`basic_algorithm` on a network its checks and bottleneck scan passed."""
     n = g.node_count - 1
+    rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
     total_trees = sum(rates.values())
     if total_trees > caps.trees:
         raise HeuristicFailedError(f"{total_trees} trees exceed the tree cap of {caps.trees}")
@@ -564,7 +598,7 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     chosen: list[SpanningTree] = []
 
     def fallback(reason: str) -> PackingOutcome:
-        packing = _exact_fallback(g, cert.network_bound, reason, diagnostics, caps)
+        packing = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics, caps)
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
     for _ in range(max(total_trees - 2, 0)):
@@ -645,9 +679,15 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     first) onto the matching remainder tree, pairing instances by sorted
     index over a common round count.  If a split or a splice fails,
     :func:`exact_packing` packs the whole network at its rate over the
-    rate's denominator in rounds.  ``caps`` reaches every
-    :func:`basic_algorithm` call, every bottleneck and partition scan
-    and the exact packer's tree count.
+    rate's denominator in rounds.  Each network on the way is scanned
+    for a bottleneck once, and a bottleneck-free one goes to the greedy
+    of :func:`basic_algorithm` without a second scan.  ``optimal`` is
+    proven by the first of: the finest partition's bound, the bound of
+    the top-level violator's partition (after a fallback, of the
+    minimizing partition), a partition scan that stops at the first
+    partition whose value is at most the packing rate.
+    ``caps`` reaches every greedy packing, every bottleneck and
+    partition scan and the exact packer's tree count.
 
     Raises:
         PreconditionFailedError: non-integer rates.
@@ -658,28 +698,33 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
+    cert = check_no_bottleneck(g, caps=caps)
+    witness = cert.partition
     try:
-        packing = _general_pack(g, diagnostics, 0, caps)
+        packing = _general_pack(g, cert, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
-        rate = nwt_rate(g, caps=caps).rate
+        report = nwt_rate(g, caps=caps)
+        witness = report.minimizing_partition
         try:
-            packing = _exact_fallback(g, rate, str(exc), diagnostics, caps)
+            packing = _exact_fallback(g, report.rate, str(exc), diagnostics, caps)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
     return PackingOutcome(
         packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), caps),
+        optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
         diagnostics=diagnostics,
     )
 
 
-def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: Caps) -> TreePacking:
+def _general_pack(
+    g: WeightedGraph, cert: BottleneckCertificate, diagnostics: dict, depth: int, caps: Caps
+) -> TreePacking:
+    """Pack ``g`` given ``cert``, its bottleneck scan: each network is scanned once."""
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
-    cert = check_no_bottleneck(g, caps=caps)
     if cert.ok:
-        outcome = basic_algorithm(g, caps=caps)
+        outcome = _greedy_pack(g, caps)
         diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
         if outcome.diagnostics.get("fallback"):
             diagnostics["fallback"] = True
@@ -695,8 +740,10 @@ def _general_pack(g: WeightedGraph, diagnostics: dict, depth: int, caps: Caps) -
         raise MergeFailedError(
             f"remainder network on {list(rest)} is not connected; cannot split"
         )
-    pk_contracted = _general_pack(contracted, diagnostics, depth + 1, caps)
-    pk_remainder = _general_pack(remainder, diagnostics, depth + 1, caps)
+    pk_contracted, pk_remainder = (
+        _general_pack(part, check_no_bottleneck(part, caps=caps), diagnostics, depth + 1, caps)
+        for part in (contracted, remainder)
+    )
     return _splice(g, subset, merged_label, pk_contracted, pk_remainder)
 
 

@@ -152,6 +152,12 @@ def test_simulate_default_packing(capsys, graph_file, tri_pendant):
 def test_simulate_zero_rounds(capsys, triangle_path):
     code, out = run(capsys, "simulate", triangle_path, "--rounds", "0")
     assert code == 2
+    # the same round check, and so the same message, as the oracle packer's
+    pack_code, pack_out = run(capsys, "pack", triangle_path, "--method", "oracle", "--rounds", "0")
+    assert pack_code == 2
+    message = json.loads(out)["error"]["message"]
+    assert message == json.loads(pack_out)["error"]["message"]
+    assert message == "round count must be a positive integer, got 0"
 
 
 def test_simulate_deterministic(capsys, triangle_path):

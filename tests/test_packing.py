@@ -350,6 +350,50 @@ def test_general_recurses_twice_on_hub_fixture(two_cliques_hub):
     assert depths == [0, 1]
 
 
+def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
+    import qnet_stp.packing as packing
+    from qnet_stp.rate_core import _partition_scan, check_no_bottleneck
+
+    scanned, rates, cutoffs = [], [], []
+
+    def counting_check(g, **kwargs):
+        scanned.append(g.node_count)
+        return check_no_bottleneck(g, **kwargs)
+
+    def counting_rate(g, **kwargs):
+        rates.append(g.node_count)
+        return nwt_rate(g, **kwargs)
+
+    def counting_scan(w, cutoff=None):
+        cutoffs.append(cutoff)
+        return _partition_scan(w, cutoff)
+
+    monkeypatch.setattr(packing, "check_no_bottleneck", counting_check)
+    monkeypatch.setattr(packing, "nwt_rate", counting_rate)
+    monkeypatch.setattr(packing, "_partition_scan", counting_scan)
+    # no bottleneck: one scan, and the finest bound proves the rate optimal
+    assert general_algorithm(ring(8)).optimal
+    assert (scanned, rates, cutoffs) == ([8], [], [])
+    scanned.clear()
+    # the whole network, the contraction, the remainder: each scanned once
+    assert general_algorithm(square_diag_tail).optimal
+    assert scanned == [6, 3, 4]
+    assert rates == []
+    scanned.clear()
+    assert basic_algorithm(ring(8)).optimal
+    assert (scanned, rates, cutoffs) == ([8], [], [])
+    scanned.clear()
+    # the remainder {2,3,4,5} is disconnected, so the split fails; the
+    # fallback's partition scan gives the rate and the partition proving it
+    split = build(
+        ["1", "2", "3", "4", "5"],
+        [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
+    )
+    out = general_algorithm(split)
+    assert out.diagnostics["fallback"] and out.optimal
+    assert (scanned, rates, cutoffs) == ([5], [5], [])
+
+
 def test_general_delegates_without_bottleneck(triangle):
     out = general_algorithm(triangle)
     assert out.achieved_rate == Fraction(3, 2)

@@ -12,12 +12,15 @@ from fractions import Fraction
 import pytest
 
 from qnet_stp import (
+    Caps,
     SpanningTree,
     TreePacking,
     brute_force_packing,
     check_no_bottleneck,
+    count_spanning_trees,
     enumerate_spanning_trees,
     exact_packing,
+    general_algorithm,
     is_connected,
     is_spanning_tree,
     nwt_rate,
@@ -26,7 +29,7 @@ from qnet_stp import (
 )
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError, OracleLimitError
 from qnet_stp.netgraph import capacities
-from qnet_stp.packing import _max_weight_tree
+from qnet_stp.packing import _max_weight_tree, _optimal_flag
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _integer_weights, _partition_scan
@@ -289,11 +292,64 @@ def test_spanning_tree_helpers_match_reference(seed):
                 )
             trees = trees_or_error(enumerate_spanning_trees, g)
             assert trees == trees_or_error(reference_scans.enumerate_spanning_trees, g)
+            count = count_spanning_trees(g)
+            if isinstance(trees, list):
+                assert count == len(trees)
+            elif trees[0] is DisconnectedError:
+                assert count == 0
+            else:
+                assert count > 3000
             for tree in tree_candidates(rng, g, trees if isinstance(trees, list) else []):
                 assert is_spanning_tree(g, tree) == reference_scans.is_spanning_tree(g, tree)
             if n > 1:  # the greedy packers need two nodes
                 weight = {e.key: rng.randint(-1, 3) for e in g.edges}
                 assert _max_weight_tree(g, weight) == reference_scans.max_weight_tree(g, weight)
+
+
+def square_diag_tail(n):
+    """A square with a diagonal, plus a tail path from its first to its second corner."""
+    a, b, c, d, *tail = [str(i) for i in range(1, n + 1)]
+    path = [a, *tail, b]
+    edges = [(a, b, 1), (b, c, 1), (c, d, 1), (a, d, 1), (a, c, 1)]
+    return build([a, b, c, d, *tail], edges + [(x, y, 1) for x, y in zip(path, path[1:])])
+
+
+def two_cliques_hub(n):
+    """Two cliques joined by one edge, both tied to a hub node."""
+    hub, *rest = [str(i) for i in range(1, n + 1)]
+    left, right = rest[:len(rest) // 2], rest[len(rest) // 2:]
+    edges = [(x, y, 1) for group in (left, right) for i, x in enumerate(group) for y in group[i + 1:]]
+    edges += [(left[-1], right[0], 1), (left[0], hub, 1), (right[-1], hub, 1)]
+    return build([hub, *rest], edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_optimal_flag_matches_reference(seed):
+    rng = random.Random(300 + seed)
+    # integer rates for the general packer, rational ones for the oracle
+    graphs = [random_connected_graph(rng, max_nodes=7, max_extra=4) for _ in range(5)]
+    graphs += [random_graph(rng, rng.randint(2, 6)) for _ in range(3)]
+    if seed == 0:  # the general packer loses rate on these
+        graphs += [square_diag_tail(8), square_diag_tail(10), two_cliques_hub(10)]
+    for g in graphs:
+        report = nwt_rate(g)
+        rates = {report.rate, Fraction(0)}
+        if all(e.rate.denominator == 1 for e in g.edges):
+            rates.add(general_algorithm(g).achieved_rate)
+        for rounds in (1, 2, 3):
+            try:
+                rates.add(brute_force_packing(g, rounds).achieved_rate)
+            except OracleLimitError:
+                pass
+        # the partitions the packers pass in: a violator's, the minimizer
+        witnesses = (None, check_no_bottleneck(g).partition, report.minimizing_partition)
+        for r in sorted(rates):
+            expected = reference_scans.optimal_flag(g, r)
+            for witness in witnesses:
+                assert _optimal_flag(g, r, Caps(), witness) == expected, (r, witness)
+                assert _optimal_flag(g, r, Caps(partitions=g.node_count - 1), witness) is None
+    if seed == 0:
+        assert [general_algorithm(g).optimal for g in graphs[-3:]] == [False] * 3
 
 
 def test_enumeration_matches_reference_on_k6_minus_two_edges():
