@@ -636,20 +636,25 @@ def count_spanning_trees(g: WeightedGraph) -> int:
 
 
 def enumerate_spanning_trees(
-    g: WeightedGraph, *, max_trees: int = CAPS.trees
+    g: WeightedGraph, *, max_trees: int = CAPS.trees, required: Iterable[EdgeKey] = ()
 ) -> Iterator[SpanningTree]:
-    """Yield every spanning tree of the positive-rate subgraph of ``g``.
+    """Yield every spanning tree of the positive-rate subgraph of ``g``
+    that holds the ``required`` keys (keys of positive-rate edges).
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
-    The total count is pre-checked with the matrix-tree theorem.
+    The count of all spanning trees is pre-checked with the matrix-tree
+    theorem.
 
-    The walk decides each key in order: include it, then exclude it.  It
-    keeps the components of the chosen prefix, with undo, and holds the
-    invariant that the prefix plus the undecided keys span the network.
-    A key inside one component closes a cycle and is skipped; including
-    a key keeps the invariant; only excluding a key that joins two
-    components needs a check, one :func:`spanning_forest` over the
-    components and the keys after it.
+    The walk joins the required keys first (none of them may close a
+    cycle, or no tree holds them all), then decides each other key in
+    order: include it, then exclude it.  It keeps the components of the
+    chosen keys, with undo, and holds the invariant that they plus the
+    undecided keys span the network.  A key inside one component closes
+    a cycle and is skipped; including a key keeps the invariant; only
+    excluding a key that joins two components needs a check, one
+    :func:`spanning_forest` over the components and the keys after it.
+    Two trees that hold the required keys first differ at a key that is
+    not required, so the walk keeps the lexicographic order.
 
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``.
@@ -661,29 +666,41 @@ def enumerate_spanning_trees(
     if total > max_trees:
         raise OracleLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
-    keys = [e.key for e in g.positive_edges()]  # already sorted
+    held = set(required)
+    fixed = sorted(held)
+    keys = [e.key for e in g.positive_edges() if e.key not in held]  # already sorted
     component = {v: i for i, v in enumerate(g.node_ids)}
     members = {i: [v] for v, i in component.items()}
     chosen: list[EdgeKey] = []
 
-    def spans(i: int) -> bool:
-        """Whether the keys from ``i`` on join the components of ``chosen``."""
-        pairs = ((component[u], component[v]) for u, v in keys[i:])
-        return len(spanning_forest(set(component.values()), pairs)) == n - 1 - len(chosen)
-
-    def walk(i: int) -> Iterator[SpanningTree]:
-        if len(chosen) == n - 1:
-            yield SpanningTree(tuple(chosen))
-            return
-        while component[keys[i][0]] == component[keys[i][1]]:  # closes a cycle
-            i += 1
-        # include keys[i]: relabel the smaller component into the larger
-        a, b = component[keys[i][0]], component[keys[i][1]]
+    def join(key: EdgeKey) -> tuple[int, int]:
+        """Relabel the smaller of ``key``'s components into the larger."""
+        a, b = component[key[0]], component[key[1]]
         if len(members[a]) < len(members[b]):
             a, b = b, a
         for v in members[b]:
             component[v] = a
         members[a].extend(members[b])
+        return a, b
+
+    for key in fixed:
+        if component[key[0]] == component[key[1]]:
+            return
+        join(key)
+    need = n - 1 - len(fixed)
+
+    def spans(i: int) -> bool:
+        """Whether the keys from ``i`` on join the components of ``chosen``."""
+        pairs = ((component[u], component[v]) for u, v in keys[i:])
+        return len(spanning_forest(set(component.values()), pairs)) == need - len(chosen)
+
+    def walk(i: int) -> Iterator[SpanningTree]:
+        if len(chosen) == need:
+            yield SpanningTree(tuple(sorted([*fixed, *chosen])))
+            return
+        while component[keys[i][0]] == component[keys[i][1]]:  # closes a cycle
+            i += 1
+        a, b = join(keys[i])  # include keys[i]
         chosen.append(keys[i])
         yield from walk(i + 1)
         chosen.pop()  # undo, then exclude keys[i]

@@ -55,6 +55,7 @@ from .netgraph import (
     _floors,
     capacities,
     check_rounds,
+    count_spanning_trees,
     edge_key,
     enumerate_spanning_trees,
     format_rational,
@@ -621,27 +622,30 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
         )
         if not is_connected(support, positive_only=True):
             return fallback("positive-weight edges no longer span the network")
+        done = False
+        twos = [k for k, w in weight.items() if w == 2]
         try:
-            candidates = sorted(
-                enumerate_spanning_trees(support, max_trees=caps.trees),
-                key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
-            )
+            for candidate in enumerate_spanning_trees(
+                support, max_trees=caps.trees, required=twos
+            ):
+                if diagnostics["backtracks"] == caps.backtrack:
+                    break
+                diagnostics["backtracks"] += 1
+                for key in candidate.edges:
+                    weight[key] -= 1
+                last = _unit_residual_tree(g, weight)
+                if last is not None:
+                    chosen.append(candidate)
+                    chosen.append(last)
+                    done = True
+                    break
+                for key in candidate.edges:
+                    weight[key] += 1
         except OracleLimitError:
             return fallback("too many candidate trees to search")
-        done = False
-        for candidate in candidates[:caps.backtrack]:
-            diagnostics["backtracks"] += 1
-            for key in candidate.edges:
-                weight[key] -= 1
-            last = _unit_residual_tree(g, weight)
-            if last is not None:
-                chosen.append(candidate)
-                chosen.append(last)
-                done = True
-                break
-            for key in candidate.edges:
-                weight[key] += 1
         if not done:
+            # as many as a search over every tree would have tried
+            diagnostics["backtracks"] = min(count_spanning_trees(support), caps.backtrack)
             return fallback("no next-to-last tree leaves a clean final tree")
 
     packing = TreePacking.multigraph(

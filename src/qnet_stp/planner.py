@@ -33,6 +33,7 @@ from .rate_core import (
     RateReport,
     _integer_weights,
     _partition_scan,
+    _rate_report,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -231,11 +232,22 @@ def evaluate_addition(
 
 
 def _score_addition(
-    g: WeightedGraph, u: str, v: str, added: Fraction, before: Fraction, caps: Caps
+    g: WeightedGraph,
+    u: str,
+    v: str,
+    added: Fraction,
+    before: Fraction,
+    caps: Caps,
+    after: Optional[RateReport] = None,
 ) -> AugmentationResult:
-    """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known."""
+    """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known.
+
+    ``after``, when given, is the augmented network's rate report, which
+    is then not computed again.
+    """
     augmented = g.with_edge(u, v, added)
-    after = nwt_rate(augmented, caps=caps)
+    if after is None:
+        after = nwt_rate(augmented, caps=caps)
     return AugmentationResult(
         edge=edge_key(u, v),
         added_rate=added,
@@ -287,26 +299,55 @@ def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
     return out
 
 
-def _scanner(g: WeightedGraph):
-    """``scan(additions, leader)``: the rate of ``g`` with ``additions`` added.
+def _scanner(g: WeightedGraph, initial: RateReport):
+    """``scan(additions, leader)``: the rate report of ``g`` with ``additions`` added.
 
     Each call scans a copy of ``g``'s integer weight matrix with the
     additions' weights added, rescaled to the lcm of the scale and their
-    denominators.  It gives ``None`` as soon as a partition shows the rate
-    is at most ``leader``.
+    denominators.  It gives ``None`` when some partition's value is at
+    most ``leader``.  It first tries its witnesses: ``initial``'s
+    minimizer and each partition a scan ended on (its minimizer, or where
+    it met its cutoff), kept with their cross sums on ``g``'s matrix.  A
+    witness's value is that sum times the rescale factor plus the
+    additions it separates, over its block count less one; one at most
+    ``leader`` gives ``None`` without a scan.  A completed scan's report
+    is the augmented network's :func:`nwt_rate`, because the scan takes
+    the same path on any positive multiple of a matrix.
     """
     labels, scale, w = _integer_weights(g)
     index = {v: i for i, v in enumerate(labels)}
+    witnesses: dict[tuple[int, ...], tuple[int, int]] = {}  # node blocks -> (cross, blocks - 1)
 
-    def scan(additions, leader: Optional[Fraction]) -> Optional[Fraction]:
+    def keep(rgs: tuple[int, ...]) -> None:
+        if rgs not in witnesses:
+            cross = sum(w[i][j] for i in range(len(rgs)) for j in range(i) if rgs[i] != rgs[j])
+            witnesses[rgs] = (cross, max(rgs))
+
+    block = initial.minimizing_partition.block_of()
+    keep(tuple(block[v] for v in labels))
+
+    def scan(additions, leader: Optional[Fraction]) -> Optional[RateReport]:
         new_scale = math.lcm(scale, *(rate.denominator for _, _, rate in additions))
-        m = [[x * (new_scale // scale) for x in row] for row in w]
-        for u, v, rate in additions:
-            i, j = index[u], index[v]
-            m[i][j] += rate.numerator * (new_scale // rate.denominator)
+        factor = new_scale // scale
+        added = [
+            (index[u], index[v], rate.numerator * (new_scale // rate.denominator))
+            for u, v, rate in additions
+        ]
+        cutoff = None
+        if leader is not None:
+            cutoff = leader * new_scale
+            for rgs, (cross, pm1) in witnesses.items():
+                value = cross * factor + sum(x for i, j, x in added if rgs[i] != rgs[j])
+                if value * cutoff.denominator <= cutoff.numerator * pm1:
+                    return None
+        m = [[x * factor for x in row] for row in w]
+        for i, j, x in added:
+            m[i][j] += x
             m[j][i] = m[i][j]
-        found = _partition_scan(m, None if leader is None else leader * new_scale)
-        return None if found is None else Fraction(found[0], found[1] * new_scale)
+        stop: list = []
+        found = _partition_scan(m, cutoff, stop)
+        keep(stop[0] if found is None else found[2])
+        return None if found is None else _rate_report(labels, new_scale, m, found)
 
     return scan
 
@@ -329,7 +370,11 @@ def best_additions(
     of additions.  Candidates are scored on ``g``'s integer weight matrix;
     once a leader exists, a candidate's partition scan stops at the first
     partition whose value is at most the leader's rate, which proves the
-    candidate cannot win.  Only the chosen additions' networks are built.
+    candidate cannot win.  A candidate is dropped without a scan when a
+    partition met before has a value at most the leader's rate with the
+    candidate added.  Only the chosen additions' networks are built, and
+    each greedy step, like an exhaustive plan's last step, takes its rate
+    and minimizing partition from the winner's own scan.
 
     Raises:
         EmptyPlanError: a positive budget with no candidates at all.
@@ -342,14 +387,19 @@ def best_additions(
     pool = _normalize_candidates(candidates)
     if budget > 0 and not pool:
         raise EmptyPlanError("no candidate links to choose from")
-    initial = nwt_rate(g, caps=caps).rate
+    report = nwt_rate(g, caps=caps)
+    initial = report.rate
     if budget == 0:
         return Plan(mode="greedy", initial_rate=initial, final_rate=initial, steps=())
-    choice = _exhaustive_choice(g, pool, budget) if exhaustive else _greedy_choice(g, pool, budget)
+    if exhaustive:
+        choice, last = _exhaustive_choice(g, report, pool, budget)
+        afters = [None] * (len(choice) - 1) + [last]
+    else:
+        choice, afters = _greedy_choice(g, report, pool, budget)
     steps: list[AugmentationResult] = []
     current, before = g, initial
-    for u, v, added in choice:
-        step = _score_addition(current, u, v, added, before, caps)
+    for (u, v, added), after in zip(choice, afters):
+        step = _score_addition(current, u, v, added, before, caps, after)
         steps.append(step)
         current, before = step.graph, step.rate_after
     return Plan(
@@ -360,25 +410,29 @@ def best_additions(
     )
 
 
-def _greedy_choice(g: WeightedGraph, pool: list, budget: int) -> list:
-    """The greedy plan's additions, in order, visiting candidates in tie-break order."""
+def _greedy_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: int):
+    """The greedy plan's additions in order, visiting candidates in tie-break order,
+    and the rate report after each."""
     for u, v, _ in pool:
         g.link_key(u, v)
-    scan = _scanner(g)
+    scan = _scanner(g, initial)
     remaining = sorted(pool, key=lambda c: (edge_key(c[0], c[1]), c[2]))
     choice: list = []
+    reports: list[RateReport] = []
     for _ in range(min(budget, len(pool))):
-        leader = leader_rate = None
+        leader = best = None
         for position, candidate in enumerate(remaining):
-            rate = scan([*choice, candidate], leader_rate)
-            if rate is not None:
-                leader, leader_rate = position, rate
+            report = scan([*choice, candidate], None if best is None else best.rate)
+            if report is not None:
+                leader, best = position, report
         choice.append(remaining.pop(leader))
-    return choice
+        reports.append(best)
+    return choice, reports
 
 
-def _exhaustive_choice(g: WeightedGraph, pool: list, budget: int) -> tuple:
-    """The first best combination of ``budget`` candidates, in ``sorted`` order."""
+def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: int):
+    """The first best combination of ``budget`` candidates, in ``sorted`` order,
+    and the rate report with all of it added."""
     size = min(budget, len(pool))
     combos = math.comb(len(pool), size)
     if combos > EXHAUSTIVE_PLAN_CAP:
@@ -389,10 +443,10 @@ def _exhaustive_choice(g: WeightedGraph, pool: list, budget: int) -> tuple:
     ordered = sorted(pool)
     for u, v, _ in ordered:
         g.link_key(u, v)
-    scan = _scanner(g)
-    choice = best_rate = None
+    scan = _scanner(g, initial)
+    choice = best = None
     for combo in itertools.combinations(ordered, size):
-        rate = scan(combo, best_rate)
-        if rate is not None:
-            best_rate, choice = rate, combo
-    return choice
+        report = scan(combo, None if best is None else best.rate)
+        if report is not None:
+            best, choice = report, combo
+    return choice, best

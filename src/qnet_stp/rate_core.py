@@ -91,14 +91,20 @@ class _AtMostCutoff(Exception):
 
 
 def _partition_scan(
-    w: list[list[int]], cutoff: Optional[Fraction] = None
+    w: list[list[int]], cutoff: Optional[Fraction] = None, stop: Optional[list] = None
 ) -> Optional[tuple[int, int, tuple[int, ...]]]:
     """Minimum of ``cross / (blocks - 1)`` over partitions of the weight matrix ``w``.
 
     Returns ``(cross, blocks - 1, rgs)`` of the first minimizer in
     restricted-growth order, or ``None`` as soon as some partition's value
     is at most ``cutoff`` (in the units of ``w``): the minimum is then at
-    most ``cutoff`` too.  ``w`` must be connected and have two or more
+    most ``cutoff`` too, so ``None`` comes back exactly when the minimum
+    is at most ``cutoff``.  On ``None`` the RGS of that partition is
+    appended to ``stop``, if given.  A scan that returns a minimizer never
+    met its cutoff, so it took the path of the scan without one.  Each
+    comparison the scan makes weighs two sums linear in the weights, so it
+    takes the same path and picks the same partition on any positive
+    multiple of ``w``.  ``w`` must be connected and have two or more
     nodes.  The scan is the one :func:`nwt_rate` documents.
     """
     n = len(w)
@@ -144,6 +150,8 @@ def _partition_scan(
     try:
         visit(1, 0, 1)
     except _AtMostCutoff:
+        if stop is not None:
+            stop.append(tuple(rgs))
         return None
     assert best_rgs is not None
     return best_cross, best_pm1, best_rgs
@@ -183,13 +191,19 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
             f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
         )
     labels, scale, w = _integer_weights(g)
-    best_cross, best_pm1, best_rgs = _partition_scan(w)
-    rate = Fraction(best_cross, best_pm1 * scale)
-    finest = g.total_rate() / (n - 1)
+    return _rate_report(labels, scale, w, _partition_scan(w))
+
+
+def _rate_report(
+    labels: tuple[str, ...], scale: int, w: list[list[int]], found: tuple[int, int, tuple[int, ...]]
+) -> RateReport:
+    """The report of a completed :func:`_partition_scan` of ``w`` (rates times ``scale``)."""
+    cross, pm1, rgs = found
+    total = sum(map(sum, w)) // 2
     return RateReport(
-        rate=rate,
-        minimizing_partition=VertexPartition.from_rgs(labels, best_rgs),
-        finest_is_optimal=finest == rate,
+        rate=Fraction(cross, pm1 * scale),
+        minimizing_partition=VertexPartition.from_rgs(labels, rgs),
+        finest_is_optimal=total * pm1 == cross * (len(w) - 1),
     )
 
 

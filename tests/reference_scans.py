@@ -9,6 +9,8 @@ specified to honour and evaluates it from scratch:
 * :func:`secrecy_audit` -- every key assignment, one histogram each;
 * :func:`brute_force_packing` -- the memoized multiplicity search,
   re-summing its capacity bound at every state;
+* :func:`greedy_pack` -- the greedy packer trying the next-to-last
+  tree among every spanning tree of the residual, sorted by weight;
 * :func:`best_additions` -- one augmented network and one full rate
   scan per candidate (greedy) or per combination (exhaustive);
 * :func:`is_connected`, :func:`is_spanning_tree`,
@@ -55,6 +57,7 @@ from qnet_stp import (
 from qnet_stp.errors import (
     DisconnectedError,
     ExactModeLimitError,
+    HeuristicFailedError,
     InvalidPackingError,
     KeyDepletedError,
     OracleLimitError,
@@ -69,6 +72,7 @@ from qnet_stp.netgraph import (
     format_rational,
     proper_vertex_subsets,
 )
+from qnet_stp.packing import _exact_fallback
 from qnet_stp.planner import Plan, _normalize_candidates, _score_addition
 from qnet_stp.protocol import consumption_schedule, orient_tree
 from qnet_stp.rate_core import _require_rateable
@@ -653,6 +657,66 @@ def max_weight_tree(g, weight):
             if len(picked) == g.node_count - 1:
                 return SpanningTree.of(picked)
     return None
+
+
+def greedy_pack(g, caps=CAPS) -> PackingOutcome:
+    """The greedy packer of :func:`qnet_stp.basic_algorithm`, searching for
+    the next-to-last tree among every spanning tree of the residual support,
+    sorted by descending residual weight, then by edge keys, and tried in
+    turn up to ``caps.backtrack``; the exact fallback is the library's."""
+    n = g.node_count - 1
+    rates = {e.key: e.rate.numerator for e in g.edges}
+    total_trees = sum(rates.values())
+    if total_trees > caps.trees:
+        raise HeuristicFailedError(f"{total_trees} trees exceed the tree cap of {caps.trees}")
+    weight = {k: n * r for k, r in rates.items() if r > 0}
+    diagnostics = {"backtracks": 0, "fallback": False}
+    chosen = []
+
+    def fallback(reason):
+        packing = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics, caps)
+        return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
+
+    def take(tree, amount):
+        for key in tree.edges:
+            weight[key] -= amount
+
+    for _ in range(max(total_trees - 2, 0)):
+        tree = max_weight_tree(g, weight)
+        if tree is None:
+            return fallback("positive-weight edges no longer span the network")
+        chosen.append(tree)
+        take(tree, 1)
+    if total_trees == 1:
+        tree = max_weight_tree(g, weight)
+        if tree is None:
+            return fallback("positive-weight edges no longer span the network")
+        chosen.append(tree)
+    else:
+        support = WeightedGraph(
+            g.node_ids, [(k[0], k[1], Fraction(w)) for k, w in weight.items() if w > 0]
+        )
+        if not is_connected(support, positive_only=True):
+            return fallback("positive-weight edges no longer span the network")
+        try:
+            candidates = sorted(
+                enumerate_spanning_trees(support, max_trees=caps.trees),
+                key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
+            )
+        except OracleLimitError:
+            return fallback("too many candidate trees to search")
+        for candidate in candidates[:caps.backtrack]:
+            diagnostics["backtracks"] += 1
+            take(candidate, 1)
+            rest = SpanningTree.of(k for k, w in weight.items() if w > 0)
+            if all(weight[k] == 1 for k in rest.edges) and is_spanning_tree(g, rest):
+                chosen += [candidate, rest]
+                break
+            take(candidate, -1)
+        else:
+            return fallback("no next-to-last tree leaves a clean final tree")
+    packing = TreePacking.multigraph(chosen, [1] * len(chosen), n, source="heuristic")
+    return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
 
 def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:

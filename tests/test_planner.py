@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -217,26 +218,29 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
         calls.append(g)
         return nwt_rate(g, **kwargs)
 
-    def counting_scan(w, cutoff=None):
-        scans.append(cutoff)
-        return _partition_scan(w, cutoff)
+    def counting_scan(w, cutoff=None, stop=None):
+        found = _partition_scan(w, cutoff, stop)
+        scans.append((cutoff, found is None))
+        return found
 
     monkeypatch.setattr(planner, "nwt_rate", counting)
     monkeypatch.setattr(planner, "_partition_scan", counting_scan)
     candidates = [("1", "4"), ("2", "6"), ("1", "5")]
     greedy = best_additions(hexagon, candidates, 2)
-    # initial rate, then the two chosen steps
-    assert len(calls) == 1 + 2
-    # one candidate matrix per candidate and step: 3 + 2; the first of each step has no cutoff
-    assert len(scans) == 3 + 2
-    assert [cutoff is None for cutoff in scans] == [True, False, False, True, False]
+    # the initial rate only: each step's rate comes from its winner's scan
+    assert len(calls) == 1
+    # step 1 scans 1-4 (7/5); the finest partition (7/5 with 1-5 or 2-6
+    # added) drops the others.  Step 2 scans 1-4 + 1-5 (3/2), then 1-4 + 2-6
+    # past that cutoff (8/5).
+    assert scans == [(None, False), (None, False), (Fraction(3, 2), False)]
     calls.clear()
     scans.clear()
     exhaustive = best_additions(hexagon, candidates, 2, exhaustive=True)
-    # initial rate, then the two steps of the winning combination
-    assert len(calls) == 1 + 2
-    # one candidate matrix per combination
-    assert len(scans) == 3
+    # the initial rate and the first step; the last step's rate is the winner's scan
+    assert len(calls) == 1 + 1
+    # 1-4 + 1-5 (3/2), 1-4 + 2-6 past that cutoff (8/5); the finest
+    # partition (8/5 with 1-5 + 2-6 added) drops the third combination
+    assert scans == [(None, False), (Fraction(3, 2), False)]
     monkeypatch.undo()
     for plan in (greedy, exhaustive):
         current = hexagon
@@ -260,7 +264,7 @@ def candidate_pool(rng, g):
     """Chords with new denominators, an existing edge, a duplicate and a reversed copy."""
     nodes = g.sorted_nodes()
     pool = []
-    for _ in range(rng.randint(2, 4)):
+    for _ in range(rng.randint(2, 9)):
         u, v = rng.sample(nodes, 2)
         pool.append((u, v, rng.choice(("1", "1", "1/3", "5/2"))))
     existing = rng.choice(g.edges)
@@ -272,22 +276,48 @@ def candidate_pool(rng, g):
     return pool
 
 
-def test_plans_match_the_per_candidate_reference():
+def test_plans_match_the_per_candidate_reference(monkeypatch):
+    import qnet_stp.planner as planner
+
+    counts = {"rates": 0, "scans": 0}
+
+    def counting(g, **kwargs):
+        counts["rates"] += 1
+        return nwt_rate(g, **kwargs)
+
+    def counting_scan(w, cutoff=None, stop=None):
+        counts["scans"] += 1
+        return _partition_scan(w, cutoff, stop)
+
     rng = random.Random(11)
-    top_ties = 0
+    top_ties = dropped = reused = 0
     for _ in range(30):
-        g = ring_with_chords(rng, rng.randint(4, 8))
+        g = ring_with_chords(rng, rng.randint(6, 9))
         pool = candidate_pool(rng, g)
         first = [evaluate_addition(g, u, v, rate) for u, v, rate in pool]
         best = max(r.rate_after for r in first)
         top_ties += len({(r.edge, r.added_rate) for r in first if r.rate_after == best}) > 1
         for budget in (1, 2, 3):
             for exhaustive in (False, True):
-                got = best_additions(g, pool, budget, exhaustive=exhaustive)
+                counts.update(rates=0, scans=0)
+                with monkeypatch.context() as m:
+                    m.setattr(planner, "nwt_rate", counting)
+                    m.setattr(planner, "_partition_scan", counting_scan)
+                    got = best_additions(g, pool, budget, exhaustive=exhaustive)
                 want = reference_scans.best_additions(g, pool, budget, exhaustive=exhaustive)
                 assert got.to_json_dict() == want.to_json_dict()
                 assert [s.graph for s in got.steps] == [s.graph for s in want.steps]
+                # the initial rate, and exhaustive steps before the last
+                assert counts["rates"] == (budget if exhaustive else 1)
+                reused += len(got.steps) + 1 - counts["rates"]
+                if exhaustive:
+                    candidates = math.comb(len(pool), budget)
+                else:
+                    candidates = sum(len(pool) - k for k in range(budget))
+                assert counts["scans"] <= candidates
+                dropped += candidates - counts["scans"]
     assert top_ties > 0
+    assert dropped > 0 and reused > 0
 
 
 @pytest.mark.parametrize("exhaustive", [False, True])

@@ -6,6 +6,7 @@ the ordered list of spanning trees -- so visit order and tie-breaks are
 checked too, not just the optimum.
 """
 
+import collections
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from qnet_stp import (
     Caps,
     SpanningTree,
     TreePacking,
+    VertexPartition,
     brute_force_packing,
     check_no_bottleneck,
     count_spanning_trees,
@@ -24,12 +26,13 @@ from qnet_stp import (
     is_connected,
     is_spanning_tree,
     nwt_rate,
+    partition_bound,
     secrecy_audit,
     validate_packing,
 )
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError, OracleLimitError
 from qnet_stp.netgraph import capacities
-from qnet_stp.packing import _max_weight_tree, _optimal_flag
+from qnet_stp.packing import _greedy_pack, _max_weight_tree, _optimal_flag
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _integer_weights, _partition_scan
@@ -98,6 +101,32 @@ def test_partition_scan_stops_exactly_at_its_cutoff(seed):
         for cutoff in (value - Fraction(1, 7), value, value + Fraction(1, 7), Fraction(0)):
             got = _partition_scan(w, cutoff)
             assert got == (None if value <= cutoff else full)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
+    # the planner drops a candidate without a scan when some partition it
+    # kept is at most the cutoff, and keeps the partition a scan stopped at
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        g = random_graph(rng, n)
+        labels, scale, w = _integer_weights(g)
+        for _ in range(6):
+            blocks = [0, 1] + [rng.randrange(n) for _ in range(n - 2)]
+            rng.shuffle(blocks)
+            first = {}
+            rgs = tuple(first.setdefault(b, len(first)) for b in blocks)
+            cross = sum(w[i][j] for i in range(n) for j in range(i) if rgs[i] != rgs[j])
+            cutoff = max(Fraction(0), Fraction(cross, max(rgs)) + Fraction(rng.randint(-3, 3), 7))
+            stop = []
+            got = _partition_scan(w, cutoff, stop)
+            if cross <= cutoff * max(rgs):
+                assert got is None
+            if got is None:
+                (at,) = stop
+                assert partition_bound(g, VertexPartition.from_rgs(labels, at)) * scale <= cutoff
+            else:
+                assert stop == [] and got == _partition_scan(w)
 
 
 def sparse(rng, n, extra):
@@ -211,12 +240,13 @@ def test_oracle_matches_reference_search_on_dense_graphs(make):
         assert outcome.to_json_dict() == reference_scans.brute_force_packing(g, rounds).to_json_dict()
 
 
-def integer_graph(rng, n):
-    """Random tree at rates 1..3 on ``n`` labels, plus extra edges at rates 0..3."""
+def integer_graph(rng, n, extra=None):
+    """Random tree at rates 1..3 on ``n`` labels, plus ``extra`` (0..n
+    by default) draws of extra edges at rates 0..3."""
     labels = rng.sample(ALPHABET, n)
     edges = {frozenset((labels[i], labels[rng.randrange(i)])): rng.randint(1, 3)
              for i in range(1, n)}
-    for _ in range(rng.randint(0, n)):
+    for _ in range(rng.randint(0, n) if extra is None else extra):
         edges.setdefault(frozenset(rng.sample(labels, 2)), rng.randint(0, 3))
     return build(labels, [(*sorted(key), r) for key, r in edges.items()])
 
@@ -299,11 +329,51 @@ def test_spanning_tree_helpers_match_reference(seed):
                 assert count == 0
             else:
                 assert count > 3000
+            if isinstance(trees, list) and trees:
+                # keys of one tree, and at times one more (which may close a cycle)
+                keys = [e.key for e in g.positive_edges()]
+                required = rng.sample(rng.choice(trees).edges, rng.randint(0, n - 1))
+                if keys and rng.random() < 0.5:
+                    required.append(rng.choice(keys))
+                assert list(enumerate_spanning_trees(g, required=required)) == [
+                    t for t in trees if set(required) <= set(t.edges)
+                ]
             for tree in tree_candidates(rng, g, trees if isinstance(trees, list) else []):
                 assert is_spanning_tree(g, tree) == reference_scans.is_spanning_tree(g, tree)
             if n > 1:  # the greedy packers need two nodes
                 weight = {e.key: rng.randint(-1, 3) for e in g.edges}
                 assert _max_weight_tree(g, weight) == reference_scans.max_weight_tree(g, weight)
+
+
+def pack_or_error(pack, g, caps):
+    try:
+        outcome = pack(g, caps)
+    except HeuristicFailedError as exc:
+        return type(exc), str(exc)
+    return outcome.to_json_dict()
+
+
+@pytest.mark.parametrize("caps", [Caps(), Caps(backtrack=1), Caps(backtrack=3), Caps(trees=50)],
+                         ids=["default", "backtrack1", "backtrack3", "trees50"])
+def test_greedy_pack_matches_reference(caps):
+    # the next-to-last tree is searched only among trees holding every
+    # weight-2 residual edge; packings, backtracks and fallbacks stay the same
+    rng = random.Random(500)
+    reasons = collections.Counter()
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        g = integer_graph(rng, n, extra=rng.randint(n // 2, 2 * n))
+        if not check_no_bottleneck(g).ok:
+            continue
+        got = pack_or_error(_greedy_pack, g, caps)
+        assert got == pack_or_error(reference_scans.greedy_pack, g, caps)
+        if isinstance(got, dict):
+            reasons[got["diagnostics"].get("fallback_reason")] += 1
+    # the greedy succeeds on most, and its search gives up on some
+    assert reasons[None] > 40
+    assert reasons["no next-to-last tree leaves a clean final tree"] > 0
+    if caps.trees == 50:
+        assert reasons["too many candidate trees to search"] > 0
 
 
 def square_diag_tail(n):
