@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import (
@@ -112,8 +113,57 @@ def packing_dot(g: WeightedGraph, pk: TreePacking, name: str = "packing") -> str
     return "\n".join(lines) + "\n"
 
 
+def _scalar(x) -> str:
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (math.inf, -math.inf):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return encode_basestring_ascii(_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _json_text(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    builds the same text in one recursive pass, with the C string
+    escaper.  ``pad`` is the newline and indent before a closing bracket.
+    """
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    inner = pad + "  "
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [_json_text(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [_key(k) + ": " + _json_text(v, inner) for k, v in sorted(doc.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _scalar(doc)
+
+
 def emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------

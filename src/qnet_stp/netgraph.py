@@ -95,6 +95,8 @@ CAPS = Caps()
 #: digits), well inside Python's 4300-digit limit for printing an int.
 _RATIONAL_BOUND = 10**1000
 _TOO_LONG = "rational with more than 1000 digits in its numerator or denominator"
+#: Strings this short whose parts are plain digits skip Fraction's parser.
+_SHORT = 40
 
 
 def parse_rational(value) -> Fraction:
@@ -115,6 +117,16 @@ def parse_rational(value) -> Fraction:
             f"refusing float {value!r}: quote it as a string (e.g. \"1/4\") for exactness"
         )
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if (
+            len(value) <= _SHORT
+            and value.isascii()
+            and num.isdigit()
+            and (not slash or den.isdigit() and den.strip("0"))
+        ):
+            # "123" or "p/q" in ASCII digits, q nonzero: what Fraction's
+            # parser would make of it, without the parser
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         # a five-digit exponent alone passes the bound: refuse it before
         # Fraction expands it
         if len(value.strip().lower().partition("e")[2].lstrip("+-0")) > 4:
@@ -201,15 +213,18 @@ class WeightedGraph:
                 u, v, rate = item[0], item[1], item[2]
                 eps = item[3] if len(item) > 3 else Fraction(0)
             u, v = str(u), str(v)
-            rate, eps = Fraction(rate), Fraction(eps)
+            if type(rate) is not Fraction:
+                rate = Fraction(rate)
+            if type(eps) is not Fraction:
+                eps = Fraction(eps)
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u!r}")
             if u not in known or v not in known:
                 missing = u if u not in known else v
                 raise UnknownNodeError(f"edge endpoint {missing!r} is not a declared node")
-            if rate < 0:
+            if rate.numerator < 0:  # a Fraction comparison is far slower
                 raise NegativeRateError(f"edge ({u},{v}) has negative rate {rate}")
-            if eps < 0:
+            if eps.numerator < 0:
                 raise NegativeRateError(f"edge ({u},{v}) has negative epsilon {eps}")
             key = edge_key(u, v)
             if key in by_key:

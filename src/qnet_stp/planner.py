@@ -34,6 +34,7 @@ from .rate_core import (
     _integer_weights,
     _partition_scan,
     _rate_report,
+    _require_subset_cap,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -78,41 +79,77 @@ class BottleneckReport:
         return doc
 
 
+def _min_cut(w: list[list[int]]) -> int:
+    """Weight of a minimum cut of the weight matrix ``w`` (two or more nodes).
+
+    Stoer and Wagner (J. ACM 44(4), 1997): each phase grows a set by
+    adding the node most tightly attached to it; the last node's
+    attachment is the cut between it and the rest, and the last two
+    nodes are then merged.
+    """
+    m = [row[:] for row in w]
+    alive = list(range(len(m)))
+    least: Optional[int] = None
+    while len(alive) > 1:
+        s, rest = alive[0], alive[1:]
+        attach = m[s][:]
+        while True:
+            t = max(rest, key=attach.__getitem__)
+            rest.remove(t)
+            if not rest:
+                break
+            for v in rest:
+                attach[v] += m[t][v]
+            s = t
+        if least is None or attach[t] < least:
+            least = attach[t]
+        alive.remove(t)
+        for v in alive:
+            if v != s:
+                m[s][v] = m[v][s] = m[s][v] + m[t][v]
+    return least
+
+
 def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
     """The strongest two-block bound: the minimum cut over all bipartitions.
 
-    The side holding the smallest label walks every subset of the other
-    nodes in Gray-code order, so each step moves one node and updates the
-    integer-scaled cut from that node's weight to the side.  Among
-    minimum cuts the partition with the smallest ``blocks`` wins, so the
-    result does not depend on the visit order.
+    The cut's weight comes from :func:`_min_cut` on integer-scaled rates.
+    The partition is the first side holding the smallest label, in sorted
+    order of its label tuple, whose cut has that weight, so among minimum
+    cuts the partition with the smallest ``blocks`` wins.  A depth-first
+    search visits the sides in that order, adding one later node at a
+    time, and skips a branch when the weight between its side and the
+    nodes passed over, plus each undecided node's lighter tie to the two,
+    already exceeds the minimum.
     """
     nodes, scale, w = _integer_weights(g)
     n = len(nodes)
+    least = _min_cut(w)
     degree = [sum(row) for row in w]
-    inside = [True] + [False] * (n - 1)
-    size = 1
-    to_side = list(w[0])  # weight from each node to the side
-    cut = degree[0]
-    best: Optional[int] = None
-    best_partition: Optional[VertexPartition] = None
-    for step in range(1 << (n - 1)):
-        if step:
-            x = (step & -step).bit_length()  # Gray code: flip bit x - 1, i.e. node x
-            sign = -1 if inside[x] else 1
-            cut += sign * (degree[x] - 2 * to_side[x])
-            inside[x] = not inside[x]
-            size += sign
-            for j, weight in enumerate(w[x]):
-                to_side[j] += sign * weight
-        if size == n or (best is not None and cut > best):
-            continue
-        side = [v for v, s in zip(nodes, inside) if s]
-        other = [v for v, s in zip(nodes, inside) if not s]
-        partition = VertexPartition.from_blocks([side, other])
-        if best is None or cut < best or partition.blocks < best_partition.blocks:
-            best, best_partition = cut, partition
-    return Fraction(best, scale), best_partition
+    side = [0]
+
+    def search(start: int, cut: int, fixed: int, to_in: list[int], to_out: list[int]) -> bool:
+        # nodes below `start` are placed: those in `side` or else on the other
+        # side; `fixed` is the weight between the two, `to_in` and `to_out`
+        # each node's weight to them, `cut` the side's cut
+        if cut == least and len(side) < n:
+            return True
+        for j in range(start, n):
+            joined = [a + b for a, b in zip(to_in, w[j])]
+            if fixed + to_out[j] + sum(map(min, joined[j + 1:], to_out[j + 1:])) <= least:
+                side.append(j)
+                if search(j + 1, cut + degree[j] - 2 * to_in[j], fixed + to_out[j], joined, to_out):
+                    return True
+                side.pop()
+            fixed += to_in[j]
+            to_out = [a + b for a, b in zip(to_out, w[j])]
+        return False
+
+    search(1, degree[0], 0, w[0], [0] * n)
+    partition = VertexPartition.from_blocks(
+        [[nodes[i] for i in side], [v for i, v in enumerate(nodes) if i not in side]]
+    )
+    return Fraction(least, scale), partition
 
 
 def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckReport:
@@ -122,7 +159,9 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     its blocks, and says whether a plain bipartition already explains
     the minimum or a richer partition is needed (in which case the best
     bipartition bound is strictly looser).  The subset certificate, when
-    a bottleneck exists, carries both forms of the per-subset test.
+    a bottleneck exists, carries both forms of the per-subset test.  When
+    the finest partition is optimal no subset violates its test, so the
+    subset scan is skipped; the ``caps.subsets`` refusal still applies.
     """
     if g.node_count > caps.partitions:
         raise ExactModeLimitError(
@@ -130,8 +169,10 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
             f"{g.node_count} nodes exceed the cap of {caps.partitions}"
         )
     report: RateReport = nwt_rate(g, caps=caps)
+    _require_subset_cap(g, caps)
+    # no subset violates its bound exactly when the finest partition is optimal
+    certificate = None if report.finest_is_optimal else check_no_bottleneck(g, caps=caps)
     bip_bound, bip_partition = _best_bipartition(g)
-    certificate = check_no_bottleneck(g, caps=caps)
     partition = report.minimizing_partition
     if report.finest_is_optimal:
         kind = "none"
@@ -163,7 +204,7 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
         kind=kind,
         best_bipartition_bound=bip_bound,
         contracted=contracted,
-        certificate=None if certificate.ok else certificate,
+        certificate=certificate,
         narrative=narrative,
     )
 
@@ -372,9 +413,10 @@ def best_additions(
     partition whose value is at most the leader's rate, which proves the
     candidate cannot win.  A candidate is dropped without a scan when a
     partition met before has a value at most the leader's rate with the
-    candidate added.  Only the chosen additions' networks are built, and
-    each greedy step, like an exhaustive plan's last step, takes its rate
-    and minimizing partition from the winner's own scan.
+    candidate added.  Only the chosen additions' networks are built.  Each
+    greedy step, like an exhaustive plan's last step, takes its rate and
+    minimizing partition from the winner's own scan; an exhaustive plan's
+    earlier steps take theirs from one scan of the winner's prefix.
 
     Raises:
         EmptyPlanError: a positive budget with no candidates at all.
@@ -391,11 +433,8 @@ def best_additions(
     initial = report.rate
     if budget == 0:
         return Plan(mode="greedy", initial_rate=initial, final_rate=initial, steps=())
-    if exhaustive:
-        choice, last = _exhaustive_choice(g, report, pool, budget)
-        afters = [None] * (len(choice) - 1) + [last]
-    else:
-        choice, afters = _greedy_choice(g, report, pool, budget)
+    choose = _exhaustive_choice if exhaustive else _greedy_choice
+    choice, afters = choose(g, report, pool, budget)
     steps: list[AugmentationResult] = []
     current, before = g, initial
     for (u, v, added), after in zip(choice, afters):
@@ -432,7 +471,7 @@ def _greedy_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: in
 
 def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: int):
     """The first best combination of ``budget`` candidates, in ``sorted`` order,
-    and the rate report with all of it added."""
+    and the rate report after each of its additions in turn."""
     size = min(budget, len(pool))
     combos = math.comb(len(pool), size)
     if combos > EXHAUSTIVE_PLAN_CAP:
@@ -449,4 +488,4 @@ def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget
         report = scan(combo, None if best is None else best.rate)
         if report is not None:
             best, choice = report, combo
-    return choice, best
+    return choice, [scan(choice[:k], None) for k in range(1, size)] + [best]

@@ -7,8 +7,9 @@ Nash-Williams/Tutte spanning-tree-packing bound
            (sum of rates crossing P) / (block count - 1),
 
 evaluated here in exact arithmetic by a depth-first scan over partitions
-in restricted-growth order that skips, exactly, every branch which
-cannot beat the best value found so far.
+in restricted-growth order that starts from the all-singletons value and
+skips, exactly, every branch which cannot beat the best value found so
+far.
 The module also provides the per-partition bound, the all-singletons
 bound, the finite-length (floored) variant, a closed form for triangles,
 and the per-subset "no bottleneck" test that decides whether the
@@ -100,60 +101,70 @@ def _partition_scan(
     is at most ``cutoff`` (in the units of ``w``): the minimum is then at
     most ``cutoff`` too, so ``None`` comes back exactly when the minimum
     is at most ``cutoff``.  On ``None`` the RGS of that partition is
-    appended to ``stop``, if given.  A scan that returns a minimizer never
-    met its cutoff, so it took the path of the scan without one.  Each
-    comparison the scan makes weighs two sums linear in the weights, so it
-    takes the same path and picks the same partition on any positive
-    multiple of ``w``.  ``w`` must be connected and have two or more
-    nodes.  The scan is the one :func:`nwt_rate` documents.
+    appended to ``stop``, if given; when the finest partition is already
+    at most ``cutoff`` that is its RGS, and nothing is scanned.  A scan
+    that returns a minimizer never met its cutoff, so it took the path of
+    the scan without one.  Each comparison the scan makes weighs two sums
+    linear in the weights, so it takes the same path and picks the same
+    partition on any positive multiple of ``w``.  ``w`` must be connected
+    and have two or more nodes.  The scan is the one :func:`nwt_rate`
+    documents.
     """
     n = len(w)
     lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
     back = [sum(x for _, x in row) for row in lower]
     rgs = [0] * n
-    best_cross = best_pm1 = 0
-    best_rgs: Optional[tuple[int, ...]] = None
+    # the incumbent starts as the finest partition, the last RGS of all
+    best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
+    if cutoff is not None and best_cross * cutoff.denominator <= cutoff.numerator * best_pm1:
+        if stop is not None:
+            stop.append(best_rgs)
+        return None
+    tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
     # slack[i] = sum over k >= i of min(0, back[k] * best_pm1 - best_cross)
     slack = [0] * (n + 1)
 
+    def bound() -> None:
+        for k in range(n - 1, -1, -1):
+            slack[k] = slack[k + 1] + min(0, back[k] * best_pm1 - best_cross)
+
     def improve(cross: int, pm1: int) -> None:
-        nonlocal best_cross, best_pm1, best_rgs
+        nonlocal best_cross, best_pm1, best_rgs, tie
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
             raise _AtMostCutoff
-        best_cross, best_pm1, best_rgs = cross, pm1, tuple(rgs)
-        for k in range(n - 1, -1, -1):
-            slack[k] = slack[k + 1] + min(0, back[k] * pm1 - cross)
+        best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
+        bound()
 
     def visit(i: int, cross: int, p: int) -> None:
         # nodes 0..i-1 are placed in p blocks with cross sum `cross`
-        if best_rgs is not None and cross * best_pm1 - best_cross * (p - 1) + slack[i] >= 0:
-            return
         into = [0] * p
         for j, x in lower[i]:
             into[rgs[j]] += x
         cross += back[i]
         if i == n - 1:
             heavy = max(into)
-            if p > 1 and (best_rgs is None or (cross - heavy) * best_pm1 < best_cross * (p - 1)):
+            if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
                 rgs[i] = into.index(heavy)
                 improve(cross - heavy, p - 1)
-            if best_rgs is None or cross * best_pm1 < best_cross * p:
+            if cross * best_pm1 - best_cross * p < tie:
                 rgs[i] = p
                 improve(cross, p)
             return
         for b in range(p):
-            rgs[i] = b
-            visit(i + 1, cross - into[b], p)
-        rgs[i] = p
-        visit(i + 1, cross, p + 1)
+            if (cross - into[b]) * best_pm1 - best_cross * (p - 1) + slack[i + 1] < tie:
+                rgs[i] = b
+                visit(i + 1, cross - into[b], p)
+        if cross * best_pm1 - best_cross * p + slack[i + 1] < tie:
+            rgs[i] = p
+            visit(i + 1, cross, p + 1)
 
+    bound()
     try:
         visit(1, 0, 1)
     except _AtMostCutoff:
         if stop is not None:
             stop.append(tuple(rgs))
         return None
-    assert best_rgs is not None
     return best_cross, best_pm1, best_rgs
 
 
@@ -167,13 +178,18 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
     lower-indexed nodes minus its weight into the block it joins), and the
     last node's choices are evaluated together from per-block weights.
 
-    With incumbent ``A / B`` (cross sum over block count - 1), a prefix
-    with cross sum ``c`` over ``p`` blocks is skipped when
-    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) >= 0``,
-    ``back_k`` being node ``k``'s weight to lower-indexed nodes: no
-    completion of it is strictly smaller.  Only a strictly smaller value
-    replaces the incumbent, so the result is the first minimizer in
-    restricted-growth order, the same as a full enumeration.
+    The incumbent ``A / B`` (cross sum over block count - 1) starts as
+    the finest partition, total / (N - 1), which comes last in
+    restricted-growth order.  A prefix with cross sum ``c`` over ``p``
+    blocks is scanned only while
+    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) < tie``,
+    ``back_k`` being node ``k``'s weight to lower-indexed nodes, and a
+    partition replaces the incumbent under the same test with nothing
+    left unplaced.  ``tie`` is 1 while the finest partition stands, so
+    the first partition equal to it replaces it, and 0 afterwards, so
+    only strictly smaller values do.  The result is the first minimizer
+    in restricted-growth order, the same as a full enumeration.  Each
+    bound is tested before the child is visited.
 
     The scan is :func:`_partition_scan`; the planner runs it on candidate
     weight matrices with a cutoff, to stop at the first partition whose
@@ -277,6 +293,13 @@ class BottleneckCertificate:
         }
 
 
+def _require_subset_cap(g: WeightedGraph, caps: Caps) -> None:
+    if g.node_count > caps.subsets:
+        raise ExactModeLimitError(
+            f"subset scan over {g.node_count} nodes exceeds the cap of {caps.subsets}"
+        )
+
+
 def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCertificate:
     """Scan proper node subsets for a rate bottleneck.
 
@@ -299,9 +322,8 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
         ExactModeLimitError: more nodes than ``caps.subsets``.
     """
     _require_rateable(g)
+    _require_subset_cap(g, caps)
     n = g.node_count
-    if n > caps.subsets:
-        raise ExactModeLimitError(f"subset scan over {n} nodes exceeds the cap of {caps.subsets}")
     labels, _, w = _integer_weights(g)
     degree = [sum(row) for row in w]
     total = sum(degree) // 2

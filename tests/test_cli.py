@@ -4,8 +4,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qnet_stp.cli import build_parser, main, parse_candidates, read_caps
+from qnet_stp.cli import _json_text, build_parser, main, parse_candidates, read_caps
 from qnet_stp.errors import SchemaError
 
 from conftest import build, complete, ring
@@ -584,3 +585,43 @@ def test_parse_candidates():
     assert parse_candidates("x-y", labels) == [("x", "y", 1)]  # one dash: split as before
     with pytest.raises(SchemaError):
         parse_candidates("a-1-c-d", labels)
+
+
+# ---------------------------------------------------------------------------
+# printer
+# ---------------------------------------------------------------------------
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+        | st.dictionaries(st.integers() | st.floats(), inner, max_size=4)
+        | st.dictionaries(st.booleans(), inner, max_size=2)
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_DOCS)
+def test_printer_matches_indented_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"": [{}, [], ()]}, "\x00\x1f\x7fé \ud800\U0001f600",
+    {"b": 1, "a": [True, False, None]}, {2: "x", 10: "y"}, {None: 0}, {1.5: 0, -2.0: 1},
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e300], -(10**50),
+])
+def test_printer_matches_indented_json_dumps_on_edge_cases(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [{"a": 1, 2: 3}, {object(): 1}, [object()], {1, 2}])
+def test_printer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(doc)

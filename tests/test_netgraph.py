@@ -72,6 +72,54 @@ def test_parse_rational_bounds_digits():
     assert len(str(info.value)) < 120
 
 
+def fraction_parse(text):
+    """The string rule of ``parse_rational`` with ``Fraction``'s parser on every input."""
+    too_long = "rational with more than 1000 digits in its numerator or denominator"
+    if len(text.strip().lower().partition("e")[2].lstrip("+-0")) > 4:
+        raise SchemaError(too_long)
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        if sum(map(str.isdigit, text)) > 1000:
+            raise SchemaError(too_long) from None
+        raise SchemaError(f"malformed rational {text[:80]!r}{'...' if len(text) > 80 else ''}") from None
+    if abs(x.numerator) >= 10**1000 or x.denominator >= 10**1000:
+        raise SchemaError(too_long)
+    return x
+
+
+RATIONAL_CORPUS = [
+    "0", "7", "007", "12345", "7/5", "10/4", "0/5", "5/1", "3/0", "0/0", "5/00", "1/2/3",
+    "", " ", "/", "1/", "/2", "1//2", " 3", "3 ", "\t7/5\n", "1 / 2",
+    "+3", "-3", "-3/4", "+3/4", "3/-4", "-0", "--3",
+    "1_000", "1_000/2_0", "1__0", "_1", "1_", "1/_2",
+    "0.25", ".5", "5.", "1.5/2", "1e3", "1E-3", "2.5e+2", "1e99999", "1e", "e3",
+    "\u0663", "\u0663/\u0664", "\uff13", "1\u0660", "\u00b2", "x/y", "abc", "0x10", "inf", "nan",
+    "9" * 40, "9" * 39 + "/" + "9" * 40, "9" * 41, "1/" + "9" * 1000, "1/" + "9" * 1001,
+    "9" * 1001, "9" * 5000, "1/" + "0" * 4000 + "1", "1." + "0" * 5000,
+]
+
+
+@pytest.mark.parametrize("text", RATIONAL_CORPUS, ids=range(len(RATIONAL_CORPUS)))
+def test_parse_rational_matches_the_fraction_parser(text):
+    try:
+        want = fraction_parse(text)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            parse_rational(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+
+
+def test_graphs_keep_the_parsed_fractions():
+    rate = parse_rational("3/2")
+    g = WeightedGraph(["a", "b"], [("a", "b", rate, Fraction(0))])
+    assert g.edge("a", "b").rate is rate
+    assert type(WeightedGraph(["a", "b"], [("a", "b", 2)]).rate("a", "b")) is Fraction
+
+
 def test_parse_graph_roundtrip(triangle):
     text = triangle.to_json()
     again = parse_graph(text)

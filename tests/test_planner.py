@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 
 from qnet_stp import (
+    Caps,
     VertexPartition,
     best_additions,
     bottleneck_report,
+    check_no_bottleneck,
     evaluate_addition,
     nwt_rate,
     partition_bound,
 )
 from qnet_stp.errors import (
     EmptyPlanError,
+    ExactModeLimitError,
     NegativeRateError,
     SchemaError,
     SelfLoopError,
@@ -67,6 +70,28 @@ def test_report_partition_achieves_rate():
         g = random_connected_graph(rng, max_nodes=6)
         report = bottleneck_report(g)
         assert partition_bound(g, report.minimizing_partition) == report.rate
+
+
+def test_report_skips_the_subset_scan_without_a_bottleneck(hexagon, tri_pendant, monkeypatch):
+    import qnet_stp.planner as planner
+
+    scanned = []
+
+    def counting(g, **kwargs):
+        scanned.append(g)
+        return check_no_bottleneck(g, **kwargs)
+
+    monkeypatch.setattr(planner, "check_no_bottleneck", counting)
+    assert bottleneck_report(hexagon).certificate is None
+    assert scanned == []
+    assert bottleneck_report(tri_pendant).certificate == check_no_bottleneck(tri_pendant)
+    assert scanned == [tri_pendant]
+
+
+def test_report_keeps_the_subset_cap_without_a_bottleneck(hexagon):
+    assert bottleneck_report(hexagon, caps=Caps(subsets=6)).kind == "none"
+    with pytest.raises(ExactModeLimitError, match="subset scan over 6 nodes exceeds the cap of 5"):
+        bottleneck_report(hexagon, caps=Caps(subsets=5))
 
 
 def test_report_json(two_cliques_hub):
@@ -236,11 +261,13 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
     calls.clear()
     scans.clear()
     exhaustive = best_additions(hexagon, candidates, 2, exhaustive=True)
-    # the initial rate and the first step; the last step's rate is the winner's scan
-    assert len(calls) == 1 + 1
+    # the initial rate only: the last step's rate is the winner's scan and
+    # the first step's is one scan of the winner's first addition
+    assert len(calls) == 1
     # 1-4 + 1-5 (3/2), 1-4 + 2-6 past that cutoff (8/5); the finest
-    # partition (8/5 with 1-5 + 2-6 added) drops the third combination
-    assert scans == [(None, False), (Fraction(3, 2), False)]
+    # partition (8/5 with 1-5 + 2-6 added) drops the third combination;
+    # then 1-4 alone (7/5) for the first step
+    assert scans == [(None, False), (Fraction(3, 2), False), (None, False)]
     monkeypatch.undo()
     for plan in (greedy, exhaustive):
         current = hexagon
@@ -307,10 +334,12 @@ def test_plans_match_the_per_candidate_reference(monkeypatch):
                 want = reference_scans.best_additions(g, pool, budget, exhaustive=exhaustive)
                 assert got.to_json_dict() == want.to_json_dict()
                 assert [s.graph for s in got.steps] == [s.graph for s in want.steps]
-                # the initial rate, and exhaustive steps before the last
-                assert counts["rates"] == (budget if exhaustive else 1)
-                reused += len(got.steps) + 1 - counts["rates"]
+                # the initial rate only
+                assert counts["rates"] == 1
+                reused += len(got.steps)
                 if exhaustive:
+                    # and one scan per prefix of the winner, for the steps before the last
+                    counts["scans"] -= len(got.steps) - 1
                     candidates = math.comb(len(pool), budget)
                 else:
                     candidates = sum(len(pool) - k for k in range(budget))

@@ -7,6 +7,7 @@ checked too, not just the optimum.
 """
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from qnet_stp import (
     SpanningTree,
     TreePacking,
     VertexPartition,
+    bottleneck_report,
     brute_force_packing,
     check_no_bottleneck,
     count_spanning_trees,
@@ -127,6 +129,83 @@ def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
                 assert partition_bound(g, VertexPartition.from_rgs(labels, at)) * scale <= cutoff
             else:
                 assert stop == [] and got == _partition_scan(w)
+
+
+def uniform_tree(rng, n, rate):
+    """Random spanning tree on ``n`` shuffled labels, every rate ``rate``."""
+    labels = [f"t{i}" for i in range(n)]
+    rng.shuffle(labels)
+    return build(labels, [(labels[i], labels[rng.randrange(i)], rate) for i in range(1, n)])
+
+
+def two_cliques(m1, m2, bridges, rate=1, hub=False):
+    """K_m1 and K_m2 joined by ``bridges`` disjoint links, and each tied to a
+    hub node when ``hub``; every rate ``rate``."""
+    left = [f"a{i}" for i in range(m1)]
+    right = [f"b{i}" for i in range(m2)]
+    edges = [(x, y, rate) for side in (left, right) for x, y in itertools.combinations(side, 2)]
+    edges += [(left[-1 - k], right[k], rate) for k in range(bridges)]
+    nodes = left + right
+    if hub:
+        nodes.append("h")
+        edges += [("h", left[0], rate), ("h", right[-1], rate)]
+    return build(nodes, edges)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_seeded_scan_keeps_the_first_of_partitions_tied_with_the_finest(n):
+    # in a uniform tree every partition into connected blocks ties with the
+    # finest one, which comes last in RGS order; two K4s joined by two links
+    # tie the bipartition between them with the finest partition too
+    rng = random.Random(n)
+    graphs = [uniform_tree(rng, n, rng.choice(("1", "2/3")))]
+    if n == 8:
+        graphs += [two_cliques(4, 4, 2), two_cliques(4, 4, 2, rate=Fraction(3, 2))]
+    for g in graphs:
+        report = nwt_rate(g)
+        assert report == reference_scans.nwt_rate(g)
+        assert report.finest_is_optimal and not report.minimizing_partition.is_finest()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cutoff_at_or_above_the_finest_value_stops_at_once(seed):
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        g = random_graph(rng, n)
+        _, _, w = _integer_weights(g)
+        finest = Fraction(sum(map(sum, w)) // 2, n - 1)
+        for cutoff in (finest, finest + Fraction(1, 3)):
+            stop = []
+            assert _partition_scan(w, cutoff, stop) is None
+            assert stop == [tuple(range(n))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bottleneck_report_matches_the_subset_scan(seed):
+    # the report skips the subset scan when the finest partition is optimal
+    rng = random.Random(seed)
+    for n in range(2, 9):
+        for g in (random_graph(rng, n), uniform_tree(rng, n, "1"), ring(n) if n > 2 else complete(2)):
+            report = bottleneck_report(g)
+            certificate = reference_scans.check_no_bottleneck(g)
+            assert report.certificate == (None if certificate.ok else certificate)
+            assert report.finest_is_optimal == certificate.ok
+            assert report.rate == reference_scans.nwt_rate(g).rate
+            assert report.best_bipartition_bound == reference_scans.best_bipartition(g)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_best_bipartition_keeps_the_smallest_of_tied_minimum_cuts(n):
+    # every arc of a ring, and every single node of a uniform complete
+    # graph, is a minimum cut; two cliques tie their bridges with small sides
+    graphs = [complete(n, rate=Fraction(2, 3)), ring(n) if n > 2 else complete(2)]
+    if n >= 4:
+        graphs.append(two_cliques(n // 2, n - n // 2, 1))
+        graphs.append(two_cliques(n // 2, n - n // 2, min(n // 2, 3), rate=2))
+    if n >= 5:
+        graphs.append(two_cliques((n - 1) // 2, n - 1 - (n - 1) // 2, 1, hub=True))
+    for g in graphs:
+        assert _best_bipartition(g) == reference_scans.best_bipartition(g)
 
 
 def sparse(rng, n, extra):
