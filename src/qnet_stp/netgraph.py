@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -51,10 +52,9 @@ class Caps:
 
     partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
     subsets: int = 20  # nodes in a bottleneck subset scan
-    trees: int = 10**6  # spanning trees enumerated, or packed by the packers
+    trees: int = 10**6  # trees packed by any packer, or enumerated by the greedy's search
     audit: int = 20  # key bits in the secrecy audit
     backtrack: int = 10_000  # next-to-last tree candidates the greedy packer tries
-    oracle_rounds: int = 8  # rounds the exhaustive oracle packs
 
     @classmethod
     def parse(cls, text: str) -> Caps:
@@ -196,7 +196,7 @@ class WeightedGraph:
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "edges", "_by_key", "_adjacent")
+    __slots__ = ("node_ids", "edges", "_by_key", "_adjacent", "_weights")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
@@ -238,6 +238,7 @@ class WeightedGraph:
             adjacent[e.u].append(e.key)
             adjacent[e.v].append(e.key)
         self._adjacent = {n: tuple(keys) for n, keys in adjacent.items()}
+        self._weights = None
 
     # -- queries ---------------------------------------------------------
 
@@ -280,6 +281,24 @@ class WeightedGraph:
 
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
         return {e.key: e.epsilon for e in self.edges}
+
+    def integer_weights(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, ...], ...]]:
+        """Label order, scale and integer weight matrix of the exact scans, built once.
+
+        Node ``i`` is the ``i``-th label in sorted order; ``w[i][j]`` is the
+        rate of edge ``(i, j)`` times ``scale`` (the lcm of the rate
+        denominators), 0 where there is no edge.
+        """
+        if self._weights is None:
+            labels = self.sorted_nodes()
+            idx = {v: i for i, v in enumerate(labels)}
+            scale = math.lcm(*(e.rate.denominator for e in self.edges)) if self.edges else 1
+            w = [[0] * len(labels) for _ in labels]
+            for e in self.edges:
+                i, j = idx[e.u], idx[e.v]
+                w[i][j] = w[j][i] = e.rate.numerator * (scale // e.rate.denominator)
+            self._weights = labels, scale, tuple(map(tuple, w))
+        return self._weights
 
     def link_key(self, u: str, v: str) -> EdgeKey:
         """Key of a link between ``u`` and ``v``, which may or may not exist yet.

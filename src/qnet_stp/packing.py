@@ -20,20 +20,18 @@ optimal packing.  Besides validation this module provides:
 * :func:`exact_packing` -- a given number of edge-disjoint spanning
   trees by matroid partition (Edmonds), in polynomial time, or a
   partition that proves they do not fit;
-* :func:`brute_force_packing` -- exact optimum by exhaustive search over
-  enumerated trees (``--method oracle`` and the test oracle).  The
-  search recurses once per spanning tree, so networks with more than
-  ``ORACLE_TREE_CAP`` trees are refused with :class:`OracleLimitError`
-  before any tree is enumerated, and the search stops with the same
-  error once it has tried ``ORACLE_STEP_BUDGET`` tree counts;
+* :func:`brute_force_packing` -- the most trees over a given number of
+  rounds (``--method oracle``), by calling :func:`exact_packing` at
+  falling partition bounds; the name is kept from the exhaustive search
+  it replaced;
 * :func:`reweight_by_lp` -- optimal weights for a fixed tree list.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -67,7 +65,6 @@ from .netgraph import (
 )
 from .rate_core import (
     BottleneckCertificate,
-    _integer_weights,
     _partition_scan,
     _require_rateable,
     check_no_bottleneck,
@@ -76,18 +73,12 @@ from .rate_core import (
     partition_bound,
 )
 
-#: Most spanning trees the exhaustive oracle searches.  Its search
-#: recurses once per tree, so this keeps it below Python's default
-#: recursion limit of 1000 with room for the caller's frames.
-ORACLE_TREE_CAP = 800
-
-#: Most tree counts the exhaustive oracle tries before it gives up,
-#: about a second of search.  Each try recurses into the next tree, and
-#: one memoized state may try up to ``floor(rounds * rate)`` counts, so
-#: the tries, not the states, bound the time.  The largest search any
-#: test or seed-0 benchmark job makes is 265,437 tries (the six-node
-#: square with a diagonal and a tail, over 5 rounds).
-ORACLE_STEP_BUDGET = 400_000
+#: Most steps :func:`exact_packing` takes, about a second of work.  A
+#: forest costs a step per node and per key it is built from: seeding
+#: one, its nodes twice (once for the tree it becomes) and the keys
+#: offered; rooting one for an exchange search, its nodes and keys.  The
+#: search costs a step per forest it scans for each key it pops.
+EXACT_STEP_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -275,116 +266,48 @@ def reweight_by_lp(g: WeightedGraph, trees: Sequence[SpanningTree]) -> TreePacki
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle
+# oracle
 # ---------------------------------------------------------------------------
 
 def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> PackingOutcome:
     """Exact maximum multigraph packing for ``rounds`` rounds.
 
-    Enumerates every spanning tree and searches multiplicity assignments
-    exhaustively (with memoization and capacity bounds), so the returned
-    tree count is the true maximum for the multigraph whose edge
-    multiplicities are ``floor(rounds * rate)``.  Ties resolve to the
-    lexicographically smallest tree multiset.  ``optimal`` says whether
-    the result attains the network's rate (the finest partition's bound,
-    else a partition scan cut off at the result's rate), or is None above
-    ``caps.partitions`` nodes.
+    By Nash-Williams and Tutte, the most trees that fit over ``rounds``
+    is the least ``floor(crossing / (blocks - 1))`` over partitions,
+    ``crossing`` counting ``floor(rounds * rate)`` copies per edge.  The
+    descent asks :func:`exact_packing` for the finest partition's value
+    or the least node degree, whichever is lower, then for the value of
+    each partition that refutes a count, which is strictly lower, so the
+    first packing that fits is a maximum (``packer_calls`` counts the
+    calls).  ``optimal`` says whether it attains the network's rate, or
+    is None above ``caps.partitions`` nodes.  The name is kept from the
+    exhaustive search this replaced: the benchmark's tracer wraps it.
 
     Raises:
-        OracleLimitError: ``rounds`` above ``caps.oracle_rounds``, more
-            trees than ``caps.trees`` or ``ORACLE_TREE_CAP``, or more
-            tree counts tried than ``ORACLE_STEP_BUDGET``.
+        HeuristicFailedError: a count above ``caps.trees``, or the exact
+            packer passed its step budget.
     """
     capacity = capacities(g, rounds)
-    if rounds > caps.oracle_rounds:
-        raise OracleLimitError(f"{rounds} rounds exceed the oracle cap of {caps.oracle_rounds}")
     _require_rateable(g)
-    usable = [(key, cap) for key, cap in sorted(capacity.items()) if cap > 0]
-    capacity_graph = WeightedGraph(
-        g.node_ids, [(k[0], k[1], Fraction(c)) for k, c in usable]
-    ) if usable else None
-    if capacity_graph is None or not is_connected(capacity_graph, positive_only=True):
-        empty = TreePacking.multigraph([], [], rounds, source="oracle")
-        return PackingOutcome(
-            packing=empty,
-            optimal=_optimal_flag(g, Fraction(0), caps),
-            diagnostics={"oracle_states": 0, "tree_candidates": 0},
-        )
-    trees = list(enumerate_spanning_trees(
-        capacity_graph, max_trees=min(caps.trees, ORACLE_TREE_CAP)
-    ))
-    key_index = {key: i for i, (key, _) in enumerate(usable)}
-    tree_edges = [tuple(key_index[k] for k in t.edges) for t in trees]
-    node_index = {v: i for i, v in enumerate(g.node_ids)}
-    tree_degrees = [tuple((node_index[v], t.degree(v)) for v in t.vertices()) for t in trees]
-    start_spare = tuple(cap for _, cap in usable)
-    need = g.node_count - 1
-    start_degree = [sum(cap for key, cap in usable if v in key) for v in g.node_ids]
-
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    steps = 0
-
-    # A search state is (capacities, volume, degree): ``volume`` and
-    # ``degree`` are the capacity total and each node's incident capacity,
-    # carried down the search: no tree packs more than volume // need
-    # trees, nor more than any node's degree.
-    def take(i: int, spare: tuple[int, ...], volume: int, degree: list[int], count: int):
-        if not count:
-            return spare, volume, degree
-        reduced = list(spare)
-        for e in tree_edges[i]:
-            reduced[e] -= count
-        lowered = degree[:]
-        for v, d in tree_degrees[i]:
-            lowered[v] -= count * d
-        return tuple(reduced), volume - count * need, lowered
-
-    def explore(i: int, spare: tuple[int, ...], volume: int, degree: list[int]) -> int:
-        """Most trees from tree ``i`` on; the memo keeps counts only."""
-        nonlocal steps
-        if i == len(trees):
-            return 0
-        bound = min(volume // need, min(degree))
-        if bound == 0:
-            return 0
-        state = (i, spare)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        best = -1
-        for count in range(min(spare[e] for e in tree_edges[i]), -1, -1):
-            steps += 1
-            if steps > ORACLE_STEP_BUDGET:
-                raise OracleLimitError(
-                    f"exhaustive search passed its budget of {ORACLE_STEP_BUDGET} tree counts"
-                )
-            best = max(best, count + explore(i + 1, *take(i, spare, volume, degree, count)))
-            if best == bound:
-                break
-        memo[state] = best
-        return best
-
-    state = (start_spare, sum(start_spare), start_degree)
-    k = left = explore(0, *state)
-    # Replay from memo hits: each tree takes the largest count that still
-    # reaches the optimum, the first maximizer of the descending search.
-    choice = []
-    for i in range(len(trees)):
-        count = next(
-            c for c in range(min(state[0][e] for e in tree_edges[i]), -1, -1)
-            if c + explore(i + 1, *take(i, *state, c)) == left
-        )
-        choice.append(count)
-        state = take(i, *state, count)
-        left -= count
-    chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
-    packing = TreePacking.multigraph(
-        [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
-    )
+    degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
+    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    packing = TreePacking.multigraph([], [], rounds)
+    calls = 0
+    while target:
+        calls += 1
+        try:
+            packing = exact_packing(g, rounds, target, max_trees=caps.trees)
+            break
+        except HeuristicFailedError as exc:
+            if exc.partition is None:
+                raise
+            block = exc.partition.block_of()
+            crossing = sum(m for (u, v), m in capacity.items() if block[u] != block[v])
+            target = crossing // (exc.partition.block_count - 1)
     return PackingOutcome(
-        packing=packing,
-        optimal=_optimal_flag(g, Fraction(k, rounds), caps),
-        diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
+        packing=replace(packing, source="oracle"),
+        optimal=_optimal_flag(g, packing_rate(packing), caps),
+        diagnostics={"packer_calls": calls},
     )
 
 
@@ -404,7 +327,7 @@ def _optimal_flag(
         return None
     if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
         return True
-    _, scale, w = _integer_weights(g)
+    _, scale, w = g.integer_weights()
     return _partition_scan(w, rate * scale) is None
 
 
@@ -435,9 +358,13 @@ def exact_packing(
     ``target * (blocks - 1)`` copies cross that partition and, by
     Nash-Williams and Tutte, ``target`` trees do not fit.
 
+    Past ``EXACT_STEP_BUDGET`` steps of seeding and searching the packer
+    gives up, whatever the caller.
+
     Raises:
-        HeuristicFailedError: ``target`` above ``max_trees``, or no such
-            packing exists; ``partition`` then holds the proof.
+        HeuristicFailedError: ``target`` above ``max_trees``, more steps
+            than ``EXACT_STEP_BUDGET``, or no such packing exists;
+            ``partition`` then holds the proof.
     """
     if target > max_trees:
         raise HeuristicFailedError(f"{target} trees exceed the tree cap of {max_trees}")
@@ -445,13 +372,25 @@ def exact_packing(
     capacity = {k: m for k, m in capacities(g, rounds).items() if m}
     spare = dict(capacity)
     forests: list[set[EdgeKey]] = []
+    steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > EXACT_STEP_BUDGET:
+            raise HeuristicFailedError(
+                f"the exact packer passed its budget of {EXACT_STEP_BUDGET} search steps"
+            )
+
     for _ in range(target):
-        forest = spanning_forest(nodes, [k for k, m in spare.items() if m])
+        offered = [k for k, m in spare.items() if m]
+        spend(2 * len(nodes) + len(offered))
+        forest = spanning_forest(nodes, offered)
         for key in forest:
             spare[key] -= 1
         forests.append(set(forest))
     for _ in range(target * (len(nodes) - 1) - sum(map(len, forests))):
-        moves, reached = _exchange_path(nodes, forests, [k for k, m in spare.items() if m])
+        moves, reached = _exchange_path(nodes, forests, [k for k, m in spare.items() if m], spend)
         if moves is None:
             _, _, root = _rooted(nodes, spanning_forest(nodes, sorted(reached)))
             blocks: dict[str, list[str]] = {}
@@ -470,23 +409,27 @@ def exact_packing(
             forests[into].add(key)
             if out_of is not None:
                 forests[out_of].discard(key)
+    copies = Counter(map(frozenset, forests))
     return TreePacking.multigraph(
-        [SpanningTree.of(f) for f in forests], [1] * target, rounds, source="exact"
+        [SpanningTree.of(f) for f in copies], list(copies.values()), rounds, source="exact"
     )
 
 
-def _exchange_path(nodes, forests, sources):
+def _exchange_path(nodes, forests, sources, spend):
     """Shortest exchange path from a spare copy of a ``sources`` key.
 
     Returns ``(moves, None)`` with ``moves`` the ``(key, into, out_of)``
     steps, last to first (``out_of`` None for the spare copy), or
-    ``(None, reached)`` with the keys the search reached.
+    ``(None, reached)`` with the keys the search reached.  ``spend`` is
+    charged for the forests rooted and scanned (see ``EXACT_STEP_BUDGET``).
     """
+    spend(len(nodes) * len(forests) + sum(map(len, forests)))
     rooted = [_rooted(nodes, forest) for forest in forests]
     pred: dict = {(key, None): None for key in sources}
     queue = deque(pred)
     while queue:
         node = queue.popleft()
+        spend(len(forests))
         key = node[0]
         for i, forest in enumerate(forests):
             if key in forest:

@@ -31,7 +31,6 @@ from .netgraph import (
 from .rate_core import (
     BottleneckCertificate,
     RateReport,
-    _integer_weights,
     _partition_scan,
     _rate_report,
     _require_subset_cap,
@@ -87,7 +86,7 @@ def _min_cut(w: list[list[int]]) -> int:
     attachment is the cut between it and the rest, and the last two
     nodes are then merged.
     """
-    m = [row[:] for row in w]
+    m = [list(row) for row in w]
     alive = list(range(len(m)))
     least: Optional[int] = None
     while len(alive) > 1:
@@ -122,7 +121,7 @@ def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
     nodes passed over, plus each undecided node's lighter tie to the two,
     already exceeds the minimum.
     """
-    nodes, scale, w = _integer_weights(g)
+    nodes, scale, w = g.integer_weights()
     n = len(nodes)
     least = _min_cut(w)
     degree = [sum(row) for row in w]
@@ -355,7 +354,7 @@ def _scanner(g: WeightedGraph, initial: RateReport):
     is the augmented network's :func:`nwt_rate`, because the scan takes
     the same path on any positive multiple of a matrix.
     """
-    labels, scale, w = _integer_weights(g)
+    labels, scale, w = g.integer_weights()
     index = {v: i for i, v in enumerate(labels)}
     witnesses: dict[tuple[int, ...], tuple[int, int]] = {}  # node blocks -> (cross, blocks - 1)
 

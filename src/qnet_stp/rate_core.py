@@ -18,7 +18,6 @@ all-singletons partition is already optimal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -68,23 +67,6 @@ def _require_rateable(g: WeightedGraph) -> None:
         raise TrivialNetworkError("rates need at least two nodes")
     if not is_connected(g, positive_only=True):
         raise DisconnectedError("positive-rate subgraph is not connected")
-
-
-def _integer_weights(g: WeightedGraph) -> tuple[tuple[str, ...], int, list[list[int]]]:
-    """Label order, scale and integer weight matrix shared by the exact scans.
-
-    Node ``i`` is the ``i``-th label in sorted order; ``w[i][j]`` is the
-    rate of edge ``(i, j)`` times ``scale`` (the lcm of the rate
-    denominators), 0 where there is no edge.
-    """
-    labels = g.sorted_nodes()
-    idx = {v: i for i, v in enumerate(labels)}
-    scale = math.lcm(*(e.rate.denominator for e in g.edges)) if g.edges else 1
-    w = [[0] * len(labels) for _ in labels]
-    for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
-        w[i][j] = w[j][i] = e.rate.numerator * (scale // e.rate.denominator)
-    return labels, scale, w
 
 
 class _AtMostCutoff(Exception):
@@ -206,7 +188,7 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
         raise ExactModeLimitError(
             f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
         )
-    labels, scale, w = _integer_weights(g)
+    labels, scale, w = g.integer_weights()
     return _rate_report(labels, scale, w, _partition_scan(w))
 
 
@@ -324,7 +306,7 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
     _require_rateable(g)
     _require_subset_cap(g, caps)
     n = g.node_count
-    labels, _, w = _integer_weights(g)
+    labels, _, w = g.integer_weights()
     degree = [sum(row) for row in w]
     total = sum(degree) // 2
     chosen: list[int] = []

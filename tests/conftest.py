@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import qnet_stp
 from qnet_stp import WeightedGraph
 
 
@@ -144,3 +148,24 @@ def relay_tree_edges():
     # nine-node tree: two stars meeting across the (6,7) trunk edge
     return [("1", "4"), ("2", "4"), ("3", "5"), ("4", "6"),
             ("5", "6"), ("6", "7"), ("7", "8"), ("7", "9")]
+
+
+def run_measured(script: str) -> tuple[int, str, float, float]:
+    """Run ``script`` in a new interpreter that can import ``qnet_stp`` and conftest.
+
+    Returns its exit code, its stdout, the wall-clock seconds the run
+    took (interpreter start included) and its peak RSS in MB.
+    """
+    src = os.path.dirname(os.path.dirname(qnet_stp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    probe = (
+        "import atexit, resource, sys\n"
+        "atexit.register(lambda: print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+        " file=sys.stderr))\n"
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", probe + script], capture_output=True, text=True, env=env, timeout=60
+    )
+    seconds = time.perf_counter() - start
+    return done.returncode, done.stdout, seconds, int(done.stderr.split()[-1]) / 1024

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates, read_caps
 from qnet_stp.errors import SchemaError
 
-from conftest import build, complete, ring
+from conftest import build, complete, ring, run_measured
 
 
 @pytest.fixture
@@ -219,10 +219,11 @@ def test_pack_gives_up_past_the_tree_cap(capsys, graph_file, monkeypatch):
     assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
 
 
-@pytest.mark.parametrize("n, trees", [(6, 1296), (8, 262144)])
-def test_pack_refuses_oracle_beyond_tree_cap(capsys, graph_file, n, trees):
+@pytest.mark.parametrize("n", [6, 8])
+def test_pack_oracle_on_complete_graphs(capsys, graph_file, n):
     # the greedy packer stalls on unit K6 and K8 and the exact packer
-    # finishes; only a direct oracle call still meets the oracle's tree cap
+    # finishes; the oracle, past the 1296 and 262144 spanning trees the
+    # exhaustive search refused, packs the same count
     path = graph_file(f"k{n}.json", complete(n))
     for method in ("general", "basic"):
         code, out = run(capsys, "pack", path, "--method", method)
@@ -232,26 +233,21 @@ def test_pack_refuses_oracle_beyond_tree_cap(capsys, graph_file, n, trees):
         assert doc["diagnostics"]["fallback"] is True
         assert doc["packing"]["multiplicities"] == [1] * (n // 2)
     code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "1")
-    assert code == 3
+    assert code == 0
     doc = json.loads(out)
-    assert doc["error"]["code"] == "OracleLimit"
-    assert f"{trees} spanning trees exceed the cap of 800" in doc["error"]["message"]
+    assert (doc["optimal"], sum(doc["packing"]["multiplicities"])) == (True, n // 2)
+    assert doc["diagnostics"] == {"packer_calls": 1}
 
 
 def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
-    # the fallback is the exact packer: the trees cap reaches it, and the
-    # oracle's round cap reaches only a direct oracle call
+    # the fallback and the oracle are the exact packer: the trees cap
+    # reaches both
     path = graph_file("k10.json", complete(10))
-    monkeypatch.setenv("QNET_STP_CAPS", "oracle_rounds=5")
-    for method in ("general", "basic"):
-        code, out = run(capsys, "pack", path, "--method", method)
-        assert code == 0
-        assert json.loads(out)["optimal"] is True
     code, out = run(capsys, "pack", path, "--method", "oracle")
-    assert code == 3
-    assert json.loads(out)["error"]["message"] == "9 rounds exceed the oracle cap of 5"
+    assert code == 0
+    assert json.loads(out)["optimal"] is True
     monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
-    for method in ("general", "basic"):
+    for method in ("general", "basic", "oracle"):
         code, out = run(capsys, "pack", path, "--method", method)
         assert code == 4
         doc = json.loads(out)
@@ -259,30 +255,40 @@ def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
         assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
 
 
-def test_oracle_step_budget_exits_3(capsys, graph_file):
-    # K6 minus two disjoint edges at 5 rounds: 576 trees, and the search
-    # would run for minutes without the budget
-    g = complete(6)
-    path = graph_file("k6m2.json", build(
-        g.node_ids, [(e.u, e.v, e.rate) for e in g.edges if e.key not in (("1", "2"), ("3", "4"))]
-    ))
-    code, out = run(capsys, "pack", path, "--method", "oracle")
-    assert code == 3
+def test_exact_step_budget_exits_4(tmp_path):
+    # 800,000 one-edge trees over 8 rounds of a two-node link at rate
+    # 100,000: 8.3 s and 539 MB without the budget
+    path = tmp_path / "link.json"
+    path.write_text(build(["a", "b"], [("a", "b", 100_000)]).to_json(), encoding="utf-8")
+    code, out, seconds, peak_mb = run_measured(f"""
+import sys
+from qnet_stp.cli import main
+sys.exit(main(["pack", {str(path)!r}, "--method", "oracle", "--rounds", "8"]))
+""")
+    assert code == 4
     assert json.loads(out)["error"] == {
-        "code": "OracleLimit", "message": "exhaustive search passed its budget of 400000 tree counts",
+        "code": "HeuristicFailed", "message": "the exact packer passed its budget of 1000000 search steps",
     }
+    assert seconds < 2 and peak_mb < 100, (seconds, peak_mb)
 
 
 def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
-    # a 4-ring at rate 100 has few search states, but each tries up to
-    # 100 * rounds tree counts: a cap on states let this run for 20 s
-    path = graph_file("ring100.json", build(ring(4).node_ids, [(e.u, e.v, 100) for e in ring(4).edges]))
-    for argv in (["pack", path, "--method", "oracle"], ["simulate", path, "--rounds", "3"]):
-        start = time.perf_counter()
-        code, out = run(capsys, *argv)
-        assert code == 3
-        assert json.loads(out)["error"]["message"] == "exhaustive search passed its budget of 400000 tree counts"
-        assert time.perf_counter() - start < 8
+    # a 4-ring at rate 100 over 3 rounds (400 trees) passed the exhaustive
+    # search's budget; the exact packer packs it, and refuses at rate 1000
+    for rate, expected in ((100, 0), (1000, 4)):
+        path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges]))
+        for argv in (["pack", path, "--method", "oracle"], ["simulate", path, "--rounds", "3"]):
+            start = time.perf_counter()
+            code, out = run(capsys, *argv)
+            assert code == expected
+            assert time.perf_counter() - start < 2
+            if expected:
+                assert json.loads(out)["error"]["message"] == (
+                    "the exact packer passed its budget of 1000000 search steps"
+                )
+            else:
+                field = "rate" if argv[0] == "simulate" else "achieved_rate"
+                assert json.loads(out)[field] == "400/3"
 
 
 TWO_TRIANGLES = build(
@@ -529,9 +535,10 @@ def test_read_caps_defaults_and_overrides():
         read_caps("trees=abc")
     with pytest.raises(SchemaError):
         read_caps("trees=0")
-    assert sorted(vars(caps)) == ["audit", "backtrack", "oracle_rounds", "partitions", "subsets", "trees"]
-    with pytest.raises(SchemaError, match="unknown cap 'lp'"):
-        read_caps("lp=16")
+    assert sorted(vars(caps)) == ["audit", "backtrack", "partitions", "subsets", "trees"]
+    for gone in ("lp", "oracle_rounds"):
+        with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
+            read_caps(f"{gone}=16")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -11,6 +11,9 @@ To re-record (only when an output is meant to change, and say so in
 CHANGES.md)::
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
+
+It prints each row whose exit code or digest changed, with the old and
+new exit codes, before it writes the table.
 """
 
 import contextlib
@@ -131,9 +134,14 @@ def test_golden_table_covers_every_case():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --record")
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     table = {}
     with tempfile.TemporaryDirectory() as directory:
         for name, g, argv in CASES:
             table[name] = list(run_case(g, argv, directory))
+    for name in sorted(set(old) | set(table)):
+        before, after = old.get(name, [None, None]), table.get(name, [None, None])
+        if before != after:
+            print(f"changed: {name}: exit {before[0]} -> {after[0]}")
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(table)} cases in {GOLDEN}")

@@ -29,9 +29,8 @@ from qnet_stp.errors import (
     SchemaError,
 )
 from qnet_stp.netgraph import enumerate_spanning_trees
-from qnet_stp.packing import ORACLE_TREE_CAP
 
-from conftest import build, complete, random_connected_graph, ring
+from conftest import build, complete, random_connected_graph, ring, run_measured
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +156,51 @@ def test_fractional_rates_floor_capacities():
     assert not out.optimal
 
 
-def test_round_cap():
-    with pytest.raises(OracleLimitError):
-        brute_force_packing(ring(3), 9)
+def test_oracle_has_no_round_cap():
+    # 9 rounds of a triangle: 27 edge copies, 13 trees of two edges
+    out = brute_force_packing(ring(3), 9)
+    assert out.packing.tree_count == nwt_length(ring(3), 9) == 13
+    assert validate_packing(ring(3), out.packing).ok
+    assert out.diagnostics == {"packer_calls": 1}
 
 
 def test_tree_cap(k4):
-    with pytest.raises(OracleLimitError):
-        brute_force_packing(k4, 1, caps=Caps(trees=10))
+    # the oracle asks the exact packer for 2 trees, over a cap of 1
+    with pytest.raises(HeuristicFailedError, match="2 trees exceed the tree cap of 1") as info:
+        brute_force_packing(k4, 1, caps=Caps(trees=1))
+    assert info.value.partition is None
 
 
-def test_oracle_searches_up_to_its_tree_cap():
-    # two K4s and a triangle glued at cut vertices: 16 * 16 * 3 = 768 trees,
-    # one recursion level each, just under the cap
-    edges = [(u, v, 1) for block in (("1", "2", "3", "4"), ("4", "5", "6", "7"))
-             for i, u in enumerate(block) for v in block[i + 1:]]
-    edges += [("7", "8", 1), ("8", "9", 1), ("7", "9", 1)]
-    g = build([str(i) for i in range(1, 10)], edges)
-    out = brute_force_packing(g, 1)
-    assert ORACLE_TREE_CAP >= out.diagnostics["tree_candidates"] == 768
-    assert out.achieved_rate == 1  # one round, one tree
-    with pytest.raises(OracleLimitError, match="1296 spanning trees exceed the cap of 800"):
-        brute_force_packing(complete(6), 1)
+@pytest.mark.parametrize("g, rounds, trees", [
+    (complete(6), 5, 15),
+    (complete(8), 7, 28),
+    (complete(10), 9, 45),
+    (complete(12), 8, 48),
+], ids=["k6", "k8", "k10", "k12"])
+def test_oracle_packs_what_the_exhaustive_search_refused(g, rounds, trees):
+    # 1296 spanning trees of K6 up to 6.2e10 of K12, past the old search's
+    # 800-tree cap; K10 over 9 rounds was past its 8-round cap
+    out = brute_force_packing(g, rounds)
+    assert out.packing.tree_count == trees
+    assert out.optimal is True
+    assert validate_packing(g, out.packing).ok
+    assert out.diagnostics == {"packer_calls": 1}
+
+
+def test_oracle_descends_along_refuting_partitions():
+    # the path 3-1-2-4 over 3 rounds carries 9, 4 and 6 copies: it starts
+    # at min(19 // 3, 6) = 6 trees, and each refusal names a partition of
+    # lower bound until the 4 copies of (1, 2) are the answer
+    g = build(["1", "2", "3", "4"], [("1", "2", "3/2"), ("1", "3", 3), ("2", "4", 2)])
+    out = brute_force_packing(g, 3)
+    assert out.packing.tree_count == 4
+    assert out.diagnostics == {"packer_calls": 3}
+    assert validate_packing(g, out.packing).ok
+    assert out.optimal is False  # 4/3 of a rate of 3/2
 
 
 def test_exact_prefers_lexicographic_smallest(triangle):
+    # over 2 rounds the triangle has one packing: each of its trees once
     out = brute_force_packing(triangle, 2)
     assert [t.edges for t in out.packing.trees] == [
         (("1", "2"), ("1", "3")),
@@ -230,6 +249,39 @@ def test_exact_packing_floors_capacities():
 def test_exact_packing_honours_the_tree_cap():
     with pytest.raises(HeuristicFailedError, match="4 trees exceed the tree cap of 3"):
         exact_packing(complete(8), 1, 4, max_trees=3)
+
+
+RING = "build([str(i) for i in range(1, 5)], [(str(i), str(i % 4 + 1), {rate}) for i in range(1, 5)])"
+
+
+def test_exact_packing_step_budget_bounds_the_time():
+    # 4000 trees on a 4-ring at rate 1000 over 3 rounds: 37.6 s without a budget
+    code, out, seconds, peak_mb = run_measured(f"""
+from conftest import build
+from qnet_stp import exact_packing
+from qnet_stp.errors import HeuristicFailedError
+try:
+    exact_packing({RING.format(rate=1000)}, 3, 4000)
+except HeuristicFailedError as exc:
+    print(exc.partition, exc)
+""")
+    assert code == 0
+    assert out == "None the exact packer passed its budget of 1000000 search steps\n"
+    assert seconds < 2 and peak_mb < 100, (seconds, peak_mb)
+
+
+def test_exact_packing_within_budget_on_a_heavy_ring():
+    # 400 trees on the same ring at rate 100: past the old oracle's
+    # budget, within this one
+    code, out, _, _ = run_measured(f"""
+import time
+from conftest import build
+from qnet_stp import brute_force_packing
+start = time.perf_counter()
+outcome = brute_force_packing({RING.format(rate=100)}, 3)
+print(outcome.packing.tree_count, outcome.optimal, time.perf_counter() - start < 1)
+""")
+    assert (code, out) == (0, "400 True True\n")
 
 
 def probe_graph(n, seed):
