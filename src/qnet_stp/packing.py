@@ -279,31 +279,39 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     or the least node degree, whichever is lower, then for the value of
     each partition that refutes a count, which is strictly lower, so the
     first packing that fits is a maximum (``packer_calls`` counts the
-    calls).  ``optimal`` says whether it attains the network's rate, or
-    is None above ``caps.partitions`` nodes.  The name is kept from the
+    calls).  The first call asks for at most ``caps.trees + 1`` trees:
+    if that many fit, the maximum is above the cap, and the descent
+    refuses it; otherwise every count it tries is within the cap.
+    ``optimal`` says whether it attains the network's rate, or is None
+    above ``caps.partitions`` nodes.  The name is kept from the
     exhaustive search this replaced: the benchmark's tracer wraps it.
 
     Raises:
-        HeuristicFailedError: a count above ``caps.trees``, or the exact
-            packer passed its step budget.
+        HeuristicFailedError: a maximum above ``caps.trees`` (the
+            message names the starting count), or the exact packer passed
+            its step budget.
     """
     capacity = capacities(g, rounds)
     _require_rateable(g)
     degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
-    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    bound = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    target = min(bound, caps.trees + 1)
     packing = TreePacking.multigraph([], [], rounds)
     calls = 0
     while target:
         calls += 1
         try:
-            packing = exact_packing(g, rounds, target, max_trees=caps.trees)
-            break
+            packing = exact_packing(g, rounds, target, max_trees=caps.trees + 1)
         except HeuristicFailedError as exc:
             if exc.partition is None:
                 raise
             block = exc.partition.block_of()
             crossing = sum(m for (u, v), m in capacity.items() if block[u] != block[v])
             target = crossing // (exc.partition.block_count - 1)
+            continue
+        if target > caps.trees:
+            raise HeuristicFailedError(f"{bound} trees exceed the tree cap of {caps.trees}")
+        break
     return PackingOutcome(
         packing=replace(packing, source="oracle"),
         optimal=_optimal_flag(g, packing_rate(packing), caps),

@@ -9,11 +9,16 @@ Nash-Williams/Tutte spanning-tree-packing bound
 evaluated here in exact arithmetic by a depth-first scan over partitions
 in restricted-growth order that starts from the all-singletons value and
 skips, exactly, every branch which cannot beat the best value found so
-far.
+far.  A branch is skipped when the value of its prefix plus a lower bound
+on what each unplaced node can still add is not below the incumbent: a
+node adds at least its cost of opening a block or its weight to placed
+nodes outside the block it is closest to, whichever is less.
 The module also provides the per-partition bound, the all-singletons
 bound, the finite-length (floored) variant, a closed form for triangles,
 and the per-subset "no bottleneck" test that decides whether the
-all-singletons partition is already optimal.
+all-singletons partition is already optimal; that scan skips every
+subset whose members so far already attach too much weight to be a
+bottleneck.
 """
 
 from __future__ import annotations
@@ -89,12 +94,34 @@ def _partition_scan(
     the scan without one.  Each comparison the scan makes weighs two sums
     linear in the weights, so it takes the same path and picks the same
     partition on any positive multiple of ``w``.  ``w`` must be connected
-    and have two or more nodes.  The scan is the one :func:`nwt_rate`
-    documents.
+    and have two or more nodes.
+
+    With the incumbent ``A / B``, a partition beats it when
+    ``F = B * cross - A * (blocks - 1)`` is below ``tie`` (see
+    :func:`nwt_rate`).  Placing node ``k`` adds exactly ``B * back_k - A``
+    to ``F`` when it opens a block and ``B * (back_k - into)`` when it
+    joins one, ``into`` being its weight to the lower nodes of that block.
+    Two lower bounds on what an unplaced node adds prune a prefix:
+
+    * the static one, ``min(0, B * back_k - A)``, summed in ``slack``;
+    * the tight one, ``min(B * back_k - A, B * spread_k)``, with
+      ``spread_k`` the node's weight to placed nodes outside the placed
+      block that holds most of that weight: whichever block it joins, at
+      least that much weight to placed nodes crosses.
+
+    A child is tested against the static sum first, then against the
+    tight sum, which changes only in the placed node's own term and its
+    higher neighbours' terms and is worked out from their block weights
+    before the placement is applied; a child that passes gets its
+    placement applied and the sum as ``rest``.  Both bounds only drop
+    subtrees in which no partition beats the incumbent, so the visiting
+    order, the improvements, the minimizer and the cutoff partition are
+    those of the scan without them.  The terms depend on the incumbent
+    and are summed again after it improves.
     """
     n = len(w)
-    lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
-    back = [sum(x for _, x in row) for row in lower]
+    upper = [[(k, x) for k, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(w)]
+    back = [sum(row[:i]) for i, row in enumerate(w)]
     rgs = [0] * n
     # the incumbent starts as the finest partition, the last RGS of all
     best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
@@ -103,46 +130,95 @@ def _partition_scan(
             stop.append(best_rgs)
         return None
     tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
-    # slack[i] = sum over k >= i of min(0, back[k] * best_pm1 - best_cross)
-    slack = [0] * (n + 1)
+    improvements = 0
+    opening = [0] * n  # opening[k] = back[k] * best_pm1 - best_cross
+    slack = [0] * (n + 1)  # slack[i] = sum over k >= i of min(0, opening[k])
+    # into[k][b]: k's weight to the placed nodes of block b; top[k] its
+    # maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
+    into = [[0] * n for _ in range(n)]
+    top = [0] * n
+    placed = [0] * n
 
     def bound() -> None:
+        s = 0
         for k in range(n - 1, -1, -1):
-            slack[k] = slack[k + 1] + min(0, back[k] * best_pm1 - best_cross)
+            o = opening[k] = back[k] * best_pm1 - best_cross
+            if o < 0:
+                s += o
+            slack[k] = s
+
+    def terms(i: int) -> int:
+        # sum over k >= i of min(opening[k], spread_k * best_pm1)
+        s = 0
+        for k in range(i, n):
+            o, t = opening[k], (placed[k] - top[k]) * best_pm1
+            s += t if t < o else o
+        return s
 
     def improve(cross: int, pm1: int) -> None:
-        nonlocal best_cross, best_pm1, best_rgs, tie
+        nonlocal best_cross, best_pm1, best_rgs, tie, improvements
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
             raise _AtMostCutoff
         best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
+        improvements += 1
         bound()
 
-    def visit(i: int, cross: int, p: int) -> None:
-        # nodes 0..i-1 are placed in p blocks with cross sum `cross`
-        into = [0] * p
-        for j, x in lower[i]:
-            into[rgs[j]] += x
+    def visit(i: int, cross: int, p: int, rest: int) -> None:
+        # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
+        # rest = sum of the tight terms of nodes i..n-1
+        row = into[i]
         cross += back[i]
         if i == n - 1:
-            heavy = max(into)
+            heavy = top[i]
             if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
-                rgs[i] = into.index(heavy)
+                rgs[i] = row.index(heavy)
                 improve(cross - heavy, p - 1)
             if cross * best_pm1 - best_cross * p < tie:
                 rgs[i] = p
                 improve(cross, p)
             return
-        for b in range(p):
-            if (cross - into[b]) * best_pm1 - best_cross * (p - 1) + slack[i + 1] < tie:
-                rgs[i] = b
-                visit(i + 1, cross - into[b], p)
-        if cross * best_pm1 - best_cross * p + slack[i + 1] < tie:
-            rgs[i] = p
-            visit(i + 1, cross, p + 1)
+        B = best_pm1
+        o, t = opening[i], (placed[i] - top[i]) * B
+        rest -= t if t < o else o
+        for b in range(p + 1):  # b == p opens a block; row[p] is 0
+            c = cross - row[b]
+            q = p + (b == p)
+            value = c * B - best_cross * (q - 1)
+            if value + slack[i + 1] >= tie:
+                continue
+            tight = rest
+            for k, x in upper[i]:
+                o = opening[k]
+                if o > 0:  # otherwise the term is o before and after
+                    y, h = into[k][b] + x, top[k]
+                    s, t = (placed[k] - h) * B, (placed[k] + x - (y if y > h else h)) * B
+                    tight += (t if t < o else o) - (s if s < o else o)
+            if value + tight >= tie:
+                continue
+            rgs[i] = b
+            tops = []
+            for k, x in upper[i]:
+                blocks = into[k]
+                blocks[b] += x
+                placed[k] += x
+                tops.append(top[k])
+                if blocks[b] > top[k]:
+                    top[k] = blocks[b]
+            mark = improvements
+            visit(i + 1, c, q, tight)
+            for (k, x), old in zip(upper[i], tops):
+                into[k][b] -= x
+                placed[k] -= x
+                top[k] = old
+            if mark != improvements:
+                B = best_pm1
+                rest = terms(i + 1)
 
+    for k, x in upper[0]:
+        into[k][0] = top[k] = placed[k] = x
     bound()
     try:
-        visit(1, 0, 1)
+        visit(1, 0, 1, terms(1))
     except _AtMostCutoff:
         if stop is not None:
             stop.append(tuple(rgs))
@@ -157,21 +233,27 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
     order over the nodes in sorted-label order: node ``i`` tries blocks
     ``0..p`` in turn, ``p`` opening a new block.  The cross sum is kept
     incrementally on integer-scaled rates (node ``i`` adds its weight to
-    lower-indexed nodes minus its weight into the block it joins), and the
-    last node's choices are evaluated together from per-block weights.
+    lower-indexed nodes minus its weight into the block it joins), and so
+    is each unplaced node's weight into every block of the placed nodes.
 
     The incumbent ``A / B`` (cross sum over block count - 1) starts as
     the finest partition, total / (N - 1), which comes last in
     restricted-growth order.  A prefix with cross sum ``c`` over ``p``
     blocks is scanned only while
-    ``c*B - A*(p-1) + sum over unplaced k of min(0, back_k*B - A) < tie``,
-    ``back_k`` being node ``k``'s weight to lower-indexed nodes, and a
-    partition replaces the incumbent under the same test with nothing
-    left unplaced.  ``tie`` is 1 while the finest partition stands, so
-    the first partition equal to it replaces it, and 0 afterwards, so
-    only strictly smaller values do.  The result is the first minimizer
-    in restricted-growth order, the same as a full enumeration.  Each
-    bound is tested before the child is visited.
+    ``c*B - A*(p-1) + sum over unplaced k of min(B*back_k - A, B*spread_k) < tie``,
+    ``back_k`` being node ``k``'s weight to lower-indexed nodes and
+    ``spread_k`` its weight to placed nodes outside the placed block that
+    holds most of it.  The sum is a lower bound: node ``k`` adds exactly
+    ``B*back_k - A`` when it opens a block, and joining any block leaves
+    at least ``spread_k`` of its weight crossing.  A partition replaces
+    the incumbent under the same test with nothing left unplaced.
+    ``tie`` is 1 while the finest partition stands, so the first
+    partition equal to it replaces it, and 0 afterwards, so only strictly
+    smaller values do.  A skipped prefix has no completion that would
+    replace the incumbent, so the scan visits the candidates of a full
+    enumeration in the same order and keeps the same ones: the result is
+    the first minimizer in restricted-growth order, with the same
+    tie-breaks.
 
     The scan is :func:`_partition_scan`; the planner runs it on candidate
     weight matrices with a cutoff, to stop at the first partition whose
@@ -297,7 +379,11 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
     with ``attach(I)`` the weighted degrees of ``I`` minus its internal
     weight, kept incrementally along a depth-first walk over each
     cardinality; only the violator's certificate is built in exact
-    rationals.
+    rationals.  ``attach`` only grows as members join, so the walk skips
+    a member ``j`` of a partial subset ``C`` when
+    ``attach(C + {j})*(N-1) >= total*|I|``: no subset it would complete
+    can violate.  Only such subsets are skipped, so the order of the
+    subsets tested and the first violator are those of the full walk.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
@@ -313,21 +399,19 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
 
     def search(k: int, start: int, attach: int, to_chosen: list[int]) -> bool:
         # chosen holds fewer than k members; to_chosen[j] = weight from j to them
+        limit = total * k
         if len(chosen) == k - 1:
-            limit = total * k
             for j in range(start, n):
                 if limit > (attach + degree[j] - to_chosen[j]) * (n - 1):
                     chosen.append(j)
                     return True
             return False
         for j in range(start, n - k + len(chosen) + 1):
+            grown = attach + degree[j] - to_chosen[j]
+            if grown * (n - 1) >= limit:
+                continue
             chosen.append(j)
-            if search(
-                k,
-                j + 1,
-                attach + degree[j] - to_chosen[j],
-                [a + b for a, b in zip(to_chosen, w[j])],
-            ):
+            if search(k, j + 1, grown, [a + b for a, b in zip(to_chosen, w[j])]):
                 return True
             chosen.pop()
         return False

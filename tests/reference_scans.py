@@ -31,7 +31,12 @@ Two oracles reach the library's answers by another route altogether:
   :func:`verify_constraints` checks any announcement vector against
   every subset.
 
-They cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
+:func:`partition_scan` is the library's partition scan pruned by the
+static per-node bound alone, not the tight one; it reaches sizes past
+:func:`nwt_rate` and checks the tight scan's results, tie-breaks and
+cutoff witnesses there.
+
+The others cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
 oracle recurses once per spanning tree, so they are only meant for small
 inputs.
 """
@@ -75,7 +80,7 @@ from qnet_stp.netgraph import (
 from qnet_stp.packing import _exact_fallback
 from qnet_stp.planner import Plan, _normalize_candidates, _score_addition
 from qnet_stp.protocol import consumption_schedule, orient_tree
-from qnet_stp.rate_core import _require_rateable
+from qnet_stp.rate_core import _AtMostCutoff, _require_rateable
 
 #: Largest node count for which the subset LP is built (2^N - 2 constraints).
 LP_CAP_NODES = 16
@@ -331,6 +336,76 @@ def nwt_rate(g) -> RateReport:
         minimizing_partition=VertexPartition.from_rgs(labels, best_rgs),
         finest_is_optimal=g.total_rate() / (n - 1) == rate,
     )
+
+
+def partition_scan(
+    w: list[list[int]], cutoff: Optional[Fraction] = None, stop: Optional[list] = None
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """The partition scan with the static per-node bound only.
+
+    The same scan as :func:`qnet_stp.rate_core._partition_scan` (same
+    arguments, results and ``stop`` witnesses) with one lower bound per
+    unplaced node, ``min(0, back_k * B - A)``, summed into ``slack`` once
+    per incumbent.  It visits many more prefixes than the library's
+    kernel but reaches N = 12 and beyond, where the Bell(N)
+    :func:`nwt_rate` is too slow.
+    """
+    n = len(w)
+    lower = [[(j, w[i][j]) for j in range(i) if w[i][j]] for i in range(n)]
+    back = [sum(x for _, x in row) for row in lower]
+    rgs = [0] * n
+    # the incumbent starts as the finest partition, the last RGS of all
+    best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
+    if cutoff is not None and best_cross * cutoff.denominator <= cutoff.numerator * best_pm1:
+        if stop is not None:
+            stop.append(best_rgs)
+        return None
+    tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
+    # slack[i] = sum over k >= i of min(0, back[k] * best_pm1 - best_cross)
+    slack = [0] * (n + 1)
+
+    def bound() -> None:
+        for k in range(n - 1, -1, -1):
+            slack[k] = slack[k + 1] + min(0, back[k] * best_pm1 - best_cross)
+
+    def improve(cross: int, pm1: int) -> None:
+        nonlocal best_cross, best_pm1, best_rgs, tie
+        if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
+            raise _AtMostCutoff
+        best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
+        bound()
+
+    def visit(i: int, cross: int, p: int) -> None:
+        # nodes 0..i-1 are placed in p blocks with cross sum `cross`
+        into = [0] * p
+        for j, x in lower[i]:
+            into[rgs[j]] += x
+        cross += back[i]
+        if i == n - 1:
+            heavy = max(into)
+            if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
+                rgs[i] = into.index(heavy)
+                improve(cross - heavy, p - 1)
+            if cross * best_pm1 - best_cross * p < tie:
+                rgs[i] = p
+                improve(cross, p)
+            return
+        for b in range(p):
+            if (cross - into[b]) * best_pm1 - best_cross * (p - 1) + slack[i + 1] < tie:
+                rgs[i] = b
+                visit(i + 1, cross - into[b], p)
+        if cross * best_pm1 - best_cross * p + slack[i + 1] < tie:
+            rgs[i] = p
+            visit(i + 1, cross, p + 1)
+
+    bound()
+    try:
+        visit(1, 0, 1)
+    except _AtMostCutoff:
+        if stop is not None:
+            stop.append(tuple(rgs))
+        return None
+    return best_cross, best_pm1, best_rgs
 
 
 def check_no_bottleneck(g) -> BottleneckCertificate:

@@ -199,6 +199,19 @@ def test_oracle_descends_along_refuting_partitions():
     assert out.optimal is False  # 4/3 of a rate of 3/2
 
 
+def test_tree_cap_holds_against_the_maximum_not_the_starting_count():
+    # the same path starts at 6 trees and settles on 4: a cap of 4 packs
+    # them, and a cap of 3 refuses, naming the starting count
+    g = build(["1", "2", "3", "4"], [("1", "2", "3/2"), ("1", "3", 3), ("2", "4", 2)])
+    out = brute_force_packing(g, 3, caps=Caps(trees=4))
+    assert (out.packing.tree_count, out.optimal) == (4, False)
+    assert out.diagnostics == {"packer_calls": 2}
+    assert validate_packing(g, out.packing).ok
+    with pytest.raises(HeuristicFailedError, match="^6 trees exceed the tree cap of 3$") as info:
+        brute_force_packing(g, 3, caps=Caps(trees=3))
+    assert info.value.partition is None
+
+
 def test_exact_prefers_lexicographic_smallest(triangle):
     # over 2 rounds the triangle has one packing: each of its trees once
     out = brute_force_packing(triangle, 2)

@@ -211,14 +211,15 @@ def test_best_bipartition_keeps_the_smallest_of_tied_minimum_cuts(n):
 
 
 def sparse(rng, n, extra):
-    """Random tree on ``n`` shuffled labels plus ``extra`` more edges."""
+    """Random tree on ``n`` shuffled labels plus ``extra`` more edges, or
+    as many as fit."""
     labels = [f"v{i}" for i in range(n)]
     rng.shuffle(labels)
     edges = {
         frozenset((labels[i], labels[rng.randrange(i)])): rng.choice(RATES)
         for i in range(1, n)
     }
-    while len(edges) < n - 1 + extra:
+    while len(edges) < min(n - 1 + extra, n * (n - 1) // 2):
         a, b = rng.sample(labels, 2)
         edges.setdefault(frozenset((a, b)), rng.choice(RATES))
     return build(labels, [(*sorted(key), Fraction(r)) for key, r in edges.items()])
@@ -237,6 +238,73 @@ def test_scans_match_reference_on_larger_graphs(make):
 
 def test_scans_match_reference_on_two_cliques_hub(two_cliques_hub):
     assert_same_scans(two_cliques_hub)
+
+
+def assert_same_kernel(w):
+    """The scan returns what the static-bound reference scan returns, with
+    no cutoff and with cutoffs below, at and above the minimum and at and
+    above the finest value, ``stop`` witnesses included."""
+    full = _partition_scan(w)
+    assert full == reference_scans.partition_scan(w)
+    value = Fraction(full[0], full[1])
+    finest = Fraction(sum(map(sum, w)) // 2, len(w) - 1)
+    cutoffs = {value - Fraction(1, 7), value, (value + finest) / 2, value + Fraction(1, 7),
+               finest, finest + Fraction(1, 3)}
+    for cutoff in sorted(c for c in cutoffs if c >= 0):
+        got, want = [], []
+        assert _partition_scan(w, cutoff, got) == reference_scans.partition_scan(w, cutoff, want)
+        assert got == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partition_scan_matches_the_static_bound_scan_on_random_graphs(seed):
+    # rates 0 and fractional rates, up to N = 12 where Bell(N) is too slow
+    rng = random.Random(500 + seed)
+    for n in range(2, 13):
+        assert_same_kernel(random_graph(rng, n).integer_weights()[2])
+        assert_same_kernel(sparse(rng, n, rng.randint(0, n)).integer_weights()[2])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
+    # uniform trees tie every partition into connected blocks with the
+    # finest; unit complete graphs, rings and two cliques tie many more
+    rng = random.Random(n)
+    graphs = [uniform_tree(rng, n, "1"), uniform_tree(rng, n, "2/3"), complete(n),
+              ring(n) if n > 2 else complete(2)]
+    if n >= 4:
+        graphs += [two_cliques(n // 2, n - n // 2, 1), two_cliques(n // 2, n - n // 2, 2, rate=3)]
+    if n >= 5:
+        graphs.append(two_cliques((n - 1) // 2, n - 1 - (n - 1) // 2, 1, hub=True))
+    for g in graphs:
+        assert_same_kernel(g.integer_weights()[2])
+
+
+@pytest.mark.parametrize("make, violator_size", [
+    (lambda: ring(11), 0),
+    (lambda: ring(12), 0),
+    (lambda: complete(11), 0),
+    (lambda: complete(12, rate=Fraction(2, 3)), 0),
+    (lambda: two_cliques(6, 6, 1), 6),
+    (lambda: two_cliques(6, 6, 2, rate=Fraction(3, 2)), 6),
+    (lambda: two_cliques(6, 5, 2), 5),
+    (lambda: two_cliques(5, 7, 1), 4),
+], ids=["ring11", "ring12", "k11", "k12", "cliques6-6", "cliques6-6x2", "cliques6-5x2", "cliques5-7"])
+def test_subset_scan_matches_reference_on_eleven_and_twelve_nodes(make, violator_size):
+    # the violators come after every smaller subset: the prune skips most
+    # of the walk before them
+    g = make()
+    certificate = check_no_bottleneck(g)
+    assert certificate == reference_scans.check_no_bottleneck(g)
+    assert len(certificate.violating_subset or ()) == violator_size
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_scan_matches_reference_on_random_eleven_and_twelve_node_graphs(seed):
+    rng = random.Random(700 + seed)
+    for n in (11, 12):
+        for g in (random_graph(rng, n), sparse(rng, n, n), sparse(rng, n, 2 * n)):
+            assert check_no_bottleneck(g) == reference_scans.check_no_bottleneck(g)
 
 
 def random_packing(rng, g, rounds):
