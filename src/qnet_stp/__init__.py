@@ -52,7 +52,6 @@ from .packing import (
     exact_packing,
     general_algorithm,
     packing_rate,
-    reweight_by_lp,
     validate_packing,
 )
 from .protocol import (
@@ -116,7 +115,6 @@ __all__ = [
     "exact_packing",
     "basic_algorithm",
     "general_algorithm",
-    "reweight_by_lp",
     "KeyMaterial",
     "generate_keys",
     "orient_tree",

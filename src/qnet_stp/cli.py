@@ -223,7 +223,7 @@ def cmd_simulate(args, caps) -> int:
     doc["packing"] = pk.to_json_dict()
     doc["rate"] = format_rational(packing_rate(pk))
     if args.audit:
-        report = secrecy_audit(g, pk, caps=caps)
+        report = secrecy_audit(g, pk)
         audit_doc = report.to_json_dict()
         audit_doc["secrecy"] = "uniform" if report.uniform else "nonuniform"
         doc["audit"] = audit_doc

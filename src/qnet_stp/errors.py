@@ -97,7 +97,10 @@ class ExactModeLimitError(LimitError):
     code = "ExactModeLimit"
 
 
-class OracleLimitError(LimitError):
+class EnumerationLimitError(LimitError):
+    """More spanning trees than an enumeration's cap; the code string
+    is kept from the oracle this once guarded."""
+
     code = "OracleLimit"
 
 

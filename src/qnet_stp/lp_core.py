@@ -14,8 +14,9 @@ library never builds the 2^N-row program itself; the test suite keeps
 it as an oracle.
 
 :func:`_simplex_max` is the package's one LP solver: a dense-tableau
-simplex with Bland's rule over :class:`fractions.Fraction`, used to
-reweight a fixed tree list.
+simplex with Bland's rule over :class:`fractions.Fraction`.  No library
+path calls it; the test suite solves the omniscience program and
+reweights fixed tree lists with it.
 """
 
 from __future__ import annotations

@@ -28,11 +28,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    EnumerationLimitError,
     InvalidEdgeError,
     InvalidPartitionError,
     InvalidSubsetError,
     NegativeRateError,
-    OracleLimitError,
     PreconditionFailedError,
     QNetError,
     SchemaError,
@@ -53,7 +53,6 @@ class Caps:
     partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
     subsets: int = 20  # nodes in a bottleneck subset scan
     trees: int = 10**6  # trees packed by any packer, or enumerated by the greedy's search
-    audit: int = 20  # key bits in the secrecy audit
     backtrack: int = 10_000  # next-to-last tree candidates the greedy packer tries
 
     @classmethod
@@ -426,9 +425,10 @@ def integer_rates(g: WeightedGraph, need: str) -> dict[EdgeKey, int]:
 def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeKey]:
     """Kruskal over ``keys`` in the given order: the keys that join two components.
 
-    Every endpoint must be one of ``nodes``.  The result is a spanning
-    tree of ``nodes`` exactly when it has ``len(nodes) - 1`` keys; the
-    scan stops once it has.
+    Every endpoint must be one of ``nodes``, which may be any hashable
+    labels (the secrecy audit's are key-bit positions).  The result is
+    a spanning tree of ``nodes`` exactly when it has ``len(nodes) - 1``
+    keys; the scan stops once it has.
     """
     parent = {v: v for v in nodes}
     size = len(parent) - 1
@@ -692,13 +692,13 @@ def enumerate_spanning_trees(
 
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``.
-        OracleLimitError: more than ``max_trees`` trees exist.
+        EnumerationLimitError: more than ``max_trees`` trees exist.
     """
     if not is_connected(g, positive_only=True):
         raise DisconnectedError("positive-rate subgraph is not connected")
     total = count_spanning_trees(g)
     if total > max_trees:
-        raise OracleLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
+        raise EnumerationLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
     held = set(required)
     fixed = sorted(held)

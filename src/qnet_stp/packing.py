@@ -23,8 +23,7 @@ optimal packing.  Besides validation this module provides:
 * :func:`brute_force_packing` -- the most trees over a given number of
   rounds (``--method oracle``), by calling :func:`exact_packing` at
   falling partition bounds; the name is kept from the exhaustive search
-  it replaced;
-* :func:`reweight_by_lp` -- optimal weights for a fixed tree list.
+  it replaced.
 """
 
 from __future__ import annotations
@@ -33,14 +32,14 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .errors import (
     DisconnectedError,
+    EnumerationLimitError,
     HeuristicFailedError,
     InvalidPackingError,
     MergeFailedError,
-    OracleLimitError,
     PreconditionFailedError,
 )
 from .netgraph import (
@@ -240,29 +239,6 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
 def packing_rate(pk: TreePacking) -> Fraction:
     """Trees per round, i.e. the weight sum."""
     return Fraction(sum(pk.multiplicities), pk.rounds)
-
-
-def reweight_by_lp(g: WeightedGraph, trees: Sequence[SpanningTree]) -> TreePacking:
-    """Best weights for a fixed tree list (exact LP).
-
-    Maximizes the weight sum subject to every edge's capacity; trees that
-    end up with zero weight are dropped.  With the full tree list of the
-    network this attains the partition-bound rate.
-    """
-    from .lp_core import _simplex_max
-
-    tree_list = [SpanningTree.of(t.edges) for t in trees]
-    for t in tree_list:
-        if not is_spanning_tree(g, t):
-            raise InvalidPackingError(f"tree {list(t.edges)} is not a spanning tree of the network")
-    tree_list = sorted(set(tree_list), key=lambda t: t.edges)
-    rows = [
-        [Fraction(int(e.key in t.edges)) for t in tree_list]
-        for e in g.edges
-    ]
-    limits = [e.rate for e in g.edges]
-    _, weights, _, _, _ = _simplex_max(rows, limits, [Fraction(1)] * len(tree_list))
-    return TreePacking.weighted(tree_list, weights, source="manual")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +568,7 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
                     break
                 for key in candidate.edges:
                     weight[key] += 1
-        except OracleLimitError:
+        except EnumerationLimitError:
             return fallback("too many candidate trees to search")
         if not done:
             # as many as a search over every tree would have tried

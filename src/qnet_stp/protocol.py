@@ -14,9 +14,9 @@ The module simulates the full protocol (deterministically seeded):
 instance uses, and announcing, recovering and the audit read its steps.
 It also accounts the security budget and provides an exact secrecy
 audit that checks the conference key is uniform given the transcript.
-Transcript and key are GF(2)-linear in the key bits, so the audit is a
-rank comparison, equivalent to enumerating every key assignment; it
-keeps the enumeration's cap of ``caps.audit`` key bits.
+Each announcement is the XOR of two key bits and each conference bit is
+one key bit, so the audit's GF(2) rank comparison is a spanning-forest
+count over the key bits, equivalent to enumerating every key assignment.
 """
 
 from __future__ import annotations
@@ -32,12 +32,9 @@ from .errors import (
     InvalidEdgeError,
     InvalidPackingError,
     KeyDepletedError,
-    OracleLimitError,
     PreconditionFailedError,
 )
 from .netgraph import (
-    CAPS,
-    Caps,
     EdgeKey,
     SpanningTree,
     WeightedGraph,
@@ -46,6 +43,7 @@ from .netgraph import (
     edge_key,
     format_rational,
     integer_rates,
+    spanning_forest,
 )
 from .packing import TreePacking
 
@@ -464,23 +462,11 @@ class AuditReport:
         }
 
 
-def _gf2_rank(vectors: Iterable[int]) -> int:
-    """Rank over GF(2) of ``vectors``, each an int read as a bit vector."""
-    basis: list[int] = []  # distinct leading bits, descending
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    return len(basis)
-
-
 def secrecy_audit(
     g: WeightedGraph,
     pk: TreePacking,
     *,
     schedule: Optional[Sequence[Mapping[EdgeKey, int]]] = None,
-    caps: Caps = CAPS,
 ) -> AuditReport:
     """Check exactly that the key is uniform given the transcript.
 
@@ -490,8 +476,13 @@ def secrecy_audit(
     assignments form a coset of the kernel of the transcript map, so the
     key is uniform given every transcript exactly when the joint map's
     rank exceeds the transcript map's rank by the number of conference
-    bits.  The verdict and the violations equal those of enumerating
-    every assignment; the first transcript that enumeration
+    bits.  Read each key bit as a node, each announcement as an edge
+    between its two bits and each conference bit as an edge from its bit
+    to a ground node: the rank of any set of these rows is the size of a
+    spanning forest of their edges.  So with the announcements offered
+    first, the key is uniform exactly when every conference edge joins
+    the forest.  The verdict and the violations equal those of
+    enumerating every assignment; the first transcript that enumeration
     in mask order would flag is always the all-zero one.
 
     A custom ``schedule`` (per-instance edge -> bit index) may be passed
@@ -499,15 +490,12 @@ def secrecy_audit(
     two trees; the default schedule is the protocol's own.
 
     Raises:
-        OracleLimitError: more than ``caps.audit`` total key bits.
         InvalidPackingError: a tree uses an edge the network lacks, or the
             schedule misses a tree edge or does not match the instances.
         PreconditionFailedError: non-integer rates.
     """
     pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
-    if total_bits > caps.audit:
-        raise OracleLimitError(f"{total_bits} key bits exceed the audit cap of {caps.audit}")
     if schedule is None:
         schedule = consumption_schedule(g, pk)
     instances = list(pk.instances())
@@ -548,19 +536,12 @@ def secrecy_audit(
             ann_positions.append((position[in_key], position[key]))
         conference_positions.append(position[orientation.conference_edge])
 
-    # Column j: key bit j's contribution, announcement i at bit i and
-    # conference bit k at bit (announcement count + k).
-    shift = len(ann_positions)
-    columns = [0] * total_bits
-    for i, (p, q) in enumerate(ann_positions):
-        columns[p] ^= 1 << i
-        columns[q] ^= 1 << i
-    for k, p in enumerate(conference_positions):
-        columns[p] ^= 1 << (shift + k)
-    transcript_rank = _gf2_rank(c & ((1 << shift) - 1) for c in columns)
-    uniform = _gf2_rank(columns) - transcript_rank == len(conference_positions)
+    ground = -1
+    conference_edges = [(p, ground) for p in conference_positions]
+    forest = spanning_forest([*range(total_bits), ground], ann_positions + conference_edges)
+    uniform = sum(q == ground for _, q in forest) == len(conference_edges)
     if not uniform:
-        violations.append("conference key not uniform for transcript " + "0" * shift)
+        violations.append("conference key not uniform for transcript " + "0" * len(ann_positions))
     return AuditReport(
         uniform=uniform,
         edge_disjoint=len(seen_bits) == scheduled_uses,

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -153,19 +152,26 @@ def relay_tree_edges():
 def run_measured(script: str) -> tuple[int, str, float, float]:
     """Run ``script`` in a new interpreter that can import ``qnet_stp`` and conftest.
 
-    Returns its exit code, its stdout, the wall-clock seconds the run
-    took (interpreter start included) and its peak RSS in MB.
+    Returns its exit code, its stdout, the CPU seconds it used
+    (interpreter start included) and its own peak RSS in MB.  A child
+    started by vfork and exec keeps its parent's ``ru_maxrss``, so the
+    peak is read from ``VmHWM`` where the system reports it.
     """
     src = os.path.dirname(os.path.dirname(qnet_stp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     probe = (
-        "import atexit, resource, sys\n"
-        "atexit.register(lambda: print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-        " file=sys.stderr))\n"
+        "import atexit, resource, sys, time\n"
+        "def _report():\n"
+        "    try:\n"
+        "        with open('/proc/self/status') as f:\n"
+        "            kb = next(int(line.split()[1]) for line in f if line.startswith('VmHWM:'))\n"
+        "    except (OSError, StopIteration):\n"
+        "        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    print(time.process_time(), kb, file=sys.stderr)\n"
+        "atexit.register(_report)\n"
     )
-    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-c", probe + script], capture_output=True, text=True, env=env, timeout=60
     )
-    seconds = time.perf_counter() - start
-    return done.returncode, done.stdout, seconds, int(done.stderr.split()[-1]) / 1024
+    seconds, kb = done.stderr.split()[-2:]
+    return done.returncode, done.stdout, float(seconds), int(kb) / 1024

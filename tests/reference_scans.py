@@ -29,7 +29,10 @@ Two oracles reach the library's answers by another route altogether:
   paper proves equal to the packing rate :func:`qnet_stp.nwt_rate`
   returns.  :func:`verify_optimality` re-checks its certificate and
   :func:`verify_constraints` checks any announcement vector against
-  every subset.
+  every subset;
+* :func:`reweight_by_lp` -- the best weights for a fixed tree list,
+  from the same simplex; over every spanning tree its weight sum is the
+  packing rate.
 
 :func:`partition_scan` is the library's partition scan pruned by the
 static per-node bound alone, not the tight one; it reaches sizes past
@@ -61,11 +64,11 @@ from qnet_stp import (
 )
 from qnet_stp.errors import (
     DisconnectedError,
+    EnumerationLimitError,
     ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
     KeyDepletedError,
-    OracleLimitError,
     PreconditionFailedError,
 )
 from qnet_stp.lp_core import _simplex_max
@@ -256,6 +259,27 @@ def solve_lp(inst: LPInstance) -> LPSolution:
 def solve_z(g: WeightedGraph, *, max_nodes: int = LP_CAP_NODES) -> Fraction:
     """Distillable conference-key rate of ``g`` via the subset LP."""
     return solve_lp(build_lp(g, max_nodes=max_nodes)).key_rate
+
+
+def reweight_by_lp(g: WeightedGraph, trees) -> TreePacking:
+    """Best weights for a fixed tree list (exact LP).
+
+    Maximizes the weight sum subject to every edge's capacity; trees that
+    end up with zero weight are dropped.  With the full tree list of the
+    network this attains the partition-bound rate.
+    """
+    tree_list = [SpanningTree.of(t.edges) for t in trees]
+    for t in tree_list:
+        if not is_spanning_tree(g, t):
+            raise InvalidPackingError(f"tree {list(t.edges)} is not a spanning tree of the network")
+    tree_list = sorted(set(tree_list), key=lambda t: t.edges)
+    rows = [
+        [Fraction(int(e.key in t.edges)) for t in tree_list]
+        for e in g.edges
+    ]
+    limits = [e.rate for e in g.edges]
+    _, weights, _, _, _ = _simplex_max(rows, limits, [Fraction(1)] * len(tree_list))
+    return TreePacking.weighted(tree_list, weights, source="manual")
 
 
 def verify_optimality(inst: LPInstance, sol: LPSolution) -> bool:
@@ -662,7 +686,7 @@ def enumerate_spanning_trees(g, *, max_trees=CAPS.trees):
         raise DisconnectedError("positive-rate subgraph is not connected")
     total = count_spanning_trees(g)
     if total > max_trees:
-        raise OracleLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
+        raise EnumerationLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
     if n == 1:
         yield SpanningTree(())
@@ -778,7 +802,7 @@ def greedy_pack(g, caps=CAPS) -> PackingOutcome:
                 enumerate_spanning_trees(support, max_trees=caps.trees),
                 key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
             )
-        except OracleLimitError:
+        except EnumerationLimitError:
             return fallback("too many candidate trees to search")
         for candidate in candidates[:caps.backtrack]:
             diagnostics["backtracks"] += 1

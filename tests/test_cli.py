@@ -451,9 +451,10 @@ def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
 
 
 @pytest.mark.parametrize("caps, g, argv, code, expected", [
-    ("audit=5", ring(4), ["simulate", "--audit"], 3, {"error": {
-        "code": "OracleLimit",
-        "message": "12 key bits exceed the audit cap of 5",
+    # 56 key bits under the default caps: the audit has no cap
+    ("", ring(8), ["simulate", "--audit"], 0, {"audit": {
+        "conference_bits": 8, "edge_disjoint": True, "secrecy": "uniform",
+        "total_bits": 56, "uniform": True, "violations": [],
     }}),
     ("", complete(4), ["pack", "--method", "basic"], 0, {
         "optimal": True, "diagnostics": {"backtracks": 2, "fallback": False},
@@ -528,15 +529,15 @@ def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
 
 def test_read_caps_defaults_and_overrides():
     caps = read_caps("")
-    assert caps.partitions == 12 and caps.audit == 20
+    assert caps.partitions == 12 and caps.subsets == 20
     caps = read_caps("trees=500, backtrack=7")
     assert caps.trees == 500 and caps.backtrack == 7
     with pytest.raises(SchemaError):
         read_caps("trees=abc")
     with pytest.raises(SchemaError):
         read_caps("trees=0")
-    assert sorted(vars(caps)) == ["audit", "backtrack", "partitions", "subsets", "trees"]
-    for gone in ("lp", "oracle_rounds"):
+    assert sorted(vars(caps)) == ["backtrack", "partitions", "subsets", "trees"]
+    for gone in ("lp", "oracle_rounds", "audit"):
         with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
             read_caps(f"{gone}=16")
 

@@ -19,10 +19,10 @@ from qnet_stp import (
 )
 from qnet_stp.errors import (
     DuplicateEdgeError,
+    EnumerationLimitError,
     InvalidPartitionError,
     InvalidSubsetError,
     NegativeRateError,
-    OracleLimitError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -282,7 +282,7 @@ def test_zero_rate_edges_excluded_from_trees():
 
 
 def test_tree_cap_enforced(k4):
-    with pytest.raises(OracleLimitError):
+    with pytest.raises(EnumerationLimitError):
         list(enumerate_spanning_trees(k4, max_trees=5))
 
 

@@ -22,12 +22,11 @@ from qnet_stp.errors import (
     InvalidEdgeError,
     InvalidPackingError,
     KeyDepletedError,
-    OracleLimitError,
     PreconditionFailedError,
 )
 from qnet_stp.protocol import KeyMaterial, consumption_schedule
 
-from conftest import build, complete
+from conftest import build, complete, ring
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +302,25 @@ def test_audit_flags_bit_reuse(triangle):
     assert any("reused" in v for v in report.violations)
 
 
-def test_audit_bit_cap(hexagon):
-    pk = general_algorithm(hexagon).packing  # 6 edges x 5 rounds = 30 bits
-    with pytest.raises(OracleLimitError):
-        secrecy_audit(hexagon, pk)
+def test_audit_on_a_40_ring():
+    # one tree per left-out edge: 40 edges x 39 rounds = 1560 key bits
+    g = ring(40)
+    keys = [e.key for e in g.edges]
+    pk = TreePacking.multigraph(
+        [SpanningTree.of(keys[:i] + keys[i + 1:]) for i in range(40)], [1] * 40, 39
+    )
+    report = secrecy_audit(g, pk)
+    assert (report.uniform, report.edge_disjoint) == (True, True)
+    assert (report.total_bits, report.conference_bits) == (1560, 40)
+    assert not report.violations
+
+    schedule = [dict(step) for step in consumption_schedule(g, pk)]
+    first, second = (orient_tree(t).conference_edge for _, _, t in list(pk.instances())[1:3])
+    assert first == second
+    schedule[2][second] = schedule[1][first]  # two instances share a conference bit
+    report = secrecy_audit(g, pk, schedule=schedule)
+    assert (report.uniform, report.edge_disjoint) == (False, False)
+    assert report.violations[-1] == "conference key not uniform for transcript " + "0" * 40 * 38
 
 
 PATH3 = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])

@@ -34,7 +34,7 @@ from qnet_stp import (
     secrecy_audit,
     validate_packing,
 )
-from qnet_stp.errors import DisconnectedError, HeuristicFailedError, OracleLimitError
+from qnet_stp.errors import DisconnectedError, EnumerationLimitError, HeuristicFailedError
 from qnet_stp.netgraph import capacities
 from qnet_stp.packing import _greedy_pack, _max_weight_tree, _optimal_flag
 from qnet_stp.planner import _best_bipartition
@@ -443,7 +443,7 @@ def any_graph(rng, n):
 def trees_or_error(enumerate_, g):
     try:
         return list(enumerate_(g, max_trees=3000))
-    except (DisconnectedError, OracleLimitError) as exc:
+    except (DisconnectedError, EnumerationLimitError) as exc:
         return type(exc), str(exc)
 
 

@@ -24,7 +24,6 @@ from qnet_stp import (
     SpanningTree,
     TreePacking,
     rates_from_packing,
-    reweight_by_lp,
     run_packing_protocol,
     secrecy_audit,
     validate_packing,
@@ -33,6 +32,7 @@ from qnet_stp.cli import packing_dot
 from qnet_stp.netgraph import enumerate_spanning_trees
 
 from conftest import build, ring
+from reference_scans import reweight_by_lp
 
 PINNED = Path(__file__).with_name("weighted_output.json")
 
