@@ -379,6 +379,9 @@ def parse_graph(text: str) -> WeightedGraph:
 
     ``epsilon`` is optional per edge and defaults to 0.  Rates and
     epsilons follow :func:`parse_rational` (exact; floats rejected).
+    Each distinct rate or epsilon string is parsed once per document, and
+    every edge without an ``epsilon`` shares one zero; the edges are
+    still checked in order, so the first bad one raises its own error.
     """
     try:
         doc = json.loads(text)
@@ -392,6 +395,17 @@ def parse_graph(text: str) -> WeightedGraph:
         raise SchemaError('"nodes" must be a list of strings')
     if not isinstance(raw_edges, list):
         raise SchemaError('"edges" must be a list')
+    parsed: dict[str, Fraction] = {}  # only strings: True == 1 as a key
+
+    def rational(value) -> Fraction:
+        if type(value) is not str:
+            return parse_rational(value)
+        x = parsed.get(value)
+        if x is None:
+            x = parsed[value] = parse_rational(value)
+        return x
+
+    zero = Fraction(0)
     edges = []
     for rec in raw_edges:
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec or "rate" not in rec:
@@ -399,8 +413,8 @@ def parse_graph(text: str) -> WeightedGraph:
         u, v = rec["u"], rec["v"]
         if not isinstance(u, str) or not isinstance(v, str):
             raise SchemaError("edge endpoints must be strings")
-        rate = parse_rational(rec["rate"])
-        eps = parse_rational(rec.get("epsilon", 0))
+        rate = rational(rec["rate"])
+        eps = rational(rec["epsilon"]) if "epsilon" in rec else zero
         edges.append((u, v, rate, eps))
     return WeightedGraph(nodes, edges)
 

@@ -52,6 +52,7 @@ from .netgraph import (
     _floors,
     capacities,
     check_rounds,
+    contract,
     count_spanning_trees,
     edge_key,
     enumerate_spanning_trees,
@@ -664,7 +665,7 @@ def _general_pack(
     subset = cert.violating_subset
     rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
-    contracted = cert.contracted
+    contracted = contract(g, cert.partition)
     merged_label = contracted.node_ids[cert.partition.blocks.index(rest)]
     remainder = induced_subgraph(g, rest)
     if not is_connected(remainder, positive_only=True):

@@ -161,6 +161,14 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     a bottleneck exists, carries both forms of the per-subset test.  When
     the finest partition is optimal no subset violates its test, so the
     subset scan is skipped; the ``caps.subsets`` refusal still applies.
+
+    The best bipartition bound is the minimum cut.  When the scan's
+    minimizer has two blocks it is a cut at the rate, and no cut is below
+    the rate, so the bound is the rate and no cut is computed; otherwise
+    it is :func:`_min_cut`'s weight.  Only a bipartition bottleneck whose
+    minimizer has three or more blocks names a cut the scan did not
+    find, and only then does :func:`_best_bipartition` search for the
+    first minimum-cut side.
     """
     if g.node_count > caps.partitions:
         raise ExactModeLimitError(
@@ -171,8 +179,12 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     _require_subset_cap(g, caps)
     # no subset violates its bound exactly when the finest partition is optimal
     certificate = None if report.finest_is_optimal else check_no_bottleneck(g, caps=caps)
-    bip_bound, bip_partition = _best_bipartition(g)
     partition = report.minimizing_partition
+    if partition.block_count == 2:
+        bip_bound = report.rate
+    else:
+        _, scale, w = g.integer_weights()
+        bip_bound = Fraction(_min_cut(w), scale)
     if report.finest_is_optimal:
         kind = "none"
         contracted = None
@@ -183,7 +195,7 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     elif bip_bound == report.rate:
         kind = "bipartition"
         if partition.block_count != 2:
-            partition = bip_partition
+            partition = _best_bipartition(g)[1]
         contracted = contract(g, partition)
         narrative = (
             f"bipartition bottleneck {partition}: the cut of rate "

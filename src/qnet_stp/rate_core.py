@@ -40,7 +40,6 @@ from .netgraph import (
     VertexPartition,
     WeightedGraph,
     check_rounds,
-    contract,
     cross_edges,
     format_rational,
     is_connected,
@@ -328,15 +327,15 @@ class BottleneckCertificate:
     * ``subnetwork_bound <= attachment_bound`` (rest-of-network form;
       undefined when ``I`` misses only one node, hence Optional),
 
-    plus the view of the network with everything outside ``I``
-    contracted to one node.
+    plus the partition that singles out the members of ``I`` and keeps
+    the rest as one block; ``contract(g, partition)`` is the view of the
+    network with everything outside ``I`` contracted to one node.
     """
 
     violating_subset: Optional[tuple[str, ...]]
     network_bound: Optional[Fraction] = None
     attachment_bound: Optional[Fraction] = None
     subnetwork_bound: Optional[Fraction] = None
-    contracted: Optional[WeightedGraph] = None
     partition: Optional[VertexPartition] = None
 
     @property
@@ -378,12 +377,15 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
     It runs on integer-scaled rates as ``total*|I| > attach(I)*(N-1)``,
     with ``attach(I)`` the weighted degrees of ``I`` minus its internal
     weight, kept incrementally along a depth-first walk over each
-    cardinality; only the violator's certificate is built in exact
-    rationals.  ``attach`` only grows as members join, so the walk skips
+    cardinality.  ``attach`` only grows as members join, so the walk skips
     a member ``j`` of a partial subset ``C`` when
     ``attach(C + {j})*(N-1) >= total*|I|``: no subset it would complete
     can violate.  Only such subsets are skipped, so the order of the
     subsets tested and the first violator are those of the full walk.
+    The certificate's bounds come from the same integer sums over the
+    rate ``scale``: ``total / (scale*(N-1))``, ``attach(I) / (scale*|I|)``
+    and ``(total - attach(I)) / (scale*(N-|I|-1))``, the weight left
+    outside ``I`` over the rest of the network.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
@@ -392,52 +394,51 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
     _require_rateable(g)
     _require_subset_cap(g, caps)
     n = g.node_count
-    labels, _, w = g.integer_weights()
+    labels, scale, w = g.integer_weights()
     degree = [sum(row) for row in w]
     total = sum(degree) // 2
     chosen: list[int] = []
 
-    def search(k: int, start: int, attach: int, to_chosen: list[int]) -> bool:
-        # chosen holds fewer than k members; to_chosen[j] = weight from j to them
+    def search(k: int, start: int, attach: int, to_chosen: list[int]) -> Optional[int]:
+        # chosen holds fewer than k members; to_chosen[j] = weight from j to
+        # them; gives attach(I) of the first violator I, left in chosen
         limit = total * k
         if len(chosen) == k - 1:
             for j in range(start, n):
-                if limit > (attach + degree[j] - to_chosen[j]) * (n - 1):
+                grown = attach + degree[j] - to_chosen[j]
+                if limit > grown * (n - 1):
                     chosen.append(j)
-                    return True
-            return False
+                    return grown
+            return None
         for j in range(start, n - k + len(chosen) + 1):
             grown = attach + degree[j] - to_chosen[j]
             if grown * (n - 1) >= limit:
                 continue
             chosen.append(j)
-            if search(k, j + 1, grown, [a + b for a, b in zip(to_chosen, w[j])]):
-                return True
+            found = search(k, j + 1, grown, [a + b for a, b in zip(to_chosen, w[j])])
+            if found is not None:
+                return found
             chosen.pop()
-        return False
+        return None
 
-    network_bound = g.total_rate() / (n - 1)
-    if not any(search(k, 0, 0, [0] * n) for k in range(1, n)):
+    network_bound = Fraction(total, scale * (n - 1))
+    for k in range(1, n):
+        attach = search(k, 0, 0, [0] * n)
+        if attach is not None:
+            break
+    else:
         return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
+    size = len(chosen)
     subset = tuple(labels[j] for j in chosen)
-    inside = set(subset)
-    attachment = sum(
-        (e.rate for e in g.edges if e.u in inside or e.v in inside), Fraction(0)
-    ) / len(subset)
-    rest = [v for v in labels if v not in inside]
-    restgraph_rate = sum(
-        (e.rate for e in g.edges if e.u not in inside and e.v not in inside),
-        Fraction(0),
-    )
-    sub_bound = restgraph_rate / (len(rest) - 1) if len(rest) > 1 else None
-    partition = VertexPartition.from_blocks([[v] for v in subset] + [rest])
+    rest = [v for i, v in enumerate(labels) if i not in chosen]
     return BottleneckCertificate(
         violating_subset=subset,
         network_bound=network_bound,
-        attachment_bound=attachment,
-        subnetwork_bound=sub_bound,
-        contracted=contract(g, partition),
-        partition=partition,
+        attachment_bound=Fraction(attach, scale * size),
+        subnetwork_bound=(
+            Fraction(total - attach, scale * (n - size - 1)) if size < n - 1 else None
+        ),
+        partition=VertexPartition.from_blocks([[v] for v in subset] + [rest]),
     )
 
 

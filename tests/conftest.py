@@ -63,6 +63,20 @@ def random_connected_graph(rng: random.Random, max_nodes=6, max_extra=3,
     return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
 
 
+def bip_tie7():
+    """Rate 5, first minimizer {0,1,2,3,4}{5}{6}, tied by the cut {0,1,2,3,5,6}{4}.
+
+    The one small graph where ``analyze`` names a bipartition that is not
+    the scan's minimizer, so the report runs the minimum-cut side search.
+    """
+    links = "0-1:4 0-3:3 0-5:3 1-2:3 1-3:4 1-4:1 1-5:1 2-3:4 2-4:4 3-6:2 5-6:4"
+    edges = []
+    for link in links.split():
+        pair, rate = link.split(":")
+        edges.append((*pair.split("-"), int(rate)))
+    return build([str(i) for i in range(7)], edges)
+
+
 @pytest.fixture
 def triangle():
     return build(["1", "2", "3"], [("1", "2", 1), ("1", "3", 1), ("2", "3", 1)])

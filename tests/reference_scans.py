@@ -6,6 +6,9 @@ specified to honour and evaluates it from scratch:
 * :func:`nwt_rate` -- every restricted growth string, every edge summed;
 * :func:`check_no_bottleneck` -- every proper subset in exact rationals;
 * :func:`best_bipartition` -- every bipartition cut in exact rationals;
+* :func:`bottleneck_report` -- the three scans above, the bipartition
+  search run on every network and the subset scan whenever the finest
+  partition is not optimal;
 * :func:`secrecy_audit` -- every key assignment, one histogram each;
 * :func:`brute_force_packing` -- the memoized multiplicity search,
   re-summing its capacity bound at every state;
@@ -81,7 +84,7 @@ from qnet_stp.netgraph import (
     proper_vertex_subsets,
 )
 from qnet_stp.packing import _exact_fallback
-from qnet_stp.planner import Plan, _normalize_candidates, _score_addition
+from qnet_stp.planner import BottleneckReport, Plan, _normalize_candidates, _score_addition
 from qnet_stp.protocol import consumption_schedule, orient_tree
 from qnet_stp.rate_core import _AtMostCutoff, _require_rateable
 
@@ -458,7 +461,6 @@ def check_no_bottleneck(g) -> BottleneckCertificate:
                 network_bound=network_bound,
                 attachment_bound=attachment,
                 subnetwork_bound=sub_bound,
-                contracted=contract(g, partition),
                 partition=partition,
             )
     return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
@@ -484,6 +486,41 @@ def best_bipartition(g) -> tuple[Fraction, VertexPartition]:
         if best is None or cut < best or (cut == best and partition.blocks < best_partition.blocks):
             best, best_partition = cut, partition
     return best, best_partition
+
+
+def bottleneck_report(g) -> BottleneckReport:
+    """The bottleneck report from the full rate, subset and bipartition scans."""
+    report = nwt_rate(g)
+    certificate = None if report.finest_is_optimal else check_no_bottleneck(g)
+    bip_bound, bip_partition = best_bipartition(g)
+    partition = report.minimizing_partition
+    rate = format_rational(report.rate)
+    if report.finest_is_optimal:
+        kind, contracted = "none", None
+        narrative = f"no bottleneck: the finest partition is optimal at rate {rate}"
+    elif bip_bound == report.rate:
+        kind = "bipartition"
+        if partition.block_count != 2:
+            partition = bip_partition
+        contracted = contract(g, partition)
+        narrative = f"bipartition bottleneck {partition}: the cut of rate {rate} caps the network"
+    else:
+        kind = "multiblock"
+        contracted = contract(g, partition)
+        narrative = (
+            f"bottleneck across {partition.block_count} blocks {partition}: "
+            f"contracted bound {rate} beats the best "
+            f"bipartition bound {format_rational(bip_bound)}"
+        )
+    return BottleneckReport(
+        rate=report.rate,
+        minimizing_partition=partition,
+        kind=kind,
+        best_bipartition_bound=bip_bound,
+        contracted=contracted,
+        certificate=certificate,
+        narrative=narrative,
+    )
 
 
 def secrecy_audit(g, pk, *, schedule=None) -> dict:

@@ -29,7 +29,7 @@ import pytest
 
 from qnet_stp.cli import main
 
-from conftest import build, complete, ring
+from conftest import bip_tie7, build, complete, ring
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -66,6 +66,9 @@ def fixtures() -> dict:
         "plus_labels": build(["a", "b", "a+b"], [("a", "b", 5), ("a", "a+b", 1), ("b", "a+b", 1)]),
         "k6": complete(6),
         "k8": complete(8),
+        # the first minimizer has three blocks and ties with a bipartition,
+        # so analyze prints the first minimum-cut side
+        "bip_tie7": bip_tie7(),
     }
 
 

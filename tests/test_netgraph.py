@@ -133,6 +133,55 @@ def test_parse_graph_float_rate_rejected():
         parse_graph(json.dumps(doc))
 
 
+def k10_doc(rates, **extra):
+    """K10 on labels 1..10, edge ``k`` (in pair order) at ``rates[k % len(rates)]``."""
+    nodes = [str(i) for i in range(1, 11)]
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    edges = [{"u": u, "v": v, "rate": rates[k % len(rates)], **extra}
+             for k, (u, v) in enumerate(pairs)]
+    return {"nodes": nodes, "edges": edges}
+
+
+def test_parse_graph_with_repeated_rate_strings_matches_the_fractions():
+    doc = k10_doc(["3/2", "2", "0.25"])
+    assert len(doc["edges"]) == 45
+    want = WeightedGraph(
+        doc["nodes"], [(e["u"], e["v"], Fraction(e["rate"]), Fraction(0)) for e in doc["edges"]]
+    )
+    assert parse_graph(json.dumps(doc)) == want
+
+
+def test_parse_graph_names_the_first_malformed_rate():
+    doc = k10_doc(["1"])
+    doc["edges"][2]["rate"] = "1//2"
+    doc["edges"][5]["rate"] = "1//2"
+    with pytest.raises(SchemaError) as info:
+        parse_graph(json.dumps(doc))
+    assert str(info.value) == "malformed rational '1//2'"
+
+
+def test_parse_graph_refuses_a_null_epsilon():
+    doc = k10_doc(["1"], epsilon="1/8")
+    doc["edges"][7]["epsilon"] = None
+    with pytest.raises(SchemaError, match="expected a rational, got NoneType"):
+        parse_graph(json.dumps(doc))
+
+
+def test_parse_graph_parses_each_rate_string_once(monkeypatch):
+    import qnet_stp.netgraph as netgraph
+
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return parse_rational(value)
+
+    monkeypatch.setattr(netgraph, "parse_rational", counting)
+    g = parse_graph(json.dumps(k10_doc(["1"])))
+    assert g == complete(10)
+    assert calls == ["1"]
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoopError):
         build(["1", "2"], [("1", "1", 1)])

@@ -25,7 +25,7 @@ from qnet_stp.errors import (
 from qnet_stp.rate_core import _partition_scan
 
 import reference_scans
-from conftest import build, random_connected_graph
+from conftest import bip_tie7, build, random_connected_graph
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,41 @@ def test_report_keeps_the_subset_cap_without_a_bottleneck(hexagon):
     assert bottleneck_report(hexagon, caps=Caps(subsets=6)).kind == "none"
     with pytest.raises(ExactModeLimitError, match="subset scan over 6 nodes exceeds the cap of 5"):
         bottleneck_report(hexagon, caps=Caps(subsets=5))
+
+
+def test_report_takes_a_two_block_minimizer_as_the_cut(tri_pendant, monkeypatch):
+    import qnet_stp.planner as planner
+
+    def refuse(*args):
+        raise AssertionError("no cut is needed when the minimizer has two blocks")
+
+    monkeypatch.setattr(planner, "_min_cut", refuse)
+    monkeypatch.setattr(planner, "_best_bipartition", refuse)
+    report = bottleneck_report(tri_pendant)
+    assert report.minimizing_partition.block_count == 2
+    assert report.best_bipartition_bound == report.rate == 1
+
+
+def test_report_searches_for_the_cut_side_once_on_a_tie(monkeypatch):
+    import qnet_stp.planner as planner
+
+    searched = []
+    search = planner._best_bipartition
+
+    def counting(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(planner, "_best_bipartition", counting)
+    g = bip_tie7()
+    assert nwt_rate(g).minimizing_partition.block_count == 3
+    report = bottleneck_report(g)
+    assert searched == [g]
+    assert report.kind == "bipartition"
+    assert report.minimizing_partition == VertexPartition.from_blocks(
+        [["0", "1", "2", "3", "5", "6"], ["4"]]
+    )
+    assert report.best_bipartition_bound == report.rate == 5
 
 
 def test_report_json(two_cliques_hub):

@@ -132,7 +132,7 @@ def test_pendant_bottleneck(tri_pendant):
     assert cert.network_bound == Fraction(4, 3)
     assert cert.attachment_bound == 1
     assert cert.partition == VertexPartition.from_blocks([["1", "2", "3"], ["4"]])
-    assert cert.contracted.rate("1+2+3", "4") == 1
+    assert contract(tri_pendant, cert.partition).rate("1+2+3", "4") == 1
 
 
 def test_tail_bottleneck(square_diag_tail):

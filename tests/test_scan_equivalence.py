@@ -42,16 +42,18 @@ from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _partition_scan
 
 import reference_scans
-from conftest import build, complete, random_connected_graph, ring
+from conftest import bip_tie7, build, complete, random_connected_graph, ring
 
 RATES = ("1", "2", "3", "1/2", "3/2", "2/3", "5/4", "7/3")
+INTEGER_RATES = ("1", "2", "3", "4")
+FRACTIONAL_RATES = ("1/2", "3/2", "2/3", "5/4", "7/3")
 ALPHABET = tuple("abcdefghijklmnopqrstuvwxyz") + tuple(str(i) for i in range(10))
 
 
-def random_graph(rng, n):
+def random_graph(rng, n, rates=RATES):
     """Connected graph on ``n`` random labels, listed in random order.
 
-    A random spanning tree of positive rates plus a random number of
+    A random spanning tree of positive ``rates`` plus a random number of
     extra edges, some of them at rate 0; labels mix letters and digits so
     that the sorted order differs from the listed one.
     """
@@ -61,10 +63,10 @@ def random_graph(rng, n):
     edges = {}
     for i in range(1, n):
         j = rng.randrange(i)
-        edges[frozenset((labels[i], labels[j]))] = rng.choice(RATES)
+        edges[frozenset((labels[i], labels[j]))] = rng.choice(rates)
     for _ in range(rng.randint(0, n * (n - 1) // 2)):
         a, b = rng.sample(labels, 2)
-        edges.setdefault(frozenset((a, b)), rng.choice(RATES + ("0",)))
+        edges.setdefault(frozenset((a, b)), rng.choice(rates + ("0",)))
     return build(order, [(*sorted(key), Fraction(r)) for key, r in edges.items()])
 
 
@@ -196,6 +198,39 @@ def test_bottleneck_report_matches_the_subset_scan(seed):
             assert report.best_bipartition_bound == reference_scans.best_bipartition(g)[0]
 
 
+def assert_same_report(g):
+    report = bottleneck_report(g)
+    want = reference_scans.bottleneck_report(g)
+    assert report.to_json_dict() == want.to_json_dict()
+    assert report == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bottleneck_report_matches_reference_on_random_graphs(seed):
+    # the report computes a cut only when the minimizer has three or more
+    # blocks, and searches for the cut's side only when it ties the rate
+    rng = random.Random(900 + seed)
+    for n in range(2, 10):
+        assert_same_report(random_graph(rng, n, INTEGER_RATES))
+        g = random_graph(rng, n, FRACTIONAL_RATES)
+        assert g.integer_weights()[1] > 1
+        assert_same_report(g)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bottleneck_report_matches_reference_on_tied_families(n):
+    path = build([str(i) for i in range(n)], [(str(i), str(i + 1), 1) for i in range(n - 1)])
+    graphs = [complete(n), path]
+    if n >= 3:
+        graphs.append(ring(n))
+    if n >= 5:
+        graphs.append(two_cliques((n - 1) // 2, n - 1 - (n - 1) // 2, 1, hub=True))
+    if n == 7:
+        graphs.append(bip_tie7())
+    for g in graphs:
+        assert_same_report(g)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_best_bipartition_keeps_the_smallest_of_tied_minimum_cuts(n):
     # every arc of a ring, and every single node of a uniform complete
@@ -289,7 +324,10 @@ def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
     (lambda: two_cliques(6, 6, 2, rate=Fraction(3, 2)), 6),
     (lambda: two_cliques(6, 5, 2), 5),
     (lambda: two_cliques(5, 7, 1), 4),
-], ids=["ring11", "ring12", "k11", "k12", "cliques6-6", "cliques6-6x2", "cliques6-5x2", "cliques5-7"])
+    (lambda: two_cliques(6, 5, 2, rate=Fraction(2, 3)), 5),
+    (lambda: two_cliques(5, 7, 1, rate=Fraction(7, 4)), 4),
+], ids=["ring11", "ring12", "k11", "k12", "cliques6-6", "cliques6-6x2", "cliques6-5x2",
+        "cliques5-7", "cliques6-5x2-thirds", "cliques5-7-quarters"])
 def test_subset_scan_matches_reference_on_eleven_and_twelve_nodes(make, violator_size):
     # the violators come after every smaller subset: the prune skips most
     # of the walk before them
@@ -305,6 +343,21 @@ def test_subset_scan_matches_reference_on_random_eleven_and_twelve_node_graphs(s
     for n in (11, 12):
         for g in (random_graph(rng, n), sparse(rng, n, n), sparse(rng, n, 2 * n)):
             assert check_no_bottleneck(g) == reference_scans.check_no_bottleneck(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subset_scan_certificate_matches_reference_on_fractional_rates(seed):
+    # the certificate's bounds are integer sums over a scale above 1
+    rng = random.Random(800 + seed)
+    violators = 0
+    for n in range(2, 11):
+        for g in (random_graph(rng, n, FRACTIONAL_RATES), sparse(rng, n, rng.randint(0, n))):
+            if g.integer_weights()[1] == 1:
+                continue
+            certificate = check_no_bottleneck(g)
+            assert certificate == reference_scans.check_no_bottleneck(g)
+            violators += not certificate.ok
+    assert violators >= 3
 
 
 def random_packing(rng, g, rounds):
