@@ -22,7 +22,6 @@ from .netgraph import (
     WeightedGraph,
     capacities,
     contract,
-    count_spanning_trees,
     enumerate_spanning_trees,
     induced_subgraph,
     is_connected,
@@ -94,7 +93,6 @@ __all__ = [
     "contract",
     "induced_subgraph",
     "enumerate_spanning_trees",
-    "count_spanning_trees",
     "is_spanning_tree",
     "RateReport",
     "BottleneckCertificate",

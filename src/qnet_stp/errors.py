@@ -5,7 +5,7 @@ Three families, mirrored by the CLI exit codes:
 * :class:`ValidationError` -- the input (graph, partition, packing, flag
   value, ...) is malformed or violates a documented precondition; exit 2.
 * :class:`LimitError` -- the request is well-formed but exceeds a
-  configured enumeration cap; exit 3.
+  configured scan cap; exit 3.
 * :class:`InternalError` -- a solver or heuristic gave up; exit 4.
 
 Each concrete class carries a stable ``code`` string used in CLI error
@@ -26,7 +26,7 @@ class ValidationError(QNetError):
 
 
 class LimitError(QNetError):
-    """Request exceeds a configured enumeration/size cap (CLI exit 3)."""
+    """Request exceeds a configured scan/size cap (CLI exit 3)."""
 
 
 class InternalError(QNetError):
@@ -95,13 +95,6 @@ class IncompleteTranscriptError(ValidationError):
 
 class ExactModeLimitError(LimitError):
     code = "ExactModeLimit"
-
-
-class EnumerationLimitError(LimitError):
-    """More spanning trees than an enumeration's cap; the code string
-    is kept from the oracle this once guarded."""
-
-    code = "OracleLimit"
 
 
 class SolverLimitError(InternalError):

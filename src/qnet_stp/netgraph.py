@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
-    EnumerationLimitError,
     InvalidEdgeError,
     InvalidPartitionError,
     InvalidSubsetError,
@@ -48,12 +47,14 @@ class Caps:
     """The exactness caps: the largest instance each exact search takes on.
 
     The field names are the ``QNET_STP_CAPS`` keys (see :meth:`parse`).
+    The greedy packer's search is bounded by ``packing.BACKTRACK_BUDGET``
+    and the exact packer's work by ``packing.EXACT_STEP_BUDGET``: fixed
+    budgets, not caps.
     """
 
     partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
     subsets: int = 20  # nodes in a bottleneck subset scan
-    trees: int = 10**6  # trees packed by any packer, or enumerated by the greedy's search
-    backtrack: int = 10_000  # next-to-last tree candidates the greedy packer tries
+    trees: int = 10**6  # trees built by any packer
 
     @classmethod
     def parse(cls, text: str) -> Caps:
@@ -195,7 +196,7 @@ class WeightedGraph:
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "edges", "_by_key", "_adjacent", "_weights")
+    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_weights")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
@@ -230,13 +231,9 @@ class WeightedGraph:
                 raise DuplicateEdgeError(f"edge ({key[0]},{key[1]}) appears more than once")
             by_key[key] = Edge(key[0], key[1], rate, eps)
         self.node_ids = ids
-        self.edges = tuple(by_key[k] for k in sorted(by_key))
-        self._by_key = {e.key: e for e in self.edges}
-        adjacent: dict[str, list[EdgeKey]] = {n: [] for n in ids}
-        for e in self.edges:
-            adjacent[e.u].append(e.key)
-            adjacent[e.v].append(e.key)
-        self._adjacent = {n: tuple(keys) for n, keys in adjacent.items()}
+        self._nodes = known
+        self._by_key = dict(sorted(by_key.items()))
+        self.edges = tuple(self._by_key.values())
         self._weights = None
 
     # -- queries ---------------------------------------------------------
@@ -249,7 +246,7 @@ class WeightedGraph:
         return tuple(sorted(self.node_ids))
 
     def has_node(self, label: str) -> bool:
-        return label in self._adjacent
+        return label in self._nodes
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self._by_key
@@ -267,10 +264,10 @@ class WeightedGraph:
         return self.edge(u, v).epsilon
 
     def edges_at(self, node: str) -> tuple[EdgeKey, ...]:
-        try:
-            return self._adjacent[node]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {node!r}") from None
+        """Keys of the edges at ``node``, in key order."""
+        if node not in self._nodes:
+            raise UnknownNodeError(f"unknown node {node!r}")
+        return tuple(k for k in self._by_key if node in k)
 
     def total_rate(self) -> Fraction:
         return sum((e.rate for e in self.edges), Fraction(0))
@@ -648,50 +645,15 @@ def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:
     )
 
 
-def count_spanning_trees(g: WeightedGraph) -> int:
-    """Number of spanning trees of the positive-rate subgraph (matrix-tree).
-
-    The determinant of a Laplacian minor by fraction-free (Bareiss)
-    elimination: every division is exact, so the arithmetic stays in
-    ints.  0 when the positive-rate subgraph is disconnected.
-    """
-    labels = g.sorted_nodes()
-    size = len(labels) - 1
-    idx = {v: i for i, v in enumerate(labels)}
-    lap = [[0] * (size + 1) for _ in labels]
-    for e in g.positive_edges():
-        i, j = idx[e.u], idx[e.v]
-        lap[i][i] += 1
-        lap[j][j] += 1
-        lap[i][j] -= 1
-        lap[j][i] -= 1
-    m = [row[1:] for row in lap[1:]]
-    sign, previous = 1, 1
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if m[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * top[k] - lead * top[j]) // previous
-        previous = top[k]
-    return sign * previous
-
-
 def enumerate_spanning_trees(
-    g: WeightedGraph, *, max_trees: int = CAPS.trees, required: Iterable[EdgeKey] = ()
+    g: WeightedGraph, *, required: Iterable[EdgeKey] = ()
 ) -> Iterator[SpanningTree]:
     """Yield every spanning tree of the positive-rate subgraph of ``g``
     that holds the ``required`` keys (keys of positive-rate edges).
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
-    The count of all spanning trees is pre-checked with the matrix-tree
-    theorem.
+    The generator is lazy and has no bound of its own: a caller that
+    wants only some trees stops taking them.
 
     The walk joins the required keys first (none of them may close a
     cycle, or no tree holds them all), then decides each other key in
@@ -705,14 +667,11 @@ def enumerate_spanning_trees(
     not required, so the walk keeps the lexicographic order.
 
     Raises:
-        DisconnectedError: the positive-rate subgraph does not span ``g``.
-        EnumerationLimitError: more than ``max_trees`` trees exist.
+        DisconnectedError: the positive-rate subgraph does not span ``g``
+            (on the first ``next``).
     """
     if not is_connected(g, positive_only=True):
         raise DisconnectedError("positive-rate subgraph is not connected")
-    total = count_spanning_trees(g)
-    if total > max_trees:
-        raise EnumerationLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
     held = set(required)
     fixed = sorted(held)

@@ -11,8 +11,9 @@ the partition bound from :mod:`.rate_core`, and equals it for an
 optimal packing.  Besides validation this module provides:
 
 * :func:`basic_algorithm` -- greedy maximum-weight-tree extraction for
-  integer-rate networks without bottlenecks (with a bounded search over
-  the next-to-last tree, falling back to the exact packer);
+  integer-rate networks without bottlenecks (with a search over the
+  next-to-last tree bounded by ``BACKTRACK_BUDGET`` candidates, falling
+  back to the exact packer);
 * :func:`general_algorithm` -- recursive reduction of bottleneck
   networks: split off the first violating subset, pack the contraction
   and the remainder separately, and splice the results (falling back to
@@ -32,11 +33,11 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import (
     DisconnectedError,
-    EnumerationLimitError,
     HeuristicFailedError,
     InvalidPackingError,
     MergeFailedError,
@@ -53,7 +54,6 @@ from .netgraph import (
     capacities,
     check_rounds,
     contract,
-    count_spanning_trees,
     edge_key,
     enumerate_spanning_trees,
     format_rational,
@@ -79,6 +79,10 @@ from .rate_core import (
 #: offered; rooting one for an exchange search, its nodes and keys.  The
 #: search costs a step per forest it scans for each key it pops.
 EXACT_STEP_BUDGET = 1_000_000
+
+#: Most next-to-last tree candidates the greedy packer tries before it
+#: hands the network to :func:`exact_packing`.
+BACKTRACK_BUDGET = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +264,8 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     if that many fit, the maximum is above the cap, and the descent
     refuses it; otherwise every count it tries is within the cap.
     ``optimal`` says whether it attains the network's rate, or is None
-    above ``caps.partitions`` nodes.  The name is kept from the
+    when neither linear bound of :func:`_optimal_flag` matches above
+    ``caps.partitions`` nodes.  The name is kept from the
     exhaustive search this replaced: the benchmark's tracer wraps it.
 
     Raises:
@@ -299,19 +304,21 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
 def _optimal_flag(
     g: WeightedGraph, rate: Fraction, caps: Caps, witness: Optional[VertexPartition] = None
 ) -> Optional[bool]:
-    """Whether a packing ``rate`` equals the network's rate; None above ``caps.partitions``.
+    """Whether a packing ``rate`` equals the network's rate, or None if unknown.
 
     ``rate`` must come from a valid packing, so it never exceeds the
     rate.  A partition whose bound equals it proves it optimal: the
     finest partition, then ``witness`` (say, a bottleneck certificate's
-    partition), both in linear time.  Otherwise the partition scan runs
-    with ``rate`` as its cutoff and stops at the first partition whose
-    value is at most ``rate``, which exists iff ``rate`` is optimal.
+    partition), both in linear time and at any size.  Otherwise, up to
+    ``caps.partitions`` nodes, the partition scan runs with ``rate`` as
+    its cutoff and stops at the first partition whose value is at most
+    ``rate``, which exists iff ``rate`` is optimal; above that the answer
+    is None.
     """
-    if g.node_count > caps.partitions:
-        return None
     if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
         return True
+    if g.node_count > caps.partitions:
+        return None
     _, scale, w = g.integer_weights()
     return _partition_scan(w, rate * scale) is None
 
@@ -486,15 +493,16 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
 
     Over ``N - 1`` rounds each edge offers ``(N - 1) * rate`` uses and
     exactly ``sum of rates`` trees fit.  Trees are extracted one at a
-    time by maximum weight; the next-to-last tree is chosen by searching
-    the remaining trees in descending weight order for one whose removal
-    leaves precisely one unit-weight spanning tree.  If the greedy
-    stalls, :func:`exact_packing` builds ``total / (N - 1)`` trees per
-    round over the fewest rounds that make that a whole number (flagged
-    in diagnostics).  With more than ``caps.trees`` trees in all it
-    refuses before the first; that cap also bounds the candidate
-    enumeration, ``caps.backtrack`` the candidates tried and
-    ``caps.subsets`` the bottleneck scan.  No bottleneck means the
+    time by maximum weight; the next-to-last tree is searched among the
+    spanning trees of the residual that hold every weight-2 edge, in
+    lexicographic order, for one whose removal leaves precisely one
+    unit-weight spanning tree.  If the greedy stalls, or the search
+    tries ``BACKTRACK_BUDGET`` candidates without success,
+    :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
+    the fewest rounds that make that a whole number (flagged in
+    diagnostics; ``backtracks`` counts the candidates tried).  With more
+    than ``caps.trees`` trees in all it refuses before the first;
+    ``caps.subsets`` bounds the bottleneck scan.  No bottleneck means the
     all-singletons bound is the rate, so the packing is optimal with no
     partition scan.  :func:`general_algorithm` runs the same greedy on
     each bottleneck-free network it reaches, without repeating the scan
@@ -516,7 +524,11 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
 
 
 def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
-    """:func:`basic_algorithm` on a network its checks and bottleneck scan passed."""
+    """:func:`basic_algorithm` on a network its checks and bottleneck scan passed.
+
+    The search for the next-to-last tree takes candidates from the lazy
+    :func:`enumerate_spanning_trees` and stops after ``BACKTRACK_BUDGET``.
+    """
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
     total_trees = sum(rates.values())
@@ -550,30 +562,19 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
         )
         if not is_connected(support, positive_only=True):
             return fallback("positive-weight edges no longer span the network")
-        done = False
         twos = [k for k, w in weight.items() if w == 2]
-        try:
-            for candidate in enumerate_spanning_trees(
-                support, max_trees=caps.trees, required=twos
-            ):
-                if diagnostics["backtracks"] == caps.backtrack:
-                    break
-                diagnostics["backtracks"] += 1
-                for key in candidate.edges:
-                    weight[key] -= 1
-                last = _unit_residual_tree(g, weight)
-                if last is not None:
-                    chosen.append(candidate)
-                    chosen.append(last)
-                    done = True
-                    break
-                for key in candidate.edges:
-                    weight[key] += 1
-        except EnumerationLimitError:
-            return fallback("too many candidate trees to search")
-        if not done:
-            # as many as a search over every tree would have tried
-            diagnostics["backtracks"] = min(count_spanning_trees(support), caps.backtrack)
+        candidates = enumerate_spanning_trees(support, required=twos)
+        for candidate in islice(candidates, BACKTRACK_BUDGET):
+            diagnostics["backtracks"] += 1
+            for key in candidate.edges:
+                weight[key] -= 1
+            last = _unit_residual_tree(g, weight)
+            if last is not None:
+                chosen += [candidate, last]
+                break
+            for key in candidate.edges:
+                weight[key] += 1
+        else:
             return fallback("no next-to-last tree leaves a clean final tree")
 
     packing = TreePacking.multigraph(
@@ -617,7 +618,9 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     proven by the first of: the finest partition's bound, the bound of
     the top-level violator's partition (after a fallback, of the
     minimizing partition), a partition scan that stops at the first
-    partition whose value is at most the packing rate.
+    partition whose value is at most the packing rate; above
+    ``caps.partitions`` nodes the scan does not run and an unproven
+    ``optimal`` is None.
     ``caps`` reaches every greedy packing, every bottleneck and
     partition scan and the exact packer's tree count.
 

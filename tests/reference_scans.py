@@ -13,7 +13,8 @@ specified to honour and evaluates it from scratch:
 * :func:`brute_force_packing` -- the memoized multiplicity search,
   re-summing its capacity bound at every state;
 * :func:`greedy_pack` -- the greedy packer trying the next-to-last
-  tree among every spanning tree of the residual, sorted by weight;
+  tree among every spanning tree of the residual, sorted by weight,
+  under the library's ``BACKTRACK_BUDGET``;
 * :func:`best_additions` -- one augmented network and one full rate
   scan per candidate (greedy) or per combination (exhaustive);
 * :func:`is_connected`, :func:`is_spanning_tree`,
@@ -35,7 +36,9 @@ Two oracles reach the library's answers by another route altogether:
   every subset;
 * :func:`reweight_by_lp` -- the best weights for a fixed tree list,
   from the same simplex; over every spanning tree its weight sum is the
-  packing rate.
+  packing rate;
+* :func:`count_spanning_trees` -- the matrix-tree theorem, the number
+  of trees :func:`qnet_stp.enumerate_spanning_trees` must yield.
 
 :func:`partition_scan` is the library's partition scan pruned by the
 static per-node bound alone, not the tight one; it reaches sizes past
@@ -67,7 +70,6 @@ from qnet_stp import (
 )
 from qnet_stp.errors import (
     DisconnectedError,
-    EnumerationLimitError,
     ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
@@ -79,7 +81,6 @@ from qnet_stp.netgraph import (
     CAPS,
     SpanningTree,
     capacities,
-    count_spanning_trees,
     format_rational,
     proper_vertex_subsets,
 )
@@ -712,7 +713,42 @@ def is_spanning_tree(g, tree) -> bool:
     return True
 
 
-def enumerate_spanning_trees(g, *, max_trees=CAPS.trees):
+def count_spanning_trees(g) -> int:
+    """Number of spanning trees of the positive-rate subgraph (matrix-tree).
+
+    The determinant of a Laplacian minor by fraction-free (Bareiss)
+    elimination: every division is exact, so the arithmetic stays in
+    ints.  0 when the positive-rate subgraph is disconnected.
+    """
+    labels = g.sorted_nodes()
+    size = len(labels) - 1
+    idx = {v: i for i, v in enumerate(labels)}
+    lap = [[0] * (size + 1) for _ in labels]
+    for e in g.positive_edges():
+        i, j = idx[e.u], idx[e.v]
+        lap[i][i] += 1
+        lap[j][j] += 1
+        lap[i][j] -= 1
+        lap[j][i] -= 1
+    m = [row[1:] for row in lap[1:]]
+    sign, previous = 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * top[k] - lead * top[j]) // previous
+        previous = top[k]
+    return sign * previous
+
+
+def enumerate_spanning_trees(g):
     """Every spanning tree of the positive-rate subgraph, lexicographically.
 
     Include-then-exclude over the sorted positive edges; a branch is cut
@@ -721,9 +757,6 @@ def enumerate_spanning_trees(g, *, max_trees=CAPS.trees):
     """
     if not is_connected(g, positive_only=True):
         raise DisconnectedError("positive-rate subgraph is not connected")
-    total = count_spanning_trees(g)
-    if total > max_trees:
-        raise EnumerationLimitError(f"{total} spanning trees exceed the cap of {max_trees}")
     n = g.node_count
     if n == 1:
         yield SpanningTree(())
@@ -799,7 +832,10 @@ def greedy_pack(g, caps=CAPS) -> PackingOutcome:
     """The greedy packer of :func:`qnet_stp.basic_algorithm`, searching for
     the next-to-last tree among every spanning tree of the residual support,
     sorted by descending residual weight, then by edge keys, and tried in
-    turn up to ``caps.backtrack``; the exact fallback is the library's."""
+    turn up to ``packing.BACKTRACK_BUDGET``; the exact fallback is the
+    library's.  A tree that misses a weight-2 edge leaves that edge in the
+    residual, so it fails without being a candidate: when the search gives
+    up, ``backtracks`` counts only the tried trees that hold every one."""
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}
     total_trees = sum(rates.values())
@@ -834,14 +870,13 @@ def greedy_pack(g, caps=CAPS) -> PackingOutcome:
         )
         if not is_connected(support, positive_only=True):
             return fallback("positive-weight edges no longer span the network")
-        try:
-            candidates = sorted(
-                enumerate_spanning_trees(support, max_trees=caps.trees),
-                key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
-            )
-        except EnumerationLimitError:
-            return fallback("too many candidate trees to search")
-        for candidate in candidates[:caps.backtrack]:
+        candidates = sorted(
+            enumerate_spanning_trees(support),
+            key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
+        )
+        tried = candidates[:qnet_stp.packing.BACKTRACK_BUDGET]
+        twos = {k for k, w in weight.items() if w == 2}
+        for candidate in tried:
             diagnostics["backtracks"] += 1
             take(candidate, 1)
             rest = SpanningTree.of(k for k, w in weight.items() if w > 0)
@@ -850,6 +885,7 @@ def greedy_pack(g, caps=CAPS) -> PackingOutcome:
                 break
             take(candidate, -1)
         else:
+            diagnostics["backtracks"] = sum(twos <= set(t.edges) for t in tried)
             return fallback("no next-to-last tree leaves a clean final tree")
     packing = TreePacking.multigraph(chosen, [1] * len(chosen), n, source="heuristic")
     return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)

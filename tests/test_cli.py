@@ -310,13 +310,17 @@ def test_subset_cap_reaches_the_packers(capsys, graph_file, monkeypatch):
 
 
 def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypatch):
-    path = graph_file("two_triangles.json", TWO_TRIANGLES)
-    for caps, optimal in (("", True), ("partitions=2", None)):
-        monkeypatch.setenv("QNET_STP_CAPS", caps)
-        for argv in (["pack"], ["pack", "--method", "oracle", "--rounds", "1"]):
-            code, out = run(capsys, argv[0], path, *argv[1:])
-            assert code == 0
-            assert json.loads(out)["optimal"] is optimal
+    # under the cap only the finest or the violator's partition proves a
+    # rate optimal: neither bound is the two triangles' rate 1, while the
+    # 8-ring's rate 8/7 is its finest bound
+    for g, rounds, optimal in ((TWO_TRIANGLES, "1", None), (ring(8), "7", True)):
+        path = graph_file("g.json", g)
+        for caps, expected in (("", True), ("partitions=2", optimal)):
+            monkeypatch.setenv("QNET_STP_CAPS", caps)
+            for argv in (["pack"], ["pack", "--method", "oracle", "--rounds", rounds]):
+                code, out = run(capsys, argv[0], path, *argv[1:])
+                assert code == 0
+                assert json.loads(out)["optimal"] is expected
 
 
 def test_partition_cap_reaches_the_splice_fallback(capsys, graph_file, monkeypatch):
@@ -459,12 +463,6 @@ def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
     ("", complete(4), ["pack", "--method", "basic"], 0, {
         "optimal": True, "diagnostics": {"backtracks": 2, "fallback": False},
     }),
-    ("backtrack=1", complete(4), ["pack", "--method", "basic"], 0, {
-        "optimal": True, "diagnostics": {
-            "backtracks": 1, "fallback": True,
-            "fallback_reason": "no next-to-last tree leaves a clean final tree",
-        },
-    }),
 ])
 def test_audit_and_backtrack_caps_reach_the_cli(
     capsys, graph_file, monkeypatch, caps, g, argv, code, expected
@@ -474,6 +472,35 @@ def test_audit_and_backtrack_caps_reach_the_cli(
     assert got == code
     doc = json.loads(out)
     assert {key: doc[key] for key in expected} == expected
+
+
+SEARCH_GIVES_UP = {
+    "backtracks": 1, "fallback": True,
+    "fallback_reason": "no next-to-last tree leaves a clean final tree",
+}
+#: The greedy's one next-to-last candidate leaves no clean final tree.
+STALL4 = build(["1", "2", "3", "4"],
+               [("1", "2", 1), ("1", "3", 1), ("2", "3", 1), ("2", "4", 1), ("3", "4", 2)])
+
+
+@pytest.mark.parametrize("g, budget", [(STALL4, 10_000), (complete(4), 1)],
+                         ids=["stall4", "k4-budget1"])
+def test_greedy_budget_reaches_the_cli(capsys, graph_file, monkeypatch, g, budget):
+    monkeypatch.setattr("qnet_stp.packing.BACKTRACK_BUDGET", budget)
+    code, out = run(capsys, "pack", graph_file("g.json", g), "--method", "basic")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["optimal"], doc["achieved_rate"]) == (True, "2")
+    assert doc["diagnostics"] == SEARCH_GIVES_UP
+
+
+def test_backtrack_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
+    monkeypatch.setenv("QNET_STP_CAPS", "backtrack=1")
+    code, out = run(capsys, "rate", graph_file("ring8.json", ring(8)))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "Schema"
+    assert error["message"].startswith("unknown cap 'backtrack'")
 
 
 def _long_rationals():
@@ -530,14 +557,14 @@ def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
 def test_read_caps_defaults_and_overrides():
     caps = read_caps("")
     assert caps.partitions == 12 and caps.subsets == 20
-    caps = read_caps("trees=500, backtrack=7")
-    assert caps.trees == 500 and caps.backtrack == 7
+    caps = read_caps("trees=500, subsets=7")
+    assert caps.trees == 500 and caps.subsets == 7
     with pytest.raises(SchemaError):
         read_caps("trees=abc")
     with pytest.raises(SchemaError):
         read_caps("trees=0")
-    assert sorted(vars(caps)) == ["backtrack", "partitions", "subsets", "trees"]
-    for gone in ("lp", "oracle_rounds", "audit"):
+    assert sorted(vars(caps)) == ["partitions", "subsets", "trees"]
+    for gone in ("lp", "oracle_rounds", "audit", "backtrack"):
         with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
             read_caps(f"{gone}=16")
 

@@ -10,7 +10,6 @@ from qnet_stp import (
     WeightedGraph,
     capacities,
     contract,
-    count_spanning_trees,
     enumerate_spanning_trees,
     induced_subgraph,
     is_connected,
@@ -19,7 +18,6 @@ from qnet_stp import (
 )
 from qnet_stp.errors import (
     DuplicateEdgeError,
-    EnumerationLimitError,
     InvalidPartitionError,
     InvalidSubsetError,
     NegativeRateError,
@@ -34,7 +32,7 @@ from qnet_stp.netgraph import (
 )
 
 from conftest import build, complete, ring
-from reference_scans import enumerate_partitions, restricted_growth_strings
+from reference_scans import count_spanning_trees, enumerate_partitions, restricted_growth_strings
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +205,18 @@ def test_duplicate_node_rejected():
         WeightedGraph(["1", "1"], [])
 
 
+def test_edges_are_kept_in_key_order():
+    g = WeightedGraph(["c", "a", "b", "d"], [("d", "a", 1), ("b", "c", 2), ("b", "a", 3)])
+    assert [e.key for e in g.edges] == [("a", "b"), ("a", "d"), ("b", "c")]
+    assert g.edges_at("a") == (("a", "b"), ("a", "d"))
+    assert g.edges_at("b") == (("a", "b"), ("b", "c"))
+    assert g.edges_at("d") == (("a", "d"),)
+    assert g.has_node("c") and not g.has_node("e")
+    assert g.edge("b", "a").rate == 3
+    with pytest.raises(UnknownNodeError):
+        g.edges_at("e")
+
+
 def test_zero_rate_edge_allowed():
     g = build(["1", "2", "3"], [("1", "2", 0), ("1", "3", 1), ("2", "3", 1)])
     assert g.rate("1", "2") == 0
@@ -330,9 +340,10 @@ def test_zero_rate_edges_excluded_from_trees():
     assert trees[0].edges == (("1", "2"), ("2", "3"))
 
 
-def test_tree_cap_enforced(k4):
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_spanning_trees(k4, max_trees=5))
+def test_enumeration_is_lazy():
+    # K12 has 12^10 spanning trees: the first comes without counting them
+    first = next(enumerate_spanning_trees(complete(12)))
+    assert first.edges == tuple(sorted(("1", str(i)) for i in range(2, 13)))
 
 
 def test_non_tree_rejected(k4):

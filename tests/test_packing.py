@@ -20,8 +20,8 @@ from qnet_stp import (
     validate_packing,
 )
 from qnet_stp.cli import main
+from qnet_stp import packing
 from qnet_stp.errors import (
-    EnumerationLimitError,
     HeuristicFailedError,
     InvalidPackingError,
     PreconditionFailedError,
@@ -387,11 +387,28 @@ def test_basic_refuses_more_greedy_trees_than_the_tree_cap(rate, cap):
     assert str(exc.value) == message
 
 
-def test_basic_fallback_still_optimal(triangle):
-    out = basic_algorithm(triangle, caps=Caps(backtrack=0))
+def test_basic_fallback_still_optimal(triangle, monkeypatch):
+    monkeypatch.setattr(packing, "BACKTRACK_BUDGET", 0)
+    out = basic_algorithm(triangle)
     assert out.achieved_rate == Fraction(3, 2)
     assert out.diagnostics["fallback"]
+    assert out.diagnostics["backtracks"] == 0
     assert validate_packing(triangle, out.packing).ok
+
+
+def test_basic_fallback_counts_the_candidates_tried():
+    # after four greedy trees 2-4 and 3-4 weigh 2; the one candidate
+    # holding both leaves the triangle 2-3-4, not a tree: the search
+    # tries it, then gives up
+    g = build(["1", "2", "3", "4"],
+              [("1", "2", 1), ("1", "3", 1), ("2", "3", 1), ("2", "4", 1), ("3", "4", 2)])
+    out = basic_algorithm(g)
+    assert out.optimal and out.achieved_rate == 2
+    assert out.diagnostics == {
+        "backtracks": 1, "fallback": True,
+        "fallback_reason": "no next-to-last tree leaves a clean final tree",
+    }
+    assert validate_packing(g, out.packing).ok
 
 
 def test_general_on_pendant(tri_pendant):
@@ -422,7 +439,6 @@ def test_general_recurses_twice_on_hub_fixture(two_cliques_hub):
 
 
 def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
-    import qnet_stp.packing as packing
     from qnet_stp.rate_core import _partition_scan, check_no_bottleneck
 
     scanned, rates, cutoffs = [], [], []
@@ -463,6 +479,16 @@ def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
     out = general_algorithm(split)
     assert out.diagnostics["fallback"] and out.optimal
     assert (scanned, rates, cutoffs) == ([5], [5], [])
+
+
+def test_linear_bounds_prove_optimality_above_the_partition_cap():
+    # 14 nodes pass the partition cap of 12, but the ring's rate 14/13 is
+    # its finest bound, so every packer proves it without a partition scan
+    g = ring(14)
+    outcomes = [general_algorithm(g), basic_algorithm(g), brute_force_packing(g, 13)]
+    assert [(out.achieved_rate, out.optimal) for out in outcomes] == [(Fraction(14, 13), True)] * 3
+    # a rate below every linear bound stays unproven there
+    assert brute_force_packing(g, 1).optimal is None
 
 
 def test_general_delegates_without_bottleneck(triangle):
