@@ -47,14 +47,13 @@ class Caps:
     """The exactness caps: the largest instance each exact search takes on.
 
     The field names are the ``QNET_STP_CAPS`` keys (see :meth:`parse`).
-    The greedy packer's search is bounded by ``packing.BACKTRACK_BUDGET``
-    and the exact packer's work by ``packing.EXACT_STEP_BUDGET``: fixed
-    budgets, not caps.
+    The packers are bounded by fixed budgets, not caps: the greedy's
+    search by ``packing.BACKTRACK_BUDGET``, and its extractions and the
+    exact packer's work by ``packing.EXACT_STEP_BUDGET``.
     """
 
     partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
     subsets: int = 20  # nodes in a bottleneck subset scan
-    trees: int = 10**6  # trees built by any packer
 
     @classmethod
     def parse(cls, text: str) -> Caps:

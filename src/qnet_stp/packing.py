@@ -22,9 +22,9 @@ optimal packing.  Besides validation this module provides:
   trees by matroid partition (Edmonds), in polynomial time, or a
   partition that proves they do not fit;
 * :func:`brute_force_packing` -- the most trees over a given number of
-  rounds (``--method oracle``), by calling :func:`exact_packing` at
-  falling partition bounds; the name is kept from the exhaustive search
-  it replaced.
+  rounds (``--method oracle``), by :func:`_descend`, which the fallbacks
+  share: :func:`exact_packing` at falling partition bounds; the name is
+  kept from the exhaustive search it replaced.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .rate_core import (
     _require_rateable,
     check_no_bottleneck,
     finest_bound,
-    nwt_rate,
     partition_bound,
 )
 
@@ -255,50 +254,57 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
 
     By Nash-Williams and Tutte, the most trees that fit over ``rounds``
     is the least ``floor(crossing / (blocks - 1))`` over partitions,
-    ``crossing`` counting ``floor(rounds * rate)`` copies per edge.  The
-    descent asks :func:`exact_packing` for the finest partition's value
-    or the least node degree, whichever is lower, then for the value of
-    each partition that refutes a count, which is strictly lower, so the
-    first packing that fits is a maximum (``packer_calls`` counts the
-    calls).  The first call asks for at most ``caps.trees + 1`` trees:
-    if that many fit, the maximum is above the cap, and the descent
-    refuses it; otherwise every count it tries is within the cap.
-    ``optimal`` says whether it attains the network's rate, or is None
-    when neither linear bound of :func:`_optimal_flag` matches above
-    ``caps.partitions`` nodes.  The name is kept from the
-    exhaustive search this replaced: the benchmark's tracer wraps it.
+    ``crossing`` counting ``floor(rounds * rate)`` copies per edge.
+    :func:`_descend` starts at the finest partition's value or the least
+    node degree, whichever is lower (``packer_calls`` counts its calls).
+    ``optimal`` says whether it attains the network's rate, with the last
+    refusing partition as :func:`_optimal_flag`'s witness.  The name is
+    kept from the exhaustive search this replaced: the benchmark's tracer
+    wraps it.
 
     Raises:
-        HeuristicFailedError: a maximum above ``caps.trees`` (the
-            message names the starting count), or the exact packer passed
-            its step budget.
+        HeuristicFailedError: the exact packer passed its step budget.
     """
     capacity = capacities(g, rounds)
     _require_rateable(g)
     degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
-    bound = min(sum(capacity.values()) // (g.node_count - 1), degree)
-    target = min(bound, caps.trees + 1)
-    packing = TreePacking.multigraph([], [], rounds)
+    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
+    return PackingOutcome(
+        packing=replace(packing, source="oracle"),
+        optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
+        diagnostics={"packer_calls": calls},
+    )
+
+
+def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> tuple:
+    """``(packing, last refusing partition or None, calls)`` of :func:`exact_packing`.
+
+    Each refusal names a partition whose value is below the request and
+    at least the maximum, so the first request that fits is the maximum:
+    with ``fixed_rounds``, ``floor(crossing / (blocks - 1))`` trees over
+    ``rounds``; otherwise, for whole rates, the partition's bound as a
+    rate over its denominator in rounds.  A request of 0 packs nothing.
+    """
+    capacity = capacities(g, rounds)
+    refusal = None
     calls = 0
     while target:
         calls += 1
         try:
-            packing = exact_packing(g, rounds, target, max_trees=caps.trees + 1)
+            return exact_packing(g, rounds, target), refusal, calls
         except HeuristicFailedError as exc:
             if exc.partition is None:
                 raise
-            block = exc.partition.block_of()
+            refusal = exc.partition
+        if fixed_rounds:
+            block = refusal.block_of()
             crossing = sum(m for (u, v), m in capacity.items() if block[u] != block[v])
-            target = crossing // (exc.partition.block_count - 1)
-            continue
-        if target > caps.trees:
-            raise HeuristicFailedError(f"{bound} trees exceed the tree cap of {caps.trees}")
-        break
-    return PackingOutcome(
-        packing=replace(packing, source="oracle"),
-        optimal=_optimal_flag(g, packing_rate(packing), caps),
-        diagnostics={"packer_calls": calls},
-    )
+            target = crossing // (refusal.block_count - 1)
+        else:
+            rate = partition_bound(g, refusal)
+            rounds, target = rate.denominator, rate.numerator
+    return TreePacking.multigraph([], [], rounds), refusal, calls
 
 
 def _optimal_flag(
@@ -327,9 +333,7 @@ def _optimal_flag(
 # exact packer (matroid partition)
 # ---------------------------------------------------------------------------
 
-def exact_packing(
-    g: WeightedGraph, rounds: int, target: int, *, max_trees: int = CAPS.trees
-) -> TreePacking:
+def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     """``target`` edge-disjoint spanning trees of the ``rounds``-round multigraph.
 
     Edmonds' matroid partition over ``target`` forests, run on
@@ -351,15 +355,14 @@ def exact_packing(
     Nash-Williams and Tutte, ``target`` trees do not fit.
 
     Past ``EXACT_STEP_BUDGET`` steps of seeding and searching the packer
-    gives up, whatever the caller.
+    gives up, whatever the caller.  The seeding's node steps are charged
+    before the first forest, so a target too large for the budget is
+    refused before anything is built.
 
     Raises:
-        HeuristicFailedError: ``target`` above ``max_trees``, more steps
-            than ``EXACT_STEP_BUDGET``, or no such packing exists;
-            ``partition`` then holds the proof.
+        HeuristicFailedError: more steps than ``EXACT_STEP_BUDGET``, or
+            no such packing exists; ``partition`` then holds the proof.
     """
-    if target > max_trees:
-        raise HeuristicFailedError(f"{target} trees exceed the tree cap of {max_trees}")
     nodes = g.sorted_nodes()
     capacity = {k: m for k, m in capacities(g, rounds).items() if m}
     spare = dict(capacity)
@@ -374,9 +377,10 @@ def exact_packing(
                 f"the exact packer passed its budget of {EXACT_STEP_BUDGET} search steps"
             )
 
+    spend(2 * len(nodes) * target)
     for _ in range(target):
         offered = [k for k, m in spare.items() if m]
-        spend(2 * len(nodes) + len(offered))
+        spend(len(offered))
         forest = spanning_forest(nodes, offered)
         for key in forest:
             spare[key] -= 1
@@ -500,9 +504,10 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     tries ``BACKTRACK_BUDGET`` candidates without success,
     :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
     the fewest rounds that make that a whole number (flagged in
-    diagnostics; ``backtracks`` counts the candidates tried).  With more
-    than ``caps.trees`` trees in all it refuses before the first;
-    ``caps.subsets`` bounds the bottleneck scan.  No bottleneck means the
+    diagnostics; ``backtracks`` counts the candidates tried).  It refuses
+    before the first tree if, at a step per edge and per node each, the
+    trees pass ``EXACT_STEP_BUDGET``; ``caps.subsets`` bounds the
+    bottleneck scan.  No bottleneck means the
     all-singletons bound is the rate, so the packing is optimal with no
     partition scan.  :func:`general_algorithm` runs the same greedy on
     each bottleneck-free network it reaches, without repeating the scan
@@ -511,7 +516,8 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
         ExactModeLimitError: more nodes than ``caps.subsets``.
-        HeuristicFailedError: the rates sum past ``caps.trees``.
+        HeuristicFailedError: the extractions would pass
+            ``EXACT_STEP_BUDGET``, or the exact packer passed it.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
@@ -520,10 +526,10 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
         )
-    return _greedy_pack(g, caps)
+    return _greedy_pack(g)
 
 
-def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
+def _greedy_pack(g: WeightedGraph) -> PackingOutcome:
     """:func:`basic_algorithm` on a network its checks and bottleneck scan passed.
 
     The search for the next-to-last tree takes candidates from the lazy
@@ -532,17 +538,20 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
     total_trees = sum(rates.values())
-    if total_trees > caps.trees:
-        raise HeuristicFailedError(f"{total_trees} trees exceed the tree cap of {caps.trees}")
+    if total_trees * (len(rates) + g.node_count) > EXACT_STEP_BUDGET:
+        raise HeuristicFailedError(
+            f"extracting {total_trees} trees passes the budget of {EXACT_STEP_BUDGET} steps"
+        )
     weight = {k: n * r for k, r in rates.items() if r > 0}
     diagnostics: dict = {"backtracks": 0, "fallback": False}
     chosen: list[SpanningTree] = []
 
     def fallback(reason: str) -> PackingOutcome:
-        packing = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics, caps)
+        packing, _ = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
-    for _ in range(max(total_trees - 2, 0)):
+    # all but the last two trees, or the only one
+    for _ in range(total_trees - 2 if total_trees > 1 else 1):
         tree = _max_weight_tree(g, weight)
         if tree is None:
             return fallback("positive-weight edges no longer span the network")
@@ -550,15 +559,9 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
         for key in tree.edges:
             weight[key] -= 1
 
-    if total_trees == 1:
-        tree = _max_weight_tree(g, weight)
-        if tree is None:
-            return fallback("positive-weight edges no longer span the network")
-        chosen.append(tree)
-    else:
+    if total_trees > 1:
         support = WeightedGraph(
-            g.node_ids,
-            [(k[0], k[1], Fraction(w)) for k, w in weight.items() if w > 0],
+            g.node_ids, [(k[0], k[1], Fraction(w)) for k, w in weight.items() if w > 0]
         )
         if not is_connected(support, positive_only=True):
             return fallback("positive-weight edges no longer span the network")
@@ -588,13 +591,11 @@ def _greedy_pack(g: WeightedGraph, caps: Caps) -> PackingOutcome:
     )
 
 
-def _exact_fallback(
-    g: WeightedGraph, rate: Fraction, reason: str, diagnostics: dict, caps: Caps
-) -> TreePacking:
-    """:func:`exact_packing` at ``rate`` over its denominator in rounds, flagged in diagnostics."""
+def _exact_fallback(g: WeightedGraph, rate: Fraction, reason: str, diagnostics: dict) -> tuple:
+    """Packing and witness of :func:`_descend` from ``rate``, flagged in diagnostics."""
     diagnostics["fallback"] = True
     diagnostics["fallback_reason"] = reason
-    return exact_packing(g, rate.denominator, rate.numerator, max_trees=caps.trees)
+    return _descend(g, rate.denominator, rate.numerator, fixed_rounds=False)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +612,22 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     to concrete cross edges with remaining capacity, lexicographically
     first) onto the matching remainder tree, pairing instances by sorted
     index over a common round count.  If a split or a splice fails,
-    :func:`exact_packing` packs the whole network at its rate over the
-    rate's denominator in rounds.  Each network on the way is scanned
+    :func:`_descend` packs the whole network at its rate from the
+    top-level violator's bound.  Each network on the way is scanned
     for a bottleneck once, and a bottleneck-free one goes to the greedy
     of :func:`basic_algorithm` without a second scan.  ``optimal`` is
     proven by the first of: the finest partition's bound, the bound of
     the top-level violator's partition (after a fallback, of the
-    minimizing partition), a partition scan that stops at the first
-    partition whose value is at most the packing rate; above
+    descent's last refusing partition), a partition scan that stops at
+    the first partition whose value is at most the packing rate; above
     ``caps.partitions`` nodes the scan does not run and an unproven
-    ``optimal`` is None.
-    ``caps`` reaches every greedy packing, every bottleneck and
-    partition scan and the exact packer's tree count.
+    ``optimal`` is None.  ``caps`` reaches every scan.
 
     Raises:
         PreconditionFailedError: non-integer rates.
         ExactModeLimitError: a scan over more nodes than its cap.
-        HeuristicFailedError: rates sum past ``caps.trees``, or a split
-            failed and the exact packer's tree count is above that cap.
+        HeuristicFailedError: a greedy packing or the exact packer would
+            pass ``EXACT_STEP_BUDGET``.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
@@ -638,14 +637,14 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     try:
         packing = _general_pack(g, cert, diagnostics, 0, caps)
     except (MergeFailedError, DisconnectedError) as exc:
-        report = nwt_rate(g, caps=caps)
-        witness = report.minimizing_partition
         try:
-            packing = _exact_fallback(g, report.rate, str(exc), diagnostics, caps)
+            bound = partition_bound(g, witness)
+            packing, refusal = _exact_fallback(g, bound, str(exc), diagnostics)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
+        witness = refusal or witness
     return PackingOutcome(
         packing=packing,
         optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
@@ -659,7 +658,7 @@ def _general_pack(
     """Pack ``g`` given ``cert``, its bottleneck scan: each network is scanned once."""
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
     if cert.ok:
-        outcome = _greedy_pack(g, caps)
+        outcome = _greedy_pack(g)
         diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
         if outcome.diagnostics.get("fallback"):
             diagnostics["fallback"] = True

@@ -828,7 +828,7 @@ def max_weight_tree(g, weight):
     return None
 
 
-def greedy_pack(g, caps=CAPS) -> PackingOutcome:
+def greedy_pack(g) -> PackingOutcome:
     """The greedy packer of :func:`qnet_stp.basic_algorithm`, searching for
     the next-to-last tree among every spanning tree of the residual support,
     sorted by descending residual weight, then by edge keys, and tried in
@@ -839,14 +839,15 @@ def greedy_pack(g, caps=CAPS) -> PackingOutcome:
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}
     total_trees = sum(rates.values())
-    if total_trees > caps.trees:
-        raise HeuristicFailedError(f"{total_trees} trees exceed the tree cap of {caps.trees}")
+    budget = qnet_stp.packing.EXACT_STEP_BUDGET
+    if total_trees * (len(rates) + g.node_count) > budget:
+        raise HeuristicFailedError(f"extracting {total_trees} trees passes the budget of {budget} steps")
     weight = {k: n * r for k, r in rates.items() if r > 0}
     diagnostics = {"backtracks": 0, "fallback": False}
     chosen = []
 
     def fallback(reason):
-        packing = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics, caps)
+        packing, _ = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
     def take(tree, amount):

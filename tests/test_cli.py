@@ -203,20 +203,24 @@ def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
     assert json.loads(out)["achieved_rate"] == "2"
 
 
-def test_pack_gives_up_past_the_tree_cap(capsys, graph_file, monkeypatch):
-    # the greedy packer stalls on unit K10 and the exact packer finishes
-    # the job with 5 trees in 1 round; a trees cap below the 45 greedy
-    # trees refuses before any tree is extracted
-    path = graph_file("k10.json", complete(10))
-    code, out = run(capsys, "pack", path)
-    assert code == 0
-    assert json.loads(out)["optimal"] is True
-    monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
-    code, out = run(capsys, "pack", path)
-    assert code == 4
-    doc = json.loads(out)
-    assert sorted(doc) == ["error"]
-    assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
+def test_pack_refuses_greedy_trees_past_the_step_budget(capsys, graph_file, monkeypatch):
+    # 8 greedy trees on a 4-ring at rate 2 take 64 steps of 8 each, within
+    # a budget of 80; at rate 3 the 12 trees would take 96, and both
+    # greedy packers refuse before the first
+    monkeypatch.setattr("qnet_stp.packing.EXACT_STEP_BUDGET", 80)
+    for rate, code_expected in ((2, 0), (3, 4)):
+        path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges]))
+        for method in ("general", "basic"):
+            code, out = run(capsys, "pack", path, "--method", method)
+            assert code == code_expected
+            doc = json.loads(out)
+            if code:
+                assert doc == {"error": {
+                    "code": "HeuristicFailed",
+                    "message": "extracting 12 trees passes the budget of 80 steps",
+                }}
+            else:
+                assert (doc["achieved_rate"], doc["optimal"]) == ("8/3", True)
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -239,20 +243,43 @@ def test_pack_oracle_on_complete_graphs(capsys, graph_file, n):
     assert doc["diagnostics"] == {"packer_calls": 1}
 
 
-def test_caps_reach_the_oracle_fallback(capsys, graph_file, monkeypatch):
-    # the fallback and the oracle are the exact packer: the trees cap
-    # reaches both
-    path = graph_file("k10.json", complete(10))
-    code, out = run(capsys, "pack", path, "--method", "oracle")
-    assert code == 0
-    assert json.loads(out)["optimal"] is True
+def test_trees_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
+    # the packers are bounded by the exact packer's step budget
     monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
-    for method in ("general", "basic", "oracle"):
-        code, out = run(capsys, "pack", path, "--method", method)
-        assert code == 4
-        doc = json.loads(out)
-        assert sorted(doc) == ["error"]
-        assert doc["error"] == {"code": "HeuristicFailed", "message": "45 trees exceed the tree cap of 4"}
+    code, out = run(capsys, "pack", graph_file("k10.json", complete(10)), "--method", "oracle")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "Schema"
+    assert error["message"].startswith("unknown cap 'trees'")
+
+
+def test_oracle_refuses_an_oversize_target_before_building(capsys, graph_file, monkeypatch):
+    # 20,000,000 trees of unit K4 would seed 160,000,000 node steps
+    forests = []
+    monkeypatch.setattr("qnet_stp.packing.spanning_forest", lambda *args: forests.append(args))
+    path = graph_file("k4.json", complete(4))
+    code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "10000000")
+    assert code == 4
+    assert json.loads(out)["error"]["message"] == (
+        "the exact packer passed its budget of 1000000 search steps"
+    )
+    assert forests == []
+
+
+def test_oracle_certificate_proves_optimality_under_the_partition_cap(
+    capsys, graph_file, monkeypatch
+):
+    # the path 4-1-2-3-5 over 3 rounds packs the 3 copies of (1, 2); the
+    # partition that refused the count before proves it optimal
+    path = graph_file("path5.json", build(
+        ["1", "2", "3", "4", "5"],
+        [("1", "4", 3), ("1", "2", 1), ("2", "3", 3), ("3", "5", 2)],
+    ))
+    monkeypatch.setenv("QNET_STP_CAPS", "partitions=2")
+    code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["achieved_rate"], doc["optimal"]) == ("1", True)
 
 
 def test_exact_step_budget_exits_4(tmp_path):
@@ -323,22 +350,20 @@ def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypa
                 assert json.loads(out)["optimal"] is expected
 
 
-def test_partition_cap_reaches_the_splice_fallback(capsys, graph_file, monkeypatch):
-    # the remainder {2,3,4,5} is disconnected, so the split fails and the
-    # fallback scans partitions for the oracle's round count
+def test_splice_fallback_needs_no_partition_scan(capsys, graph_file, monkeypatch):
+    # the remainder {2,3,4,5} is disconnected, so the split fails; the
+    # fallback's descent needs no partition scan, so a partition cap below
+    # the node count changes nothing
     path = graph_file("split.json", build(
         ["1", "2", "3", "4", "5"],
         [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
     ))
-    code, out = run(capsys, "pack", path)
+    code, uncapped = run(capsys, "pack", path)
     assert code == 0
-    assert json.loads(out)["diagnostics"]["fallback"] is True
+    doc = json.loads(uncapped)
+    assert (doc["diagnostics"]["fallback"], doc["optimal"]) == (True, True)
     monkeypatch.setenv("QNET_STP_CAPS", "partitions=4")
-    code, out = run(capsys, "pack", path)
-    assert code == 3
-    assert json.loads(out)["error"]["message"] == (
-        "partition enumeration over 5 nodes exceeds the cap of 4"
-    )
+    assert run(capsys, "pack", path) == (0, uncapped)
 
 
 def test_optimize_candidates_with_dash_labels(capsys, graph_file):
@@ -557,14 +582,14 @@ def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
 def test_read_caps_defaults_and_overrides():
     caps = read_caps("")
     assert caps.partitions == 12 and caps.subsets == 20
-    caps = read_caps("trees=500, subsets=7")
-    assert caps.trees == 500 and caps.subsets == 7
+    caps = read_caps("partitions=500, subsets=7")
+    assert caps.partitions == 500 and caps.subsets == 7
     with pytest.raises(SchemaError):
-        read_caps("trees=abc")
+        read_caps("partitions=abc")
     with pytest.raises(SchemaError):
-        read_caps("trees=0")
-    assert sorted(vars(caps)) == ["partitions", "subsets", "trees"]
-    for gone in ("lp", "oracle_rounds", "audit", "backtrack"):
+        read_caps("partitions=0")
+    assert sorted(vars(caps)) == ["partitions", "subsets"]
+    for gone in ("lp", "oracle_rounds", "audit", "backtrack", "trees"):
         with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
             read_caps(f"{gone}=16")
 

@@ -27,7 +27,7 @@ from qnet_stp.errors import (
     PreconditionFailedError,
     SchemaError,
 )
-from qnet_stp.netgraph import enumerate_spanning_trees
+from qnet_stp.netgraph import enumerate_spanning_trees, spanning_forest
 
 from conftest import build, complete, random_connected_graph, ring, run_measured
 from reference_scans import reweight_by_lp
@@ -164,13 +164,6 @@ def test_oracle_has_no_round_cap():
     assert out.diagnostics == {"packer_calls": 1}
 
 
-def test_tree_cap(k4):
-    # the oracle asks the exact packer for 2 trees, over a cap of 1
-    with pytest.raises(HeuristicFailedError, match="2 trees exceed the tree cap of 1") as info:
-        brute_force_packing(k4, 1, caps=Caps(trees=1))
-    assert info.value.partition is None
-
-
 @pytest.mark.parametrize("g, rounds, trees", [
     (complete(6), 5, 15),
     (complete(8), 7, 28),
@@ -187,6 +180,17 @@ def test_oracle_packs_what_the_exhaustive_search_refused(g, rounds, trees):
     assert out.diagnostics == {"packer_calls": 1}
 
 
+def test_rate_descent_ends_at_the_network_rate(tri_pendant):
+    # from 3 trees a round each refusal names a partition of lower bound,
+    # down to the pendant's bound 1, the rate: the last call is the exact
+    # packer's at the rate, and the partition that refused before it
+    # proves that rate
+    pk, refusal, calls = packing._descend(tri_pendant, 1, 3, fixed_rounds=False)
+    assert pk == exact_packing(tri_pendant, 1, 1)
+    assert (str(refusal), calls) == ("{1,2,3}{4}", 3)
+    assert packing._descend(tri_pendant, 1, 1, fixed_rounds=False) == (pk, None, 1)
+
+
 def test_oracle_descends_along_refuting_partitions():
     # the path 3-1-2-4 over 3 rounds carries 9, 4 and 6 copies: it starts
     # at min(19 // 3, 6) = 6 trees, and each refusal names a partition of
@@ -199,17 +203,15 @@ def test_oracle_descends_along_refuting_partitions():
     assert out.optimal is False  # 4/3 of a rate of 3/2
 
 
-def test_tree_cap_holds_against_the_maximum_not_the_starting_count():
-    # the same path starts at 6 trees and settles on 4: a cap of 4 packs
-    # them, and a cap of 3 refuses, naming the starting count
-    g = build(["1", "2", "3", "4"], [("1", "2", "3/2"), ("1", "3", 3), ("2", "4", 2)])
-    out = brute_force_packing(g, 3, caps=Caps(trees=4))
-    assert (out.packing.tree_count, out.optimal) == (4, False)
-    assert out.diagnostics == {"packer_calls": 2}
+def test_oracle_reports_the_last_refusing_partition():
+    # the path 4-1-2-3-5 over 3 rounds: the (1, 2) link, 3 copies, is the
+    # answer, and the partition that refused the count before it proves
+    # it optimal under a partition cap the scan cannot pass
+    g = build(["1", "2", "3", "4", "5"],
+              [("1", "4", 3), ("1", "2", 1), ("2", "3", 3), ("3", "5", 2)])
+    out = brute_force_packing(g, 3, caps=Caps(partitions=2))
+    assert (out.packing.tree_count, out.optimal) == (3, True)
     assert validate_packing(g, out.packing).ok
-    with pytest.raises(HeuristicFailedError, match="^6 trees exceed the tree cap of 3$") as info:
-        brute_force_packing(g, 3, caps=Caps(trees=3))
-    assert info.value.partition is None
 
 
 def test_exact_prefers_lexicographic_smallest(triangle):
@@ -259,9 +261,23 @@ def test_exact_packing_floors_capacities():
     assert exact_packing(g, 1, 0).trees == ()
 
 
-def test_exact_packing_honours_the_tree_cap():
-    with pytest.raises(HeuristicFailedError, match="4 trees exceed the tree cap of 3"):
-        exact_packing(complete(8), 1, 4, max_trees=3)
+def test_exact_packing_refuses_an_oversize_target_before_building(monkeypatch):
+    # seeding 250,001 forests of a two-node link charges 1,000,004 node
+    # steps: the refusal comes before the first forest
+    forests = []
+
+    def counting_forest(nodes, keys):
+        forests.append(len(keys))
+        return spanning_forest(nodes, keys)
+
+    monkeypatch.setattr(packing, "spanning_forest", counting_forest)
+    g = build(["a", "b"], [("a", "b", 250_001)])
+    with pytest.raises(HeuristicFailedError, match="passed its budget of 1000000") as info:
+        exact_packing(g, 1, 250_001)
+    assert info.value.partition is None
+    assert forests == []
+    assert exact_packing(g, 1, 1000).tree_count == 1000
+    assert forests == [1] * 1000
 
 
 RING = "build([str(i) for i in range(1, 5)], [(str(i), str(i % 4 + 1), {rate}) for i in range(1, 5)])"
@@ -375,16 +391,19 @@ def test_basic_requires_integer_rates():
         basic_algorithm(g)
 
 
-@pytest.mark.parametrize("rate, cap", [(1000, 100), (3000, 10_000)])
-def test_basic_refuses_more_greedy_trees_than_the_tree_cap(rate, cap):
-    # 4 * rate trees over 3 rounds: the greedy would extract each one in
-    # turn.  At rate 3000 the network rate, 4000, is whole and under the
-    # cap, but packing it exactly takes minutes: the refusal must come first
-    g = build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges])
-    message = f"{4 * rate} trees exceed the tree cap of {cap}"
+def test_basic_refuses_greedy_trees_past_the_step_budget(monkeypatch):
+    # each extraction on a 4-ring costs 4 edge and 4 node steps: 8 trees
+    # take 64 of a budget of 80, and 12 trees would take 96, so the
+    # greedy refuses before the first
+    monkeypatch.setattr(packing, "EXACT_STEP_BUDGET", 80)
+    two, three = (build(ring(4).node_ids, [(e.u, e.v, r) for e in ring(4).edges]) for r in (2, 3))
+    out = basic_algorithm(two)
+    assert (out.packing.tree_count, out.optimal) == (8, True)
+    assert validate_packing(two, out.packing).ok
     with pytest.raises(HeuristicFailedError) as exc:
-        basic_algorithm(g, caps=Caps(trees=cap))
-    assert str(exc.value) == message
+        basic_algorithm(three)
+    assert str(exc.value) == "extracting 12 trees passes the budget of 80 steps"
+    assert exc.value.partition is None
 
 
 def test_basic_fallback_still_optimal(triangle, monkeypatch):
@@ -439,6 +458,7 @@ def test_general_recurses_twice_on_hub_fixture(two_cliques_hub):
 
 
 def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
+    from qnet_stp import rate_core
     from qnet_stp.rate_core import _partition_scan, check_no_bottleneck
 
     scanned, rates, cutoffs = [], [], []
@@ -447,16 +467,17 @@ def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
         scanned.append(g.node_count)
         return check_no_bottleneck(g, **kwargs)
 
-    def counting_rate(g, **kwargs):
-        rates.append(g.node_count)
-        return nwt_rate(g, **kwargs)
+    def counting_rate(w, cutoff=None):
+        rates.append(len(w))
+        return _partition_scan(w, cutoff)
 
     def counting_scan(w, cutoff=None):
         cutoffs.append(cutoff)
         return _partition_scan(w, cutoff)
 
     monkeypatch.setattr(packing, "check_no_bottleneck", counting_check)
-    monkeypatch.setattr(packing, "nwt_rate", counting_rate)
+    # the rate scan, wherever it is called from
+    monkeypatch.setattr(rate_core, "_partition_scan", counting_rate)
     monkeypatch.setattr(packing, "_partition_scan", counting_scan)
     # no bottleneck: one scan, and the finest bound proves the rate optimal
     assert general_algorithm(ring(8)).optimal
@@ -471,14 +492,26 @@ def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
     assert (scanned, rates, cutoffs) == ([8], [], [])
     scanned.clear()
     # the remainder {2,3,4,5} is disconnected, so the split fails; the
-    # fallback's partition scan gives the rate and the partition proving it
+    # fallback's descent reaches the rate with no scan, and its last
+    # refusing partition proves it
     split = build(
         ["1", "2", "3", "4", "5"],
         [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
     )
     out = general_algorithm(split)
     assert out.diagnostics["fallback"] and out.optimal
-    assert (scanned, rates, cutoffs) == ([5], [5], [])
+    assert (scanned, rates, cutoffs) == ([5], [], [])
+
+
+def test_split_fallback_answers_above_the_partition_cap():
+    # sparse 13/5: the remainder of the first split is disconnected, and
+    # the descent packs the rate, 1, with no partition scan over 13 nodes
+    g = probe_graph(13, 5)
+    out = general_algorithm(g)
+    assert out.diagnostics["fallback"] is True
+    assert out.diagnostics["fallback_reason"].endswith("is not connected; cannot split")
+    assert (out.achieved_rate, out.optimal) == (1, True)
+    assert validate_packing(g, out.packing).ok
 
 
 def test_linear_bounds_prove_optimality_above_the_partition_cap():
