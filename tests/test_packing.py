@@ -391,7 +391,7 @@ def test_basic_requires_integer_rates():
         basic_algorithm(g)
 
 
-def test_basic_refuses_greedy_trees_past_the_step_budget(monkeypatch):
+def test_basic_packs_greedy_trees_within_the_step_budget(monkeypatch):
     # each extraction on a 4-ring costs 4 edge and 4 node steps: 8 trees
     # take 64 of a budget of 80, and 12 trees would take 96, so the
     # greedy refuses before the first
@@ -403,6 +403,18 @@ def test_basic_refuses_greedy_trees_past_the_step_budget(monkeypatch):
     with pytest.raises(HeuristicFailedError) as exc:
         basic_algorithm(three)
     assert str(exc.value) == "extracting 12 trees passes the budget of 80 steps"
+    assert exc.value.partition is None
+
+
+@pytest.mark.parametrize("rate, budget", [(1000, 100), (3000, 10000)])
+def test_basic_refuses_greedy_trees_past_the_step_budget(rate, budget, monkeypatch):
+    # 4 * rate trees at 8 steps each pass the budget many times over: the
+    # refusal comes before the first extraction, not after thousands
+    monkeypatch.setattr(packing, "EXACT_STEP_BUDGET", budget)
+    g = build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges])
+    with pytest.raises(HeuristicFailedError) as exc:
+        basic_algorithm(g)
+    assert str(exc.value) == f"extracting {4 * rate} trees passes the budget of {budget} steps"
     assert exc.value.partition is None
 
 
