@@ -90,17 +90,11 @@ def graph_dot(g: WeightedGraph, name: str = "network") -> str:
 
 def packing_dot(g: WeightedGraph, pk: TreePacking, name: str = "packing") -> str:
     """One colored subgraph per distinct tree, nodes prefixed per tree."""
-    lines = [f"graph {name} {{"]
-    if pk.mode == "multigraph":
-        lines.append(f'  label="{pk.tree_count} trees over {pk.rounds} rounds";')
+    lines = [f"graph {name} {{", f'  label="{pk.tree_count} trees over {pk.rounds} rounds";']
     for i, tree in enumerate(pk.trees):
         color = DOT_PALETTE[i % len(DOT_PALETTE)]
-        if pk.mode == "weighted":
-            tag = f"weight {format_rational(pk.weights[i])}"
-        else:
-            tag = f"x{pk.multiplicities[i]}"
         lines.append(f"  subgraph cluster_t{i} {{")
-        lines.append(f'    label="tree {i} ({tag})";')
+        lines.append(f'    label="tree {i} (x{pk.multiplicities[i]})";')
         lines.append(f'    color="{color}";')
         lines.append(f'    node [shape=circle, color="{color}"];')
         for node in sorted(tree.vertices()):
@@ -199,16 +193,10 @@ def cmd_pack(args, caps) -> int:
     elif args.format == "text":
         pk = outcome.packing
         sys.stdout.write(f"rate {format_rational(outcome.achieved_rate)}\n")
-        if pk.mode == "multigraph":
-            sys.stdout.write(f"trees {pk.tree_count} rounds {pk.rounds}\n")
-        for i, tree in enumerate(pk.trees):
-            tag = (
-                f"x{pk.multiplicities[i]}"
-                if pk.mode == "multigraph"
-                else format_rational(pk.weights[i])
-            )
+        sys.stdout.write(f"trees {pk.tree_count} rounds {pk.rounds}\n")
+        for tree, mult in zip(pk.trees, pk.multiplicities):
             edges = " ".join(f"({u},{v})" for u, v in tree.edges)
-            sys.stdout.write(f"  {tag}: {edges}\n")
+            sys.stdout.write(f"  x{mult}: {edges}\n")
     else:
         emit(outcome.to_json_dict())
     return 0

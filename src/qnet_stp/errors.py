@@ -102,8 +102,8 @@ class SolverLimitError(InternalError):
 
 
 class HeuristicFailedError(InternalError):
-    """Tree packing gave up; ``partition``, when set, is a vertex
-    partition proving that the requested trees do not fit."""
+    """A packer or the protocol gave up at its budget; ``partition``, when
+    set, is a vertex partition proving that the requested trees do not fit."""
 
     code = "HeuristicFailed"
 

@@ -2,9 +2,9 @@
 
 A packing assigns spanning trees to a network without exceeding any
 edge's capacity: trees with integer multiplicities over ``rounds``
-rounds, usage ``<= floor(rounds * rate)`` per edge.  A ``weighted``
-packing is the same object built from rational tree weights (usage
-``<= rate``): its ``rounds`` is the weights' least common denominator.
+rounds, usage ``<= floor(rounds * rate)`` per edge.  A packing built
+from rational tree weights (usage ``<= rate``) is the same value over
+the weights' least common denominator.
 
 The packing rate (trees per round, i.e. the weight sum) never exceeds
 the partition bound from :mod:`.rate_core`, and equals it for an
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
@@ -92,42 +92,28 @@ BACKTRACK_BUDGET = 10_000
 class TreePacking:
     """Spanning trees with integer multiplicities over ``rounds`` rounds.
 
-    A weighted packing's ``rounds`` is the least common denominator of
-    its weights, which :attr:`weights` derives back; ``mode`` only says
-    how the packing was built and how it prints.  Canonical form: trees
-    sorted lexicographically, duplicates merged, zero entries dropped.
-    Build instances via :meth:`weighted` or :meth:`multigraph`.
+    A packing built from weights has for ``rounds`` the least common
+    denominator of its weights, which :attr:`weights` derives back.
+    Canonical form: trees sorted lexicographically, duplicates merged,
+    zero entries dropped.  Build instances via :meth:`weighted` or
+    :meth:`multigraph`.
     """
 
-    mode: str
     trees: tuple[SpanningTree, ...]
     multiplicities: tuple[int, ...]
     rounds: int
-    source: str = "manual"
 
     @classmethod
-    def weighted(cls, trees, weights, source: str = "manual") -> TreePacking:
+    def weighted(cls, trees, weights) -> TreePacking:
         kept, merged = _merge(trees, weights, Fraction, "weight")
         rounds = math.lcm(*(w.denominator for w in merged))
-        return cls(
-            mode="weighted",
-            trees=kept,
-            multiplicities=tuple(w.numerator * (rounds // w.denominator) for w in merged),
-            rounds=rounds,
-            source=source,
-        )
+        return cls(kept, tuple(w.numerator * (rounds // w.denominator) for w in merged), rounds)
 
     @classmethod
-    def multigraph(cls, trees, multiplicities, rounds: int, source: str = "manual") -> TreePacking:
+    def multigraph(cls, trees, multiplicities, rounds: int) -> TreePacking:
         check_rounds(rounds)
         kept, merged = _merge(trees, multiplicities, int, "multiplicity")
-        return cls(
-            mode="multigraph",
-            trees=kept,
-            multiplicities=tuple(merged),
-            rounds=rounds,
-            source=source,
-        )
+        return cls(kept, tuple(merged), rounds)
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
@@ -154,13 +140,12 @@ class TreePacking:
         return usage
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"mode": self.mode, "trees": [t.to_json_list() for t in self.trees]}
-        if self.mode == "weighted":
-            doc["weights"] = [format_rational(w) for w in self.weights]
-        else:
-            doc["multiplicities"] = list(self.multiplicities)
-            doc["rounds"] = self.rounds
-        return doc
+        return {
+            "mode": "multigraph",  # the one form; kept for readers that key on it
+            "trees": [t.to_json_list() for t in self.trees],
+            "multiplicities": list(self.multiplicities),
+            "rounds": self.rounds,
+        }
 
 
 def _merge(trees, amounts, convert, what: str) -> tuple[tuple[SpanningTree, ...], list]:
@@ -213,10 +198,7 @@ class PackingOutcome:
 # ---------------------------------------------------------------------------
 
 def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
-    """Check tree shape and per-edge capacity; report the first offence.
-
-    A weighted packing's offence is reported in weights.
-    """
+    """Check tree shape and per-edge capacity; report the first offence."""
     for tree in pk.trees:
         if not is_spanning_tree(g, tree):
             bad = next((key for key in tree.edges if not g.has_edge(*key)), None)
@@ -229,13 +211,10 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
     capacity = _floors(g, pk.rounds)
     for key in sorted(usage):
         if usage[key] > capacity[key]:
-            carried, cap = usage[key], capacity[key]
-            if pk.mode == "weighted":
-                carried, cap = Fraction(carried, pk.rounds), g.rate(*key)
             return PackingValidation(
                 ok=False,
                 violated_edge=key,
-                reason=f"edge {key} carries {carried} but has capacity {cap}",
+                reason=f"edge {key} carries {usage[key]} but has capacity {capacity[key]}",
             )
     return PackingValidation(ok=True)
 
@@ -271,7 +250,7 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     target = min(sum(capacity.values()) // (g.node_count - 1), degree)
     packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
     return PackingOutcome(
-        packing=replace(packing, source="oracle"),
+        packing=packing,
         optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
         diagnostics={"packer_calls": calls},
     )
@@ -406,9 +385,8 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
             if out_of is not None:
                 forests[out_of].discard(key)
     copies = Counter(map(frozenset, forests))
-    return TreePacking.multigraph(
-        [SpanningTree.of(f) for f in copies], list(copies.values()), rounds, source="exact"
-    )
+    trees = [SpanningTree.of(f) for f in copies]
+    return TreePacking.multigraph(trees, list(copies.values()), rounds)
 
 
 def _exchange_path(nodes, forests, sources, spend):
@@ -526,14 +504,18 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
         )
-    return _greedy_pack(g)
+    diagnostics: dict = {"backtracks": 0, "fallback": False}
+    packing = _greedy_pack(g, diagnostics)
+    # no bottleneck: the all-singletons bound is attained
+    return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
 
-def _greedy_pack(g: WeightedGraph) -> PackingOutcome:
+def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
     """:func:`basic_algorithm` on a network its checks and bottleneck scan passed.
 
     The search for the next-to-last tree takes candidates from the lazy
     :func:`enumerate_spanning_trees` and stops after ``BACKTRACK_BUDGET``.
+    The candidates tried and any fallback are recorded in ``diagnostics``.
     """
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
@@ -543,12 +525,10 @@ def _greedy_pack(g: WeightedGraph) -> PackingOutcome:
             f"extracting {total_trees} trees passes the budget of {EXACT_STEP_BUDGET} steps"
         )
     weight = {k: n * r for k, r in rates.items() if r > 0}
-    diagnostics: dict = {"backtracks": 0, "fallback": False}
     chosen: list[SpanningTree] = []
 
-    def fallback(reason: str) -> PackingOutcome:
-        packing, _ = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)
-        return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
+    def fallback(reason: str) -> TreePacking:
+        return _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)[0]
 
     # all but the last two trees, or the only one
     for _ in range(total_trees - 2 if total_trees > 1 else 1):
@@ -580,15 +560,8 @@ def _greedy_pack(g: WeightedGraph) -> PackingOutcome:
         else:
             return fallback("no next-to-last tree leaves a clean final tree")
 
-    packing = TreePacking.multigraph(
-        chosen, [1] * len(chosen), n, source="heuristic"
-    )
     # duplicates merged by the constructor
-    return PackingOutcome(
-        packing=packing,
-        optimal=True,  # no bottleneck: the all-singletons bound is attained
-        diagnostics=diagnostics,
-    )
+    return TreePacking.multigraph(chosen, [1] * len(chosen), n)
 
 
 def _exact_fallback(g: WeightedGraph, rate: Fraction, reason: str, diagnostics: dict) -> tuple:
@@ -658,12 +631,7 @@ def _general_pack(
     """Pack ``g`` given ``cert``, its bottleneck scan: each network is scanned once."""
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
     if cert.ok:
-        outcome = _greedy_pack(g)
-        diagnostics["backtracks"] += outcome.diagnostics.get("backtracks", 0)
-        if outcome.diagnostics.get("fallback"):
-            diagnostics["fallback"] = True
-            diagnostics["fallback_reason"] = outcome.diagnostics.get("fallback_reason", "")
-        return outcome.packing
+        return _greedy_pack(g, diagnostics)
     subset = cert.violating_subset
     rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
@@ -733,6 +701,4 @@ def _splice(
         if not is_spanning_tree(g, tree):
             raise MergeFailedError("spliced edges do not form a spanning tree")
         merged_trees.append(tree)
-    return TreePacking.multigraph(
-        merged_trees, [1] * len(merged_trees), rounds, source="heuristic"
-    )
+    return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
+    HeuristicFailedError,
     IncompleteTranscriptError,
     InvalidEdgeError,
     InvalidPackingError,
@@ -48,6 +49,12 @@ from .netgraph import (
 from .packing import TreePacking
 
 PRNG_ALGORITHM = "python-random-mt19937"
+
+#: Most tree-edge instances (tree instances times ``N - 1``) that
+#: :func:`run_packing_protocol` keys: about a second of ``simulate``, at
+#: some 50 microseconds per instance (packing and output included) on a
+#: 2-vCPU Xeon VM.
+PROTOCOL_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +409,17 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     conference key concatenates one bit per instance.
 
     Raises:
+        HeuristicFailedError: the tree-edge instances pass
+            ``PROTOCOL_BUDGET``, checked before any key is generated.
         InvalidPackingError / KeyDepletedError: the packing does not fit.
         PreconditionFailedError: non-integer rates.
     """
+    instances = pk.tree_count * (g.node_count - 1)
+    if instances > PROTOCOL_BUDGET:
+        raise HeuristicFailedError(
+            f"running the protocol on {instances} tree-edge instances passes "
+            f"the budget of {PROTOCOL_BUDGET}"
+        )
     schedule = consumption_schedule(g, pk)
     km = generate_keys(g, pk.rounds, seed)
     announcements: list[Announcement] = []

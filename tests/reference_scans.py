@@ -283,7 +283,7 @@ def reweight_by_lp(g: WeightedGraph, trees) -> TreePacking:
     ]
     limits = [e.rate for e in g.edges]
     _, weights, _, _, _ = _simplex_max(rows, limits, [Fraction(1)] * len(tree_list))
-    return TreePacking.weighted(tree_list, weights, source="manual")
+    return TreePacking.weighted(tree_list, weights)
 
 
 def verify_optimality(inst: LPInstance, sol: LPSolution) -> bool:
@@ -609,7 +609,7 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
     ) if usable else None
     if capacity_graph is None or not is_connected(capacity_graph, positive_only=True):
         return PackingOutcome(
-            packing=TreePacking.multigraph([], [], rounds, source="oracle"),
+            packing=TreePacking.multigraph([], [], rounds),
             optimal=optimal_flag(g, Fraction(0)),
             diagnostics={"oracle_states": 0, "tree_candidates": 0},
         )
@@ -653,9 +653,7 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
     k, choice = explore(0, tuple(cap for _, cap in usable))
     chosen = [(t, m) for t, m in zip(trees, choice) if m > 0]
     return PackingOutcome(
-        packing=TreePacking.multigraph(
-            [t for t, _ in chosen], [m for _, m in chosen], rounds, source="oracle"
-        ),
+        packing=TreePacking.multigraph([t for t, _ in chosen], [m for _, m in chosen], rounds),
         optimal=optimal_flag(g, Fraction(k, rounds)),
         diagnostics={"oracle_states": len(memo), "tree_candidates": len(trees)},
     )
@@ -888,7 +886,7 @@ def greedy_pack(g) -> PackingOutcome:
         else:
             diagnostics["backtracks"] = sum(twos <= set(t.edges) for t in tried)
             return fallback("no next-to-last tree leaves a clean final tree")
-    packing = TreePacking.multigraph(chosen, [1] * len(chosen), n, source="heuristic")
+    packing = TreePacking.multigraph(chosen, [1] * len(chosen), n)
     return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
 

@@ -305,10 +305,10 @@ def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
     for rate, expected in ((100, 0), (1000, 4)):
         path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges]))
         for argv in (["pack", path, "--method", "oracle"], ["simulate", path, "--rounds", "3"]):
-            start = time.perf_counter()
+            start = time.process_time()
             code, out = run(capsys, *argv)
             assert code == expected
-            assert time.perf_counter() - start < 2
+            assert time.process_time() - start < 2
             if expected:
                 assert json.loads(out)["error"]["message"] == (
                     "the exact packer passed its budget of 1000000 search steps"
@@ -316,6 +316,22 @@ def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
             else:
                 field = "rate" if argv[0] == "simulate" else "achieved_rate"
                 assert json.loads(out)[field] == "400/3"
+
+
+def test_simulate_refuses_past_the_protocol_budget(capsys, graph_file):
+    # a 4-ring at rate 20,000 packs 80,000 trees over 3 rounds, 240,000
+    # tree-edge instances: 13.6 s, 47 MB of output and a 321 MB peak
+    # without the budget on a 2-vCPU VM.  At rate 2,500 it is 30,000; pack still answers
+    path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, 2_500) for e in ring(4).edges]))
+    start = time.process_time()
+    code, out = run(capsys, "simulate", path)
+    assert time.process_time() - start < 2
+    assert (code, json.loads(out)) == (4, {"error": {
+        "code": "HeuristicFailed",
+        "message": "running the protocol on 30000 tree-edge instances passes the budget of 20000",
+    }})
+    code, out = run(capsys, "pack", path)
+    assert (code, json.loads(out)["achieved_rate"]) == (0, "10000/3")
 
 
 TWO_TRIANGLES = build(

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,13 @@ def test_weighted_roundtrip_preserves_rate(weights):
     assert back == pk
 
 
+def test_a_packing_is_its_trees_multiplicities_and_rounds():
+    # built from weights or from multiplicities, equal packings compare equal
+    t = tree(("1", "2"), ("1", "3"))
+    assert TreePacking.weighted([t], [Fraction(1, 2)]) == TreePacking.multigraph([t], [1], 2)
+    assert [f.name for f in fields(TreePacking)] == ["trees", "multiplicities", "rounds"]
+
+
 # ---------------------------------------------------------------------------
 # exact packer
 # ---------------------------------------------------------------------------
@@ -132,8 +140,17 @@ def test_triangle_two_rounds(triangle):
     assert out.packing.tree_count == 3
     assert out.achieved_rate == Fraction(3, 2)
     assert out.optimal
-    assert out.packing.source == "oracle"
+    assert out.packing == exact_packing(triangle, 2, 3)
     assert validate_packing(triangle, out.packing).ok
+
+
+def test_oracle_packing_is_the_exact_packers_at_its_count(
+    triangle, k4, k4_minus, tri_pendant, square, square_diag
+):
+    for g in (triangle, k4, k4_minus, tri_pendant, square, square_diag):
+        for rounds in (1, 2, 3):
+            pk = brute_force_packing(g, rounds).packing
+            assert pk == exact_packing(g, rounds, pk.tree_count)
 
 
 def test_exact_matches_length_formula_on_fixtures(
@@ -232,7 +249,8 @@ def test_exact_packing_on_complete_graphs():
     for n in (6, 8, 10, 12):
         g = complete(n)
         pk = exact_packing(g, 1, n // 2)
-        assert (pk.tree_count, pk.rounds, pk.source) == (n // 2, 1, "exact")
+        # unit rates over one round: edge-disjoint trees, each once
+        assert (pk.multiplicities, pk.rounds) == ((1,) * (n // 2), 1)
         assert validate_packing(g, pk).ok
 
 

@@ -17,7 +17,9 @@ from qnet_stp import (
     secrecy_audit,
     security_budget,
 )
+from qnet_stp import protocol
 from qnet_stp.errors import (
+    HeuristicFailedError,
     IncompleteTranscriptError,
     InvalidEdgeError,
     InvalidPackingError,
@@ -231,6 +233,19 @@ def test_run_rejects_overfull_packing(triangle):
     pk = TreePacking.multigraph([t], [3], 2)
     with pytest.raises(KeyDepletedError):
         run_packing_protocol(triangle, pk, seed=0)
+
+
+def test_run_refuses_past_its_budget_before_generating_keys(monkeypatch):
+    # the unit 4-ring packs 4 trees of 3 edges: 12 tree-edge instances
+    g = ring(4)
+    pk = general_algorithm(g).packing
+    monkeypatch.setattr(protocol, "PROTOCOL_BUDGET", 12)
+    assert run_packing_protocol(g, pk, seed=0).unanimity
+    monkeypatch.setattr(protocol, "PROTOCOL_BUDGET", 11)
+    monkeypatch.setattr(protocol, "generate_keys", lambda *args: pytest.fail("keys generated"))
+    with pytest.raises(HeuristicFailedError, match="^running the protocol on 12 tree-edge "
+                       "instances passes the budget of 11$"):
+        run_packing_protocol(g, pk, seed=0)
 
 
 def test_transcript_json_shape(triangle):

@@ -20,6 +20,7 @@ from qnet_stp import (
     SpanningTree,
     TreePacking,
     VertexPartition,
+    basic_algorithm,
     bottleneck_report,
     brute_force_packing,
     check_no_bottleneck,
@@ -37,7 +38,7 @@ from qnet_stp import (
 from qnet_stp import packing
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError
 from qnet_stp.netgraph import capacities
-from qnet_stp.packing import _greedy_pack, _max_weight_tree, _optimal_flag
+from qnet_stp.packing import _max_weight_tree, _optimal_flag
 from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _partition_scan
@@ -564,7 +565,8 @@ def test_spanning_tree_helpers_match_reference(seed):
                          ids=["default", "backtrack1", "backtrack3"])
 def test_greedy_pack_matches_reference(monkeypatch, budget):
     # the next-to-last tree is searched only among trees holding every
-    # weight-2 residual edge; packings, backtracks and fallbacks stay the same
+    # weight-2 residual edge; packings, backtracks and fallbacks stay the
+    # same.  The graphs have no bottleneck, so basic_algorithm is the greedy
     monkeypatch.setattr(packing, "BACKTRACK_BUDGET", budget)
     rng = random.Random(500)
     reasons = collections.Counter()
@@ -573,7 +575,7 @@ def test_greedy_pack_matches_reference(monkeypatch, budget):
         g = integer_graph(rng, n, extra=rng.randint(n // 2, 2 * n))
         if not check_no_bottleneck(g).ok:
             continue
-        got = _greedy_pack(g).to_json_dict()
+        got = basic_algorithm(g).to_json_dict()
         assert got == reference_scans.greedy_pack(g).to_json_dict()
         reasons[got["diagnostics"].get("fallback_reason")] += 1
     # the greedy succeeds on most, and its search gives up on some

@@ -1,13 +1,18 @@
-"""Pinned output of weighted-mode packings.
+"""Pinned output of packings built from rational tree weights.
 
-No CLI command prints a weighted packing, so the golden CLI table does
-not cover these paths.  ``weighted_output.json`` holds, for an LP
+No CLI command builds a packing from weights, so the golden CLI table
+does not cover these paths.  ``weighted_output.json`` holds, for an LP
 reweighting of the hexagon's trees and for a hand-built packing with
 mixed denominators, the packing's JSON and DOT text, the announcement
 rates it realizes, the protocol transcript and (for the small one) the
 secrecy audit; plus ``validate_packing``'s verdict on an overfull
-packing in each mode.  The table was recorded from the code in which a
-weighted packing still stored its weights and ``rounds`` was None.
+packing built each way.  The rates, transcripts and audits were
+recorded from the code in which a weighted packing still stored its
+weights and ``rounds`` was None.  The JSON, the DOT text and the
+overfull verdict were re-recorded when a packing stopped carrying a
+mode: a packing built from weights prints like any other, as
+multiplicities over the weights' least common denominator in rounds,
+and its overfull edge is reported in tree instances over those rounds.
 
 To re-record (only when an output is meant to change, and say so in
 CHANGES.md)::
