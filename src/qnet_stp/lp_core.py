@@ -21,9 +21,8 @@ reweights fixed tree lists with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidPackingError, PreconditionFailedError, SolverLimitError
 from .netgraph import WeightedGraph, format_rational
@@ -95,8 +94,7 @@ def _simplex_max(
     return obj[-1], x[:n], multipliers, basis, pivots
 
 
-@dataclass(frozen=True)
-class CommunicationRates:
+class CommunicationRates(NamedTuple):
     """Per-node announcement rates plus where they came from."""
 
     rates: dict[str, Fraction]

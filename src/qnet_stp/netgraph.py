@@ -21,9 +21,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -42,8 +41,7 @@ from .errors import (
 EdgeKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """The exactness caps: the largest instance each exact search takes on.
 
     The field names are the ``QNET_STP_CAPS`` keys (see :meth:`parse`).
@@ -65,7 +63,7 @@ class Caps:
         """
         if not text.strip():
             return cls()
-        names = sorted(f.name for f in fields(cls))
+        names = sorted(cls._fields)
         values: dict[str, int] = {}
         for item in text.split(","):
             if "=" not in item:
@@ -168,8 +166,7 @@ def edge_key(u: str, v: str) -> EdgeKey:
 # graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """An undirected edge with an exact rate and security parameter."""
 
     u: str
@@ -470,8 +467,7 @@ def is_connected(g: WeightedGraph, positive_only: bool = False) -> bool:
 # vertex partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexPartition:
+class VertexPartition(NamedTuple):
     """A partition of a vertex set into disjoint nonempty blocks.
 
     Canonical form: each block sorted, blocks ordered by first element.
@@ -605,9 +601,12 @@ def proper_vertex_subsets(labels: Sequence[str]) -> Iterator[tuple[str, ...]]:
 # spanning trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """A spanning tree, stored as a sorted tuple of canonical edge keys."""
+class SpanningTree(NamedTuple):
+    """A spanning tree, stored as a sorted tuple of canonical edge keys.
+
+    ``len()`` counts edges, so ``_make`` and ``_replace``, which check
+    the field count with it, refuse a tree of other than one edge.
+    """
 
     edges: tuple[EdgeKey, ...]
 

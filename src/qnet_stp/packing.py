@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     DisconnectedError,
@@ -88,8 +87,7 @@ BACKTRACK_BUDGET = 10_000
 # packing containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreePacking:
+class TreePacking(NamedTuple):
     """Spanning trees with integer multiplicities over ``rounds`` rounds.
 
     A packing built from weights has for ``rounds`` the least common
@@ -164,20 +162,18 @@ def _merge(trees, amounts, convert, what: str) -> tuple[tuple[SpanningTree, ...]
     return tuple(kept), [merged[t] for t in kept]
 
 
-@dataclass(frozen=True)
-class PackingValidation:
+class PackingValidation(NamedTuple):
     ok: bool
     violated_edge: Optional[EdgeKey] = None
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class PackingOutcome:
+class PackingOutcome(NamedTuple):
     """A packing plus how it was obtained and how good it is."""
 
     packing: TreePacking
     optimal: Optional[bool]
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def achieved_rate(self) -> Fraction:

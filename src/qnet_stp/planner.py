@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyPlanError, ExactModeLimitError, NegativeRateError, SchemaError
 from .netgraph import (
@@ -46,8 +45,7 @@ EXHAUSTIVE_PLAN_CAP = 200_000
 # bottleneck reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BottleneckReport:
+class BottleneckReport(NamedTuple):
     """Where the rate minimum sits and what structure causes it."""
 
     rate: Fraction
@@ -224,8 +222,7 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
 # candidate evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AugmentationResult:
+class AugmentationResult(NamedTuple):
     """Exact effect of adding one candidate link."""
 
     edge: EdgeKey
@@ -316,8 +313,7 @@ def _score_addition(
 # augmentation planning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """An ordered sequence of link additions with its exact trajectory."""
 
     mode: str  # "greedy" | "exhaustive"

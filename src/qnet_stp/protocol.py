@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     HeuristicFailedError,
@@ -126,8 +125,7 @@ def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
 # orientation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TreeOrientation:
+class TreeOrientation(NamedTuple):
     """A spanning tree oriented toward its conference edge.
 
     The conference edge's endpoints act as the two roots.  Every node has
@@ -198,8 +196,7 @@ def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -
 # announcements and recovery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Announcement:
+class Announcement(NamedTuple):
     """One public XOR: inbound-edge bit of the announcer XOR outbound-edge bit."""
 
     tree: int
@@ -266,8 +263,7 @@ def announce(
     return announcements
 
 
-@dataclass(frozen=True)
-class Recovery:
+class Recovery(NamedTuple):
     """A recovered conference bit and the XOR chain that produced it."""
 
     node: str
@@ -344,8 +340,7 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
     return schedule
 
 
-@dataclass(frozen=True)
-class SecurityBudget:
+class SecurityBudget(NamedTuple):
     """Failure-probability accounting: per tree instance and merged."""
 
     per_tree: tuple[Fraction, ...]
@@ -372,8 +367,7 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     return SecurityBudget(per_tree=tuple(per_tree), merged=sum(per_tree, Fraction(0)))
 
 
-@dataclass(frozen=True)
-class ProtocolTranscript:
+class ProtocolTranscript(NamedTuple):
     """Everything observable from one protocol run."""
 
     rounds: int
@@ -451,8 +445,7 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
 # exact secrecy audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Result of the exact secrecy check.
 
     ``uniform`` means: for every realizable transcript, all conference

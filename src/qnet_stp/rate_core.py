@@ -23,9 +23,8 @@ bottleneck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DisconnectedError,
@@ -45,8 +44,7 @@ from .netgraph import (
     is_connected,
 )
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Result of a rate computation.
 
     ``minimizing_partition`` is the first partition (in enumeration
@@ -313,8 +311,7 @@ def finest_bound(g: WeightedGraph) -> Fraction:
     return g.total_rate() / (g.node_count - 1)
 
 
-@dataclass(frozen=True)
-class BottleneckCertificate:
+class BottleneckCertificate(NamedTuple):
     """Outcome of the per-subset bottleneck scan.
 
     ``violating_subset is None`` means every subset satisfies the

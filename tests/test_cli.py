@@ -604,7 +604,7 @@ def test_read_caps_defaults_and_overrides():
         read_caps("partitions=abc")
     with pytest.raises(SchemaError):
         read_caps("partitions=0")
-    assert sorted(vars(caps)) == ["partitions", "subsets"]
+    assert sorted(caps._fields) == ["partitions", "subsets"]
     for gone in ("lp", "oracle_rounds", "audit", "backtrack", "trees"):
         with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
             read_caps(f"{gone}=16")

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -128,7 +127,7 @@ def test_a_packing_is_its_trees_multiplicities_and_rounds():
     # built from weights or from multiplicities, equal packings compare equal
     t = tree(("1", "2"), ("1", "3"))
     assert TreePacking.weighted([t], [Fraction(1, 2)]) == TreePacking.multigraph([t], [1], 2)
-    assert [f.name for f in fields(TreePacking)] == ["trees", "multiplicities", "rounds"]
+    assert TreePacking._fields == ("trees", "multiplicities", "rounds")
 
 
 # ---------------------------------------------------------------------------
