@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (
     LimitError,
@@ -34,16 +34,9 @@ from .netgraph import (
     parse_graph,
     parse_rational,
 )
-from .packing import (
-    TreePacking,
-    basic_algorithm,
-    brute_force_packing,
-    general_algorithm,
-    packing_rate,
-)
-from .planner import best_additions, bottleneck_report
-from .protocol import run_packing_protocol, secrecy_audit
-from .rate_core import nwt_rate
+
+if TYPE_CHECKING:
+    from .packing import TreePacking
 
 #: Color cycle for per-tree DOT subgraphs (ColorBrewer Dark2).
 DOT_PALETTE = (
@@ -164,7 +157,11 @@ def emit(doc) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# Each command imports the modules it runs, so a call loads no others.
+
 def cmd_rate(args, caps) -> int:
+    from .rate_core import nwt_rate
+
     g = load_graph(args.input)
     report = nwt_rate(g, caps=caps)
     if args.format == "text":
@@ -175,6 +172,8 @@ def cmd_rate(args, caps) -> int:
 
 
 def _make_packing(g, method: str, rounds: Optional[int], caps):
+    from .packing import basic_algorithm, brute_force_packing, general_algorithm
+
     if method == "oracle":
         n = rounds if rounds is not None else g.node_count - 1
         return brute_force_packing(g, n, caps=caps)
@@ -203,6 +202,9 @@ def cmd_pack(args, caps) -> int:
 
 
 def cmd_simulate(args, caps) -> int:
+    from .packing import packing_rate
+    from .protocol import run_packing_protocol, secrecy_audit
+
     g = load_graph(args.input)
     method = "general" if args.rounds is None else "oracle"
     pk = _make_packing(g, method, args.rounds, caps).packing
@@ -220,6 +222,8 @@ def cmd_simulate(args, caps) -> int:
 
 
 def cmd_analyze(args, caps) -> int:
+    from .planner import bottleneck_report
+
     g = load_graph(args.input)
     report = bottleneck_report(g, caps=caps)
     if args.format == "text":
@@ -282,6 +286,8 @@ def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
 
 
 def cmd_optimize(args, caps) -> int:
+    from .planner import best_additions
+
     g = load_graph(args.input)
     candidates = parse_candidates(args.candidates, set(g.node_ids)) if args.candidates else []
     plan = best_additions(g, candidates, args.budget, exhaustive=args.exhaustive, caps=caps)

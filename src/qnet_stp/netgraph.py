@@ -604,8 +604,8 @@ def proper_vertex_subsets(labels: Sequence[str]) -> Iterator[tuple[str, ...]]:
 class SpanningTree(NamedTuple):
     """A spanning tree, stored as a sorted tuple of canonical edge keys.
 
-    ``len()`` counts edges, so ``_make`` and ``_replace``, which check
-    the field count with it, refuse a tree of other than one edge.
+    ``len()`` counts edges.  ``_make`` and ``_replace`` work as on any
+    named tuple.
     """
 
     edges: tuple[EdgeKey, ...]
@@ -631,6 +631,12 @@ class SpanningTree(NamedTuple):
 
     def to_json_list(self) -> list[list[str]]:
         return [[u, v] for u, v in self.edges]
+
+
+# The named tuple's own ``_make``, which ``_replace`` calls, checks the
+# field count with ``len()``, the edge count here.  typing.NamedTuple
+# refuses the override inside the class body.
+SpanningTree._make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:

@@ -21,6 +21,7 @@ count over the key bits, equivalent to enumerating every key assignment.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -357,14 +358,20 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     """Sum each tree instance's edge epsilons; the total simply adds up.
 
     With a common epsilon per edge this gives (edge count) * epsilon per
-    tree and (instances) * (edge count) * epsilon overall.
+    tree and (instances) * (edge count) * epsilon overall.  The sums run
+    over integer numerators on the epsilons' least common denominator.
     """
-    per_tree = []
-    for _, _, tree in pk.instances():
-        per_tree.append(
-            sum((Fraction(epsilons[key]) for key in tree.edges), Fraction(0))
-        )
-    return SecurityBudget(per_tree=tuple(per_tree), merged=sum(per_tree, Fraction(0)))
+    used = [(tree, mult) for tree, mult in zip(pk.trees, pk.multiplicities) if mult > 0]
+    keys = dict.fromkeys(key for tree, _ in used for key in tree.edges)
+    eps = {key: Fraction(epsilons[key]) for key in keys}
+    den = math.lcm(*(x.denominator for x in eps.values()))
+    num = {key: x.numerator * (den // x.denominator) for key, x in eps.items()}
+    per_tree, total = [], 0
+    for tree, mult in used:
+        tree_num = sum(num[key] for key in tree.edges)
+        per_tree += [Fraction(tree_num, den)] * mult
+        total += tree_num * mult
+    return SecurityBudget(per_tree=tuple(per_tree), merged=Fraction(total, den))
 
 
 class ProtocolTranscript(NamedTuple):

@@ -28,7 +28,7 @@ from qnet_stp.errors import (
 )
 from qnet_stp.protocol import KeyMaterial, consumption_schedule
 
-from conftest import build, complete, ring
+from conftest import build, complete, random_connected_graph, ring
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,27 @@ def test_budget_on_plain_tree_network(n_nodes, copies):
     budget = security_budget(pk, {e.key: eps for e in g.edges})
     assert budget.per_tree == ((n_nodes - 1) * eps,) * copies
     assert budget.merged == copies * (n_nodes - 1) * eps
+
+
+def test_budget_equals_the_per_instance_fraction_sums():
+    # mixed denominators, zeros and plain ints, against the sum taken
+    # one tree instance and one edge at a time
+    rng = random.Random(8)
+    for _ in range(60):
+        g = random_connected_graph(rng, max_nodes=7)
+        pk = general_algorithm(g).packing
+        eps = {
+            e.key: rng.choice([0, 1, Fraction(rng.randint(0, 9), rng.randint(1, 36))])
+            for e in g.edges
+        }
+        per_tree = tuple(
+            sum((Fraction(eps[key]) for key in tree.edges), Fraction(0))
+            for _, _, tree in pk.instances()
+        )
+        budget = security_budget(pk, eps)
+        assert budget.per_tree == per_tree
+        assert budget.merged == sum(per_tree, Fraction(0))
+        assert all(type(x) is Fraction for x in (*budget.per_tree, budget.merged))
 
 
 # ---------------------------------------------------------------------------

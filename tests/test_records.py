@@ -108,9 +108,12 @@ def test_spanning_tree_counts_holds_and_orders_its_edges():
     assert len(small) == 2
     assert ("1", "3") in small and ("2", "3") not in small
     assert small < large and not large < small
-    # len() counts edges, so the field-count check of _replace refuses a tree
+    assert small._replace(edges=large.edges) == large
+    assert SpanningTree._make([large.edges]) == large
+    with pytest.raises(ValueError):
+        small._replace(nodes=())
     with pytest.raises(TypeError):
-        small._replace(edges=large.edges)
+        SpanningTree._make([small.edges, large.edges])
 
 
 def test_spanning_tree_hashes_as_the_tuple_of_its_fields():
