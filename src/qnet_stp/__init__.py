@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("QNetError", "ValidationError", "LimitError", "InternalError"),
     "netgraph": (
-        "Caps", "Edge", "WeightedGraph", "VertexPartition", "SpanningTree", "capacities",
+        "Edge", "WeightedGraph", "VertexPartition", "SpanningTree", "capacities",
         "parse_graph", "is_connected", "contract", "induced_subgraph",
         "enumerate_spanning_trees", "is_spanning_tree",
     ),
@@ -53,10 +53,17 @@ def __getattr__(name):
     # Not cached in the package's globals: each access reads the
     # submodule's current binding, so a name rebound there (as the
     # benchmark tracer does, and then undoes) is seen here too.
+    # An AttributeError raised while the submodule is first imported is
+    # re-raised as an ImportError: ``from qnet_stp import X`` would turn
+    # it into a bare "cannot import name" and drop its cause.
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    try:
+        submodule = importlib.import_module(f"{__name__}.{module}")
+    except AttributeError as exc:
+        raise ImportError(f"importing {__name__}.{module} failed: {exc}") from exc
+    return getattr(submodule, name)
 
 
 def __dir__():

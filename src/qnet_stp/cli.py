@@ -5,10 +5,10 @@ Graphs come in as JSON files; results leave as JSON (default), DOT, or
 plain text.  Output is deterministic: identical inputs, flags and seed
 produce byte-identical bytes.
 
-Exit codes: 0 success, 2 input/validation error, 3 a resource cap was
-hit, 4 internal failure (a packer gave up).
-Caps can be overridden with QNET_STP_CAPS, e.g.
-``QNET_STP_CAPS="partitions=10,subsets=16"``.
+Exit codes: 0 success, 2 input/validation error, 3 a scan passed its
+step budget, 4 internal failure (a packer gave up).  The exact scans
+have fixed step budgets in place of the node caps QNET_STP_CAPS once
+set, so a call with that variable set to anything but blanks exits 2.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .netgraph import (
-    Caps,
     WeightedGraph,
     format_rational,
     parse_graph,
@@ -43,11 +42,6 @@ DOT_PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
     "#66a61e", "#e6ab02", "#a6761d", "#666666",
 )
-
-
-def read_caps(env: Optional[str] = None) -> Caps:
-    """The caps in force: ``env``, or else QNET_STP_CAPS, parsed by :meth:`Caps.parse`."""
-    return Caps.parse(os.environ.get("QNET_STP_CAPS", "") if env is None else env)
 
 
 def load_graph(path: str) -> WeightedGraph:
@@ -159,11 +153,11 @@ def emit(doc) -> None:
 
 # Each command imports the modules it runs, so a call loads no others.
 
-def cmd_rate(args, caps) -> int:
+def cmd_rate(args) -> int:
     from .rate_core import nwt_rate
 
     g = load_graph(args.input)
-    report = nwt_rate(g, caps=caps)
+    report = nwt_rate(g)
     if args.format == "text":
         sys.stdout.write(format_rational(report.rate) + "\n")
     else:
@@ -171,22 +165,22 @@ def cmd_rate(args, caps) -> int:
     return 0
 
 
-def _make_packing(g, method: str, rounds: Optional[int], caps):
+def _make_packing(g, method: str, rounds: Optional[int]):
     from .packing import basic_algorithm, brute_force_packing, general_algorithm
 
     if method == "oracle":
         n = rounds if rounds is not None else g.node_count - 1
-        return brute_force_packing(g, n, caps=caps)
+        return brute_force_packing(g, n)
     if rounds is not None:
         raise SchemaError("--rounds only applies to --method oracle")
     if method == "basic":
-        return basic_algorithm(g, caps=caps)
-    return general_algorithm(g, caps=caps)
+        return basic_algorithm(g)
+    return general_algorithm(g)
 
 
-def cmd_pack(args, caps) -> int:
+def cmd_pack(args) -> int:
     g = load_graph(args.input)
-    outcome = _make_packing(g, args.method, args.rounds, caps)
+    outcome = _make_packing(g, args.method, args.rounds)
     if args.format == "dot":
         sys.stdout.write(packing_dot(g, outcome.packing))
     elif args.format == "text":
@@ -201,13 +195,13 @@ def cmd_pack(args, caps) -> int:
     return 0
 
 
-def cmd_simulate(args, caps) -> int:
+def cmd_simulate(args) -> int:
     from .packing import packing_rate
     from .protocol import run_packing_protocol, secrecy_audit
 
     g = load_graph(args.input)
     method = "general" if args.rounds is None else "oracle"
-    pk = _make_packing(g, method, args.rounds, caps).packing
+    pk = _make_packing(g, method, args.rounds).packing
     transcript = run_packing_protocol(g, pk, args.seed)
     doc = transcript.to_json_dict()
     doc["packing"] = pk.to_json_dict()
@@ -221,11 +215,11 @@ def cmd_simulate(args, caps) -> int:
     return 0
 
 
-def cmd_analyze(args, caps) -> int:
+def cmd_analyze(args) -> int:
     from .planner import bottleneck_report
 
     g = load_graph(args.input)
-    report = bottleneck_report(g, caps=caps)
+    report = bottleneck_report(g)
     if args.format == "text":
         sys.stdout.write(report.narrative + "\n")
     else:
@@ -285,12 +279,12 @@ def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
     return out
 
 
-def cmd_optimize(args, caps) -> int:
+def cmd_optimize(args) -> int:
     from .planner import best_additions
 
     g = load_graph(args.input)
     candidates = parse_candidates(args.candidates, set(g.node_ids)) if args.candidates else []
-    plan = best_additions(g, candidates, args.budget, exhaustive=args.exhaustive, caps=caps)
+    plan = best_additions(g, candidates, args.budget, exhaustive=args.exhaustive)
     if args.format == "text":
         sys.stdout.write(f"initial rate {format_rational(plan.initial_rate)}\n")
         for step in plan.steps:
@@ -308,7 +302,7 @@ def cmd_optimize(args, caps) -> int:
     return 0
 
 
-def cmd_export_dot(args, caps) -> int:
+def cmd_export_dot(args) -> int:
     g = load_graph(args.input)
     sys.stdout.write(graph_dot(g))
     return 0
@@ -376,8 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        caps = read_caps()
-        return args.func(args, caps)
+        if os.environ.get("QNET_STP_CAPS", "").strip():
+            raise SchemaError(
+                "QNET_STP_CAPS is no longer read: the caps are gone and each exact scan "
+                "has a fixed step budget"
+            )
+        return args.func(args)
     except QNetError as exc:
         emit({"error": {"code": exc.code, "message": str(exc)}})
         if isinstance(exc, ValidationError):

@@ -4,8 +4,8 @@ Three families, mirrored by the CLI exit codes:
 
 * :class:`ValidationError` -- the input (graph, partition, packing, flag
   value, ...) is malformed or violates a documented precondition; exit 2.
-* :class:`LimitError` -- the request is well-formed but exceeds a
-  configured scan cap; exit 3.
+* :class:`LimitError` -- the request is well-formed but a scan passed
+  its step budget; exit 3.
 * :class:`InternalError` -- a solver or heuristic gave up; exit 4.
 
 Each concrete class carries a stable ``code`` string used in CLI error
@@ -26,7 +26,7 @@ class ValidationError(QNetError):
 
 
 class LimitError(QNetError):
-    """Request exceeds a configured scan/size cap (CLI exit 3)."""
+    """A scan passed its step budget, or a request its size cap (CLI exit 3)."""
 
 
 class InternalError(QNetError):

@@ -150,6 +150,7 @@ def explicit_rates_no_bottleneck(g: WeightedGraph) -> CommunicationRates:
 
     Raises:
         PreconditionFailedError: some subset violates the bottleneck test.
+        ExactModeLimitError: the subset scan passed its budget.
     """
     cert = check_no_bottleneck(g)
     if not cert.ok:

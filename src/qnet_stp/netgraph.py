@@ -41,49 +41,6 @@ from .errors import (
 EdgeKey = tuple[str, str]
 
 
-class Caps(NamedTuple):
-    """The exactness caps: the largest instance each exact search takes on.
-
-    The field names are the ``QNET_STP_CAPS`` keys (see :meth:`parse`).
-    The packers are bounded by fixed budgets, not caps: the greedy's
-    search by ``packing.BACKTRACK_BUDGET``, and its extractions and the
-    exact packer's work by ``packing.EXACT_STEP_BUDGET``.
-    """
-
-    partitions: int = 12  # nodes in a partition scan (rates, optimality checks)
-    subsets: int = 20  # nodes in a bottleneck subset scan
-
-    @classmethod
-    def parse(cls, text: str) -> Caps:
-        """The defaults with ``"key=value,..."`` overrides applied.
-
-        Raises:
-            SchemaError: a malformed item, an unknown key, or a value that
-                is not a positive integer.
-        """
-        if not text.strip():
-            return cls()
-        names = sorted(cls._fields)
-        values: dict[str, int] = {}
-        for item in text.split(","):
-            if "=" not in item:
-                raise SchemaError(f"cap override {item!r} is not of the form key=value")
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if key not in names:
-                raise SchemaError(f"unknown cap {key!r}; known caps: {', '.join(names)}")
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise SchemaError(f"cap {key!r} needs an integer, got {value.strip()!r}")
-            if values[key] < 1:
-                raise SchemaError(f"cap {key!r} must be positive")
-        return cls(**values)
-
-
-CAPS = Caps()
-
-
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------

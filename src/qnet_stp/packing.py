@@ -37,14 +37,13 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
     DisconnectedError,
+    ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
     MergeFailedError,
     PreconditionFailedError,
 )
 from .netgraph import (
-    CAPS,
-    Caps,
     EdgeKey,
     SpanningTree,
     VertexPartition,
@@ -224,7 +223,7 @@ def packing_rate(pk: TreePacking) -> Fraction:
 # oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> PackingOutcome:
+def brute_force_packing(g: WeightedGraph, rounds: int) -> PackingOutcome:
     """Exact maximum multigraph packing for ``rounds`` rounds.
 
     By Nash-Williams and Tutte, the most trees that fit over ``rounds``
@@ -247,7 +246,7 @@ def brute_force_packing(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> 
     packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
     return PackingOutcome(
         packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
+        optimal=_optimal_flag(g, packing_rate(packing), witness),
         diagnostics={"packer_calls": calls},
     )
 
@@ -283,25 +282,25 @@ def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> 
 
 
 def _optimal_flag(
-    g: WeightedGraph, rate: Fraction, caps: Caps, witness: Optional[VertexPartition] = None
+    g: WeightedGraph, rate: Fraction, witness: Optional[VertexPartition] = None
 ) -> Optional[bool]:
     """Whether a packing ``rate`` equals the network's rate, or None if unknown.
 
     ``rate`` must come from a valid packing, so it never exceeds the
     rate.  A partition whose bound equals it proves it optimal: the
     finest partition, then ``witness`` (say, a bottleneck certificate's
-    partition), both in linear time and at any size.  Otherwise, up to
-    ``caps.partitions`` nodes, the partition scan runs with ``rate`` as
-    its cutoff and stops at the first partition whose value is at most
-    ``rate``, which exists iff ``rate`` is optimal; above that the answer
-    is None.
+    partition), both in linear time and at any size.  Otherwise the
+    partition scan runs with ``rate`` as its cutoff and stops at the
+    first partition whose value is at most ``rate``, which exists iff
+    ``rate`` is optimal; a scan that passes its budget answers None.
     """
     if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
         return True
-    if g.node_count > caps.partitions:
-        return None
     _, scale, w = g.integer_weights()
-    return _partition_scan(w, rate * scale) is None
+    try:
+        return _partition_scan(w, rate * scale) is None
+    except ExactModeLimitError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,11 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     Edmonds' matroid partition over ``target`` forests, run on
     capacities: edge key ``e`` sits in at most ``floor(rounds * rate_e)``
     forests, at most once in each.  Each forest in turn is seeded by
-    Kruskal over the sorted keys with spare capacity.  Then each
+    Kruskal over the sorted keys with spare capacity; a forest repeats
+    until one of its keys runs out, so each distinct one is built once,
+    with its copies.  Forests are shared ``frozenset``s, replaced when an
+    exchange writes to one, so memory follows the distinct forests, not
+    the tree count.  Then each
     augmentation is a breadth-first search for a shortest exchange path:
     a spare copy enters a forest, which pushes out an edge of the cycle
     it closes, which enters another forest, and so on until a copy joins
@@ -341,7 +344,7 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     nodes = g.sorted_nodes()
     capacity = {k: m for k, m in capacities(g, rounds).items() if m}
     spare = dict(capacity)
-    forests: list[set[EdgeKey]] = []
+    forests: list[frozenset[EdgeKey]] = []
     steps = 0
 
     def spend(count: int) -> None:
@@ -353,13 +356,14 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
             )
 
     spend(2 * len(nodes) * target)
-    for _ in range(target):
+    while len(forests) < target:
         offered = [k for k, m in spare.items() if m]
-        spend(len(offered))
         forest = spanning_forest(nodes, offered)
+        copies = min([spare[key] for key in forest] + [target - len(forests)])
+        spend(copies * len(offered))
         for key in forest:
-            spare[key] -= 1
-        forests.append(set(forest))
+            spare[key] -= copies
+        forests += [frozenset(forest)] * copies
     for _ in range(target * (len(nodes) - 1) - sum(map(len, forests))):
         moves, reached = _exchange_path(nodes, forests, [k for k, m in spare.items() if m], spend)
         if moves is None:
@@ -377,10 +381,10 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
             )
         spare[moves[-1][0]] -= 1
         for key, into, out_of in moves:
-            forests[into].add(key)
+            forests[into] = forests[into] | {key}
             if out_of is not None:
-                forests[out_of].discard(key)
-    copies = Counter(map(frozenset, forests))
+                forests[out_of] = forests[out_of] - {key}
+    copies = Counter(forests)
     trees = [SpanningTree.of(f) for f in copies]
     return TreePacking.multigraph(trees, list(copies.values()), rounds)
 
@@ -391,10 +395,12 @@ def _exchange_path(nodes, forests, sources, spend):
     Returns ``(moves, None)`` with ``moves`` the ``(key, into, out_of)``
     steps, last to first (``out_of`` None for the spare copy), or
     ``(None, reached)`` with the keys the search reached.  ``spend`` is
-    charged for the forests rooted and scanned (see ``EXACT_STEP_BUDGET``).
+    charged for the forests rooted and scanned (see ``EXACT_STEP_BUDGET``),
+    though each distinct forest is rooted once.
     """
     spend(len(nodes) * len(forests) + sum(map(len, forests)))
-    rooted = [_rooted(nodes, forest) for forest in forests]
+    roots = {f: _rooted(nodes, f) for f in set(forests)}
+    rooted = [roots[f] for f in forests]
     pred: dict = {(key, None): None for key in sources}
     queue = deque(pred)
     while queue:
@@ -466,7 +472,7 @@ def _unit_residual_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optiona
     return tree if is_spanning_tree(g, tree) else None
 
 
-def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
+def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
     Over ``N - 1`` rounds each edge offers ``(N - 1) * rate`` uses and
@@ -480,8 +486,7 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     the fewest rounds that make that a whole number (flagged in
     diagnostics; ``backtracks`` counts the candidates tried).  It refuses
     before the first tree if, at a step per edge and per node each, the
-    trees pass ``EXACT_STEP_BUDGET``; ``caps.subsets`` bounds the
-    bottleneck scan.  No bottleneck means the
+    trees pass ``EXACT_STEP_BUDGET``.  No bottleneck means the
     all-singletons bound is the rate, so the packing is optimal with no
     partition scan.  :func:`general_algorithm` runs the same greedy on
     each bottleneck-free network it reaches, without repeating the scan
@@ -489,13 +494,13 @@ def basic_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
-        ExactModeLimitError: more nodes than ``caps.subsets``.
+        ExactModeLimitError: the bottleneck scan passed its budget.
         HeuristicFailedError: the extractions would pass
             ``EXACT_STEP_BUDGET``, or the exact packer passed it.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
-    cert = check_no_bottleneck(g, caps=caps)
+    cert = check_no_bottleneck(g)
     if not cert.ok:
         raise PreconditionFailedError(
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
@@ -571,7 +576,7 @@ def _exact_fallback(g: WeightedGraph, rate: Fraction, reason: str, diagnostics: 
 # general algorithm (bottlenecks via contraction)
 # ---------------------------------------------------------------------------
 
-def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
+def general_algorithm(g: WeightedGraph) -> PackingOutcome:
     """Optimal-rate packing for integer rates, bottlenecks included.
 
     While some subset violates the bottleneck test, split on the first
@@ -588,23 +593,22 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
     proven by the first of: the finest partition's bound, the bound of
     the top-level violator's partition (after a fallback, of the
     descent's last refusing partition), a partition scan that stops at
-    the first partition whose value is at most the packing rate; above
-    ``caps.partitions`` nodes the scan does not run and an unproven
-    ``optimal`` is None.  ``caps`` reaches every scan.
+    the first partition whose value is at most the packing rate; if that
+    scan passes its budget an unproven ``optimal`` is None.
 
     Raises:
         PreconditionFailedError: non-integer rates.
-        ExactModeLimitError: a scan over more nodes than its cap.
+        ExactModeLimitError: a bottleneck scan passed its budget.
         HeuristicFailedError: a greedy packing or the exact packer would
             pass ``EXACT_STEP_BUDGET``.
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
-    cert = check_no_bottleneck(g, caps=caps)
+    cert = check_no_bottleneck(g)
     witness = cert.partition
     try:
-        packing = _general_pack(g, cert, diagnostics, 0, caps)
+        packing = _general_pack(g, cert, diagnostics, 0)
     except (MergeFailedError, DisconnectedError) as exc:
         try:
             bound = partition_bound(g, witness)
@@ -616,13 +620,13 @@ def general_algorithm(g: WeightedGraph, *, caps: Caps = CAPS) -> PackingOutcome:
         witness = refusal or witness
     return PackingOutcome(
         packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), caps, witness),
+        optimal=_optimal_flag(g, packing_rate(packing), witness),
         diagnostics=diagnostics,
     )
 
 
 def _general_pack(
-    g: WeightedGraph, cert: BottleneckCertificate, diagnostics: dict, depth: int, caps: Caps
+    g: WeightedGraph, cert: BottleneckCertificate, diagnostics: dict, depth: int
 ) -> TreePacking:
     """Pack ``g`` given ``cert``, its bottleneck scan: each network is scanned once."""
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
@@ -639,7 +643,7 @@ def _general_pack(
             f"remainder network on {list(rest)} is not connected; cannot split"
         )
     pk_contracted, pk_remainder = (
-        _general_pack(part, check_no_bottleneck(part, caps=caps), diagnostics, depth + 1, caps)
+        _general_pack(part, check_no_bottleneck(part), diagnostics, depth + 1)
         for part in (contracted, remainder)
     )
     return _splice(g, subset, merged_label, pk_contracted, pk_remainder)

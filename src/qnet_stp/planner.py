@@ -15,10 +15,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
+from . import rate_core
 from .errors import EmptyPlanError, ExactModeLimitError, NegativeRateError, SchemaError
 from .netgraph import (
-    CAPS,
-    Caps,
     EdgeKey,
     VertexPartition,
     WeightedGraph,
@@ -30,9 +29,9 @@ from .netgraph import (
 from .rate_core import (
     BottleneckCertificate,
     RateReport,
+    _over_budget,
     _partition_scan,
     _rate_report,
-    _require_subset_cap,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -117,20 +116,30 @@ def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
     search visits the sides in that order, adding one later node at a
     time, and skips a branch when the weight between its side and the
     nodes passed over, plus each undecided node's lighter tie to the two,
-    already exceeds the minimum.
+    already exceeds the minimum.  Each node it tries costs ``N`` units of
+    ``PARTITION_BUDGET``, charged as a search enters its loop; past the
+    budget it stops.
+
+    Raises:
+        ExactModeLimitError: the search passed ``PARTITION_BUDGET``.
     """
     nodes, scale, w = g.integer_weights()
     n = len(nodes)
     least = _min_cut(w)
     degree = [sum(row) for row in w]
     side = [0]
+    steps, budget = 0, rate_core.PARTITION_BUDGET
 
     def search(start: int, cut: int, fixed: int, to_in: list[int], to_out: list[int]) -> bool:
         # nodes below `start` are placed: those in `side` or else on the other
         # side; `fixed` is the weight between the two, `to_in` and `to_out`
         # each node's weight to them, `cut` the side's cut
+        nonlocal steps
         if cut == least and len(side) < n:
             return True
+        steps += (n - start) * n
+        if steps > budget:
+            raise _over_budget("bipartition search", n, budget)
         for j in range(start, n):
             joined = [a + b for a, b in zip(to_in, w[j])]
             if fixed + to_out[j] + sum(map(min, joined[j + 1:], to_out[j + 1:])) <= least:
@@ -149,7 +158,7 @@ def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
     return Fraction(least, scale), partition
 
 
-def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckReport:
+def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
     """Classify the binding structure behind the network's key rate.
 
     The report names the minimizing partition, contracts the graph onto
@@ -158,7 +167,7 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     bipartition bound is strictly looser).  The subset certificate, when
     a bottleneck exists, carries both forms of the per-subset test.  When
     the finest partition is optimal no subset violates its test, so the
-    subset scan is skipped; the ``caps.subsets`` refusal still applies.
+    subset scan is skipped.
 
     The best bipartition bound is the minimum cut.  When the scan's
     minimizer has two blocks it is a cut at the rate, and no cut is below
@@ -168,15 +177,9 @@ def bottleneck_report(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckRepor
     find, and only then does :func:`_best_bipartition` search for the
     first minimum-cut side.
     """
-    if g.node_count > caps.partitions:
-        raise ExactModeLimitError(
-            f"bottleneck report needs partition enumeration; "
-            f"{g.node_count} nodes exceed the cap of {caps.partitions}"
-        )
-    report: RateReport = nwt_rate(g, caps=caps)
-    _require_subset_cap(g, caps)
+    report: RateReport = nwt_rate(g)
     # no subset violates its bound exactly when the finest partition is optimal
-    certificate = None if report.finest_is_optimal else check_no_bottleneck(g, caps=caps)
+    certificate = None if report.finest_is_optimal else check_no_bottleneck(g)
     partition = report.minimizing_partition
     if partition.block_count == 2:
         bip_bound = report.rate
@@ -262,8 +265,6 @@ def evaluate_addition(
     u: str,
     v: str,
     rate=1,
-    *,
-    caps: Caps = CAPS,
 ) -> AugmentationResult:
     """Score one candidate link by the exact rate of the augmented network.
 
@@ -276,8 +277,8 @@ def evaluate_addition(
     added = parse_rational(rate)
     if added <= 0:
         raise NegativeRateError(f"candidate rate must be positive, got {added}")
-    before = nwt_rate(g, caps=caps).rate
-    return _score_addition(g, u, v, added, before, caps)
+    before = nwt_rate(g).rate
+    return _score_addition(g, u, v, added, before)
 
 
 def _score_addition(
@@ -286,7 +287,6 @@ def _score_addition(
     v: str,
     added: Fraction,
     before: Fraction,
-    caps: Caps,
     after: Optional[RateReport] = None,
 ) -> AugmentationResult:
     """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known.
@@ -296,7 +296,7 @@ def _score_addition(
     """
     augmented = g.with_edge(u, v, added)
     if after is None:
-        after = nwt_rate(augmented, caps=caps)
+        after = nwt_rate(augmented)
     return AugmentationResult(
         edge=edge_key(u, v),
         added_rate=added,
@@ -406,7 +406,6 @@ def best_additions(
     budget: int,
     *,
     exhaustive: bool = False,
-    caps: Caps = CAPS,
 ) -> Plan:
     """Plan up to ``budget`` link additions from ``candidates``.
 
@@ -436,7 +435,7 @@ def best_additions(
     pool = _normalize_candidates(candidates)
     if budget > 0 and not pool:
         raise EmptyPlanError("no candidate links to choose from")
-    report = nwt_rate(g, caps=caps)
+    report = nwt_rate(g)
     initial = report.rate
     if budget == 0:
         return Plan(mode="greedy", initial_rate=initial, final_rate=initial, steps=())
@@ -445,7 +444,7 @@ def best_additions(
     steps: list[AugmentationResult] = []
     current, before = g, initial
     for (u, v, added), after in zip(choice, afters):
-        step = _score_addition(current, u, v, added, before, caps, after)
+        step = _score_addition(current, u, v, added, before, after)
         steps.append(step)
         current, before = step.graph, step.rate_after
     return Plan(

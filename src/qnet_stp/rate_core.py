@@ -34,8 +34,6 @@ from .errors import (
     TrivialNetworkError,
 )
 from .netgraph import (
-    CAPS,
-    Caps,
     VertexPartition,
     WeightedGraph,
     check_rounds,
@@ -43,6 +41,24 @@ from .netgraph import (
     format_rational,
     is_connected,
 )
+
+#: Most units of work one partition scan takes, about a second at any
+#: node count: a prefix costs a unit per block its node tries and per
+#: neighbour term it updates for a block, and summing the tight terms
+#: again after an improvement a unit per node summed.
+#: :func:`planner._best_bipartition`'s side search counts against it too.
+PARTITION_BUDGET = 3_000_000
+
+#: Most candidate members one bottleneck subset scan tries: at least the
+#: 2,097,110 of the unpruned walk over 20 nodes, so every scan of 20 or
+#: fewer nodes finishes.
+SUBSET_BUDGET = 2_100_000
+
+
+def _over_budget(search: str, n: int, budget: int) -> ExactModeLimitError:
+    """The refusal of a ``search`` over ``n`` nodes that passed its ``budget``."""
+    return ExactModeLimitError(f"the {search} of {n} nodes passed its budget of {budget} steps")
+
 
 class RateReport(NamedTuple):
     """Result of a rate computation.
@@ -90,8 +106,10 @@ def _partition_scan(
     that returns a minimizer never met its cutoff, so it took the path of
     the scan without one.  Each comparison the scan makes weighs two sums
     linear in the weights, so it takes the same path and picks the same
-    partition on any positive multiple of ``w``.  ``w`` must be connected
-    and have two or more nodes.
+    partition on any positive multiple of ``w``, and so spends the same
+    units of ``PARTITION_BUDGET``; past it the scan raises
+    ExactModeLimitError.  ``w`` must be connected and have two or more
+    nodes.
 
     With the incumbent ``A / B``, a partition beats it when
     ``F = B * cross - A * (blocks - 1)`` is below ``tie`` (see
@@ -135,6 +153,7 @@ def _partition_scan(
     into = [[0] * n for _ in range(n)]
     top = [0] * n
     placed = [0] * n
+    steps, budget = 0, PARTITION_BUDGET  # units of work
 
     def bound() -> None:
         s = 0
@@ -163,6 +182,7 @@ def _partition_scan(
     def visit(i: int, cross: int, p: int, rest: int) -> None:
         # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
         # rest = sum of the tight terms of nodes i..n-1
+        nonlocal steps
         row = into[i]
         cross += back[i]
         if i == n - 1:
@@ -174,17 +194,23 @@ def _partition_scan(
                 rgs[i] = p
                 improve(cross, p)
             return
+        steps += p + 1
+        if steps > budget:
+            raise _over_budget("partition scan", n, budget)
         B = best_pm1
         o, t = opening[i], (placed[i] - top[i]) * B
         rest -= t if t < o else o
+        up = upper[i]
+        d = len(up)
         for b in range(p + 1):  # b == p opens a block; row[p] is 0
             c = cross - row[b]
             q = p + (b == p)
             value = c * B - best_cross * (q - 1)
             if value + slack[i + 1] >= tie:
                 continue
+            steps += d
             tight = rest
-            for k, x in upper[i]:
+            for k, x in up:
                 o = opening[k]
                 if o > 0:  # otherwise the term is o before and after
                     y, h = into[k][b] + x, top[k]
@@ -194,7 +220,7 @@ def _partition_scan(
                 continue
             rgs[i] = b
             tops = []
-            for k, x in upper[i]:
+            for k, x in up:
                 blocks = into[k]
                 blocks[b] += x
                 placed[k] += x
@@ -203,13 +229,14 @@ def _partition_scan(
                     top[k] = blocks[b]
             mark = improvements
             visit(i + 1, c, q, tight)
-            for (k, x), old in zip(upper[i], tops):
+            for (k, x), old in zip(up, tops):
                 into[k][b] -= x
                 placed[k] -= x
                 top[k] = old
             if mark != improvements:
                 B = best_pm1
                 rest = terms(i + 1)
+                steps += n - i - 1
 
     for k, x in upper[0]:
         into[k][0] = top[k] = placed[k] = x
@@ -223,7 +250,7 @@ def _partition_scan(
     return best_cross, best_pm1, best_rgs
 
 
-def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
+def nwt_rate(g: WeightedGraph) -> RateReport:
     """Exact conference-key rate of ``g`` by a depth-first partition scan.
 
     Partitions are visited as restricted growth strings in lexicographic
@@ -254,19 +281,15 @@ def nwt_rate(g: WeightedGraph, *, caps: Caps = CAPS) -> RateReport:
 
     The scan is :func:`_partition_scan`; the planner runs it on candidate
     weight matrices with a cutoff, to stop at the first partition whose
-    value is at most the leader's rate.
+    value is at most the leader's rate.  It takes any node count, and
+    stops at ``PARTITION_BUDGET`` units of work.
 
     Raises:
         TrivialNetworkError: fewer than 2 nodes.
         DisconnectedError: positive-rate subgraph not connected.
-        ExactModeLimitError: more nodes than ``caps.partitions``.
+        ExactModeLimitError: the scan passed ``PARTITION_BUDGET``.
     """
     _require_rateable(g)
-    n = g.node_count
-    if n > caps.partitions:
-        raise ExactModeLimitError(
-            f"partition enumeration over {n} nodes exceeds the cap of {caps.partitions}"
-        )
     labels, scale, w = g.integer_weights()
     return _rate_report(labels, scale, w, _partition_scan(w))
 
@@ -284,7 +307,7 @@ def _rate_report(
     )
 
 
-def nwt_length(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> int:
+def nwt_length(g: WeightedGraph, rounds: int) -> int:
     """Attainable conference-key length (in bits) over ``rounds`` rounds.
 
     Equals ``floor(rounds * rate)``: flooring is monotone, so the
@@ -292,7 +315,7 @@ def nwt_length(g: WeightedGraph, rounds: int, *, caps: Caps = CAPS) -> int:
     per-partition value.
     """
     check_rounds(rounds)
-    scaled = rounds * nwt_rate(g, caps=caps).rate
+    scaled = rounds * nwt_rate(g).rate
     return scaled.numerator // scaled.denominator
 
 
@@ -353,14 +376,7 @@ class BottleneckCertificate(NamedTuple):
         }
 
 
-def _require_subset_cap(g: WeightedGraph, caps: Caps) -> None:
-    if g.node_count > caps.subsets:
-        raise ExactModeLimitError(
-            f"subset scan over {g.node_count} nodes exceeds the cap of {caps.subsets}"
-        )
-
-
-def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCertificate:
+def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     """Scan proper node subsets for a rate bottleneck.
 
     Subsets are visited by ascending cardinality, then lexicographically
@@ -382,32 +398,40 @@ def check_no_bottleneck(g: WeightedGraph, *, caps: Caps = CAPS) -> BottleneckCer
     The certificate's bounds come from the same integer sums over the
     rate ``scale``: ``total / (scale*(N-1))``, ``attach(I) / (scale*|I|)``
     and ``(total - attach(I)) / (scale*(N-|I|-1))``, the weight left
-    outside ``I`` over the rest of the network.
+    outside ``I`` over the rest of the network.  Each member the walk
+    tries is a step, charged as the walk enters the loop that tries it;
+    past ``SUBSET_BUDGET`` steps the scan stops.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
-        ExactModeLimitError: more nodes than ``caps.subsets``.
+        ExactModeLimitError: the walk passed ``SUBSET_BUDGET``.
     """
     _require_rateable(g)
-    _require_subset_cap(g, caps)
     n = g.node_count
     labels, scale, w = g.integer_weights()
     degree = [sum(row) for row in w]
     total = sum(degree) // 2
     chosen: list[int] = []
+    steps, budget = 0, SUBSET_BUDGET
 
     def search(k: int, start: int, attach: int, to_chosen: list[int]) -> Optional[int]:
         # chosen holds fewer than k members; to_chosen[j] = weight from j to
         # them; gives attach(I) of the first violator I, left in chosen
+        nonlocal steps
         limit = total * k
-        if len(chosen) == k - 1:
+        last = len(chosen) == k - 1
+        end = n if last else n - k + len(chosen) + 1
+        steps += end - start
+        if steps > budget:
+            raise _over_budget("subset scan", n, budget)
+        if last:
             for j in range(start, n):
                 grown = attach + degree[j] - to_chosen[j]
                 if limit > grown * (n - 1):
                     chosen.append(j)
                     return grown
             return None
-        for j in range(start, n - k + len(chosen) + 1):
+        for j in range(start, end):
             grown = attach + degree[j] - to_chosen[j]
             if grown * (n - 1) >= limit:
                 continue

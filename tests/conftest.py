@@ -22,8 +22,8 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(autouse=True)
-def default_caps(monkeypatch):
-    """Every test starts from the default caps, whatever the caller's environment."""
+def no_caps_variable(monkeypatch):
+    """Every test runs without QNET_STP_CAPS (the CLI exits 2 when it is set)."""
     monkeypatch.delenv("QNET_STP_CAPS", raising=False)
 
 
@@ -60,6 +60,22 @@ def random_connected_graph(rng: random.Random, max_nodes=6, max_extra=3,
     for _ in range(rng.randint(0, max_extra)):
         a, b = rng.sample(nodes, 2)
         edges.setdefault(tuple(sorted((a, b))), Fraction(rng.choice(rates)))
+    return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
+
+
+def ladder_graph(n, edge_count, seed=1):
+    """A ``random.Random(seed)`` spanning tree on ``1..n`` plus random pairs
+    up to ``edge_count`` edges, rates 1 to 3: "sparse n" at ``2n - 1``
+    edges, "dense n" at ``3n``."""
+    rng = random.Random(seed)
+    nodes = [str(i) for i in range(1, n + 1)]
+    edges = {}
+    for i in range(1, n):
+        j = rng.randrange(i)
+        edges[tuple(sorted((nodes[i], nodes[j])))] = rng.randint(1, 3)
+    while len(edges) < edge_count:
+        a, b = rng.sample(nodes, 2)
+        edges.setdefault(tuple(sorted((a, b))), rng.randint(1, 3))
     return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
 
 

@@ -78,7 +78,6 @@ from qnet_stp.errors import (
 )
 from qnet_stp.lp_core import _simplex_max
 from qnet_stp.netgraph import (
-    CAPS,
     SpanningTree,
     capacities,
     format_rational,
@@ -91,6 +90,9 @@ from qnet_stp.rate_core import _AtMostCutoff, _require_rateable
 
 #: Largest node count for which the subset LP is built (2^N - 2 constraints).
 LP_CAP_NODES = 16
+
+#: Largest node count the references enumerate partitions of (Bell(12) is 4,213,597).
+PARTITION_CAP_NODES = 12
 
 
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -119,7 +121,7 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_partitions(
-    g: WeightedGraph, *, max_nodes: int = CAPS.partitions
+    g: WeightedGraph, *, max_nodes: int = PARTITION_CAP_NODES
 ) -> Iterator[VertexPartition]:
     """Yield every partition of ``g``'s vertices with at least two blocks.
 
@@ -660,8 +662,8 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
 
 
 def optimal_flag(g, rate):
-    """Whether ``rate`` is the network's rate; None beyond the partition cap."""
-    if g.node_count > CAPS.partitions:
+    """Whether ``rate`` is the network's rate; None beyond ``PARTITION_CAP_NODES``."""
+    if g.node_count > PARTITION_CAP_NODES:
         return None
     return rate == nwt_rate(g).rate
 
@@ -913,14 +915,14 @@ def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:
                 best_rate, best_choice = rate_after, combo
         for u, v, rate in best_choice:
             before = steps[-1].rate_after if steps else initial
-            steps.append(_score_addition(current, u, v, rate, before, CAPS))
+            steps.append(_score_addition(current, u, v, rate, before))
             current = steps[-1].graph
     else:
         remaining = list(pool)
         for _ in range(min(budget, len(pool))):
             before = steps[-1].rate_after if steps else initial
             scored = [
-                (_score_addition(current, u, v, rate, before, CAPS), i)
+                (_score_addition(current, u, v, rate, before), i)
                 for i, (u, v, rate) in enumerate(remaining)
             ]
             scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qnet_stp.cli import _json_text, build_parser, main, parse_candidates, read_caps
+from qnet_stp import VertexPartition, finest_bound, partition_bound
+from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import SchemaError
+from qnet_stp.packing import _optimal_flag
+from qnet_stp.rate_core import PARTITION_BUDGET, SUBSET_BUDGET
 
-from conftest import build, complete, ring, run_measured
+from conftest import build, complete, ladder_graph, ring, run_measured
 
 
 @pytest.fixture
@@ -243,14 +246,18 @@ def test_pack_oracle_on_complete_graphs(capsys, graph_file, n):
     assert doc["diagnostics"] == {"packer_calls": 1}
 
 
+#: What any non-empty QNET_STP_CAPS prints, with exit 2.
+CAPS_GONE = {"error": {"code": "Schema", "message": (
+    "QNET_STP_CAPS is no longer read: the caps are gone and each exact scan "
+    "has a fixed step budget"
+)}}
+
+
 def test_trees_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
     # the packers are bounded by the exact packer's step budget
     monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
     code, out = run(capsys, "pack", graph_file("k10.json", complete(10)), "--method", "oracle")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["code"] == "Schema"
-    assert error["message"].startswith("unknown cap 'trees'")
+    assert (code, json.loads(out)) == (2, CAPS_GONE)
 
 
 def test_oracle_refuses_an_oversize_target_before_building(capsys, graph_file, monkeypatch):
@@ -270,12 +277,13 @@ def test_oracle_certificate_proves_optimality_under_the_partition_cap(
     capsys, graph_file, monkeypatch
 ):
     # the path 4-1-2-3-5 over 3 rounds packs the 3 copies of (1, 2); the
-    # partition that refused the count before proves it optimal
+    # partition that refused the count before proves it optimal, with no
+    # budget left for a partition scan
     path = graph_file("path5.json", build(
         ["1", "2", "3", "4", "5"],
         [("1", "4", 3), ("1", "2", 1), ("2", "3", 3), ("3", "5", 2)],
     ))
-    monkeypatch.setenv("QNET_STP_CAPS", "partitions=2")
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
     code, out = run(capsys, "pack", path, "--method", "oracle", "--rounds", "3")
     assert code == 0
     doc = json.loads(out)
@@ -342,24 +350,26 @@ TWO_TRIANGLES = build(
 
 
 def test_subset_cap_reaches_the_packers(capsys, graph_file, monkeypatch):
+    # the walk over 6 nodes charges 6 steps as it enters its first loop
     path = graph_file("two_triangles.json", TWO_TRIANGLES)
-    monkeypatch.setenv("QNET_STP_CAPS", "subsets=2")
+    monkeypatch.setattr("qnet_stp.rate_core.SUBSET_BUDGET", 5)
     for argv in (["pack"], ["pack", "--method", "basic"], ["simulate"]):
         code, out = run(capsys, argv[0], path, *argv[1:])
         assert code == 3
         assert json.loads(out)["error"] == {
-            "code": "ExactModeLimit", "message": "subset scan over 6 nodes exceeds the cap of 2",
+            "code": "ExactModeLimit",
+            "message": "the subset scan of 6 nodes passed its budget of 5 steps",
         }
 
 
 def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypatch):
-    # under the cap only the finest or the violator's partition proves a
-    # rate optimal: neither bound is the two triangles' rate 1, while the
-    # 8-ring's rate 8/7 is its finest bound
+    # with no budget for a partition scan only the finest or the
+    # violator's partition proves a rate optimal: neither bound is the two
+    # triangles' rate 1, while the 8-ring's rate 8/7 is its finest bound
     for g, rounds, optimal in ((TWO_TRIANGLES, "1", None), (ring(8), "7", True)):
         path = graph_file("g.json", g)
-        for caps, expected in (("", True), ("partitions=2", optimal)):
-            monkeypatch.setenv("QNET_STP_CAPS", caps)
+        for budget, expected in ((PARTITION_BUDGET, True), (0, optimal)):
+            monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", budget)
             for argv in (["pack"], ["pack", "--method", "oracle", "--rounds", rounds]):
                 code, out = run(capsys, argv[0], path, *argv[1:])
                 assert code == 0
@@ -368,8 +378,8 @@ def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypa
 
 def test_splice_fallback_needs_no_partition_scan(capsys, graph_file, monkeypatch):
     # the remainder {2,3,4,5} is disconnected, so the split fails; the
-    # fallback's descent needs no partition scan, so a partition cap below
-    # the node count changes nothing
+    # fallback's descent needs no partition scan, so a partition budget of
+    # 0 changes nothing
     path = graph_file("split.json", build(
         ["1", "2", "3", "4", "5"],
         [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
@@ -378,7 +388,7 @@ def test_splice_fallback_needs_no_partition_scan(capsys, graph_file, monkeypatch
     assert code == 0
     doc = json.loads(uncapped)
     assert (doc["diagnostics"]["fallback"], doc["optimal"]) == (True, True)
-    monkeypatch.setenv("QNET_STP_CAPS", "partitions=4")
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
     assert run(capsys, "pack", path) == (0, uncapped)
 
 
@@ -538,10 +548,7 @@ def test_greedy_budget_reaches_the_cli(capsys, graph_file, monkeypatch, g, budge
 def test_backtrack_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
     monkeypatch.setenv("QNET_STP_CAPS", "backtrack=1")
     code, out = run(capsys, "rate", graph_file("ring8.json", ring(8)))
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["code"] == "Schema"
-    assert error["message"].startswith("unknown cap 'backtrack'")
+    assert (code, json.loads(out)) == (2, CAPS_GONE)
 
 
 def _long_rationals():
@@ -576,38 +583,91 @@ def test_rationals_too_long_to_print_are_schema_errors(capsys, tmp_path, name, c
 
 
 # ---------------------------------------------------------------------------
-# caps and candidate parsing
+# the gone caps variable, step budgets and candidate parsing
 # ---------------------------------------------------------------------------
 
-def test_caps_env_lowers_partition_cap(capsys, hexagon_path, monkeypatch):
-    monkeypatch.setenv("QNET_STP_CAPS", "partitions=3")
-    code, out = run(capsys, "rate", hexagon_path)
-    assert code == 3
-    assert json.loads(out)["error"]["code"] == "ExactModeLimit"
+def test_caps_variable_exits_2_whatever_it_sets(capsys, hexagon_path, monkeypatch):
+    # the old keys, larger or smaller than the old caps, and a usage error
+    # first: the variable is checked after the arguments
+    for value in ("partitions=3", "partitions=14", "subsets=22", "partitions=500, subsets=7",
+                  "lp=16", "audit=4", "oracle_rounds=2"):
+        monkeypatch.setenv("QNET_STP_CAPS", value)
+        for argv in (["rate", hexagon_path], ["export-dot", hexagon_path]):
+            code, out = run(capsys, *argv)
+            assert (code, json.loads(out)) == (2, CAPS_GONE), value
+    code, out = run(capsys, "rate", hexagon_path, "--format", "dot")
+    assert code == 2 and "invalid choice" in json.loads(out)["error"]["message"]
+    # set but blank, it is ignored, as an empty value always was
+    for value in ("", " "):
+        monkeypatch.setenv("QNET_STP_CAPS", value)
+        assert run(capsys, "rate", hexagon_path, "--format", "text") == (0, "6/5\n")
 
 
 def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
-    monkeypatch.setenv("QNET_STP_CAPS", "partitions")
-    code, _ = run(capsys, "rate", hexagon_path)
-    assert code == 2
-    monkeypatch.setenv("QNET_STP_CAPS", "nonsense=3")
-    code, _ = run(capsys, "rate", hexagon_path)
-    assert code == 2
+    for value in ("partitions", "nonsense=3"):
+        monkeypatch.setenv("QNET_STP_CAPS", value)
+        code, out = run(capsys, "rate", hexagon_path)
+        assert (code, json.loads(out)) == (2, CAPS_GONE)
 
 
-def test_read_caps_defaults_and_overrides():
-    caps = read_caps("")
-    assert caps.partitions == 12 and caps.subsets == 20
-    caps = read_caps("partitions=500, subsets=7")
-    assert caps.partitions == 500 and caps.subsets == 7
-    with pytest.raises(SchemaError):
-        read_caps("partitions=abc")
-    with pytest.raises(SchemaError):
-        read_caps("partitions=0")
-    assert sorted(caps._fields) == ["partitions", "subsets"]
-    for gone in ("lp", "oracle_rounds", "audit", "backtrack", "trees"):
-        with pytest.raises(SchemaError, match=f"unknown cap '{gone}'"):
-            read_caps(f"{gone}=16")
+@pytest.mark.parametrize("g", [
+    pytest.param(complete(16), id="k16"),
+    pytest.param(complete(24), id="k24"),
+    *(pytest.param(ladder_graph(n, 2 * n - 1), id=f"sparse{n}") for n in (16, 20, 24, 28)),
+    *(pytest.param(ladder_graph(n, 3 * n), id=f"dense{n}") for n in (16, 20, 24, 28)),
+])
+def test_rate_answers_above_the_old_node_caps(capsys, graph_file, g):
+    # the partition scan stops at its budget, not at 12 nodes
+    path = graph_file("g.json", g)
+    code, out = run(capsys, "rate", path)
+    assert code == 0
+    doc = json.loads(out)
+    rate = Fraction(doc["rate"])
+    assert rate == partition_bound(g, VertexPartition.from_blocks(doc["minimizing_partition"]))
+    assert doc["finest_is_optimal"] is (rate == finest_bound(g))
+    if len(g.edges) == g.node_count * (g.node_count - 1) // 2:  # unit K_n: rate n/2
+        assert (rate, doc["finest_is_optimal"]) == (Fraction(g.node_count, 2), True)
+        code, out = run(capsys, "analyze", path)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["rate"], report["kind"]) == (doc["rate"], "none")
+
+
+def test_a_ring_past_the_partition_budget_exits_3_the_same_way_twice(capsys, graph_file):
+    # the unit ring's scan grows about twofold per node: ring21's is
+    # already 6,824,381 units, twice the budget
+    path = graph_file("ring24.json", ring(24))
+    first = run(capsys, "rate", path)
+    assert first == run(capsys, "rate", path)
+    code, out = first
+    assert (code, json.loads(out)) == (3, {"error": {
+        "code": "ExactModeLimit",
+        "message": f"the partition scan of 24 nodes passed its budget of {PARTITION_BUDGET} steps",
+    }})
+
+
+def test_pack_of_a_ring_past_the_subset_budget_exits_3(capsys, graph_file):
+    # the 24-ring has no bottleneck, and its pruned subset walk takes
+    # 2,806,886 steps
+    code, out = run(capsys, "pack", graph_file("ring24.json", ring(24)))
+    assert (code, json.loads(out)) == (3, {"error": {
+        "code": "ExactModeLimit",
+        "message": f"the subset scan of 24 nodes passed its budget of {SUBSET_BUDGET} steps",
+    }})
+
+
+def test_a_low_partition_budget_refuses_optimize_and_unproves_optimal(
+    capsys, graph_file, hexagon_path, monkeypatch
+):
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 1)
+    assert _optimal_flag(TWO_TRIANGLES, Fraction(1)) is None
+    code, out = run(capsys, "optimize", hexagon_path, "--candidates", "1-4", "--budget", "1")
+    assert (code, json.loads(out)) == (3, {"error": {
+        "code": "ExactModeLimit",
+        "message": "the partition scan of 6 nodes passed its budget of 1 steps",
+    }})
+    code, out = run(capsys, "pack", graph_file("g.json", TWO_TRIANGLES))
+    assert (code, json.loads(out)["optimal"]) == (0, None)
 
 
 @pytest.mark.parametrize("argv, message", [

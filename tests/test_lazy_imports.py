@@ -58,7 +58,7 @@ def test_import_of_the_cli_loads_four_modules():
 
 def test_import_of_the_package_loads_no_submodule():
     assert loaded_by("import qnet_stp") == ["qnet_stp"]
-    assert loaded_by("import qnet_stp\nqnet_stp.Caps") == [
+    assert loaded_by("import qnet_stp\nqnet_stp.Edge") == [
         "qnet_stp", "qnet_stp.errors", "qnet_stp.netgraph",
     ]
 
@@ -108,3 +108,19 @@ def test_public_names_follow_their_submodule_without_caching(monkeypatch):
     monkeypatch.undo()
     assert qnet_stp.nwt_rate is original
     assert "nwt_rate" not in vars(qnet_stp)
+
+
+def test_an_attribute_error_in_a_first_import_keeps_its_cause(monkeypatch):
+    # ``from qnet_stp import X`` turns an AttributeError from the package's
+    # ``__getattr__`` into a bare "cannot import name"; an ImportError
+    # raised from it keeps the error that stopped the submodule's import
+    boom = AttributeError("boom")
+
+    def failing_import(name):
+        raise boom
+
+    monkeypatch.setattr(qnet_stp.importlib, "import_module", failing_import)
+    with pytest.raises(ImportError) as info:
+        from qnet_stp import WeightedGraph  # noqa: F401
+    assert info.value.__cause__ is boom
+    assert str(info.value) == "importing qnet_stp.netgraph failed: boom"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnet_stp import (
-    Caps,
     PackingOutcome,
     SpanningTree,
     TreePacking,
@@ -219,13 +218,14 @@ def test_oracle_descends_along_refuting_partitions():
     assert out.optimal is False  # 4/3 of a rate of 3/2
 
 
-def test_oracle_reports_the_last_refusing_partition():
+def test_oracle_reports_the_last_refusing_partition(monkeypatch):
     # the path 4-1-2-3-5 over 3 rounds: the (1, 2) link, 3 copies, is the
     # answer, and the partition that refused the count before it proves
-    # it optimal under a partition cap the scan cannot pass
+    # it optimal with no budget left for a partition scan
     g = build(["1", "2", "3", "4", "5"],
               [("1", "4", 3), ("1", "2", 1), ("2", "3", 3), ("3", "5", 2)])
-    out = brute_force_packing(g, 3, caps=Caps(partitions=2))
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
+    out = brute_force_packing(g, 3)
     assert (out.packing.tree_count, out.optimal) == (3, True)
     assert validate_packing(g, out.packing).ok
 
@@ -280,7 +280,8 @@ def test_exact_packing_floors_capacities():
 
 def test_exact_packing_refuses_an_oversize_target_before_building(monkeypatch):
     # seeding 250,001 forests of a two-node link charges 1,000,004 node
-    # steps: the refusal comes before the first forest
+    # steps: the refusal comes before the first forest.  Within the budget
+    # the one distinct forest is built once, with its 1000 copies
     forests = []
 
     def counting_forest(nodes, keys):
@@ -294,7 +295,27 @@ def test_exact_packing_refuses_an_oversize_target_before_building(monkeypatch):
     assert info.value.partition is None
     assert forests == []
     assert exact_packing(g, 1, 1000).tree_count == 1000
-    assert forests == [1] * 1000
+    assert forests == [1]
+
+
+def test_exact_packing_memory_follows_the_distinct_forests():
+    # 190,000 one-edge trees over 8 rounds of a two-node link at rate
+    # 100,000: one set per tree peaked at 42.7 MB under tracemalloc
+    code, out, _, _ = run_measured("""
+import tracemalloc
+from conftest import build
+from qnet_stp import exact_packing
+g = build(["a", "b"], [("a", "b", 100_000)])
+tracemalloc.start()
+pk = exact_packing(g, 8, 190_000)
+print(pk.to_json_dict(), tracemalloc.get_traced_memory()[1] / 2**20)
+""")
+    assert code == 0
+    packing_doc, peak_mb = out.rsplit(" ", 1)
+    assert packing_doc == str({
+        "mode": "multigraph", "trees": [[["a", "b"]]], "multiplicities": [190_000], "rounds": 8,
+    })
+    assert float(peak_mb) < 10, peak_mb
 
 
 RING = "build([str(i) for i in range(1, 5)], [(str(i), str(i % 4 + 1), {rate}) for i in range(1, 5)])"
@@ -543,10 +564,12 @@ def test_split_fallback_answers_above_the_partition_cap():
     assert validate_packing(g, out.packing).ok
 
 
-def test_linear_bounds_prove_optimality_above_the_partition_cap():
-    # 14 nodes pass the partition cap of 12, but the ring's rate 14/13 is
-    # its finest bound, so every packer proves it without a partition scan
+def test_linear_bounds_prove_optimality_above_the_partition_cap(monkeypatch):
+    # with no budget for a partition scan, the ring's rate 14/13 is still
+    # its finest bound, so every packer proves it without one
     g = ring(14)
+    assert brute_force_packing(g, 1).optimal is False  # the scan settles it
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
     outcomes = [general_algorithm(g), basic_algorithm(g), brute_force_packing(g, 13)]
     assert [(out.achieved_rate, out.optimal) for out in outcomes] == [(Fraction(14, 13), True)] * 3
     # a rate below every linear bound stays unproven there

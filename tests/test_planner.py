@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from qnet_stp import (
-    Caps,
     VertexPartition,
     best_additions,
     bottleneck_report,
@@ -88,10 +87,13 @@ def test_report_skips_the_subset_scan_without_a_bottleneck(hexagon, tri_pendant,
     assert scanned == [tri_pendant]
 
 
-def test_report_keeps_the_subset_cap_without_a_bottleneck(hexagon):
-    assert bottleneck_report(hexagon, caps=Caps(subsets=6)).kind == "none"
-    with pytest.raises(ExactModeLimitError, match="subset scan over 6 nodes exceeds the cap of 5"):
-        bottleneck_report(hexagon, caps=Caps(subsets=5))
+def test_report_needs_no_subset_budget_without_a_bottleneck(hexagon, tri_pendant, monkeypatch):
+    # the subset scan runs only behind a bottleneck, and only then can its
+    # budget refuse the report
+    monkeypatch.setattr("qnet_stp.rate_core.SUBSET_BUDGET", 0)
+    assert bottleneck_report(hexagon).kind == "none"
+    with pytest.raises(ExactModeLimitError, match="^the subset scan of 4 nodes passed its budget of 0 steps$"):
+        bottleneck_report(tri_pendant)
 
 
 def test_report_takes_a_two_block_minimizer_as_the_cut(tri_pendant, monkeypatch):
@@ -127,6 +129,17 @@ def test_report_searches_for_the_cut_side_once_on_a_tie(monkeypatch):
         [["0", "1", "2", "3", "5", "6"], ["4"]]
     )
     assert report.best_bipartition_bound == report.rate == 5
+
+
+def test_the_cut_side_search_charges_the_partition_budget(monkeypatch):
+    # the search's first loop tries nodes 1 to 6 of 7, at 7 units each
+    import qnet_stp.planner as planner
+
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 41)
+    with pytest.raises(
+        ExactModeLimitError, match="^the bipartition search of 7 nodes passed its budget of 41 steps$"
+    ):
+        planner._best_bipartition(bip_tie7())
 
 
 def test_report_json(two_cliques_hub):

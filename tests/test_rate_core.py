@@ -75,12 +75,15 @@ def test_two_node_network():
     assert report.minimizing_partition.block_count == 2
 
 
-def test_rate_errors():
+def test_rate_errors(monkeypatch):
     with pytest.raises(TrivialNetworkError):
         nwt_rate(build(["1"], []))
     with pytest.raises(DisconnectedError):
         nwt_rate(build(["1", "2", "3"], [("1", "2", 1)]))
-    with pytest.raises(ExactModeLimitError):
+    # 13 nodes passed the old node cap; the scan's own budget refuses it
+    assert nwt_rate(ring(13)).rate == Fraction(13, 12)
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 100)
+    with pytest.raises(ExactModeLimitError, match="^the partition scan of 13 nodes passed its budget of 100 steps$"):
         nwt_rate(ring(13))
 
 

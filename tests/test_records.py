@@ -20,7 +20,6 @@ from qnet_stp import (
     AuditReport,
     BottleneckCertificate,
     BottleneckReport,
-    Caps,
     CommunicationRates,
     Edge,
     PackingOutcome,
@@ -38,7 +37,6 @@ from qnet_stp.protocol import Announcement, Recovery, TreeOrientation
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 FIELDS = {
-    Caps: ("partitions", "subsets"),
     Edge: ("u", "v", "rate", "epsilon"),
     VertexPartition: ("blocks",),
     SpanningTree: ("edges",),

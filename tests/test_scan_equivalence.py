@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from qnet_stp import (
-    Caps,
     SpanningTree,
     TreePacking,
     VertexPartition,
@@ -35,7 +34,7 @@ from qnet_stp import (
     secrecy_audit,
     validate_packing,
 )
-from qnet_stp import packing
+from qnet_stp import packing, rate_core
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError
 from qnet_stp.netgraph import capacities
 from qnet_stp.packing import _max_weight_tree, _optimal_flag
@@ -302,10 +301,8 @@ def test_partition_scan_matches_the_static_bound_scan_on_random_graphs(seed):
         assert_same_kernel(sparse(rng, n, rng.randint(0, n)).integer_weights()[2])
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
-    # uniform trees tie every partition into connected blocks with the
-    # finest; unit complete graphs, rings and two cliques tie many more
+def tied_family(n):
+    """The tied graphs of ``n`` nodes the static-bound comparison scans."""
     rng = random.Random(n)
     graphs = [uniform_tree(rng, n, "1"), uniform_tree(rng, n, "2/3"), complete(n),
               ring(n) if n > 2 else complete(2)]
@@ -313,8 +310,44 @@ def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
         graphs += [two_cliques(n // 2, n - n // 2, 1), two_cliques(n // 2, n - n // 2, 2, rate=3)]
     if n >= 5:
         graphs.append(two_cliques((n - 1) // 2, n - 1 - (n - 1) // 2, 1, hub=True))
-    for g in graphs:
+    return graphs
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
+    # uniform trees tie every partition into connected blocks with the
+    # finest; unit complete graphs, rings and two cliques tie many more
+    for g in tied_family(n):
         assert_same_kernel(g.integer_weights()[2])
+
+
+def seeded_corpus():
+    """The seeded graphs of 12 or fewer nodes the scan comparisons here use."""
+    for seed in range(4):
+        rng = random.Random(500 + seed)
+        for n in range(2, 13):
+            yield random_graph(rng, n)
+            yield sparse(rng, n, rng.randint(0, n))
+    for n in range(2, 13):
+        yield from tied_family(n)
+    for seed in range(3):
+        rng = random.Random(700 + seed)
+        for n in (11, 12):
+            yield from (random_graph(rng, n), sparse(rng, n, n), sparse(rng, n, 2 * n))
+    for seed in range(8):
+        rng = random.Random(seed)
+        for n in range(2, 9):
+            for _ in range(4):
+                yield random_graph(rng, n)
+
+
+def test_seeded_scans_stay_under_a_hundredth_of_the_partition_budget(monkeypatch):
+    # the budget keeps a hundredfold headroom over what scans of 12 or
+    # fewer nodes take: the largest here, the 12-ring's, is 8,239 units
+    monkeypatch.setattr(rate_core, "PARTITION_BUDGET", rate_core.PARTITION_BUDGET // 100)
+    for g in seeded_corpus():
+        _partition_scan(g.integer_weights()[2])
+        _best_bipartition(g)
 
 
 @pytest.mark.parametrize("make, violator_size", [
@@ -601,7 +634,7 @@ def two_cliques_hub(n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_optimal_flag_matches_reference(seed):
+def test_optimal_flag_matches_reference(seed, monkeypatch):
     rng = random.Random(300 + seed)
     # integer rates for the general packer, rational ones for the oracle
     graphs = [random_connected_graph(rng, max_nodes=7, max_extra=4) for _ in range(5)]
@@ -620,13 +653,17 @@ def test_optimal_flag_matches_reference(seed):
         for r in sorted(rates):
             expected = reference_scans.optimal_flag(g, r)
             for witness in witnesses:
-                assert _optimal_flag(g, r, Caps(), witness) == expected, (r, witness)
-                # under the cap only a linear bound proves the rate optimal
+                assert _optimal_flag(g, r, witness) == expected, (r, witness)
+                # with no budget for a scan only a linear bound proves the
+                # rate optimal, but for two nodes, whose scan costs nothing
                 proven = r == finest_bound(g) or (
                     witness is not None and r == partition_bound(g, witness)
                 )
-                capped = _optimal_flag(g, r, Caps(partitions=g.node_count - 1), witness)
-                assert capped is (True if proven else None), (r, witness)
+                with monkeypatch.context() as patch:
+                    patch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
+                    capped = _optimal_flag(g, r, witness)
+                unscanned = expected if g.node_count == 2 else None
+                assert capped is (True if proven else unscanned), (r, witness)
     if seed == 0:
         assert [general_algorithm(g).optimal for g in graphs[-3:]] == [False] * 3
 
