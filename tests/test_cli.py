@@ -587,10 +587,9 @@ def test_rationals_too_long_to_print_are_schema_errors(capsys, tmp_path, name, c
 # ---------------------------------------------------------------------------
 
 def test_caps_variable_exits_2_whatever_it_sets(capsys, hexagon_path, monkeypatch):
-    # the old keys, larger or smaller than the old caps, and a usage error
-    # first: the variable is checked after the arguments
-    for value in ("partitions=3", "partitions=14", "subsets=22", "partitions=500, subsets=7",
-                  "lp=16", "audit=4", "oracle_rounds=2"):
+    # caps larger or smaller than the old ones, and a usage error first: the
+    # variable is checked after the arguments
+    for value in ("partitions=3", "partitions=14", "subsets=22"):
         monkeypatch.setenv("QNET_STP_CAPS", value)
         for argv in (["rate", hexagon_path], ["export-dot", hexagon_path]):
             code, out = run(capsys, *argv)
@@ -601,6 +600,16 @@ def test_caps_variable_exits_2_whatever_it_sets(capsys, hexagon_path, monkeypatc
     for value in ("", " "):
         monkeypatch.setenv("QNET_STP_CAPS", value)
         assert run(capsys, "rate", hexagon_path, "--format", "text") == (0, "6/5\n")
+
+
+def test_old_cap_settings_exit_2(capsys, hexagon_path, monkeypatch):
+    # what the old parser accepted, refused, or named as a gone cap
+    for value in ("partitions=500, subsets=7", "partitions=abc", "partitions=0",
+                  "lp=16", "audit=4", "oracle_rounds=2", "backtrack=16", "trees=16"):
+        monkeypatch.setenv("QNET_STP_CAPS", value)
+        for argv in (["rate", hexagon_path], ["export-dot", hexagon_path]):
+            code, out = run(capsys, *argv)
+            assert (code, json.loads(out)) == (2, CAPS_GONE), value
 
 
 def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
