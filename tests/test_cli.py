@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import time
@@ -9,10 +10,10 @@ from hypothesis import given, strategies as st
 from qnet_stp import VertexPartition, finest_bound, partition_bound
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import SchemaError
-from qnet_stp.packing import _optimal_flag
+from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag
 from qnet_stp.rate_core import PARTITION_BUDGET, SUBSET_BUDGET
 
-from conftest import build, complete, ladder_graph, ring, run_measured
+from conftest import build, complete, ladder_graph, ring, run_measured, sorted_path
 
 
 @pytest.fixture
@@ -292,31 +293,52 @@ def test_oracle_certificate_proves_optimality_under_the_partition_cap(
 
 def test_exact_step_budget_exits_4(tmp_path):
     # 800,000 one-edge trees over 8 rounds of a two-node link at rate
-    # 100,000: 8.3 s and 539 MB without the budget
+    # 100,000: 8.3 s and 539 MB without the budget.  The seeding's node
+    # steps pass the budget, so the packer refuses before its first forest
     path = tmp_path / "link.json"
     path.write_text(build(["a", "b"], [("a", "b", 100_000)]).to_json(), encoding="utf-8")
     code, out, seconds, peak_mb = run_measured(f"""
 import sys
+from qnet_stp import packing
 from qnet_stp.cli import main
-sys.exit(main(["pack", {str(path)!r}, "--method", "oracle", "--rounds", "8"]))
+forests = []
+seed = packing.spanning_forest
+packing.spanning_forest = lambda *args: forests.append(1) or seed(*args)
+code = main(["pack", {str(path)!r}, "--method", "oracle", "--rounds", "8"])
+print(len(forests))
+sys.exit(code)
 """)
     assert code == 4
-    assert json.loads(out)["error"] == {
+    doc, forests = out.rsplit("\n", 2)[:2]
+    assert json.loads(doc)["error"] == {
         "code": "HeuristicFailed", "message": "the exact packer passed its budget of 1000000 search steps",
     }
-    assert seconds < 2 and peak_mb < 100, (seconds, peak_mb)
+    assert forests == "0"
+    assert seconds < 10 and peak_mb < 100, (seconds, peak_mb)
 
 
-def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
+def counting(monkeypatch, target: str) -> list:
+    """Record each call of the function at ``target`` in the returned list."""
+    calls = []
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(target, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_oracle_step_budget_bounds_the_time(capsys, graph_file, monkeypatch):
     # a 4-ring at rate 100 over 3 rounds (400 trees) passed the exhaustive
-    # search's budget; the exact packer packs it, and refuses at rate 1000
-    for rate, expected in ((100, 0), (1000, 4)):
+    # search's budget; the exact packer packs it after 200 exchange
+    # searches, and refuses at rate 1000 (4000 trees) after 29
+    searches = counting(monkeypatch, "qnet_stp.packing._exchange_path")
+    for rate, expected, count in ((100, 0, 200), (1000, 4, 29)):
         path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, rate) for e in ring(4).edges]))
         for argv in (["pack", path, "--method", "oracle"], ["simulate", path, "--rounds", "3"]):
+            searches.clear()
             start = time.process_time()
             code, out = run(capsys, *argv)
-            assert code == expected
-            assert time.process_time() - start < 2
+            assert (code, len(searches)) == (expected, count)
+            assert time.process_time() - start < 10
             if expected:
                 assert json.loads(out)["error"]["message"] == (
                     "the exact packer passed its budget of 1000000 search steps"
@@ -326,20 +348,32 @@ def test_oracle_step_budget_bounds_the_time(capsys, graph_file):
                 assert json.loads(out)[field] == "400/3"
 
 
-def test_simulate_refuses_past_the_protocol_budget(capsys, graph_file):
+def test_simulate_refuses_past_the_protocol_budget(capsys, graph_file, monkeypatch):
     # a 4-ring at rate 20,000 packs 80,000 trees over 3 rounds, 240,000
     # tree-edge instances: 13.6 s, 47 MB of output and a 321 MB peak
-    # without the budget on a 2-vCPU VM.  At rate 2,500 it is 30,000; pack still answers
+    # without the budget on a 2-vCPU VM.  At rate 2,500 it is 30,000, and
+    # the refusal comes before any key; pack still answers
+    keys = counting(monkeypatch, "qnet_stp.protocol.generate_keys")
     path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, 2_500) for e in ring(4).edges]))
     start = time.process_time()
     code, out = run(capsys, "simulate", path)
-    assert time.process_time() - start < 2
-    assert (code, json.loads(out)) == (4, {"error": {
+    assert time.process_time() - start < 10
+    assert (code, json.loads(out), keys) == (4, {"error": {
         "code": "HeuristicFailed",
         "message": "running the protocol on 30000 tree-edge instances passes the budget of 20000",
-    }})
+    }}, [])
     code, out = run(capsys, "pack", path)
     assert (code, json.loads(out)["achieved_rate"]) == (0, "10000/3")
+    # the unit 4-ring packs 4 trees over 3 rounds: 12 instances
+    path = graph_file("unit.json", ring(4))
+    for budget, expected, generated in ((12, 0, 1), (11, 4, 0)):
+        monkeypatch.setattr("qnet_stp.protocol.PROTOCOL_BUDGET", budget)
+        keys.clear()
+        code, out = run(capsys, "simulate", path)
+        assert (code, len(keys)) == (expected, generated)
+    assert json.loads(out)["error"]["message"] == (
+        "running the protocol on 12 tree-edge instances passes the budget of 11"
+    )
 
 
 TWO_TRIANGLES = build(
@@ -376,20 +410,90 @@ def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypa
                 assert json.loads(out)["optimal"] is expected
 
 
+# the first violator is {1}; the remainder {2,3,4,5} is disconnected
+SPLIT5 = build(
+    ["1", "2", "3", "4", "5"],
+    [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
+)
+
+
 def test_splice_fallback_needs_no_partition_scan(capsys, graph_file, monkeypatch):
-    # the remainder {2,3,4,5} is disconnected, so the split fails; the
-    # fallback's descent needs no partition scan, so a partition budget of
-    # 0 changes nothing
-    path = graph_file("split.json", build(
-        ["1", "2", "3", "4", "5"],
-        [("1", "2", 1), ("1", "3", 1), ("2", "4", 1), ("2", "5", 3), ("4", "5", 3)],
-    ))
+    # the split fails; the fallback's descent needs no partition scan, so
+    # a partition budget of 0 changes nothing
+    path = graph_file("split.json", SPLIT5)
     code, uncapped = run(capsys, "pack", path)
     assert code == 0
     doc = json.loads(uncapped)
     assert (doc["diagnostics"]["fallback"], doc["optimal"]) == (True, True)
     monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
     assert run(capsys, "pack", path) == (0, uncapped)
+
+
+def test_split_fallback_past_the_exact_budget_exits_4(capsys, graph_file, monkeypatch):
+    path = graph_file("split.json", SPLIT5)
+    monkeypatch.setattr("qnet_stp.packing.EXACT_STEP_BUDGET", 5)
+    code, out = run(capsys, "pack", path)
+    assert (code, json.loads(out)) == (4, {"error": {"code": "HeuristicFailed", "message": (
+        "splice failed (remainder network on ['2', '3', '4', '5'] is not connected; cannot split)"
+        " and the exact packer stopped: the exact packer passed its budget of 5 search steps"
+    )}})
+
+
+def test_pack_text(capsys, graph_file):
+    path = graph_file("split.json", SPLIT5)
+    assert run(capsys, "pack", path, "--format", "text") == (
+        0, "rate 1\ntrees 1 rounds 1\n  x1: (1,2) (1,3) (2,4) (2,5)\n"
+    )
+
+
+def test_exhaustive_plan_past_its_cap_exits_3(capsys, graph_file, monkeypatch):
+    # two of three candidates make three combinations
+    path = graph_file("split.json", SPLIT5)
+    argv = ["optimize", path, "--candidates", "1-4,1-5,3-4", "--budget", "2", "--exhaustive"]
+    monkeypatch.setattr("qnet_stp.planner.EXHAUSTIVE_PLAN_CAP", 3)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr("qnet_stp.planner.EXHAUSTIVE_PLAN_CAP", 2)
+    code, out = run(capsys, *argv)
+    assert (code, json.loads(out)) == (3, {"error": {
+        "code": "ExactModeLimit",
+        "message": "3 candidate combinations exceed the exhaustive-plan cap of 2",
+    }})
+
+
+def deep(frames: int, call):
+    """``call()`` from ``frames`` frames further down the stack."""
+    return deep(frames - 1, call) if frames else call()
+
+
+def test_a_1000_node_path_scans_at_any_stack_depth(capsys, graph_file):
+    # the partition scan recursed once per node: RecursionError and exit 1
+    # from 991 nodes when called from the command line, sooner from deeper
+    path = graph_file("path.json", sorted_path(1000, lambda i: 1))
+    plan = ["optimize", path, "--candidates", "0000-0002"]
+    for argv in (["rate", path], ["analyze", path], plan):
+        code, out = deep(700, lambda: run(capsys, *argv))
+        doc = json.loads(out)
+        assert (code, doc.get("rate", doc.get("final_rate"))) == (0, "1")
+        assert doc.get("finest_is_optimal", True) is True
+
+
+def test_splits_past_the_split_depth_fall_back(capsys, graph_file):
+    # each split peels the path's weakest end node, one nested split per
+    # node: RecursionError and exit 1 from 493 nodes, after 41 s at 492
+    path = graph_file("path.json", sorted_path(1000, lambda i: i + 1))
+    code, out = deep(700, lambda: run(capsys, "pack", path))
+    doc = json.loads(out)
+    diagnostics = doc["diagnostics"]
+    assert (code, doc["achieved_rate"], doc["optimal"]) == (0, "1", True)
+    assert (diagnostics["fallback"], diagnostics["fallback_reason"]) == (
+        True, f"splits nest more than {SPLIT_DEPTH} deep"
+    )
+    assert diagnostics["splits"] == [
+        {"subset": [f"{i:04d}"], "depth": i} for i in range(SPLIT_DEPTH + 1)
+    ]
+    path = graph_file("short.json", sorted_path(SPLIT_DEPTH + 3, lambda i: i + 1))
+    code, out = run(capsys, "simulate", path)
+    assert (code, json.loads(out)["rate"]) == (0, "1")
 
 
 def test_optimize_candidates_with_dash_labels(capsys, graph_file):

@@ -20,6 +20,7 @@ from qnet_stp import (
 )
 from qnet_stp.cli import main
 from qnet_stp import packing
+from qnet_stp.packing import SPLIT_DEPTH
 from qnet_stp.errors import (
     HeuristicFailedError,
     InvalidPackingError,
@@ -28,7 +29,7 @@ from qnet_stp.errors import (
 )
 from qnet_stp.netgraph import enumerate_spanning_trees, spanning_forest
 
-from conftest import build, complete, random_connected_graph, ring, run_measured
+from conftest import build, complete, random_connected_graph, ring, run_measured, sorted_path
 from reference_scans import reweight_by_lp
 
 
@@ -322,39 +323,55 @@ RING = "build([str(i) for i in range(1, 5)], [(str(i), str(i % 4 + 1), {rate}) f
 
 
 def test_exact_packing_step_budget_bounds_the_time():
-    # 4000 trees on a 4-ring at rate 1000 over 3 rounds: 37.6 s without a budget
+    # 4000 trees on a 4-ring at rate 1000 over 3 rounds: 37.6 s without a
+    # budget; it refuses after 29 exchange searches
     code, out, _, peak_mb = run_measured(f"""
 import time
 from conftest import build
-from qnet_stp import exact_packing
+from qnet_stp import exact_packing, packing
 from qnet_stp.errors import HeuristicFailedError
+searches = []
+search = packing._exchange_path
+packing._exchange_path = lambda *args: searches.append(1) or search(*args)
 g = {RING.format(rate=1000)}
 start = time.process_time()
 try:
     exact_packing(g, 3, 4000)
 except HeuristicFailedError as exc:
     print(exc.partition, exc)
-print(time.process_time() - start)
+print(len(searches), time.process_time() - start)
 """)
     assert code == 0
-    message, seconds = out.splitlines()
+    message, counts = out.splitlines()
+    searches, seconds = counts.split()
     assert message == "None the exact packer passed its budget of 1000000 search steps"
-    assert float(seconds) < 2 and peak_mb < 100, (seconds, peak_mb)
+    assert searches == "29"
+    assert float(seconds) < 10 and peak_mb < 100, (seconds, peak_mb)
 
 
 def test_exact_packing_within_budget_on_a_heavy_ring():
     # 400 trees on the same ring at rate 100: past the old oracle's
-    # budget, within this one
+    # budget, within this one, which they take 744,400 steps of
     code, out, _, _ = run_measured(f"""
 import time
 from conftest import build
-from qnet_stp import brute_force_packing
+from qnet_stp import brute_force_packing, packing
+from qnet_stp.errors import HeuristicFailedError
 g = {RING.format(rate=100)}
 start = time.process_time()
 outcome = brute_force_packing(g, 3)
-print(outcome.packing.tree_count, outcome.optimal, time.process_time() - start < 1)
+print(outcome.packing.tree_count, outcome.optimal, time.process_time() - start < 5)
+packing.EXACT_STEP_BUDGET = 744_400
+print(brute_force_packing(g, 3).packing.tree_count)
+packing.EXACT_STEP_BUDGET -= 1
+try:
+    brute_force_packing(g, 3)
+except HeuristicFailedError as exc:
+    print(exc)
 """)
-    assert (code, out) == (0, "400 True True\n")
+    assert (code, out) == (0, (
+        "400 True True\n400\nthe exact packer passed its budget of 744399 search steps\n"
+    ))
 
 
 def probe_graph(n, seed):
@@ -562,6 +579,32 @@ def test_split_fallback_answers_above_the_partition_cap():
     assert out.diagnostics["fallback_reason"].endswith("is not connected; cannot split")
     assert (out.achieved_rate, out.optimal) == (1, True)
     assert validate_packing(g, out.packing).ok
+
+
+def test_general_packings_are_valid():
+    # with whole rates no splice fails, so every packing the general packer
+    # builds, by splices or by the fallback, is valid, and says whether it
+    # reaches the rate
+    spliced = 0
+    for seed in range(300):
+        g = random_connected_graph(random.Random(seed), max_nodes=8, max_extra=5)
+        out = general_algorithm(g)
+        assert validate_packing(g, out.packing).ok, seed
+        assert out.optimal is (out.achieved_rate == nwt_rate(g).rate), seed
+        spliced += bool(out.diagnostics["splits"]) and not out.diagnostics["fallback"]
+    assert spliced > 50
+
+
+def test_split_depth_bounds_the_nesting():
+    # a path whose rates rise from one end splits off that end, then the
+    # next node, and so on: a path of N nodes nests N - 2 splits deep
+    for n, fallback in ((SPLIT_DEPTH + 2, False), (SPLIT_DEPTH + 3, True)):
+        g = sorted_path(n, lambda i: i + 1)
+        out = general_algorithm(g)
+        assert out.diagnostics["fallback"] is fallback
+        assert len(out.diagnostics["splits"]) == SPLIT_DEPTH + fallback
+        assert (out.achieved_rate, out.optimal) == (1, True)
+        assert validate_packing(g, out.packing).ok
 
 
 def test_linear_bounds_prove_optimality_above_the_partition_cap(monkeypatch):
