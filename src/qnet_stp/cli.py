@@ -126,20 +126,40 @@ def _json_text(doc, pad: str = "\n") -> str:
     ``json.dumps`` runs its pure-Python encoder whenever it indents; this
     builds the same text in one recursive pass, with the C string
     escaper.  ``pad`` is the newline and indent before a closing bracket.
+    Exact ``str`` and ``int`` leaves are written in their container's
+    loop; anything else (``bool``, subclasses) takes a call.  A dict
+    sorts its keys alone, which orders it as sorting its items: two of
+    its keys never compare equal, or they would be one key.
     """
     if isinstance(doc, str):
         return encode_basestring_ascii(doc)
     inner = pad + "  "
+    texts = []
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        items = [_json_text(x, inner) for x in doc]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        for x in doc:
+            t = type(x)
+            texts.append(
+                encode_basestring_ascii(x) if t is str
+                else int.__repr__(x) if t is int
+                else _json_text(x, inner)
+            )
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
     if isinstance(doc, dict):
         if not doc:
             return "{}"
-        items = [_key(k) + ": " + _json_text(v, inner) for k, v in sorted(doc.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        for k in sorted(doc):
+            x = doc[k]
+            t = type(x)
+            texts.append(
+                (encode_basestring_ascii(k) if type(k) is str else _key(k)) + ": " + (
+                    encode_basestring_ascii(x) if t is str
+                    else int.__repr__(x) if t is int
+                    else _json_text(x, inner)
+                )
+            )
+        return "{" + inner + ("," + inner).join(texts) + pad + "}"
     return _scalar(doc)
 
 
@@ -196,12 +216,15 @@ def cmd_pack(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .packing import packing_rate
+    # the packing alone: simulate prints no optimality proof, so runs none
+    from .packing import _general_packing, _oracle_packing, packing_rate
     from .protocol import run_packing_protocol, secrecy_audit
 
     g = load_graph(args.input)
-    method = "general" if args.rounds is None else "oracle"
-    pk = _make_packing(g, method, args.rounds).packing
+    if args.rounds is None:
+        pk = _general_packing(g)[0]
+    else:
+        pk = _oracle_packing(g, args.rounds)[0]
     transcript = run_packing_protocol(g, pk, args.seed)
     doc = transcript.to_json_dict()
     doc["packing"] = pk.to_json_dict()

@@ -149,7 +149,7 @@ class WeightedGraph:
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_weights")
+    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_links", "_weights")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
@@ -187,7 +187,7 @@ class WeightedGraph:
         self._nodes = known
         self._by_key = dict(sorted(by_key.items()))
         self.edges = tuple(self._by_key.values())
-        self._weights = None
+        self._links = self._weights = None
 
     # -- queries ---------------------------------------------------------
 
@@ -239,15 +239,30 @@ class WeightedGraph:
         denominators), 0 where there is no edge.
         """
         if self._weights is None:
+            labels, scale, links = self.integer_links()
+            w = [[0] * len(labels) for _ in labels]
+            for i, j, x in links:
+                w[i][j] = w[j][i] = x
+            self._weights = labels, scale, tuple(map(tuple, w))
+        return self._weights
+
+    def integer_links(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, int, int], ...]]:
+        """Label order and scale of :meth:`integer_weights`, and each edge as ``(i, j, w[i][j])``.
+
+        ``i < j`` are the indices of the edge's ends in sorted-label order
+        (a key's ends are sorted too); the edges come in key order.  Built
+        once, in time linear in the edges.
+        """
+        if self._links is None:
             labels = self.sorted_nodes()
             idx = {v: i for i, v in enumerate(labels)}
             scale = math.lcm(*(e.rate.denominator for e in self.edges)) if self.edges else 1
-            w = [[0] * len(labels) for _ in labels]
-            for e in self.edges:
-                i, j = idx[e.u], idx[e.v]
-                w[i][j] = w[j][i] = e.rate.numerator * (scale // e.rate.denominator)
-            self._weights = labels, scale, tuple(map(tuple, w))
-        return self._weights
+            links = tuple([
+                (idx[e.u], idx[e.v], e.rate.numerator * (scale // e.rate.denominator))
+                for e in self.edges
+            ])
+            self._links = labels, scale, links
+        return self._links
 
     def link_key(self, u: str, v: str) -> EdgeKey:
         """Key of a link between ``u`` and ``v``, which may or may not exist yet.

@@ -77,9 +77,9 @@ from .rate_core import (
 EXACT_STEP_BUDGET = 1_000_000
 
 #: Most nested splits :func:`general_algorithm` makes before it hands the
-#: network to the exact packer.  Each split costs a bottleneck scan
-#: quadratic in the node count: 32 of them take about 1.7 s on a
-#: 1,000-node path (2-vCPU Xeon VM), whose splits nest one per node.
+#: network to the exact packer.  Each split costs a bottleneck scan and
+#: two networks to build: ``pack`` of a 1,000-node path, whose splits
+#: nest one per node, takes about 0.5 s (2-vCPU Xeon VM).
 SPLIT_DEPTH = 32
 
 #: Most next-to-last tree candidates the greedy packer tries before it
@@ -244,16 +244,21 @@ def brute_force_packing(g: WeightedGraph, rounds: int) -> PackingOutcome:
     Raises:
         HeuristicFailedError: the exact packer passed its step budget.
     """
-    capacity = capacities(g, rounds)
-    _require_rateable(g)
-    degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
-    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
-    packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
+    packing, witness, calls = _oracle_packing(g, rounds)
     return PackingOutcome(
         packing=packing,
         optimal=_optimal_flag(g, packing_rate(packing), witness),
         diagnostics={"packer_calls": calls},
     )
+
+
+def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
+    """:func:`brute_force_packing`'s ``(packing, witness, calls)``, with no optimality proof."""
+    capacity = capacities(g, rounds)
+    _require_rateable(g)
+    degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
+    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    return _descend(g, rounds, target, fixed_rounds=True)
 
 
 def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> tuple:
@@ -609,6 +614,16 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
         HeuristicFailedError: a greedy packing or the exact packer would
             pass ``EXACT_STEP_BUDGET``.
     """
+    packing, diagnostics, witness = _general_packing(g)
+    return PackingOutcome(
+        packing=packing,
+        optimal=_optimal_flag(g, packing_rate(packing), witness),
+        diagnostics=diagnostics,
+    )
+
+
+def _general_packing(g: WeightedGraph) -> tuple:
+    """:func:`general_algorithm`'s ``(packing, diagnostics, witness)``, with no optimality proof."""
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
@@ -625,11 +640,7 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
         witness = refusal or witness
-    return PackingOutcome(
-        packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), witness),
-        diagnostics=diagnostics,
-    )
+    return packing, diagnostics, witness
 
 
 def _general_pack(

@@ -51,7 +51,9 @@ PARTITION_BUDGET = 3_000_000
 
 #: Most candidate members one bottleneck subset scan tries: at least the
 #: 2,097,110 of the unpruned walk over 20 nodes, so every scan of 20 or
-#: fewer nodes finishes.
+#: fewer nodes finishes.  A walk that passes it takes 1 to 1.3 s
+#: (``pack`` of the 24-ring, K32 and a 32-node graph of 96 links, 2-vCPU
+#: Xeon VM).
 SUBSET_BUDGET = 2_100_000
 
 
@@ -384,8 +386,11 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     It runs on integer-scaled rates as ``total*|I| > attach(I)*(N-1)``,
     with ``attach(I)`` the weighted degrees of ``I`` minus its internal
     weight, kept incrementally along a depth-first walk over each
-    cardinality.  ``attach`` only grows as members join, so the walk skips
-    a member ``j`` of a partial subset ``C`` when
+    cardinality; each node's weight to the members chosen is one array,
+    raised along a member's higher-index neighbours (listed from the
+    edges, not a matrix) as it joins and lowered as it leaves.
+    ``attach`` only grows as members join, so the walk skips a member
+    ``j`` of a partial subset ``C`` when
     ``attach(C + {j})*(N-1) >= total*|I|``: no subset it would complete
     can violate.  Only such subsets are skipped, so the order of the
     subsets tested and the first violator are those of the full walk.
@@ -402,15 +407,23 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     """
     _require_rateable(g)
     n = g.node_count
-    labels, scale, w = g.integer_weights()
-    degree = [sum(row) for row in w]
+    labels, scale, links = g.integer_links()
+    degree = [0] * n
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
+    for i, j, x in links:
+        degree[i] += x
+        degree[j] += x
+        if x:
+            upper[i].append((j, x))
     total = sum(degree) // 2
     chosen: list[int] = []
+    # to_chosen[j]: weight from j to the members chosen, for every j above them
+    to_chosen = [0] * n
     steps, budget = 0, SUBSET_BUDGET
 
-    def search(k: int, start: int, attach: int, to_chosen: list[int]) -> Optional[int]:
-        # chosen holds fewer than k members; to_chosen[j] = weight from j to
-        # them; gives attach(I) of the first violator I, left in chosen
+    def search(k: int, start: int, attach: int) -> Optional[int]:
+        # chosen holds fewer than k members, all below start; gives
+        # attach(I) of the first violator I, left in chosen
         nonlocal steps
         limit = total * k
         last = len(chosen) == k - 1
@@ -430,15 +443,19 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
             if grown * (n - 1) >= limit:
                 continue
             chosen.append(j)
-            found = search(k, j + 1, grown, [a + b for a, b in zip(to_chosen, w[j])])
+            for m, x in upper[j]:
+                to_chosen[m] += x
+            found = search(k, j + 1, grown)
             if found is not None:
                 return found
+            for m, x in upper[j]:
+                to_chosen[m] -= x
             chosen.pop()
         return None
 
     network_bound = Fraction(total, scale * (n - 1))
     for k in range(1, n):
-        attach = search(k, 0, 0, [0] * n)
+        attach = search(k, 0, 0)
         if attach is not None:
             break
     else:

@@ -1,7 +1,9 @@
+import enum
 import importlib
 import json
 import re
 import time
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,14 @@ from hypothesis import given, strategies as st
 
 from qnet_stp import VertexPartition, finest_bound, partition_bound
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
-from qnet_stp.errors import SchemaError
+from qnet_stp.errors import ExactModeLimitError, SchemaError
 from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag
-from qnet_stp.rate_core import PARTITION_BUDGET, SUBSET_BUDGET
+from qnet_stp.rate_core import (
+    PARTITION_BUDGET,
+    SUBSET_BUDGET,
+    _partition_scan,
+    check_no_bottleneck,
+)
 
 from conftest import build, complete, ladder_graph, ring, run_measured, sorted_path
 
@@ -394,6 +401,47 @@ def test_subset_cap_reaches_the_packers(capsys, graph_file, monkeypatch):
             "code": "ExactModeLimit",
             "message": "the subset scan of 6 nodes passed its budget of 5 steps",
         }
+
+
+@pytest.mark.parametrize("make, steps, violator", [
+    (lambda request: ring(12), 3286, None),
+    (lambda request: complete(8), 284, None),
+    (lambda request: request.getfixturevalue("two_cliques_hub"), 197, ("1", "2", "3", "4", "9")),
+], ids=["ring12", "complete8", "two_cliques_hub"])
+def test_full_subset_walks_take_their_step_counts(request, monkeypatch, make, steps, violator):
+    # the least budget each whole walk answers at, and one less refuses
+    g = make(request)
+    monkeypatch.setattr("qnet_stp.rate_core.SUBSET_BUDGET", steps)
+    assert check_no_bottleneck(g).violating_subset == violator
+    monkeypatch.setattr("qnet_stp.rate_core.SUBSET_BUDGET", steps - 1)
+    with pytest.raises(ExactModeLimitError, match=(
+        f"^the subset scan of {g.node_count} nodes passed its budget of {steps - 1} steps$"
+    )):
+        check_no_bottleneck(g)
+
+
+def test_simulate_runs_no_partition_scan(capsys, graph_file, two_cliques_hub, monkeypatch):
+    # pack needs one cutoff scan to prove the hub network's packing
+    # optimal; simulate prints no such proof, so it runs none
+    path = graph_file("hub.json", two_cliques_hub)
+    runs = [["simulate", path], ["simulate", path, "--rounds", "2"]]
+    unpatched = [run(capsys, *argv) for argv in runs]
+    assert [code for code, _ in unpatched] == [0, 0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("partition scan")
+
+    monkeypatch.setattr("qnet_stp.packing._partition_scan", refuse)
+    assert [run(capsys, *argv) for argv in runs] == unpatched
+    scans = []
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return _partition_scan(*args, **kwargs)
+
+    monkeypatch.setattr("qnet_stp.packing._partition_scan", counting)
+    code, out = run(capsys, "pack", path)
+    assert (code, json.loads(out)["optimal"], len(scans)) == (0, True, 1)
 
 
 def test_partition_cap_reaches_the_optimality_check(capsys, graph_file, monkeypatch):
@@ -840,6 +888,18 @@ def test_parse_candidates():
 # printer
 # ---------------------------------------------------------------------------
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Label(str):
+    pass
+
+
+class Table(dict):
+    pass
+
+
 JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
 JSON_DOCS = st.recursive(
     JSON_LEAVES,
@@ -863,6 +923,15 @@ def test_printer_matches_indented_json_dumps(doc):
     {}, [], (), {"": [{}, [], ()]}, "\x00\x1f\x7fé \ud800\U0001f600",
     {"b": 1, "a": [True, False, None]}, {2: "x", 10: "y"}, {None: 0}, {1.5: 0, -2.0: 1},
     [float("nan"), float("inf"), -float("inf"), -0.0, 1e300], -(10**50),
+    # exact str and int leaves and keys are written in place; these
+    # bools, str and int subclasses and tuples take a call, and dict
+    # subclasses run the plain dict's loop
+    [True, 1, [False, 0]], {"t": True, "f": False, "n": 1},
+    Level.LOW, [Level.LOW, 1], {"level": Level.LOW}, {Level.LOW: "x"},
+    Label("é"), [Label("a"), "b"], {Label("b"): Label("x"), "a": 1},
+    OrderedDict([("b", 1), ("a", [2])]), {"x": OrderedDict([("d", {}), ("c", ())])},
+    Table(b=1, a=Table(z="é")), [Table(), Table(k=[1])],
+    ((1, ("a", (2, ()))), ()), {"t": (("b", 1), ["c", (True,)])},
 ])
 def test_printer_matches_indented_json_dumps_on_edge_cases(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)

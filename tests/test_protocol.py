@@ -228,6 +228,41 @@ def test_run_follows_the_consumption_schedule(triangle, tri_pendant, star4):
             assert tr.consumed == Counter(key for step in schedule for key in step)
 
 
+def recovered_by_recover(g, pk, seed):
+    """Each node's bits as :func:`recover` finds them, instance by instance."""
+    km = generate_keys(g, pk.rounds, seed)
+    tr = run_packing_protocol(g, pk, seed)
+    bits = {v: [] for v in g.node_ids}
+    for (i, copy, tree), step in zip(pk.instances(), consumption_schedule(g, pk)):
+        anns = [a for a in tr.announcements if (a.tree, a.round) == (i, copy)]
+        orientation = orient_tree(tree)
+        for v in g.node_ids:
+            bits[v].append(recover(v, orientation, anns, km, step).bit)
+    return tr.recovered, {v: tuple(b) for v, b in bits.items()}
+
+
+def test_run_recovers_what_recover_does():
+    # the run's one pass per instance gives recover()'s bit at every node
+    cases = [random_connected_graph(random.Random(s), max_nodes=7, max_extra=4)
+             for s in range(40)]
+    oracle = brute_force_packing(complete(4, rate=2), 2).packing
+    assert max(oracle.multiplicities) > 1
+    for g in cases:
+        pk = general_algorithm(g).packing
+        for seed in range(3):
+            run, reference = recovered_by_recover(g, pk, seed)
+            assert run == reference
+    for seed in range(10):
+        run, reference = recovered_by_recover(complete(4, rate=2), oracle, seed)
+        assert run == reference
+
+
+def test_run_refuses_a_tree_that_misses_a_node():
+    pk = TreePacking.multigraph([SpanningTree.of([("1", "2"), ("2", "3")])], [1], 1)
+    with pytest.raises(InvalidEdgeError, match="^node '4' is not spanned by the tree$"):
+        run_packing_protocol(ring(4), pk, seed=0)
+
+
 def test_run_rejects_overfull_packing(triangle):
     t = SpanningTree.of([("1", "2"), ("1", "3")])
     pk = TreePacking.multigraph([t], [3], 2)
