@@ -149,7 +149,7 @@ class WeightedGraph:
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_links", "_weights")
+    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_links")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
@@ -187,7 +187,7 @@ class WeightedGraph:
         self._nodes = known
         self._by_key = dict(sorted(by_key.items()))
         self.edges = tuple(self._by_key.values())
-        self._links = self._weights = None
+        self._links = None
 
     # -- queries ---------------------------------------------------------
 
@@ -231,27 +231,13 @@ class WeightedGraph:
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
         return {e.key: e.epsilon for e in self.edges}
 
-    def integer_weights(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, ...], ...]]:
-        """Label order, scale and integer weight matrix of the exact scans, built once.
-
-        Node ``i`` is the ``i``-th label in sorted order; ``w[i][j]`` is the
-        rate of edge ``(i, j)`` times ``scale`` (the lcm of the rate
-        denominators), 0 where there is no edge.
-        """
-        if self._weights is None:
-            labels, scale, links = self.integer_links()
-            w = [[0] * len(labels) for _ in labels]
-            for i, j, x in links:
-                w[i][j] = w[j][i] = x
-            self._weights = labels, scale, tuple(map(tuple, w))
-        return self._weights
-
     def integer_links(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, int, int], ...]]:
-        """Label order and scale of :meth:`integer_weights`, and each edge as ``(i, j, w[i][j])``.
+        """Label order, scale and integer links of the exact scans, built once.
 
-        ``i < j`` are the indices of the edge's ends in sorted-label order
-        (a key's ends are sorted too); the edges come in key order.  Built
-        once, in time linear in the edges.
+        Node ``i`` is the ``i``-th label in sorted order.  Each edge comes,
+        in key order, as ``(i, j, w)``: ``i < j`` are its ends' indices (a
+        key's ends are sorted too) and ``w`` its rate times ``scale``, the
+        lcm of the rate denominators.  Built in time linear in the edges.
         """
         if self._links is None:
             labels = self.sorted_nodes()

@@ -4,8 +4,8 @@ Answers two operator questions: *where* is the network's rate lost
 (which vertex groups, once contracted, expose the binding cut), and
 *which* candidate link is worth adding.  Evaluation is exact — every
 candidate is scored by the partition-minimum rate of the augmented
-weight matrix, or dropped by a partition that proves it cannot win —
-so the greedy plan's trajectory is authoritative, not an estimate.
+network, or dropped by a partition that proves it cannot win — so the
+greedy plan's trajectory is authoritative, not an estimate.
 """
 
 from __future__ import annotations
@@ -106,26 +106,24 @@ def _min_cut(w: list[list[int]]) -> int:
     return least
 
 
-def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
-    """The strongest two-block bound: the minimum cut over all bipartitions.
+def _best_bipartition(labels: tuple[str, ...], w: list[list[int]], least: int) -> VertexPartition:
+    """The first bipartition of ``labels`` whose cut in the weight matrix ``w`` is ``least``.
 
-    The cut's weight comes from :func:`_min_cut` on integer-scaled rates.
-    The partition is the first side holding the smallest label, in sorted
-    order of its label tuple, whose cut has that weight, so among minimum
-    cuts the partition with the smallest ``blocks`` wins.  A depth-first
-    search visits the sides in that order, adding one later node at a
-    time, and skips a branch when the weight between its side and the
-    nodes passed over, plus each undecided node's lighter tie to the two,
-    already exceeds the minimum.  Each node it tries costs ``N`` units of
+    ``least`` is :func:`_min_cut`'s weight of ``w``.  The partition is the
+    first side holding the smallest label, in sorted order of its label
+    tuple, whose cut has that weight, so among minimum cuts the partition
+    with the smallest ``blocks`` wins.  A depth-first search visits the
+    sides in that order, adding one later node at a time, and skips a
+    branch when the weight between its side and the nodes passed over,
+    plus each undecided node's lighter tie to the two, already exceeds
+    the minimum.  Each node it tries costs ``N`` units of
     ``PARTITION_BUDGET``, charged as a search enters its loop; past the
     budget it stops.
 
     Raises:
         ExactModeLimitError: the search passed ``PARTITION_BUDGET``.
     """
-    nodes, scale, w = g.integer_weights()
-    n = len(nodes)
-    least = _min_cut(w)
+    n = len(labels)
     degree = [sum(row) for row in w]
     side = [0]
     steps, budget = 0, rate_core.PARTITION_BUDGET
@@ -152,10 +150,9 @@ def _best_bipartition(g: WeightedGraph) -> tuple[Fraction, VertexPartition]:
         return False
 
     search(1, degree[0], 0, w[0], [0] * n)
-    partition = VertexPartition.from_blocks(
-        [[nodes[i] for i in side], [v for i, v in enumerate(nodes) if i not in side]]
+    return VertexPartition.from_blocks(
+        [[labels[i] for i in side], [v for i, v in enumerate(labels) if i not in side]]
     )
-    return Fraction(least, scale), partition
 
 
 def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
@@ -172,10 +169,11 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
     The best bipartition bound is the minimum cut.  When the scan's
     minimizer has two blocks it is a cut at the rate, and no cut is below
     the rate, so the bound is the rate and no cut is computed; otherwise
-    it is :func:`_min_cut`'s weight.  Only a bipartition bottleneck whose
-    minimizer has three or more blocks names a cut the scan did not
-    find, and only then does :func:`_best_bipartition` search for the
-    first minimum-cut side.
+    it is :func:`_min_cut`'s weight, on a weight matrix built for it.  Only
+    a bipartition bottleneck whose minimizer has three or more blocks
+    names a cut the scan did not find, and only then does
+    :func:`_best_bipartition` search that matrix for the first
+    minimum-cut side.
     """
     report: RateReport = nwt_rate(g)
     # no subset violates its bound exactly when the finest partition is optimal
@@ -184,8 +182,12 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
     if partition.block_count == 2:
         bip_bound = report.rate
     else:
-        _, scale, w = g.integer_weights()
-        bip_bound = Fraction(_min_cut(w), scale)
+        labels, scale, links = g.integer_links()
+        w = [[0] * len(labels) for _ in labels]
+        for i, j, x in links:
+            w[i][j] = w[j][i] = x
+        least = _min_cut(w)
+        bip_bound = Fraction(least, scale)
     if report.finest_is_optimal:
         kind = "none"
         contracted = None
@@ -196,7 +198,7 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
     elif bip_bound == report.rate:
         kind = "bipartition"
         if partition.block_count != 2:
-            partition = _best_bipartition(g)[1]
+            partition = _best_bipartition(labels, w, least)
         contracted = contract(g, partition)
         narrative = (
             f"bipartition bottleneck {partition}: the cut of rate "
@@ -350,25 +352,25 @@ def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
 def _scanner(g: WeightedGraph, initial: RateReport):
     """``scan(additions, leader)``: the rate report of ``g`` with ``additions`` added.
 
-    Each call scans a copy of ``g``'s integer weight matrix with the
-    additions' weights added, rescaled to the lcm of the scale and their
-    denominators.  It gives ``None`` when some partition's value is at
-    most ``leader``.  It first tries its witnesses: ``initial``'s
-    minimizer and each partition a scan ended on (its minimizer, or where
-    it met its cutoff), kept with their cross sums on ``g``'s matrix.  A
-    witness's value is that sum times the rescale factor plus the
-    additions it separates, over its block count less one; one at most
-    ``leader`` gives ``None`` without a scan.  A completed scan's report
-    is the augmented network's :func:`nwt_rate`, because the scan takes
-    the same path on any positive multiple of a matrix.
+    Each call scans ``g``'s integer links with the additions' weights
+    merged in, one link per pair, all rescaled to the lcm of the scale
+    and their denominators.  It gives ``None`` when some partition's
+    value is at most ``leader``.  It first tries its witnesses:
+    ``initial``'s minimizer and each partition a scan ended on (its
+    minimizer, or where it met its cutoff), kept with their cross sums on
+    ``g``'s links.  A witness's value is that sum times the rescale factor
+    plus the additions it separates, over its block count less one; one
+    at most ``leader`` gives ``None`` without a scan.  A completed scan's
+    report is the augmented network's :func:`nwt_rate`, because the scan
+    takes the same path on any positive multiple of the weights.
     """
-    labels, scale, w = g.integer_weights()
+    labels, scale, links = g.integer_links()
     index = {v: i for i, v in enumerate(labels)}
     witnesses: dict[tuple[int, ...], tuple[int, int]] = {}  # node blocks -> (cross, blocks - 1)
 
     def keep(rgs: tuple[int, ...]) -> None:
         if rgs not in witnesses:
-            cross = sum(w[i][j] for i in range(len(rgs)) for j in range(i) if rgs[i] != rgs[j])
+            cross = sum(x for i, j, x in links if rgs[i] != rgs[j])
             witnesses[rgs] = (cross, max(rgs))
 
     block = initial.minimizing_partition.block_of()
@@ -378,7 +380,7 @@ def _scanner(g: WeightedGraph, initial: RateReport):
         new_scale = math.lcm(scale, *(rate.denominator for _, _, rate in additions))
         factor = new_scale // scale
         added = [
-            (index[u], index[v], rate.numerator * (new_scale // rate.denominator))
+            (*sorted((index[u], index[v])), rate.numerator * (new_scale // rate.denominator))
             for u, v, rate in additions
         ]
         cutoff = None
@@ -388,12 +390,12 @@ def _scanner(g: WeightedGraph, initial: RateReport):
                 value = cross * factor + sum(x for i, j, x in added if rgs[i] != rgs[j])
                 if value * cutoff.denominator <= cutoff.numerator * pm1:
                     return None
-        m = [[x * factor for x in row] for row in w]
+        merged = {(i, j): x * factor for i, j, x in links}
         for i, j, x in added:
-            m[i][j] += x
-            m[j][i] = m[i][j]
+            merged[i, j] = merged.get((i, j), 0) + x
+        m = [(i, j, x) for (i, j), x in merged.items()]
         stop: list = []
-        found = _partition_scan(m, cutoff, stop)
+        found = _partition_scan(len(labels), m, cutoff, stop)
         keep(stop[0] if found is None else found[2])
         return None if found is None else _rate_report(labels, new_scale, m, found)
 
@@ -414,7 +416,7 @@ def best_additions(
     smallest added rate, then to the earliest in ``candidates``.
     Exhaustive mode tries every selection of ``budget`` candidates (the
     first best in ``sorted`` order wins) and is only meant for a handful
-    of additions.  Candidates are scored on ``g``'s integer weight matrix;
+    of additions.  Candidates are scored on ``g``'s integer links;
     once a leader exists, a candidate's partition scan stops at the first
     partition whose value is at most the leader's rate, which proves the
     candidate cannot win.  A candidate is dropped without a scan when a

@@ -429,9 +429,9 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     """Execute the keying protocol for every tree instance of ``pk``.
 
     Keys are generated for the packing's round count from ``seed``; each
-    instance is oriented, announced and recovered at every node (the
-    bits of :func:`recover`, in one pass per instance).  The conference
-    key concatenates one bit per instance.
+    tree is oriented once, and each of its instances announced and
+    recovered at every node (the bits of :func:`recover`, in one pass per
+    instance).  The conference key concatenates one bit per instance.
 
     Raises:
         HeuristicFailedError: the tree-edge instances pass
@@ -451,7 +451,8 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     conference: list[int] = []
     recovered: dict[str, list[int]] = {v: [] for v in g.node_ids}
     for (tree_idx, copy_idx, tree), consumed in zip(pk.instances(), schedule):
-        orientation = orient_tree(tree)
+        if not copy_idx:  # a tree's copies come together: orient it once
+            orientation = orient_tree(tree)
         anns = announce(orientation, km, consumed, copy_idx, tree_index=tree_idx)
         announcements.extend(anns)
         bits = _recover_all(orientation, anns, km, consumed)
@@ -554,8 +555,9 @@ def secrecy_audit(
     scheduled_uses = 0
     ann_positions: list[tuple[int, int]] = []
     conference_positions: list[int] = []
-    for (_, _, tree), consumed in zip(instances, schedule):
-        orientation = orient_tree(tree)
+    for (_, copy_idx, tree), consumed in zip(instances, schedule):
+        if not copy_idx:  # a tree's copies come together: orient it once
+            orientation = orient_tree(tree)
         position = {}
         for key in tree.edges:
             if key not in pool_sizes:

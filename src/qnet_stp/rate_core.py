@@ -94,24 +94,27 @@ class _AtMostCutoff(Exception):
 
 
 def _partition_scan(
-    w: list[list[int]], cutoff: Optional[Fraction] = None, stop: Optional[list] = None
+    n: int, links, cutoff: Optional[Fraction] = None, stop: Optional[list] = None
 ) -> Optional[tuple[int, int, tuple[int, ...]]]:
-    """Minimum of ``cross / (blocks - 1)`` over partitions of the weight matrix ``w``.
+    """Minimum of ``cross / (blocks - 1)`` over partitions of nodes ``0..n-1``.
+
+    ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once:
+    nodes ``i`` and ``j`` joined by integer weight ``w``, of which 0
+    joins nothing.
 
     Returns ``(cross, blocks - 1, rgs)`` of the first minimizer in
     restricted-growth order, or ``None`` as soon as some partition's value
-    is at most ``cutoff`` (in the units of ``w``): the minimum is then at
-    most ``cutoff`` too, so ``None`` comes back exactly when the minimum
-    is at most ``cutoff``.  On ``None`` the RGS of that partition is
+    is at most ``cutoff`` (in the units of the weights): the minimum is
+    then at most ``cutoff`` too, so ``None`` comes back exactly when the
+    minimum is at most ``cutoff``.  On ``None`` the RGS of that partition is
     appended to ``stop``, if given; when the finest partition is already
     at most ``cutoff`` that is its RGS, and nothing is scanned.  A scan
     that returns a minimizer never met its cutoff, so it took the path of
     the scan without one.  Each comparison the scan makes weighs two sums
     linear in the weights, so it takes the same path and picks the same
-    partition on any positive multiple of ``w``, and so spends the same
-    units of ``PARTITION_BUDGET``; past it the scan raises
-    ExactModeLimitError.  ``w`` must be connected and have two or more
-    nodes.
+    partition on any positive multiple of the weights, and so spends the
+    same units of ``PARTITION_BUDGET``; past it the scan raises
+    ExactModeLimitError.  The links must connect two or more nodes.
 
     With the incumbent ``A / B``, a partition beats it when
     ``F = B * cross - A * (blocks - 1)`` is below ``tie`` (see
@@ -132,9 +135,12 @@ def _partition_scan(
     after each improvement.  The path down is kept in a list, not on the
     call stack, so no node count or depth of the caller's stack overflows it.
     """
-    n = len(w)
-    upper = [[(k, x) for k, x in enumerate(row[i + 1:], i + 1) if x] for i, row in enumerate(w)]
-    back = [sum(row[:i]) for i, row in enumerate(w)]
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
+    back = [0] * n  # each node's weight to lower-index nodes
+    for i, j, x in links:
+        if x:
+            upper[i].append((j, x))
+            back[j] += x
     rgs = [0] * n
     # the incumbent starts as the finest partition, the last RGS of all
     best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
@@ -275,10 +281,10 @@ def nwt_rate(g: WeightedGraph) -> RateReport:
     the first minimizer in restricted-growth order, with the same
     tie-breaks.
 
-    The scan is :func:`_partition_scan`; the planner runs it on candidate
-    weight matrices with a cutoff, to stop at the first partition whose
-    value is at most the leader's rate.  It takes any node count, and
-    stops at ``PARTITION_BUDGET`` units of work.
+    The scan is :func:`_partition_scan` over ``g``'s integer links; the
+    planner runs it on candidate networks' links with a cutoff, to stop
+    at the first partition whose value is at most the leader's rate.  It
+    takes any node count, and stops at ``PARTITION_BUDGET`` units of work.
 
     Raises:
         TrivialNetworkError: fewer than 2 nodes.
@@ -286,20 +292,20 @@ def nwt_rate(g: WeightedGraph) -> RateReport:
         ExactModeLimitError: the scan passed ``PARTITION_BUDGET``.
     """
     _require_rateable(g)
-    labels, scale, w = g.integer_weights()
-    return _rate_report(labels, scale, w, _partition_scan(w))
+    labels, scale, links = g.integer_links()
+    return _rate_report(labels, scale, links, _partition_scan(len(labels), links))
 
 
 def _rate_report(
-    labels: tuple[str, ...], scale: int, w: list[list[int]], found: tuple[int, int, tuple[int, ...]]
+    labels: tuple[str, ...], scale: int, links, found: tuple[int, int, tuple[int, ...]]
 ) -> RateReport:
-    """The report of a completed :func:`_partition_scan` of ``w`` (rates times ``scale``)."""
+    """The report of a completed :func:`_partition_scan` of ``links`` (rates times ``scale``)."""
     cross, pm1, rgs = found
-    total = sum(map(sum, w)) // 2
+    total = sum(x for _, _, x in links)
     return RateReport(
         rate=Fraction(cross, pm1 * scale),
         minimizing_partition=VertexPartition.from_rgs(labels, rgs),
-        finest_is_optimal=total * pm1 == cross * (len(w) - 1),
+        finest_is_optimal=total * pm1 == cross * (len(labels) - 1),
     )
 
 
@@ -388,7 +394,7 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     weight, kept incrementally along a depth-first walk over each
     cardinality; each node's weight to the members chosen is one array,
     raised along a member's higher-index neighbours (listed from the
-    edges, not a matrix) as it joins and lowered as it leaves.
+    integer links) as it joins and lowered as it leaves.
     ``attach`` only grows as members join, so the walk skips a member
     ``j`` of a partial subset ``C`` when
     ``attach(C + {j})*(N-1) >= total*|I|``: no subset it would complete

@@ -43,7 +43,10 @@ Two oracles reach the library's answers by another route altogether:
 :func:`partition_scan` is the library's partition scan pruned by the
 static per-node bound alone, not the tight one; it reaches sizes past
 :func:`nwt_rate` and checks the tight scan's results, tie-breaks and
-cutoff witnesses there.
+cutoff witnesses there.  It takes a weight matrix: :func:`links_of`
+gives the library scan the same weights as links, :func:`weights_of`
+gives a graph's matrix, and :func:`library_best_bipartition` runs the
+library's cut and side search on it.
 
 The others cost Bell(N), 2^N, 2^(N-1) and 2^bits full evaluations, and the
 oracle recurses once per spanning tree, so they are only meant for small
@@ -84,7 +87,14 @@ from qnet_stp.netgraph import (
     proper_vertex_subsets,
 )
 from qnet_stp.packing import _exact_fallback
-from qnet_stp.planner import BottleneckReport, Plan, _normalize_candidates, _score_addition
+from qnet_stp.planner import (
+    BottleneckReport,
+    Plan,
+    _best_bipartition,
+    _min_cut,
+    _normalize_candidates,
+    _score_addition,
+)
 from qnet_stp.protocol import consumption_schedule, orient_tree
 from qnet_stp.rate_core import _AtMostCutoff, _require_rateable
 
@@ -436,6 +446,29 @@ def partition_scan(
             stop.append(tuple(rgs))
         return None
     return best_cross, best_pm1, best_rgs
+
+
+def links_of(w: list[list[int]]) -> list[tuple[int, int, int]]:
+    """The ``(i, j, w[i][j])`` links, ``i < j``, of the weight matrix ``w``:
+    the input of :func:`qnet_stp.rate_core._partition_scan`."""
+    return [(i, j, x) for i, row in enumerate(w) for j, x in enumerate(row[i + 1:], i + 1) if x]
+
+
+def weights_of(g) -> tuple[tuple[str, ...], int, list[list[int]]]:
+    """Label order, scale and weight matrix of ``g``'s integer links."""
+    labels, scale, links = g.integer_links()
+    w = [[0] * len(labels) for _ in labels]
+    for i, j, x in links:
+        w[i][j] = w[j][i] = x
+    return labels, scale, w
+
+
+def library_best_bipartition(g) -> tuple[Fraction, VertexPartition]:
+    """The library's minimum cut of ``g`` and its first side, found as
+    :func:`qnet_stp.bottleneck_report` finds them."""
+    labels, scale, w = weights_of(g)
+    least = _min_cut(w)
+    return Fraction(least, scale), _best_bipartition(labels, w, least)
 
 
 def check_no_bottleneck(g) -> BottleneckCertificate:

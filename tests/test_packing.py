@@ -534,13 +534,13 @@ def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
         scanned.append(g.node_count)
         return check_no_bottleneck(g, **kwargs)
 
-    def counting_rate(w, cutoff=None):
-        rates.append(len(w))
-        return _partition_scan(w, cutoff)
+    def counting_rate(n, links, cutoff=None):
+        rates.append(n)
+        return _partition_scan(n, links, cutoff)
 
-    def counting_scan(w, cutoff=None):
+    def counting_scan(n, links, cutoff=None):
         cutoffs.append(cutoff)
-        return _partition_scan(w, cutoff)
+        return _partition_scan(n, links, cutoff)
 
     monkeypatch.setattr(packing, "check_no_bottleneck", counting_check)
     # the rate scan, wherever it is called from

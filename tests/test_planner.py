@@ -115,20 +115,36 @@ def test_report_searches_for_the_cut_side_once_on_a_tie(monkeypatch):
     searched = []
     search = planner._best_bipartition
 
-    def counting(g):
-        searched.append(g)
-        return search(g)
+    def counting(labels, w, least):
+        searched.append(labels)
+        return search(labels, w, least)
 
     monkeypatch.setattr(planner, "_best_bipartition", counting)
     g = bip_tie7()
     assert nwt_rate(g).minimizing_partition.block_count == 3
     report = bottleneck_report(g)
-    assert searched == [g]
+    assert searched == [g.sorted_nodes()]
     assert report.kind == "bipartition"
     assert report.minimizing_partition == VertexPartition.from_blocks(
         [["0", "1", "2", "3", "5", "6"], ["4"]]
     )
     assert report.best_bipartition_bound == report.rate == 5
+
+
+def test_report_runs_stoer_wagner_once_on_a_tie(monkeypatch):
+    # the side search takes its cut weight from the run that gave the bound
+    import qnet_stp.planner as planner
+
+    cuts = []
+    min_cut = planner._min_cut
+
+    def counting(w):
+        cuts.append(len(w))
+        return min_cut(w)
+
+    monkeypatch.setattr(planner, "_min_cut", counting)
+    assert bottleneck_report(bip_tie7()).kind == "bipartition"
+    assert cuts == [7]
 
 
 def test_the_cut_side_search_charges_the_partition_budget(monkeypatch):
@@ -139,7 +155,7 @@ def test_the_cut_side_search_charges_the_partition_budget(monkeypatch):
     with pytest.raises(
         ExactModeLimitError, match="^the bipartition search of 7 nodes passed its budget of 41 steps$"
     ):
-        planner._best_bipartition(bip_tie7())
+        reference_scans.library_best_bipartition(bip_tie7())
 
 
 def test_report_json(two_cliques_hub):
@@ -291,8 +307,8 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
         calls.append(g)
         return nwt_rate(g, **kwargs)
 
-    def counting_scan(w, cutoff=None, stop=None):
-        found = _partition_scan(w, cutoff, stop)
+    def counting_scan(n, links, cutoff=None, stop=None):
+        found = _partition_scan(n, links, cutoff, stop)
         scans.append((cutoff, found is None))
         return found
 
@@ -360,9 +376,9 @@ def test_plans_match_the_per_candidate_reference(monkeypatch):
         counts["rates"] += 1
         return nwt_rate(g, **kwargs)
 
-    def counting_scan(w, cutoff=None, stop=None):
+    def counting_scan(n, links, cutoff=None, stop=None):
         counts["scans"] += 1
-        return _partition_scan(w, cutoff, stop)
+        return _partition_scan(n, links, cutoff, stop)
 
     rng = random.Random(11)
     top_ties = dropped = reused = 0

@@ -263,6 +263,26 @@ def test_run_refuses_a_tree_that_misses_a_node():
         run_packing_protocol(ring(4), pk, seed=0)
 
 
+def test_run_and_audit_orient_each_tree_once(monkeypatch):
+    # K4 at rate 3 packs 18 instances of 6 distinct trees
+    g = complete(4, rate=3)
+    pk = general_algorithm(g).packing
+    assert pk.multiplicities == (4, 1, 4, 4, 1, 4)
+    transcript, audit = run_packing_protocol(g, pk, seed=0), secrecy_audit(g, pk)
+    oriented = []
+
+    def counting(tree, *args):
+        oriented.append(tree)
+        return orient_tree(tree, *args)
+
+    monkeypatch.setattr(protocol, "orient_tree", counting)
+    assert run_packing_protocol(g, pk, seed=0) == transcript
+    assert oriented == list(pk.trees)
+    oriented.clear()
+    assert secrecy_audit(g, pk) == audit
+    assert oriented == list(pk.trees)
+
+
 def test_run_rejects_overfull_packing(triangle):
     t = SpanningTree.of([("1", "2"), ("1", "3")])
     pk = TreePacking.multigraph([t], [3], 2)

@@ -38,11 +38,11 @@ from qnet_stp import packing, rate_core
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError
 from qnet_stp.netgraph import capacities
 from qnet_stp.packing import _max_weight_tree, _optimal_flag
-from qnet_stp.planner import _best_bipartition
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _partition_scan
 
 import reference_scans
+from reference_scans import library_best_bipartition, links_of, weights_of
 from conftest import bip_tie7, build, complete, random_connected_graph, ring
 
 RATES = ("1", "2", "3", "1/2", "3/2", "2/3", "5/4", "7/3")
@@ -74,7 +74,7 @@ def random_graph(rng, n, rates=RATES):
 def assert_same_scans(g):
     assert nwt_rate(g) == reference_scans.nwt_rate(g)
     assert check_no_bottleneck(g) == reference_scans.check_no_bottleneck(g)
-    assert _best_bipartition(g) == reference_scans.best_bipartition(g)
+    assert library_best_bipartition(g) == reference_scans.best_bipartition(g)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,12 +101,12 @@ def test_partition_scan_stops_exactly_at_its_cutoff(seed):
     rng = random.Random(seed)
     for n in range(2, 9):
         g = random_graph(rng, n)
-        _, scale, w = g.integer_weights()
-        full = _partition_scan(w)
+        _, scale, w = weights_of(g)
+        full = _partition_scan(n, links_of(w))
         value = Fraction(full[0], full[1])
         assert Fraction(full[0], full[1] * scale) == nwt_rate(g).rate
         for cutoff in (value - Fraction(1, 7), value, value + Fraction(1, 7), Fraction(0)):
-            got = _partition_scan(w, cutoff)
+            got = _partition_scan(n, links_of(w), cutoff)
             assert got == (None if value <= cutoff else full)
 
 
@@ -117,7 +117,7 @@ def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
     rng = random.Random(seed)
     for n in range(2, 9):
         g = random_graph(rng, n)
-        labels, scale, w = g.integer_weights()
+        labels, scale, w = weights_of(g)
         for _ in range(6):
             blocks = [0, 1] + [rng.randrange(n) for _ in range(n - 2)]
             rng.shuffle(blocks)
@@ -126,14 +126,14 @@ def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
             cross = sum(w[i][j] for i in range(n) for j in range(i) if rgs[i] != rgs[j])
             cutoff = max(Fraction(0), Fraction(cross, max(rgs)) + Fraction(rng.randint(-3, 3), 7))
             stop = []
-            got = _partition_scan(w, cutoff, stop)
+            got = _partition_scan(n, links_of(w), cutoff, stop)
             if cross <= cutoff * max(rgs):
                 assert got is None
             if got is None:
                 (at,) = stop
                 assert partition_bound(g, VertexPartition.from_rgs(labels, at)) * scale <= cutoff
             else:
-                assert stop == [] and got == _partition_scan(w)
+                assert stop == [] and got == _partition_scan(n, links_of(w))
 
 
 def uniform_tree(rng, n, rate):
@@ -177,11 +177,11 @@ def test_cutoff_at_or_above_the_finest_value_stops_at_once(seed):
     rng = random.Random(seed)
     for n in range(2, 9):
         g = random_graph(rng, n)
-        _, _, w = g.integer_weights()
+        _, _, w = weights_of(g)
         finest = Fraction(sum(map(sum, w)) // 2, n - 1)
         for cutoff in (finest, finest + Fraction(1, 3)):
             stop = []
-            assert _partition_scan(w, cutoff, stop) is None
+            assert _partition_scan(n, links_of(w), cutoff, stop) is None
             assert stop == [tuple(range(n))]
 
 
@@ -214,7 +214,7 @@ def test_bottleneck_report_matches_reference_on_random_graphs(seed):
     for n in range(2, 10):
         assert_same_report(random_graph(rng, n, INTEGER_RATES))
         g = random_graph(rng, n, FRACTIONAL_RATES)
-        assert g.integer_weights()[1] > 1
+        assert g.integer_links()[1] > 1
         assert_same_report(g)
 
 
@@ -243,7 +243,7 @@ def test_best_bipartition_keeps_the_smallest_of_tied_minimum_cuts(n):
     if n >= 5:
         graphs.append(two_cliques((n - 1) // 2, n - 1 - (n - 1) // 2, 1, hub=True))
     for g in graphs:
-        assert _best_bipartition(g) == reference_scans.best_bipartition(g)
+        assert library_best_bipartition(g) == reference_scans.best_bipartition(g)
 
 
 def sparse(rng, n, extra):
@@ -280,7 +280,8 @@ def assert_same_kernel(w):
     """The scan returns what the static-bound reference scan returns, with
     no cutoff and with cutoffs below, at and above the minimum and at and
     above the finest value, ``stop`` witnesses included."""
-    full = _partition_scan(w)
+    n, links = len(w), links_of(w)
+    full = _partition_scan(n, links)
     assert full == reference_scans.partition_scan(w)
     value = Fraction(full[0], full[1])
     finest = Fraction(sum(map(sum, w)) // 2, len(w) - 1)
@@ -288,7 +289,7 @@ def assert_same_kernel(w):
                finest, finest + Fraction(1, 3)}
     for cutoff in sorted(c for c in cutoffs if c >= 0):
         got, want = [], []
-        assert _partition_scan(w, cutoff, got) == reference_scans.partition_scan(w, cutoff, want)
+        assert _partition_scan(n, links, cutoff, got) == reference_scans.partition_scan(w, cutoff, want)
         assert got == want
 
 
@@ -297,8 +298,8 @@ def test_partition_scan_matches_the_static_bound_scan_on_random_graphs(seed):
     # rates 0 and fractional rates, up to N = 12 where Bell(N) is too slow
     rng = random.Random(500 + seed)
     for n in range(2, 13):
-        assert_same_kernel(random_graph(rng, n).integer_weights()[2])
-        assert_same_kernel(sparse(rng, n, rng.randint(0, n)).integer_weights()[2])
+        assert_same_kernel(weights_of(random_graph(rng, n))[2])
+        assert_same_kernel(weights_of(sparse(rng, n, rng.randint(0, n)))[2])
 
 
 def tied_family(n):
@@ -318,7 +319,7 @@ def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
     # uniform trees tie every partition into connected blocks with the
     # finest; unit complete graphs, rings and two cliques tie many more
     for g in tied_family(n):
-        assert_same_kernel(g.integer_weights()[2])
+        assert_same_kernel(weights_of(g)[2])
 
 
 def seeded_corpus():
@@ -346,8 +347,8 @@ def test_seeded_scans_stay_under_a_hundredth_of_the_partition_budget(monkeypatch
     # fewer nodes take: the largest here, the 12-ring's, is 8,239 units
     monkeypatch.setattr(rate_core, "PARTITION_BUDGET", rate_core.PARTITION_BUDGET // 100)
     for g in seeded_corpus():
-        _partition_scan(g.integer_weights()[2])
-        _best_bipartition(g)
+        _partition_scan(g.node_count, g.integer_links()[2])
+        library_best_bipartition(g)
 
 
 @pytest.mark.parametrize("make, violator_size", [
@@ -387,7 +388,7 @@ def test_subset_scan_certificate_matches_reference_on_fractional_rates(seed):
     violators = 0
     for n in range(2, 11):
         for g in (random_graph(rng, n, FRACTIONAL_RATES), sparse(rng, n, rng.randint(0, n))):
-            if g.integer_weights()[1] == 1:
+            if g.integer_links()[1] == 1:
                 continue
             certificate = check_no_bottleneck(g)
             assert certificate == reference_scans.check_no_bottleneck(g)
