@@ -64,8 +64,8 @@ def _dot_id(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_dot(g: WeightedGraph, name: str = "network") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def graph_dot(g: WeightedGraph) -> str:
+    lines = ["graph network {", "  node [shape=circle];"]
     for node in g.sorted_nodes():
         lines.append(f"  {_dot_id(node)};")
     for e in g.edges:
@@ -75,9 +75,9 @@ def graph_dot(g: WeightedGraph, name: str = "network") -> str:
     return "\n".join(lines) + "\n"
 
 
-def packing_dot(g: WeightedGraph, pk: TreePacking, name: str = "packing") -> str:
+def packing_dot(g: WeightedGraph, pk: TreePacking) -> str:
     """One colored subgraph per distinct tree, nodes prefixed per tree."""
-    lines = [f"graph {name} {{", f'  label="{pk.tree_count} trees over {pk.rounds} rounds";']
+    lines = ["graph packing {", f'  label="{pk.tree_count} trees over {pk.rounds} rounds";']
     for i, tree in enumerate(pk.trees):
         color = DOT_PALETTE[i % len(DOT_PALETTE)]
         lines.append(f"  subgraph cluster_t{i} {{")

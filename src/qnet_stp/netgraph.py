@@ -160,11 +160,8 @@ class WeightedGraph:
         known = set(ids)
         by_key: dict[EdgeKey, Edge] = {}
         for item in edges:
-            if isinstance(item, Edge):
-                u, v, rate, eps = item.u, item.v, item.rate, item.epsilon
-            else:
-                u, v, rate = item[0], item[1], item[2]
-                eps = item[3] if len(item) > 3 else Fraction(0)
+            u, v, rate = item[0], item[1], item[2]
+            eps = item[3] if len(item) > 3 else Fraction(0)
             u, v = str(u), str(v)
             if type(rate) is not Fraction:
                 rate = Fraction(rate)
@@ -212,9 +209,6 @@ class WeightedGraph:
 
     def rate(self, u: str, v: str) -> Fraction:
         return self.edge(u, v).rate
-
-    def epsilon(self, u: str, v: str) -> Fraction:
-        return self.edge(u, v).epsilon
 
     def edges_at(self, node: str) -> tuple[EdgeKey, ...]:
         """Keys of the edges at ``node``, in key order."""
@@ -415,9 +409,9 @@ def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeK
     return forest
 
 
-def is_connected(g: WeightedGraph, positive_only: bool = False) -> bool:
-    """True when ``g`` is connected (optionally counting only rate>0 edges)."""
-    keys = (e.key for e in g.edges if e.rate or not positive_only)
+def is_connected(g: WeightedGraph) -> bool:
+    """True when ``g``'s positive-rate edges connect all its nodes."""
+    keys = (e.key for e in g.edges if e.rate)
     return len(spanning_forest(g.node_ids, keys)) == g.node_count - 1
 
 
@@ -632,7 +626,7 @@ def enumerate_spanning_trees(
         DisconnectedError: the positive-rate subgraph does not span ``g``
             (on the first ``next``).
     """
-    if not is_connected(g, positive_only=True):
+    if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
     n = g.node_count
     held = set(required)

@@ -301,17 +301,18 @@ def _optimal_flag(
     rate.  A partition whose bound equals it proves it optimal: the
     finest partition, then ``witness`` (say, a bottleneck certificate's
     partition), both in linear time and at any size.  Otherwise the
-    partition scan runs with ``rate`` as its cutoff and stops at the
-    first partition whose value is at most ``rate``, which exists iff
-    ``rate`` is optimal; a scan that passes its budget answers None.
+    partition scan runs with ``rate`` as its cutoff: the partition it
+    returns has a value at most ``rate`` iff ``rate`` is optimal.  A scan
+    that passes its budget answers None.
     """
     if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
         return True
     labels, scale, links = g.integer_links()
     try:
-        return _partition_scan(len(labels), links, rate * scale) is None
+        cross, pm1, _ = _partition_scan(len(labels), links, rate * scale)
     except ExactModeLimitError:
         return None
+    return Fraction(cross, pm1 * scale) <= rate
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +556,7 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
         support = WeightedGraph(
             g.node_ids, [(k[0], k[1], Fraction(w)) for k, w in weight.items() if w > 0]
         )
-        if not is_connected(support, positive_only=True):
+        if not is_connected(support):
             return fallback("positive-weight edges no longer span the network")
         twos = [k for k, w in weight.items() if w == 2]
         candidates = enumerate_spanning_trees(support, required=twos)
@@ -652,10 +653,11 @@ def _general_pack(
     if cert.ok:
         return _greedy_pack(g, diagnostics)
     subset = cert.violating_subset
-    rest = tuple(v for v in g.sorted_nodes() if v not in set(subset))
+    inside = set(subset)
+    rest = tuple(v for v in g.sorted_nodes() if v not in inside)
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
     remainder = induced_subgraph(g, rest)
-    if depth == SPLIT_DEPTH or not is_connected(remainder, positive_only=True):
+    if depth == SPLIT_DEPTH or not is_connected(remainder):
         raise MergeFailedError(
             f"splits nest more than {SPLIT_DEPTH} deep" if depth == SPLIT_DEPTH
             else f"remainder network on {list(rest)} is not connected; cannot split"
@@ -666,12 +668,12 @@ def _general_pack(
         _general_pack(part, check_no_bottleneck(part), diagnostics, depth + 1)
         for part in (contracted, remainder)
     )
-    return _splice(g, subset, merged_label, pk_contracted, pk_remainder)
+    return _splice(g, inside, merged_label, pk_contracted, pk_remainder)
 
 
 def _splice(
     g: WeightedGraph,
-    subset: tuple[str, ...],
+    inside: set[str],
     merged_label: str,
     pk_contracted: TreePacking,
     pk_remainder: TreePacking,
@@ -688,11 +690,10 @@ def _splice(
         [tree for _, _, tree in pk.instances() for _ in range(rounds // pk.rounds)]
         for pk in (pk_contracted, pk_remainder)
     )
-    inside = set(subset)
     capacity = _floors(g, rounds)
     used: Counter = Counter()
     # cross edges available to each subset node, lexicographic
-    cross_of: dict[str, list[EdgeKey]] = {v: [] for v in subset}
+    cross_of: dict[str, list[EdgeKey]] = {v: [] for v in inside}
     for e in g.edges:
         if (e.u in inside) != (e.v in inside):
             v = e.u if e.u in inside else e.v
@@ -708,5 +709,5 @@ def _splice(
                 edges.append(key)
             else:
                 edges.append((u, v))
-        merged_trees.append(SpanningTree.of(edges))
+        merged_trees.append(edges)
     return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)

@@ -356,13 +356,14 @@ def _scanner(g: WeightedGraph, initial: RateReport):
     merged in, one link per pair, all rescaled to the lcm of the scale
     and their denominators.  It gives ``None`` when some partition's
     value is at most ``leader``.  It first tries its witnesses:
-    ``initial``'s minimizer and each partition a scan ended on (its
+    ``initial``'s minimizer and each partition a scan returned (its
     minimizer, or where it met its cutoff), kept with their cross sums on
     ``g``'s links.  A witness's value is that sum times the rescale factor
     plus the additions it separates, over its block count less one; one
-    at most ``leader`` gives ``None`` without a scan.  A completed scan's
-    report is the augmented network's :func:`nwt_rate`, because the scan
-    takes the same path on any positive multiple of the weights.
+    at most ``leader`` gives ``None`` without a scan, and so does a scan
+    whose partition is.  Otherwise the scan returned the minimizer, and
+    its report is the augmented network's :func:`nwt_rate`, because the
+    scan takes the same path on any positive multiple of the weights.
     """
     labels, scale, links = g.integer_links()
     index = {v: i for i, v in enumerate(labels)}
@@ -394,10 +395,11 @@ def _scanner(g: WeightedGraph, initial: RateReport):
         for i, j, x in added:
             merged[i, j] = merged.get((i, j), 0) + x
         m = [(i, j, x) for (i, j), x in merged.items()]
-        stop: list = []
-        found = _partition_scan(len(labels), m, cutoff, stop)
-        keep(stop[0] if found is None else found[2])
-        return None if found is None else _rate_report(labels, new_scale, m, found)
+        found = cross, pm1, rgs = _partition_scan(len(labels), m, cutoff)
+        keep(rgs)
+        if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
+            return None
+        return _rate_report(labels, new_scale, m, found)
 
     return scan
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -461,14 +460,14 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
                 raise InvalidEdgeError(f"node {node!r} is not spanned by the tree")
             recovered[node].append(bits[node])
         conference.append(bits[orientation.roots[0]])  # the conference edge's bit
-    uses = Counter(key for step in schedule for key in step)
+    uses = pk.edge_usage()
     return ProtocolTranscript(
         rounds=pk.rounds,
         conference_key=tuple(conference),
         unanimity=all(bits == conference for bits in recovered.values()),
         announcements=tuple(announcements),
         recovered={v: tuple(bits) for v, bits in recovered.items()},
-        consumed={k: uses[k] for k in km.pools},
+        consumed={k: uses.get(k, 0) for k in km.pools},
         budget=security_budget(pk, g.epsilon_map()),
         prng_algorithm=km.algorithm,
         seed=seed,

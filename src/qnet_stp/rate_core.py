@@ -85,7 +85,7 @@ class RateReport(NamedTuple):
 def _require_rateable(g: WeightedGraph) -> None:
     if g.node_count < 2:
         raise TrivialNetworkError("rates need at least two nodes")
-    if not is_connected(g, positive_only=True):
+    if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
 
 
@@ -94,23 +94,22 @@ class _AtMostCutoff(Exception):
 
 
 def _partition_scan(
-    n: int, links, cutoff: Optional[Fraction] = None, stop: Optional[list] = None
-) -> Optional[tuple[int, int, tuple[int, ...]]]:
-    """Minimum of ``cross / (blocks - 1)`` over partitions of nodes ``0..n-1``.
+    n: int, links, cutoff: Optional[Fraction] = None
+) -> tuple[int, int, tuple[int, ...]]:
+    """Partition of nodes ``0..n-1`` of least ``cross / (blocks - 1)``, or one at most ``cutoff``.
 
     ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once:
     nodes ``i`` and ``j`` joined by integer weight ``w``, of which 0
     joins nothing.
 
-    Returns ``(cross, blocks - 1, rgs)`` of the first minimizer in
-    restricted-growth order, or ``None`` as soon as some partition's value
-    is at most ``cutoff`` (in the units of the weights): the minimum is
-    then at most ``cutoff`` too, so ``None`` comes back exactly when the
-    minimum is at most ``cutoff``.  On ``None`` the RGS of that partition is
-    appended to ``stop``, if given; when the finest partition is already
-    at most ``cutoff`` that is its RGS, and nothing is scanned.  A scan
-    that returns a minimizer never met its cutoff, so it took the path of
-    the scan without one.  Each comparison the scan makes weighs two sums
+    Returns ``(cross, blocks - 1, rgs)`` of one partition: the first
+    minimizer in restricted-growth order, or, with a ``cutoff`` (in the
+    units of the weights), the first partition whose value is at most
+    it, where the scan stops.  That is the finest partition, scanning
+    nothing, when the finest is already at most ``cutoff``.  So the value
+    returned is at most ``cutoff`` exactly when the minimum is, and a
+    scan whose value is above it never met its cutoff: it took the path
+    of the scan without one.  Each comparison the scan makes weighs two sums
     linear in the weights, so it takes the same path and picks the same
     partition on any positive multiple of the weights, and so spends the
     same units of ``PARTITION_BUDGET``; past it the scan raises
@@ -145,9 +144,7 @@ def _partition_scan(
     # the incumbent starts as the finest partition, the last RGS of all
     best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
     if cutoff is not None and best_cross * cutoff.denominator <= cutoff.numerator * best_pm1:
-        if stop is not None:
-            stop.append(best_rgs)
-        return None
+        return best_cross, best_pm1, best_rgs
     tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
     improvements = 0
     opening = [x * best_pm1 - best_cross for x in back]  # each node's cost of opening a block
@@ -168,9 +165,9 @@ def _partition_scan(
 
     def improve(cross: int, pm1: int) -> None:
         nonlocal best_cross, best_pm1, best_rgs, tie, improvements
+        best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
             raise _AtMostCutoff
-        best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         improvements += 1
         opening[:] = [x * pm1 - cross for x in back]
 
@@ -247,9 +244,7 @@ def _partition_scan(
             path.append((cross, p, rest, b, tops, improvements, tries))
             i, cross, p, rest = i + 1, c, q, tight
     except _AtMostCutoff:
-        if stop is not None:
-            stop.append(tuple(rgs))
-        return None
+        return best_cross, best_pm1, best_rgs
 
 
 def nwt_rate(g: WeightedGraph) -> RateReport:
@@ -282,9 +277,10 @@ def nwt_rate(g: WeightedGraph) -> RateReport:
     tie-breaks.
 
     The scan is :func:`_partition_scan` over ``g``'s integer links; the
-    planner runs it on candidate networks' links with a cutoff, to stop
-    at the first partition whose value is at most the leader's rate.  It
-    takes any node count, and stops at ``PARTITION_BUDGET`` units of work.
+    planner and the packers' optimality check run it with a cutoff, and
+    it then stops at the first partition whose value is at most the
+    cutoff and returns that partition.  It takes any node count, and
+    stops at ``PARTITION_BUDGET`` units of work.
 
     Raises:
         TrivialNetworkError: fewer than 2 nodes.
@@ -398,8 +394,10 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     ``attach`` only grows as members join, so the walk skips a member
     ``j`` of a partial subset ``C`` when
     ``attach(C + {j})*(N-1) >= total*|I|``: no subset it would complete
-    can violate.  Only such subsets are skipped, so the order of the
-    subsets tested and the first violator are those of the full walk.
+    can violate.  One loop tries every member under this test, and the
+    first last member it keeps completes the first violator.  Only such
+    subsets are skipped, so the order of the subsets tested and the
+    first violator are those of the full walk.
     The certificate's bounds come from the same integer sums over the
     rate ``scale``: ``total / (scale*(N-1))``, ``attach(I) / (scale*|I|)``
     and ``(total - attach(I)) / (scale*(N-|I|-1))``, the weight left
@@ -433,22 +431,17 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
         nonlocal steps
         limit = total * k
         last = len(chosen) == k - 1
-        end = n if last else n - k + len(chosen) + 1
+        end = n - k + len(chosen) + 1
         steps += end - start
         if steps > budget:
             raise _over_budget("subset scan", n, budget)
-        if last:
-            for j in range(start, n):
-                grown = attach + degree[j] - to_chosen[j]
-                if limit > grown * (n - 1):
-                    chosen.append(j)
-                    return grown
-            return None
         for j in range(start, end):
             grown = attach + degree[j] - to_chosen[j]
             if grown * (n - 1) >= limit:
                 continue
             chosen.append(j)
+            if last:
+                return grown
             for m, x in upper[j]:
                 to_chosen[m] += x
             found = search(k, j + 1, grown)

@@ -384,9 +384,11 @@ def partition_scan(
     """The partition scan with the static per-node bound only.
 
     The same scan as :func:`qnet_stp.rate_core._partition_scan` (same
-    arguments, results and ``stop`` witnesses) with one lower bound per
-    unplaced node, ``min(0, back_k * B - A)``, summed into ``slack`` once
-    per incumbent.  It visits many more prefixes than the library's
+    arguments and minimizer; where a cutoff stops the library's scan on a
+    partition, this one returns None and appends that partition's RGS to
+    ``stop``) with one lower bound per unplaced node,
+    ``min(0, back_k * B - A)``, summed into ``slack`` once per
+    incumbent.  It visits many more prefixes than the library's
     kernel but reaches N = 12 and beyond, where the Bell(N)
     :func:`nwt_rate` is too slow.
     """

@@ -12,12 +12,13 @@ from hypothesis import given, strategies as st
 from qnet_stp import VertexPartition, finest_bound, partition_bound
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import ExactModeLimitError, SchemaError
-from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag
+from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag, general_algorithm, packing_rate
 from qnet_stp.rate_core import (
     PARTITION_BUDGET,
     SUBSET_BUDGET,
     _partition_scan,
     check_no_bottleneck,
+    nwt_rate,
 )
 
 from conftest import build, complete, ladder_graph, ring, run_measured, sorted_path
@@ -418,6 +419,41 @@ def test_full_subset_walks_take_their_step_counts(request, monkeypatch, make, st
         f"^the subset scan of {g.node_count} nodes passed its budget of {steps - 1} steps$"
     )):
         check_no_bottleneck(g)
+
+
+@pytest.mark.parametrize("make, units", [
+    (lambda request: ring(12), 8182),
+    (lambda request: complete(8), 121),
+    (lambda request: request.getfixturevalue("two_cliques_hub"), 42),
+], ids=["ring12", "complete8", "two_cliques_hub"])
+def test_partition_scans_take_their_unit_counts(request, monkeypatch, make, units):
+    # the least budget each whole scan answers at, and one less refuses
+    g = make(request)
+    want = nwt_rate(g)
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", units)
+    assert nwt_rate(g) == want
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", units - 1)
+    with pytest.raises(ExactModeLimitError, match=(
+        f"^the partition scan of {g.node_count} nodes passed its budget of {units - 1} steps$"
+    )):
+        nwt_rate(g)
+
+
+def test_the_optimality_scan_takes_its_unit_count(monkeypatch, two_cliques_hub):
+    # pack proves the hub network's packing optimal with one scan cut off
+    # at its rate, 3/2: it answers at 42 units and refuses at 41
+    g = two_cliques_hub
+    rate = packing_rate(general_algorithm(g).packing)
+    assert rate == Fraction(3, 2) == nwt_rate(g).rate < finest_bound(g)
+    labels, scale, links = g.integer_links()
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 42)
+    assert _optimal_flag(g, rate) is True
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 41)
+    assert _optimal_flag(g, rate) is None
+    with pytest.raises(ExactModeLimitError, match=(
+        "^the partition scan of 9 nodes passed its budget of 41 steps$"
+    )):
+        _partition_scan(len(labels), links, rate * scale)
 
 
 def test_simulate_runs_no_partition_scan(capsys, graph_file, two_cliques_hub, monkeypatch):

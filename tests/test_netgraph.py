@@ -231,8 +231,7 @@ def test_with_edge_merges_rates(triangle):
 
 def test_is_connected_respects_zero_rates():
     g = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 0)])
-    assert is_connected(g)
-    assert not is_connected(g, positive_only=True)
+    assert not is_connected(g)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +394,7 @@ def test_json_roundtrip(g):
 
 @given(small_graphs())
 def test_spanning_tree_count_matches_enumeration(g):
-    if not is_connected(g, positive_only=True):
+    if not is_connected(g):
         return
     trees = list(enumerate_spanning_trees(g))
     assert len(trees) == count_spanning_trees(g)

@@ -307,9 +307,9 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
         calls.append(g)
         return nwt_rate(g, **kwargs)
 
-    def counting_scan(n, links, cutoff=None, stop=None):
-        found = _partition_scan(n, links, cutoff, stop)
-        scans.append((cutoff, found is None))
+    def counting_scan(n, links, cutoff=None):
+        found = _partition_scan(n, links, cutoff)
+        scans.append((cutoff, cutoff is not None and Fraction(found[0], found[1]) <= cutoff))
         return found
 
     monkeypatch.setattr(planner, "nwt_rate", counting)
@@ -376,9 +376,9 @@ def test_plans_match_the_per_candidate_reference(monkeypatch):
         counts["rates"] += 1
         return nwt_rate(g, **kwargs)
 
-    def counting_scan(n, links, cutoff=None, stop=None):
+    def counting_scan(n, links, cutoff=None):
         counts["scans"] += 1
-        return _partition_scan(n, links, cutoff, stop)
+        return _partition_scan(n, links, cutoff)
 
     rng = random.Random(11)
     top_ties = dropped = reused = 0

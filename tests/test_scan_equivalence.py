@@ -97,7 +97,8 @@ def test_scans_match_reference_with_uniform_rates():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_partition_scan_stops_exactly_at_its_cutoff(seed):
-    # the scan with a cutoff gives up only when the minimum is at most the cutoff
+    # the scan with a cutoff stops on a partition at most the cutoff only
+    # when the minimum is at most the cutoff, and returns the minimizer otherwise
     rng = random.Random(seed)
     for n in range(2, 9):
         g = random_graph(rng, n)
@@ -107,13 +108,15 @@ def test_partition_scan_stops_exactly_at_its_cutoff(seed):
         assert Fraction(full[0], full[1] * scale) == nwt_rate(g).rate
         for cutoff in (value - Fraction(1, 7), value, value + Fraction(1, 7), Fraction(0)):
             got = _partition_scan(n, links_of(w), cutoff)
-            assert got == (None if value <= cutoff else full)
+            assert (Fraction(got[0], got[1]) <= cutoff) == (value <= cutoff)
+            if value > cutoff:
+                assert got == full
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
     # the planner drops a candidate without a scan when some partition it
-    # kept is at most the cutoff, and keeps the partition a scan stopped at
+    # kept is at most the cutoff, and keeps the partition a scan returns
     rng = random.Random(seed)
     for n in range(2, 9):
         g = random_graph(rng, n)
@@ -125,15 +128,15 @@ def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
             rgs = tuple(first.setdefault(b, len(first)) for b in blocks)
             cross = sum(w[i][j] for i in range(n) for j in range(i) if rgs[i] != rgs[j])
             cutoff = max(Fraction(0), Fraction(cross, max(rgs)) + Fraction(rng.randint(-3, 3), 7))
-            stop = []
-            got = _partition_scan(n, links_of(w), cutoff, stop)
+            got_cross, got_pm1, at = _partition_scan(n, links_of(w), cutoff)
+            stopped = Fraction(got_cross, got_pm1) <= cutoff
             if cross <= cutoff * max(rgs):
-                assert got is None
-            if got is None:
-                (at,) = stop
-                assert partition_bound(g, VertexPartition.from_rgs(labels, at)) * scale <= cutoff
+                assert stopped
+            if stopped:
+                bound = partition_bound(g, VertexPartition.from_rgs(labels, at)) * scale
+                assert bound == Fraction(got_cross, got_pm1) and bound <= cutoff
             else:
-                assert stop == [] and got == _partition_scan(n, links_of(w))
+                assert (got_cross, got_pm1, at) == _partition_scan(n, links_of(w))
 
 
 def uniform_tree(rng, n, rate):
@@ -180,9 +183,9 @@ def test_cutoff_at_or_above_the_finest_value_stops_at_once(seed):
         _, _, w = weights_of(g)
         finest = Fraction(sum(map(sum, w)) // 2, n - 1)
         for cutoff in (finest, finest + Fraction(1, 3)):
-            stop = []
-            assert _partition_scan(n, links_of(w), cutoff, stop) is None
-            assert stop == [tuple(range(n))]
+            cross, pm1, at = _partition_scan(n, links_of(w), cutoff)
+            assert Fraction(cross, pm1) == finest <= cutoff
+            assert at == tuple(range(n))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -279,7 +282,7 @@ def test_scans_match_reference_on_two_cliques_hub(two_cliques_hub):
 def assert_same_kernel(w):
     """The scan returns what the static-bound reference scan returns, with
     no cutoff and with cutoffs below, at and above the minimum and at and
-    above the finest value, ``stop`` witnesses included."""
+    above the finest value, the partition where a scan stops included."""
     n, links = len(w), links_of(w)
     full = _partition_scan(n, links)
     assert full == reference_scans.partition_scan(w)
@@ -288,9 +291,11 @@ def assert_same_kernel(w):
     cutoffs = {value - Fraction(1, 7), value, (value + finest) / 2, value + Fraction(1, 7),
                finest, finest + Fraction(1, 3)}
     for cutoff in sorted(c for c in cutoffs if c >= 0):
-        got, want = [], []
-        assert _partition_scan(n, links, cutoff, got) == reference_scans.partition_scan(w, cutoff, want)
-        assert got == want
+        want = []
+        found = reference_scans.partition_scan(w, cutoff, want)
+        got = _partition_scan(n, links, cutoff)
+        assert (Fraction(got[0], got[1]) <= cutoff) == (found is None)
+        assert [got[2]] == want if found is None else got == found
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -568,10 +573,7 @@ def test_spanning_tree_helpers_match_reference(seed):
     for n in range(1, 9):
         for _ in range(6):
             g = any_graph(rng, n) if rng.random() < 0.5 else random_graph(rng, n)
-            for positive_only in (False, True):
-                assert is_connected(g, positive_only) == reference_scans.is_connected(
-                    g, positive_only
-                )
+            assert is_connected(g) == reference_scans.is_connected(g, positive_only=True)
             trees = trees_or_error(enumerate_spanning_trees, g)
             assert trees == trees_or_error(reference_scans.enumerate_spanning_trees, g)
             count = reference_scans.count_spanning_trees(g)
