@@ -578,9 +578,6 @@ class SpanningTree(NamedTuple):
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __lt__(self, other: SpanningTree) -> bool:
-        return self.edges < other.edges
-
     def to_json_list(self) -> list[list[str]]:
         return [[u, v] for u, v in self.edges]
 
@@ -605,7 +602,7 @@ def enumerate_spanning_trees(
     g: WeightedGraph, *, required: Iterable[EdgeKey] = ()
 ) -> Iterator[SpanningTree]:
     """Yield every spanning tree of the positive-rate subgraph of ``g``
-    that holds the ``required`` keys (keys of positive-rate edges).
+    that holds the ``required`` keys (of positive-rate edges, either end first).
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
     The generator is lazy and has no bound of its own: a caller that
@@ -625,13 +622,19 @@ def enumerate_spanning_trees(
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``
             (on the first ``next``).
+        InvalidEdgeError: a required key is not a positive-rate edge of
+            ``g`` (on the first ``next``).
     """
     if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
     n = g.node_count
-    held = set(required)
+    held = {edge_key(u, v) for u, v in required}
+    positive = [e.key for e in g.positive_edges()]  # already sorted
+    stray = held.difference(positive)
+    if stray:
+        raise InvalidEdgeError(f"required key {min(stray)} is not a positive-rate edge")
     fixed = sorted(held)
-    keys = [e.key for e in g.positive_edges() if e.key not in held]  # already sorted
+    keys = [key for key in positive if key not in held]
     component = {v: i for i, v in enumerate(g.node_ids)}
     members = {i: [v] for v, i in component.items()}
     chosen: list[EdgeKey] = []

@@ -475,15 +475,6 @@ def _max_weight_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optional[S
     return SpanningTree.of(picked) if len(picked) == g.node_count - 1 else None
 
 
-def _unit_residual_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optional[SpanningTree]:
-    """The remaining weight, iff it is exactly one spanning tree of unit weights."""
-    positive = [k for k, w in weight.items() if w > 0]
-    if len(positive) != g.node_count - 1 or any(weight[k] != 1 for k in positive):
-        return None
-    tree = SpanningTree.of(positive)
-    return tree if is_spanning_tree(g, tree) else None
-
-
 def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
@@ -491,9 +482,9 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     exactly ``sum of rates`` trees fit.  Trees are extracted one at a
     time by maximum weight; the next-to-last tree is searched among the
     spanning trees of the residual that hold every weight-2 edge, in
-    lexicographic order, for one whose removal leaves precisely one
-    unit-weight spanning tree.  If the greedy stalls, or the search
-    tries ``BACKTRACK_BUDGET`` candidates without success,
+    lexicographic order, for one that leaves ``N - 1`` unit-weight keys
+    forming a spanning tree, the last tree.  If the greedy stalls, or
+    the search tries ``BACKTRACK_BUDGET`` candidates without success,
     :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
     the fewest rounds that make that a whole number (flagged in
     diagnostics; ``backtracks`` counts the candidates tried).  It refuses
@@ -528,7 +519,11 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
 
     The search for the next-to-last tree takes candidates from the lazy
     :func:`enumerate_spanning_trees` and stops after ``BACKTRACK_BUDGET``.
-    The candidates tried and any fallback are recorded in ``diagnostics``.
+    The residual it searches weighs ``2 (N - 1)`` and a candidate, which
+    holds every weight-2 key, takes ``N - 1``; so ``N - 1`` keys left at
+    one unit that one :func:`spanning_forest` keeps whole are the clean
+    final tree, and ``weight`` is not written.  The candidates tried and
+    any fallback are recorded in ``diagnostics``.
     """
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
@@ -562,14 +557,11 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
         candidates = enumerate_spanning_trees(support, required=twos)
         for candidate in islice(candidates, BACKTRACK_BUDGET):
             diagnostics["backtracks"] += 1
-            for key in candidate.edges:
-                weight[key] -= 1
-            last = _unit_residual_tree(g, weight)
-            if last is not None:
-                chosen += [candidate, last]
+            held = set(candidate.edges)
+            last = [k for k, w in weight.items() if w - (k in held) == 1]  # in key order
+            if len(last) == n and len(spanning_forest(g.node_ids, last)) == n:
+                chosen += [candidate, SpanningTree(tuple(last))]
                 break
-            for key in candidate.edges:
-                weight[key] += 1
         else:
             return fallback("no next-to-last tree leaves a clean final tree")
 

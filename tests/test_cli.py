@@ -909,6 +909,7 @@ def test_help_still_exits_zero(capsys):
 def test_parse_candidates():
     assert parse_candidates("1-4,2-6") == [("1", "4", 1), ("2", "6", 1)]
     assert parse_candidates("a-b:3/2") == [("a", "b", Fraction(3, 2))]
+    assert parse_candidates("1-3,,1-3:2") == [("1", "3", 1), ("1", "3", 2)]  # empty item skipped
     with pytest.raises(SchemaError):
         parse_candidates("14")
     with pytest.raises(SchemaError):

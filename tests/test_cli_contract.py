@@ -79,17 +79,39 @@ def test_every_command_exits_by_contract_with_json(seed, tmp_path, capsys):
 
 
 LONG_INT = b'{"nodes":["a","b"],"edges":[{"u":"a","v":"b","rate":' + b"1" * 5000 + b"}]}"
+EDGE_FIELDS = 'each edge needs "u", "v" and "rate" fields'
+NODE_LIST = '"nodes" must be a list of strings'
+
+
+def misshapen(doc, message, name):
+    return pytest.param(json.dumps(doc).encode(), message, id=name)
 
 
 @pytest.mark.parametrize(
-    "content", [b"[" * 100_000, b"\xff\xfe{}", LONG_INT], ids=["deep", "not-utf8", "long-int"]
+    "content, message",
+    [
+        pytest.param(b"[" * 100_000, None, id="deep"),
+        pytest.param(b"\xff\xfe{}", None, id="not-utf8"),
+        pytest.param(LONG_INT, None, id="long-int"),
+        misshapen([], "top-level JSON value must be an object", "list"),
+        misshapen({"nodes": "ab", "edges": []}, NODE_LIST, "nodes-string"),
+        misshapen({"nodes": ["a", 1], "edges": []}, NODE_LIST, "node-number"),
+        misshapen({"nodes": ["a"], "edges": {}}, '"edges" must be a list', "edges-object"),
+        misshapen({"nodes": ["a", "b"], "edges": [{"u": "a", "v": "b"}]}, EDGE_FIELDS, "no-rate"),
+        misshapen({"nodes": ["a", "b"], "edges": [7]}, EDGE_FIELDS, "edge-number"),
+        misshapen({"nodes": ["a", "b"], "edges": [{"u": "a", "v": 2, "rate": 1}]},
+                  "edge endpoints must be strings", "endpoint-number"),
+        misshapen({"nodes": [], "edges": []}, "a network needs at least one node", "no-nodes"),
+    ],
 )
 @pytest.mark.parametrize(
     "command", ["rate", "pack", "simulate", "analyze", "optimize", "export-dot"]
 )
-def test_unreadable_file_is_a_schema_error(command, content, tmp_path, capsys):
+def test_unreadable_file_is_a_schema_error(command, content, message, tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_bytes(content)
     assert main([command, str(path)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["code"] == "Schema"
+    if message is not None:
+        assert doc["error"]["message"] == message

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,10 @@ from qnet_stp import (
     is_spanning_tree,
     parse_graph,
 )
+from qnet_stp.cli import main
 from qnet_stp.errors import (
     DuplicateEdgeError,
+    InvalidEdgeError,
     InvalidPartitionError,
     InvalidSubsetError,
     NegativeRateError,
@@ -200,6 +203,15 @@ def test_negative_rate_rejected():
         build(["1", "2"], [("1", "2", -1)])
 
 
+def test_negative_epsilon_file_rejected(tmp_path, capsys):
+    doc = {"nodes": ["1", "2"], "edges": [{"u": "1", "v": "2", "rate": "1", "epsilon": "-1/2"}]}
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["rate", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "NegativeRate", "message": "edge (1,2) has negative epsilon -1/2"}
+
+
 def test_duplicate_node_rejected():
     with pytest.raises(SchemaError):
         WeightedGraph(["1", "1"], [])
@@ -213,6 +225,8 @@ def test_edges_are_kept_in_key_order():
     assert g.edges_at("d") == (("a", "d"),)
     assert g.has_node("c") and not g.has_node("e")
     assert g.edge("b", "a").rate == 3
+    with pytest.raises(InvalidEdgeError, match="no edge between 'c' and 'd'"):
+        g.edge("c", "d")
     with pytest.raises(UnknownNodeError):
         g.edges_at("e")
 
@@ -227,6 +241,8 @@ def test_with_edge_merges_rates(triangle):
     g = triangle.with_edge("1", "2", Fraction(1, 2))
     assert g.rate("1", "2") == Fraction(3, 2)
     assert triangle.rate("1", "2") == 1  # original untouched
+    with pytest.raises(NegativeRateError, match=r"negative addition on edge \(1,2\)"):
+        triangle.with_edge("1", "2", -1)
 
 
 def test_is_connected_respects_zero_rates():
@@ -259,6 +275,10 @@ def test_partition_canonical_form():
 def test_partition_overlap_rejected():
     with pytest.raises(InvalidPartitionError):
         VertexPartition.from_blocks([["1", "2"], ["2", "3"]])
+    with pytest.raises(InvalidPartitionError, match="empty block"):
+        VertexPartition.from_blocks([[]])
+    with pytest.raises(InvalidPartitionError, match="partition has no blocks"):
+        VertexPartition.from_blocks([])
 
 
 def test_finest_partition(triangle):
@@ -270,6 +290,9 @@ def test_finest_partition(triangle):
 def test_cross_edges(tri_pendant):
     p = VertexPartition.from_blocks([["1", "2", "3"], ["4"]])
     assert [e.key for e in cross_edges(tri_pendant, p)] == [("3", "4")]
+    other = VertexPartition.from_blocks([["1", "2"], ["3"]])
+    with pytest.raises(InvalidPartitionError, match="partition does not cover exactly"):
+        cross_edges(tri_pendant, other)
 
 
 def test_contract_merges_parallel_rates():
@@ -304,6 +327,10 @@ def test_induced_subgraph(square_diag):
     assert {e.key for e in sub.edges} == {("1", "2"), ("2", "3"), ("1", "3")}
     with pytest.raises(InvalidSubsetError):
         induced_subgraph(square_diag, [])
+    with pytest.raises(InvalidSubsetError, match="repeated node in subset"):
+        induced_subgraph(square_diag, ["1", "2", "1"])
+    with pytest.raises(UnknownNodeError, match="unknown node 'x'"):
+        induced_subgraph(square_diag, ["1", "x"])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +364,17 @@ def test_zero_rate_edges_excluded_from_trees():
     trees = list(enumerate_spanning_trees(g))
     assert len(trees) == 1
     assert trees[0].edges == (("1", "2"), ("2", "3"))
+
+
+def test_required_keys_are_positive_rate_edges():
+    g = build(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "c", 0)])
+    held = list(enumerate_spanning_trees(g, required=[("b", "c")]))
+    assert list(enumerate_spanning_trees(g, required=[("c", "b")])) == held
+    for bad in ("a", "c"), ("c", "a"), ("a", "z"):
+        trees = enumerate_spanning_trees(g, required=[bad])
+        message = f"required key {edge_key(*bad)} is not a positive-rate edge"
+        with pytest.raises(InvalidEdgeError, match=re.escape(message)):
+            next(trees)
 
 
 def test_enumeration_is_lazy():

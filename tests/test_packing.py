@@ -61,6 +61,8 @@ def test_negative_weight_rejected():
         TreePacking.weighted([t], [Fraction(-1)])
     with pytest.raises(InvalidPackingError):
         TreePacking.multigraph([t], [-1], 2)
+    with pytest.raises(InvalidPackingError, match="one multiplicity per tree required"):
+        TreePacking.multigraph([t, tree(("1", "3"))], [1], 1)
     with pytest.raises(SchemaError):
         TreePacking.multigraph([t], [1], 0)
 

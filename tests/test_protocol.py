@@ -112,6 +112,8 @@ def test_orientation_rejects_foreign_edge(relay_tree_edges):
     t = SpanningTree.of(relay_tree_edges)
     with pytest.raises(InvalidEdgeError):
         orient_tree(t, conference_edge=("1", "9"))
+    with pytest.raises(InvalidEdgeError, match="cannot orient an empty tree"):
+        orient_tree(SpanningTree(()))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,8 @@ def test_recover_needs_full_transcript(relay_tree_edges):
     partial = [a for a in anns if a.edge != ("4", "6")]
     with pytest.raises(IncompleteTranscriptError):
         recover("1", ori, partial, km, first_bits(t))
+    with pytest.raises(InvalidEdgeError, match="node 'x' is not spanned by the tree"):
+        recover("x", ori, anns, km, first_bits(t))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +395,12 @@ def test_audit_flags_bit_reuse(triangle):
     assert not report.uniform
     assert not report.edge_disjoint
     assert any("reused" in v for v in report.violations)
+    with pytest.raises(InvalidPackingError, match="schedule length does not match"):
+        secrecy_audit(triangle, pk, schedule=schedule[:-1])
+    past = [dict(step) for step in consumption_schedule(triangle, pk)]
+    past[0][("1", "2")] = 2  # two rounds of unit rates: each pool holds bits 0 and 1
+    with pytest.raises(KeyDepletedError, match=r"edge \('1', '2'\) has no bit at index 2"):
+        secrecy_audit(triangle, pk, schedule=past)
 
 
 def test_audit_on_a_40_ring():
@@ -422,6 +432,8 @@ def test_audit_rejects_a_tree_edge_the_network_lacks():
     pk = TreePacking.multigraph([FOREIGN_TREE], [1], 1)
     with pytest.raises(InvalidPackingError, match=r"tree uses unknown edge \('1', '3'\)"):
         secrecy_audit(PATH3, pk, schedule=[{("1", "2"): 0, ("1", "3"): 0}])
+    with pytest.raises(InvalidPackingError, match=r"tree uses unknown edge \('1', '3'\)"):
+        consumption_schedule(PATH3, pk)
 
 
 def test_announce_and_recover_reject_a_step_missing_a_tree_edge():

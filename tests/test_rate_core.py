@@ -18,6 +18,7 @@ from qnet_stp.errors import (
     DisconnectedError,
     ExactModeLimitError,
     InvalidPartitionError,
+    NegativeRateError,
     SchemaError,
     TrivialNetworkError,
 )
@@ -78,6 +79,8 @@ def test_two_node_network():
 def test_rate_errors(monkeypatch):
     with pytest.raises(TrivialNetworkError):
         nwt_rate(build(["1"], []))
+    with pytest.raises(TrivialNetworkError, match="rates need at least two nodes"):
+        finest_bound(build(["1"], []))
     with pytest.raises(DisconnectedError):
         nwt_rate(build(["1", "2", "3"], [("1", "2", 1)]))
     # 13 nodes passed the old node cap; the scan's own budget refuses it
@@ -126,6 +129,7 @@ def test_no_bottleneck_on_hexagon(hexagon):
     cert = check_no_bottleneck(hexagon)
     assert cert.ok
     assert cert.violating_subset is None
+    assert cert.to_json_dict() == {"bottleneck": False}
 
 
 def test_pendant_bottleneck(tri_pendant):
@@ -191,6 +195,10 @@ def test_triangle_closed_form_values():
     assert triangle_rate(Fraction(2), Fraction(3), Fraction(4)) == Fraction(9, 2)
     # one missing link: reduces to the path through the middle
     assert triangle_rate(Fraction(0), Fraction(2), Fraction(3)) == 2
+    with pytest.raises(NegativeRateError, match="triangle rates must be nonnegative"):
+        triangle_rate(Fraction(1), Fraction(-1), Fraction(1))
+    with pytest.raises(DisconnectedError, match="two zero-rate links leave a node isolated"):
+        triangle_rate(Fraction(0), Fraction(2), Fraction(0))
 
 
 @given(
