@@ -391,18 +391,15 @@ def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeK
     """
     parent = {v: v for v in nodes}
     size = len(parent) - 1
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     forest: list[EdgeKey] = []
     for key in keys:
-        ru, rv = find(key[0]), find(key[1])
-        if ru != rv:
-            parent[ru] = rv
+        u, v = key
+        while parent[u] != u:  # each end to its root, halving the path
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
             forest.append(key)
             if len(forest) == size:
                 break

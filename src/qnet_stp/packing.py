@@ -30,6 +30,7 @@ optimal packing.  Besides validation this module provides:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import islice
@@ -468,13 +469,6 @@ def _rooted(nodes, forest) -> tuple[dict, dict, dict]:
 # greedy algorithm (no bottleneck, integer rates)
 # ---------------------------------------------------------------------------
 
-def _max_weight_tree(g: WeightedGraph, weight: dict[EdgeKey, int]) -> Optional[SpanningTree]:
-    """Kruskal on descending weight (ties to the smaller edge key)."""
-    order = sorted((k for k, w in weight.items() if w > 0), key=lambda k: (-weight[k], k))
-    picked = spanning_forest(g.node_ids, order)
-    return SpanningTree.of(picked) if len(picked) == g.node_count - 1 else None
-
-
 def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     """Greedy optimal packing for integer rates without bottlenecks.
 
@@ -517,48 +511,63 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
 def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
     """:func:`basic_algorithm` on a network its checks and bottleneck scan passed.
 
+    Each edge keeps one integer code across the extractions, its index
+    in key order less its residual weight times the edge count, so the
+    codes in ascending order are the positive-weight edges by weight
+    descending, ties to the smaller key, then the spent ones.  Each tree
+    is one :func:`spanning_forest` over the negative codes in that order,
+    which stops at ``N - 1`` edges, and each edge it takes spends a unit.
     The search for the next-to-last tree takes candidates from the lazy
     :func:`enumerate_spanning_trees` and stops after ``BACKTRACK_BUDGET``.
     The residual it searches weighs ``2 (N - 1)`` and a candidate, which
     holds every weight-2 key, takes ``N - 1``; so ``N - 1`` keys left at
     one unit that one :func:`spanning_forest` keeps whole are the clean
-    final tree, and ``weight`` is not written.  The candidates tried and
-    any fallback are recorded in ``diagnostics``.
+    final tree, and the residual is not written.  The candidates tried
+    and any fallback are recorded in ``diagnostics``.
     """
     n = g.node_count - 1
-    rates = {e.key: e.rate.numerator for e in g.edges}  # whole: the callers checked
-    total_trees = sum(rates.values())
-    if total_trees * (len(rates) + g.node_count) > EXACT_STEP_BUDGET:
+    _, _, links = g.integer_links()  # scale 1: the callers checked whole rates
+    total_trees = sum(x for _, _, x in links)
+    if total_trees * (len(links) + g.node_count) > EXACT_STEP_BUDGET:
         raise HeuristicFailedError(
             f"extracting {total_trees} trees passes the budget of {EXACT_STEP_BUDGET} steps"
         )
-    weight = {k: n * r for k, r in rates.items() if r > 0}
+    # edge e, the e-th in key order, is keys[e], joins the nodes ends[e]
+    # and has the code e - m * (its residual weight)
+    keys = [e.key for e in g.edges]
+    ends = [(i, j) for i, j, _ in links]
+    edge_of = {pair: e for e, pair in enumerate(ends)}
+    m = len(links)
+    code = [e - n * x * m for e, (_, _, x) in enumerate(links)]
     chosen: list[SpanningTree] = []
 
     def fallback(reason: str) -> TreePacking:
         return _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)[0]
 
-    # all but the last two trees, or the only one
+    # all but the last two trees, or the only one: Kruskal on descending
+    # weight, ties to the smaller key
     for _ in range(total_trees - 2 if total_trees > 1 else 1):
-        tree = _max_weight_tree(g, weight)
-        if tree is None:
+        order = sorted(code)
+        del order[bisect_left(order, 0):]
+        forest = spanning_forest(range(n + 1), map(ends.__getitem__, map(m.__rmod__, order)))
+        if len(forest) < n:
             return fallback("positive-weight edges no longer span the network")
-        chosen.append(tree)
-        for key in tree.edges:
-            weight[key] -= 1
+        picked = sorted([edge_of[pair] for pair in forest])
+        chosen.append(SpanningTree(tuple([keys[e] for e in picked])))
+        for e in picked:
+            code[e] += m  # one unit of weight spent
 
     if total_trees > 1:
-        support = WeightedGraph(
-            g.node_ids, [(k[0], k[1], Fraction(w)) for k, w in weight.items() if w > 0]
-        )
+        residual = [(keys[e], (e - c) // m) for e, c in enumerate(code) if c < 0]  # key order
+        support = WeightedGraph(g.node_ids, [(u, v, Fraction(w)) for (u, v), w in residual])
         if not is_connected(support):
             return fallback("positive-weight edges no longer span the network")
-        twos = [k for k, w in weight.items() if w == 2]
+        twos = [k for k, w in residual if w == 2]
         candidates = enumerate_spanning_trees(support, required=twos)
         for candidate in islice(candidates, BACKTRACK_BUDGET):
             diagnostics["backtracks"] += 1
             held = set(candidate.edges)
-            last = [k for k, w in weight.items() if w - (k in held) == 1]  # in key order
+            last = [k for k, w in residual if w - (k in held) == 1]  # in key order
             if len(last) == n and len(spanning_forest(g.node_ids, last)) == n:
                 chosen += [candidate, SpanningTree(tuple(last))]
                 break

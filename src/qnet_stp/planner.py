@@ -29,9 +29,11 @@ from .netgraph import (
 from .rate_core import (
     BottleneckCertificate,
     RateReport,
+    _min_cut,
     _over_budget,
     _partition_scan,
     _rate_report,
+    _weight_matrix,
     check_no_bottleneck,
     nwt_rate,
 )
@@ -73,37 +75,6 @@ class BottleneckReport(NamedTuple):
         if self.certificate is not None:
             doc["certificate"] = self.certificate.to_json_dict()
         return doc
-
-
-def _min_cut(w: list[list[int]]) -> int:
-    """Weight of a minimum cut of the weight matrix ``w`` (two or more nodes).
-
-    Stoer and Wagner (J. ACM 44(4), 1997): each phase grows a set by
-    adding the node most tightly attached to it; the last node's
-    attachment is the cut between it and the rest, and the last two
-    nodes are then merged.
-    """
-    m = [list(row) for row in w]
-    alive = list(range(len(m)))
-    least: Optional[int] = None
-    while len(alive) > 1:
-        s, rest = alive[0], alive[1:]
-        attach = m[s][:]
-        while True:
-            t = max(rest, key=attach.__getitem__)
-            rest.remove(t)
-            if not rest:
-                break
-            for v in rest:
-                attach[v] += m[t][v]
-            s = t
-        if least is None or attach[t] < least:
-            least = attach[t]
-        alive.remove(t)
-        for v in alive:
-            if v != s:
-                m[s][v] = m[v][s] = m[s][v] + m[t][v]
-    return least
 
 
 def _best_bipartition(labels: tuple[str, ...], w: list[list[int]], least: int) -> VertexPartition:
@@ -183,9 +154,7 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
         bip_bound = report.rate
     else:
         labels, scale, links = g.integer_links()
-        w = [[0] * len(labels) for _ in labels]
-        for i, j, x in links:
-            w[i][j] = w[j][i] = x
+        w = _weight_matrix(len(labels), links)
         least = _min_cut(w)
         bip_bound = Fraction(least, scale)
     if report.finest_is_optimal:

@@ -49,6 +49,9 @@ from .packing import TreePacking
 
 PRNG_ALGORITHM = "python-random-mt19937"
 
+#: Each byte's top bit: the bit ``getrandbits(1)`` keeps of a 32-bit output.
+TOP_BIT = bytes(b >> 7 for b in range(256))
+
 #: Most tree-edge instances (tree instances times ``N - 1``) that
 #: :func:`run_packing_protocol` keys: about 0.7 s of ``simulate``, at
 #: some 35 microseconds per instance (packing and output included) on a
@@ -110,14 +113,20 @@ def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
 
     Edge ``e`` with integer rate ``L`` receives ``rounds * L`` fresh bits
     from a seeded Mersenne-Twister stream (edges in lexicographic order,
-    so the layout is reproducible across runs and platforms).
+    so the layout is reproducible across runs and platforms).  Each bit
+    is the top bit of one 32-bit output, as ``getrandbits(1)`` takes it;
+    a pool's outputs come in one ``getrandbits(32 * size)``, lowest
+    word first.
 
     Raises:
         PreconditionFailedError: non-integer rates.
     """
     sizes = _pool_sizes(g, rounds)
     rng = random.Random(seed)
-    pools = {key: tuple(rng.getrandbits(1) for _ in range(size)) for key, size in sizes.items()}
+    pools = {
+        key: rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4].translate(TOP_BIT)
+        for key, size in sizes.items()
+    }
     return KeyMaterial(pools, seed=seed)
 
 

@@ -18,7 +18,9 @@ bound, the finite-length (floored) variant, a closed form for triangles,
 and the per-subset "no bottleneck" test that decides whether the
 all-singletons partition is already optimal; that scan skips every
 subset whose members so far already attach too much weight to be a
-bottleneck.
+bottleneck, and runs only when the least degrees and a minimum cut
+(Stoer-Wagner, the module's one minimum cut) do not already prove that
+no subset is one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .netgraph import (
     check_rounds,
     cross_edges,
     format_rational,
-    is_connected,
+    spanning_forest,
 )
 
 #: Most units of work one partition scan takes, about a second at any
@@ -51,9 +53,11 @@ PARTITION_BUDGET = 3_000_000
 
 #: Most candidate members one bottleneck subset scan tries: at least the
 #: 2,097,110 of the unpruned walk over 20 nodes, so every scan of 20 or
-#: fewer nodes finishes.  A walk that passes it takes 1 to 1.3 s
-#: (``pack`` of the 24-ring, K32 and a 32-node graph of 96 links, 2-vCPU
-#: Xeon VM).
+#: fewer nodes finishes.  A walk that passes it takes about a second
+#: (``pack`` of a 24-ring with one chord and of a 32-node graph of 96
+#: links, 2-vCPU Xeon VM).  The minimum-cut certificate that may answer
+#: before the walk runs only on ``N**3 <= SUBSET_BUDGET`` nodes, at most
+#: about 40 ms.
 SUBSET_BUDGET = 2_100_000
 
 
@@ -85,7 +89,9 @@ class RateReport(NamedTuple):
 def _require_rateable(g: WeightedGraph) -> None:
     if g.node_count < 2:
         raise TrivialNetworkError("rates need at least two nodes")
-    if not is_connected(g):
+    n = g.node_count
+    keys = ((i, j) for i, j, x in g.integer_links()[2] if x)  # the links callers read next
+    if len(spanning_forest(range(n), keys)) < n - 1:
         raise DisconnectedError("positive-rate subgraph is not connected")
 
 
@@ -329,7 +335,8 @@ def finest_bound(g: WeightedGraph) -> Fraction:
     """Bound at the all-singletons partition: total rate / (N - 1)."""
     if g.node_count < 2:
         raise TrivialNetworkError("rates need at least two nodes")
-    return g.total_rate() / (g.node_count - 1)
+    _, scale, links = g.integer_links()
+    return Fraction(sum(x for _, _, x in links), scale * (g.node_count - 1))
 
 
 class BottleneckCertificate(NamedTuple):
@@ -374,6 +381,72 @@ class BottleneckCertificate(NamedTuple):
         }
 
 
+def _weight_matrix(n: int, links) -> list[list[int]]:
+    """The symmetric ``n`` x ``n`` weight matrix of the integer ``links``."""
+    w = [[0] * n for _ in range(n)]
+    for i, j, x in links:
+        w[i][j] = w[j][i] = x
+    return w
+
+
+def _min_cut(w: list[list[int]]) -> int:
+    """Weight of a minimum cut of the weight matrix ``w`` (two or more nodes).
+
+    Stoer and Wagner (J. ACM 44(4), 1997): each phase grows a set by
+    adding the node most tightly attached to it; the last node's
+    attachment is the cut between it and the rest, and the last two
+    nodes are then merged.
+    """
+    m = [list(row) for row in w]
+    alive = list(range(len(m)))
+    least: Optional[int] = None
+    while len(alive) > 1:
+        s, rest = alive[0], alive[1:]
+        attach = m[s][:]
+        while True:
+            t = max(rest, key=attach.__getitem__)
+            rest.remove(t)
+            if not rest:
+                break
+            for v in rest:
+                attach[v] += m[t][v]
+            s = t
+        if least is None or attach[t] < least:
+            least = attach[t]
+        alive.remove(t)
+        for v in alive:
+            if v != s:
+                m[s][v] = m[v][s] = m[s][v] + m[t][v]
+    return least
+
+
+def _cut_certifies(degree: list[int], links) -> bool:
+    """Whether the least degrees and one minimum cut prove no subset a bottleneck.
+
+    ``degree`` holds the weighted degrees on the integer ``links``.  A
+    proper subset ``I`` of ``k`` nodes attaches ``(sum of its degrees +
+    w(cut of I)) / 2``, at least ``(S_k + c) / 2`` with ``S_k`` the ``k``
+    least degrees and ``c`` the minimum cut; it violates its test only
+    when ``attach(I)*(N-1) < total*k``.  So none does when
+    ``(S_k + c)*(N-1) >= 2*total*k`` for ``k = 1 .. N-2`` (``N - 1``
+    members attach the whole total).  The largest need ``2*total*k -
+    S_k*(N-1)`` is checked first against the least degree, which bounds
+    ``c``, so the cut runs only when it could certify.
+    """
+    n = len(degree)
+    total = sum(degree) // 2
+    ordered = sorted(degree)
+    need, least = 0, 0
+    for k in range(1, n - 1):
+        least += ordered[k - 1]
+        need = max(need, 2 * total * k - least * (n - 1))
+    if need == 0:  # two nodes: no subset to test
+        return True
+    if ordered[0] * (n - 1) < need:
+        return False
+    return _min_cut(_weight_matrix(n, links)) * (n - 1) >= need
+
+
 def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     """Scan proper node subsets for a rate bottleneck.
 
@@ -404,6 +477,10 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     outside ``I`` over the rest of the network.  Each member the walk
     tries is a step, charged as the walk enters the loop that tries it;
     past ``SUBSET_BUDGET`` steps the scan stops.
+    Before the walk, when ``N**3 <= SUBSET_BUDGET`` (so ``N <= 128`` and
+    at most about 40 ms), :func:`_cut_certifies` may prove from the
+    least degrees and one minimum cut that no subset violates, and the
+    walk's own answer, no violator, is returned without it.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
@@ -420,6 +497,9 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
         if x:
             upper[i].append((j, x))
     total = sum(degree) // 2
+    network_bound = Fraction(total, scale * (n - 1))
+    if n ** 3 <= SUBSET_BUDGET and _cut_certifies(degree, links):
+        return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
     chosen: list[int] = []
     # to_chosen[j]: weight from j to the members chosen, for every j above them
     to_chosen = [0] * n
@@ -452,7 +532,6 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
             chosen.pop()
         return None
 
-    network_bound = Fraction(total, scale * (n - 1))
     for k in range(1, n):
         attach = search(k, 0, 0)
         if attach is not None:

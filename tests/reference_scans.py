@@ -91,12 +91,11 @@ from qnet_stp.planner import (
     BottleneckReport,
     Plan,
     _best_bipartition,
-    _min_cut,
     _normalize_candidates,
     _score_addition,
 )
 from qnet_stp.protocol import consumption_schedule, orient_tree
-from qnet_stp.rate_core import _AtMostCutoff, _require_rateable
+from qnet_stp.rate_core import _AtMostCutoff, _min_cut, _require_rateable
 
 #: Largest node count for which the subset LP is built (2^N - 2 constraints).
 LP_CAP_NODES = 16

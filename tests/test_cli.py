@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qnet_stp import VertexPartition, finest_bound, partition_bound
+from qnet_stp import VertexPartition, WeightedGraph, finest_bound, partition_bound
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import ExactModeLimitError, SchemaError
 from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag, general_algorithm, packing_rate
@@ -404,13 +404,18 @@ def test_subset_cap_reaches_the_packers(capsys, graph_file, monkeypatch):
         }
 
 
+def without_link(g, u, v):
+    return WeightedGraph(g.node_ids, [e for e in g.edges if e.key != (u, v)])
+
+
 @pytest.mark.parametrize("make, steps, violator", [
-    (lambda request: ring(12), 3286, None),
-    (lambda request: complete(8), 284, None),
+    (lambda request: ring(12).with_edge("1", "7", 1), 3432, None),
+    (lambda request: without_link(complete(8), "1", "2"), 284, None),
     (lambda request: request.getfixturevalue("two_cliques_hub"), 197, ("1", "2", "3", "4", "9")),
-], ids=["ring12", "complete8", "two_cliques_hub"])
+], ids=["ring12_chord", "complete8_less_a_link", "two_cliques_hub"])
 def test_full_subset_walks_take_their_step_counts(request, monkeypatch, make, steps, violator):
-    # the least budget each whole walk answers at, and one less refuses
+    # the least budget each whole walk answers at, and one less refuses;
+    # the least degrees and the minimum cut leave these networks undecided
     g = make(request)
     monkeypatch.setattr("qnet_stp.rate_core.SUBSET_BUDGET", steps)
     assert check_no_bottleneck(g).violating_subset == violator
@@ -844,13 +849,27 @@ def test_a_ring_past_the_partition_budget_exits_3_the_same_way_twice(capsys, gra
 
 
 def test_pack_of_a_ring_past_the_subset_budget_exits_3(capsys, graph_file):
-    # the 24-ring has no bottleneck, and its pruned subset walk takes
-    # 2,806,886 steps
-    code, out = run(capsys, "pack", graph_file("ring24.json", ring(24)))
+    # a chord leaves the 24-ring to the subset walk (its least degrees
+    # and minimum cut prove nothing), which passes the budget
+    chorded = ring(24).with_edge("1", "13", 1)
+    code, out = run(capsys, "pack", graph_file("ring24-chord.json", chorded))
     assert (code, json.loads(out)) == (3, {"error": {
         "code": "ExactModeLimit",
         "message": f"the subset scan of 24 nodes passed its budget of {SUBSET_BUDGET} steps",
     }})
+
+
+@pytest.mark.parametrize("g, rate", [
+    (ring(24), "24/23"),
+    (ring(64), "64/63"),
+    (complete(32), "16"),
+], ids=["ring24", "ring64", "complete32"])
+def test_pack_of_networks_the_cut_certifies_is_optimal(capsys, graph_file, g, rate):
+    # the least degrees and one minimum cut prove no bottleneck, where the
+    # subset walk alone would pass its budget
+    code, out = run(capsys, "pack", graph_file("g.json", g))
+    doc = json.loads(out)
+    assert (code, doc["achieved_rate"], doc["optimal"]) == (0, rate, True)
 
 
 def test_a_low_partition_budget_refuses_optimize_and_unproves_optimal(

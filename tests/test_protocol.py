@@ -50,6 +50,19 @@ def test_generate_keys_deterministic(triangle):
     assert a.algorithm == "python-random-mt19937"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40])
+def test_generate_keys_draws_the_bits_of_a_per_bit_stream(seed):
+    # one draw per pool keeps each 32-bit output's top bit, which is the
+    # bit getrandbits(1) takes: pools of 0 to 93 bits, edges in key order
+    g = build(["1", "2", "3", "4"],
+              [("1", "2", 0), ("2", "3", 1), ("3", "4", 3), ("1", "4", 2), ("1", "3", 31)])
+    for rounds in (1, 2, 3):
+        rng = random.Random(seed)
+        expected = {e.key: tuple(rng.getrandbits(1) for _ in range(rounds * int(e.rate)))
+                    for e in g.edges}
+        assert generate_keys(g, rounds, seed).pools == expected
+
+
 def test_generate_keys_needs_integer_rates():
     g = build(["1", "2"], [("1", "2", "3/2")])
     with pytest.raises(PreconditionFailedError):

@@ -14,6 +14,7 @@ from qnet_stp import (
     partition_bound,
     triangle_rate,
 )
+from qnet_stp import rate_core
 from qnet_stp.errors import (
     DisconnectedError,
     ExactModeLimitError,
@@ -23,6 +24,7 @@ from qnet_stp.errors import (
     TrivialNetworkError,
 )
 
+import reference_scans
 from conftest import build, complete, random_connected_graph, ring
 from reference_scans import enumerate_partitions
 
@@ -158,6 +160,54 @@ def test_bottleneck_matches_finest_optimality():
     for _ in range(120):
         g = random_connected_graph(rng, max_nodes=6)
         assert check_no_bottleneck(g).ok == nwt_rate(g).finest_is_optimal
+
+
+def cut_certifies(g):
+    _, _, links = g.integer_links()
+    degree = [0] * g.node_count
+    for i, j, x in links:
+        degree[i] += x
+        degree[j] += x
+    return rate_core._cut_certifies(degree, links)
+
+
+def test_the_cut_certificate_never_hides_a_violator(monkeypatch):
+    # wherever the least degrees and the minimum cut certify, the walk,
+    # made to run, finds no violator either
+    rng = random.Random(31)
+    certified = 0
+    for _ in range(600):
+        g = random_connected_graph(rng, max_nodes=8, max_extra=rng.randint(0, 12),
+                                   rates=(1, 2, 3, Fraction(1, 2)))
+        if cut_certifies(g):
+            certified += 1
+            assert reference_scans.check_no_bottleneck(g).ok
+            with monkeypatch.context() as m:
+                m.setattr(rate_core, "_cut_certifies", lambda degree, links: False)
+                assert check_no_bottleneck(g).ok
+        assert check_no_bottleneck(g) == reference_scans.check_no_bottleneck(g)
+    assert certified > 100
+
+
+def test_the_cut_certificate_runs_only_within_the_subset_budget(monkeypatch):
+    # the 12-ring is certified at a budget of 12**3 steps; below it the
+    # certificate is skipped and the walk refuses as it did without one
+    cuts = []
+    min_cut = rate_core._min_cut
+
+    def counting(w):
+        cuts.append(len(w))
+        return min_cut(w)
+
+    monkeypatch.setattr(rate_core, "_min_cut", counting)
+    monkeypatch.setattr(rate_core, "SUBSET_BUDGET", 12 ** 3)
+    assert check_no_bottleneck(ring(12)).ok
+    assert cuts == [12]
+    monkeypatch.setattr(rate_core, "SUBSET_BUDGET", 12 ** 3 - 1)
+    with pytest.raises(ExactModeLimitError,
+                       match="^the subset scan of 12 nodes passed its budget of 1727 steps$"):
+        check_no_bottleneck(ring(12))
+    assert cuts == [12]
 
 
 def test_attachment_and_subnetwork_forms_agree():
