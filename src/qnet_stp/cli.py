@@ -120,31 +120,43 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+class _Verbatim(str):
+    """JSON text, already laid out, that :func:`_json_text` writes as it is."""
+
+
 def _json_text(doc, pad: str = "\n") -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
     ``json.dumps`` runs its pure-Python encoder whenever it indents; this
     builds the same text in one recursive pass, with the C string
     escaper.  ``pad`` is the newline and indent before a closing bracket.
-    Exact ``str`` and ``int`` leaves are written in their container's
-    loop; anything else (``bool``, subclasses) takes a call.  A dict
-    sorts its keys alone, which orders it as sorting its items: two of
-    its keys never compare equal, or they would be one key.
+    Exact ``str`` and ``int`` leaves, and lists or tuples of two exact
+    ``str`` (edge keys, two-node blocks) through one template, are
+    written in their container's loop; anything else (``bool``,
+    subclasses) takes a call.  A :class:`_Verbatim` leaf is written as it
+    is.  A dict sorts its keys alone, which orders it as sorting its
+    items: two of its keys never compare equal, or they would be one key.
     """
     if isinstance(doc, str):
-        return encode_basestring_ascii(doc)
+        return doc if type(doc) is _Verbatim else encode_basestring_ascii(doc)
     inner = pad + "  "
+    pair = None  # the two-string template, built on first use
     texts = []
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
         for x in doc:
             t = type(x)
-            texts.append(
-                encode_basestring_ascii(x) if t is str
-                else int.__repr__(x) if t is int
-                else _json_text(x, inner)
-            )
+            if t is str:
+                texts.append(encode_basestring_ascii(x))
+            elif t is int:
+                texts.append(int.__repr__(x))
+            elif (t is list or t is tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is str:
+                if pair is None:
+                    pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+                texts.append(pair % (encode_basestring_ascii(x[0]), encode_basestring_ascii(x[1])))
+            else:
+                texts.append(_json_text(x, inner))
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
     if isinstance(doc, dict):
         if not doc:
@@ -152,15 +164,48 @@ def _json_text(doc, pad: str = "\n") -> str:
         for k in sorted(doc):
             x = doc[k]
             t = type(x)
-            texts.append(
-                (encode_basestring_ascii(k) if type(k) is str else _key(k)) + ": " + (
-                    encode_basestring_ascii(x) if t is str
-                    else int.__repr__(x) if t is int
-                    else _json_text(x, inner)
-                )
-            )
+            if t is str:
+                text = encode_basestring_ascii(x)
+            elif t is int:
+                text = int.__repr__(x)
+            elif (t is list or t is tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is str:
+                if pair is None:
+                    pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+                text = pair % (encode_basestring_ascii(x[0]), encode_basestring_ascii(x[1]))
+            else:
+                text = _json_text(x, inner)
+            texts.append((encode_basestring_ascii(k) if type(k) is str else _key(k)) + ": " + text)
         return "{" + inner + ("," + inner).join(texts) + pad + "}"
     return _scalar(doc)
+
+
+def _announcements_text(announcements, pad: str) -> str:
+    """:func:`_json_text` of ``[a.to_json_dict() for a in announcements]`` at ``pad``.
+
+    One template, its keys in sorted order, takes each announcement's
+    labels (escaped as :func:`_json_text` escapes them) and ints.
+    """
+    if not announcements:
+        return "[]"
+    item, key, leaf = pad + "  ", pad + "    ", pad + "      "
+    template = "".join([
+        "{", key, '"announcer": %s,',
+        key, '"bit_indices": {', leaf, '"edge": %d,', leaf, '"in": %d', key, "},",
+        key, '"bits": [', leaf, "%d", key, "],",
+        key, '"edge": [', leaf, "%s,", leaf, "%s", key, "],",
+        key, '"in_edge": [', leaf, "%s,", leaf, "%s", key, "],",
+        key, '"round": %d,',
+        key, '"tree": %d', item, "}",
+    ])
+    enc = encode_basestring_ascii
+    return "[" + item + ("," + item).join([
+        template % (
+            enc(a.announcer), a.edge_bit_index, a.in_bit_index, a.value,
+            enc(a.edge[0]), enc(a.edge[1]), enc(a.in_edge[0]), enc(a.in_edge[1]),
+            a.round, a.tree,
+        )
+        for a in announcements
+    ]) + pad + "]"
 
 
 def emit(doc) -> None:
@@ -226,7 +271,10 @@ def cmd_simulate(args) -> int:
     else:
         pk = _oracle_packing(g, args.rounds)[0]
     transcript = run_packing_protocol(g, pk, args.seed)
-    doc = transcript.to_json_dict()
+    # the transcript's own to_json_dict() is the reference form; its
+    # announcements, most of the output, are written from one template
+    doc = transcript._replace(announcements=()).to_json_dict()
+    doc["announcements"] = _Verbatim(_announcements_text(transcript.announcements, "\n  "))
     doc["packing"] = pk.to_json_dict()
     doc["rate"] = format_rational(packing_rate(pk))
     if args.audit:

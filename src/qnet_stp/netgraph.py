@@ -553,6 +553,11 @@ def proper_vertex_subsets(labels: Sequence[str]) -> Iterator[tuple[str, ...]]:
 class SpanningTree(NamedTuple):
     """A spanning tree, stored as a sorted tuple of canonical edge keys.
 
+    Every instance keeps that invariant: its edges are sorted and each
+    key is canonical (:func:`edge_key`).  Build one with :meth:`of`
+    unless the keys already are so; packings keep a tree as given, and
+    the protocol reads each node's edges in key order off it.
+
     ``len()`` counts edges.  ``_make`` and ``_replace`` work as on any
     named tuple.
     """

@@ -153,9 +153,12 @@ class TreePacking(NamedTuple):
 
 
 def _merge(trees, amounts, convert, what: str) -> tuple[tuple[SpanningTree, ...], list]:
-    """Canonical trees and amounts: duplicates summed, zeros dropped, sorted."""
-    trees = [SpanningTree.of(t.edges) if isinstance(t, SpanningTree) else SpanningTree.of(t)
-             for t in trees]
+    """Canonical trees and amounts: duplicates summed, zeros dropped, sorted.
+
+    A :class:`SpanningTree` is kept as given (it is canonical); any other
+    edge list is made one with :meth:`SpanningTree.of`.
+    """
+    trees = [t if isinstance(t, SpanningTree) else SpanningTree.of(t) for t in trees]
     amounts = [convert(a) for a in amounts]
     if len(trees) != len(amounts):
         raise InvalidPackingError(f"one {what} per tree required")

@@ -10,8 +10,9 @@ bit; nothing more leaks, because each announcement is masked by a bit
 used nowhere else.
 
 The module simulates the full protocol (deterministically seeded):
-:func:`consumption_schedule` alone decides which key bit each tree
-instance uses, and announcing, recovering and the audit read its steps.
+:func:`_first_bits` alone decides which key bit each tree instance
+uses, and announcing, recovering and the audit read its table, or the
+per-instance steps :func:`consumption_schedule` expands it into.
 It also accounts the security budget and provides an exact secrecy
 audit that checks the conference key is uniform given the transcript.
 Each announcement is the XOR of two key bits and each conference bit is
@@ -53,9 +54,9 @@ PRNG_ALGORITHM = "python-random-mt19937"
 TOP_BIT = bytes(b >> 7 for b in range(256))
 
 #: Most tree-edge instances (tree instances times ``N - 1``) that
-#: :func:`run_packing_protocol` keys: about 0.7 s of ``simulate``, at
-#: some 35 microseconds per instance (packing and output included) on a
-#: 2-vCPU Xeon VM.
+#: :func:`run_packing_protocol` keys: 0.3 to 0.4 s of ``simulate``, at
+#: some 15 to 18 microseconds per instance (packing, output and
+#: interpreter start included) on a 2-vCPU Xeon VM.
 PROTOCOL_BUDGET = 20_000
 
 
@@ -67,15 +68,15 @@ class KeyMaterial:
     """Per-edge pools of raw key bits, read by index.
 
     The pools never change: which bit each tree instance uses is decided
-    by :func:`consumption_schedule` alone.
+    by :func:`_first_bits` alone.
     """
 
     algorithm = PRNG_ALGORITHM
 
     def __init__(self, pools: Mapping[EdgeKey, Sequence[int]], seed=None):
-        self.pools = {k: tuple(int(b) for b in pools[k]) for k in sorted(pools)}
+        self.pools = {k: tuple(map(int, pools[k])) for k in sorted(pools)}
         for key, pool in self.pools.items():
-            if any(b not in (0, 1) for b in pool):
+            if not set(pool) <= {0, 1}:
                 raise InvalidEdgeError(f"non-bit key material on edge {key}")
         self.seed = seed
 
@@ -162,6 +163,10 @@ class TreeOrientation(NamedTuple):
 def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -> TreeOrientation:
     """Orient ``tree`` toward ``conference_edge`` (default: smallest edge).
 
+    ``tree`` is canonical (see :class:`SpanningTree`), so each node's
+    out-edges come in key order.  ``in_edge`` lists the two roots first
+    and every other node after its parent.
+
     Raises:
         InvalidEdgeError: the conference edge is not in the tree.
     """
@@ -176,29 +181,20 @@ def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -
         adjacency.setdefault(key[1], []).append(key)
     in_edge: dict[str, EdgeKey] = {ce[0]: ce, ce[1]: ce}
     parent: dict[str, Optional[str]] = {ce[0]: None, ce[1]: None}
+    out_edges: dict[str, tuple[EdgeKey, ...]] = {}
     frontier = [ce[0], ce[1]]
     while frontier:
         node = frontier.pop()
-        for key in adjacency[node]:
-            if key == ce:
-                continue
+        own = in_edge[node]
+        out = [key for key in adjacency[node] if key != own]
+        out_edges[node] = tuple(out)
+        for key in out:
             other = key[1] if key[0] == node else key[0]
             if other not in in_edge:
                 in_edge[other] = key
                 parent[other] = node
                 frontier.append(other)
-    out_edges = {
-        node: tuple(sorted(k for k in adjacency[node] if k != in_edge[node]))
-        for node in adjacency
-    }
-    return TreeOrientation(
-        tree=tree,
-        conference_edge=ce,
-        roots=(ce[0], ce[1]),
-        in_edge=in_edge,
-        out_edges=out_edges,
-        parent=parent,
-    )
+    return TreeOrientation(tree, ce, ce, in_edge, out_edges, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -316,60 +312,66 @@ def recover(
     return Recovery(node=node, bit=bit, chain=tuple(chain))
 
 
-def _recover_all(
-    orientation: TreeOrientation,
-    announcements: Iterable[Announcement],
-    km: KeyMaterial,
-    consumed: Mapping[EdgeKey, int],
-) -> dict[str, int]:
-    """:func:`recover`'s bit at every node of the tree, in one pass down the orientation.
-
-    A node's chain XORs the announcements on its own inbound edge and on
-    its parent's chain, so each node takes its parent's XOR and adds one
-    announcement.  :func:`orient_tree` lists ``in_edge`` parents first.
-    """
-    value = {a.edge: a.value for a in announcements}
-    chain_xor: dict[str, int] = {}
-    bits = {}
-    for node, key in orientation.in_edge.items():
-        parent = orientation.parent[node]
-        x = 0 if parent is None else chain_xor[parent] ^ value[key]
-        chain_xor[node] = x
-        bits[node] = km.bit(key, consumed[key]) ^ x
-    return bits
-
-
 # ---------------------------------------------------------------------------
 # full protocol run
 # ---------------------------------------------------------------------------
 
+def _first_bits(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
+    """Per tree of ``pk``, the key bit its first copy uses on each tree edge.
+
+    This table is the one place that assigns key bits: instances are
+    processed in packing order, each taking the next unused bit of every
+    edge it contains, so copy ``c`` of a tree uses bit ``first + c``.  A
+    tree of multiplicity 0 has no instance and an empty entry.
+
+    Raises:
+        InvalidPackingError: a tree uses an edge the network lacks.
+        KeyDepletedError: the packing overuses some edge; the message names
+            the key of the first instance (then key) to run out.
+        PreconditionFailedError: non-integer rates.
+    """
+    sizes = _pool_sizes(g, pk.rounds)
+    used: dict[EdgeKey, int] = dict.fromkeys(sizes, 0)
+    table = []
+    for tree, mult in zip(pk.trees, pk.multiplicities):
+        first: dict[EdgeKey, int] = {}
+        table.append(first)
+        if not mult:
+            continue
+        # the first copy that runs short decides, the earlier key on a tie;
+        # an unknown edge or an empty pool fails copy 0, so it raises at once
+        short, short_key = mult, None
+        for key in tree.edges:
+            if key not in sizes:
+                raise InvalidPackingError(f"tree uses unknown edge {key}")
+            spare = sizes[key] - used[key]
+            if spare < short:
+                if not spare:
+                    raise KeyDepletedError(f"edge {key} ran out of key bits")
+                short, short_key = spare, key
+            first[key] = used[key]
+            used[key] += mult
+        if short_key is not None:
+            raise KeyDepletedError(f"edge {short_key} ran out of key bits")
+    return table
+
+
 def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
     """Per tree instance, the key-bit index used on each tree edge.
 
-    This is the one place that assigns key bits: instances are processed
-    in packing order, each taking the next unused bit of every edge it
-    contains, and the announcements, the recovery and the secrecy audit
-    all read these steps.
+    The steps expand :func:`_first_bits`'s table, in instance order; the
+    secrecy audit reads them.
 
     Raises:
         InvalidPackingError: a tree uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
-    sizes = _pool_sizes(g, pk.rounds)
-    used: dict[EdgeKey, int] = {k: 0 for k in sizes}
-    schedule = []
-    for _, _, tree in pk.instances():
-        step = {}
-        for key in tree.edges:
-            if key not in sizes:
-                raise InvalidPackingError(f"tree uses unknown edge {key}")
-            if used[key] >= sizes[key]:
-                raise KeyDepletedError(f"edge {key} ran out of key bits")
-            step[key] = used[key]
-            used[key] += 1
-        schedule.append(step)
-    return schedule
+    return [
+        {key: bit + copy for key, bit in first.items()}
+        for first, mult in zip(_first_bits(g, pk), pk.multiplicities)
+        for copy in range(mult)
+    ]
 
 
 class SecurityBudget(NamedTuple):
@@ -394,13 +396,17 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     """
     used = [(tree, mult) for tree, mult in zip(pk.trees, pk.multiplicities) if mult > 0]
     keys = dict.fromkeys(key for tree, _ in used for key in tree.edges)
-    eps = {key: Fraction(epsilons[key]) for key in keys}
+    eps = {key: x if type(x) is Fraction else Fraction(x)
+           for key, x in zip(keys, map(epsilons.__getitem__, keys))}
     den = math.lcm(*(x.denominator for x in eps.values()))
     num = {key: x.numerator * (den // x.denominator) for key, x in eps.items()}
+    sums: dict[int, Fraction] = {}  # one Fraction per distinct tree sum
     per_tree, total = [], 0
     for tree, mult in used:
-        tree_num = sum(num[key] for key in tree.edges)
-        per_tree += [Fraction(tree_num, den)] * mult
+        tree_num = sum([num[key] for key in tree.edges])
+        if tree_num not in sums:
+            sums[tree_num] = Fraction(tree_num, den)
+        per_tree += [sums[tree_num]] * mult
         total += tree_num * mult
     return SecurityBudget(per_tree=tuple(per_tree), merged=Fraction(total, den))
 
@@ -436,15 +442,19 @@ class ProtocolTranscript(NamedTuple):
 def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTranscript:
     """Execute the keying protocol for every tree instance of ``pk``.
 
-    Keys are generated for the packing's round count from ``seed``; each
-    tree is oriented once, and each of its instances announced and
-    recovered at every node (the bits of :func:`recover`, in one pass per
-    instance).  The conference key concatenates one bit per instance.
+    Keys are generated for the packing's round count from ``seed``.  Each
+    distinct tree is oriented once, and its relays and its parents-first
+    recovery order are laid out once; each copy then reads its key bits
+    from :func:`_first_bits`'s table, announces as :func:`announce` does
+    and recovers at every node the bits of :func:`recover`, one XOR per
+    node down that order.  The conference key concatenates one bit per
+    instance.
 
     Raises:
         HeuristicFailedError: the tree-edge instances pass
             ``PROTOCOL_BUDGET``, checked before any key is generated.
         InvalidPackingError / KeyDepletedError: the packing does not fit.
+        InvalidEdgeError: a tree misses a node of the network.
         PreconditionFailedError: non-integer rates.
     """
     instances = pk.tree_count * (g.node_count - 1)
@@ -453,30 +463,56 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
             f"running the protocol on {instances} tree-edge instances passes "
             f"the budget of {PROTOCOL_BUDGET}"
         )
-    schedule = consumption_schedule(g, pk)
+    table = _first_bits(g, pk)
     km = generate_keys(g, pk.rounds, seed)
+    pools = km.pools
+    nodes = g.node_ids
     announcements: list[Announcement] = []
     conference: list[int] = []
-    recovered: dict[str, list[int]] = {v: [] for v in g.node_ids}
-    for (tree_idx, copy_idx, tree), consumed in zip(pk.instances(), schedule):
-        if not copy_idx:  # a tree's copies come together: orient it once
-            orientation = orient_tree(tree)
-        anns = announce(orientation, km, consumed, copy_idx, tree_index=tree_idx)
-        announcements.extend(anns)
-        bits = _recover_all(orientation, anns, km, consumed)
-        for node in g.node_ids:
-            if node not in bits:
-                raise InvalidEdgeError(f"node {node!r} is not spanned by the tree")
-            recovered[node].append(bits[node])
-        conference.append(bits[orientation.roots[0]])  # the conference edge's bit
+    rows: list[list[int]] = []  # per instance, every node's bit in node order
+    for tree_idx, (tree, mult, first) in enumerate(zip(pk.trees, pk.multiplicities, table)):
+        if not mult:
+            continue
+        orientation = orient_tree(tree)
+        in_edge, parent = orientation.in_edge, orientation.parent
+        if len(in_edge) < len(nodes):
+            missing = next(v for v in nodes if v not in in_edge)
+            raise InvalidEdgeError(f"node {missing!r} is not spanned by the tree")
+        relays = [
+            (node, in_key, key, pools[in_key], first[in_key], pools[key], first[key])
+            for node, in_key, key in orientation.relays()
+        ]
+        # in_edge lists the two roots, then every other node after its
+        # parent: a node's chain XORs its parent's and the announcement on
+        # its own in-edge
+        relay_on = {relay[2]: j for j, relay in enumerate(relays)}
+        chain_steps = [(v, parent[v], relay_on[key]) for v, key in in_edge.items()
+                       if parent[v] is not None]
+        own_bits = [(v, pools[in_edge[v]], first[in_edge[v]]) for v in nodes]
+        ce = orientation.conference_edge
+        ce_pool, ce_first = pools[ce], first[ce]
+        for copy in range(mult):
+            values = [pool[a + copy] ^ out_pool[b + copy]
+                      for _, _, _, pool, a, out_pool, b in relays]
+            for (node, in_key, key, _, a, _, b), value in zip(relays, values):
+                announcements.append(
+                    Announcement(tree_idx, copy, node, key, value, in_key, b + copy, a + copy)
+                )
+            chain = dict.fromkeys(orientation.roots, 0)
+            for v, p, j in chain_steps:
+                chain[v] = chain[p] ^ values[j]
+            rows.append([pool[a + copy] ^ chain[v] for v, pool, a in own_bits])
+            conference.append(ce_pool[ce_first + copy])  # the roots' chains are empty
+    key_bits = tuple(conference)
+    recovered = dict(zip(nodes, zip(*rows))) if rows else {v: () for v in nodes}
     uses = pk.edge_usage()
     return ProtocolTranscript(
         rounds=pk.rounds,
-        conference_key=tuple(conference),
-        unanimity=all(bits == conference for bits in recovered.values()),
+        conference_key=key_bits,
+        unanimity=all(bits == key_bits for bits in recovered.values()),
         announcements=tuple(announcements),
-        recovered={v: tuple(bits) for v, bits in recovered.items()},
-        consumed={k: uses.get(k, 0) for k in km.pools},
+        recovered=recovered,
+        consumed={k: uses.get(k, 0) for k in pools},
         budget=security_budget(pk, g.epsilon_map()),
         prng_algorithm=km.algorithm,
         seed=seed,

@@ -1,6 +1,7 @@
 import enum
 import importlib
 import json
+import random
 import re
 import time
 from collections import OrderedDict
@@ -12,7 +13,16 @@ from hypothesis import given, strategies as st
 from qnet_stp import VertexPartition, WeightedGraph, finest_bound, partition_bound
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import ExactModeLimitError, SchemaError
-from qnet_stp.packing import SPLIT_DEPTH, _optimal_flag, general_algorithm, packing_rate
+from qnet_stp.netgraph import format_rational
+from qnet_stp.packing import (
+    SPLIT_DEPTH,
+    _general_packing,
+    _optimal_flag,
+    _oracle_packing,
+    general_algorithm,
+    packing_rate,
+)
+from qnet_stp.protocol import run_packing_protocol, secrecy_audit
 from qnet_stp.rate_core import (
     PARTITION_BUDGET,
     SUBSET_BUDGET,
@@ -21,7 +31,15 @@ from qnet_stp.rate_core import (
     nwt_rate,
 )
 
-from conftest import build, complete, ladder_graph, ring, run_measured, sorted_path
+from conftest import (
+    build,
+    complete,
+    ladder_graph,
+    random_connected_graph,
+    ring,
+    run_measured,
+    sorted_path,
+)
 
 
 @pytest.fixture
@@ -179,6 +197,57 @@ def test_simulate_deterministic(capsys, triangle_path):
     assert first == second
     _, third = run(capsys, "simulate", triangle_path, "--rounds", "2", "--seed", "10")
     assert first != third
+
+
+AWKWARD_LABELS = ['q"uote', "back\\slash", "é", "a+b", "c-d", "e:f", '"\\é+-:', "plain"]
+
+
+def relabelled(g, labels):
+    """``g`` with node ``i`` (in label order) renamed ``labels[i]``."""
+    name = dict(zip(g.sorted_nodes(), labels))
+    return WeightedGraph([name[v] for v in g.node_ids],
+                         [(name[e.u], name[e.v], e.rate) for e in g.edges])
+
+
+def library_simulate_doc(g, rounds, seed, audit):
+    """What ``simulate`` prints, built from the library's reference forms."""
+    pk = _general_packing(g)[0] if rounds is None else _oracle_packing(g, rounds)[0]
+    doc = run_packing_protocol(g, pk, seed).to_json_dict()
+    doc["packing"] = pk.to_json_dict()
+    doc["rate"] = format_rational(packing_rate(pk))
+    if audit:
+        report = secrecy_audit(g, pk)
+        doc["audit"] = {**report.to_json_dict(),
+                        "secrecy": "uniform" if report.uniform else "nonuniform"}
+    return doc
+
+
+def simulate_cases():
+    rng = random.Random(34)
+    for i in range(40):
+        g = random_connected_graph(rng, max_nodes=7, max_extra=4)
+        if i % 2:
+            g = relabelled(g, rng.sample(AWKWARD_LABELS, g.node_count))
+        yield g, rng.choice([None, None, 1, 2]), rng.randrange(1 << 16), i % 5 == 0
+    for seed in range(3):
+        yield complete(4, rate=3), None, seed, seed == 0  # multiplicities above 1
+        yield relabelled(complete(4, rate=3), AWKWARD_LABELS[:4]), 2, seed, False
+    yield relabelled(ring(8), AWKWARD_LABELS), None, 5, True
+
+
+def test_simulate_prints_the_library_transcript_byte_for_byte(capsys, graph_file):
+    multiplicities = set()
+    for i, (g, rounds, seed, audit) in enumerate(simulate_cases()):
+        argv = ["simulate", graph_file(f"g{i}.json", g), "--seed", str(seed)]
+        argv += ["--rounds", str(rounds)] if rounds is not None else []
+        argv += ["--audit"] if audit else []
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+        doc = library_simulate_doc(g, rounds, seed, audit)
+        assert out == _json_text(doc) + "\n"
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        multiplicities.update(doc["packing"]["multiplicities"])
+    assert max(multiplicities) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1059,20 @@ def test_printer_matches_indented_json_dumps(doc):
     ((1, ("a", (2, ()))), ()), {"t": (("b", 1), ["c", (True,)])},
 ])
 def test_printer_matches_indented_json_dumps_on_edge_cases(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    # lists and tuples of two exact str take one template; any other
+    # shape, and str subclasses, the recursive call
+    ["a", "b"], ("a", "b"), [["a", "b"], ("c", "d")], {"k": ["é", '"'], "t": ("\\", "+-:")},
+    [[["a", "b"], ["c", "d"]], [("e", "f")]],
+    {"tree": [["1", "2"], ["2", "3"]], "x": [["a", "b"]]},
+    [Label("a"), Label("b")], [["a", Label("b")], (Label("c"), "d")], {"p": [Label("x"), "y"]},
+    [["a", "b", "c"], ["a"], ["a", 1], [1, "a"], ["a", None], ["a", ["b"]], [[], []]],
+    {"pairs": [("a", "b"), ["", ""], ["\x00", "\ud800"]]},
+])
+def test_printer_writes_pairs_of_strings_as_json_dumps_does(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 

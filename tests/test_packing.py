@@ -48,6 +48,33 @@ def test_duplicate_trees_merge():
     assert pk.weights == (Fraction(1, 2),)
 
 
+def test_packers_return_canonical_trees():
+    # TreePacking keeps a SpanningTree as given, so every producer of one
+    # keeps the invariant: edges sorted, each key canonical
+    rng = random.Random(31)
+    for _ in range(300):
+        g = random_connected_graph(rng, max_nodes=7, max_extra=5)
+        rounds = rng.randint(1, 3)
+        oracle = brute_force_packing(g, rounds).packing
+        packings = [general_algorithm(g).packing, oracle,
+                    exact_packing(g, rounds, oracle.tree_count)]
+        try:
+            packings.append(basic_algorithm(g).packing)
+        except PreconditionFailedError:
+            pass  # a bottleneck: the greedy does not apply
+        trees = [t for pk in packings for t in pk.trees]
+        trees += list(enumerate_spanning_trees(g))[:50]
+        assert trees
+        for t in trees:
+            assert type(t) is SpanningTree and t == SpanningTree.of(t.edges)
+
+
+def test_a_spanning_tree_is_kept_as_given():
+    t = tree(("1", "2"), ("1", "3"))
+    assert TreePacking.multigraph([t], [1], 1).trees[0] is t
+    assert TreePacking.multigraph([[("3", "1"), ("2", "1")]], [1], 1).trees == (t,)
+
+
 def test_zero_weight_dropped():
     t1 = tree(("1", "2"), ("1", "3"))
     t2 = tree(("1", "2"), ("2", "3"))

@@ -26,6 +26,7 @@ from qnet_stp.errors import (
     KeyDepletedError,
     PreconditionFailedError,
 )
+from qnet_stp.netgraph import enumerate_spanning_trees
 from qnet_stp.protocol import KeyMaterial, consumption_schedule
 
 from conftest import build, complete, random_connected_graph, ring
@@ -280,6 +281,17 @@ def test_run_refuses_a_tree_that_misses_a_node():
         run_packing_protocol(ring(4), pk, seed=0)
 
 
+def test_run_refuses_an_edge_set_in_two_pieces():
+    # a triangle and a stray edge: N - 1 keys, but the walk from the
+    # conference edge never reaches 4 or 5
+    g = build(["1", "2", "3", "4", "5"],
+              [("1", "2", 1), ("1", "3", 1), ("2", "3", 1), ("3", "4", 1), ("4", "5", 1)])
+    pieces = SpanningTree.of([("1", "2"), ("1", "3"), ("2", "3"), ("4", "5")])
+    pk = TreePacking.multigraph([pieces], [1], 1)
+    with pytest.raises(InvalidEdgeError, match="^node '4' is not spanned by the tree$"):
+        run_packing_protocol(g, pk, seed=0)
+
+
 def test_run_and_audit_orient_each_tree_once(monkeypatch):
     # K4 at rate 3 packs 18 instances of 6 distinct trees
     g = complete(4, rate=3)
@@ -298,6 +310,101 @@ def test_run_and_audit_orient_each_tree_once(monkeypatch):
     oriented.clear()
     assert secrecy_audit(g, pk) == audit
     assert oriented == list(pk.trees)
+
+
+def instance_schedule(g, pk):
+    """The key bits each instance uses, assigned one instance and one key at a time."""
+    sizes = {e.key: pk.rounds * int(e.rate) for e in g.edges}
+    used = dict.fromkeys(sizes, 0)
+    schedule = []
+    for _, _, tree in pk.instances():
+        step = {}
+        for key in tree.edges:
+            if key not in sizes:
+                raise InvalidPackingError(f"tree uses unknown edge {key}")
+            if used[key] >= sizes[key]:
+                raise KeyDepletedError(f"edge {key} ran out of key bits")
+            step[key] = used[key]
+            used[key] += 1
+        schedule.append(step)
+    return schedule
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (InvalidPackingError, KeyDepletedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_schedule_and_run_match_the_instance_by_instance_assignment():
+    # random trees and multiplicities over few rounds, so that many
+    # packings overflow a key, at the first copy or a later one
+    rng = random.Random(33)
+    for _ in range(300):
+        g = random_connected_graph(rng, max_nodes=6, max_extra=4)
+        every = list(enumerate_spanning_trees(g))
+        trees = rng.sample(every, min(len(every), rng.randint(1, 3)))
+        nodes = g.sorted_nodes()
+        foreign = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]
+                   if not g.has_edge(u, v)]
+        if foreign and rng.random() < 0.3:  # one tree gets an edge the network lacks
+            edges = list(rng.choice(trees).edges)
+            edges[rng.randrange(len(edges))] = rng.choice(foreign)
+            trees.insert(rng.randint(0, len(trees)), SpanningTree.of(edges))
+        pk = TreePacking.multigraph(trees, [rng.randint(1, 4) for _ in trees], rng.randint(1, 2))
+        expected = outcome(instance_schedule, g, pk)
+        assert outcome(consumption_schedule, g, pk) == expected
+        run = outcome(run_packing_protocol, g, pk, 0)
+        if isinstance(expected, tuple):
+            assert run == expected
+        else:
+            km = generate_keys(g, pk.rounds, 0)
+            assert list(run.announcements) == [
+                a
+                for (i, copy, tree), step in zip(pk.instances(), expected)
+                for a in announce(orient_tree(tree), km, step, copy, tree_index=i)
+            ]
+
+
+PATH_TREE = SpanningTree.of([("1", "2"), ("2", "3")])
+
+
+@pytest.mark.parametrize("g,trees,mults,rounds,error,message", [
+    # the classes and messages the instance-at-a-time run raised; a tree
+    # missing a node alone, and one instance past the budget, have tests
+    # of their own
+    pytest.param(build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)]),
+                 [[("1", "2"), ("1", "3")]], [1], 1,
+                 InvalidPackingError, "tree uses unknown edge ('1', '3')", id="unknown-edge"),
+    pytest.param(build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)]),
+                 [[("1", "2"), ("2", "9")]], [2], 1,
+                 InvalidPackingError, "tree uses unknown edge ('2', '9')",
+                 id="unknown-edge-before-a-later-copy-overflows"),
+    pytest.param(build(["1", "2", "3"], [("1", "2", 3), ("2", "3", 2)]), [PATH_TREE.edges], [4], 1,
+                 KeyDepletedError, "edge ('2', '3') ran out of key bits",
+                 id="second-key-overflows-at-an-earlier-copy"),
+    pytest.param(build(["1", "2", "3"], [("1", "2", 2), ("2", "3", 3)]), [PATH_TREE.edges], [4], 1,
+                 KeyDepletedError, "edge ('1', '2') ran out of key bits",
+                 id="first-key-overflows-at-an-earlier-copy"),
+    pytest.param(build(["1", "2", "3"], [("1", "2", 2), ("2", "3", 2)]), [PATH_TREE.edges], [3], 1,
+                 KeyDepletedError, "edge ('1', '2') ran out of key bits",
+                 id="two-keys-overflow-at-one-copy"),
+    pytest.param(build(["1", "2", "3"], [("1", "2", 2), ("2", "3", 2), ("1", "3", 2)]),
+                 [PATH_TREE.edges, [("1", "3"), ("2", "3")]], [1, 2], 1,
+                 KeyDepletedError, "edge ('2', '3') ran out of key bits",
+                 id="a-later-tree-overflows"),
+    pytest.param(ring(4), [PATH_TREE.edges], [2], 1,
+                 KeyDepletedError, "edge ('1', '2') ran out of key bits",
+                 id="overflow-before-a-missed-node"),
+])
+def test_run_raises_what_the_instance_by_instance_run_raised(
+    g, trees, mults, rounds, error, message
+):
+    pk = TreePacking.multigraph([SpanningTree.of(t) for t in trees], mults, rounds)
+    with pytest.raises(error) as caught:
+        run_packing_protocol(g, pk, seed=0)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_run_rejects_overfull_packing(triangle):
