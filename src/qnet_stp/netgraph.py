@@ -608,18 +608,9 @@ def enumerate_spanning_trees(
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
     The generator is lazy and has no bound of its own: a caller that
-    wants only some trees stops taking them.
-
-    The walk joins the required keys first (none of them may close a
-    cycle, or no tree holds them all), then decides each other key in
-    order: include it, then exclude it.  It keeps the components of the
-    chosen keys, with undo, and holds the invariant that they plus the
-    undecided keys span the network.  A key inside one component closes
-    a cycle and is skipped; including a key keeps the invariant; only
-    excluding a key that joins two components needs a check, one
-    :func:`spanning_forest` over the components and the keys after it.
-    Two trees that hold the required keys first differ at a key that is
-    not required, so the walk keeps the lexicographic order.
+    wants only some trees stops taking them.  Node ``i`` is the ``i``-th
+    label in sorted order, so the trees of :func:`_tree_walk` over the
+    nodes' indices come in the same order.
 
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``
@@ -629,56 +620,56 @@ def enumerate_spanning_trees(
     """
     if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
-    n = g.node_count
+    _, _, links = g.integer_links()
+    key_of = {(i, j): e.key for (i, j, w), e in zip(links, g.edges) if w}  # key order
     held = {edge_key(u, v) for u, v in required}
-    positive = [e.key for e in g.positive_edges()]  # already sorted
-    stray = held.difference(positive)
+    stray = held.difference(key_of.values())
     if stray:
         raise InvalidEdgeError(f"required key {min(stray)} is not a positive-rate edge")
-    fixed = sorted(held)
-    keys = [key for key in positive if key not in held]
-    component = {v: i for i, v in enumerate(g.node_ids)}
-    members = {i: [v] for v, i in component.items()}
-    chosen: list[EdgeKey] = []
+    keys = [pair for pair, key in key_of.items() if key not in held]
+    fixed = [pair for pair, key in key_of.items() if key in held]
+    for tree in _tree_walk(g.node_count, keys, fixed):
+        yield SpanningTree(tuple(map(key_of.__getitem__, tree)))
 
-    def join(key: EdgeKey) -> tuple[int, int]:
-        """Relabel the smaller of ``key``'s components into the larger."""
-        a, b = component[key[0]], component[key[1]]
-        if len(members[a]) < len(members[b]):
-            a, b = b, a
-        for v in members[b]:
-            component[v] = a
-        members[a].extend(members[b])
-        return a, b
 
-    for key in fixed:
-        if component[key[0]] == component[key[1]]:
+def _tree_walk(n: int, keys: list, fixed: list) -> Iterator[list]:
+    """Each spanning tree of the nodes ``0..n-1`` made of every ``fixed``
+    pair and some ``keys``, as its sorted pairs, in lexicographic order.
+
+    Pairs are ``(i, j)`` with ``i < j``, each list sorted, and together
+    they span the nodes.  With the fixed pairs joined (if one closes a
+    cycle, no tree holds them all), each key is decided in order, include
+    then exclude, and a key inside one component is skipped.  A branch
+    holds its next key, its chosen keys and every node's component
+    label; branches wait on a list, and an include relabels a copy, so
+    nothing is undone.  An exclude branch, when popped, is kept only if
+    one :func:`spanning_forest` over the later keys' labels still joins
+    its components.
+    """
+    label = list(range(n))
+    for i, j in fixed:
+        a, b = label[i], label[j]
+        if a == b:
             return
-        join(key)
+        label = [a if c == b else c for c in label]
     need = n - 1 - len(fixed)
-
-    def spans(i: int) -> bool:
-        """Whether the keys from ``i`` on join the components of ``chosen``."""
-        pairs = ((component[u], component[v]) for u, v in keys[i:])
-        return len(spanning_forest(set(component.values()), pairs)) == need - len(chosen)
-
-    def walk(i: int) -> Iterator[SpanningTree]:
+    branches = [(0, [], label, False)]
+    while branches:
+        k, chosen, label, excluded = branches.pop()
+        if excluded:
+            joins = spanning_forest(set(label), [(label[i], label[j]) for i, j in keys[k:]])
+            if len(joins) < need - len(chosen):
+                continue
         if len(chosen) == need:
-            yield SpanningTree(tuple(sorted([*fixed, *chosen])))
-            return
-        while component[keys[i][0]] == component[keys[i][1]]:  # closes a cycle
-            i += 1
-        a, b = join(keys[i])  # include keys[i]
-        chosen.append(keys[i])
-        yield from walk(i + 1)
-        chosen.pop()  # undo, then exclude keys[i]
-        del members[a][-len(members[b]):]
-        for v in members[b]:
-            component[v] = b
-        if spans(i + 1):
-            yield from walk(i + 1)
-
-    yield from walk(0)
+            yield sorted(fixed + chosen)
+            continue
+        i, j = keys[k]
+        while label[i] == label[j]:  # closes a cycle
+            k += 1
+            i, j = keys[k]
+        a, b = label[i], label[j]
+        branches.append((k + 1, chosen, label, True))
+        branches.append((k + 1, [*chosen, keys[k]], [a if c == b else c for c in label], False))
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,11 @@ from .netgraph import (
     VertexPartition,
     WeightedGraph,
     _floors,
+    _tree_walk,
     capacities,
     check_rounds,
     contract,
     edge_key,
-    enumerate_spanning_trees,
     format_rational,
     induced_subgraph,
     integer_rates,
@@ -521,12 +521,13 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
     is one :func:`spanning_forest` over the negative codes in that order,
     which stops at ``N - 1`` edges, and each edge it takes spends a unit.
     The search for the next-to-last tree takes candidates from the lazy
-    :func:`enumerate_spanning_trees` and stops after ``BACKTRACK_BUDGET``.
-    The residual it searches weighs ``2 (N - 1)`` and a candidate, which
-    holds every weight-2 key, takes ``N - 1``; so ``N - 1`` keys left at
-    one unit that one :func:`spanning_forest` keeps whole are the clean
-    final tree, and the residual is not written.  The candidates tried
-    and any fallback are recorded in ``diagnostics``.
+    ``_tree_walk`` over the residual's node pairs and stops after
+    ``BACKTRACK_BUDGET``.  The residual weighs ``2 (N - 1)`` and a
+    candidate, which holds every weight-2 pair, takes ``N - 1``; so
+    ``N - 1`` pairs left at one unit that one :func:`spanning_forest`
+    keeps whole are the clean final tree; only it and the candidate kept
+    are mapped back to keys.  The candidates tried and any fallback are
+    recorded in ``diagnostics``.
     """
     n = g.node_count - 1
     _, _, links = g.integer_links()  # scale 1: the callers checked whole rates
@@ -561,18 +562,18 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
             code[e] += m  # one unit of weight spent
 
     if total_trees > 1:
-        residual = [(keys[e], (e - c) // m) for e, c in enumerate(code) if c < 0]  # key order
-        support = WeightedGraph(g.node_ids, [(u, v, Fraction(w)) for (u, v), w in residual])
-        if not is_connected(support):
+        residual = [(ends[e], (e - c) // m) for e, c in enumerate(code) if c < 0]  # key order
+        if len(spanning_forest(range(n + 1), [pair for pair, _ in residual])) < n:
             return fallback("positive-weight edges no longer span the network")
-        twos = [k for k, w in residual if w == 2]
-        candidates = enumerate_spanning_trees(support, required=twos)
-        for candidate in islice(candidates, BACKTRACK_BUDGET):
+        twos = [pair for pair, w in residual if w == 2]
+        rest = [pair for pair, w in residual if w != 2]
+        for candidate in islice(_tree_walk(n + 1, rest, twos), BACKTRACK_BUDGET):
             diagnostics["backtracks"] += 1
-            held = set(candidate.edges)
-            last = [k for k, w in residual if w - (k in held) == 1]  # in key order
-            if len(last) == n and len(spanning_forest(g.node_ids, last)) == n:
-                chosen += [candidate, SpanningTree(tuple(last))]
+            held = set(candidate)
+            last = [pair for pair, w in residual if w - (pair in held) == 1]  # in key order
+            if len(last) == n and len(spanning_forest(range(n + 1), last)) == n:
+                chosen += [SpanningTree(tuple([keys[edge_of[pair]] for pair in tree]))
+                           for tree in (candidate, last)]
                 break
         else:
             return fallback("no next-to-last tree leaves a clean final tree")

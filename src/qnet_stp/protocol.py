@@ -316,8 +316,9 @@ def recover(
 # full protocol run
 # ---------------------------------------------------------------------------
 
-def _first_bits(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
-    """Per tree of ``pk``, the key bit its first copy uses on each tree edge.
+def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, dict]:
+    """Per tree of ``pk``, the key bit its first copy uses on each tree
+    edge, and the bits the packing uses per edge, from pools of ``sizes``.
 
     This table is the one place that assigns key bits: instances are
     processed in packing order, each taking the next unused bit of every
@@ -328,9 +329,7 @@ def _first_bits(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
         InvalidPackingError: a tree uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge; the message names
             the key of the first instance (then key) to run out.
-        PreconditionFailedError: non-integer rates.
     """
-    sizes = _pool_sizes(g, pk.rounds)
     used: dict[EdgeKey, int] = dict.fromkeys(sizes, 0)
     table = []
     for tree, mult in zip(pk.trees, pk.multiplicities):
@@ -353,7 +352,7 @@ def _first_bits(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
             used[key] += mult
         if short_key is not None:
             raise KeyDepletedError(f"edge {short_key} ran out of key bits")
-    return table
+    return table, used
 
 
 def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
@@ -367,9 +366,10 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
+    table, _ = _first_bits(_pool_sizes(g, pk.rounds), pk)
     return [
         {key: bit + copy for key, bit in first.items()}
-        for first, mult in zip(_first_bits(g, pk), pk.multiplicities)
+        for first, mult in zip(table, pk.multiplicities)
         for copy in range(mult)
     ]
 
@@ -448,7 +448,7 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     from :func:`_first_bits`'s table, announces as :func:`announce` does
     and recovers at every node the bits of :func:`recover`, one XOR per
     node down that order.  The conference key concatenates one bit per
-    instance.
+    instance; the table's count of bits used per edge is ``consumed``.
 
     Raises:
         HeuristicFailedError: the tree-edge instances pass
@@ -463,9 +463,9 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
             f"running the protocol on {instances} tree-edge instances passes "
             f"the budget of {PROTOCOL_BUDGET}"
         )
-    table = _first_bits(g, pk)
     km = generate_keys(g, pk.rounds, seed)
     pools = km.pools
+    table, used = _first_bits({key: len(pool) for key, pool in pools.items()}, pk)
     nodes = g.node_ids
     announcements: list[Announcement] = []
     conference: list[int] = []
@@ -505,14 +505,13 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
             conference.append(ce_pool[ce_first + copy])  # the roots' chains are empty
     key_bits = tuple(conference)
     recovered = dict(zip(nodes, zip(*rows))) if rows else {v: () for v in nodes}
-    uses = pk.edge_usage()
     return ProtocolTranscript(
         rounds=pk.rounds,
         conference_key=key_bits,
         unanimity=all(bits == key_bits for bits in recovered.values()),
         announcements=tuple(announcements),
         recovered=recovered,
-        consumed={k: uses.get(k, 0) for k in pools},
+        consumed=used,
         budget=security_budget(pk, g.epsilon_map()),
         prng_algorithm=km.algorithm,
         seed=seed,

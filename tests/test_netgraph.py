@@ -34,7 +34,7 @@ from qnet_stp.netgraph import (
     parse_rational,
 )
 
-from conftest import build, complete, ring
+from conftest import build, complete, ring, sorted_path
 from reference_scans import count_spanning_trees, enumerate_partitions, restricted_growth_strings
 
 
@@ -381,6 +381,14 @@ def test_enumeration_is_lazy():
     # K12 has 12^10 spanning trees: the first comes without counting them
     first = next(enumerate_spanning_trees(complete(12)))
     assert first.edges == tuple(sorted(("1", str(i)) for i in range(2, 13)))
+
+
+def test_enumeration_of_a_1000_node_path_does_not_recurse():
+    # the walk keeps its branches on a list: the unit and the rising path
+    # each have one tree, their 999 links, and the enumeration then stops
+    for rate in (lambda i: 1, lambda i: i + 1):
+        g = sorted_path(1000, rate)
+        assert list(enumerate_spanning_trees(g)) == [SpanningTree(tuple(e.key for e in g.edges))]
 
 
 def test_non_tree_rejected(k4):

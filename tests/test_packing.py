@@ -27,7 +27,7 @@ from qnet_stp.errors import (
     PreconditionFailedError,
     SchemaError,
 )
-from qnet_stp.netgraph import enumerate_spanning_trees, spanning_forest
+from qnet_stp.netgraph import _tree_walk, enumerate_spanning_trees, spanning_forest
 
 from conftest import build, complete, random_connected_graph, ring, run_measured, sorted_path
 from reference_scans import reweight_by_lp
@@ -521,6 +521,32 @@ def test_basic_fallback_counts_the_candidates_tried():
     assert out.optimal and out.achieved_rate == 2
     assert out.diagnostics == {
         "backtracks": 1, "fallback": True,
+        "fallback_reason": "no next-to-last tree leaves a clean final tree",
+    }
+    assert validate_packing(g, out.packing).ok
+
+
+def test_general_search_decides_residual_pairs_of_weight_three(monkeypatch):
+    # the splits peel off 3, 4 and 5; the greedy on the remainder 0, 1, 2,
+    # 6, 7, 8 leaves 6-7, the pair (3, 4), at weight 3: the walk decides it
+    # with the weight-1 pairs, the weight-2 pairs fixed
+    walks = []
+
+    def recording(n, keys, fixed):
+        walks.append((n, keys, fixed))
+        return _tree_walk(n, keys, fixed)
+
+    monkeypatch.setattr(packing, "_tree_walk", recording)
+    g = build([str(i) for i in range(9)], [
+        ("0", "1", 5), ("0", "2", 2), ("0", "3", 3), ("0", "5", 3), ("0", "8", 3), ("1", "6", 2),
+        ("1", "7", 4), ("2", "6", 5), ("2", "8", 3), ("3", "4", 1), ("4", "8", 4), ("6", "7", 6),
+    ])
+    out = general_algorithm(g)
+    assert walks[-1] == (6, [(0, 5), (2, 3), (2, 5), (3, 4)], [(1, 3), (1, 4)])
+    assert (out.achieved_rate, out.optimal) == (3, True)
+    assert out.diagnostics == {
+        "recursion_depth": 3, "backtracks": 4, "fallback": True,
+        "splits": [{"subset": [v], "depth": d} for d, v in enumerate("345")],
         "fallback_reason": "no next-to-last tree leaves a clean final tree",
     }
     assert validate_packing(g, out.packing).ok

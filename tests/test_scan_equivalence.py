@@ -36,7 +36,7 @@ from qnet_stp import (
 )
 from qnet_stp import packing, rate_core
 from qnet_stp.errors import DisconnectedError, HeuristicFailedError
-from qnet_stp.netgraph import capacities
+from qnet_stp.netgraph import capacities, spanning_forest
 from qnet_stp.packing import _optimal_flag
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _partition_scan
@@ -534,6 +534,21 @@ def any_graph(rng, n):
     return build(labels, [(a, b, rng.choice((0, 1, 1, 2))) for a, b in chosen])
 
 
+def overlaid_trees(rng, n):
+    """A greedy-like residual on ``n`` random labels: a random spanning tree
+    laid on a second, random over the first plus 1 to ``n`` other pairs,
+    the keys the two share at rate 2; and those doubled keys."""
+    labels = rng.sample(ALPHABET, n)
+    first = [tuple(sorted((v, rng.choice(labels[:i])))) for i, v in enumerate(labels) if i]
+    others = [(a, b) for a, b in itertools.combinations(sorted(labels), 2) if (a, b) not in first]
+    pool = first + rng.sample(others, min(len(others), rng.randint(1, n)))
+    rng.shuffle(pool)
+    second = spanning_forest(labels, pool)
+    doubled = sorted(set(first) & set(second))
+    union = sorted(set(first) | set(second))
+    return build(labels, [(a, b, 2 if (a, b) in doubled else 1) for a, b in union]), doubled
+
+
 #: Most trees the enumeration comparison lists; denser graphs are only counted.
 TREES_LISTED = 3000
 
@@ -592,6 +607,12 @@ def test_spanning_tree_helpers_match_reference(seed):
                 ]
             for tree in tree_candidates(rng, g, trees if isinstance(trees, list) else []):
                 assert is_spanning_tree(g, tree) == reference_scans.is_spanning_tree(g, tree)
+    # the greedy's search: the trees of two overlaid ones that hold their doubled keys
+    for n in range(2, 13):
+        g, doubled = overlaid_trees(rng, n)
+        assert list(enumerate_spanning_trees(g, required=doubled)) == [
+            t for t in reference_scans.enumerate_spanning_trees(g) if set(doubled) <= set(t.edges)
+        ]
 
 
 @pytest.mark.parametrize("budget", [packing.BACKTRACK_BUDGET, 1, 3],
