@@ -53,7 +53,6 @@ from .netgraph import (
     capacities,
     check_rounds,
     contract,
-    edge_key,
     format_rational,
     induced_subgraph,
     integer_rates,
@@ -70,11 +69,11 @@ from .rate_core import (
     partition_bound,
 )
 
-#: Most steps :func:`exact_packing` takes, about a second of work.  A
-#: forest costs a step per node and per key it is built from: seeding
-#: one, its nodes twice (once for the tree it becomes) and the keys
-#: offered; rooting one for an exchange search, its nodes and keys.  The
-#: search costs a step per forest it scans for each key it pops.
+#: Most steps :func:`exact_packing` takes, 0.3 to 0.45 s of work.  A
+#: forest costs a step per node and per pair it is built from: seeding
+#: one, its nodes twice (once for the tree it becomes) and the pairs
+#: offered; rooting one for an exchange search, its nodes and pairs.  The
+#: search costs a step per forest it scans for each pair it pops.
 EXACT_STEP_BUDGET = 1_000_000
 
 #: Most nested splits :func:`general_algorithm` makes before it hands the
@@ -261,8 +260,11 @@ def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
     """:func:`brute_force_packing`'s ``(packing, witness, calls)``, with no optimality proof."""
     capacity = capacities(g, rounds)
     _require_rateable(g)
-    degree = min(sum(m for key, m in capacity.items() if v in key) for v in g.node_ids)
-    target = min(sum(capacity.values()) // (g.node_count - 1), degree)
+    degree = dict.fromkeys(g.node_ids, 0)
+    for (u, v), m in capacity.items():
+        degree[u] += m
+        degree[v] += m
+    target = min(sum(capacity.values()) // (g.node_count - 1), *degree.values())
     return _descend(g, rounds, target, fixed_rounds=True)
 
 
@@ -327,22 +329,23 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     """``target`` edge-disjoint spanning trees of the ``rounds``-round multigraph.
 
     Edmonds' matroid partition over ``target`` forests, run on
-    capacities: edge key ``e`` sits in at most ``floor(rounds * rate_e)``
-    forests, at most once in each.  Each forest in turn is seeded by
-    Kruskal over the sorted keys with spare capacity; a forest repeats
-    until one of its keys runs out, so each distinct one is built once,
-    with its copies.  Forests are shared ``frozenset``s, replaced when an
-    exchange writes to one, so memory follows the distinct forests, not
-    the tree count.  Then each
+    capacities: node pair ``(i, j)`` of :meth:`~WeightedGraph.integer_links`
+    sits in at most ``floor(rounds * rate)`` forests, at most once in
+    each, and labels come back only in the trees and the refusal.  Each
+    forest in turn is seeded by Kruskal over the sorted pairs with spare
+    capacity; a forest repeats until one of its pairs runs out, so each
+    distinct one is built once, with its copies.  Forests are shared
+    ``frozenset``s, replaced when an exchange writes to one, so memory
+    follows the distinct forests, not the tree count.  Then each
     augmentation is a breadth-first search for a shortest exchange path:
-    a spare copy enters a forest, which pushes out an edge of the cycle
+    a spare copy enters a forest, which pushes out a pair of the cycle
     it closes, which enters another forest, and so on until a copy joins
-    two components of some forest.  The search starts from every key
-    with spare capacity in sorted-key order and scans forests by index
-    and cycle edges along the tree path, and the first copy that joins
-    two components wins, so the result is the same on every run.
+    two components of some forest.  The search starts from every pair
+    with spare capacity in sorted order (key order) and scans forests by
+    index and cycle pairs along the tree path, and the first copy that
+    joins two components wins, so the result is the same on every run.
 
-    When no path exists, the keys the search reached split the nodes
+    When no path exists, the pairs the search reached split the nodes
     into components.  All of them sit in each forest's span and every
     crossing copy is already placed, so fewer than
     ``target * (blocks - 1)`` copies cross that partition and, by
@@ -357,10 +360,11 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
         HeuristicFailedError: more steps than ``EXACT_STEP_BUDGET``, or
             no such packing exists; ``partition`` then holds the proof.
     """
-    nodes = g.sorted_nodes()
-    capacity = {k: m for k, m in capacities(g, rounds).items() if m}
+    labels, _, links = g.integer_links()
+    n = len(labels)
+    capacity = {(i, j): m for (i, j, _), m in zip(links, capacities(g, rounds).values()) if m}
     spare = dict(capacity)
-    forests: list[frozenset[EdgeKey]] = []
+    forests: list[frozenset[tuple[int, int]]] = []
     steps = 0
 
     def spend(count: int) -> None:
@@ -371,24 +375,21 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
                 f"the exact packer passed its budget of {EXACT_STEP_BUDGET} search steps"
             )
 
-    spend(2 * len(nodes) * target)
+    spend(2 * n * target)
     while len(forests) < target:
-        offered = [k for k, m in spare.items() if m]
-        forest = spanning_forest(nodes, offered)
-        copies = min([spare[key] for key in forest] + [target - len(forests)])
+        offered = [p for p, m in spare.items() if m]
+        forest = spanning_forest(range(n), offered)
+        copies = min([spare[p] for p in forest] + [target - len(forests)])
         spend(copies * len(offered))
-        for key in forest:
-            spare[key] -= copies
+        for p in forest:
+            spare[p] -= copies
         forests += [frozenset(forest)] * copies
-    for _ in range(target * (len(nodes) - 1) - sum(map(len, forests))):
-        moves, reached = _exchange_path(nodes, forests, [k for k, m in spare.items() if m], spend)
+    for _ in range(target * (n - 1) - sum(map(len, forests))):
+        moves, reached = _exchange_path(n, forests, [p for p, m in spare.items() if m], spend)
         if moves is None:
-            _, _, root = _rooted(nodes, spanning_forest(nodes, sorted(reached)))
-            blocks: dict[str, list[str]] = {}
-            for v in nodes:
-                blocks.setdefault(root[v], []).append(v)
-            partition = VertexPartition.from_blocks(blocks.values())
-            crossing = sum(m for (u, v), m in capacity.items() if root[u] != root[v])
+            _, _, root = _rooted(n, spanning_forest(range(n), sorted(reached)))
+            partition = VertexPartition.from_rgs(labels, root)
+            crossing = sum(m for (i, j), m in capacity.items() if root[i] != root[j])
             raise HeuristicFailedError(
                 f"{target} edge-disjoint spanning trees do not fit over {rounds} rounds: "
                 f"partition {partition} is crossed by {crossing} edge copies, fewer than "
@@ -396,38 +397,37 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
                 partition=partition,
             )
         spare[moves[-1][0]] -= 1
-        for key, into, out_of in moves:
-            forests[into] = forests[into] | {key}
+        for p, into, out_of in moves:
+            forests[into] = forests[into] | {p}
             if out_of is not None:
-                forests[out_of] = forests[out_of] - {key}
+                forests[out_of] = forests[out_of] - {p}
     copies = Counter(forests)
-    trees = [SpanningTree.of(f) for f in copies]
+    trees = [SpanningTree(tuple((labels[i], labels[j]) for i, j in sorted(f))) for f in copies]
     return TreePacking.multigraph(trees, list(copies.values()), rounds)
 
 
-def _exchange_path(nodes, forests, sources, spend):
-    """Shortest exchange path from a spare copy of a ``sources`` key.
+def _exchange_path(n, forests, sources, spend):
+    """Shortest exchange path from a spare copy of a ``sources`` pair.
 
-    Returns ``(moves, None)`` with ``moves`` the ``(key, into, out_of)``
+    Returns ``(moves, None)`` with ``moves`` the ``(pair, into, out_of)``
     steps, last to first (``out_of`` None for the spare copy), or
-    ``(None, reached)`` with the keys the search reached.  ``spend`` is
+    ``(None, reached)`` with the pairs the search reached.  ``spend`` is
     charged for the forests rooted and scanned (see ``EXACT_STEP_BUDGET``),
     though each distinct forest is rooted once.
     """
-    spend(len(nodes) * len(forests) + sum(map(len, forests)))
-    roots = {f: _rooted(nodes, f) for f in set(forests)}
-    rooted = [roots[f] for f in forests]
-    pred: dict = {(key, None): None for key in sources}
+    spend(n * len(forests) + sum(map(len, forests)))
+    rooted = {f: _rooted(n, f) for f in set(forests)}
+    pred: dict = {(p, None): None for p in sources}
     queue = deque(pred)
     while queue:
         node = queue.popleft()
         spend(len(forests))
-        key = node[0]
+        pair = node[0]
         for i, forest in enumerate(forests):
-            if key in forest:
+            if pair in forest:
                 continue
-            parent, depth, root = rooted[i]
-            u, v = key
+            parent, depth, root = rooted[forest]
+            u, v = pair
             if root[u] != root[v]:
                 moves, into = [], i
                 while node is not None:
@@ -437,32 +437,30 @@ def _exchange_path(nodes, forests, sources, spend):
             while u != v:
                 if depth[u] < depth[v]:
                     u, v = v, u
-                step = (edge_key(u, parent[u]), i)
+                u, child = parent[u], u
+                step = ((u, child) if u < child else (child, u), i)
                 if step not in pred:
                     pred[step] = node
                     queue.append(step)
-                u = parent[u]
-    return None, {key for key, _ in pred}
+    return None, {p for p, _ in pred}
 
 
-def _rooted(nodes, forest) -> tuple[dict, dict, dict]:
-    """Parent, depth and root of every node in a forest of edge keys."""
-    adjacent: dict[str, list[str]] = {v: [] for v in nodes}
+def _rooted(n: int, forest) -> tuple[list, list, list]:
+    """Parent, depth and root of every node ``0..n-1`` in a forest of node pairs."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
     for u, v in forest:
         adjacent[u].append(v)
         adjacent[v].append(u)
-    parent: dict = {}
-    depth: dict = {}
-    root: dict = {}
-    for r in nodes:
-        if r in root:
+    parent, depth, root = [None] * n, [0] * n, [None] * n
+    for r in range(n):
+        if root[r] is not None:
             continue
-        parent[r], depth[r], root[r] = None, 0, r
+        root[r] = r
         stack = [r]
         while stack:
             x = stack.pop()
             for y in adjacent[x]:
-                if y not in root:
+                if root[y] is None:
                     parent[y], depth[y], root[y] = x, depth[x] + 1, r
                     stack.append(y)
     return parent, depth, root

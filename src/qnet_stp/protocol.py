@@ -356,17 +356,19 @@ def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, di
 
 
 def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
-    """Per tree instance, the key-bit index used on each tree edge.
-
-    The steps expand :func:`_first_bits`'s table, in instance order; the
-    secrecy audit reads them.
+    """Per tree instance, the key-bit index used on each tree edge, in instance order.
 
     Raises:
         InvalidPackingError: a tree uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
-    table, _ = _first_bits(_pool_sizes(g, pk.rounds), pk)
+    return _schedule(_pool_sizes(g, pk.rounds), pk)
+
+
+def _schedule(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> list[dict[EdgeKey, int]]:
+    """:func:`_first_bits`'s table from pools of ``sizes``, one step per instance."""
+    table, _ = _first_bits(sizes, pk)
     return [
         {key: bit + copy for key, bit in first.items()}
         for first, mult in zip(table, pk.multiplicities)
@@ -581,8 +583,7 @@ def secrecy_audit(
     """
     pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
-    if schedule is None:
-        schedule = consumption_schedule(g, pk)
+    schedule = _schedule(pool_sizes, pk) if schedule is None else schedule
     instances = list(pk.instances())
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")

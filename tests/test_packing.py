@@ -25,9 +25,10 @@ from qnet_stp.errors import (
     HeuristicFailedError,
     InvalidPackingError,
     PreconditionFailedError,
+    QNetError,
     SchemaError,
 )
-from qnet_stp.netgraph import _tree_walk, enumerate_spanning_trees, spanning_forest
+from qnet_stp.netgraph import VertexPartition, _tree_walk, enumerate_spanning_trees, spanning_forest
 
 from conftest import build, complete, random_connected_graph, ring, run_measured, sorted_path
 from reference_scans import reweight_by_lp
@@ -297,6 +298,53 @@ def test_exact_packing_names_a_refuting_partition(tri_pendant):
         "partition {1}{2}{3}{4} is crossed by 8 edge copies, fewer than 3 x 3"
     )
     assert info.value.partition.is_finest()
+    # labels out of numeric order ("10" < "2" < "3" < "9") and a doubled
+    # triangle: 3 trees need 3 copies to the pendant "2", whose link has 2
+    g = build(["10", "3", "9", "2"], [("10", "3", 2), ("3", "9", 2), ("10", "9", 2), ("9", "2", 1)])
+    assert exact_packing(g, 2, 2).tree_count == 2
+    with pytest.raises(HeuristicFailedError) as info:
+        exact_packing(g, 2, 3)
+    assert str(info.value) == (
+        "3 edge-disjoint spanning trees do not fit over 2 rounds: "
+        "partition {10,3,9}{2} is crossed by 2 edge copies, fewer than 3 x 1"
+    )
+    assert info.value.partition.blocks == (("10", "3", "9"), ("2",))
+
+
+def test_exact_packers_follow_label_order_not_numeric_order():
+    # labels sort as strings ("10" < "2", "a+b" < "b-c" < "é"): each
+    # network packs and refuses as its order-preserving relabelling to
+    # "v00", "v01", ... does, mapped back
+    def outcome(pack, g, label):
+        """The packing, or the refusal, with every node label passed through ``label``."""
+        try:
+            result = pack(g)
+        except QNetError as exc:
+            partition = getattr(exc, "partition", None)
+            if partition is None:
+                return type(exc), str(exc)
+            mapped = VertexPartition.from_blocks(map(label, b) for b in partition.blocks)
+            return type(exc), str(exc).replace(str(partition), str(mapped)), mapped
+        pk = getattr(result, "packing", result)
+        trees = [[(label(u), label(v)) for u, v in t.edges] for t in pk.trees]
+        return (TreePacking.multigraph(trees, pk.multiplicities, pk.rounds),
+                getattr(result, "optimal", None), getattr(result, "diagnostics", None))
+
+    rng = random.Random(35)
+    pool = ["10", "2", "3", "9", "a+b", "b-c", "é"]
+    rates = [0, 1, 2, "1/3", "3/2"]
+    for _ in range(200):
+        labels = rng.sample(pool, rng.randint(2, 6))
+        edges = [(u, v, rng.choice(rates)) for i, u in enumerate(labels) for v in labels[i + 1:]
+                 if rng.random() < 0.7]
+        name = {v: f"v{i:02d}" for i, v in enumerate(sorted(labels))}
+        back = {w: v for v, w in name.items()}
+        g = build(labels, edges)
+        h = build([name[v] for v in labels], [(name[u], name[v], r) for u, v, r in edges])
+        rounds, target = rng.randint(1, 3), rng.randint(0, 5)
+        for pack in (lambda x: exact_packing(x, rounds, target),
+                     lambda x: brute_force_packing(x, rounds)):
+            assert outcome(pack, g, str) == outcome(pack, h, back.__getitem__)
 
 
 def test_exact_packing_floors_capacities():
