@@ -266,10 +266,7 @@ def cmd_simulate(args) -> int:
     from .protocol import run_packing_protocol, secrecy_audit
 
     g = load_graph(args.input)
-    if args.rounds is None:
-        pk = _general_packing(g)[0]
-    else:
-        pk = _oracle_packing(g, args.rounds)[0]
+    pk = (_general_packing(g) if args.rounds is None else _oracle_packing(g, args.rounds))[0]
     transcript = run_packing_protocol(g, pk, args.seed)
     # the transcript's own to_json_dict() is the reference form; its
     # announcements, most of the output, are written from one template

@@ -110,7 +110,3 @@ class HeuristicFailedError(InternalError):
     def __init__(self, message: str, partition=None):
         super().__init__(message)
         self.partition = partition
-
-
-class MergeFailedError(InternalError):
-    code = "MergeFailed"

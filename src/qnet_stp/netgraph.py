@@ -364,21 +364,16 @@ def parse_graph(text: str) -> WeightedGraph:
     return WeightedGraph(nodes, edges)
 
 
-def integer_rates(g: WeightedGraph, need: str) -> dict[EdgeKey, int]:
-    """Every edge's rate as an int, in edge order.
+def integer_rates(g: WeightedGraph, need: str) -> None:
+    """Refuse non-integer rates: all are whole iff ``g.integer_links()`` has scale 1.
 
     Raises:
-        PreconditionFailedError: at the first non-integer rate; the message
-            ends with ``need``, the caller's reason for integers.
+        PreconditionFailedError: at the first non-integer rate in edge
+            order; the message ends with ``need``, the caller's reason.
     """
-    rates = {}
-    for e in g.edges:
-        if e.rate.denominator != 1:
-            raise PreconditionFailedError(
-                f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; {need}"
-            )
-        rates[e.key] = int(e.rate)
-    return rates
+    if g.integer_links()[1] != 1:
+        e = next(e for e in g.edges if e.rate.denominator != 1)
+        raise PreconditionFailedError(f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; {need}")
 
 
 def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeKey]:

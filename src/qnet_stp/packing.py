@@ -40,7 +40,6 @@ from .errors import (
     ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
-    MergeFailedError,
     PreconditionFailedError,
 )
 from .netgraph import (
@@ -241,23 +240,18 @@ def brute_force_packing(g: WeightedGraph, rounds: int) -> PackingOutcome:
     :func:`_descend` starts at the finest partition's value or the least
     node degree, whichever is lower (``packer_calls`` counts its calls).
     ``optimal`` says whether it attains the network's rate, with the last
-    refusing partition as :func:`_optimal_flag`'s witness.  The name is
+    refusing partition as the witness of :func:`_proved`.  The name is
     kept from the exhaustive search this replaced: the benchmark's tracer
     wraps it.
 
     Raises:
         HeuristicFailedError: the exact packer passed its step budget.
     """
-    packing, witness, calls = _oracle_packing(g, rounds)
-    return PackingOutcome(
-        packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), witness),
-        diagnostics={"packer_calls": calls},
-    )
+    return _proved(g, *_oracle_packing(g, rounds))
 
 
 def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
-    """:func:`brute_force_packing`'s ``(packing, witness, calls)``, with no optimality proof."""
+    """:func:`brute_force_packing`'s ``(packing, witness, diagnostics)`` before :func:`_proved`."""
     capacity = capacities(g, rounds)
     _require_rateable(g)
     degree = dict.fromkeys(g.node_ids, 0)
@@ -265,7 +259,8 @@ def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
         degree[u] += m
         degree[v] += m
     target = min(sum(capacity.values()) // (g.node_count - 1), *degree.values())
-    return _descend(g, rounds, target, fixed_rounds=True)
+    packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
+    return packing, witness, {"packer_calls": calls}
 
 
 def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> tuple:
@@ -296,6 +291,11 @@ def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> 
             rate = partition_bound(g, refusal)
             rounds, target = rate.denominator, rate.numerator
     return TreePacking.multigraph([], [], rounds), refusal, calls
+
+
+def _proved(g: WeightedGraph, packing: TreePacking, witness, diagnostics: dict) -> PackingOutcome:
+    """Every packer's outcome: ``packing``, proven by :func:`_optimal_flag` on ``witness``."""
+    return PackingOutcome(packing, _optimal_flag(g, packing_rate(packing), witness), diagnostics)
 
 
 def _optimal_flag(
@@ -484,11 +484,12 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     the fewest rounds that make that a whole number (flagged in
     diagnostics; ``backtracks`` counts the candidates tried).  It refuses
     before the first tree if, at a step per edge and per node each, the
-    trees pass ``EXACT_STEP_BUDGET``.  No bottleneck means the
-    all-singletons bound is the rate, so the packing is optimal with no
-    partition scan.  :func:`general_algorithm` runs the same greedy on
-    each bottleneck-free network it reaches, without repeating the scan
-    it made there.
+    trees pass ``EXACT_STEP_BUDGET``.  :func:`_proved` then checks
+    ``optimal`` with no witness: no bottleneck means the finest bound is
+    the rate, so a packing that reaches it is proven in one pass over the
+    edges, with no partition scan.  :func:`general_algorithm` runs the
+    same greedy on each bottleneck-free network it reaches, without
+    repeating the scan it made there.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
@@ -504,9 +505,7 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
             f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
         )
     diagnostics: dict = {"backtracks": 0, "fallback": False}
-    packing = _greedy_pack(g, diagnostics)
-    # no bottleneck: the all-singletons bound is attained
-    return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
+    return _proved(g, _greedy_pack(g, diagnostics), None, diagnostics)
 
 
 def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
@@ -619,33 +618,30 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
         HeuristicFailedError: a greedy packing or the exact packer would
             pass ``EXACT_STEP_BUDGET``.
     """
-    packing, diagnostics, witness = _general_packing(g)
-    return PackingOutcome(
-        packing=packing,
-        optimal=_optimal_flag(g, packing_rate(packing), witness),
-        diagnostics=diagnostics,
-    )
+    return _proved(g, *_general_packing(g))
+
+
+class _SplitFailed(Exception):
+    """A split of :func:`_general_pack` cannot go on; :func:`_general_packing` falls back."""
 
 
 def _general_packing(g: WeightedGraph) -> tuple:
-    """:func:`general_algorithm`'s ``(packing, diagnostics, witness)``, with no optimality proof."""
+    """:func:`general_algorithm`'s ``(packing, witness, diagnostics)`` before :func:`_proved`."""
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
     cert = check_no_bottleneck(g)
-    witness = cert.partition
     try:
-        packing = _general_pack(g, cert, diagnostics, 0)
-    except MergeFailedError as exc:
+        return _general_pack(g, cert, diagnostics, 0), cert.partition, diagnostics
+    except _SplitFailed as exc:
         try:
-            bound = partition_bound(g, witness)
+            bound = partition_bound(g, cert.partition)
             packing, refusal = _exact_fallback(g, bound, str(exc), diagnostics)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
-        witness = refusal or witness
-    return packing, diagnostics, witness
+    return packing, refusal or cert.partition, diagnostics
 
 
 def _general_pack(
@@ -661,7 +657,7 @@ def _general_pack(
     diagnostics["splits"].append({"subset": list(subset), "depth": depth})
     remainder = induced_subgraph(g, rest)
     if depth == SPLIT_DEPTH or not is_connected(remainder):
-        raise MergeFailedError(
+        raise _SplitFailed(
             f"splits nest more than {SPLIT_DEPTH} deep" if depth == SPLIT_DEPTH
             else f"remainder network on {list(rest)} is not connected; cannot split"
         )

@@ -24,6 +24,7 @@ from qnet_stp.errors import (
     InvalidPartitionError,
     InvalidSubsetError,
     NegativeRateError,
+    PreconditionFailedError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -31,6 +32,7 @@ from qnet_stp.errors import (
 from qnet_stp.netgraph import (
     cross_edges,
     edge_key,
+    integer_rates,
     parse_rational,
 )
 
@@ -405,6 +407,14 @@ def test_multigraph_floors():
     for bad in (0, -1, 1.5, "2"):
         with pytest.raises(SchemaError, match="round count must be a positive integer"):
             capacities(g, bad)
+
+
+def test_integer_rates_names_the_first_non_integer_rate_in_edge_order():
+    assert integer_rates(build(["1", "2", "3"], [("1", "2", 2), ("2", "3", 0)]), "why") is None
+    g = build(["1", "2", "3"], [("2", "3", "1/3"), ("1", "3", "3/2"), ("1", "2", 1)])
+    with pytest.raises(PreconditionFailedError) as exc:
+        integer_rates(g, "keys come in whole bits")
+    assert str(exc.value) == "edge (1,3) has non-integer rate 3/2; keys come in whole bits"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -559,6 +560,23 @@ def test_basic_fallback_still_optimal(triangle, monkeypatch):
     assert validate_packing(triangle, out.packing).ok
 
 
+def test_basic_checks_its_optimal_flag(monkeypatch):
+    # a valid packing one tree short of the unit 4-ring's four: its rate,
+    # 1, is below the finest bound 4/3, and the partition scan refutes it
+    real = packing._greedy_pack
+
+    def one_short(g, diagnostics):
+        pk = real(g, diagnostics)
+        return TreePacking.multigraph(pk.trees[1:], pk.multiplicities[1:], pk.rounds)
+
+    monkeypatch.setattr(packing, "_greedy_pack", one_short)
+    g = ring(4)
+    out = basic_algorithm(g)
+    assert validate_packing(g, out.packing).ok
+    assert (out.packing.tree_count, out.achieved_rate, out.optimal) == (3, 1, False)
+    assert out.diagnostics == {"backtracks": 1, "fallback": False}
+
+
 def test_basic_fallback_counts_the_candidates_tried():
     # after four greedy trees 2-4 and 3-4 weigh 2; the one candidate
     # holding both leaves the triangle 2-3-4, not a tree: the search
@@ -696,6 +714,27 @@ def test_general_packings_are_valid():
         assert out.optimal is (out.achieved_rate == nwt_rate(g).rate), seed
         spliced += bool(out.diagnostics["splits"]) and not out.diagnostics["fallback"]
     assert spliced > 50
+
+
+def test_producers_hand_back_the_public_packers_packing_witness_and_diagnostics():
+    # what simulate packs with is what pack prints: the private producers
+    # give the public packers' packing and diagnostics, and a witness that
+    # is None or a partition of the network's nodes
+    seen = Counter()
+    for seed in range(300):
+        g = random_connected_graph(random.Random(seed), max_nodes=9, max_extra=8)
+        nodes = sorted(g.node_ids)
+        produced = [(packing._general_packing(g), general_algorithm(g))]
+        produced += [(packing._oracle_packing(g, r), brute_force_packing(g, r)) for r in (1, 2, 3, 4)]
+        for (pk, witness, diagnostics), out in produced:
+            assert (pk, diagnostics) == (out.packing, out.diagnostics), seed
+            assert witness is None or sorted(v for b in witness.blocks for v in b) == nodes, seed
+        diagnostics = produced[0][0][2]
+        seen["split"] += bool(diagnostics["splits"])
+        reason = diagnostics.get("fallback_reason", "")
+        seen["split fallback"] += reason.endswith("cannot split")
+        seen["greedy fallback"] += reason.startswith(("no next-to-last", "positive-weight"))
+    assert min(seen["split"], seen["split fallback"], seen["greedy fallback"]) > 0, seen
 
 
 def test_split_depth_bounds_the_nesting():
