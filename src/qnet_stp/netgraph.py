@@ -382,9 +382,14 @@ def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeK
     Every endpoint must be one of ``nodes``, which may be any hashable
     labels (the secrecy audit's are key-bit positions).  The result is
     a spanning tree of ``nodes`` exactly when it has ``len(nodes) - 1``
-    keys; the scan stops once it has.
+    keys; the scan stops once it has.  Nodes given as ``range(n)``, the
+    node indices of the exact scans and packers, keep their parents in a
+    list; any others in a dict.
     """
-    parent = {v: v for v in nodes}
+    if isinstance(nodes, range) and nodes == range(len(nodes)):
+        parent = list(nodes)
+    else:
+        parent = {v: v for v in nodes}
     size = len(parent) - 1
     forest: list[EdgeKey] = []
     for key in keys:
@@ -492,16 +497,7 @@ def contract(g: WeightedGraph, p: VertexPartition) -> WeightedGraph:
     The new graph's ``node_ids`` follow the order of ``p.blocks``.
     """
     _check_partition_of(g, p)
-    joined = ["+".join(b) for b in p.blocks]
-    labels = list(joined)
-    taken = set(joined)
-    for i, b in enumerate(p.blocks):
-        if len(b) > 1 and joined.count(joined[i]) > 1:
-            k = 1
-            while f"{joined[i]}#{k}" in taken:
-                k += 1
-            labels[i] = f"{joined[i]}#{k}"
-            taken.add(labels[i])
+    labels = _block_labels(p.blocks)
     block = p.block_of()
     agg: dict[tuple[int, int], list[Fraction]] = {}
     for e in g.edges:
@@ -516,6 +512,28 @@ def contract(g: WeightedGraph, p: VertexPartition) -> WeightedGraph:
             agg[pair] = [e.rate, e.epsilon]
     edges = [(labels[a], labels[b], vals[0], vals[1]) for (a, b), vals in agg.items()]
     return WeightedGraph(labels, edges)
+
+
+def _block_labels(blocks: Sequence[Sequence[str]]) -> list[str]:
+    """The label of each block's contracted node, in the order of ``blocks``.
+
+    A singleton keeps its member's label; a larger block joins its sorted
+    members with ``+``.  Where a joined label equals another block's,
+    every multi-node block with that label takes the first free suffix
+    ``#1``, ``#2``, ...  :func:`contract` and the general packer's splits
+    both label, and so order, a contracted network by this rule.
+    """
+    joined = ["+".join(b) for b in blocks]
+    labels = list(joined)
+    taken = set(joined)
+    for i, b in enumerate(blocks):
+        if len(b) > 1 and joined.count(joined[i]) > 1:
+            k = 1
+            while f"{joined[i]}#{k}" in taken:
+                k += 1
+            labels[i] = f"{joined[i]}#{k}"
+            taken.add(labels[i])
+    return labels
 
 
 def induced_subgraph(g: WeightedGraph, keep: Iterable[str]) -> WeightedGraph:

@@ -25,6 +25,12 @@ optimal packing.  Besides validation this module provides:
   rounds (``--method oracle``), by :func:`_descend`, which the fallbacks
   share: :func:`exact_packing` at falling partition bounds; the name is
   kept from the exhaustive search it replaced.
+
+Each packer reads its network's :meth:`~WeightedGraph.integer_links`
+once.  The splits, the greedy, the splices and the exact packer all run
+on node indices, with trees as sorted tuples of index pairs; labels
+appear only at the exits, in the one :class:`TreePacking` each result
+builds, its witness partition and its diagnostics.
 """
 
 from __future__ import annotations
@@ -47,23 +53,20 @@ from .netgraph import (
     SpanningTree,
     VertexPartition,
     WeightedGraph,
+    _block_labels,
     _floors,
     _tree_walk,
-    capacities,
     check_rounds,
-    contract,
     format_rational,
-    induced_subgraph,
     integer_rates,
-    is_connected,
     is_spanning_tree,
     spanning_forest,
 )
 from .rate_core import (
-    BottleneckCertificate,
     _partition_scan,
     _require_rateable,
-    check_no_bottleneck,
+    _subset_scan,
+    _violator_partition,
     finest_bound,
     partition_bound,
 )
@@ -98,7 +101,8 @@ class TreePacking(NamedTuple):
     denominator of its weights, which :attr:`weights` derives back.
     Canonical form: trees sorted lexicographically, duplicates merged,
     zero entries dropped.  Build instances via :meth:`weighted` or
-    :meth:`multigraph`.
+    :meth:`multigraph`; the packers build theirs from node-index trees,
+    which are canonical as they come.
     """
 
     trees: tuple[SpanningTree, ...]
@@ -228,6 +232,34 @@ def packing_rate(pk: TreePacking) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# packings on node indices
+# ---------------------------------------------------------------------------
+
+# Below the network a caller passes in, every packer runs on a view
+# ``(labels, scale, links)`` as :meth:`WeightedGraph.integer_links` gives
+# it, nodes ``0..n-1`` in label order, and builds an index packing
+# ``(trees, rounds)``: each tree a sorted tuple of node pairs ``(i, j)``,
+# ``i < j``, mapped to its multiplicity.  Labels sort as their indices
+# do, so sorted pair tuples come in the order of the label trees they
+# stand for, and every tie-break on indices is the one on labels.
+
+
+def _labelled(labels: tuple[str, ...], packing: tuple) -> TreePacking:
+    """The :class:`TreePacking` of an index ``packing`` whose node ``i`` is ``labels[i]``.
+
+    Sorting the pair tuples sorts the trees, so the packing is canonical
+    as built.
+    """
+    trees, rounds = packing
+    kept = sorted(trees)
+    return TreePacking(
+        tuple(SpanningTree(tuple([(labels[i], labels[j]) for i, j in t])) for t in kept),
+        tuple(trees[t] for t in kept),
+        rounds,
+    )
+
+
+# ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
 
@@ -252,45 +284,48 @@ def brute_force_packing(g: WeightedGraph, rounds: int) -> PackingOutcome:
 
 def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
     """:func:`brute_force_packing`'s ``(packing, witness, diagnostics)`` before :func:`_proved`."""
-    capacity = capacities(g, rounds)
+    check_rounds(rounds)
     _require_rateable(g)
-    degree = dict.fromkeys(g.node_ids, 0)
-    for (u, v), m in capacity.items():
-        degree[u] += m
-        degree[v] += m
-    target = min(sum(capacity.values()) // (g.node_count - 1), *degree.values())
-    packing, witness, calls = _descend(g, rounds, target, fixed_rounds=True)
-    return packing, witness, {"packer_calls": calls}
+    view = labels, scale, links = g.integer_links()
+    degree = [0] * len(labels)
+    total = 0
+    for i, j, w in links:
+        m = rounds * w // scale
+        degree[i] += m
+        degree[j] += m
+        total += m
+    target = min(total // (len(labels) - 1), *degree)
+    packing, refusal, calls = _descend(view, rounds, target, fixed_rounds=True)
+    witness = None if refusal is None else VertexPartition.from_rgs(labels, refusal)
+    return _labelled(labels, packing), witness, {"packer_calls": calls}
 
 
-def _descend(g: WeightedGraph, rounds: int, target: int, fixed_rounds: bool) -> tuple:
-    """``(packing, last refusing partition or None, calls)`` of :func:`exact_packing`.
+def _descend(view: tuple, rounds: int, target: int, fixed_rounds: bool) -> tuple:
+    """``(index packing, last refusal or None, calls)`` of :func:`_exact_pack` on ``view``.
 
-    Each refusal names a partition whose value is below the request and
-    at least the maximum, so the first request that fits is the maximum:
-    with ``fixed_rounds``, ``floor(crossing / (blocks - 1))`` trees over
+    A refusal is the ``root`` list of :func:`_exact_pack`.  Each names a
+    partition whose value is below the request and at least the maximum,
+    so the first request that fits is the maximum: with
+    ``fixed_rounds``, ``floor(crossing / (blocks - 1))`` trees over
     ``rounds``; otherwise, for whole rates, the partition's bound as a
     rate over its denominator in rounds.  A request of 0 packs nothing.
     """
-    capacity = capacities(g, rounds)
+    _, scale, links = view
     refusal = None
     calls = 0
     while target:
         calls += 1
-        try:
-            return exact_packing(g, rounds, target), refusal, calls
-        except HeuristicFailedError as exc:
-            if exc.partition is None:
-                raise
-            refusal = exc.partition
+        packing, root = _exact_pack(view, rounds, target)
+        if root is None:
+            return packing, refusal, calls
+        refusal = root
+        gaps = len(set(root)) - 1
         if fixed_rounds:
-            block = refusal.block_of()
-            crossing = sum(m for (u, v), m in capacity.items() if block[u] != block[v])
-            target = crossing // (refusal.block_count - 1)
+            target = sum(rounds * w // scale for i, j, w in links if root[i] != root[j]) // gaps
         else:
-            rate = partition_bound(g, refusal)
+            rate = Fraction(sum(w for i, j, w in links if root[i] != root[j]), scale * gaps)
             rounds, target = rate.denominator, rate.numerator
-    return TreePacking.multigraph([], [], rounds), refusal, calls
+    return ({}, rounds), refusal, calls
 
 
 def _proved(g: WeightedGraph, packing: TreePacking, witness, diagnostics: dict) -> PackingOutcome:
@@ -328,22 +363,23 @@ def _optimal_flag(
 def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     """``target`` edge-disjoint spanning trees of the ``rounds``-round multigraph.
 
-    Edmonds' matroid partition over ``target`` forests, run on
-    capacities: node pair ``(i, j)`` of :meth:`~WeightedGraph.integer_links`
-    sits in at most ``floor(rounds * rate)`` forests, at most once in
-    each, and labels come back only in the trees and the refusal.  Each
-    forest in turn is seeded by Kruskal over the sorted pairs with spare
-    capacity; a forest repeats until one of its pairs runs out, so each
-    distinct one is built once, with its copies.  Forests are shared
-    ``frozenset``s, replaced when an exchange writes to one, so memory
-    follows the distinct forests, not the tree count.  Then each
-    augmentation is a breadth-first search for a shortest exchange path:
-    a spare copy enters a forest, which pushes out a pair of the cycle
-    it closes, which enters another forest, and so on until a copy joins
-    two components of some forest.  The search starts from every pair
-    with spare capacity in sorted order (key order) and scans forests by
-    index and cycle pairs along the tree path, and the first copy that
-    joins two components wins, so the result is the same on every run.
+    Edmonds' matroid partition over ``target`` forests, run by
+    :func:`_exact_pack` on capacities: node pair ``(i, j)`` of
+    :meth:`~WeightedGraph.integer_links` sits in at most
+    ``floor(rounds * rate)`` forests, at most once in each, and labels
+    come back only in the trees and the refusal.  Each forest in turn is
+    seeded by Kruskal over the sorted pairs with spare capacity; a forest
+    repeats until one of its pairs runs out, so each distinct one is
+    built once, with its copies.  Forests are shared ``frozenset``s,
+    replaced when an exchange writes to one, so memory follows the
+    distinct forests, not the tree count.  Then each augmentation is a
+    breadth-first search for a shortest exchange path: a spare copy
+    enters a forest, which pushes out a pair of the cycle it closes,
+    which enters another forest, and so on until a copy joins two
+    components of some forest.  The search starts from every pair with
+    spare capacity in sorted order (key order) and scans forests by index
+    and cycle pairs along the tree path, and the first copy that joins
+    two components wins, so the result is the same on every run.
 
     When no path exists, the pairs the search reached split the nodes
     into components.  All of them sit in each forest's span and every
@@ -360,10 +396,32 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
         HeuristicFailedError: more steps than ``EXACT_STEP_BUDGET``, or
             no such packing exists; ``partition`` then holds the proof.
     """
-    labels, _, links = g.integer_links()
+    view = labels, scale, links = g.integer_links()
+    packing, root = _exact_pack(view, check_rounds(rounds), target)
+    if root is None:
+        return _labelled(labels, packing)
+    partition = VertexPartition.from_rgs(labels, root)
+    crossing = sum(rounds * w // scale for i, j, w in links if root[i] != root[j])
+    raise HeuristicFailedError(
+        f"{target} edge-disjoint spanning trees do not fit over {rounds} rounds: "
+        f"partition {partition} is crossed by {crossing} edge copies, fewer than "
+        f"{target} x {partition.block_count - 1}",
+        partition=partition,
+    )
+
+
+def _exact_pack(view: tuple, rounds: int, target: int) -> tuple:
+    """:func:`exact_packing` on ``view``: ``(index packing, None)``, or ``(None, root)``.
+
+    ``root[i]`` names the block of node ``i`` in the partition that
+    proves the ``target`` trees do not fit.
+
+    Raises:
+        HeuristicFailedError: more steps than ``EXACT_STEP_BUDGET``.
+    """
+    labels, scale, links = view
     n = len(labels)
-    capacity = {(i, j): m for (i, j, _), m in zip(links, capacities(g, rounds).values()) if m}
-    spare = dict(capacity)
+    spare = {(i, j): m for i, j, w in links if (m := rounds * w // scale)}
     forests: list[frozenset[tuple[int, int]]] = []
     steps = 0
 
@@ -387,23 +445,13 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     for _ in range(target * (n - 1) - sum(map(len, forests))):
         moves, reached = _exchange_path(n, forests, [p for p, m in spare.items() if m], spend)
         if moves is None:
-            _, _, root = _rooted(n, spanning_forest(range(n), sorted(reached)))
-            partition = VertexPartition.from_rgs(labels, root)
-            crossing = sum(m for (i, j), m in capacity.items() if root[i] != root[j])
-            raise HeuristicFailedError(
-                f"{target} edge-disjoint spanning trees do not fit over {rounds} rounds: "
-                f"partition {partition} is crossed by {crossing} edge copies, fewer than "
-                f"{target} x {partition.block_count - 1}",
-                partition=partition,
-            )
+            return None, _rooted(n, spanning_forest(range(n), sorted(reached)))[2]
         spare[moves[-1][0]] -= 1
         for p, into, out_of in moves:
             forests[into] = forests[into] | {p}
             if out_of is not None:
                 forests[out_of] = forests[out_of] - {p}
-    copies = Counter(forests)
-    trees = [SpanningTree(tuple((labels[i], labels[j]) for i, j in sorted(f))) for f in copies]
-    return TreePacking.multigraph(trees, list(copies.values()), rounds)
+    return ({tuple(sorted(f)): c for f, c in Counter(forests).items()}, rounds), None
 
 
 def _exchange_path(n, forests, sources, spend):
@@ -466,6 +514,8 @@ def _rooted(n: int, forest) -> tuple[list, list, list]:
     return parent, depth, root
 
 
+
+
 # ---------------------------------------------------------------------------
 # greedy algorithm (no bottleneck, integer rates)
 # ---------------------------------------------------------------------------
@@ -484,12 +534,14 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     the fewest rounds that make that a whole number (flagged in
     diagnostics; ``backtracks`` counts the candidates tried).  It refuses
     before the first tree if, at a step per edge and per node each, the
-    trees pass ``EXACT_STEP_BUDGET``.  :func:`_proved` then checks
-    ``optimal`` with no witness: no bottleneck means the finest bound is
-    the rate, so a packing that reaches it is proven in one pass over the
-    edges, with no partition scan.  :func:`general_algorithm` runs the
-    same greedy on each bottleneck-free network it reaches, without
-    repeating the scan it made there.
+    trees pass ``EXACT_STEP_BUDGET``.  The bottleneck scan and the greedy
+    run on the network's node indices, and its labels come back only in
+    the packing.  :func:`_proved` then checks ``optimal`` with no
+    witness: no bottleneck means the finest bound is the rate, so a
+    packing that reaches it is proven in one pass over the edges, with no
+    partition scan.  :func:`general_algorithm` runs the same greedy on
+    each bottleneck-free network it reaches, without repeating the scan
+    it made there.
 
     Raises:
         PreconditionFailedError: non-integer rates or a bottleneck subset.
@@ -499,17 +551,17 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     """
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
-    cert = check_no_bottleneck(g)
-    if not cert.ok:
-        raise PreconditionFailedError(
-            f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
-        )
+    view = labels, _, links = g.integer_links()
+    found = _subset_scan(len(labels), links)
+    if found is not None:
+        subset = tuple(labels[j] for j in found[0])
+        raise PreconditionFailedError(f"bottleneck at subset {subset}; use the general algorithm")
     diagnostics: dict = {"backtracks": 0, "fallback": False}
-    return _proved(g, _greedy_pack(g, diagnostics), None, diagnostics)
+    return _proved(g, _labelled(labels, _greedy_pack(view, diagnostics)), None, diagnostics)
 
 
-def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
-    """:func:`basic_algorithm` on a network its checks and bottleneck scan passed.
+def _greedy_pack(view: tuple, diagnostics: dict) -> tuple:
+    """:func:`basic_algorithm`'s index packing of a ``view`` its checks and bottleneck scan passed.
 
     Each edge keeps one integer code across the extractions, its index
     in key order less its residual weight times the edge count, so the
@@ -522,28 +574,26 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
     ``BACKTRACK_BUDGET``.  The residual weighs ``2 (N - 1)`` and a
     candidate, which holds every weight-2 pair, takes ``N - 1``; so
     ``N - 1`` pairs left at one unit that one :func:`spanning_forest`
-    keeps whole are the clean final tree; only it and the candidate kept
-    are mapped back to keys.  The candidates tried and any fallback are
-    recorded in ``diagnostics``.
+    keeps whole are the clean final tree.  The candidates tried and any
+    fallback are recorded in ``diagnostics``.
     """
-    n = g.node_count - 1
-    _, _, links = g.integer_links()  # scale 1: the callers checked whole rates
+    labels, _, links = view  # scale 1: the callers checked whole rates
+    n = len(labels) - 1
     total_trees = sum(x for _, _, x in links)
-    if total_trees * (len(links) + g.node_count) > EXACT_STEP_BUDGET:
+    if total_trees * (len(links) + n + 1) > EXACT_STEP_BUDGET:
         raise HeuristicFailedError(
             f"extracting {total_trees} trees passes the budget of {EXACT_STEP_BUDGET} steps"
         )
-    # edge e, the e-th in key order, is keys[e], joins the nodes ends[e]
-    # and has the code e - m * (its residual weight)
-    keys = [e.key for e in g.edges]
+    # edge e, the e-th in key order, joins the nodes ends[e] and has the
+    # code e - m * (its residual weight)
     ends = [(i, j) for i, j, _ in links]
     edge_of = {pair: e for e, pair in enumerate(ends)}
     m = len(links)
     code = [e - n * x * m for e, (_, _, x) in enumerate(links)]
-    chosen: list[SpanningTree] = []
+    chosen: list[tuple] = []
 
-    def fallback(reason: str) -> TreePacking:
-        return _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)[0]
+    def fallback(reason: str) -> tuple:
+        return _exact_fallback(view, Fraction(total_trees, n), reason, diagnostics)[0]
 
     # all but the last two trees, or the only one: Kruskal on descending
     # weight, ties to the smaller key
@@ -553,10 +603,10 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
         forest = spanning_forest(range(n + 1), map(ends.__getitem__, map(m.__rmod__, order)))
         if len(forest) < n:
             return fallback("positive-weight edges no longer span the network")
-        picked = sorted([edge_of[pair] for pair in forest])
-        chosen.append(SpanningTree(tuple([keys[e] for e in picked])))
-        for e in picked:
-            code[e] += m  # one unit of weight spent
+        forest.sort()
+        chosen.append(tuple(forest))
+        for pair in forest:
+            code[edge_of[pair]] += m  # one unit of weight spent
 
     if total_trees > 1:
         residual = [(ends[e], (e - c) // m) for e, c in enumerate(code) if c < 0]  # key order
@@ -569,21 +619,19 @@ def _greedy_pack(g: WeightedGraph, diagnostics: dict) -> TreePacking:
             held = set(candidate)
             last = [pair for pair, w in residual if w - (pair in held) == 1]  # in key order
             if len(last) == n and len(spanning_forest(range(n + 1), last)) == n:
-                chosen += [SpanningTree(tuple([keys[edge_of[pair]] for pair in tree]))
-                           for tree in (candidate, last)]
+                chosen += [tuple(candidate), tuple(last)]
                 break
         else:
             return fallback("no next-to-last tree leaves a clean final tree")
 
-    # duplicates merged by the constructor
-    return TreePacking.multigraph(chosen, [1] * len(chosen), n)
+    return Counter(chosen), n
 
 
-def _exact_fallback(g: WeightedGraph, rate: Fraction, reason: str, diagnostics: dict) -> tuple:
-    """Packing and witness of :func:`_descend` from ``rate``, flagged in diagnostics."""
+def _exact_fallback(view: tuple, rate: Fraction, reason: str, diagnostics: dict) -> tuple:
+    """Index packing and last refusal of :func:`_descend` from ``rate``, flagged in diagnostics."""
     diagnostics["fallback"] = True
     diagnostics["fallback_reason"] = reason
-    return _descend(g, rate.denominator, rate.numerator, fixed_rounds=False)[:2]
+    return _descend(view, rate.denominator, rate.numerator, fixed_rounds=False)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +651,13 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
     fails in one way: its remainder is disconnected, or it would nest
     more than ``SPLIT_DEPTH`` deep (``fallback_reason`` says which).  Then
     :func:`_descend` packs the whole network at its rate from the
-    top-level violator's bound.  Each network on the way is scanned
-    for a bottleneck once, and a bottleneck-free one goes to the greedy
-    of :func:`basic_algorithm` without a second scan.  ``optimal`` is
+    top-level violator's bound.  Everything after the network's own
+    checks runs on its node indices: the splits, one bottleneck scan per
+    network, the greedy of :func:`basic_algorithm` on each
+    bottleneck-free one, the splices and the fallbacks; labels come back
+    only in the packing built at the end.  The merged node takes the
+    label :func:`~.netgraph.contract` would give it, so it sorts, and
+    breaks ties, as it would among labels.  ``optimal`` is
     proven by the first of: the finest partition's bound, the bound of
     the top-level violator's partition (after a fallback, of the
     descent's last refusing partition), a partition scan that stops at
@@ -622,91 +674,131 @@ def general_algorithm(g: WeightedGraph) -> PackingOutcome:
 
 
 class _SplitFailed(Exception):
-    """A split of :func:`_general_pack` cannot go on; :func:`_general_packing` falls back."""
+    """A split of :func:`_split_pack` cannot go on; :func:`_general_packing` falls back."""
 
 
 def _general_packing(g: WeightedGraph) -> tuple:
     """:func:`general_algorithm`'s ``(packing, witness, diagnostics)`` before :func:`_proved`."""
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
+    view = labels, _, links = g.integer_links()
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
-    cert = check_no_bottleneck(g)
+    found = _subset_scan(len(labels), links)
+    witness = None if found is None else _violator_partition(labels, found[0])
     try:
-        return _general_pack(g, cert, diagnostics, 0), cert.partition, diagnostics
+        packing = _split_pack(view, found, diagnostics, 0)
     except _SplitFailed as exc:
         try:
-            bound = partition_bound(g, cert.partition)
-            packing, refusal = _exact_fallback(g, bound, str(exc), diagnostics)
+            bound = partition_bound(g, witness)
+            packing, refusal = _exact_fallback(view, bound, str(exc), diagnostics)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
-    return packing, refusal or cert.partition, diagnostics
+        if refusal is not None:
+            witness = VertexPartition.from_rgs(labels, refusal)
+    return _labelled(labels, packing), witness, diagnostics
 
 
-def _general_pack(
-    g: WeightedGraph, cert: BottleneckCertificate, diagnostics: dict, depth: int
-) -> TreePacking:
-    """Pack ``g`` given ``cert``, its bottleneck scan: each network is scanned once."""
+def _split_pack(view: tuple, found, diagnostics: dict, depth: int) -> tuple:
+    """Index packing of ``view`` given ``found``, its one :func:`_subset_scan`.
+
+    A split on the violator ``I`` builds both parts' views in one pass
+    over the links.  The remainder keeps the nodes outside ``I`` in
+    order.  The contraction keeps ``I``'s nodes in order and puts the
+    merged node where its label sorts among theirs; a pair's weight to
+    it is the sum of its member's links to the rest.
+    """
     diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
-    if cert.ok:
-        return _greedy_pack(g, diagnostics)
-    subset = cert.violating_subset
-    inside = set(subset)
-    rest = tuple(v for v in g.sorted_nodes() if v not in inside)
-    diagnostics["splits"].append({"subset": list(subset), "depth": depth})
-    remainder = induced_subgraph(g, rest)
-    if depth == SPLIT_DEPTH or not is_connected(remainder):
+    if found is None:
+        return _greedy_pack(view, diagnostics)
+    labels, scale, links = view
+    chosen = found[0]
+    members = [labels[j] for j in chosen]
+    diagnostics["splits"].append({"subset": members, "depth": depth})
+    if depth == SPLIT_DEPTH:
+        raise _SplitFailed(f"splits nest more than {SPLIT_DEPTH} deep")
+    inside = set(chosen)
+    rest = [v for v in range(len(labels)) if v not in inside]
+    merged = _block_labels([[x] for x in members] + [[labels[v] for v in rest]])[-1]
+    at = bisect_left(members, merged)  # the merged node's index in the contraction
+    slot = [at] * len(labels)  # each node's index in its part
+    for k, v in enumerate(rest):
+        slot[v] = k
+    for k, v in enumerate(chosen):
+        slot[v] = k + (k >= at)
+    kept, joined = [], {}
+    for i, j, w in links:
+        if i in inside or j in inside:
+            a = slot[i] if i in inside else at
+            b = slot[j] if j in inside else at
+            pair = (a, b) if a < b else (b, a)
+            joined[pair] = joined.get(pair, 0) + w
+        else:
+            kept.append((slot[i], slot[j], w))
+    if len(spanning_forest(range(len(rest)), [(i, j) for i, j, w in kept if w])) < len(rest) - 1:
         raise _SplitFailed(
-            f"splits nest more than {SPLIT_DEPTH} deep" if depth == SPLIT_DEPTH
-            else f"remainder network on {list(rest)} is not connected; cannot split"
+            f"remainder network on {[labels[v] for v in rest]} is not connected; cannot split"
         )
-    contracted = contract(g, cert.partition)
-    merged_label = contracted.node_ids[cert.partition.blocks.index(rest)]
-    pk_contracted, pk_remainder = (
-        _general_pack(part, check_no_bottleneck(part), diagnostics, depth + 1)
+    contracted = (*members[:at], merged, *members[at:]), scale, [
+        (a, b, w) for (a, b), w in sorted(joined.items())
+    ]
+    remainder = (tuple(labels[v] for v in rest), scale, kept)
+    packings = [
+        _split_pack(part, _subset_scan(len(part[0]), part[2]), diagnostics, depth + 1)
         for part in (contracted, remainder)
-    )
-    return _splice(g, inside, merged_label, pk_contracted, pk_remainder)
+    ]
+    return _splice(view, chosen, rest, at, *packings)
 
 
-def _splice(
-    g: WeightedGraph,
-    inside: set[str],
-    merged_label: str,
-    pk_contracted: TreePacking,
-    pk_remainder: TreePacking,
-) -> TreePacking:
-    """Combine sub-packings of the contraction and the remainder network.
+def _splice(view: tuple, chosen, rest: list, at: int, contracted: tuple, remainder: tuple) -> tuple:
+    """Combine index packings of a split's contraction and remainder into one of ``view``.
 
-    With whole rates this cannot fail: each side, being connected, packs
-    a tree; a contracted edge ``(x, merged)`` carries at most what ``x``'s
+    Node ``at`` of the contraction is the merged node and its others are
+    the ``chosen`` nodes in order; node ``k`` of the remainder is
+    ``rest[k]``.  Instances pair up by sorted index over a common round
+    count, and each contracted pair at the merged node becomes the first
+    cross pair, in key order, of its other end with capacity left.  With
+    whole rates this cannot fail: each side, being connected, packs a
+    tree; a contracted edge ``(x, merged)`` carries at most what ``x``'s
     cross edges' capacities add up to; and each contracted tree, its
     merged node replaced by a remainder tree, spans the network.
     """
-    rounds = math.lcm(pk_contracted.rounds, pk_remainder.rounds)
-    contracted_instances, remainder_instances = (
-        [tree for _, _, tree in pk.instances() for _ in range(rounds // pk.rounds)]
-        for pk in (pk_contracted, pk_remainder)
-    )
-    capacity = _floors(g, rounds)
-    used: Counter = Counter()
-    # cross edges available to each subset node, lexicographic
-    cross_of: dict[str, list[EdgeKey]] = {v: [] for v in inside}
-    for e in g.edges:
-        if (e.u in inside) != (e.v in inside):
-            v = e.u if e.u in inside else e.v
-            cross_of[v].append(e.key)
-    merged_trees = []
-    for tree_c, tree_r in zip(contracted_instances, remainder_instances):
-        edges = list(tree_r.edges)
-        for u, v in tree_c.edges:
-            if merged_label in (u, v):
-                anchor = v if u == merged_label else u
-                key = next(key for key in cross_of[anchor] if used[key] < capacity[key])
-                used[key] += 1
-                edges.append(key)
-            else:
-                edges.append((u, v))
-        merged_trees.append(edges)
-    return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)
+    _, scale, links = view
+    rounds = math.lcm(contracted[1], remainder[1])
+    up = [*chosen[:at], None, *chosen[at:]]  # each contraction node's node in view
+    inside = set(chosen)
+    # cross pairs available to each subset node, in key order; first[x]
+    # is the first of x's with spare capacity, for none before it has any
+    cross_of: dict[int, list] = {v: [] for v in chosen}
+    spare = {}
+    for i, j, w in links:
+        if (i in inside) != (j in inside):
+            cross_of[i if i in inside else j].append((i, j))
+            spare[(i, j)] = rounds * w // scale
+    first = dict.fromkeys(chosen, 0)
+    # each distinct tree's pairs in view, once: a contracted tree's pairs
+    # inside I, and the other ends of its pairs at the merged node
+    own_r = {t: [(rest[a], rest[b]) for a, b in t] for t in remainder[0]}
+    own_c = {
+        t: ([(up[a], up[b]) for a, b in t if at not in (a, b)],
+            [up[a if b == at else b] for a, b in t if at in (a, b)])
+        for t in contracted[0]
+    }
+    merged_trees: Counter = Counter()
+    for tree_c, tree_r in zip(*(
+        [t for t in sorted(trees) for _ in range(trees[t] * (rounds // r))]
+        for trees, r in (contracted, remainder)
+    )):
+        inner, anchors = own_c[tree_c]
+        edges = own_r[tree_r] + inner
+        for x in anchors:
+            keys, k = cross_of[x], first[x]
+            while not spare[keys[k]]:
+                k += 1
+            first[x] = k
+            spare[keys[k]] -= 1
+            edges.append(keys[k])
+        edges.sort()
+        merged_trees[tuple(edges)] += 1
+    return merged_trees, rounds

@@ -74,9 +74,9 @@ class KeyMaterial:
     algorithm = PRNG_ALGORITHM
 
     def __init__(self, pools: Mapping[EdgeKey, Sequence[int]], seed=None):
-        self.pools = {k: tuple(map(int, pools[k])) for k in sorted(pools)}
+        self.pools = {k: tuple(pools[k]) for k in sorted(pools)}
         for key, pool in self.pools.items():
-            if not set(pool) <= {0, 1}:
+            if pool.count(0) + pool.count(1) != len(pool):
                 raise InvalidEdgeError(f"non-bit key material on edge {key}")
         self.seed = seed
 

@@ -480,15 +480,47 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     Before the walk, when ``N**3 <= SUBSET_BUDGET`` (so ``N <= 128`` and
     at most about 40 ms), :func:`_cut_certifies` may prove from the
     least degrees and one minimum cut that no subset violates, and the
-    walk's own answer, no violator, is returned without it.
+    walk's own answer, no violator, is returned without it.  The cut and
+    the walk are :func:`_subset_scan` over the integer links, which the
+    packers call on their node indices.
 
     Raises:
         TrivialNetworkError / DisconnectedError: as for rates.
         ExactModeLimitError: the walk passed ``SUBSET_BUDGET``.
     """
     _require_rateable(g)
-    n = g.node_count
     labels, scale, links = g.integer_links()
+    n = len(labels)
+    total = sum(x for _, _, x in links)
+    network_bound = Fraction(total, scale * (n - 1))
+    found = _subset_scan(n, links)
+    if found is None:
+        return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
+    chosen, attach = found
+    size = len(chosen)
+    return BottleneckCertificate(
+        violating_subset=tuple(labels[j] for j in chosen),
+        network_bound=network_bound,
+        attachment_bound=Fraction(attach, scale * size),
+        subnetwork_bound=(
+            Fraction(total - attach, scale * (n - size - 1)) if size < n - 1 else None
+        ),
+        partition=_violator_partition(labels, chosen),
+    )
+
+
+def _subset_scan(n: int, links) -> Optional[tuple[tuple[int, ...], int]]:
+    """:func:`check_no_bottleneck`'s scan on the nodes ``0..n-1`` of integer ``links``.
+
+    ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once,
+    on two or more nodes that the positive weights connect: the callers
+    test that, once per network.  Returns None when no subset is a
+    bottleneck, or the first violator's members, ascending, and its
+    attachment ``attach(I)``.
+
+    Raises:
+        ExactModeLimitError: the walk passed ``SUBSET_BUDGET``.
+    """
     degree = [0] * n
     upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
     for i, j, x in links:
@@ -497,9 +529,8 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
         if x:
             upper[i].append((j, x))
     total = sum(degree) // 2
-    network_bound = Fraction(total, scale * (n - 1))
     if n ** 3 <= SUBSET_BUDGET and _cut_certifies(degree, links):
-        return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
+        return None
     chosen: list[int] = []
     # to_chosen[j]: weight from j to the members chosen, for every j above them
     to_chosen = [0] * n
@@ -535,21 +566,15 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
     for k in range(1, n):
         attach = search(k, 0, 0)
         if attach is not None:
-            break
-    else:
-        return BottleneckCertificate(violating_subset=None, network_bound=network_bound)
-    size = len(chosen)
-    subset = tuple(labels[j] for j in chosen)
-    rest = [v for i, v in enumerate(labels) if i not in chosen]
-    return BottleneckCertificate(
-        violating_subset=subset,
-        network_bound=network_bound,
-        attachment_bound=Fraction(attach, scale * size),
-        subnetwork_bound=(
-            Fraction(total - attach, scale * (n - size - 1)) if size < n - 1 else None
-        ),
-        partition=VertexPartition.from_blocks([[v] for v in subset] + [rest]),
-    )
+            return tuple(chosen), attach
+    return None
+
+
+def _violator_partition(labels: tuple[str, ...], chosen) -> VertexPartition:
+    """The partition that singles out the nodes ``chosen`` and keeps the rest as one block."""
+    inside = set(chosen)
+    rest = [v for i, v in enumerate(labels) if i not in inside]
+    return VertexPartition.from_blocks([[labels[j]] for j in chosen] + [rest])
 
 
 def triangle_rate(r12: Fraction, r13: Fraction, r23: Fraction) -> Fraction:

@@ -40,6 +40,13 @@ Two oracles reach the library's answers by another route altogether:
 * :func:`count_spanning_trees` -- the matrix-tree theorem, the number
   of trees :func:`qnet_stp.enumerate_spanning_trees` must yield.
 
+:func:`general_packing`, :func:`basic_packing` and :func:`oracle_packing`
+are the library's packers as they ran on labels: each split a network
+built by ``induced_subgraph`` and ``contract`` and scanned by
+``check_no_bottleneck``, each tree a ``SpanningTree``.  The library runs
+the same steps on node indices and must give the same packings,
+diagnostics and errors.
+
 :func:`partition_scan` is the library's partition scan pruned by the
 static per-node bound alone, not the tight one; it reaches sizes past
 :func:`nwt_rate` and checks the tight scan's results, tie-breaks and
@@ -55,8 +62,10 @@ inputs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
@@ -82,11 +91,14 @@ from qnet_stp.errors import (
 from qnet_stp.lp_core import _simplex_max
 from qnet_stp.netgraph import (
     SpanningTree,
+    _tree_walk,
     capacities,
     format_rational,
+    integer_rates,
     proper_vertex_subsets,
+    spanning_forest,
 )
-from qnet_stp.packing import _exact_fallback
+from qnet_stp.packing import _proved
 from qnet_stp.planner import (
     BottleneckReport,
     Plan,
@@ -866,8 +878,8 @@ def greedy_pack(g) -> PackingOutcome:
     """The greedy packer of :func:`qnet_stp.basic_algorithm`, searching for
     the next-to-last tree among every spanning tree of the residual support,
     sorted by descending residual weight, then by edge keys, and tried in
-    turn up to ``packing.BACKTRACK_BUDGET``; the exact fallback is the
-    library's.  A tree that misses a weight-2 edge leaves that edge in the
+    turn up to ``packing.BACKTRACK_BUDGET``; the exact fallback is
+    :func:`exact_fallback`.  A tree that misses a weight-2 edge leaves that edge in the
     residual, so it fails without being a candidate: when the search gives
     up, ``backtracks`` counts only the tried trees that hold every one."""
     n = g.node_count - 1
@@ -881,7 +893,7 @@ def greedy_pack(g) -> PackingOutcome:
     chosen = []
 
     def fallback(reason):
-        packing, _ = _exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)
+        packing, _ = exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)
         return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
 
     def take(tree, amount):
@@ -924,6 +936,199 @@ def greedy_pack(g) -> PackingOutcome:
             return fallback("no next-to-last tree leaves a clean final tree")
     packing = TreePacking.multigraph(chosen, [1] * len(chosen), n)
     return PackingOutcome(packing=packing, optimal=True, diagnostics=diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# the packers on labels
+# ---------------------------------------------------------------------------
+
+# The library's general and greedy packers, the fallback descent and the
+# oracle's producer as they ran on labels: each split builds its
+# remainder with induced_subgraph and its contraction with contract,
+# each network is a WeightedGraph scanned by check_no_bottleneck, and
+# every tree is a SpanningTree merged by TreePacking.multigraph.  The
+# exact packer, the partition scan and the budgets are the library's.
+
+
+class SplitFailed(Exception):
+    """A split of :func:`general_pack` cannot go on."""
+
+
+def descend(g, rounds, target, fixed_rounds):
+    """``(packing, last refusing partition or None, calls)`` of ``exact_packing``."""
+    capacity = capacities(g, rounds)
+    refusal = None
+    calls = 0
+    while target:
+        calls += 1
+        try:
+            return qnet_stp.exact_packing(g, rounds, target), refusal, calls
+        except HeuristicFailedError as exc:
+            if exc.partition is None:
+                raise
+            refusal = exc.partition
+        if fixed_rounds:
+            block = refusal.block_of()
+            crossing = sum(m for (u, v), m in capacity.items() if block[u] != block[v])
+            target = crossing // (refusal.block_count - 1)
+        else:
+            rate = qnet_stp.partition_bound(g, refusal)
+            rounds, target = rate.denominator, rate.numerator
+    return TreePacking.multigraph([], [], rounds), refusal, calls
+
+
+def exact_fallback(g, rate, reason, diagnostics):
+    """Packing and witness of :func:`descend` from ``rate``, flagged in diagnostics."""
+    diagnostics["fallback"] = True
+    diagnostics["fallback_reason"] = reason
+    return descend(g, rate.denominator, rate.numerator, fixed_rounds=False)[:2]
+
+
+def oracle_packing(g, rounds):
+    """``brute_force_packing``'s ``(packing, witness, diagnostics)`` on labels."""
+    capacity = capacities(g, rounds)
+    _require_rateable(g)
+    degree = dict.fromkeys(g.node_ids, 0)
+    for (u, v), m in capacity.items():
+        degree[u] += m
+        degree[v] += m
+    target = min(sum(capacity.values()) // (g.node_count - 1), *degree.values())
+    packing, witness, calls = descend(g, rounds, target, fixed_rounds=True)
+    return packing, witness, {"packer_calls": calls}
+
+
+def label_greedy_pack(g, diagnostics) -> TreePacking:
+    """The greedy of ``basic_algorithm`` on a network its checks passed, keyed by labels."""
+    n = g.node_count - 1
+    _, _, links = g.integer_links()
+    total_trees = sum(x for _, _, x in links)
+    budget = qnet_stp.packing.EXACT_STEP_BUDGET
+    if total_trees * (len(links) + g.node_count) > budget:
+        raise HeuristicFailedError(f"extracting {total_trees} trees passes the budget of {budget} steps")
+    keys = [e.key for e in g.edges]
+    ends = [(i, j) for i, j, _ in links]
+    edge_of = {pair: e for e, pair in enumerate(ends)}
+    m = len(links)
+    code = [e - n * x * m for e, (_, _, x) in enumerate(links)]
+    chosen = []
+
+    def fallback(reason):
+        return exact_fallback(g, Fraction(total_trees, n), reason, diagnostics)[0]
+
+    for _ in range(total_trees - 2 if total_trees > 1 else 1):
+        order = sorted(code)
+        del order[bisect_left(order, 0):]
+        forest = spanning_forest(range(n + 1), map(ends.__getitem__, map(m.__rmod__, order)))
+        if len(forest) < n:
+            return fallback("positive-weight edges no longer span the network")
+        picked = sorted([edge_of[pair] for pair in forest])
+        chosen.append(SpanningTree(tuple([keys[e] for e in picked])))
+        for e in picked:
+            code[e] += m
+    if total_trees > 1:
+        residual = [(ends[e], (e - c) // m) for e, c in enumerate(code) if c < 0]
+        if len(spanning_forest(range(n + 1), [pair for pair, _ in residual])) < n:
+            return fallback("positive-weight edges no longer span the network")
+        twos = [pair for pair, w in residual if w == 2]
+        rest = [pair for pair, w in residual if w != 2]
+        for candidate in itertools.islice(_tree_walk(n + 1, rest, twos),
+                                          qnet_stp.packing.BACKTRACK_BUDGET):
+            diagnostics["backtracks"] += 1
+            held = set(candidate)
+            last = [pair for pair, w in residual if w - (pair in held) == 1]
+            if len(last) == n and len(spanning_forest(range(n + 1), last)) == n:
+                chosen += [SpanningTree(tuple([keys[edge_of[pair]] for pair in tree]))
+                           for tree in (candidate, last)]
+                break
+        else:
+            return fallback("no next-to-last tree leaves a clean final tree")
+    return TreePacking.multigraph(chosen, [1] * len(chosen), n)
+
+
+def basic_packing(g) -> PackingOutcome:
+    """``basic_algorithm`` on labels."""
+    _require_rateable(g)
+    integer_rates(g, "this algorithm needs integer rates")
+    cert = qnet_stp.check_no_bottleneck(g)
+    if not cert.ok:
+        raise PreconditionFailedError(
+            f"bottleneck at subset {cert.violating_subset}; use the general algorithm"
+        )
+    diagnostics = {"backtracks": 0, "fallback": False}
+    return _proved(g, label_greedy_pack(g, diagnostics), None, diagnostics)
+
+
+def general_packing(g):
+    """``general_algorithm``'s ``(packing, witness, diagnostics)`` on labels."""
+    _require_rateable(g)
+    integer_rates(g, "this algorithm needs integer rates")
+    diagnostics = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
+    cert = qnet_stp.check_no_bottleneck(g)
+    try:
+        return general_pack(g, cert, diagnostics, 0), cert.partition, diagnostics
+    except SplitFailed as exc:
+        try:
+            bound = qnet_stp.partition_bound(g, cert.partition)
+            packing, refusal = exact_fallback(g, bound, str(exc), diagnostics)
+        except HeuristicFailedError as stop:
+            raise HeuristicFailedError(
+                f"splice failed ({exc}) and the exact packer stopped: {stop}"
+            ) from stop
+    return packing, refusal or cert.partition, diagnostics
+
+
+def general_pack(g, cert, diagnostics, depth) -> TreePacking:
+    """Pack ``g`` given ``cert``, its bottleneck scan."""
+    diagnostics["recursion_depth"] = max(diagnostics["recursion_depth"], depth)
+    if cert.ok:
+        return label_greedy_pack(g, diagnostics)
+    subset = cert.violating_subset
+    inside = set(subset)
+    rest = tuple(v for v in g.sorted_nodes() if v not in inside)
+    diagnostics["splits"].append({"subset": list(subset), "depth": depth})
+    remainder = qnet_stp.induced_subgraph(g, rest)
+    depth_cap = qnet_stp.packing.SPLIT_DEPTH
+    if depth == depth_cap or not is_connected(remainder, positive_only=True):
+        raise SplitFailed(
+            f"splits nest more than {depth_cap} deep" if depth == depth_cap
+            else f"remainder network on {list(rest)} is not connected; cannot split"
+        )
+    contracted = contract(g, cert.partition)
+    merged_label = contracted.node_ids[cert.partition.blocks.index(rest)]
+    pk_contracted, pk_remainder = (
+        general_pack(part, qnet_stp.check_no_bottleneck(part), diagnostics, depth + 1)
+        for part in (contracted, remainder)
+    )
+    return splice(g, inside, merged_label, pk_contracted, pk_remainder)
+
+
+def splice(g, inside, merged_label, pk_contracted, pk_remainder) -> TreePacking:
+    """Combine sub-packings of the contraction and the remainder network."""
+    rounds = math.lcm(pk_contracted.rounds, pk_remainder.rounds)
+    contracted_instances, remainder_instances = (
+        [tree for _, _, tree in pk.instances() for _ in range(rounds // pk.rounds)]
+        for pk in (pk_contracted, pk_remainder)
+    )
+    capacity = capacities(g, rounds)
+    used = collections.Counter()
+    cross_of = {v: [] for v in inside}
+    for e in g.edges:
+        if (e.u in inside) != (e.v in inside):
+            v = e.u if e.u in inside else e.v
+            cross_of[v].append(e.key)
+    merged_trees = []
+    for tree_c, tree_r in zip(contracted_instances, remainder_instances):
+        edges = list(tree_r.edges)
+        for u, v in tree_c.edges:
+            if merged_label in (u, v):
+                anchor = v if u == merged_label else u
+                key = next(key for key in cross_of[anchor] if used[key] < capacity[key])
+                used[key] += 1
+                edges.append(key)
+            else:
+                edges.append((u, v))
+        merged_trees.append(edges)
+    return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)
 
 
 def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:

@@ -232,10 +232,11 @@ def test_rate_descent_ends_at_the_network_rate(tri_pendant):
     # down to the pendant's bound 1, the rate: the last call is the exact
     # packer's at the rate, and the partition that refused before it
     # proves that rate
-    pk, refusal, calls = packing._descend(tri_pendant, 1, 3, fixed_rounds=False)
-    assert pk == exact_packing(tri_pendant, 1, 1)
-    assert (str(refusal), calls) == ("{1,2,3}{4}", 3)
-    assert packing._descend(tri_pendant, 1, 1, fixed_rounds=False) == (pk, None, 1)
+    view = labels, _, _ = tri_pendant.integer_links()
+    pk, refusal, calls = packing._descend(view, 1, 3, fixed_rounds=False)
+    assert packing._labelled(labels, pk) == exact_packing(tri_pendant, 1, 1)
+    assert (str(VertexPartition.from_rgs(labels, refusal)), calls) == ("{1,2,3}{4}", 3)
+    assert packing._descend(view, 1, 1, fixed_rounds=False) == (pk, None, 1)
 
 
 def test_oracle_descends_along_refuting_partitions():
@@ -565,9 +566,9 @@ def test_basic_checks_its_optimal_flag(monkeypatch):
     # 1, is below the finest bound 4/3, and the partition scan refutes it
     real = packing._greedy_pack
 
-    def one_short(g, diagnostics):
-        pk = real(g, diagnostics)
-        return TreePacking.multigraph(pk.trees[1:], pk.multiplicities[1:], pk.rounds)
+    def one_short(view, diagnostics):
+        trees, rounds = real(view, diagnostics)
+        return {t: trees[t] for t in sorted(trees)[1:]}, rounds
 
     monkeypatch.setattr(packing, "_greedy_pack", one_short)
     g = ring(4)
@@ -647,13 +648,13 @@ def test_general_recurses_twice_on_hub_fixture(two_cliques_hub):
 
 def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
     from qnet_stp import rate_core
-    from qnet_stp.rate_core import _partition_scan, check_no_bottleneck
+    from qnet_stp.rate_core import _partition_scan, _subset_scan
 
     scanned, rates, cutoffs = [], [], []
 
-    def counting_check(g, **kwargs):
-        scanned.append(g.node_count)
-        return check_no_bottleneck(g, **kwargs)
+    def counting_check(n, links):
+        scanned.append(n)
+        return _subset_scan(n, links)
 
     def counting_rate(n, links, cutoff=None):
         rates.append(n)
@@ -663,7 +664,7 @@ def test_packers_scan_each_network_once(square_diag_tail, monkeypatch):
         cutoffs.append(cutoff)
         return _partition_scan(n, links, cutoff)
 
-    monkeypatch.setattr(packing, "check_no_bottleneck", counting_check)
+    monkeypatch.setattr(packing, "_subset_scan", counting_check)
     # the rate scan, wherever it is called from
     monkeypatch.setattr(rate_core, "_partition_scan", counting_rate)
     monkeypatch.setattr(packing, "_partition_scan", counting_scan)

@@ -32,12 +32,13 @@ from qnet_stp import (
     nwt_rate,
     partition_bound,
     secrecy_audit,
+    WeightedGraph,
     validate_packing,
 )
 from qnet_stp import packing, rate_core
-from qnet_stp.errors import DisconnectedError, HeuristicFailedError
+from qnet_stp.errors import DisconnectedError, HeuristicFailedError, QNetError
 from qnet_stp.netgraph import capacities, spanning_forest
-from qnet_stp.packing import _optimal_flag
+from qnet_stp.packing import _optimal_flag, _proved
 from qnet_stp.protocol import consumption_schedule
 from qnet_stp.rate_core import _partition_scan
 
@@ -636,6 +637,104 @@ def test_greedy_pack_matches_reference(monkeypatch, budget):
     assert reasons[None] > 40
     assert reasons["no next-to-last tree leaves a clean final tree"] > 0
 
+
+
+def packer_pairs(g, rounds):
+    """Each packer's answer on ``g`` beside the label reference's: its
+    JSON (or, for ``_general_packing``, its packing, witness and
+    diagnostics), or the class and message of the error it raised."""
+    def answer(run):
+        try:
+            return run()
+        except QNetError as exc:
+            return type(exc), str(exc)
+
+    return [
+        (answer(lambda: general_algorithm(g).to_json_dict()),
+         answer(lambda: _proved(g, *reference_scans.general_packing(g)).to_json_dict())),
+        (answer(lambda: packing._general_packing(g)),
+         answer(lambda: reference_scans.general_packing(g))),
+        (answer(lambda: basic_algorithm(g).to_json_dict()),
+         answer(lambda: reference_scans.basic_packing(g).to_json_dict())),
+        (answer(lambda: brute_force_packing(g, rounds).to_json_dict()),
+         answer(lambda: _proved(g, *reference_scans.oracle_packing(g, rounds)).to_json_dict())),
+    ]
+
+
+def assert_packers_match_reference(g, rounds, seen):
+    """The packers agree with the label reference on ``g``; ``seen`` tallies what they did."""
+    pairs = packer_pairs(g, rounds)
+    for got, expected in pairs:
+        assert got == expected, g.to_json()
+    general = pairs[0][0]
+    if isinstance(general, tuple):
+        seen[general[0].__name__] += 1
+        return
+    diagnostics = general["diagnostics"]
+    seen["split"] += bool(diagnostics["splits"])
+    seen["nested split"] += diagnostics["recursion_depth"] > 1
+    reason = diagnostics.get("fallback_reason", "")
+    seen["split fallback"] += reason.endswith("cannot split")
+    seen["depth fallback"] += reason.startswith("splits nest")
+    seen["greedy fallback"] += reason.startswith(("no next-to-last", "positive-weight"))
+    seen["not optimal"] += general["optimal"] is False
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_packers_on_node_indices_match_the_label_reference(seed, monkeypatch):
+    # 500 networks a seed, 2 to 10 nodes at rates 0 to 3: the general,
+    # greedy and oracle packers and the general producer give the label
+    # reference's packings, witnesses, diagnostics and errors; the last
+    # seed lets splits nest one deep, so the depth fallback runs too
+    if seed == 4:
+        monkeypatch.setattr(packing, "SPLIT_DEPTH", 1)
+    rng = random.Random(3700 + seed)
+    seen = collections.Counter()
+    for _ in range(500):
+        g = random_connected_graph(rng, max_nodes=10, max_extra=12, rates=(0, 1, 2, 3))
+        assert_packers_match_reference(g, rng.randint(1, 3), seen)
+    expected = ("depth fallback",) if seed == 4 else ("nested split", "not optimal")
+    assert min(seen[k] for k in (
+        "split", "split fallback", "greedy fallback", "DisconnectedError", *expected
+    )) > 0, seen
+
+
+#: Labels whose joins collide with a member (``1+2``, then ``1+2#1``) or
+#: sort between members.
+COLLIDING_LABELS = ("1", "2", "1+2", "1+2#1", "a-b", "\u00e9")
+
+
+def test_packers_match_the_label_reference_on_colliding_labels(monkeypatch):
+    # the merged node takes contract's label, so it sorts, and packs, as
+    # it did on labels: also when its join is a member's label and takes
+    # a suffix, and when it sorts between the members
+    merged = collections.Counter()
+    real = packing._block_labels
+
+    def recording(blocks):
+        labels = real(blocks)
+        members, joined = labels[:-1], "+".join(blocks[-1])
+        merged["suffixed"] += labels[-1] != joined
+        merged["between"] += members[0] < labels[-1] < members[-1]
+        return labels
+
+    monkeypatch.setattr(packing, "_block_labels", recording)
+    seen = collections.Counter()
+    # the second split, of {1, 1+2, 1+2#1, 2} on {1+2, 1+2#1}, merges 1
+    # and 2 into 1+2#2, which sorts after both members; unsuffixed, 1+2
+    # would sort first, and the packing printed would differ
+    assert_packers_match_reference(WeightedGraph(
+        ["1", "2", "1+2", "1+2#1", "a-b"],
+        [("1", "1+2", 0), ("1", "1+2#1", 1), ("1", "2", 3), ("1+2", "1+2#1", 2), ("1+2", "a-b", 1)],
+    ), 1, seen)
+    rng = random.Random(3737)
+    for _ in range(1000):
+        g = random_connected_graph(rng, max_nodes=6, max_extra=8, rates=(0, 1, 2, 3))
+        name = dict(zip(g.node_ids, rng.sample(COLLIDING_LABELS, g.node_count)))
+        g = WeightedGraph([name[v] for v in g.node_ids],
+                          [(name[e.u], name[e.v], e.rate) for e in g.edges])
+        assert_packers_match_reference(g, rng.randint(1, 3), seen)
+    assert min(merged["suffixed"], merged["between"], seen["split"]) > 0, (merged, seen)
 
 def square_diag_tail(n):
     """A square with a diagonal, plus a tail path from its first to its second corner."""
