@@ -376,40 +376,35 @@ def integer_rates(g: WeightedGraph, need: str) -> None:
         raise PreconditionFailedError(f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; {need}")
 
 
-def spanning_forest(nodes: Iterable[str], keys: Iterable[EdgeKey]) -> list[EdgeKey]:
-    """Kruskal over ``keys`` in the given order: the keys that join two components.
+def spanning_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Kruskal over ``pairs`` in the given order: the pairs that join two components.
 
-    Every endpoint must be one of ``nodes``, which may be any hashable
-    labels (the secrecy audit's are key-bit positions).  The result is
-    a spanning tree of ``nodes`` exactly when it has ``len(nodes) - 1``
-    keys; the scan stops once it has.  Nodes given as ``range(n)``, the
-    node indices of the exact scans and packers, keep their parents in a
-    list; any others in a dict.
+    The nodes are ``0..n-1``, with their parents in one list: the node
+    indices of :meth:`WeightedGraph.integer_links` (sorted-label order),
+    of a contracted or split network, or the secrecy audit's key-bit
+    positions.  The result is a spanning tree of the nodes exactly when
+    it has ``n - 1`` pairs; the scan stops once it has.
     """
-    if isinstance(nodes, range) and nodes == range(len(nodes)):
-        parent = list(nodes)
-    else:
-        parent = {v: v for v in nodes}
-    size = len(parent) - 1
-    forest: list[EdgeKey] = []
-    for key in keys:
-        u, v = key
+    parent = list(range(n))
+    forest: list[tuple[int, int]] = []
+    for pair in pairs:
+        u, v = pair
         while parent[u] != u:  # each end to its root, halving the path
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         if u != v:
             parent[u] = v
-            forest.append(key)
-            if len(forest) == size:
+            forest.append(pair)
+            if len(forest) == n - 1:
                 break
     return forest
 
 
 def is_connected(g: WeightedGraph) -> bool:
     """True when ``g``'s positive-rate edges connect all its nodes."""
-    keys = (e.key for e in g.edges if e.rate)
-    return len(spanning_forest(g.node_ids, keys)) == g.node_count - 1
+    pairs = ((i, j) for i, j, w in g.integer_links()[2] if w)
+    return len(spanning_forest(g.node_count, pairs)) == g.node_count - 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +471,6 @@ class VertexPartition(NamedTuple):
 def _check_partition_of(g: WeightedGraph, p: VertexPartition) -> None:
     if p.vertices() != set(g.node_ids):
         raise InvalidPartitionError("partition does not cover exactly the graph's nodes")
-
-
-def cross_edges(g: WeightedGraph, p: VertexPartition) -> tuple[Edge, ...]:
-    """Edges of ``g`` whose endpoints lie in different blocks of ``p``."""
-    _check_partition_of(g, p)
-    block = p.block_of()
-    return tuple(e for e in g.edges if block[e.u] != block[e.v])
 
 
 def contract(g: WeightedGraph, p: VertexPartition) -> WeightedGraph:
@@ -606,11 +594,10 @@ SpanningTree._make = classmethod(lambda cls, iterable: cls(*iterable))
 def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:
     """True when ``tree`` uses edges of ``g`` and spans every node acyclically."""
     keys = tree.edges
-    return (
-        len(keys) == g.node_count - 1
-        and all(g.has_edge(u, v) for u, v in keys)
-        and len(spanning_forest(g.node_ids, keys)) == len(keys)
-    )
+    if len(keys) != g.node_count - 1 or not all(g.has_edge(u, v) for u, v in keys):
+        return False
+    index = {v: i for i, v in enumerate(g.integer_links()[0])}
+    return len(spanning_forest(g.node_count, [(index[u], index[v]) for u, v in keys])) == len(keys)
 
 
 def enumerate_spanning_trees(
@@ -670,7 +657,7 @@ def _tree_walk(n: int, keys: list, fixed: list) -> Iterator[list]:
     while branches:
         k, chosen, label, excluded = branches.pop()
         if excluded:
-            joins = spanning_forest(set(label), [(label[i], label[j]) for i, j in keys[k:]])
+            joins = spanning_forest(n, [(label[i], label[j]) for i, j in keys[k:]])
             if len(joins) < need - len(chosen):
                 continue
         if len(chosen) == need:
@@ -706,5 +693,7 @@ def capacities(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
 
 
 def _floors(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
-    """:func:`capacities` for a round count already checked (a packing's, say)."""
-    return {e.key: rounds * e.rate.numerator // e.rate.denominator for e in g.edges}
+    """:func:`capacities` for a round count already checked (a packing's, say),
+    as the packers compute it: ``rounds * w // scale`` on the integer links."""
+    _, scale, links = g.integer_links()
+    return {e.key: rounds * w // scale for e, (_, _, w) in zip(g.edges, links)}

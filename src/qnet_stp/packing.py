@@ -28,9 +28,9 @@ optimal packing.  Besides validation this module provides:
 
 Each packer reads its network's :meth:`~WeightedGraph.integer_links`
 once.  The splits, the greedy, the splices and the exact packer all run
-on node indices, with trees as sorted tuples of index pairs; labels
-appear only at the exits, in the one :class:`TreePacking` each result
-builds, its witness partition and its diagnostics.
+on node indices, with trees as sorted tuples of index pairs and optimality
+witnesses as each node's block; labels appear only at the exits, in the
+one :class:`TreePacking` each result builds and its diagnostics.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ from .netgraph import (
     spanning_forest,
 )
 from .rate_core import (
+    _crossing,
     _partition_scan,
     _require_rateable,
     _subset_scan,
-    _violator_partition,
-    finest_bound,
-    partition_bound,
+    _violator_blocks,
 )
 
 #: Most steps :func:`exact_packing` takes, 0.3 to 0.45 s of work.  A
@@ -296,8 +295,7 @@ def _oracle_packing(g: WeightedGraph, rounds: int) -> tuple:
         total += m
     target = min(total // (len(labels) - 1), *degree)
     packing, refusal, calls = _descend(view, rounds, target, fixed_rounds=True)
-    witness = None if refusal is None else VertexPartition.from_rgs(labels, refusal)
-    return _labelled(labels, packing), witness, {"packer_calls": calls}
+    return _labelled(labels, packing), refusal, {"packer_calls": calls}
 
 
 def _descend(view: tuple, rounds: int, target: int, fixed_rounds: bool) -> tuple:
@@ -323,7 +321,7 @@ def _descend(view: tuple, rounds: int, target: int, fixed_rounds: bool) -> tuple
         if fixed_rounds:
             target = sum(rounds * w // scale for i, j, w in links if root[i] != root[j]) // gaps
         else:
-            rate = Fraction(sum(w for i, j, w in links if root[i] != root[j]), scale * gaps)
+            rate = Fraction(_crossing(links, root), scale * gaps)
             rounds, target = rate.denominator, rate.numerator
     return ({}, rounds), refusal, calls
 
@@ -333,22 +331,22 @@ def _proved(g: WeightedGraph, packing: TreePacking, witness, diagnostics: dict) 
     return PackingOutcome(packing, _optimal_flag(g, packing_rate(packing), witness), diagnostics)
 
 
-def _optimal_flag(
-    g: WeightedGraph, rate: Fraction, witness: Optional[VertexPartition] = None
-) -> Optional[bool]:
+def _optimal_flag(g: WeightedGraph, rate: Fraction, witness=None) -> Optional[bool]:
     """Whether a packing ``rate`` equals the network's rate, or None if unknown.
 
     ``rate`` must come from a valid packing, so it never exceeds the
     rate.  A partition whose bound equals it proves it optimal: the
-    finest partition, then ``witness`` (say, a bottleneck certificate's
-    partition), both in linear time and at any size.  Otherwise the
+    finest partition, then ``witness``, each node's block (a violator's
+    partition, say, or a refusal's ``root`` list), both one linear
+    :func:`~.rate_core._crossing` on the integer links.  Otherwise the
     partition scan runs with ``rate`` as its cutoff: the partition it
     returns has a value at most ``rate`` iff ``rate`` is optimal.  A scan
     that passes its budget answers None.
     """
-    if rate == finest_bound(g) or (witness is not None and rate == partition_bound(g, witness)):
-        return True
     labels, scale, links = g.integer_links()
+    for block in (range(len(labels)), witness):  # the finest partition, then the witness
+        if block is not None and _crossing(links, block) == rate * scale * (len(set(block)) - 1):
+            return True
     try:
         cross, pm1, _ = _partition_scan(len(labels), links, rate * scale)
     except ExactModeLimitError:
@@ -436,7 +434,7 @@ def _exact_pack(view: tuple, rounds: int, target: int) -> tuple:
     spend(2 * n * target)
     while len(forests) < target:
         offered = [p for p, m in spare.items() if m]
-        forest = spanning_forest(range(n), offered)
+        forest = spanning_forest(n, offered)
         copies = min([spare[p] for p in forest] + [target - len(forests)])
         spend(copies * len(offered))
         for p in forest:
@@ -445,7 +443,7 @@ def _exact_pack(view: tuple, rounds: int, target: int) -> tuple:
     for _ in range(target * (n - 1) - sum(map(len, forests))):
         moves, reached = _exchange_path(n, forests, [p for p, m in spare.items() if m], spend)
         if moves is None:
-            return None, _rooted(n, spanning_forest(range(n), sorted(reached)))[2]
+            return None, _rooted(n, spanning_forest(n, sorted(reached)))[2]
         spare[moves[-1][0]] -= 1
         for p, into, out_of in moves:
             forests[into] = forests[into] | {p}
@@ -528,7 +526,8 @@ def basic_algorithm(g: WeightedGraph) -> PackingOutcome:
     time by maximum weight; the next-to-last tree is searched among the
     spanning trees of the residual that hold every weight-2 edge, in
     lexicographic order, for one that leaves ``N - 1`` unit-weight keys
-    forming a spanning tree, the last tree.  If the greedy stalls, or
+    forming a spanning tree, the last tree.  If the greedy stalls, an
+    edge of the residual weighs 3 or more (no candidate can succeed), or
     the search tries ``BACKTRACK_BUDGET`` candidates without success,
     :func:`exact_packing` builds ``total / (N - 1)`` trees per round over
     the fewest rounds that make that a whole number (flagged in
@@ -572,10 +571,11 @@ def _greedy_pack(view: tuple, diagnostics: dict) -> tuple:
     The search for the next-to-last tree takes candidates from the lazy
     ``_tree_walk`` over the residual's node pairs and stops after
     ``BACKTRACK_BUDGET``.  The residual weighs ``2 (N - 1)`` and a
-    candidate, which holds every weight-2 pair, takes ``N - 1``; so
-    ``N - 1`` pairs left at one unit that one :func:`spanning_forest`
-    keeps whole are the clean final tree.  The candidates tried and any
-    fallback are recorded in ``diagnostics``.
+    candidate, which holds every weight-2 pair, takes ``N - 1``; so the
+    clean final tree is ``N - 1`` pairs left at one unit that one
+    :func:`spanning_forest` keeps whole, and a pair of weight 3 or more
+    defeats every candidate.  ``diagnostics`` records the candidates
+    tried and any fallback.
     """
     labels, _, links = view  # scale 1: the callers checked whole rates
     n = len(labels) - 1
@@ -600,7 +600,7 @@ def _greedy_pack(view: tuple, diagnostics: dict) -> tuple:
     for _ in range(total_trees - 2 if total_trees > 1 else 1):
         order = sorted(code)
         del order[bisect_left(order, 0):]
-        forest = spanning_forest(range(n + 1), map(ends.__getitem__, map(m.__rmod__, order)))
+        forest = spanning_forest(n + 1, map(ends.__getitem__, map(m.__rmod__, order)))
         if len(forest) < n:
             return fallback("positive-weight edges no longer span the network")
         forest.sort()
@@ -610,15 +610,17 @@ def _greedy_pack(view: tuple, diagnostics: dict) -> tuple:
 
     if total_trees > 1:
         residual = [(ends[e], (e - c) // m) for e, c in enumerate(code) if c < 0]  # key order
-        if len(spanning_forest(range(n + 1), [pair for pair, _ in residual])) < n:
+        if len(spanning_forest(n + 1, [pair for pair, _ in residual])) < n:
             return fallback("positive-weight edges no longer span the network")
+        if any(w > 2 for _, w in residual):  # left at 2 or more by every candidate
+            return fallback("no next-to-last tree leaves a clean final tree")
         twos = [pair for pair, w in residual if w == 2]
         rest = [pair for pair, w in residual if w != 2]
         for candidate in islice(_tree_walk(n + 1, rest, twos), BACKTRACK_BUDGET):
             diagnostics["backtracks"] += 1
             held = set(candidate)
             last = [pair for pair, w in residual if w - (pair in held) == 1]  # in key order
-            if len(last) == n and len(spanning_forest(range(n + 1), last)) == n:
+            if len(last) == n and len(spanning_forest(n + 1, last)) == n:
                 chosen += [tuple(candidate), tuple(last)]
                 break
         else:
@@ -678,25 +680,26 @@ class _SplitFailed(Exception):
 
 
 def _general_packing(g: WeightedGraph) -> tuple:
-    """:func:`general_algorithm`'s ``(packing, witness, diagnostics)`` before :func:`_proved`."""
+    """:func:`general_algorithm`'s ``(packing, witness, diagnostics)`` before :func:`_proved`:
+    the witness, each node's block, is the top-level violator's or the fallback's last refusal."""
     _require_rateable(g)
     integer_rates(g, "this algorithm needs integer rates")
-    view = labels, _, links = g.integer_links()
+    view = labels, scale, links = g.integer_links()
     diagnostics: dict = {"recursion_depth": 0, "backtracks": 0, "fallback": False, "splits": []}
     found = _subset_scan(len(labels), links)
-    witness = None if found is None else _violator_partition(labels, found[0])
+    witness = None if found is None else _violator_blocks(len(labels), found[0])
     try:
         packing = _split_pack(view, found, diagnostics, 0)
-    except _SplitFailed as exc:
-        try:
-            bound = partition_bound(g, witness)
+    except _SplitFailed as exc:  # only a split fails, so there is a violator
+        try:  # its k members alone and the rest: k + 1 blocks
+            bound = Fraction(_crossing(links, witness), scale * len(found[0]))
             packing, refusal = _exact_fallback(view, bound, str(exc), diagnostics)
         except HeuristicFailedError as stop:
             raise HeuristicFailedError(
                 f"splice failed ({exc}) and the exact packer stopped: {stop}"
             ) from stop
         if refusal is not None:
-            witness = VertexPartition.from_rgs(labels, refusal)
+            witness = refusal
     return _labelled(labels, packing), witness, diagnostics
 
 
@@ -736,7 +739,7 @@ def _split_pack(view: tuple, found, diagnostics: dict, depth: int) -> tuple:
             joined[pair] = joined.get(pair, 0) + w
         else:
             kept.append((slot[i], slot[j], w))
-    if len(spanning_forest(range(len(rest)), [(i, j) for i, j, w in kept if w])) < len(rest) - 1:
+    if len(spanning_forest(len(rest), [(i, j) for i, j, w in kept if w])) < len(rest) - 1:
         raise _SplitFailed(
             f"remainder network on {[labels[v] for v in rest]} is not connected; cannot split"
         )

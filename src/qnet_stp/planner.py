@@ -29,6 +29,7 @@ from .netgraph import (
 from .rate_core import (
     BottleneckCertificate,
     RateReport,
+    _crossing,
     _min_cut,
     _over_budget,
     _partition_scan,
@@ -340,8 +341,7 @@ def _scanner(g: WeightedGraph, initial: RateReport):
 
     def keep(rgs: tuple[int, ...]) -> None:
         if rgs not in witnesses:
-            cross = sum(x for i, j, x in links if rgs[i] != rgs[j])
-            witnesses[rgs] = (cross, max(rgs))
+            witnesses[rgs] = (_crossing(links, rgs), max(rgs))
 
     block = initial.minimizing_partition.block_of()
     keep(tuple(block[v] for v in labels))
@@ -357,7 +357,7 @@ def _scanner(g: WeightedGraph, initial: RateReport):
         if leader is not None:
             cutoff = leader * new_scale
             for rgs, (cross, pm1) in witnesses.items():
-                value = cross * factor + sum(x for i, j, x in added if rgs[i] != rgs[j])
+                value = cross * factor + _crossing(added, rgs)
                 if value * cutoff.denominator <= cutoff.numerator * pm1:
                     return None
         merged = {(i, j): x * factor for i, j, x in links}

@@ -623,9 +623,9 @@ def secrecy_audit(
             ann_positions.append((position[in_key], position[key]))
         conference_positions.append(position[orientation.conference_edge])
 
-    ground = -1
+    ground = total_bits
     conference_edges = [(p, ground) for p in conference_positions]
-    forest = spanning_forest([*range(total_bits), ground], ann_positions + conference_edges)
+    forest = spanning_forest(total_bits + 1, ann_positions + conference_edges)
     uniform = sum(q == ground for _, q in forest) == len(conference_edges)
     if not uniform:
         violations.append("conference key not uniform for transcript " + "0" * len(ann_positions))

@@ -38,10 +38,10 @@ from .errors import (
 from .netgraph import (
     VertexPartition,
     WeightedGraph,
+    _check_partition_of,
     check_rounds,
-    cross_edges,
     format_rational,
-    spanning_forest,
+    is_connected,
 )
 
 #: Most units of work one partition scan takes, about a second at any
@@ -89,10 +89,13 @@ class RateReport(NamedTuple):
 def _require_rateable(g: WeightedGraph) -> None:
     if g.node_count < 2:
         raise TrivialNetworkError("rates need at least two nodes")
-    n = g.node_count
-    keys = ((i, j) for i, j, x in g.integer_links()[2] if x)  # the links callers read next
-    if len(spanning_forest(range(n), keys)) < n - 1:
+    if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
+
+
+def _crossing(links, block) -> int:
+    """Weight of the integer ``links`` between blocks, node ``i`` lying in block ``block[i]``."""
+    return sum(w for i, j, w in links if block[i] != block[j])
 
 
 class _AtMostCutoff(Exception):
@@ -324,11 +327,14 @@ def nwt_length(g: WeightedGraph, rounds: int) -> int:
 
 
 def partition_bound(g: WeightedGraph, p: VertexPartition) -> Fraction:
-    """Cross-rate sum of ``p`` divided by (block count - 1)."""
+    """Cross-rate sum of ``p`` (:func:`_crossing` on the integer links) over (block count - 1);
+    InvalidPartitionError for fewer than two blocks, then for blocks not covering the nodes."""
     if p.block_count < 2:
         raise InvalidPartitionError("a rate bound needs at least two blocks")
-    total = sum((e.rate for e in cross_edges(g, p)), Fraction(0))
-    return total / (p.block_count - 1)
+    _check_partition_of(g, p)
+    labels, scale, links = g.integer_links()
+    block = p.block_of()
+    return Fraction(_crossing(links, [block[v] for v in labels]), scale * (p.block_count - 1))
 
 
 def finest_bound(g: WeightedGraph) -> Fraction:
@@ -505,7 +511,7 @@ def check_no_bottleneck(g: WeightedGraph) -> BottleneckCertificate:
         subnetwork_bound=(
             Fraction(total - attach, scale * (n - size - 1)) if size < n - 1 else None
         ),
-        partition=_violator_partition(labels, chosen),
+        partition=VertexPartition.from_rgs(labels, _violator_blocks(n, chosen)),
     )
 
 
@@ -570,11 +576,12 @@ def _subset_scan(n: int, links) -> Optional[tuple[tuple[int, ...], int]]:
     return None
 
 
-def _violator_partition(labels: tuple[str, ...], chosen) -> VertexPartition:
-    """The partition that singles out the nodes ``chosen`` and keeps the rest as one block."""
-    inside = set(chosen)
-    rest = [v for i, v in enumerate(labels) if i not in inside]
-    return VertexPartition.from_blocks([[labels[j]] for j in chosen] + [rest])
+def _violator_blocks(n: int, chosen) -> list[int]:
+    """Each node's block when the nodes ``chosen`` are singled out and the rest kept as one."""
+    block = [len(chosen)] * n
+    for k, j in enumerate(chosen):
+        block[j] = k
+    return block
 
 
 def triangle_rate(r12: Fraction, r13: Fraction, r23: Fraction) -> Fraction:

@@ -5,6 +5,7 @@ specified to honour and evaluates it from scratch:
 
 * :func:`nwt_rate` -- every restricted growth string, every edge summed;
 * :func:`check_no_bottleneck` -- every proper subset in exact rationals;
+* :func:`partition_bound` -- every crossing edge's rate, in exact rationals;
 * :func:`best_bipartition` -- every bipartition cut in exact rationals;
 * :func:`bottleneck_report` -- the three scans above, the bipartition
   search run on every network and the subset scan whenever the finest
@@ -85,6 +86,7 @@ from qnet_stp.errors import (
     ExactModeLimitError,
     HeuristicFailedError,
     InvalidPackingError,
+    InvalidPartitionError,
     KeyDepletedError,
     PreconditionFailedError,
 )
@@ -707,6 +709,18 @@ def brute_force_packing(g, rounds) -> PackingOutcome:
     )
 
 
+def partition_bound(g, p) -> Fraction:
+    """The rates of the edges whose ends lie in different blocks of ``p``,
+    summed as rationals, over its block count less one."""
+    if p.block_count < 2:
+        raise InvalidPartitionError("a rate bound needs at least two blocks")
+    if p.vertices() != set(g.node_ids):
+        raise InvalidPartitionError("partition does not cover exactly the graph's nodes")
+    block = p.block_of()
+    total = sum((e.rate for e in g.edges if block[e.u] != block[e.v]), Fraction(0))
+    return total / (p.block_count - 1)
+
+
 def optimal_flag(g, rate):
     """Whether ``rate`` is the network's rate; None beyond ``PARTITION_CAP_NODES``."""
     if g.node_count > PARTITION_CAP_NODES:
@@ -881,7 +895,9 @@ def greedy_pack(g) -> PackingOutcome:
     turn up to ``packing.BACKTRACK_BUDGET``; the exact fallback is
     :func:`exact_fallback`.  A tree that misses a weight-2 edge leaves that edge in the
     residual, so it fails without being a candidate: when the search gives
-    up, ``backtracks`` counts only the tried trees that hold every one."""
+    up, ``backtracks`` counts only the tried trees that hold every one.  An
+    edge left at weight 3 or more stays at 2 or more under every tree, so
+    such a residual falls back before the search, with no tree tried."""
     n = g.node_count - 1
     rates = {e.key: e.rate.numerator for e in g.edges}
     total_trees = sum(rates.values())
@@ -917,6 +933,8 @@ def greedy_pack(g) -> PackingOutcome:
         )
         if not is_connected(support, positive_only=True):
             return fallback("positive-weight edges no longer span the network")
+        if max(weight.values()) > 2:  # no candidate leaves a clean final tree
+            return fallback("no next-to-last tree leaves a clean final tree")
         candidates = sorted(
             enumerate_spanning_trees(support),
             key=lambda t: (-sum(weight[k] for k in t.edges), t.edges),
@@ -1018,7 +1036,7 @@ def label_greedy_pack(g, diagnostics) -> TreePacking:
     for _ in range(total_trees - 2 if total_trees > 1 else 1):
         order = sorted(code)
         del order[bisect_left(order, 0):]
-        forest = spanning_forest(range(n + 1), map(ends.__getitem__, map(m.__rmod__, order)))
+        forest = spanning_forest(n + 1, map(ends.__getitem__, map(m.__rmod__, order)))
         if len(forest) < n:
             return fallback("positive-weight edges no longer span the network")
         picked = sorted([edge_of[pair] for pair in forest])
@@ -1027,8 +1045,10 @@ def label_greedy_pack(g, diagnostics) -> TreePacking:
             code[e] += m
     if total_trees > 1:
         residual = [(ends[e], (e - c) // m) for e, c in enumerate(code) if c < 0]
-        if len(spanning_forest(range(n + 1), [pair for pair, _ in residual])) < n:
+        if len(spanning_forest(n + 1, [pair for pair, _ in residual])) < n:
             return fallback("positive-weight edges no longer span the network")
+        if any(w > 2 for _, w in residual):
+            return fallback("no next-to-last tree leaves a clean final tree")
         twos = [pair for pair, w in residual if w == 2]
         rest = [pair for pair, w in residual if w != 2]
         for candidate in itertools.islice(_tree_walk(n + 1, rest, twos),
@@ -1036,7 +1056,7 @@ def label_greedy_pack(g, diagnostics) -> TreePacking:
             diagnostics["backtracks"] += 1
             held = set(candidate)
             last = [pair for pair, w in residual if w - (pair in held) == 1]
-            if len(last) == n and len(spanning_forest(range(n + 1), last)) == n:
+            if len(last) == n and len(spanning_forest(n + 1, last)) == n:
                 chosen += [SpanningTree(tuple([keys[edge_of[pair]] for pair in tree]))
                            for tree in (candidate, last)]
                 break

@@ -16,6 +16,7 @@ from qnet_stp import (
     is_connected,
     is_spanning_tree,
     parse_graph,
+    partition_bound,
 )
 from qnet_stp.cli import main
 from qnet_stp.errors import (
@@ -30,7 +31,6 @@ from qnet_stp.errors import (
     UnknownNodeError,
 )
 from qnet_stp.netgraph import (
-    cross_edges,
     edge_key,
     integer_rates,
     parse_rational,
@@ -289,12 +289,12 @@ def test_finest_partition(triangle):
     assert p.is_finest()
 
 
-def test_cross_edges(tri_pendant):
+def test_partition_bound_sums_cross_edges(tri_pendant):
     p = VertexPartition.from_blocks([["1", "2", "3"], ["4"]])
-    assert [e.key for e in cross_edges(tri_pendant, p)] == [("3", "4")]
+    assert partition_bound(tri_pendant, p) == tri_pendant.rate("3", "4")
     other = VertexPartition.from_blocks([["1", "2"], ["3"]])
     with pytest.raises(InvalidPartitionError, match="partition does not cover exactly"):
-        cross_edges(tri_pendant, other)
+        partition_bound(tri_pendant, other)
 
 
 def test_contract_merges_parallel_rates():

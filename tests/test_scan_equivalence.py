@@ -544,7 +544,9 @@ def overlaid_trees(rng, n):
     others = [(a, b) for a, b in itertools.combinations(sorted(labels), 2) if (a, b) not in first]
     pool = first + rng.sample(others, min(len(others), rng.randint(1, n)))
     rng.shuffle(pool)
-    second = spanning_forest(labels, pool)
+    index = {v: i for i, v in enumerate(labels)}
+    forest = spanning_forest(n, [(index[a], index[b]) for a, b in pool])
+    second = [(labels[i], labels[j]) for i, j in forest]
     doubled = sorted(set(first) & set(second))
     union = sorted(set(first) | set(second))
     return build(labels, [(a, b, 2 if (a, b) in doubled else 1) for a, b in union]), doubled
@@ -639,25 +641,44 @@ def test_greedy_pack_matches_reference(monkeypatch, budget):
 
 
 
+def node_blocks(g, p):
+    """Each node's block in the partition ``p`` of ``g``, in sorted-label order (None for None)."""
+    if p is None:
+        return None
+    block = p.block_of()
+    return [block[v] for v in g.sorted_nodes()]
+
+
+def answer(run):
+    """What ``run()`` returns, or the class and message of the library error it raised."""
+    try:
+        return run()
+    except QNetError as exc:
+        return type(exc), str(exc)
+
+
 def packer_pairs(g, rounds):
     """Each packer's answer on ``g`` beside the label reference's: its
-    JSON (or, for ``_general_packing``, its packing, witness and
-    diagnostics), or the class and message of the error it raised."""
-    def answer(run):
-        try:
-            return run()
-        except QNetError as exc:
-            return type(exc), str(exc)
+    JSON (or, for ``_general_packing``, its packing, witness partition
+    and diagnostics), or the class and message of the error it raised.
+    The reference's witnesses are partitions, the library's node blocks."""
+    def proved(pk, witness, diagnostics):
+        return _proved(g, pk, node_blocks(g, witness), diagnostics).to_json_dict()
+
+    def partitioned(pk, witness, diagnostics):
+        if witness is not None:
+            witness = VertexPartition.from_rgs(g.sorted_nodes(), witness)
+        return pk, witness, diagnostics
 
     return [
         (answer(lambda: general_algorithm(g).to_json_dict()),
-         answer(lambda: _proved(g, *reference_scans.general_packing(g)).to_json_dict())),
-        (answer(lambda: packing._general_packing(g)),
+         answer(lambda: proved(*reference_scans.general_packing(g)))),
+        (answer(lambda: partitioned(*packing._general_packing(g))),
          answer(lambda: reference_scans.general_packing(g))),
         (answer(lambda: basic_algorithm(g).to_json_dict()),
          answer(lambda: reference_scans.basic_packing(g).to_json_dict())),
         (answer(lambda: brute_force_packing(g, rounds).to_json_dict()),
-         answer(lambda: _proved(g, *reference_scans.oracle_packing(g, rounds)).to_json_dict())),
+         answer(lambda: proved(*reference_scans.oracle_packing(g, rounds)))),
     ]
 
 
@@ -697,6 +718,30 @@ def test_packers_on_node_indices_match_the_label_reference(seed, monkeypatch):
     assert min(seen[k] for k in (
         "split", "split fallback", "greedy fallback", "DisconnectedError", *expected
     )) > 0, seen
+
+
+def test_partition_bound_matches_the_label_reference():
+    # the bound summed on integer links over their scale is the rational
+    # sum over the crossing edges, on labels whose order is not their
+    # listed one (10 before 2) or that read as joins; and its two errors
+    rng = random.Random(3900)
+    names = ("10", "2", "a+b", "b-c", "\u00e9")
+    seen = collections.Counter()
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, len(names)))
+        name = dict(zip(g.node_ids, rng.sample(names, g.node_count)))
+        g = WeightedGraph([name[v] for v in g.node_ids],
+                          [(name[e.u], name[e.v], e.rate) for e in g.edges])
+        p = VertexPartition.from_rgs(g.node_ids, [rng.randrange(g.node_count) for _ in g.node_ids])
+        if rng.random() < 0.1:
+            p = VertexPartition.from_blocks([*p.blocks, ["x"]])  # a node g lacks
+        elif rng.random() < 0.1 and p.block_count > 2:
+            p = VertexPartition.from_blocks(p.blocks[1:])  # g's nodes left out
+        got = answer(lambda: partition_bound(g, p))
+        assert got == answer(lambda: reference_scans.partition_bound(g, p)), (g.to_json(), p)
+        seen[got[1] if isinstance(got, tuple) else "bound"] += 1
+        seen["fractional"] += not isinstance(got, tuple) and got.denominator > 1
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
 
 
 #: Labels whose joins collide with a member (``1+2``, then ``1+2#1``) or
@@ -768,12 +813,14 @@ def test_optimal_flag_matches_reference(seed, monkeypatch):
             rates.add(general_algorithm(g).achieved_rate)
         for rounds in (1, 2, 3):
             rates.add(brute_force_packing(g, rounds).achieved_rate)
-        # the partitions the packers pass in: a violator's, the minimizer
+        # the partitions the packers pass in, as node blocks: a violator's,
+        # the minimizer
         witnesses = (None, check_no_bottleneck(g).partition, report.minimizing_partition)
         for r in sorted(rates):
             expected = reference_scans.optimal_flag(g, r)
             for witness in witnesses:
-                assert _optimal_flag(g, r, witness) == expected, (r, witness)
+                blocks = node_blocks(g, witness)
+                assert _optimal_flag(g, r, blocks) == expected, (r, witness)
                 # with no budget for a scan only a linear bound proves the
                 # rate optimal, but for two nodes, whose scan costs nothing
                 proven = r == finest_bound(g) or (
@@ -781,7 +828,7 @@ def test_optimal_flag_matches_reference(seed, monkeypatch):
                 )
                 with monkeypatch.context() as patch:
                     patch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 0)
-                    capped = _optimal_flag(g, r, witness)
+                    capped = _optimal_flag(g, r, blocks)
                 unscanned = expected if g.node_count == 2 else None
                 assert capped is (True if proven else unscanned), (r, witness)
     if seed == 0:
