@@ -383,18 +383,22 @@ def cmd_export_dot(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as :class:`SchemaError`, so they exit 2 with JSON."""
 
+    #: on the top-level parser: each command word's own parser
+    commands: dict[str, argparse.ArgumentParser]
+
     def error(self, message):
         raise SchemaError(f"{self.prog}: {message}")
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The ``qnet-stp`` parser, built on first use and shared by every :func:`main` call."""
     parser = _Parser(
         prog="qnet-stp",
         description="Conference-key rates and spanning-tree packings for QKD networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("rate", help="exact conference key rate of a network")
     p.add_argument("input", help="graph JSON file")
@@ -435,9 +439,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, by the command word's own parser where
+    ``argv`` starts with one.
+
+    The full parser hands everything after the command word to that
+    word's parser and reports what it leaves as unrecognized; this does
+    the same without the full parser's pass over ``argv``.
+    """
+    parser = build_parser()
+    own = parser.commands.get(argv[0]) if argv else None
+    if own is None:
+        return parser.parse_args(argv)
+    args, extras = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         if os.environ.get("QNET_STP_CAPS", "").strip():
             raise SchemaError(
                 "QNET_STP_CAPS is no longer read: the caps are gone and each exact scan "

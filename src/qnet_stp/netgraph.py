@@ -40,6 +40,8 @@ from .errors import (
 
 EdgeKey = tuple[str, str]
 
+_ZERO = Fraction(0)
+
 
 # ---------------------------------------------------------------------------
 # rationals
@@ -143,25 +145,29 @@ class WeightedGraph:
         node_ids: labels, in any order; must be nonempty and unique.
         edges: ``Edge`` records or ``(u, v, rate[, epsilon])`` tuples.
 
+    The constructor checks each link once into a map from its key to its
+    rate and epsilon, which :meth:`integer_links` reads; the ``Edge``
+    records of :attr:`edges` are built on first access.
+
     Raises:
         SchemaError: empty or duplicated node list.
         SelfLoopError / DuplicateEdgeError / NegativeRateError /
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "edges", "_nodes", "_by_key", "_links")
+    __slots__ = ("node_ids", "_nodes", "_rates", "_edges", "_links")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
         if not ids:
             raise SchemaError("a network needs at least one node")
-        if len(set(ids)) != len(ids):
-            raise SchemaError("duplicate node labels")
         known = set(ids)
-        by_key: dict[EdgeKey, Edge] = {}
+        if len(known) != len(ids):
+            raise SchemaError("duplicate node labels")
+        rates: dict[EdgeKey, tuple[Fraction, Fraction]] = {}  # in input order
         for item in edges:
             u, v, rate = item[0], item[1], item[2]
-            eps = item[3] if len(item) > 3 else Fraction(0)
+            eps = item[3] if len(item) > 3 else _ZERO
             u, v = str(u), str(v)
             if type(rate) is not Fraction:
                 rate = Fraction(rate)
@@ -176,17 +182,24 @@ class WeightedGraph:
                 raise NegativeRateError(f"edge ({u},{v}) has negative rate {rate}")
             if eps.numerator < 0:
                 raise NegativeRateError(f"edge ({u},{v}) has negative epsilon {eps}")
-            key = edge_key(u, v)
-            if key in by_key:
+            key = (u, v) if u <= v else (v, u)
+            if key in rates:
                 raise DuplicateEdgeError(f"edge ({key[0]},{key[1]}) appears more than once")
-            by_key[key] = Edge(key[0], key[1], rate, eps)
+            rates[key] = rate, eps
         self.node_ids = ids
         self._nodes = known
-        self._by_key = dict(sorted(by_key.items()))
-        self.edges = tuple(self._by_key.values())
+        self._rates = rates
+        self._edges = None
         self._links = None
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The ``Edge`` records in key order, built on first access."""
+        if self._edges is None:
+            self._edges = tuple([Edge(*key, *r) for key, r in sorted(self._rates.items())])
+        return self._edges
 
     @property
     def node_count(self) -> int:
@@ -199,11 +212,12 @@ class WeightedGraph:
         return label in self._nodes
 
     def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self._by_key
+        return edge_key(u, v) in self._rates
 
     def edge(self, u: str, v: str) -> Edge:
+        key = edge_key(u, v)
         try:
-            return self._by_key[edge_key(u, v)]
+            return Edge(*key, *self._rates[key])
         except KeyError:
             raise InvalidEdgeError(f"no edge between {u!r} and {v!r}") from None
 
@@ -214,7 +228,7 @@ class WeightedGraph:
         """Keys of the edges at ``node``, in key order."""
         if node not in self._nodes:
             raise UnknownNodeError(f"unknown node {node!r}")
-        return tuple(k for k in self._by_key if node in k)
+        return tuple(e.key for e in self.edges if node in e.key)
 
     def total_rate(self) -> Fraction:
         return sum((e.rate for e in self.edges), Fraction(0))
@@ -231,17 +245,19 @@ class WeightedGraph:
         Node ``i`` is the ``i``-th label in sorted order.  Each edge comes,
         in key order, as ``(i, j, w)``: ``i < j`` are its ends' indices (a
         key's ends are sorted too) and ``w`` its rate times ``scale``, the
-        lcm of the rate denominators.  Built in time linear in the edges.
+        lcm of the rate denominators.  Built from the constructor's map of
+        rates, in time linear in the edges and one sort of their index pairs.
         """
         if self._links is None:
             labels = self.sorted_nodes()
             idx = {v: i for i, v in enumerate(labels)}
-            scale = math.lcm(*(e.rate.denominator for e in self.edges)) if self.edges else 1
-            links = tuple([
-                (idx[e.u], idx[e.v], e.rate.numerator * (scale // e.rate.denominator))
-                for e in self.edges
+            rates = self._rates
+            scale = math.lcm(*[r.denominator for r, _ in rates.values()])
+            links = sorted([
+                (idx[u], idx[v], r.numerator * (scale // r.denominator))
+                for (u, v), (r, _) in rates.items()
             ])
-            self._links = labels, scale, links
+            self._links = labels, scale, tuple(links)
         return self._links
 
     def link_key(self, u: str, v: str) -> EdgeKey:
@@ -270,17 +286,10 @@ class WeightedGraph:
         key = self.link_key(u, v)
         if rate < 0 or epsilon < 0:
             raise NegativeRateError(f"negative addition on edge ({u},{v})")
-        new_edges = []
-        merged = False
-        for e in self.edges:
-            if e.key == key:
-                new_edges.append(Edge(e.u, e.v, e.rate + rate, e.epsilon + epsilon))
-                merged = True
-            else:
-                new_edges.append(e)
-        if not merged:
-            new_edges.append(Edge(key[0], key[1], rate, epsilon))
-        return WeightedGraph(self.node_ids, new_edges)
+        rates = dict(self._rates)
+        old_rate, old_eps = rates.get(key, (_ZERO, _ZERO))
+        rates[key] = old_rate + rate, old_eps + epsilon
+        return WeightedGraph(self.node_ids, [(*k, *r) for k, r in rates.items()])
 
     # -- serialization ---------------------------------------------------
 
@@ -350,7 +359,6 @@ def parse_graph(text: str) -> WeightedGraph:
             x = parsed[value] = parse_rational(value)
         return x
 
-    zero = Fraction(0)
     edges = []
     for rec in raw_edges:
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec or "rate" not in rec:
@@ -359,7 +367,7 @@ def parse_graph(text: str) -> WeightedGraph:
         if not isinstance(u, str) or not isinstance(v, str):
             raise SchemaError("edge endpoints must be strings")
         rate = rational(rec["rate"])
-        eps = rational(rec["epsilon"]) if "epsilon" in rec else zero
+        eps = rational(rec["epsilon"]) if "epsilon" in rec else _ZERO
         edges.append((u, v, rate, eps))
     return WeightedGraph(nodes, edges)
 
@@ -488,16 +496,16 @@ def contract(g: WeightedGraph, p: VertexPartition) -> WeightedGraph:
     labels = _block_labels(p.blocks)
     block = p.block_of()
     agg: dict[tuple[int, int], list[Fraction]] = {}
-    for e in g.edges:
-        bu, bv = block[e.u], block[e.v]
+    for (u, v), (rate, eps) in g._rates.items():
+        bu, bv = block[u], block[v]
         if bu == bv:
             continue
         pair = (bu, bv) if bu < bv else (bv, bu)
         if pair in agg:
-            agg[pair][0] += e.rate
-            agg[pair][1] += e.epsilon
+            agg[pair][0] += rate
+            agg[pair][1] += eps
         else:
-            agg[pair] = [e.rate, e.epsilon]
+            agg[pair] = [rate, eps]
     edges = [(labels[a], labels[b], vals[0], vals[1]) for (a, b), vals in agg.items()]
     return WeightedGraph(labels, edges)
 
@@ -536,7 +544,7 @@ def induced_subgraph(g: WeightedGraph, keep: Iterable[str]) -> WeightedGraph:
             raise UnknownNodeError(f"unknown node {x!r}")
     kept_set = set(kept)
     order = [n for n in g.node_ids if n in kept_set]
-    edges = [e for e in g.edges if e.u in kept_set and e.v in kept_set]
+    edges = [(u, v, *r) for (u, v), r in g._rates.items() if u in kept_set and v in kept_set]
     return WeightedGraph(order, edges)
 
 
@@ -620,8 +628,8 @@ def enumerate_spanning_trees(
     """
     if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
-    _, _, links = g.integer_links()
-    key_of = {(i, j): e.key for (i, j, w), e in zip(links, g.edges) if w}  # key order
+    labels, _, links = g.integer_links()
+    key_of = {(i, j): (labels[i], labels[j]) for i, j, w in links if w}  # key order
     held = {edge_key(u, v) for u, v in required}
     stray = held.difference(key_of.values())
     if stray:
@@ -695,5 +703,5 @@ def capacities(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
 def _floors(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """:func:`capacities` for a round count already checked (a packing's, say),
     as the packers compute it: ``rounds * w // scale`` on the integer links."""
-    _, scale, links = g.integer_links()
-    return {e.key: rounds * w // scale for e, (_, _, w) in zip(g.edges, links)}
+    labels, scale, links = g.integer_links()
+    return {(labels[i], labels[j]): rounds * w // scale for i, j, w in links}

@@ -140,8 +140,9 @@ def _partition_scan(
     is applied.  It drops only subtrees where no partition beats the
     incumbent, so the visiting order, improvements, minimizer and cutoff
     partition are those of the unpruned scan.  The terms are summed again
-    after each improvement.  The path down is kept in a list, not on the
-    call stack, so no node count or depth of the caller's stack overflows it.
+    after each improvement.  The path down is kept on flat lists, not on
+    the call stack, so no node count or depth of the caller's stack
+    overflows it.
     """
     upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
     back = [0] * n  # each node's weight to lower-index nodes
@@ -157,9 +158,9 @@ def _partition_scan(
     tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
     improvements = 0
     opening = [x * best_pm1 - best_cross for x in back]  # each node's cost of opening a block
-    # into[k][b]: k's weight to the placed nodes of block b; top[k] its
-    # maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
-    into = [[0] * n for _ in range(n)]
+    # into[k][b]: k's weight to the placed nodes of block b <= k; top[k]
+    # its maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
+    into = [[0] * (k + 1) for k in range(n)]
     top = [0] * n
     placed = [0] * n
     steps, budget = 0, PARTITION_BUDGET  # units of work
@@ -182,14 +183,17 @@ def _partition_scan(
 
     for k, x in upper[0]:
         into[k][0] = top[k] = placed[k] = x
-    # each node above node i: its cross, p and rest, its block b, the tops
-    # its placement replaced, the improvements before it, its blocks left
+    # each placed node above node 0: its cross, p and rest, its block b
+    # and the improvements before it; `saved` holds the tops that the
+    # placements replaced, node after node
     path = []
+    saved = []
     i, cross, p, rest = 1, 0, 1, terms(1)
     try:
         while True:
             # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
-            # rest = sum of the tight terms of nodes i..n-1
+            # rest = sum of the tight terms of nodes i..n-1; b is the next
+            # block node i tries, p opening one (row[p] is 0)
             cross += back[i]
             if i == n - 1:
                 heavy = top[i]
@@ -199,22 +203,36 @@ def _partition_scan(
                 if cross * best_pm1 - best_cross * p < tie:
                     rgs[i] = p
                     improve(cross, p)
-                tries = iter(())  # no block to try: back up
+                b = p + 1  # no block to try: back up
             else:
                 steps += p + 1
                 if steps > budget:
                     raise _over_budget("partition scan", n, budget)
                 o, t = opening[i], (placed[i] - top[i]) * best_pm1
                 rest -= t if t < o else o
-                tries = iter(range(p + 1))  # p opens a block; row[p] is 0
+                b = 0
             up, row, B = upper[i], into[i], best_pm1
             while True:  # node i's next block, backing up past nodes with none left
-                for b in tries:
-                    c = cross - row[b]
-                    q = p + (b == p)
-                    value = c * B - best_cross * (q - 1)
-                    if value + rest >= tie:
-                        continue
+                if b > p:  # node i has no block left: undo its parent's placement
+                    if not path:
+                        return best_cross, best_pm1, best_rgs
+                    i -= 1
+                    cross, p, rest, b, mark = path.pop()
+                    up, row = upper[i], into[i]
+                    for k, x in reversed(up):
+                        into[k][b] -= x
+                        placed[k] -= x
+                        top[k] = saved.pop()
+                    if mark != improvements:
+                        B = best_pm1
+                        rest = terms(i + 1)
+                        steps += n - i - 1
+                    b += 1
+                    continue
+                c = cross - row[b]
+                q = p + (b == p)
+                value = c * B - best_cross * (q - 1)
+                if value + rest < tie:
                     steps += len(up)
                     tight = rest
                     for k, x in up:
@@ -225,32 +243,16 @@ def _partition_scan(
                             tight += (t if t < o else o) - (s if s < o else o)
                     if value + tight < tie:
                         break
-                else:  # node i has no block left: undo its parent's placement
-                    if not path:
-                        return best_cross, best_pm1, best_rgs
-                    i -= 1
-                    cross, p, rest, b, tops, mark, tries = path.pop()
-                    up, row = upper[i], into[i]
-                    for (k, x), old in zip(up, tops):
-                        into[k][b] -= x
-                        placed[k] -= x
-                        top[k] = old
-                    if mark != improvements:
-                        B = best_pm1
-                        rest = terms(i + 1)
-                        steps += n - i - 1
-                    continue
-                break
+                b += 1
             rgs[i] = b
-            tops = []
             for k, x in up:
                 blocks = into[k]
                 blocks[b] += x
                 placed[k] += x
-                tops.append(top[k])
+                saved.append(top[k])
                 if blocks[b] > top[k]:
                     top[k] = blocks[b]
-            path.append((cross, p, rest, b, tops, improvements, tries))
+            path.append((cross, p, rest, b, improvements))
             i, cross, p, rest = i + 1, c, q, tight
     except _AtMostCutoff:
         return best_cross, best_pm1, best_rgs

@@ -48,6 +48,10 @@ built by ``induced_subgraph`` and ``contract`` and scanned by
 the same steps on node indices and must give the same packings,
 diagnostics and errors.
 
+:func:`tight_partition_scan` is the library's partition scan as it ran
+before it kept its path on flat lists; the library's must give the same
+results and refuse at the same step counts.
+
 :func:`partition_scan` is the library's partition scan pruned by the
 static per-node bound alone, not the tight one; it reaches sizes past
 :func:`nwt_rate` and checks the tight scan's results, tie-breaks and
@@ -80,6 +84,7 @@ from qnet_stp import (
     VertexPartition,
     WeightedGraph,
     contract,
+    rate_core,
 )
 from qnet_stp.errors import (
     DisconnectedError,
@@ -461,6 +466,164 @@ def partition_scan(
             stop.append(tuple(rgs))
         return None
     return best_cross, best_pm1, best_rgs
+
+
+def tight_partition_scan(
+    n: int, links, cutoff: Optional[Fraction] = None
+) -> tuple[int, int, tuple[int, ...]]:
+    """:func:`qnet_stp.rate_core._partition_scan` as it kept its path with an
+    iterator over each node's blocks and a list of replaced tops per node:
+    the reference for its visiting order, results and budget charges.
+
+    Partition of nodes ``0..n-1`` of least ``cross / (blocks - 1)``, or one at most ``cutoff``.
+
+    ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once:
+    nodes ``i`` and ``j`` joined by integer weight ``w``, of which 0
+    joins nothing.
+
+    Returns ``(cross, blocks - 1, rgs)`` of one partition: the first
+    minimizer in restricted-growth order, or, with a ``cutoff`` (in the
+    units of the weights), the first partition whose value is at most
+    it, where the scan stops.  That is the finest partition, scanning
+    nothing, when the finest is already at most ``cutoff``.  So the value
+    returned is at most ``cutoff`` exactly when the minimum is, and a
+    scan whose value is above it never met its cutoff: it took the path
+    of the scan without one.  Each comparison the scan makes weighs two sums
+    linear in the weights, so it takes the same path and picks the same
+    partition on any positive multiple of the weights, and so spends the
+    same units of ``PARTITION_BUDGET``; past it the scan raises
+    ExactModeLimitError.  The links must connect two or more nodes.
+
+    With the incumbent ``A / B``, a partition beats it when
+    ``F = B * cross - A * (blocks - 1)`` is below ``tie`` (see
+    :func:`nwt_rate`).  Placing node ``k`` adds exactly ``B * back_k - A``
+    to ``F`` when it opens a block and ``B * (back_k - into)`` when it
+    joins one, ``into`` being its weight to the lower nodes of that block.
+    So each unplaced node adds at least its tight term,
+    ``min(B * back_k - A, B * spread_k)``, ``spread_k`` being its weight
+    to placed nodes outside the placed block that holds most of that
+    weight: whichever block it joins, that much crosses.  A placement
+    never lowers another node's term (``spread_k`` only grows), so one
+    lower bound, the sum of the terms, is tested on each child twice: as
+    it stands (``rest``), then with the terms of the child's higher
+    neighbours, worked out from their block weights before the placement
+    is applied.  It drops only subtrees where no partition beats the
+    incumbent, so the visiting order, improvements, minimizer and cutoff
+    partition are those of the unpruned scan.  The terms are summed again
+    after each improvement.  The path down is kept in a list, not on the
+    call stack, so no node count or depth of the caller's stack overflows it.
+    """
+    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
+    back = [0] * n  # each node's weight to lower-index nodes
+    for i, j, x in links:
+        if x:
+            upper[i].append((j, x))
+            back[j] += x
+    rgs = [0] * n
+    # the incumbent starts as the finest partition, the last RGS of all
+    best_cross, best_pm1, best_rgs = sum(back), n - 1, tuple(range(n))
+    if cutoff is not None and best_cross * cutoff.denominator <= cutoff.numerator * best_pm1:
+        return best_cross, best_pm1, best_rgs
+    tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
+    improvements = 0
+    opening = [x * best_pm1 - best_cross for x in back]  # each node's cost of opening a block
+    # into[k][b]: k's weight to the placed nodes of block b; top[k] its
+    # maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
+    into = [[0] * n for _ in range(n)]
+    top = [0] * n
+    placed = [0] * n
+    steps, budget = 0, rate_core.PARTITION_BUDGET  # units of work
+
+    def terms(i: int) -> int:
+        # sum over k >= i of min(opening[k], spread_k * best_pm1)
+        s = 0
+        for k in range(i, n):
+            o, t = opening[k], (placed[k] - top[k]) * best_pm1
+            s += t if t < o else o
+        return s
+
+    def improve(cross: int, pm1: int) -> None:
+        nonlocal best_cross, best_pm1, best_rgs, tie, improvements
+        best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
+        if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
+            raise _AtMostCutoff
+        improvements += 1
+        opening[:] = [x * pm1 - cross for x in back]
+
+    for k, x in upper[0]:
+        into[k][0] = top[k] = placed[k] = x
+    # each node above node i: its cross, p and rest, its block b, the tops
+    # its placement replaced, the improvements before it, its blocks left
+    path = []
+    i, cross, p, rest = 1, 0, 1, terms(1)
+    try:
+        while True:
+            # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
+            # rest = sum of the tight terms of nodes i..n-1
+            cross += back[i]
+            if i == n - 1:
+                heavy = top[i]
+                if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
+                    rgs[i] = into[i].index(heavy)
+                    improve(cross - heavy, p - 1)
+                if cross * best_pm1 - best_cross * p < tie:
+                    rgs[i] = p
+                    improve(cross, p)
+                tries = iter(())  # no block to try: back up
+            else:
+                steps += p + 1
+                if steps > budget:
+                    raise rate_core._over_budget("partition scan", n, budget)
+                o, t = opening[i], (placed[i] - top[i]) * best_pm1
+                rest -= t if t < o else o
+                tries = iter(range(p + 1))  # p opens a block; row[p] is 0
+            up, row, B = upper[i], into[i], best_pm1
+            while True:  # node i's next block, backing up past nodes with none left
+                for b in tries:
+                    c = cross - row[b]
+                    q = p + (b == p)
+                    value = c * B - best_cross * (q - 1)
+                    if value + rest >= tie:
+                        continue
+                    steps += len(up)
+                    tight = rest
+                    for k, x in up:
+                        o = opening[k]
+                        if o > 0:  # otherwise the term is o before and after
+                            y, h = into[k][b] + x, top[k]
+                            s, t = (placed[k] - h) * B, (placed[k] + x - (y if y > h else h)) * B
+                            tight += (t if t < o else o) - (s if s < o else o)
+                    if value + tight < tie:
+                        break
+                else:  # node i has no block left: undo its parent's placement
+                    if not path:
+                        return best_cross, best_pm1, best_rgs
+                    i -= 1
+                    cross, p, rest, b, tops, mark, tries = path.pop()
+                    up, row = upper[i], into[i]
+                    for (k, x), old in zip(up, tops):
+                        into[k][b] -= x
+                        placed[k] -= x
+                        top[k] = old
+                    if mark != improvements:
+                        B = best_pm1
+                        rest = terms(i + 1)
+                        steps += n - i - 1
+                    continue
+                break
+            rgs[i] = b
+            tops = []
+            for k, x in up:
+                blocks = into[k]
+                blocks[b] += x
+                placed[k] += x
+                tops.append(top[k])
+                if blocks[b] > top[k]:
+                    top[k] = blocks[b]
+            path.append((cross, p, rest, b, tops, improvements, tries))
+            i, cross, p, rest = i + 1, c, q, tight
+    except _AtMostCutoff:
+        return best_cross, best_pm1, best_rgs
 
 
 def links_of(w: list[list[int]]) -> list[tuple[int, int, int]]:

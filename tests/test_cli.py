@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnet_stp import VertexPartition, WeightedGraph, finest_bound, partition_bound
+from qnet_stp import cli
 from qnet_stp.cli import _json_text, build_parser, main, parse_candidates
 from qnet_stp.errors import ExactModeLimitError, SchemaError
 from qnet_stp.netgraph import format_rational
@@ -964,6 +965,62 @@ def test_usage_errors_print_json(capsys, hexagon_path, argv, message):
     code, out = run(capsys, argv[0], hexagon_path, *argv[1:])
     assert code == 2
     assert json.loads(out) == {"error": {"code": "Schema", "message": message}}
+
+
+#: argv ("G" stands for a graph file) and the exit code, ("exit", code)
+#: for argparse's own exit after printing help, or None where it depends
+#: on the Python version
+DISPATCH = [
+    ([], 2),
+    (["rat", "G"], 2),
+    (["-h"], ("exit", 0)),
+    (["--help", "rate"], ("exit", 0)),
+    (["rate", "-h"], ("exit", 0)),
+    (["optimize", "G", "--help"], ("exit", 0)),
+    (["rate"], 2),
+    (["pack", "--method", "basic"], 2),
+    (["pack", "G", "--method", "x"], 2),
+    (["rate", "G", "--format", "dot"], 2),
+    (["pack", "G", "--method", "oracle", "--rounds", "x"], 2),
+    (["simulate", "G", "--seed", "x"], 2),
+    (["optimize", "G", "--budget", "x"], 2),
+    (["pack", "G", "--method"], 2),
+    (["optimize", "G", "--candidates"], 2),
+    (["rate", "G", "--bogus"], 2),
+    (["rate", "G", "--bogus", "x", "-q"], 2),
+    (["rate", "G", "extra"], 2),
+    (["export-dot", "G", "G"], 2),
+    (["pack", "G", "--meth", "basic"], 0),
+    (["rate", "--", "G"], 0),
+    (["--", "rate", "G"], None),  # Python 3.13 drops a leading "--"; 3.11 does not
+    (["rate", "G", "--", "--format"], 2),
+    (["rate", "G", "--format", "text"], 0),
+    (["simulate", "G", "--rounds", "2", "--audit"], 0),
+    (["export-dot", "G"], 0),
+]
+
+
+def outcome(capsys, argv):
+    """Exit code (or argparse's exit), stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", DISPATCH)
+def test_each_command_parses_its_own_argv_as_the_full_parser_does(
+    capsys, monkeypatch, hexagon_path, argv, code
+):
+    argv = [hexagon_path if a == "G" else a for a in argv]
+    own = outcome(capsys, argv)
+    monkeypatch.setattr(cli, "parse_args", lambda argv: build_parser().parse_args(argv))
+    assert outcome(capsys, argv) == own
+    assert own[0] == code or code is None
+    if own[0] == 2:
+        assert json.loads(own[1])["error"]["code"] == "Schema"
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, hexagon_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qnet_stp import (
+    Edge,
     SpanningTree,
     VertexPartition,
     WeightedGraph,
@@ -231,6 +232,75 @@ def test_edges_are_kept_in_key_order():
         g.edge("c", "d")
     with pytest.raises(UnknownNodeError):
         g.edges_at("e")
+
+
+def test_every_kind_of_edge_item_builds_the_parsed_graph():
+    doc = {"nodes": ["1", "2", "3", "10"], "edges": [
+        {"u": "2", "v": "1", "rate": "3/2"},
+        {"u": "1", "v": "10", "rate": 2, "epsilon": "1/4"},
+        {"u": "3", "v": "2", "rate": "0"},
+        {"u": "10", "v": "3", "rate": "5", "epsilon": 0},
+    ]}
+    parsed = parse_graph(json.dumps(doc))
+    records = [Edge("1", "2", Fraction(3, 2)), Edge("1", "10", Fraction(2), Fraction(1, 4)),
+               Edge("2", "3", Fraction(0)), Edge("10", "3", Fraction(5), Fraction(0))]
+    built = [
+        WeightedGraph(doc["nodes"], records),
+        WeightedGraph(doc["nodes"], records[::-1]),
+        WeightedGraph([1, 2, 3, 10], [(2, 1, "3/2"), (1, 10, 2, Fraction(1, 4)), (3, 2, 0),
+                                      (10, 3, Fraction(5))]),
+        WeightedGraph(doc["nodes"], [("1", "2", Fraction(3, 2), 0), ("10", "1", "2", "1/4"),
+                                     ("3", "2", "0"), ("3", "10", 5, "0")]),
+    ]
+    want_links = (("1", "10", "2", "3"), 2, ((0, 1, 4), (0, 2, 3), (1, 3, 10), (2, 3, 0)))
+    for g in built:
+        # the integer view first, from the constructor's map alone
+        assert g.integer_links() == parsed.integer_links() == want_links
+        assert g == parsed and hash(g) == hash(parsed)
+        assert g.edges == parsed.edges == tuple(sorted(records))
+        assert g.epsilon_map() == parsed.epsilon_map() == {
+            ("1", "10"): Fraction(1, 4), ("1", "2"): 0, ("2", "3"): 0, ("10", "3"): 0}
+        assert all(type(x) is Fraction for e in g.edges for x in e[2:])
+
+
+def test_a_document_with_several_faults_raises_the_first_in_check_order():
+    """Every record's schema, then the node list, then each link's self-loop,
+    unknown-node, negative-rate, negative-epsilon and duplicate checks, link by
+    link in document order."""
+    links = [
+        ("1", "2", "1"),
+        ("9", "9", "-1"),  # a self-loop at an unknown node, negative
+        ("3", "9", "-1"),  # an unknown node, negative
+        ("2", "1", "-1"),  # negative and a duplicate
+        ("1", "3", "1", "-1"),  # a negative epsilon
+        ("2", "1", "2"),  # a duplicate
+    ]
+    faults = [
+        (SchemaError, 'each edge needs "u", "v" and "rate" fields'),
+        (SchemaError, "malformed rational 'x'"),
+        (SchemaError, "duplicate node labels"),
+        (SelfLoopError, "self-loop at node '9'"),
+        (UnknownNodeError, "edge endpoint '9' is not a declared node"),
+        (NegativeRateError, "edge (2,1) has negative rate -1"),
+        (NegativeRateError, "edge (1,3) has negative epsilon -1"),
+        (DuplicateEdgeError, "edge (1,2) appears more than once"),
+    ]
+    edges = [dict(zip(("u", "v", "rate", "epsilon"), link)) for link in links]
+    records = [{"u": "1", "v": "3"}, {"u": "1", "v": "2", "rate": "x"}]  # after every link
+    nodes = ["1", "2", "3", "2"]
+    for error, message in faults:
+        with pytest.raises(error) as info:
+            parse_graph(json.dumps({"nodes": nodes, "edges": edges + records}))
+        assert str(info.value) == message
+        # mend the fault just raised
+        if records:
+            records.pop(0)
+        elif len(nodes) > 3:
+            nodes.pop()
+        else:
+            edges.pop(1)
+    assert parse_graph(json.dumps({"nodes": nodes, "edges": edges})).edges == (
+        Edge("1", "2", Fraction(1)),)
 
 
 def test_zero_rate_edge_allowed():

@@ -36,7 +36,12 @@ from qnet_stp import (
     validate_packing,
 )
 from qnet_stp import packing, rate_core
-from qnet_stp.errors import DisconnectedError, HeuristicFailedError, QNetError
+from qnet_stp.errors import (
+    DisconnectedError,
+    ExactModeLimitError,
+    HeuristicFailedError,
+    QNetError,
+)
 from qnet_stp.netgraph import capacities, spanning_forest
 from qnet_stp.packing import _optimal_flag, _proved
 from qnet_stp.protocol import consumption_schedule
@@ -326,6 +331,50 @@ def test_partition_scan_matches_the_static_bound_scan_on_tied_families(n):
     # finest; unit complete graphs, rings and two cliques tie many more
     for g in tied_family(n):
         assert_same_kernel(weights_of(g)[2])
+
+
+def random_links(rng, n):
+    """Links of weights 0..6 on ``n`` nodes, a positive path joining them all."""
+    order = rng.sample(range(n), n)
+    weights = {}
+    for a, b in zip(order, order[1:]):
+        weights[min(a, b), max(a, b)] = rng.randint(1, 6)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in weights and rng.random() < 0.5:
+                weights[i, j] = rng.randint(0, 6)
+    return [(i, j, x) for (i, j), x in sorted(weights.items())]
+
+
+def scan_or_refusal(scan, n, links, cutoff):
+    try:
+        return scan(n, links, cutoff)
+    except ExactModeLimitError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_partition_scan_on_flat_lists_matches_the_iterator_scan(seed, monkeypatch):
+    # same partitions, cutoff partitions and refusals at every budget
+    rng = random.Random(900 + seed)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(2, 10)
+        links = random_links(rng, n)
+        total = sum(x for _, _, x in links)
+        cutoff = Fraction(rng.randint(0, 2 * total), rng.randint(1, 3) * (n - 1))
+        cases.append((n, links, cutoff if rng.random() < 0.5 else None))
+    for n, links, cutoff in cases:
+        want = reference_scans.tight_partition_scan(n, links, cutoff)
+        assert _partition_scan(n, links, cutoff) == want
+    refused = 0
+    for budget in (1, 10, 100, 1_000):
+        monkeypatch.setattr(rate_core, "PARTITION_BUDGET", budget)
+        for n, links, cutoff in cases:
+            got = scan_or_refusal(_partition_scan, n, links, cutoff)
+            assert got == scan_or_refusal(reference_scans.tight_partition_scan, n, links, cutoff)
+            refused += got[0] == "refused"
+    assert 0 < refused < 4 * len(cases)
 
 
 def seeded_corpus():
