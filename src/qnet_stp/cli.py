@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: rate, pack, simulate, analyze, optimize, export-dot.
-Graphs come in as JSON files; results leave as JSON (default), DOT, or
-plain text.  Output is deterministic: identical inputs, flags and seed
-produce byte-identical bytes.
+A call reads its argv and one graph JSON file, and its answer leaves in
+one write to stdout: JSON (default), DOT, or plain text.  Output is
+deterministic: identical inputs, flags and seed produce byte-identical
+bytes.
 
-Exit codes: 0 success, 2 input/validation error, 3 a scan passed its
-step budget, 4 internal failure (a packer gave up).  The exact scans
-have fixed step budgets in place of the node caps QNET_STP_CAPS once
-set, so a call with that variable set to anything but blanks exits 2.
+Exit codes: 0 success, 2 input/validation error or an output that
+stdout's encoding cannot hold, 3 a scan passed its step budget, 4
+internal failure (a packer gave up).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -208,26 +207,32 @@ def _announcements_text(announcements, pad: str) -> str:
     ]) + pad + "]"
 
 
-def emit(doc) -> None:
-    sys.stdout.write(_json_text(doc) + "\n")
+def emit(out) -> None:
+    """Write ``out`` to stdout in one write: a ``str`` as it is, a document as JSON text.
+
+    An ``out`` that stdout's encoding cannot hold is a SchemaError, and nothing is written.
+    """
+    text = out if isinstance(out, str) else _json_text(out) + "\n"
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"stdout cannot encode the output: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-# Each command imports the modules it runs, so a call loads no others.
+# Each command returns its output, a JSON document or the whole text, for
+# :func:`main` to emit.  It imports the modules it runs, so a call loads no others.
 
-def cmd_rate(args) -> int:
+def cmd_rate(g: WeightedGraph, args) -> str | dict:
     from .rate_core import nwt_rate
 
-    g = load_graph(args.input)
     report = nwt_rate(g)
     if args.format == "text":
-        sys.stdout.write(format_rational(report.rate) + "\n")
-    else:
-        emit(report.to_json_dict())
-    return 0
+        return format_rational(report.rate) + "\n"
+    return report.to_json_dict()
 
 
 def _make_packing(g, method: str, rounds: Optional[int]):
@@ -243,29 +248,26 @@ def _make_packing(g, method: str, rounds: Optional[int]):
     return general_algorithm(g)
 
 
-def cmd_pack(args) -> int:
-    g = load_graph(args.input)
+def cmd_pack(g: WeightedGraph, args) -> str | dict:
     outcome = _make_packing(g, args.method, args.rounds)
+    pk = outcome.packing
     if args.format == "dot":
-        sys.stdout.write(packing_dot(g, outcome.packing))
-    elif args.format == "text":
-        pk = outcome.packing
-        sys.stdout.write(f"rate {format_rational(outcome.achieved_rate)}\n")
-        sys.stdout.write(f"trees {pk.tree_count} rounds {pk.rounds}\n")
+        return packing_dot(g, pk)
+    if args.format == "text":
+        lines = [f"rate {format_rational(outcome.achieved_rate)}",
+                 f"trees {pk.tree_count} rounds {pk.rounds}"]
         for tree, mult in zip(pk.trees, pk.multiplicities):
             edges = " ".join(f"({u},{v})" for u, v in tree.edges)
-            sys.stdout.write(f"  x{mult}: {edges}\n")
-    else:
-        emit(outcome.to_json_dict())
-    return 0
+            lines.append(f"  x{mult}: {edges}")
+        return "\n".join(lines) + "\n"
+    return outcome.to_json_dict()
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(g: WeightedGraph, args) -> dict:
     # the packing alone: simulate prints no optimality proof, so runs none
     from .packing import _general_packing, _oracle_packing, packing_rate
     from .protocol import run_packing_protocol, secrecy_audit
 
-    g = load_graph(args.input)
     pk = (_general_packing(g) if args.rounds is None else _oracle_packing(g, args.rounds))[0]
     transcript = run_packing_protocol(g, pk, args.seed)
     # the transcript's own to_json_dict() is the reference form; its
@@ -279,20 +281,16 @@ def cmd_simulate(args) -> int:
         audit_doc = report.to_json_dict()
         audit_doc["secrecy"] = "uniform" if report.uniform else "nonuniform"
         doc["audit"] = audit_doc
-    emit(doc)
-    return 0
+    return doc
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(g: WeightedGraph, args) -> str | dict:
     from .planner import bottleneck_report
 
-    g = load_graph(args.input)
     report = bottleneck_report(g)
     if args.format == "text":
-        sys.stdout.write(report.narrative + "\n")
-    else:
-        emit(report.to_json_dict())
-    return 0
+        return report.narrative + "\n"
+    return report.to_json_dict()
 
 
 def _link_splits(link: str, labels) -> list[tuple[str, str]]:
@@ -347,33 +345,29 @@ def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
     return out
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(g: WeightedGraph, args) -> str | dict:
     from .planner import best_additions
 
-    g = load_graph(args.input)
     candidates = parse_candidates(args.candidates, set(g.node_ids)) if args.candidates else []
     plan = best_additions(g, candidates, args.budget, exhaustive=args.exhaustive)
     if args.format == "text":
-        sys.stdout.write(f"initial rate {format_rational(plan.initial_rate)}\n")
+        lines = [f"initial rate {format_rational(plan.initial_rate)}"]
         for step in plan.steps:
-            sys.stdout.write(
+            lines.append(
                 f"+ ({step.edge[0]},{step.edge[1]}) rate "
                 f"{format_rational(step.added_rate)} -> "
-                f"{format_rational(step.rate_after)}\n"
+                f"{format_rational(step.rate_after)}"
             )
-        sys.stdout.write(f"final rate {format_rational(plan.final_rate)}\n")
-    else:
-        doc = plan.to_json_dict()
-        for step_doc, step in zip(doc["steps"], plan.steps):
-            step_doc["dot"] = graph_dot(step.graph)
-        emit(doc)
-    return 0
+        lines.append(f"final rate {format_rational(plan.final_rate)}")
+        return "\n".join(lines) + "\n"
+    doc = plan.to_json_dict()
+    for step_doc, step in zip(doc["steps"], plan.steps):
+        step_doc["dot"] = graph_dot(step.graph)
+    return doc
 
 
-def cmd_export_dot(args) -> int:
-    g = load_graph(args.input)
-    sys.stdout.write(graph_dot(g))
-    return 0
+def cmd_export_dot(g: WeightedGraph, args) -> str:
+    return graph_dot(g)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +452,11 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """One call: parse ``argv``, load its graph, run its command, emit the answer or error."""
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        if os.environ.get("QNET_STP_CAPS", "").strip():
-            raise SchemaError(
-                "QNET_STP_CAPS is no longer read: the caps are gone and each exact scan "
-                "has a fixed step budget"
-            )
-        return args.func(args)
+        emit(args.func(load_graph(args.input), args))
+        return 0
     except QNetError as exc:
         emit({"error": {"code": exc.code, "message": str(exc)}})
         if isinstance(exc, ValidationError):

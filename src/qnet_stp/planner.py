@@ -141,11 +141,12 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
     The best bipartition bound is the minimum cut.  When the scan's
     minimizer has two blocks it is a cut at the rate, and no cut is below
     the rate, so the bound is the rate and no cut is computed; otherwise
-    it is :func:`_min_cut`'s weight, on a weight matrix built for it.  Only
-    a bipartition bottleneck whose minimizer has three or more blocks
-    names a cut the scan did not find, and only then does
-    :func:`_best_bipartition` search that matrix for the first
-    minimum-cut side.
+    it is :func:`_min_cut`'s weight, on a weight matrix built for it.  The
+    cut's phases visit about ``N**3 / 3`` node pairs, charged up front
+    against ``PARTITION_BUDGET``.  Only a bipartition bottleneck whose
+    minimizer has three or more blocks names a cut the scan did not
+    find, and only then does :func:`_best_bipartition` search that matrix
+    for the first minimum-cut side.
     """
     report: RateReport = nwt_rate(g)
     # no subset violates its bound exactly when the finest partition is optimal
@@ -155,7 +156,10 @@ def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
         bip_bound = report.rate
     else:
         labels, scale, links = g.integer_links()
-        w = _weight_matrix(len(labels), links)
+        n = len(labels)
+        if n ** 3 // 3 > rate_core.PARTITION_BUDGET:
+            raise _over_budget("minimum cut", n, rate_core.PARTITION_BUDGET)
+        w = _weight_matrix(n, links)
         least = _min_cut(w)
         bip_bound = Fraction(least, scale)
     if report.finest_is_optimal:

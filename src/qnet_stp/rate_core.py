@@ -48,7 +48,8 @@ from .netgraph import (
 #: node count: a prefix costs a unit per block its node tries and per
 #: neighbour term it updates for a block, and summing the tight terms
 #: again after an improvement a unit per node summed.
-#: :func:`planner._best_bipartition`'s side search counts against it too.
+#: :func:`planner._best_bipartition`'s side search counts against it too,
+#: and so does :func:`planner.bottleneck_report`'s minimum cut.
 PARTITION_BUDGET = 3_000_000
 
 #: Most candidate members one bottleneck subset scan tries: at least the

@@ -21,12 +21,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(f"[{status}] criterion {number}: {name}")
 
 
-@pytest.fixture(autouse=True)
-def no_caps_variable(monkeypatch):
-    """Every test runs without QNET_STP_CAPS (the CLI exits 2 when it is set)."""
-    monkeypatch.delenv("QNET_STP_CAPS", raising=False)
-
-
 def build(nodes, edges):
     return WeightedGraph(
         nodes, [(u, v, Fraction(r)) for u, v, r in edges]

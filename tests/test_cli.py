@@ -1,8 +1,10 @@
 import enum
 import importlib
+import io
 import json
 import random
 import re
+import sys
 import time
 from collections import OrderedDict
 from fractions import Fraction
@@ -323,20 +325,6 @@ def test_pack_oracle_on_complete_graphs(capsys, graph_file, n):
     doc = json.loads(out)
     assert (doc["optimal"], sum(doc["packing"]["multiplicities"])) == (True, n // 2)
     assert doc["diagnostics"] == {"packer_calls": 1}
-
-
-#: What any non-empty QNET_STP_CAPS prints, with exit 2.
-CAPS_GONE = {"error": {"code": "Schema", "message": (
-    "QNET_STP_CAPS is no longer read: the caps are gone and each exact scan "
-    "has a fixed step budget"
-)}}
-
-
-def test_trees_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
-    # the packers are bounded by the exact packer's step budget
-    monkeypatch.setenv("QNET_STP_CAPS", "trees=4")
-    code, out = run(capsys, "pack", graph_file("k10.json", complete(10)), "--method", "oracle")
-    assert (code, json.loads(out)) == (2, CAPS_GONE)
 
 
 def test_oracle_refuses_an_oversize_target_before_building(capsys, graph_file, monkeypatch):
@@ -768,20 +756,60 @@ def test_dot_escapes_quotes_and_backslashes(capsys, graph_file):
         assert set(labels) <= tokens, argv
 
 
-@pytest.mark.parametrize("caps, g, argv, code, expected", [
-    # 56 key bits under the default caps: the audit has no cap
-    ("", ring(8), ["simulate", "--audit"], 0, {"audit": {
+#: The bipartition {a, b}{é} caps its rate at 1, so the label é is in
+#: every text answer as well as in every DOT one.
+ACCENTED = build(["a", "b", "é"], [("a", "b", 2), ("b", "é", 1)])
+
+
+def run_ascii(monkeypatch, path, argv):
+    """Exit code and stdout bytes of one call whose stdout encodes ASCII only."""
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    code = main([argv[0], path, *argv[1:]])
+    sys.stdout.flush()
+    return code, raw.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-dot"],
+    ["pack", "--format", "dot"],
+    ["pack", "--format", "text"],
+    ["analyze", "--format", "text"],
+    ["optimize", "--candidates", "a-é", "--format", "text"],
+], ids=["export-dot", "pack-dot", "pack-text", "analyze-text", "optimize-text"])
+def test_an_answer_stdout_cannot_encode_exits_2_unwritten(graph_file, monkeypatch, argv):
+    # the answer leaves in one write, so none of it precedes the error
+    code, out = run_ascii(monkeypatch, graph_file("accented.json", ACCENTED), argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert out == (_json_text(doc) + "\n").encode()
+    assert doc["error"]["code"] == "Schema"
+    assert doc["error"]["message"].startswith(
+        "stdout cannot encode the output: 'ascii' codec can't encode character '\\xe9'"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate"], ["pack"], ["simulate", "--audit"], ["analyze"], ["optimize", "--candidates", "a-é"],
+], ids=lambda argv: argv[0])
+def test_json_answers_escape_labels_for_any_stdout(graph_file, monkeypatch, argv):
+    code, out = run_ascii(monkeypatch, graph_file("accented.json", ACCENTED), argv)
+    assert code == 0
+    assert b"\\u00e9" in out
+    json.loads(out)
+
+
+@pytest.mark.parametrize("g, argv, code, expected", [
+    # 56 key bits: the audit has no cap
+    (ring(8), ["simulate", "--audit"], 0, {"audit": {
         "conference_bits": 8, "edge_disjoint": True, "secrecy": "uniform",
         "total_bits": 56, "uniform": True, "violations": [],
     }}),
-    ("", complete(4), ["pack", "--method", "basic"], 0, {
+    (complete(4), ["pack", "--method", "basic"], 0, {
         "optimal": True, "diagnostics": {"backtracks": 2, "fallback": False},
     }),
 ])
-def test_audit_and_backtrack_caps_reach_the_cli(
-    capsys, graph_file, monkeypatch, caps, g, argv, code, expected
-):
-    monkeypatch.setenv("QNET_STP_CAPS", caps)
+def test_audit_and_backtrack_caps_reach_the_cli(capsys, graph_file, g, argv, code, expected):
     got, out = run(capsys, argv[0], graph_file("g.json", g), *argv[1:])
     assert got == code
     doc = json.loads(out)
@@ -806,12 +834,6 @@ def test_greedy_budget_reaches_the_cli(capsys, graph_file, monkeypatch, g, budge
     doc = json.loads(out)
     assert (doc["optimal"], doc["achieved_rate"]) == (True, "2")
     assert doc["diagnostics"] == SEARCH_GIVES_UP
-
-
-def test_backtrack_is_no_longer_a_cap(capsys, graph_file, monkeypatch):
-    monkeypatch.setenv("QNET_STP_CAPS", "backtrack=1")
-    code, out = run(capsys, "rate", graph_file("ring8.json", ring(8)))
-    assert (code, json.loads(out)) == (2, CAPS_GONE)
 
 
 def _long_rationals():
@@ -849,37 +871,19 @@ def test_rationals_too_long_to_print_are_schema_errors(capsys, tmp_path, name, c
 # the gone caps variable, step budgets and candidate parsing
 # ---------------------------------------------------------------------------
 
-def test_caps_variable_exits_2_whatever_it_sets(capsys, hexagon_path, monkeypatch):
-    # caps larger or smaller than the old ones, and a usage error first: the
-    # variable is checked after the arguments
-    for value in ("partitions=3", "partitions=14", "subsets=22"):
+def test_the_gone_caps_variable_changes_nothing(capsys, hexagon_path, monkeypatch):
+    # QNET_STP_CAPS set node caps before the step budgets; nothing reads it now
+    calls = [
+        ["rate", hexagon_path], ["pack", hexagon_path, "--format", "text"],
+        ["simulate", hexagon_path, "--audit"], ["analyze", hexagon_path],
+        ["optimize", hexagon_path, "--candidates", "1-4"], ["export-dot", hexagon_path],
+        ["rate", hexagon_path, "--format", "dot"],
+    ]
+    want = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _ in want] == [0] * 6 + [2]
+    for value in ("partitions=3", "trees=4", "backtrack=1", "nonsense", " "):
         monkeypatch.setenv("QNET_STP_CAPS", value)
-        for argv in (["rate", hexagon_path], ["export-dot", hexagon_path]):
-            code, out = run(capsys, *argv)
-            assert (code, json.loads(out)) == (2, CAPS_GONE), value
-    code, out = run(capsys, "rate", hexagon_path, "--format", "dot")
-    assert code == 2 and "invalid choice" in json.loads(out)["error"]["message"]
-    # set but blank, it is ignored, as an empty value always was
-    for value in ("", " "):
-        monkeypatch.setenv("QNET_STP_CAPS", value)
-        assert run(capsys, "rate", hexagon_path, "--format", "text") == (0, "6/5\n")
-
-
-def test_old_cap_settings_exit_2(capsys, hexagon_path, monkeypatch):
-    # what the old parser accepted, refused, or named as a gone cap
-    for value in ("partitions=500, subsets=7", "partitions=abc", "partitions=0",
-                  "lp=16", "audit=4", "oracle_rounds=2", "backtrack=16", "trees=16"):
-        monkeypatch.setenv("QNET_STP_CAPS", value)
-        for argv in (["rate", hexagon_path], ["export-dot", hexagon_path]):
-            code, out = run(capsys, *argv)
-            assert (code, json.loads(out)) == (2, CAPS_GONE), value
-
-
-def test_caps_env_malformed(capsys, hexagon_path, monkeypatch):
-    for value in ("partitions", "nonsense=3"):
-        monkeypatch.setenv("QNET_STP_CAPS", value)
-        code, out = run(capsys, "rate", hexagon_path)
-        assert (code, json.loads(out)) == (2, CAPS_GONE)
+        assert [run(capsys, *argv) for argv in calls] == want, value
 
 
 @pytest.mark.parametrize("g", [

@@ -158,6 +158,28 @@ def test_the_cut_side_search_charges_the_partition_budget(monkeypatch):
         reference_scans.library_best_bipartition(bip_tie7())
 
 
+def test_the_minimum_cut_charges_the_partition_budget(monkeypatch):
+    # the cut of 7 nodes costs 7**3 // 3 = 114 units up front; past it the
+    # report stops before the cut, within it the side search runs on
+    import qnet_stp.planner as planner
+
+    cuts = []
+    min_cut = planner._min_cut
+    monkeypatch.setattr(planner, "_min_cut", lambda w: cuts.append(len(w)) or min_cut(w))
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 113)
+    with pytest.raises(
+        ExactModeLimitError, match="^the minimum cut of 7 nodes passed its budget of 113 steps$"
+    ):
+        bottleneck_report(bip_tie7())
+    assert cuts == []
+    monkeypatch.setattr("qnet_stp.rate_core.PARTITION_BUDGET", 114)
+    with pytest.raises(
+        ExactModeLimitError, match="^the bipartition search of 7 nodes passed its budget of 114 steps$"
+    ):
+        bottleneck_report(bip_tie7())
+    assert cuts == [7]
+
+
 def test_report_json(two_cliques_hub):
     doc = bottleneck_report(two_cliques_hub).to_json_dict()
     assert doc["kind"] == "multiblock"
