@@ -7,8 +7,8 @@ deterministic: identical inputs, flags and seed produce byte-identical
 bytes.
 
 Exit codes: 0 success, 2 input/validation error or an output that
-stdout's encoding cannot hold, 3 a scan passed its step budget, 4
-internal failure (a packer gave up).
+stdout's encoding cannot hold or stdout refuses, 3 a scan passed its step
+budget, 4 internal failure (a packer gave up).
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ def _dot_id(text: str) -> str:
 
 
 def graph_dot(g: WeightedGraph) -> str:
-    lines = ["graph network {", "  node [shape=circle];"]
-    for node in g.sorted_nodes():
-        lines.append(f"  {_dot_id(node)};")
+    """The network in DOT, each node quoted once and each distinct rate object formatted once."""
+    ids = {node: _dot_id(node) for node in g.sorted_nodes()}
+    lines = ["graph network {", "  node [shape=circle];", *[f"  {q};" for q in ids.values()]]
+    labels: dict[int, str] = {}  # by the rate's identity: a Fraction's own hash is slow
     for e in g.edges:
-        label = format_rational(e.rate)
-        lines.append(f'  {_dot_id(e.u)} -- {_dot_id(e.v)} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        label = labels.get(id(e.rate)) or labels.setdefault(id(e.rate), format_rational(e.rate))
+        lines.append(f'  {ids[e.u]} -- {ids[e.v]} [label="{label}"];')
+    return "\n".join(lines) + "\n}\n"
 
 
 def packing_dot(g: WeightedGraph, pk: TreePacking) -> str:
@@ -208,15 +208,21 @@ def _announcements_text(announcements, pad: str) -> str:
 
 
 def emit(out) -> None:
-    """Write ``out`` to stdout in one write: a ``str`` as it is, a document as JSON text.
+    """Write ``out`` to stdout in one write, then flush: a ``str`` as it is, a document as JSON.
 
-    An ``out`` that stdout's encoding cannot hold is a SchemaError, and nothing is written.
+    An ``out`` that stdout's encoding cannot hold is a SchemaError, with nothing written.  So is
+    a failed write or flush (a full disk, a closed pipe), after which a sink stands in for stdout.
     """
     text = out if isinstance(out, str) else _json_text(out) + "\n"
     try:
         sys.stdout.write(text)
+        sys.stdout.flush()
     except UnicodeEncodeError as exc:
         raise SchemaError(f"stdout cannot encode the output: {exc}") from exc
+    except OSError as exc:
+        import io
+        sys.stdout = io.StringIO()  # so neither the error nor the flush at exit fails again
+        raise SchemaError(f"cannot write to stdout: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -301,47 +307,42 @@ def _link_splits(link: str, labels) -> list[tuple[str, str]]:
     return splits
 
 
-def _reads_as_rate(text: str) -> bool:
+def _read_rate(text: str):
+    """The rate ``text`` reads as, 1 when it is empty, or None when it reads as no rate."""
     try:
-        parse_rational(text or "1")
+        return parse_rational(text) if text else 1
     except SchemaError:
-        return False
-    return True
+        return None
 
 
 def parse_candidates(raw: str, labels=()) -> list[tuple[str, str, object]]:
     """Parse "1-4,2-6" (optionally "u-v:rate") into candidate triples.
 
-    An item reads as a link, or as ``link:rate`` with the rate after any
-    ``:``.  A link splits at its one ``-``, or, if it has more, where
-    both sides are node ``labels`` (so ``a-1-c`` links ``a-1`` and
-    ``c``).  The readings whose two ends are both labels and whose rate
-    parses decide: with labels ``a`` and ``b:1``, ``a-b:1`` links them at
-    rate 1 and ``a-b:1:2`` at rate 2.  With no such reading the rate
-    starts at the first ``:``.  More than one such reading, or no split
-    at all, is a SchemaError.
+    An item reads as a link, or as ``link:rate`` with the rate after any ``:``.
+    A link splits at its one ``-``, or, if it has more, where both sides are
+    node ``labels`` (so ``a-1-c`` links ``a-1`` and ``c``).  The readings whose
+    two ends are both labels and whose rate parses decide: with labels ``a``
+    and ``b:1``, ``a-b:1`` links them at rate 1 and ``a-b:1:2`` at rate 2.
+    With no such reading the rate starts at the first ``:``.  More than one
+    such reading, or no split at all, is a SchemaError.  Each rate text is
+    parsed once, and a malformed one again to raise its error.
     """
     out = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        suffixes = [len(item)] + [i for i, ch in enumerate(item) if ch == ":"]
-        readings = [
-            (u, v, item[i + 1:])
-            for i in suffixes
-            for u, v in _link_splits(item[:i], labels)
-            if u in labels and v in labels and _reads_as_rate(item[i + 1:])
-        ]
+    for item in filter(None, map(str.strip, raw.split(","))):
+        readings = []
+        for i in [len(item)] + [i for i, ch in enumerate(item) if ch == ":"]:
+            uv = [(u, v) for u, v in _link_splits(item[:i], labels) if u in labels and v in labels]
+            rate = _read_rate(item[i + 1:]) if uv else None
+            readings += [(u, v, rate) for u, v in uv if rate is not None]
         if len(readings) > 1:
             raise SchemaError(f"candidate {item!r} splits into node labels in more than one way")
         if not readings:
-            link, _, rate = item.partition(":")
-            readings = [(u, v, rate) for u, v in _link_splits(link, labels) if u and v]
-        if not readings:
-            raise SchemaError(f"candidate {item!r} is not of the form u-v or u-v:rate")
-        u, v, rate = readings[0]
-        out.append((u, v, parse_rational(rate) if rate else 1))
+            link, _, text = item.partition(":")
+            uv = [(u, v) for u, v in _link_splits(link, labels) if u and v]
+            if not uv:
+                raise SchemaError(f"candidate {item!r} is not of the form u-v or u-v:rate")
+            readings = [(*uv[0], parse_rational(text) if text else 1)]
+        out.append(readings[0])
     return out
 
 
@@ -458,12 +459,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         emit(args.func(load_graph(args.input), args))
         return 0
     except QNetError as exc:
-        emit({"error": {"code": exc.code, "message": str(exc)}})
-        if isinstance(exc, ValidationError):
+        try:
+            emit({"error": {"code": exc.code, "message": str(exc)}})
+        except SchemaError:  # stdout refused the error as well
             return 2
-        if isinstance(exc, LimitError):
-            return 3
-        return 4
+        return 2 if isinstance(exc, ValidationError) else 3 if isinstance(exc, LimitError) else 4
 
 
 if __name__ == "__main__":

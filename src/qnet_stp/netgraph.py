@@ -96,7 +96,7 @@ def parse_rational(value) -> Fraction:
             cut = "..." if len(value) > 80 else ""
             raise SchemaError(f"malformed rational {value[:80]!r}{cut}") from exc
     elif isinstance(value, (int, Fraction)):
-        x = Fraction(value)
+        x = value if type(value) is Fraction else Fraction(value)
     else:
         raise SchemaError(f"expected a rational, got {type(value).__name__}")
     if abs(x.numerator) >= _RATIONAL_BOUND or x.denominator >= _RATIONAL_BOUND:
@@ -246,17 +246,16 @@ class WeightedGraph:
         in key order, as ``(i, j, w)``: ``i < j`` are its ends' indices (a
         key's ends are sorted too) and ``w`` its rate times ``scale``, the
         lcm of the rate denominators.  Built from the constructor's map of
-        rates, in time linear in the edges and one sort of their index pairs.
+        rates in one sort of the index pairs, reading each distinct rate once.
         """
         if self._links is None:
             labels = self.sorted_nodes()
             idx = {v: i for i, v in enumerate(labels)}
             rates = self._rates
-            scale = math.lcm(*[r.denominator for r, _ in rates.values()])
-            links = sorted([
-                (idx[u], idx[v], r.numerator * (scale // r.denominator))
-                for (u, v), (r, _) in rates.items()
-            ])
+            distinct = {id(r): r for r, _ in rates.values()}  # id: a Fraction's hash is slow
+            scale = math.lcm(*[r.denominator for r in distinct.values()])
+            weight = {k: r.numerator * (scale // r.denominator) for k, r in distinct.items()}
+            links = sorted([(idx[u], idx[v], weight[id(r)]) for (u, v), (r, _) in rates.items()])
             self._links = labels, scale, tuple(links)
         return self._links
 
@@ -279,17 +278,18 @@ class WeightedGraph:
     def with_edge(self, u: str, v: str, rate, epsilon=Fraction(0)) -> WeightedGraph:
         """Return a copy with ``rate`` added on ``(u, v)``.
 
-        If the edge already exists the rates (and epsilons) are summed --
-        adding capacity to an existing link is not an error.
+        If the edge already exists the rates (and epsilons) are summed -- adding capacity to an
+        existing link is not an error.  Only the added link is checked, as the others already were.
         """
         rate, epsilon = Fraction(rate), Fraction(epsilon)
         key = self.link_key(u, v)
-        if rate < 0 or epsilon < 0:
+        if rate.numerator < 0 or epsilon.numerator < 0:
             raise NegativeRateError(f"negative addition on edge ({u},{v})")
-        rates = dict(self._rates)
-        old_rate, old_eps = rates.get(key, (_ZERO, _ZERO))
-        rates[key] = old_rate + rate, old_eps + epsilon
-        return WeightedGraph(self.node_ids, [(*k, *r) for k, r in rates.items()])
+        old_rate, old_eps = self._rates.get(key, (_ZERO, _ZERO))
+        g = object.__new__(WeightedGraph)
+        g.node_ids, g._nodes, g._edges, g._links = self.node_ids, self._nodes, None, None
+        g._rates = {**self._rates, key: (old_rate + rate, old_eps + epsilon)}
+        return g
 
     # -- serialization ---------------------------------------------------
 

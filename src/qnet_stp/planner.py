@@ -317,30 +317,39 @@ def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
             rate = parse_rational(rate)
         else:
             raise SchemaError(f"candidate must be (u, v) or (u, v, rate), got {item!r}")
-        if rate <= 0:
+        if rate.numerator <= 0:  # a Fraction comparison is far slower
             raise NegativeRateError(f"candidate rate must be positive, got {rate}")
         out.append((u, v, rate))
     return out
 
 
-def _scanner(g: WeightedGraph, initial: RateReport):
-    """``scan(additions, leader)``: the rate report of ``g`` with ``additions`` added.
+def _scanner(g: WeightedGraph, initial: RateReport, pool: list[tuple[str, str, Fraction]]):
+    """``scan(chosen, leader)``: the rate report of ``g`` with the candidates ``chosen`` added.
 
-    Each call scans ``g``'s integer links with the additions' weights
-    merged in, one link per pair, all rescaled to the lcm of the scale
-    and their denominators.  It gives ``None`` when some partition's
-    value is at most ``leader``.  It first tries its witnesses:
-    ``initial``'s minimizer and each partition a scan returned (its
-    minimizer, or where it met its cutoff), kept with their cross sums on
-    ``g``'s links.  A witness's value is that sum times the rescale factor
-    plus the additions it separates, over its block count less one; one
-    at most ``leader`` gives ``None`` without a scan, and so does a scan
-    whose partition is.  Otherwise the scan returned the minimizer, and
-    its report is the augmented network's :func:`nwt_rate`, because the
-    scan takes the same path on any positive multiple of the weights.
+    Each candidate of ``pool`` is read once, as ``(i, j, num, den)``: its
+    ends' node indices, ``i < j``, and its rate's numerator and
+    denominator; ``chosen`` holds positions in ``pool``.  Each call scans
+    ``g``'s integer links with the additions' weights merged in, one link
+    per pair, all rescaled to the lcm of the scale and their denominators.
+    It gives ``None`` when some partition's value is at most the rate
+    ``leader``, which it tests in integers.  It first tries its
+    witnesses: ``initial``'s minimizer and each partition a scan returned
+    (its minimizer, or where it met its cutoff), kept with their cross
+    sums on ``g``'s links.  A witness's value is that sum times the
+    rescale factor plus the additions it separates, over its block count
+    less one; one at most ``leader`` gives ``None`` without a scan, and so
+    does a scan whose partition is.  Otherwise the scan returned the
+    minimizer, and its report is the augmented network's :func:`nwt_rate`,
+    because the scan takes the same path on any positive multiple of the
+    weights.
     """
     labels, scale, links = g.integer_links()
     index = {v: i for i, v in enumerate(labels)}
+    where = {(i, j): k for k, (i, j, _) in enumerate(links)}  # each linked pair's position
+    candidates = []
+    for u, v, rate in pool:
+        i, j = sorted((index[u], index[v]))
+        candidates.append((i, j, rate.numerator, rate.denominator))
     witnesses: dict[tuple[int, ...], tuple[int, int]] = {}  # node blocks -> (cross, blocks - 1)
 
     def keep(rgs: tuple[int, ...]) -> None:
@@ -350,29 +359,34 @@ def _scanner(g: WeightedGraph, initial: RateReport):
     block = initial.minimizing_partition.block_of()
     keep(tuple(block[v] for v in labels))
 
-    def scan(additions, leader: Optional[Fraction]) -> Optional[RateReport]:
-        new_scale = math.lcm(scale, *(rate.denominator for _, _, rate in additions))
+    def scan(chosen, leader: Optional[Fraction]) -> Optional[RateReport]:
+        additions = [candidates[k] for k in chosen]
+        new_scale = math.lcm(scale, *[den for _, _, _, den in additions])
         factor = new_scale // scale
-        added = [
-            (*sorted((index[u], index[v])), rate.numerator * (new_scale // rate.denominator))
-            for u, v, rate in additions
-        ]
+        added = [(i, j, num * (new_scale // den)) for i, j, num, den in additions]
         cutoff = None
         if leader is not None:
-            cutoff = leader * new_scale
+            # the cutoff leader * new_scale is cut_num / cut_den: a partition's
+            # cross over pm1 is at most it when cross * cut_den <= cut_num * pm1
+            cut_num, cut_den = leader.numerator * new_scale, leader.denominator
             for rgs, (cross, pm1) in witnesses.items():
-                value = cross * factor + _crossing(added, rgs)
-                if value * cutoff.denominator <= cutoff.numerator * pm1:
+                if (cross * factor + _crossing(added, rgs)) * cut_den <= cut_num * pm1:
                     return None
-        merged = {(i, j): x * factor for i, j, x in links}
+            cutoff = Fraction(cut_num, cut_den)
+        merged = list(links) if factor == 1 else [(i, j, x * factor) for i, j, x in links]
+        unlinked: dict[tuple[int, int], int] = {}  # additions on pairs with no link
         for i, j, x in added:
-            merged[i, j] = merged.get((i, j), 0) + x
-        m = [(i, j, x) for (i, j), x in merged.items()]
-        found = cross, pm1, rgs = _partition_scan(len(labels), m, cutoff)
+            k = where.get((i, j))
+            if k is None:
+                unlinked[i, j] = unlinked.get((i, j), 0) + x
+            else:
+                merged[k] = (i, j, merged[k][2] + x)
+        merged += [(i, j, x) for (i, j), x in unlinked.items()]
+        found = cross, pm1, rgs = _partition_scan(len(labels), merged, cutoff)
         keep(rgs)
-        if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
+        if cutoff is not None and cross * cut_den <= cut_num * pm1:
             return None
-        return _rate_report(labels, new_scale, m, found)
+        return _rate_report(labels, new_scale, merged, found)
 
     return scan
 
@@ -420,7 +434,8 @@ def best_additions(
     choice, afters = choose(g, report, pool, budget)
     steps: list[AugmentationResult] = []
     current, before = g, initial
-    for (u, v, added), after in zip(choice, afters):
+    for k, after in zip(choice, afters):
+        u, v, added = pool[k]
         step = _score_addition(current, u, v, added, before, after)
         steps.append(step)
         current, before = step.graph, step.rate_after
@@ -433,13 +448,13 @@ def best_additions(
 
 
 def _greedy_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: int):
-    """The greedy plan's additions in order, visiting candidates in tie-break order,
-    and the rate report after each."""
+    """The greedy plan's additions in order, as positions in ``pool``, visiting
+    candidates in tie-break order, and the rate report after each."""
     for u, v, _ in pool:
         g.link_key(u, v)
-    scan = _scanner(g, initial)
-    remaining = sorted(pool, key=lambda c: (edge_key(c[0], c[1]), c[2]))
-    choice: list = []
+    scan = _scanner(g, initial, pool)
+    remaining = sorted(range(len(pool)), key=lambda k: (edge_key(*pool[k][:2]), pool[k][2]))
+    choice: list[int] = []
     reports: list[RateReport] = []
     for _ in range(min(budget, len(pool))):
         leader = best = None
@@ -453,8 +468,8 @@ def _greedy_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: in
 
 
 def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: int):
-    """The first best combination of ``budget`` candidates, in ``sorted`` order,
-    and the rate report after each of its additions in turn."""
+    """The first best combination of ``budget`` candidates, in ``sorted`` order, as
+    positions in ``pool``, and the rate report after each of its additions in turn."""
     size = min(budget, len(pool))
     combos = math.comb(len(pool), size)
     if combos > EXHAUSTIVE_PLAN_CAP:
@@ -462,10 +477,10 @@ def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget
             f"{combos} candidate combinations exceed the exhaustive-plan cap "
             f"of {EXHAUSTIVE_PLAN_CAP}"
         )
-    ordered = sorted(pool)
-    for u, v, _ in ordered:
-        g.link_key(u, v)
-    scan = _scanner(g, initial)
+    ordered = sorted(range(len(pool)), key=pool.__getitem__)
+    for k in ordered:
+        g.link_key(*pool[k][:2])
+    scan = _scanner(g, initial, pool)
     choice = best = None
     for combo in itertools.combinations(ordered, size):
         report = scan(combo, None if best is None else best.rate)

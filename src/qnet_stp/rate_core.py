@@ -145,11 +145,15 @@ def _partition_scan(
     the call stack, so no node count or depth of the caller's stack
     overflows it.
     """
-    upper: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # higher-index neighbours
+    # into[k][b]: k's weight to the placed nodes of block b <= k; top[k]
+    # its maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
+    into = [[0] * (k + 1) for k in range(n)]
+    # higher-index neighbours, each with its weight and its row of `into`
+    upper: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
     back = [0] * n  # each node's weight to lower-index nodes
     for i, j, x in links:
         if x:
-            upper[i].append((j, x))
+            upper[i].append((j, x, into[j]))
             back[j] += x
     rgs = [0] * n
     # the incumbent starts as the finest partition, the last RGS of all
@@ -159,9 +163,6 @@ def _partition_scan(
     tie = 1  # 1 while the finest partition stands: a partition equal to it comes first
     improvements = 0
     opening = [x * best_pm1 - best_cross for x in back]  # each node's cost of opening a block
-    # into[k][b]: k's weight to the placed nodes of block b <= k; top[k]
-    # its maximum and placed[k] its sum, so spread_k = placed[k] - top[k]
-    into = [[0] * (k + 1) for k in range(n)]
     top = [0] * n
     placed = [0] * n
     steps, budget = 0, PARTITION_BUDGET  # units of work
@@ -182,8 +183,8 @@ def _partition_scan(
         improvements += 1
         opening[:] = [x * pm1 - cross for x in back]
 
-    for k, x in upper[0]:
-        into[k][0] = top[k] = placed[k] = x
+    for k, x, blocks in upper[0]:
+        blocks[0] = top[k] = placed[k] = x
     # each placed node above node 0: its cross, p and rest, its block b
     # and the improvements before it; `saved` holds the tops that the
     # placements replaced, node after node
@@ -220,8 +221,8 @@ def _partition_scan(
                     i -= 1
                     cross, p, rest, b, mark = path.pop()
                     up, row = upper[i], into[i]
-                    for k, x in reversed(up):
-                        into[k][b] -= x
+                    for k, x, blocks in reversed(up):
+                        blocks[b] -= x
                         placed[k] -= x
                         top[k] = saved.pop()
                     if mark != improvements:
@@ -236,23 +237,23 @@ def _partition_scan(
                 if value + rest < tie:
                     steps += len(up)
                     tight = rest
-                    for k, x in up:
+                    for k, x, blocks in up:
                         o = opening[k]
                         if o > 0:  # otherwise the term is o before and after
-                            y, h = into[k][b] + x, top[k]
-                            s, t = (placed[k] - h) * B, (placed[k] + x - (y if y > h else h)) * B
+                            y, h, w = blocks[b] + x, top[k], placed[k]
+                            s, t = (w - h) * B, (w + x - (y if y > h else h)) * B
                             tight += (t if t < o else o) - (s if s < o else o)
                     if value + tight < tie:
                         break
                 b += 1
             rgs[i] = b
-            for k, x in up:
-                blocks = into[k]
-                blocks[b] += x
+            for k, x, blocks in up:
+                y = blocks[b] = blocks[b] + x
                 placed[k] += x
-                saved.append(top[k])
-                if blocks[b] > top[k]:
-                    top[k] = blocks[b]
+                h = top[k]
+                saved.append(h)
+                if y > h:
+                    top[k] = y
             path.append((cross, p, rest, b, improvements))
             i, cross, p, rest = i + 1, c, q, tight
     except _AtMostCutoff:
@@ -307,12 +308,20 @@ def nwt_rate(g: WeightedGraph) -> RateReport:
 def _rate_report(
     labels: tuple[str, ...], scale: int, links, found: tuple[int, int, tuple[int, ...]]
 ) -> RateReport:
-    """The report of a completed :func:`_partition_scan` of ``links`` (rates times ``scale``)."""
+    """The report of a completed :func:`_partition_scan` of ``links`` (rates times ``scale``).
+
+    ``labels`` are sorted and ``rgs`` is a restricted growth string, so
+    each block, gathered in label order, is sorted, and the blocks come
+    in order of their first labels: the partition is canonical as built.
+    """
     cross, pm1, rgs = found
     total = sum(x for _, _, x in links)
+    blocks: list[list[str]] = [[] for _ in range(pm1 + 1)]
+    for label, b in zip(labels, rgs):
+        blocks[b].append(label)
     return RateReport(
         rate=Fraction(cross, pm1 * scale),
-        minimizing_partition=VertexPartition.from_rgs(labels, rgs),
+        minimizing_partition=VertexPartition(tuple(map(tuple, blocks))),
         finest_is_optimal=total * pm1 == cross * (len(labels) - 1),
     )
 

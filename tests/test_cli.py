@@ -799,6 +799,40 @@ def test_json_answers_escape_labels_for_any_stdout(graph_file, monkeypatch, argv
     json.loads(out)
 
 
+class RefusingStdout(io.StringIO):
+    """A stdout that refuses its writes, or only its flushes, as a full disk does."""
+
+    def __init__(self, refuse: str):
+        super().__init__()
+        self.refuse = refuse
+
+    def write(self, text):
+        if self.refuse == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.refuse == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("refuse", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["rate", "{graph}"],
+    ["optimize", "{graph}", "--candidates", "1-3"],
+    ["rate", "{graph}", "--format", "bogus"],
+    ["rate", "{missing}"],
+], ids=["answer", "plan", "usage-error", "input-error"])
+def test_a_stdout_that_refuses_the_output_exits_2_without_raising(graph_file, monkeypatch, tmp_path,
+                                                                   refuse, argv):
+    paths = {"graph": graph_file("g.json", ring(4)), "missing": str(tmp_path / "missing.json")}
+    refusing = RefusingStdout(refuse)
+    monkeypatch.setattr(sys, "stdout", refusing)
+    assert main([a.format(**paths) for a in argv]) == 2
+    # stdout is left for a sink, so nothing flushes the refused bytes again
+    assert sys.stdout is not refusing
+
+
 @pytest.mark.parametrize("g, argv, code, expected", [
     # 56 key bits: the audit has no cap
     (ring(8), ["simulate", "--audit"], 0, {"audit": {

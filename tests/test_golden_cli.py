@@ -3,9 +3,11 @@
 Each fixture is run through ``rate``, ``analyze``, ``pack`` (every
 method, the oracle also with two rounds), ``simulate`` (with and without
 ``--audit`` and ``--rounds``) and ``optimize`` (greedy and exhaustive,
-over the fixture's missing links).  The exit code and the digest of
-stdout must match ``golden_cli.json``, so a refactor that is meant to
-keep the output proves that it kept it byte for byte.
+over the fixture's missing links, and again at budget 3, also as text,
+with rates of new denominators and a candidate on an existing link).
+The exit code and the digest of stdout must match ``golden_cli.json``,
+so a refactor that is meant to keep the output proves that it kept it
+byte for byte.
 
 To re-record (only when an output is meant to change, and say so in
 CHANGES.md)::
@@ -94,6 +96,16 @@ def commands(g) -> list:
             ["simulate", "--rounds", "2", "--audit"],
             ["optimize", "--candidates", spec, "--budget", "1"],
             ["optimize", "--candidates", spec, "--budget", "2", "--exhaustive"],
+        ]
+        # rates that bring in new denominators, and a candidate on an existing
+        # link, written end first
+        first = g.edges[0]
+        rich = ",".join([f"{u}-{v}:{r}" for (u, v), r in zip(missing, ("1/3", "5/2", "1"))]
+                        + [f"{first.v}-{first.u}:5/2"])
+        out += [
+            ["optimize", "--candidates", rich, "--budget", "3"],
+            ["optimize", "--candidates", rich, "--budget", "3", "--exhaustive"],
+            ["optimize", "--candidates", rich, "--budget", "3", "--format", "text"],
         ]
     return out
 

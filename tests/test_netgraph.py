@@ -317,6 +317,47 @@ def test_with_edge_merges_rates(triangle):
         triangle.with_edge("1", "2", -1)
 
 
+@pytest.mark.parametrize("u, v, rate, eps", [
+    ("3", "1", Fraction(1, 3), Fraction(0)),  # a new link, end first
+    ("4", "2", "5/2", Fraction(1, 7)),  # a new link with an epsilon
+    ("2", "1", Fraction(5, 2), Fraction(0)),  # an existing link, end first
+    ("1", "2", 1, Fraction(1, 4)),  # an existing link, rate and epsilon both merged
+])
+def test_with_edge_builds_the_graph_built_from_scratch(u, v, rate, eps):
+    edges = [("1", "2", Fraction(1, 2), Fraction(1, 9)), ("2", "3", 1), ("3", "4", Fraction(3, 2))]
+    g = WeightedGraph(["1", "2", "3", "4"], edges)
+    g.integer_links()  # a parent's cached view does not leak into the copy
+    got = g.with_edge(u, v, rate, eps)
+    merged = {edge_key(e.u, e.v): (e.rate, e.epsilon) for e in g.edges}
+    old_rate, old_eps = merged.get(edge_key(u, v), (0, 0))
+    merged[edge_key(u, v)] = (old_rate + Fraction(rate), old_eps + eps)
+    want = WeightedGraph(g.node_ids, [(*key, *r) for key, r in merged.items()])
+    assert got == want and hash(got) == hash(want)
+    assert got.edges == want.edges
+    assert got.integer_links() == want.integer_links()
+    assert got.epsilon_map() == want.epsilon_map()
+    assert got.node_ids == want.node_ids and got.node_count == 4
+    # the parent is untouched
+    parent = WeightedGraph(["1", "2", "3", "4"], edges)
+    assert g == parent and g.integer_links() == parent.integer_links()
+    assert g.epsilon_map() == parent.epsilon_map()
+
+
+@pytest.mark.parametrize("u, v, rate, eps, error, message", [
+    ("1", "9", 1, 0, UnknownNodeError, "unknown node '9'"),
+    ("9", "1", 1, 0, UnknownNodeError, "unknown node '9'"),
+    ("2", "2", 1, 0, SelfLoopError, "self-loop at node '2'"),
+    ("1", "3", -1, 0, NegativeRateError, "negative addition on edge (1,3)"),
+    ("1", "2", Fraction(-1, 2), 0, NegativeRateError, "negative addition on edge (1,2)"),
+    ("2", "1", 1, -1, NegativeRateError, "negative addition on edge (2,1)"),
+])
+def test_with_edge_refuses_a_bad_link(u, v, rate, eps, error, message):
+    g = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
+    with pytest.raises(error) as got:
+        g.with_edge(u, v, rate, eps)
+    assert (type(got.value), str(got.value)) == (error, message)
+
+
 def test_is_connected_respects_zero_rates():
     g = build(["1", "2", "3"], [("1", "2", 1), ("2", "3", 0)])
     assert not is_connected(g)
@@ -477,6 +518,28 @@ def test_multigraph_floors():
     for bad in (0, -1, 1.5, "2"):
         with pytest.raises(SchemaError, match="round count must be a positive integer"):
             capacities(g, bad)
+
+
+def test_integer_links_of_shared_and_separate_rate_objects_agree():
+    # parse_graph shares one Fraction per rate string; built graphs may hold
+    # equal rates as separate objects, or one object on every link
+    nodes = [str(i) for i in range(1, 7)]
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    texts = ["3/2", "2", "1/4", "5/6", "0"]
+    doc = {"nodes": nodes, "edges": [{"u": u, "v": v, "rate": texts[k % len(texts)]}
+                                     for k, (u, v) in enumerate(pairs)]}
+    shared = parse_graph(json.dumps(doc))
+    separate = WeightedGraph(nodes, [(u, v, Fraction(texts[k % len(texts)]))
+                                     for k, (u, v) in enumerate(pairs)])
+    one = Fraction(5, 6)
+    alike = WeightedGraph(nodes, [(u, v, one) for u, v in pairs])
+    labels, scale, links = shared.integer_links()
+    assert separate.integer_links() == (labels, scale, links)
+    assert scale == 12
+    index_pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]  # the labels sort as listed
+    assert links == tuple((i, j, int(Fraction(texts[k % len(texts)]) * 12))
+                          for k, (i, j) in enumerate(index_pairs))
+    assert alike.integer_links() == (labels, 6, tuple((i, j, 5) for i, j, _ in links))
 
 
 def test_integer_rates_names_the_first_non_integer_rate_in_edge_order():

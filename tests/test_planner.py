@@ -6,6 +6,7 @@ import pytest
 
 from qnet_stp import (
     VertexPartition,
+    WeightedGraph,
     best_additions,
     bottleneck_report,
     check_no_bottleneck,
@@ -13,6 +14,7 @@ from qnet_stp import (
     nwt_rate,
     partition_bound,
 )
+from qnet_stp.cli import graph_dot
 from qnet_stp.errors import (
     EmptyPlanError,
     ExactModeLimitError,
@@ -420,6 +422,9 @@ def test_plans_match_the_per_candidate_reference(monkeypatch):
                 want = reference_scans.best_additions(g, pool, budget, exhaustive=exhaustive)
                 assert got.to_json_dict() == want.to_json_dict()
                 assert [s.graph for s in got.steps] == [s.graph for s in want.steps]
+                # each step's DOT, against the reference's networks rebuilt from their links
+                rebuilt = [WeightedGraph(s.graph.node_ids, s.graph.edges) for s in want.steps]
+                assert [graph_dot(s.graph) for s in got.steps] == list(map(graph_dot, rebuilt))
                 # the initial rate only
                 assert counts["rates"] == 1
                 reused += len(got.steps)
