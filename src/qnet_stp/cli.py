@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -102,21 +101,7 @@ def _scalar(x) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (math.inf, -math.inf):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
     raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return encode_basestring_ascii(_scalar(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 class _Verbatim(str):
@@ -124,58 +109,49 @@ class _Verbatim(str):
 
 
 def _json_text(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, on what the commands print.
 
-    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
-    builds the same text in one recursive pass, with the C string
-    escaper.  ``pad`` is the newline and indent before a closing bracket.
-    Exact ``str`` and ``int`` leaves, and lists or tuples of two exact
-    ``str`` (edge keys, two-node blocks) through one template, are
-    written in their container's loop; anything else (``bool``,
-    subclasses) takes a call.  A :class:`_Verbatim` leaf is written as it
-    is.  A dict sorts its keys alone, which orders it as sorting its
-    items: two of its keys never compare equal, or they would be one key.
+    That is ``str``, ``int``, ``bool`` and ``None`` leaves (subclasses
+    too) in lists, tuples and dicts with ``str`` keys; anything else,
+    floats and other keys included, is a TypeError.  ``json.dumps``
+    indents with its pure-Python encoder; this builds the same text in
+    one recursive pass, with the C string escaper.  ``pad`` is the
+    newline and indent before a closing bracket.  One loop writes the
+    members: exact ``str`` and ``int`` leaves, and lists or tuples of two
+    exact ``str`` (edge keys, two-node blocks) through one template, in
+    place, the rest by a call.  A dict sorts its keys alone (two never
+    compare equal, or they would be one key), then prefixes each member
+    with its escaped key.  A :class:`_Verbatim` leaf is written as it is.
     """
     if isinstance(doc, str):
         return doc if type(doc) is _Verbatim else encode_basestring_ascii(doc)
+    if isinstance(doc, dict):
+        keys, brackets = sorted(doc), "{}"
+        members = map(doc.__getitem__, keys)
+    elif isinstance(doc, (list, tuple)):
+        keys, brackets, members = None, "[]", doc
+    else:
+        return _scalar(doc)
+    if not doc:
+        return brackets
     inner = pad + "  "
     pair = None  # the two-string template, built on first use
     texts = []
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        for x in doc:
-            t = type(x)
-            if t is str:
-                texts.append(encode_basestring_ascii(x))
-            elif t is int:
-                texts.append(int.__repr__(x))
-            elif (t is list or t is tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is str:
-                if pair is None:
-                    pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-                texts.append(pair % (encode_basestring_ascii(x[0]), encode_basestring_ascii(x[1])))
-            else:
-                texts.append(_json_text(x, inner))
-        return "[" + inner + ("," + inner).join(texts) + pad + "]"
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        for k in sorted(doc):
-            x = doc[k]
-            t = type(x)
-            if t is str:
-                text = encode_basestring_ascii(x)
-            elif t is int:
-                text = int.__repr__(x)
-            elif (t is list or t is tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is str:
-                if pair is None:
-                    pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-                text = pair % (encode_basestring_ascii(x[0]), encode_basestring_ascii(x[1]))
-            else:
-                text = _json_text(x, inner)
-            texts.append((encode_basestring_ascii(k) if type(k) is str else _key(k)) + ": " + text)
-        return "{" + inner + ("," + inner).join(texts) + pad + "}"
-    return _scalar(doc)
+    for x in members:
+        t = type(x)
+        if t is str:
+            texts.append(encode_basestring_ascii(x))
+        elif t is int:
+            texts.append(int.__repr__(x))
+        elif (t is list or t is tuple) and len(x) == 2 and type(x[0]) is type(x[1]) is str:
+            if pair is None:
+                pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+            texts.append(pair % (encode_basestring_ascii(x[0]), encode_basestring_ascii(x[1])))
+        else:
+            texts.append(_json_text(x, inner))
+    if keys is not None:  # the escaper refuses a key that is not a str
+        texts = [encode_basestring_ascii(k) + ": " + text for k, text in zip(keys, texts)]
+    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
 
 
 def _announcements_text(announcements, pad: str) -> str:

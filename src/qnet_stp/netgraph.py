@@ -237,7 +237,7 @@ class WeightedGraph:
         return tuple(e for e in self.edges if e.rate > 0)
 
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
-        return {e.key: e.epsilon for e in self.edges}
+        return {key: eps for key, (_, eps) in sorted(self._rates.items())}
 
     def integer_links(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, int, int], ...]]:
         """Label order, scale and integer links of the exact scans, built once.
@@ -297,13 +297,8 @@ class WeightedGraph:
         return {
             "nodes": list(self.node_ids),
             "edges": [
-                {
-                    "u": e.u,
-                    "v": e.v,
-                    "rate": format_rational(e.rate),
-                    "epsilon": format_rational(e.epsilon),
-                }
-                for e in self.edges
+                {"u": u, "v": v, "rate": format_rational(rate), "epsilon": format_rational(eps)}
+                for (u, v), (rate, eps) in sorted(self._rates.items())
             ],
         }
 
@@ -321,7 +316,7 @@ class WeightedGraph:
         return hash((self.node_ids, self.edges))
 
     def __repr__(self) -> str:
-        return f"WeightedGraph(nodes={len(self.node_ids)}, edges={len(self.edges)})"
+        return f"WeightedGraph(nodes={len(self.node_ids)}, edges={len(self._rates)})"
 
 
 def parse_graph(text: str) -> WeightedGraph:

@@ -112,11 +112,11 @@ def _partition_scan(
     nodes ``i`` and ``j`` joined by integer weight ``w``, of which 0
     joins nothing.
 
-    Returns ``(cross, blocks - 1, rgs)`` of one partition: the first
-    minimizer in restricted-growth order, or, with a ``cutoff`` (in the
-    units of the weights), the first partition whose value is at most
-    it, where the scan stops.  That is the finest partition, scanning
-    nothing, when the finest is already at most ``cutoff``.  So the value
+    Returns ``(cross, blocks - 1, rgs)``: the first minimizer in
+    restricted-growth order or, with a ``cutoff`` (in weight units), the
+    first partition at most it that the scan meets, the last node trying
+    only a block of its own and its heaviest (the first of equals); the
+    finest, scanning nothing, when that is at most ``cutoff``.  So the value
     returned is at most ``cutoff`` exactly when the minimum is, and a
     scan whose value is above it never met its cutoff: it took the path
     of the scan without one.  Each comparison the scan makes weighs two sums

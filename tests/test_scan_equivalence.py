@@ -120,6 +120,44 @@ def test_partition_scan_stops_exactly_at_its_cutoff(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_partition_scan_returns_what_its_cutoff_defines(seed):
+    # by brute force over every partition of two or more blocks, in
+    # restricted-growth order (the finest comes last): the finest when it is
+    # at most the cutoff, else the first at most the cutoff whose last node
+    # opens its own block or joins its heaviest (the first of equals), the
+    # only blocks the scan tries for it, else the first minimizer
+    rng = random.Random(seed)
+    cases = collections.Counter()
+    for _ in range(150):
+        n = rng.randint(3, 7)
+        _, _, w = weights_of(random_graph(rng, n))
+        scored, tried = [], []
+        for rgs in reference_scans.restricted_growth_strings(n):
+            cross = sum(w[i][j] for i in range(n) for j in range(i) if rgs[i] != rgs[j])
+            if max(rgs):
+                scored.append((Fraction(cross, max(rgs)), (cross, max(rgs), rgs)))
+                into = [sum(w[-1][j] for j in range(n - 1) if rgs[j] == b)
+                        for b in range(max(rgs[:-1]) + 1)]
+                tried.append(rgs[-1] in (len(into), into.index(max(into))))
+        values = [value for value, _ in scored]
+        least = min(values)
+        # values at most all before them: those the unpruned scan improves to, and ties
+        records = [v for v, low in zip(values, itertools.accumulate(values, min)) if v == low]
+        cutoff = rng.choice([least - Fraction(1, 7), rng.choice(scored)[0], rng.choice(records)])
+        cutoff = max(Fraction(0), cutoff + Fraction(rng.choice((-1, 0, 0, 1)), 7))
+        at_most = [found for (value, found), t in zip(scored, tried) if t and value <= cutoff]
+        if scored[-1][0] <= cutoff:
+            case, expected = "finest", scored[-1][1]
+        elif at_most:
+            case, expected = "first at most", at_most[0]
+        else:
+            case, expected = "first minimizer", scored[values.index(least)][1]
+        cases[case] += 1
+        assert _partition_scan(n, links_of(w), cutoff) == expected, (w, cutoff, case)
+    assert len(cases) == 3, cases
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_a_witness_at_most_the_cutoff_stops_the_scan(seed):
     # the planner drops a candidate without a scan when some partition it
     # kept is at most the cutoff, and keeps the partition a scan returns
