@@ -67,9 +67,9 @@ def graph_dot(g: WeightedGraph) -> str:
     ids = {node: _dot_id(node) for node in g.sorted_nodes()}
     lines = ["graph network {", "  node [shape=circle];", *[f"  {q};" for q in ids.values()]]
     labels: dict[int, str] = {}  # by the rate's identity: a Fraction's own hash is slow
-    for e in g.edges:
-        label = labels.get(id(e.rate)) or labels.setdefault(id(e.rate), format_rational(e.rate))
-        lines.append(f'  {ids[e.u]} -- {ids[e.v]} [label="{label}"];')
+    for (u, v), (rate, _) in g.link_items():
+        label = labels.get(id(rate)) or labels.setdefault(id(rate), format_rational(rate))
+        lines.append(f'  {ids[u]} -- {ids[v]} [label="{label}"];')
     return "\n".join(lines) + "\n}\n"
 
 

@@ -146,8 +146,8 @@ class WeightedGraph:
         edges: ``Edge`` records or ``(u, v, rate[, epsilon])`` tuples.
 
     The constructor checks each link once into a map from its key to its
-    rate and epsilon, which :meth:`integer_links` reads; the ``Edge``
-    records of :attr:`edges` are built on first access.
+    rate and epsilon, which :meth:`integer_links` and :meth:`link_items`
+    read; the ``Edge`` records of :attr:`edges` are built on first access.
 
     Raises:
         SchemaError: empty or duplicated node list.
@@ -198,7 +198,7 @@ class WeightedGraph:
     def edges(self) -> tuple[Edge, ...]:
         """The ``Edge`` records in key order, built on first access."""
         if self._edges is None:
-            self._edges = tuple([Edge(*key, *r) for key, r in sorted(self._rates.items())])
+            self._edges = tuple([Edge(*key, *r) for key, r in self.link_items()])
         return self._edges
 
     @property
@@ -236,8 +236,12 @@ class WeightedGraph:
     def positive_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.rate > 0)
 
+    def link_items(self) -> list[tuple[EdgeKey, tuple[Fraction, Fraction]]]:
+        """Each link's key and its ``(rate, epsilon)``, in key order, without ``Edge`` records."""
+        return sorted(self._rates.items())
+
     def epsilon_map(self) -> dict[EdgeKey, Fraction]:
-        return {key: eps for key, (_, eps) in sorted(self._rates.items())}
+        return {key: eps for key, (_, eps) in self.link_items()}
 
     def integer_links(self) -> tuple[tuple[str, ...], int, tuple[tuple[int, int, int], ...]]:
         """Label order, scale and integer links of the exact scans, built once.
@@ -298,7 +302,7 @@ class WeightedGraph:
             "nodes": list(self.node_ids),
             "edges": [
                 {"u": u, "v": v, "rate": format_rational(rate), "epsilon": format_rational(eps)}
-                for (u, v), (rate, eps) in sorted(self._rates.items())
+                for (u, v), (rate, eps) in self.link_items()
             ],
         }
 

@@ -236,53 +236,20 @@ def _partition_narrative(report: RateReport) -> str:
     )
 
 
-def evaluate_addition(
-    g: WeightedGraph,
-    u: str,
-    v: str,
-    rate=1,
-) -> AugmentationResult:
+def evaluate_addition(g: WeightedGraph, u: str, v: str, rate=1) -> AugmentationResult:
     """Score one candidate link by the exact rate of the augmented network.
 
-    An existing edge is handled as a rate increase (the rates merge).
+    This is the one step of :func:`best_additions` with the one candidate
+    ``(u, v, rate)``, scored by the same scan, which gives the augmented
+    network's :func:`nwt_rate`.  An existing edge is handled as a rate
+    increase (the rates merge).
 
     Raises:
         NegativeRateError: non-positive candidate rate.
-        UnknownNodeError / SelfLoopError: bad endpoints.
+        UnknownNodeError / SelfLoopError: bad endpoints, checked after
+            ``g``'s own rate.
     """
-    added = parse_rational(rate)
-    if added <= 0:
-        raise NegativeRateError(f"candidate rate must be positive, got {added}")
-    before = nwt_rate(g).rate
-    return _score_addition(g, u, v, added, before)
-
-
-def _score_addition(
-    g: WeightedGraph,
-    u: str,
-    v: str,
-    added: Fraction,
-    before: Fraction,
-    after: Optional[RateReport] = None,
-) -> AugmentationResult:
-    """:func:`evaluate_addition` for a positive ``added`` with ``g``'s rate known.
-
-    ``after``, when given, is the augmented network's rate report, which
-    is then not computed again.
-    """
-    augmented = g.with_edge(u, v, added)
-    if after is None:
-        after = nwt_rate(augmented)
-    return AugmentationResult(
-        edge=edge_key(u, v),
-        added_rate=added,
-        rate_before=before,
-        rate_after=after.rate,
-        delta=after.rate - before,
-        minimizing_partition=after.minimizing_partition,
-        narrative=_partition_narrative(after),
-        graph=augmented,
-    )
+    return best_additions(g, [(u, v, rate)], 1).steps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +403,18 @@ def best_additions(
     current, before = g, initial
     for k, after in zip(choice, afters):
         u, v, added = pool[k]
-        step = _score_addition(current, u, v, added, before, after)
-        steps.append(step)
-        current, before = step.graph, step.rate_after
+        current = current.with_edge(u, v, added)
+        steps.append(AugmentationResult(
+            edge=edge_key(u, v),
+            added_rate=added,
+            rate_before=before,
+            rate_after=after.rate,
+            delta=after.rate - before,
+            minimizing_partition=after.minimizing_partition,
+            narrative=_partition_narrative(after),
+            graph=current,
+        ))
+        before = after.rate
     return Plan(
         mode="exhaustive" if exhaustive else "greedy",
         initial_rate=initial,

@@ -99,31 +99,28 @@ def _crossing(links, block) -> int:
     return sum(w for i, j, w in links if block[i] != block[j])
 
 
-class _AtMostCutoff(Exception):
-    """Raised inside :func:`_partition_scan` when a partition reaches its cutoff."""
-
-
 def _partition_scan(
     n: int, links, cutoff: Optional[Fraction] = None
 ) -> tuple[int, int, tuple[int, ...]]:
     """Partition of nodes ``0..n-1`` of least ``cross / (blocks - 1)``, or one at most ``cutoff``.
 
-    ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once:
-    nodes ``i`` and ``j`` joined by integer weight ``w``, of which 0
-    joins nothing.
+    ``links`` are ``(i, j, w)`` with ``i < j``, each pair at most once,
+    in any order: nodes ``i`` and ``j`` joined by integer weight ``w``,
+    of which 0 joins nothing.
 
     Returns ``(cross, blocks - 1, rgs)``: the first minimizer in
     restricted-growth order or, with a ``cutoff`` (in weight units), the
-    first partition at most it that the scan meets, the last node trying
-    only a block of its own and its heaviest (the first of equals); the
-    finest, scanning nothing, when that is at most ``cutoff``.  So the value
-    returned is at most ``cutoff`` exactly when the minimum is, and a
-    scan whose value is above it never met its cutoff: it took the path
-    of the scan without one.  Each comparison the scan makes weighs two sums
-    linear in the weights, so it takes the same path and picks the same
-    partition on any positive multiple of the weights, and so spends the
-    same units of ``PARTITION_BUDGET``; past it the scan raises
-    ExactModeLimitError.  The links must connect two or more nodes.
+    first partition at most it that the scan meets, returning there, the
+    last node trying only a block of its own and its heaviest (the first
+    of equals); the finest, scanning nothing, when that is at most
+    ``cutoff``.  So the value returned is at most ``cutoff`` exactly when
+    the minimum is, and a scan whose value is above it never met its
+    cutoff: it took the path of the scan without one.  Each comparison
+    the scan makes weighs two sums linear in the weights, so it takes the
+    same path and picks the same partition on any positive multiple of
+    the weights, and so spends the same units of ``PARTITION_BUDGET``;
+    past it the scan raises ExactModeLimitError.  The links must connect
+    two or more nodes.
 
     With the incumbent ``A / B``, a partition beats it when
     ``F = B * cross - A * (blocks - 1)`` is below ``tie`` (see
@@ -175,13 +172,15 @@ def _partition_scan(
             s += t if t < o else o
         return s
 
-    def improve(cross: int, pm1: int) -> None:
+    def improve(cross: int, pm1: int) -> bool:
+        # the partition in `rgs` is the new incumbent; True when it is at most the cutoff
         nonlocal best_cross, best_pm1, best_rgs, tie, improvements
         best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
-            raise _AtMostCutoff
+            return True
         improvements += 1
         opening[:] = [x * pm1 - cross for x in back]
+        return False
 
     for k, x, blocks in upper[0]:
         blocks[0] = top[k] = placed[k] = x
@@ -191,73 +190,72 @@ def _partition_scan(
     path = []
     saved = []
     i, cross, p, rest = 1, 0, 1, terms(1)
-    try:
-        while True:
-            # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
-            # rest = sum of the tight terms of nodes i..n-1; b is the next
-            # block node i tries, p opening one (row[p] is 0)
-            cross += back[i]
-            if i == n - 1:
-                heavy = top[i]
-                if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
-                    rgs[i] = into[i].index(heavy)
-                    improve(cross - heavy, p - 1)
-                if cross * best_pm1 - best_cross * p < tie:
-                    rgs[i] = p
-                    improve(cross, p)
-                b = p + 1  # no block to try: back up
-            else:
-                steps += p + 1
-                if steps > budget:
-                    raise _over_budget("partition scan", n, budget)
-                o, t = opening[i], (placed[i] - top[i]) * best_pm1
-                rest -= t if t < o else o
-                b = 0
-            up, row, B = upper[i], into[i], best_pm1
-            while True:  # node i's next block, backing up past nodes with none left
-                if b > p:  # node i has no block left: undo its parent's placement
-                    if not path:
-                        return best_cross, best_pm1, best_rgs
-                    i -= 1
-                    cross, p, rest, b, mark = path.pop()
-                    up, row = upper[i], into[i]
-                    for k, x, blocks in reversed(up):
-                        blocks[b] -= x
-                        placed[k] -= x
-                        top[k] = saved.pop()
-                    if mark != improvements:
-                        B = best_pm1
-                        rest = terms(i + 1)
-                        steps += n - i - 1
-                    b += 1
-                    continue
-                c = cross - row[b]
-                q = p + (b == p)
-                value = c * B - best_cross * (q - 1)
-                if value + rest < tie:
-                    steps += len(up)
-                    tight = rest
-                    for k, x, blocks in up:
-                        o = opening[k]
-                        if o > 0:  # otherwise the term is o before and after
-                            y, h, w = blocks[b] + x, top[k], placed[k]
-                            s, t = (w - h) * B, (w + x - (y if y > h else h)) * B
-                            tight += (t if t < o else o) - (s if s < o else o)
-                    if value + tight < tie:
-                        break
+    while True:
+        # nodes 0..i-1 are placed in p blocks with cross sum `cross`;
+        # rest = sum of the tight terms of nodes i..n-1; b is the next
+        # block node i tries, p opening one (row[p] is 0)
+        cross += back[i]
+        if i == n - 1:
+            heavy = top[i]
+            if p > 1 and (cross - heavy) * best_pm1 - best_cross * (p - 1) < tie:
+                rgs[i] = into[i].index(heavy)
+                if improve(cross - heavy, p - 1):
+                    return best_cross, best_pm1, best_rgs
+            if cross * best_pm1 - best_cross * p < tie:
+                rgs[i] = p
+                if improve(cross, p):
+                    return best_cross, best_pm1, best_rgs
+            b = p + 1  # no block to try: back up
+        else:
+            steps += p + 1
+            if steps > budget:
+                raise _over_budget("partition scan", n, budget)
+            o, t = opening[i], (placed[i] - top[i]) * best_pm1
+            rest -= t if t < o else o
+            b = 0
+        up, row, B = upper[i], into[i], best_pm1
+        while True:  # node i's next block, backing up past nodes with none left
+            if b > p:  # node i has no block left: undo its parent's placement
+                if not path:
+                    return best_cross, best_pm1, best_rgs
+                i -= 1
+                cross, p, rest, b, mark = path.pop()
+                up, row = upper[i], into[i]
+                for k, x, blocks in reversed(up):
+                    blocks[b] -= x
+                    placed[k] -= x
+                    top[k] = saved.pop()
+                if mark != improvements:
+                    B = best_pm1
+                    rest = terms(i + 1)
+                    steps += n - i - 1
                 b += 1
-            rgs[i] = b
-            for k, x, blocks in up:
-                y = blocks[b] = blocks[b] + x
-                placed[k] += x
-                h = top[k]
-                saved.append(h)
-                if y > h:
-                    top[k] = y
-            path.append((cross, p, rest, b, improvements))
-            i, cross, p, rest = i + 1, c, q, tight
-    except _AtMostCutoff:
-        return best_cross, best_pm1, best_rgs
+                continue
+            c = cross - row[b]
+            q = p + (b == p)
+            value = c * B - best_cross * (q - 1)
+            if value + rest < tie:
+                steps += len(up)
+                tight = rest
+                for k, x, blocks in up:
+                    o = opening[k]
+                    if o > 0:  # otherwise the term is o before and after
+                        y, h, w = blocks[b] + x, top[k], placed[k]
+                        s, t = (w - h) * B, (w + x - (y if y > h else h)) * B
+                        tight += (t if t < o else o) - (s if s < o else o)
+                if value + tight < tie:
+                    break
+            b += 1
+        rgs[i] = b
+        for k, x, blocks in up:
+            y = blocks[b] = blocks[b] + x
+            placed[k] += x
+            h = top[k]
+            saved.append(h)
+            if y > h:
+                top[k] = y
+        path.append((cross, p, rest, b, improvements))
+        i, cross, p, rest = i + 1, c, q, tight
 
 
 def nwt_rate(g: WeightedGraph) -> RateReport:

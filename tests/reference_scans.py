@@ -17,7 +17,9 @@ specified to honour and evaluates it from scratch:
   tree among every spanning tree of the residual, sorted by weight,
   under the library's ``BACKTRACK_BUDGET``;
 * :func:`best_additions` -- one augmented network and one full rate
-  scan per candidate (greedy) or per combination (exhaustive);
+  scan per candidate (greedy) or per combination (exhaustive), each
+  step scored by :func:`score_addition`, which :func:`evaluate_addition`
+  runs for one candidate;
 * :func:`is_connected`, :func:`is_spanning_tree`,
   :func:`enumerate_spanning_trees` and :func:`max_weight_tree` -- a
   depth-first search and three union-find loops of their own, the
@@ -93,6 +95,7 @@ from qnet_stp.errors import (
     InvalidPackingError,
     InvalidPartitionError,
     KeyDepletedError,
+    NegativeRateError,
     PreconditionFailedError,
 )
 from qnet_stp.lp_core import _simplex_max
@@ -102,25 +105,30 @@ from qnet_stp.netgraph import (
     capacities,
     format_rational,
     integer_rates,
+    parse_rational,
     proper_vertex_subsets,
     spanning_forest,
 )
 from qnet_stp.packing import _proved
 from qnet_stp.planner import (
+    AugmentationResult,
     BottleneckReport,
     Plan,
     _best_bipartition,
     _normalize_candidates,
-    _score_addition,
 )
 from qnet_stp.protocol import consumption_schedule, orient_tree
-from qnet_stp.rate_core import _AtMostCutoff, _min_cut, _require_rateable
+from qnet_stp.rate_core import _min_cut, _require_rateable
 
 #: Largest node count for which the subset LP is built (2^N - 2 constraints).
 LP_CAP_NODES = 16
 
 #: Largest node count the references enumerate partitions of (Bell(12) is 4,213,597).
 PARTITION_CAP_NODES = 12
+
+
+class AtMostCutoff(Exception):
+    """Raised inside the reference partition scans when a partition reaches their cutoff."""
 
 
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -431,7 +439,7 @@ def partition_scan(
     def improve(cross: int, pm1: int) -> None:
         nonlocal best_cross, best_pm1, best_rgs, tie
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
-            raise _AtMostCutoff
+            raise AtMostCutoff
         best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         bound()
 
@@ -461,7 +469,7 @@ def partition_scan(
     bound()
     try:
         visit(1, 0, 1)
-    except _AtMostCutoff:
+    except AtMostCutoff:
         if stop is not None:
             stop.append(tuple(rgs))
         return None
@@ -546,7 +554,7 @@ def tight_partition_scan(
         nonlocal best_cross, best_pm1, best_rgs, tie, improvements
         best_cross, best_pm1, best_rgs, tie = cross, pm1, tuple(rgs), 0
         if cutoff is not None and cross * cutoff.denominator <= cutoff.numerator * pm1:
-            raise _AtMostCutoff
+            raise AtMostCutoff
         improvements += 1
         opening[:] = [x * pm1 - cross for x in back]
 
@@ -622,7 +630,7 @@ def tight_partition_scan(
                     top[k] = blocks[b]
             path.append((cross, p, rest, b, tops, improvements, tries))
             i, cross, p, rest = i + 1, c, q, tight
-    except _AtMostCutoff:
+    except AtMostCutoff:
         return best_cross, best_pm1, best_rgs
 
 
@@ -1314,6 +1322,39 @@ def splice(g, inside, merged_label, pk_contracted, pk_remainder) -> TreePacking:
     return TreePacking.multigraph(merged_trees, [1] * len(merged_trees), rounds)
 
 
+def evaluate_addition(g, u, v, rate=1) -> AugmentationResult:
+    """The what-if on its own network: the rate is checked, then ``g``'s rate
+    is taken, then :func:`score_addition` checks the ends and scores the link."""
+    added = parse_rational(rate)
+    if added <= 0:
+        raise NegativeRateError(f"candidate rate must be positive, got {added}")
+    return score_addition(g, u, v, added, qnet_stp.nwt_rate(g).rate)
+
+
+def score_addition(g, u, v, rate, before) -> AugmentationResult:
+    """The link ``(u, v)`` at ``rate`` added to ``g``, scored by ``nwt_rate``
+    of ``g.with_edge(u, v, rate)``, ``before`` being ``g``'s rate."""
+    augmented = g.with_edge(u, v, rate)
+    after = qnet_stp.nwt_rate(augmented)
+    partition = after.minimizing_partition
+    if after.finest_is_optimal:
+        narrative = "minimum at the finest partition: no bottleneck structure"
+    elif partition.block_count == 2:
+        narrative = f"minimum at the bipartition {partition}"
+    else:
+        narrative = f"minimum when contracting to {partition.block_count} super-nodes: {partition}"
+    return AugmentationResult(
+        edge=tuple(sorted((u, v))),
+        added_rate=rate,
+        rate_before=before,
+        rate_after=after.rate,
+        delta=after.rate - before,
+        minimizing_partition=partition,
+        narrative=narrative,
+        graph=augmented,
+    )
+
+
 def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:
     """The link-placement plan, scoring every candidate on its own network.
 
@@ -1337,14 +1378,14 @@ def best_additions(g, candidates, budget, *, exhaustive=False) -> Plan:
                 best_rate, best_choice = rate_after, combo
         for u, v, rate in best_choice:
             before = steps[-1].rate_after if steps else initial
-            steps.append(_score_addition(current, u, v, rate, before))
+            steps.append(score_addition(current, u, v, rate, before))
             current = steps[-1].graph
     else:
         remaining = list(pool)
         for _ in range(min(budget, len(pool))):
             before = steps[-1].rate_after if steps else initial
             scored = [
-                (_score_addition(current, u, v, rate, before), i)
+                (score_addition(current, u, v, rate, before), i)
                 for i, (u, v, rate) in enumerate(remaining)
             ]
             scored.sort(key=lambda pair: (-pair[0].rate_after, pair[0].edge, pair[0].added_rate))

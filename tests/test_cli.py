@@ -290,9 +290,14 @@ def test_analyze_and_pack_with_plus_in_labels(capsys, graph_file):
 @pytest.mark.parametrize("name", ["tri_pendant", "hexagon", "two_cliques_hub"])
 def test_rate_pack_simulate_and_analyze_build_no_edge_records(request, capsys, graph_file,
                                                               monkeypatch, name):
-    # they read the graph's rate map and integer links, never WeightedGraph.edges
-    path = graph_file(f"{name}.json", request.getfixturevalue(name))
-    runs = [["rate", path], ["pack", path], ["simulate", path, "--audit"], ["analyze", path]]
+    # every command reads the graph's rate map and integer links, never WeightedGraph.edges
+    g = request.getfixturevalue(name)
+    path = graph_file(f"{name}.json", g)
+    nodes = g.sorted_nodes()  # a new chord at a new denominator and an existing link
+    plan = ["optimize", path, "--candidates", f"{nodes[1]}-{nodes[-1]}:2/3,{nodes[1]}-{nodes[0]}"]
+    runs = [["rate", path], ["pack", path], ["simulate", path, "--audit"], ["analyze", path],
+            plan, [*plan, "--format", "text"], [*plan, "--budget", "2", "--exhaustive"],
+            ["export-dot", path]]
     unpatched = [run(capsys, *argv) for argv in runs]
     assert [code for code, _ in unpatched] == [0] * len(runs)
     built = []

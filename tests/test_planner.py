@@ -16,17 +16,20 @@ from qnet_stp import (
 )
 from qnet_stp.cli import graph_dot
 from qnet_stp.errors import (
+    DisconnectedError,
     EmptyPlanError,
     ExactModeLimitError,
     NegativeRateError,
+    QNetError,
     SchemaError,
     SelfLoopError,
+    TrivialNetworkError,
     UnknownNodeError,
 )
 from qnet_stp.rate_core import _partition_scan
 
 import reference_scans
-from conftest import bip_tie7, build, random_connected_graph
+from conftest import bip_tie7, build, random_connected_graph, ring
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +224,61 @@ def test_evaluate_merges_existing_edge(hexagon):
     assert result.delta >= 0
 
 
-def test_evaluate_validates_input(hexagon):
-    with pytest.raises(NegativeRateError):
-        evaluate_addition(hexagon, "1", "4", 0)
-    with pytest.raises(UnknownNodeError):
-        evaluate_addition(hexagon, "1", "99")
+def test_evaluate_addition_matches_the_what_if_reference():
+    # rational networks; chords at new denominators and raises of existing
+    # links, each with its ends in both orders, against nwt_rate of g.with_edge
+    rng = random.Random(46)
+    for _ in range(40):
+        g = random_connected_graph(rng, max_nodes=7, max_extra=4, rates=("1", "2", "1/2", "3/4"))
+        nodes = g.sorted_nodes()
+        picks = [(*rng.sample(nodes, 2), rng.choice(("1/3", "5/7", Fraction(6, 5), 2)))
+                 for _ in range(3)]
+        picks += [(e.u, e.v, rng.choice(("1/3", "1", 1)))
+                  for e in rng.sample(g.edges, min(2, len(g.edges)))]
+        for u, v, rate in picks:
+            for a, b in ((u, v), (v, u)):
+                got = evaluate_addition(g, a, b, rate)
+                want = reference_scans.evaluate_addition(g, a, b, rate)
+                assert got == want
+                assert got.to_json_dict() == want.to_json_dict()
+
+
+WHAT_IF_REFUSALS = [
+    # (network, u, v, rate, the refusal), the rate checked first, then the
+    # network's own rate, then the ends
+    ("ring", "1", "4", 0, NegativeRateError("candidate rate must be positive, got 0")),
+    ("ring", "1", "4", "-1/2", NegativeRateError("candidate rate must be positive, got -1/2")),
+    ("ring", "1", "4", "x", SchemaError("malformed rational 'x'")),
+    ("ring", "1", "4", 0.5, SchemaError(
+        "refusing float 0.5: quote it as a string (e.g. \"1/4\") for exactness")),
+    ("ring", "1", "4", True, SchemaError("expected a rational, got boolean True")),
+    ("ring", "1", "99", 1, UnknownNodeError("unknown node '99'")),
+    ("ring", "99", "1", 1, UnknownNodeError("unknown node '99'")),
+    ("ring", "98", "99", 1, UnknownNodeError("unknown node '98'")),
+    ("ring", "1", "99", 0, NegativeRateError("candidate rate must be positive, got 0")),
+    ("ring", "2", "2", 1, SelfLoopError("self-loop at node '2'")),
+    ("one node", "a", "b", 1, TrivialNetworkError("rates need at least two nodes")),
+    ("one node", "a", "a", 1, TrivialNetworkError("rates need at least two nodes")),
+    ("one node", "a", "b", "-1", NegativeRateError("candidate rate must be positive, got -1")),
+    ("disconnected", "1", "99", 1, DisconnectedError("positive-rate subgraph is not connected")),
+    ("disconnected", "1", "1", 1, DisconnectedError("positive-rate subgraph is not connected")),
+    ("disconnected", "1", "99", "y", SchemaError("malformed rational 'y'")),
+]
+
+
+@pytest.mark.parametrize("network, u, v, rate, refusal", WHAT_IF_REFUSALS)
+def test_evaluate_addition_refuses_as_the_what_if_reference(network, u, v, rate, refusal):
+    g = {
+        "ring": ring(6),
+        "one node": WeightedGraph(["a"], []),
+        "disconnected": build(["1", "2", "3", "4"], [("1", "2", 1), ("3", "4", 1)]),
+    }[network]
+    with pytest.raises(QNetError) as got:
+        evaluate_addition(g, u, v, rate)
+    with pytest.raises(QNetError) as want:
+        reference_scans.evaluate_addition(g, u, v, rate)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert (type(got.value), str(got.value)) == (type(refusal), str(refusal))
 
 
 def test_addition_never_hurts():
@@ -360,7 +413,8 @@ def test_plans_scan_each_graph_once(hexagon, monkeypatch):
     for plan in (greedy, exhaustive):
         current = hexagon
         for step in plan.steps:
-            assert step == evaluate_addition(current, *step.edge, step.added_rate)
+            before = nwt_rate(current).rate
+            assert step == reference_scans.score_addition(current, *step.edge, step.added_rate, before)
             current = step.graph
 
 

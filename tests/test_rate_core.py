@@ -299,6 +299,47 @@ def test_rate_scales_homogeneously():
         assert nwt_rate(scaled).rate == c * nwt_rate(g).rate
 
 
+def least_partition_budget(monkeypatch, n, links, cutoff):
+    """The least ``PARTITION_BUDGET`` under which ``_partition_scan`` finishes, by bisection."""
+    refused, finished = -1, rate_core.PARTITION_BUDGET
+    with monkeypatch.context() as m:
+        while finished - refused > 1:
+            budget = (refused + finished) // 2
+            m.setattr(rate_core, "PARTITION_BUDGET", budget)
+            try:
+                rate_core._partition_scan(n, links, cutoff)
+                finished = budget
+            except ExactModeLimitError:
+                refused = budget
+    return finished
+
+
+def test_the_partition_scan_does_not_depend_on_the_order_of_its_links(monkeypatch):
+    # the planner scans its additions after the key-ordered links: any order
+    # gives the same result, with or without a cutoff, and spends the same units
+    rng = random.Random(46)
+    stopped, bisected = 0, []
+    for trial in range(150):
+        g = random_connected_graph(rng, max_nodes=9, max_extra=10, rates=(1, 2, 3, Fraction(1, 2)))
+        labels, _, links = g.integer_links()
+        n = len(labels)
+        shuffled = list(links)
+        rng.shuffle(shuffled)
+        least = rate_core._partition_scan(n, links)
+        low = Fraction(least[0], least[1])
+        finest = Fraction(sum(x for _, _, x in links), n - 1)
+        for cutoff in (None, low - Fraction(1, 3), low, (low + finest) / 2, finest):
+            found = rate_core._partition_scan(n, links, cutoff)
+            assert rate_core._partition_scan(n, shuffled, cutoff) == found
+            stopped += found != least
+            if trial % 3 == 0:
+                units = least_partition_budget(monkeypatch, n, links, cutoff)
+                assert least_partition_budget(monkeypatch, n, shuffled, cutoff) == units
+                bisected.append(units)
+    # cutoffs that stop scans early, and scans that spend units
+    assert stopped > 100 and sum(x > 0 for x in bisected) > 100
+
+
 def test_length_is_floor_of_rate_multiple():
     rng = random.Random(23)
     for _ in range(25):
