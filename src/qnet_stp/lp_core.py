@@ -135,10 +135,10 @@ def rates_from_packing(g: WeightedGraph, packing) -> CommunicationRates:
             d = tree.degree(v)
             if d:
                 rates[v] += w * (d - 1)
-    for e in g.edges:
-        leftover = e.rate - Fraction(usage.get(e.key, 0), packing.rounds)
-        rates[e.u] += leftover / 2
-        rates[e.v] += leftover / 2
+    for (u, v), (rate, _) in g.link_items():
+        leftover = rate - Fraction(usage.get((u, v), 0), packing.rounds)
+        rates[u] += leftover / 2
+        rates[v] += leftover / 2
     return CommunicationRates(rates=rates, provenance="packing")
 
 
@@ -158,8 +158,8 @@ def explicit_rates_no_bottleneck(g: WeightedGraph) -> CommunicationRates:
             f"bottleneck at subset {cert.violating_subset}; closed form does not apply"
         )
     share = g.total_rate() / (g.node_count - 1)
-    rates = {}
-    for v in g.node_ids:
-        incident = sum((g.edge(*key).rate for key in g.edges_at(v)), Fraction(0))
-        rates[v] = incident - share
+    rates = {v: -share for v in g.node_ids}
+    for (u, v), (rate, _) in g.link_items():
+        rates[u] += rate
+        rates[v] += rate
     return CommunicationRates(rates=rates, provenance="closed-form")

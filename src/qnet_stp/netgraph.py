@@ -145,17 +145,18 @@ class WeightedGraph:
         node_ids: labels, in any order; must be nonempty and unique.
         edges: ``Edge`` records or ``(u, v, rate[, epsilon])`` tuples.
 
-    The constructor checks each link once into a map from its key to its
-    rate and epsilon, which :meth:`integer_links` and :meth:`link_items`
-    read; the ``Edge`` records of :attr:`edges` are built on first access.
+    The constructor, like :meth:`with_edge`, reads rates and epsilons with
+    :func:`parse_rational`, as the JSON reader does (it takes a ``Fraction``
+    as it is), and checks each link once into the one copy of the links, a
+    map from its key to its rate and epsilon; :attr:`edges` is built from it.
 
     Raises:
-        SchemaError: empty or duplicated node list.
+        SchemaError: empty or duplicated node list, or a refused rational.
         SelfLoopError / DuplicateEdgeError / NegativeRateError /
         UnknownNodeError: per offending edge.
     """
 
-    __slots__ = ("node_ids", "_nodes", "_rates", "_edges", "_links")
+    __slots__ = ("node_ids", "_nodes", "_rates", "_links")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
         ids = tuple(str(n) for n in node_ids)
@@ -169,10 +170,8 @@ class WeightedGraph:
             u, v, rate = item[0], item[1], item[2]
             eps = item[3] if len(item) > 3 else _ZERO
             u, v = str(u), str(v)
-            if type(rate) is not Fraction:
-                rate = Fraction(rate)
-            if type(eps) is not Fraction:
-                eps = Fraction(eps)
+            rate = rate if type(rate) is Fraction else parse_rational(rate)
+            eps = eps if type(eps) is Fraction else parse_rational(eps)
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u!r}")
             if u not in known or v not in known:
@@ -189,17 +188,14 @@ class WeightedGraph:
         self.node_ids = ids
         self._nodes = known
         self._rates = rates
-        self._edges = None
         self._links = None
 
     # -- queries ---------------------------------------------------------
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        """The ``Edge`` records in key order, built on first access."""
-        if self._edges is None:
-            self._edges = tuple([Edge(*key, *r) for key, r in self.link_items()])
-        return self._edges
+        """The ``Edge`` records in key order, built on each access."""
+        return tuple([Edge(*key, *r) for key, r in self.link_items()])
 
     @property
     def node_count(self) -> int:
@@ -228,10 +224,10 @@ class WeightedGraph:
         """Keys of the edges at ``node``, in key order."""
         if node not in self._nodes:
             raise UnknownNodeError(f"unknown node {node!r}")
-        return tuple(e.key for e in self.edges if node in e.key)
+        return tuple(sorted(key for key in self._rates if node in key))
 
     def total_rate(self) -> Fraction:
-        return sum((e.rate for e in self.edges), Fraction(0))
+        return sum((rate for rate, _ in self._rates.values()), _ZERO)
 
     def positive_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.rate > 0)
@@ -285,13 +281,13 @@ class WeightedGraph:
         If the edge already exists the rates (and epsilons) are summed -- adding capacity to an
         existing link is not an error.  Only the added link is checked, as the others already were.
         """
-        rate, epsilon = Fraction(rate), Fraction(epsilon)
+        rate, epsilon = parse_rational(rate), parse_rational(epsilon)
         key = self.link_key(u, v)
         if rate.numerator < 0 or epsilon.numerator < 0:
             raise NegativeRateError(f"negative addition on edge ({u},{v})")
         old_rate, old_eps = self._rates.get(key, (_ZERO, _ZERO))
         g = object.__new__(WeightedGraph)
-        g.node_ids, g._nodes, g._edges, g._links = self.node_ids, self._nodes, None, None
+        g.node_ids, g._nodes, g._links = self.node_ids, self._nodes, None
         g._rates = {**self._rates, key: (old_rate + rate, old_eps + epsilon)}
         return g
 
@@ -314,10 +310,10 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self.node_ids == other.node_ids and self.edges == other.edges
+        return self.node_ids == other.node_ids and self._rates == other._rates
 
     def __hash__(self) -> int:
-        return hash((self.node_ids, self.edges))
+        return hash((self.node_ids, frozenset(self._rates.items())))
 
     def __repr__(self) -> str:
         return f"WeightedGraph(nodes={len(self.node_ids)}, edges={len(self._rates)})"
@@ -379,8 +375,8 @@ def integer_rates(g: WeightedGraph, need: str) -> None:
             order; the message ends with ``need``, the caller's reason.
     """
     if g.integer_links()[1] != 1:
-        e = next(e for e in g.edges if e.rate.denominator != 1)
-        raise PreconditionFailedError(f"edge ({e.u},{e.v}) has non-integer rate {e.rate}; {need}")
+        (u, v), rate = next((k, r) for k, (r, _) in g.link_items() if r.denominator != 1)
+        raise PreconditionFailedError(f"edge ({u},{v}) has non-integer rate {rate}; {need}")
 
 
 def spanning_forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -684,23 +680,19 @@ def _tree_walk(n: int, keys: list, fixed: list) -> Iterator[list]:
 # ---------------------------------------------------------------------------
 
 def check_rounds(rounds, error: type[QNetError] = SchemaError) -> int:
-    """``rounds`` if it is a positive integer round count; ``error`` if not."""
-    if not isinstance(rounds, int) or rounds < 1:
+    """``rounds`` if it is a positive integer round count (not a ``bool``); ``error`` if not."""
+    if type(rounds) is not int or rounds < 1:
         raise error(f"round count must be a positive integer, got {rounds!r}")
     return rounds
 
 
 def capacities(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
-    """Parallel edges per key in ``rounds`` copies of a network: ``floor(rounds * rate)``.
+    """The one capacity rule: ``floor(rounds * rate)`` parallel edges per key in ``rounds``
+    copies of a network, ``rounds * w // scale`` on the integer links as the packers compute it.
 
     Raises:
         SchemaError: a round count that is not a positive integer.
     """
-    return _floors(g, check_rounds(rounds))
-
-
-def _floors(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
-    """:func:`capacities` for a round count already checked (a packing's, say),
-    as the packers compute it: ``rounds * w // scale`` on the integer links."""
+    check_rounds(rounds)
     labels, scale, links = g.integer_links()
     return {(labels[i], labels[j]): rounds * w // scale for i, j, w in links}

@@ -54,12 +54,13 @@ from .netgraph import (
     VertexPartition,
     WeightedGraph,
     _block_labels,
-    _floors,
     _tree_walk,
+    capacities,
     check_rounds,
     format_rational,
     integer_rates,
     is_spanning_tree,
+    parse_rational,
     spanning_forest,
 )
 from .rate_core import (
@@ -110,14 +111,18 @@ class TreePacking(NamedTuple):
 
     @classmethod
     def weighted(cls, trees, weights) -> TreePacking:
-        kept, merged = _merge(trees, weights, Fraction, "weight")
+        kept, merged = _merge(trees, [parse_rational(w) for w in weights], "weight")
         rounds = math.lcm(*(w.denominator for w in merged))
         return cls(kept, tuple(w.numerator * (rounds // w.denominator) for w in merged), rounds)
 
     @classmethod
     def multigraph(cls, trees, multiplicities, rounds: int) -> TreePacking:
         check_rounds(rounds)
-        kept, merged = _merge(trees, multiplicities, int, "multiplicity")
+        counts = list(multiplicities)
+        for m in counts:
+            if type(m) is not int:  # a bool, a float or a string is no count
+                raise InvalidPackingError(f"tree multiplicity must be an integer, got {m!r}")
+        kept, merged = _merge(trees, counts, "multiplicity")
         return cls(kept, tuple(merged), rounds)
 
     @property
@@ -153,14 +158,13 @@ class TreePacking(NamedTuple):
         }
 
 
-def _merge(trees, amounts, convert, what: str) -> tuple[tuple[SpanningTree, ...], list]:
+def _merge(trees, amounts: list, what: str) -> tuple[tuple[SpanningTree, ...], list]:
     """Canonical trees and amounts: duplicates summed, zeros dropped, sorted.
 
     A :class:`SpanningTree` is kept as given (it is canonical); any other
     edge list is made one with :meth:`SpanningTree.of`.
     """
     trees = [t if isinstance(t, SpanningTree) else SpanningTree.of(t) for t in trees]
-    amounts = [convert(a) for a in amounts]
     if len(trees) != len(amounts):
         raise InvalidPackingError(f"one {what} per tree required")
     if any(a < 0 for a in amounts):
@@ -214,7 +218,7 @@ def validate_packing(g: WeightedGraph, pk: TreePacking) -> PackingValidation:
                 reason=f"tree {list(tree.edges)} is not a spanning tree of the network",
             )
     usage = pk.edge_usage()
-    capacity = _floors(g, pk.rounds)
+    capacity = capacities(g, pk.rounds)
     for key in sorted(usage):
         if usage[key] > capacity[key]:
             return PackingValidation(

@@ -388,7 +388,7 @@ def best_additions(
         UnknownNodeError / SelfLoopError: the first bad candidate, in
             ``candidates`` order (greedy) or ``sorted`` order (exhaustive).
     """
-    if not isinstance(budget, int) or budget < 0:
+    if type(budget) is not int or budget < 0:
         raise SchemaError(f"budget must be a non-negative integer, got {budget!r}")
     pool = _normalize_candidates(candidates)
     if budget > 0 and not pool:

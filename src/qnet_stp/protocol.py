@@ -39,11 +39,12 @@ from .netgraph import (
     EdgeKey,
     SpanningTree,
     WeightedGraph,
-    _floors,
+    capacities,
     check_rounds,
     edge_key,
     format_rational,
     integer_rates,
+    parse_rational,
     spanning_forest,
 )
 from .packing import TreePacking
@@ -106,7 +107,7 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """
     check_rounds(rounds, PreconditionFailedError)
     integer_rates(g, "keys come in whole bits")
-    return _floors(g, rounds)
+    return capacities(g, rounds)
 
 
 def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
@@ -394,12 +395,12 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
 
     With a common epsilon per edge this gives (edge count) * epsilon per
     tree and (instances) * (edge count) * epsilon overall.  The sums run
-    over integer numerators on the epsilons' least common denominator.
+    over integer numerators on the epsilons' least common denominator;
+    each epsilon is read by :func:`parse_rational`.
     """
     used = [(tree, mult) for tree, mult in zip(pk.trees, pk.multiplicities) if mult > 0]
     keys = dict.fromkeys(key for tree, _ in used for key in tree.edges)
-    eps = {key: x if type(x) is Fraction else Fraction(x)
-           for key, x in zip(keys, map(epsilons.__getitem__, keys))}
+    eps = {key: parse_rational(epsilons[key]) for key in keys}
     den = math.lcm(*(x.denominator for x in eps.values()))
     num = {key: x.numerator * (den // x.denominator) for key, x in eps.items()}
     sums: dict[int, Fraction] = {}  # one Fraction per distinct tree sum

@@ -42,6 +42,7 @@ from .netgraph import (
     check_rounds,
     format_rational,
     is_connected,
+    parse_rational,
 )
 
 #: Most units of work one partition scan takes, about a second at any
@@ -226,7 +227,6 @@ def _partition_scan(
                     placed[k] -= x
                     top[k] = saved.pop()
                 if mark != improvements:
-                    B = best_pm1
                     rest = terms(i + 1)
                     steps += n - i - 1
                 b += 1
@@ -599,13 +599,14 @@ def triangle_rate(r12: Fraction, r13: Fraction, r23: Fraction) -> Fraction:
 
     If one link is at least as strong as the two others combined, the two
     weaker links are the binding cut and the rate is their sum; otherwise
-    the rate is half the total.
+    the rate is half the total.  Each rate is read by :func:`parse_rational`.
 
     Raises:
+        SchemaError: a rate :func:`parse_rational` refuses.
         NegativeRateError: any negative rate.
         DisconnectedError: two or more zero rates.
     """
-    r12, r13, r23 = Fraction(r12), Fraction(r13), Fraction(r23)
+    r12, r13, r23 = parse_rational(r12), parse_rational(r13), parse_rational(r23)
     if r12 < 0 or r13 < 0 or r23 < 0:
         raise NegativeRateError("triangle rates must be nonnegative")
     if sum(1 for r in (r12, r13, r23) if r == 0) >= 2:

@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,22 @@ from hypothesis import given, strategies as st
 from qnet_stp import (
     Edge,
     SpanningTree,
+    TreePacking,
     VertexPartition,
     WeightedGraph,
+    brute_force_packing,
     capacities,
     contract,
     enumerate_spanning_trees,
+    explicit_rates_no_bottleneck,
     induced_subgraph,
     is_connected,
     is_spanning_tree,
     parse_graph,
     partition_bound,
+    rates_from_packing,
+    security_budget,
+    triangle_rate,
 )
 from qnet_stp.cli import main
 from qnet_stp.errors import (
@@ -32,6 +39,7 @@ from qnet_stp.errors import (
     UnknownNodeError,
 )
 from qnet_stp.netgraph import (
+    check_rounds,
     edge_key,
     integer_rates,
     parse_rational,
@@ -601,3 +609,94 @@ def test_partition_roundtrip(n, rnd):
     again = VertexPartition.from_blocks([list(b) for b in p.blocks])
     assert p == again
     assert p.vertices() == frozenset(nodes)
+
+
+# ---------------------------------------------------------------------------
+# the library boundary
+# ---------------------------------------------------------------------------
+
+_PAIR = WeightedGraph(["1", "2", "3"], [("1", "2", 1), ("2", "3", 1)])
+_TREE = SpanningTree.of([("1", "2"), ("2", "3")])
+
+#: Each library entry point that takes a rational, called with ``x`` in one place.
+RATIONAL_ENTRY_POINTS = {
+    "constructor rate": lambda x: WeightedGraph(["1", "2"], [("1", "2", x)]),
+    "constructor epsilon": lambda x: WeightedGraph(["1", "2"], [("1", "2", 1, x)]),
+    "with_edge rate": lambda x: _PAIR.with_edge("1", "3", x),
+    "with_edge epsilon": lambda x: _PAIR.with_edge("1", "3", 1, x),
+    "TreePacking.weighted": lambda x: TreePacking.weighted([_TREE], [x]),
+    "security_budget": lambda x: security_budget(
+        TreePacking.multigraph([_TREE], [1], 1), {("1", "2"): 0, ("2", "3"): x}),
+    "triangle_rate r12": lambda x: triangle_rate(x, 1, 1),
+    "triangle_rate r13": lambda x: triangle_rate(1, x, 1),
+    "triangle_rate r23": lambda x: triangle_rate(1, 1, x),
+}
+
+NOT_RATIONALS = {
+    "float": 0.5,
+    "bool": True,
+    "malformed": "x",
+    "None": None,
+    "Decimal": Decimal("0.5"),
+    "1001 digits": "1" * 1001,
+}
+
+
+@pytest.mark.parametrize("value", NOT_RATIONALS.values(), ids=NOT_RATIONALS)
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS.values(), ids=RATIONAL_ENTRY_POINTS)
+def test_every_library_entry_point_refuses_what_parse_rational_refuses(entry, value):
+    # the JSON reader's message, as a SchemaError: no ValueError or TypeError escapes
+    with pytest.raises(SchemaError) as want:
+        parse_rational(value)
+    with pytest.raises(SchemaError) as got:
+        entry(value)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS.values(), ids=RATIONAL_ENTRY_POINTS)
+def test_every_library_entry_point_reads_strings_ints_and_fractions_alike(entry):
+    assert entry("3/2") == entry(Fraction(3, 2)) == entry(Fraction("6/4"))
+    assert entry("2") == entry(2) == entry(Fraction(2))
+
+
+def test_library_reads_of_a_network_build_no_edge_records(monkeypatch, hexagon):
+    # equality, hashing and every query below read the rate map, never WeightedGraph.edges
+    halves = build(["1", "2", "3"], [("1", "2", "1/2"), ("2", "3", 1), ("1", "3", 1)])
+    pk = brute_force_packing(hexagon, 1).packing
+    same = WeightedGraph(hexagon.node_ids, [(e.v, e.u, str(e.rate)) for e in hexagon.edges[::-1]])
+    wider = hexagon.with_edge("1", "4", 1)
+    want = (hash(hexagon), hexagon.edges_at("1"), hexagon.total_rate(),
+            capacities(halves, 2), rates_from_packing(hexagon, pk),
+            explicit_rates_no_bottleneck(hexagon))
+    built = []
+
+    def edges(g):
+        built.append(g)
+        raise AssertionError("WeightedGraph.edges")
+
+    monkeypatch.setattr(WeightedGraph, "edges", property(edges))
+    assert hexagon == same and hexagon != wider and hash(same) == want[0]
+    assert (hexagon.edges_at("1"), hexagon.total_rate(), capacities(halves, 2)) == want[1:4]
+    assert hexagon.edges_at("1") == (("1", "2"), ("1", "6"))
+    with pytest.raises(PreconditionFailedError, match=re.escape("edge (1,2) has non-integer rate 1/2")):
+        integer_rates(halves, "whole bits")
+    assert rates_from_packing(hexagon, pk) == want[4]
+    assert explicit_rates_no_bottleneck(hexagon) == want[5]
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", 0, -1])
+def test_a_round_count_is_a_positive_int_and_not_a_bool(triangle, bad):
+    message = f"round count must be a positive integer, got {bad!r}"
+    with pytest.raises(SchemaError) as info:
+        check_rounds(bad)
+    assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        capacities(triangle, bad)
+    assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        brute_force_packing(triangle, bad)
+    assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        TreePacking.multigraph([_TREE], [1], bad)
+    assert str(info.value) == message

@@ -96,6 +96,15 @@ def test_negative_weight_rejected():
         TreePacking.multigraph([t], [1], 0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.9, "2", Fraction(2), None])
+def test_a_multiplicity_is_an_int(bad):
+    t = tree(("1", "2"), ("1", "3"))
+    with pytest.raises(InvalidPackingError) as info:
+        TreePacking.multigraph([t], [bad], 2)
+    assert str(info.value) == f"tree multiplicity must be an integer, got {bad!r}"
+    assert TreePacking.multigraph([t, t], iter([2, 0]), 2).multiplicities == (2,)
+
+
 def test_instances_in_order(triangle):
     pk = brute_force_packing(triangle, 2).packing
     labels = [(i, c) for i, c, _ in pk.instances()]

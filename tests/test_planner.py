@@ -321,6 +321,13 @@ def test_budget_zero_is_noop(hexagon):
     assert plan.initial_rate == plan.final_rate == Fraction(6, 5)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", -1])
+def test_a_budget_is_a_non_negative_int_and_not_a_bool(hexagon, bad):
+    with pytest.raises(SchemaError) as info:
+        best_additions(hexagon, [("1", "4")], bad)
+    assert str(info.value) == f"budget must be a non-negative integer, got {bad!r}"
+
+
 def test_budget_beyond_candidates(hexagon):
     plan = best_additions(hexagon, [("1", "4")], 5)
     assert len(plan.steps) == 1
