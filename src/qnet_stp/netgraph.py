@@ -11,8 +11,8 @@ Conventions used throughout the package:
   tie-breaking) nodes are taken in lexicographic label order.
 * An edge is identified by its canonical key ``(u, v)`` with ``u < v``.
 * A vertex partition has one canonical form, whatever built it;
-  :meth:`VertexPartition.from_rgs` reads one off a restricted growth
-  string, the order in which ``rate_core`` scans partitions.
+  :meth:`VertexPartition.from_rgs` reads one off each node's block id,
+  as the partition scans, the planner and the packers give them.
 * All value types are immutable after construction.
 """
 
@@ -32,7 +32,6 @@ from .errors import (
     InvalidSubsetError,
     NegativeRateError,
     PreconditionFailedError,
-    QNetError,
     SchemaError,
     SelfLoopError,
     UnknownNodeError,
@@ -444,11 +443,14 @@ class VertexPartition(NamedTuple):
         return cls.from_blocks([x] for x in labels)
 
     @classmethod
-    def from_rgs(cls, labels: Sequence[str], rgs: Sequence[int]) -> VertexPartition:
-        groups: dict[int, list[str]] = {}
-        for label, g in zip(labels, rgs):
-            groups.setdefault(g, []).append(label)
-        return cls.from_blocks(groups.values())
+    def from_rgs(cls, labels: Sequence[str], rgs: Sequence) -> VertexPartition:
+        """The partition with ``labels[i]`` in block ``rgs[i]`` (any hashable id): the one
+        builder from node blocks.  It checks nothing, as every caller passes distinct
+        ``str`` labels; :meth:`from_blocks` is the validating builder for outside input."""
+        groups: dict = {}
+        for label, b in zip(labels, rgs):
+            groups.setdefault(b, []).append(label)
+        return cls(tuple(sorted([tuple(sorted(b)) for b in groups.values()])))
 
     @property
     def block_count(self) -> int:
@@ -679,10 +681,11 @@ def _tree_walk(n: int, keys: list, fixed: list) -> Iterator[list]:
 # multigraphs
 # ---------------------------------------------------------------------------
 
-def check_rounds(rounds, error: type[QNetError] = SchemaError) -> int:
-    """``rounds`` if it is a positive integer round count (not a ``bool``); ``error`` if not."""
+def check_rounds(rounds) -> int:
+    """``rounds`` if it is a positive integer round count (not a ``bool``), else
+    ``SchemaError``: the one check of every entry point that takes a round count."""
     if type(rounds) is not int or rounds < 1:
-        raise error(f"round count must be a positive integer, got {rounds!r}")
+        raise SchemaError(f"round count must be a positive integer, got {rounds!r}")
     return rounds
 
 

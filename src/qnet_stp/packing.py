@@ -47,6 +47,7 @@ from .errors import (
     HeuristicFailedError,
     InvalidPackingError,
     PreconditionFailedError,
+    SchemaError,
 )
 from .netgraph import (
     EdgeKey,
@@ -395,11 +396,16 @@ def exact_packing(g: WeightedGraph, rounds: int, target: int) -> TreePacking:
     refused before anything is built.
 
     Raises:
+        SchemaError: a round count that is not a positive integer, or a
+            tree count ``target`` that is not a non-negative one.
         HeuristicFailedError: more steps than ``EXACT_STEP_BUDGET``, or
             no such packing exists; ``partition`` then holds the proof.
     """
+    check_rounds(rounds)
+    if type(target) is not int or target < 0:
+        raise SchemaError(f"tree count must be a non-negative integer, got {target!r}")
     view = labels, scale, links = g.integer_links()
-    packing, root = _exact_pack(view, check_rounds(rounds), target)
+    packing, root = _exact_pack(view, rounds, target)
     if root is None:
         return _labelled(labels, packing)
     partition = VertexPartition.from_rgs(labels, root)

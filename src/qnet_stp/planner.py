@@ -122,9 +122,7 @@ def _best_bipartition(labels: tuple[str, ...], w: list[list[int]], least: int) -
         return False
 
     search(1, degree[0], 0, w[0], [0] * n)
-    return VertexPartition.from_blocks(
-        [[labels[i] for i in side], [v for i, v in enumerate(labels) if i not in side]]
-    )
+    return VertexPartition.from_rgs(labels, [i not in side for i in range(n)])
 
 
 def bottleneck_report(g: WeightedGraph) -> BottleneckReport:
@@ -276,10 +274,11 @@ class Plan(NamedTuple):
 def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
     out = []
     for item in candidates:
-        if len(item) == 2:
+        shape = 0 if isinstance(item, str) else len(item)  # "13" is no pair
+        if shape == 2:
             u, v = item
             rate = Fraction(1)
-        elif len(item) == 3:
+        elif shape == 3:
             u, v, rate = item
             rate = parse_rational(rate)
         else:

@@ -33,7 +33,6 @@ from .errors import (
     InvalidEdgeError,
     InvalidPackingError,
     KeyDepletedError,
-    PreconditionFailedError,
 )
 from .netgraph import (
     EdgeKey,
@@ -103,9 +102,10 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """Key bits per edge over ``rounds`` rounds: ``rounds`` times its rate.
 
     Raises:
-        PreconditionFailedError: a non-positive round count or non-integer rates.
+        SchemaError: a round count that is not a positive integer.
+        PreconditionFailedError: non-integer rates.
     """
-    check_rounds(rounds, PreconditionFailedError)
+    check_rounds(rounds)
     integer_rates(g, "keys come in whole bits")
     return capacities(g, rounds)
 
@@ -121,6 +121,7 @@ def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
     word first.
 
     Raises:
+        SchemaError: a round count that is not a positive integer.
         PreconditionFailedError: non-integer rates.
     """
     sizes = _pool_sizes(g, rounds)
@@ -357,19 +358,16 @@ def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, di
 
 
 def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey, int]]:
-    """Per tree instance, the key-bit index used on each tree edge, in instance order.
+    """Per tree instance, the key-bit index used on each tree edge, in instance order:
+    the one expansion of :func:`_first_bits`' table, which the secrecy audit reads.
 
     Raises:
+        SchemaError: the packing's round count is not a positive integer.
         InvalidPackingError: a tree uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
-    return _schedule(_pool_sizes(g, pk.rounds), pk)
-
-
-def _schedule(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> list[dict[EdgeKey, int]]:
-    """:func:`_first_bits`'s table from pools of ``sizes``, one step per instance."""
-    table, _ = _first_bits(sizes, pk)
+    table, _ = _first_bits(_pool_sizes(g, pk.rounds), pk)
     return [
         {key: bit + copy for key, bit in first.items()}
         for first, mult in zip(table, pk.multiplicities)
@@ -575,16 +573,17 @@ def secrecy_audit(
 
     A custom ``schedule`` (per-instance edge -> bit index) may be passed
     to audit a corrupted consumption plan, e.g. one reusing a bit across
-    two trees; the default schedule is the protocol's own.
+    two trees; the default is the protocol's own, :func:`consumption_schedule`.
 
     Raises:
+        SchemaError: the packing's round count is not a positive integer.
         InvalidPackingError: a tree uses an edge the network lacks, or the
             schedule misses a tree edge or does not match the instances.
         PreconditionFailedError: non-integer rates.
     """
     pool_sizes = _pool_sizes(g, pk.rounds)
     total_bits = sum(pool_sizes.values())
-    schedule = _schedule(pool_sizes, pk) if schedule is None else schedule
+    schedule = consumption_schedule(g, pk) if schedule is None else schedule
     instances = list(pk.instances())
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")
@@ -597,7 +596,6 @@ def secrecy_audit(
 
     violations: list[str] = []
     seen_bits: dict[int, int] = {}
-    scheduled_uses = 0
     ann_positions: list[tuple[int, int]] = []
     conference_positions: list[int] = []
     for (_, copy_idx, tree), consumed in zip(instances, schedule):
@@ -618,12 +616,12 @@ def secrecy_audit(
                 )
             else:
                 seen_bits[pos] = len(conference_positions)
-            scheduled_uses += 1
             position[key] = pos
         for _, in_key, key in orientation.relays():
             ann_positions.append((position[in_key], position[key]))
         conference_positions.append(position[orientation.conference_edge])
 
+    edge_disjoint = not violations  # so far, only reuses are listed
     ground = total_bits
     conference_edges = [(p, ground) for p in conference_positions]
     forest = spanning_forest(total_bits + 1, ann_positions + conference_edges)
@@ -632,7 +630,7 @@ def secrecy_audit(
         violations.append("conference key not uniform for transcript " + "0" * len(ann_positions))
     return AuditReport(
         uniform=uniform,
-        edge_disjoint=len(seen_bits) == scheduled_uses,
+        edge_disjoint=edge_disjoint,
         total_bits=total_bits,
         conference_bits=len(conference_positions),
         violations=tuple(violations),

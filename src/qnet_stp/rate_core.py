@@ -306,20 +306,12 @@ def nwt_rate(g: WeightedGraph) -> RateReport:
 def _rate_report(
     labels: tuple[str, ...], scale: int, links, found: tuple[int, int, tuple[int, ...]]
 ) -> RateReport:
-    """The report of a completed :func:`_partition_scan` of ``links`` (rates times ``scale``).
-
-    ``labels`` are sorted and ``rgs`` is a restricted growth string, so
-    each block, gathered in label order, is sorted, and the blocks come
-    in order of their first labels: the partition is canonical as built.
-    """
+    """The report of a completed :func:`_partition_scan` of ``links`` (rates times ``scale``)."""
     cross, pm1, rgs = found
     total = sum(x for _, _, x in links)
-    blocks: list[list[str]] = [[] for _ in range(pm1 + 1)]
-    for label, b in zip(labels, rgs):
-        blocks[b].append(label)
     return RateReport(
         rate=Fraction(cross, pm1 * scale),
-        minimizing_partition=VertexPartition(tuple(map(tuple, blocks))),
+        minimizing_partition=VertexPartition.from_rgs(labels, rgs),
         finest_is_optimal=total * pm1 == cross * (len(labels) - 1),
     )
 

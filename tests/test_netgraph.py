@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -16,13 +17,17 @@ from qnet_stp import (
     capacities,
     contract,
     enumerate_spanning_trees,
+    exact_packing,
     explicit_rates_no_bottleneck,
+    generate_keys,
     induced_subgraph,
     is_connected,
     is_spanning_tree,
+    nwt_length,
     parse_graph,
     partition_bound,
     rates_from_packing,
+    secrecy_audit,
     security_budget,
     triangle_rate,
 )
@@ -44,6 +49,7 @@ from qnet_stp.netgraph import (
     integer_rates,
     parse_rational,
 )
+from qnet_stp.protocol import consumption_schedule
 
 from conftest import build, complete, ring, sorted_path
 from reference_scans import count_spanning_trees, enumerate_partitions, restricted_growth_strings
@@ -685,18 +691,47 @@ def test_library_reads_of_a_network_build_no_edge_records(monkeypatch, hexagon):
     assert built == []
 
 
-@pytest.mark.parametrize("bad", [True, False, 1.0, "1", 0, -1])
-def test_a_round_count_is_a_positive_int_and_not_a_bool(triangle, bad):
-    message = f"round count must be a positive integer, got {bad!r}"
+def _with_rounds(rounds):
+    # a packing as a caller may build it by hand, with any round count
+    return TreePacking((_TREE,), (1,), rounds)
+
+
+#: Every library entry point that takes a round count, directly or as a
+#: packing's, called on the triangle.
+ROUND_ENTRIES = {
+    "check_rounds": lambda g, r: check_rounds(r),
+    "capacities": capacities,
+    "nwt_length": nwt_length,
+    "brute_force_packing": brute_force_packing,
+    "exact_packing": lambda g, r: exact_packing(g, r, 1),
+    "TreePacking.multigraph": lambda g, r: TreePacking.multigraph([_TREE], [1], r),
+    "generate_keys": lambda g, r: generate_keys(g, r, seed=0),
+    "consumption_schedule": lambda g, r: consumption_schedule(g, _with_rounds(r)),
+    "secrecy_audit": lambda g, r: secrecy_audit(g, _with_rounds(r)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ROUND_ENTRIES))
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", "2", 0, -1])
+def test_every_entry_point_refuses_a_bad_round_count_alike(triangle, entry, bad):
+    # not a bool, a float or a string, and positive
     with pytest.raises(SchemaError) as info:
-        check_rounds(bad)
-    assert str(info.value) == message
-    with pytest.raises(SchemaError) as info:
-        capacities(triangle, bad)
-    assert str(info.value) == message
-    with pytest.raises(SchemaError) as info:
-        brute_force_packing(triangle, bad)
-    assert str(info.value) == message
-    with pytest.raises(SchemaError) as info:
-        TreePacking.multigraph([_TREE], [1], bad)
-    assert str(info.value) == message
+        ROUND_ENTRIES[entry](triangle, bad)
+    assert str(info.value) == f"round count must be a positive integer, got {bad!r}"
+    ROUND_ENTRIES[entry](triangle, 2)  # and takes a good one
+
+
+def test_from_rgs_gives_the_from_blocks_partition():
+    # unsorted labels, out of numeric order or reading as joins, in
+    # arbitrary integer block ids, or in two bool ids as the planner's
+    # bipartition search gives them
+    rng = random.Random(4800)
+    names = ("10", "2", "a+b", "b-c", "\u00e9", "1")
+    for _ in range(300):
+        labels = rng.sample(names, rng.randint(1, len(names)))
+        for ids in ([rng.randrange(-3, 9) for _ in labels], [rng.random() < 0.5 for _ in labels]):
+            blocks: dict = {}
+            for label, b in zip(labels, ids):
+                blocks.setdefault(b, []).append(label)
+            want = VertexPartition.from_blocks(blocks.values())
+            assert VertexPartition.from_rgs(labels, ids) == want, (labels, ids)

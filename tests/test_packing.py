@@ -295,6 +295,15 @@ def test_exact_packing_on_complete_graphs():
         assert validate_packing(g, pk).ok
 
 
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "2", None])
+def test_exact_packing_refuses_a_tree_count_that_is_not_a_non_negative_int(bad):
+    g = complete(3, rate=2)
+    with pytest.raises(SchemaError) as info:
+        exact_packing(g, 1, bad)
+    assert str(info.value) == f"tree count must be a non-negative integer, got {bad!r}"
+    assert exact_packing(g, 1, 0).tree_count == 0  # no trees asked, none packed
+
+
 def test_exact_packing_is_deterministic(square_diag_tail):
     assert exact_packing(square_diag_tail, 2, 3) == exact_packing(square_diag_tail, 2, 3)
 

@@ -25,6 +25,7 @@ from qnet_stp.errors import (
     InvalidPackingError,
     KeyDepletedError,
     PreconditionFailedError,
+    SchemaError,
 )
 from qnet_stp.netgraph import enumerate_spanning_trees
 from qnet_stp.protocol import KeyMaterial, consumption_schedule
@@ -68,7 +69,8 @@ def test_generate_keys_needs_integer_rates():
     g = build(["1", "2"], [("1", "2", "3/2")])
     with pytest.raises(PreconditionFailedError):
         generate_keys(g, 2, seed=0)
-    with pytest.raises(PreconditionFailedError):
+    # a bad round count is refused as at every other entry point
+    with pytest.raises(SchemaError, match="round count must be a positive integer, got 0"):
         generate_keys(build(["1", "2"], [("1", "2", 1)]), 0, seed=0)
 
 
@@ -521,6 +523,26 @@ def test_audit_flags_bit_reuse(triangle):
     past[0][("1", "2")] = 2  # two rounds of unit rates: each pool holds bits 0 and 1
     with pytest.raises(KeyDepletedError, match=r"edge \('1', '2'\) has no bit at index 2"):
         secrecy_audit(triangle, pk, schedule=past)
+
+
+def test_audit_is_edge_disjoint_exactly_when_no_reuse_is_listed(square_diag):
+    # the protocol's schedule with one or two entries moved to a random bit
+    # of their pool: where a move lands on a used bit, that bit is reused
+    pk = brute_force_packing(square_diag, 3).packing
+    sizes = {key: 3 * int(rate) for key, (rate, _) in square_diag.link_items()}
+    rng = random.Random(4801)
+    seen = Counter()
+    for _ in range(200):
+        schedule = [dict(step) for step in consumption_schedule(square_diag, pk)]
+        for _ in range(rng.randint(1, 2)):
+            step = rng.choice(schedule)
+            key = rng.choice(sorted(step))
+            step[key] = rng.randrange(sizes[key])
+        report = secrecy_audit(square_diag, pk, schedule=schedule)
+        reused = any(" reused by instances " in v for v in report.violations)
+        assert report.edge_disjoint is not reused
+        seen[report.edge_disjoint, report.uniform] += 1
+    assert seen[True, True] and seen[False, False], seen
 
 
 def test_audit_on_a_40_ring():
