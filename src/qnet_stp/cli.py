@@ -63,13 +63,11 @@ def _dot_id(text: str) -> str:
 
 
 def graph_dot(g: WeightedGraph) -> str:
-    """The network in DOT, each node quoted once and each distinct rate object formatted once."""
+    """The network in DOT, each node quoted once."""
     ids = {node: _dot_id(node) for node in g.sorted_nodes()}
     lines = ["graph network {", "  node [shape=circle];", *[f"  {q};" for q in ids.values()]]
-    labels: dict[int, str] = {}  # by the rate's identity: a Fraction's own hash is slow
     for (u, v), (rate, _) in g.link_items():
-        label = labels.get(id(rate)) or labels.setdefault(id(rate), format_rational(rate))
-        lines.append(f'  {ids[u]} -- {ids[v]} [label="{label}"];')
+        lines.append(f'  {ids[u]} -- {ids[v]} [label="{format_rational(rate)}"];')
     return "\n".join(lines) + "\n}\n"
 
 

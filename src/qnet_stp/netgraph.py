@@ -142,15 +142,18 @@ class WeightedGraph:
 
     Args:
         node_ids: labels, in any order; must be nonempty and unique.
-        edges: ``Edge`` records or ``(u, v, rate[, epsilon])`` tuples.
+        edges: links, each a 3- or 4-item tuple or list
+            ``(u, v, rate[, epsilon])``; an ``Edge`` record is one.
 
-    The constructor, like :meth:`with_edge`, reads rates and epsilons with
-    :func:`parse_rational`, as the JSON reader does (it takes a ``Fraction``
-    as it is), and checks each link once into the one copy of the links, a
-    map from its key to its rate and epsilon; :attr:`edges` is built from it.
+    The one reader of links, for :func:`parse_graph` as for the library: it
+    reads every rate and epsilon, ``Fraction``s included, with
+    :func:`parse_rational` (each distinct string once), then checks the node
+    list, then each link once into the one copy of the links, a map from its
+    key to its rate and epsilon; :attr:`edges` is built from it.
 
     Raises:
-        SchemaError: empty or duplicated node list, or a refused rational.
+        SchemaError: a link of another shape, a refused rational, or an
+            empty or duplicated node list, in that order.
         SelfLoopError / DuplicateEdgeError / NegativeRateError /
         UnknownNodeError: per offending edge.
     """
@@ -158,6 +161,22 @@ class WeightedGraph:
     __slots__ = ("node_ids", "_nodes", "_rates", "_links")
 
     def __init__(self, node_ids: Sequence[str], edges: Iterable):
+        parsed: dict[str, Fraction] = {}  # only strings: True == 1 as a key
+
+        def rational(value) -> Fraction:
+            if type(value) is not str:
+                return parse_rational(value)
+            x = parsed.get(value)
+            if x is None:
+                x = parsed[value] = parse_rational(value)
+            return x
+
+        links = []
+        for link in edges:
+            if not isinstance(link, (tuple, list)) or not 2 < len(link) < 5:
+                raise SchemaError(f"link must be (u, v, rate) or (u, v, rate, epsilon), got {link!r}")
+            links.append((link[0], link[1], rational(link[2]),
+                          rational(link[3]) if len(link) == 4 else _ZERO))
         ids = tuple(str(n) for n in node_ids)
         if not ids:
             raise SchemaError("a network needs at least one node")
@@ -165,12 +184,8 @@ class WeightedGraph:
         if len(known) != len(ids):
             raise SchemaError("duplicate node labels")
         rates: dict[EdgeKey, tuple[Fraction, Fraction]] = {}  # in input order
-        for item in edges:
-            u, v, rate = item[0], item[1], item[2]
-            eps = item[3] if len(item) > 3 else _ZERO
+        for u, v, rate, eps in links:
             u, v = str(u), str(v)
-            rate = rate if type(rate) is Fraction else parse_rational(rate)
-            eps = eps if type(eps) is Fraction else parse_rational(eps)
             if u == v:
                 raise SelfLoopError(f"self-loop at node {u!r}")
             if u not in known or v not in known:
@@ -245,16 +260,15 @@ class WeightedGraph:
         in key order, as ``(i, j, w)``: ``i < j`` are its ends' indices (a
         key's ends are sorted too) and ``w`` its rate times ``scale``, the
         lcm of the rate denominators.  Built from the constructor's map of
-        rates in one sort of the index pairs, reading each distinct rate once.
+        rates in one sort of the index pairs.
         """
         if self._links is None:
             labels = self.sorted_nodes()
             idx = {v: i for i, v in enumerate(labels)}
             rates = self._rates
-            distinct = {id(r): r for r, _ in rates.values()}  # id: a Fraction's hash is slow
-            scale = math.lcm(*[r.denominator for r in distinct.values()])
-            weight = {k: r.numerator * (scale // r.denominator) for k, r in distinct.items()}
-            links = sorted([(idx[u], idx[v], weight[id(r)]) for (u, v), (r, _) in rates.items()])
+            scale = math.lcm(*[r.denominator for r, _ in rates.values()])
+            links = sorted([(idx[u], idx[v], r.numerator * (scale // r.denominator))
+                            for (u, v), (r, _) in rates.items()])
             self._links = labels, scale, tuple(links)
         return self._links
 
@@ -325,11 +339,9 @@ def parse_graph(text: str) -> WeightedGraph:
 
         {"nodes": ["1", "2"], "edges": [{"u": "1", "v": "2", "rate": "1"}]}
 
-    ``epsilon`` is optional per edge and defaults to 0.  Rates and
-    epsilons follow :func:`parse_rational` (exact; floats rejected).
-    Each distinct rate or epsilon string is parsed once per document, and
-    every edge without an ``epsilon`` shares one zero; the edges are
-    still checked in order, so the first bad one raises its own error.
+    ``epsilon`` is optional per edge and defaults to 0.  Only the JSON and
+    each edge record are checked here: the constructor reads each record's
+    ``(u, v, rate[, epsilon])`` in order, so the first bad one raises its own error.
     """
     try:
         doc = json.loads(text)
@@ -343,27 +355,18 @@ def parse_graph(text: str) -> WeightedGraph:
         raise SchemaError('"nodes" must be a list of strings')
     if not isinstance(raw_edges, list):
         raise SchemaError('"edges" must be a list')
-    parsed: dict[str, Fraction] = {}  # only strings: True == 1 as a key
+    return WeightedGraph(nodes, _links_of(raw_edges))
 
-    def rational(value) -> Fraction:
-        if type(value) is not str:
-            return parse_rational(value)
-        x = parsed.get(value)
-        if x is None:
-            x = parsed[value] = parse_rational(value)
-        return x
 
-    edges = []
-    for rec in raw_edges:
+def _links_of(records: list) -> Iterator[tuple]:
+    """Each JSON edge record's ``(u, v, rate[, epsilon])``, checked as a record only."""
+    for rec in records:
         if not isinstance(rec, dict) or "u" not in rec or "v" not in rec or "rate" not in rec:
             raise SchemaError('each edge needs "u", "v" and "rate" fields')
         u, v = rec["u"], rec["v"]
         if not isinstance(u, str) or not isinstance(v, str):
             raise SchemaError("edge endpoints must be strings")
-        rate = rational(rec["rate"])
-        eps = rational(rec["epsilon"]) if "epsilon" in rec else _ZERO
-        edges.append((u, v, rate, eps))
-    return WeightedGraph(nodes, edges)
+        yield (u, v, rec["rate"], rec["epsilon"]) if "epsilon" in rec else (u, v, rec["rate"])
 
 
 def integer_rates(g: WeightedGraph, need: str) -> None:
@@ -605,11 +608,8 @@ def is_spanning_tree(g: WeightedGraph, tree: SpanningTree) -> bool:
     return len(spanning_forest(g.node_count, [(index[u], index[v]) for u, v in keys])) == len(keys)
 
 
-def enumerate_spanning_trees(
-    g: WeightedGraph, *, required: Iterable[EdgeKey] = ()
-) -> Iterator[SpanningTree]:
-    """Yield every spanning tree of the positive-rate subgraph of ``g``
-    that holds the ``required`` keys (of positive-rate edges, either end first).
+def enumerate_spanning_trees(g: WeightedGraph) -> Iterator[SpanningTree]:
+    """Yield every spanning tree of the positive-rate subgraph of ``g``.
 
     Trees appear in lexicographic order of their (sorted) edge-key lists.
     The generator is lazy and has no bound of its own: a caller that
@@ -620,20 +620,12 @@ def enumerate_spanning_trees(
     Raises:
         DisconnectedError: the positive-rate subgraph does not span ``g``
             (on the first ``next``).
-        InvalidEdgeError: a required key is not a positive-rate edge of
-            ``g`` (on the first ``next``).
     """
     if not is_connected(g):
         raise DisconnectedError("positive-rate subgraph is not connected")
     labels, _, links = g.integer_links()
     key_of = {(i, j): (labels[i], labels[j]) for i, j, w in links if w}  # key order
-    held = {edge_key(u, v) for u, v in required}
-    stray = held.difference(key_of.values())
-    if stray:
-        raise InvalidEdgeError(f"required key {min(stray)} is not a positive-rate edge")
-    keys = [pair for pair, key in key_of.items() if key not in held]
-    fixed = [pair for pair, key in key_of.items() if key in held]
-    for tree in _tree_walk(g.node_count, keys, fixed):
+    for tree in _tree_walk(g.node_count, list(key_of), []):
         yield SpanningTree(tuple(map(key_of.__getitem__, tree)))
 
 

@@ -272,9 +272,11 @@ class Plan(NamedTuple):
 
 
 def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
+    if not isinstance(candidates, (tuple, list)):
+        raise SchemaError(f"candidates must be a list or tuple, got {type(candidates).__name__}")
     out = []
     for item in candidates:
-        shape = 0 if isinstance(item, str) else len(item)  # "13" is no pair
+        shape = len(item) if isinstance(item, (tuple, list)) else 0
         if shape == 2:
             u, v = item
             rate = Fraction(1)
@@ -383,7 +385,8 @@ def best_additions(
 
     Raises:
         EmptyPlanError: a positive budget with no candidates at all.
-        SchemaError: malformed candidates or a negative budget.
+        SchemaError: candidates not in a list or tuple, a candidate that is
+            not a 2- or 3-item tuple or list, or a negative budget.
         UnknownNodeError / SelfLoopError: the first bad candidate, in
             ``candidates`` order (greedy) or ``sorted`` order (exhaustive).
     """

@@ -194,9 +194,10 @@ def test_parse_graph_parses_each_rate_string_once(monkeypatch):
         calls.append(value)
         return parse_rational(value)
 
+    want = complete(10)  # built before the count: the constructor reads its rates too
     monkeypatch.setattr(netgraph, "parse_rational", counting)
     g = parse_graph(json.dumps(k10_doc(["1"])))
-    assert g == complete(10)
+    assert g == want
     assert calls == ["1"]
 
 
@@ -261,6 +262,7 @@ def test_every_kind_of_edge_item_builds_the_parsed_graph():
     built = [
         WeightedGraph(doc["nodes"], records),
         WeightedGraph(doc["nodes"], records[::-1]),
+        WeightedGraph(doc["nodes"], [list(r) for r in records]),
         WeightedGraph([1, 2, 3, 10], [(2, 1, "3/2"), (1, 10, 2, Fraction(1, 4)), (3, 2, 0),
                                       (10, 3, Fraction(5))]),
         WeightedGraph(doc["nodes"], [("1", "2", Fraction(3, 2), 0), ("10", "1", "2", "1/4"),
@@ -315,6 +317,34 @@ def test_a_document_with_several_faults_raises_the_first_in_check_order():
             edges.pop(1)
     assert parse_graph(json.dumps({"nodes": nodes, "edges": edges})).edges == (
         Edge("1", "2", Fraction(1)),)
+
+
+NOT_LINKS = {
+    "two items": ("1", "2"),
+    "five items": ("1", "2", 1, 0, 9),
+    "None": None,
+    "string": "121",
+    "dict": {"u": "1"},
+}
+
+
+@pytest.mark.parametrize("bad", NOT_LINKS.values(), ids=NOT_LINKS)
+def test_a_link_is_a_three_or_four_item_tuple_or_list(bad):
+    # a string unpacks into its characters: "121" would build link (1,2) at rate 1
+    with pytest.raises(SchemaError) as info:
+        WeightedGraph(["1", "2"], [("1", "2", 1), bad])
+    assert str(info.value) == f"link must be (u, v, rate) or (u, v, rate, epsilon), got {bad!r}"
+
+
+def test_a_library_call_reads_its_links_before_its_node_list():
+    # as parse_graph does: the rate's error, not the duplicate label's
+    with pytest.raises(SchemaError) as info:
+        WeightedGraph(["1", "2", "2"], [("1", "2", 1), ("2", "1", "x")])
+    assert str(info.value) == "malformed rational 'x'"
+    with pytest.raises(SchemaError) as info:
+        parse_graph(json.dumps({"nodes": ["1", "2", "2"],
+                                "edges": [{"u": "1", "v": "2", "rate": "x"}]}))
+    assert str(info.value) == "malformed rational 'x'"
 
 
 def test_zero_rate_edge_allowed():
@@ -431,6 +461,13 @@ def test_contract_merges_parallel_rates():
     assert c.rate("1+2", "3+4") == 3  # parallel cross edges merge
 
 
+def test_contract_refuses_a_merged_rate_past_the_digit_bound():
+    big = 5 * 10**999
+    g = build(["1", "2", "3", "4"], [("1", "3", big), ("2", "4", big)])
+    with pytest.raises(SchemaError, match="more than 1000 digits"):
+        contract(g, VertexPartition.from_blocks([["1", "2"], ["3", "4"]]))
+
+
 def test_contract_keeps_singleton_labels(tri_pendant):
     p = VertexPartition.from_blocks([["1", "2", "3"], ["4"]])
     c = contract(tri_pendant, p)
@@ -491,17 +528,6 @@ def test_zero_rate_edges_excluded_from_trees():
     trees = list(enumerate_spanning_trees(g))
     assert len(trees) == 1
     assert trees[0].edges == (("1", "2"), ("2", "3"))
-
-
-def test_required_keys_are_positive_rate_edges():
-    g = build(["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("a", "c", 0)])
-    held = list(enumerate_spanning_trees(g, required=[("b", "c")]))
-    assert list(enumerate_spanning_trees(g, required=[("c", "b")])) == held
-    for bad in ("a", "c"), ("c", "a"), ("a", "z"):
-        trees = enumerate_spanning_trees(g, required=[bad])
-        message = f"required key {edge_key(*bad)} is not a positive-rate edge"
-        with pytest.raises(InvalidEdgeError, match=re.escape(message)):
-            next(trees)
 
 
 def test_enumeration_is_lazy():
@@ -645,6 +671,7 @@ NOT_RATIONALS = {
     "None": None,
     "Decimal": Decimal("0.5"),
     "1001 digits": "1" * 1001,
+    "1001-digit Fraction": Fraction(10**1000 + 1, 3),
 }
 
 

@@ -328,13 +328,19 @@ def test_a_budget_is_a_non_negative_int_and_not_a_bool(hexagon, bad):
     assert str(info.value) == f"budget must be a non-negative integer, got {bad!r}"
 
 
-@pytest.mark.parametrize("bad", ["13", "133", "1-3"])
-def test_a_candidate_that_is_a_string_is_refused(bad):
+@pytest.mark.parametrize("bad", ["13", "133", "1-3", 5, None, {"a": 1, "b": 2}])
+def test_a_candidate_that_is_not_a_tuple_or_list_is_refused(bad):
     # a string unpacks into its characters: "13" would plan link (1,3) and
-    # "133" plan it at rate 3
+    # "133" plan it at rate 3; a dict would unpack into its keys
     with pytest.raises(SchemaError) as info:
         best_additions(ring(4), [bad], 1)
     assert str(info.value) == f"candidate must be (u, v) or (u, v, rate), got {bad!r}"
+
+
+def test_candidates_not_in_a_list_or_tuple_are_refused():
+    with pytest.raises(SchemaError) as info:
+        best_additions(ring(4), None, 1)
+    assert str(info.value) == "candidates must be a list or tuple, got NoneType"
 
 
 def test_budget_beyond_candidates(hexagon):
