@@ -152,35 +152,6 @@ def _json_text(doc, pad: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
 
 
-def _announcements_text(announcements, pad: str) -> str:
-    """:func:`_json_text` of ``[a.to_json_dict() for a in announcements]`` at ``pad``.
-
-    One template, its keys in sorted order, takes each announcement's
-    labels (escaped as :func:`_json_text` escapes them) and ints.
-    """
-    if not announcements:
-        return "[]"
-    item, key, leaf = pad + "  ", pad + "    ", pad + "      "
-    template = "".join([
-        "{", key, '"announcer": %s,',
-        key, '"bit_indices": {', leaf, '"edge": %d,', leaf, '"in": %d', key, "},",
-        key, '"bits": [', leaf, "%d", key, "],",
-        key, '"edge": [', leaf, "%s,", leaf, "%s", key, "],",
-        key, '"in_edge": [', leaf, "%s,", leaf, "%s", key, "],",
-        key, '"round": %d,',
-        key, '"tree": %d', item, "}",
-    ])
-    enc = encode_basestring_ascii
-    return "[" + item + ("," + item).join([
-        template % (
-            enc(a.announcer), a.edge_bit_index, a.in_bit_index, a.value,
-            enc(a.edge[0]), enc(a.edge[1]), enc(a.in_edge[0]), enc(a.in_edge[1]),
-            a.round, a.tree,
-        )
-        for a in announcements
-    ]) + pad + "]"
-
-
 def emit(out) -> None:
     """Write ``out`` to stdout in one write, then flush: a ``str`` as it is, a document as JSON.
 
@@ -246,16 +217,43 @@ def cmd_pack(g: WeightedGraph, args) -> str | dict:
 def cmd_simulate(g: WeightedGraph, args) -> dict:
     # the packing alone: simulate prints no optimality proof, so runs none
     from .packing import _general_packing, _oracle_packing, packing_rate
-    from .protocol import run_packing_protocol, secrecy_audit
+    from .protocol import PRNG_ALGORITHM, _keying, secrecy_audit, security_budget
 
     pk = (_general_packing(g) if args.rounds is None else _oracle_packing(g, args.rounds))[0]
-    transcript = run_packing_protocol(g, pk, args.seed)
-    # the transcript's own to_json_dict() is the reference form; its
-    # announcements, most of the output, are written from one template
-    doc = transcript._replace(announcements=()).to_json_dict()
-    doc["announcements"] = _Verbatim(_announcements_text(transcript.announcements, "\n  "))
-    doc["packing"] = pk.to_json_dict()
-    doc["rate"] = format_rational(packing_rate(pk))
+    run = _keying(g, pk, args.seed)
+    # ProtocolTranscript.to_json_dict() is the reference form.  This writes it from the
+    # run's tables; the announcements, most of the output, through one template with
+    # each label and each link's pair escaped once, its keys in sorted order
+    labels, digits = run.labels, bytes.maketrans(b"\0\1", b"01")
+    quoted = [encode_basestring_ascii(v) for v in labels]
+    item, key, leaf = "\n    ", "\n      ", "\n        "
+    pair = [quoted[i] + "," + leaf + quoted[j] for i, j in run.ends]
+    template = "".join([
+        "{", key, '"announcer": %s,',
+        key, '"bit_indices": {', leaf, '"edge": %d,', leaf, '"in": %d', key, "},",
+        key, '"bits": [', leaf, "%d", key, "],",
+        key, '"edge": [', leaf, "%s", key, "],",
+        key, '"in_edge": [', leaf, "%s", key, "],",
+        key, '"round": %d,', key, '"tree": %d', item, "}",
+    ])
+    texts = [
+        template % (quoted[v], b + copy, a + copy, bits[copy], pair[out], pair[into], copy, tree)
+        for tree, copies, relays, values in run.trees
+        for copy in range(copies)
+        for (v, into, out, a, b), bits in zip(relays, values)
+    ]
+    doc = {
+        "announcements": _Verbatim("[" + item + ("," + item).join(texts) + "\n  ]" if texts else "[]"),
+        "conference_key": run.key.translate(digits).decode(),
+        "consumed_bits": {f"{labels[i]}-{labels[j]}": c for (i, j), c in zip(run.ends, run.used)},
+        "packing": pk.to_json_dict(),
+        "prng": {"algorithm": PRNG_ALGORITHM, "seed": args.seed},
+        "rate": format_rational(packing_rate(pk)),
+        "recovered": {v: bits.translate(digits).decode() for v, bits in zip(labels, run.recovered)},
+        "rounds": pk.rounds,
+        "security_budget": security_budget(pk, g.epsilon_map()).to_json_dict(),
+        "unanimity": run.unanimity,
+    }
     if args.audit:
         report = secrecy_audit(g, pk)
         audit_doc = report.to_json_dict()

@@ -152,8 +152,9 @@ class WeightedGraph:
     key to its rate and epsilon; :attr:`edges` is built from it.
 
     Raises:
-        SchemaError: a link of another shape, a refused rational, or an
-            empty or duplicated node list, in that order.
+        SchemaError: links that are not an iterable other than a string, a
+            link of another shape, a refused rational, or a node list that
+            is not such an iterable, is empty or repeats a label, in that order.
         SelfLoopError / DuplicateEdgeError / NegativeRateError /
         UnknownNodeError: per offending edge.
     """
@@ -172,12 +173,12 @@ class WeightedGraph:
             return x
 
         links = []
-        for link in edges:
+        for link in _items(edges, "links"):
             if not isinstance(link, (tuple, list)) or not 2 < len(link) < 5:
                 raise SchemaError(f"link must be (u, v, rate) or (u, v, rate, epsilon), got {link!r}")
             links.append((link[0], link[1], rational(link[2]),
                           rational(link[3]) if len(link) == 4 else _ZERO))
-        ids = tuple(str(n) for n in node_ids)
+        ids = tuple(str(n) for n in _items(node_ids, "node labels"))
         if not ids:
             raise SchemaError("a network needs at least one node")
         known = set(ids)
@@ -330,6 +331,16 @@ class WeightedGraph:
 
     def __repr__(self) -> str:
         return f"WeightedGraph(nodes={len(self.node_ids)}, edges={len(self._rates)})"
+
+
+def _items(values, what: str) -> Iterator:
+    """An iterator over ``values``; SchemaError if they are a string or not iterable."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            return iter(values)
+        except TypeError:
+            pass
+    raise SchemaError(f"{what} must be an iterable other than a string, got {values!r}")
 
 
 def parse_graph(text: str) -> WeightedGraph:

@@ -311,14 +311,17 @@ def _descend(view: tuple, rounds: int, target: int, fixed_rounds: bool) -> tuple
     so the first request that fits is the maximum: with
     ``fixed_rounds``, ``floor(crossing / (blocks - 1))`` trees over
     ``rounds``; otherwise, for whole rates, the partition's bound as a
-    rate over its denominator in rounds.  A request of 0 packs nothing.
+    rate over its denominator in rounds, asked of the multigraph over
+    ``scale`` times as many rounds, whose capacities are whole, so each
+    refusal lowers the request.  A request of 0 packs nothing.
     """
     _, scale, links = view
+    step = 1 if fixed_rounds else scale
     refusal = None
     calls = 0
     while target:
         calls += 1
-        packing, root = _exact_pack(view, rounds, target)
+        packing, root = _exact_pack(view, rounds * step, target * step)
         if root is None:
             return packing, refusal, calls
         refusal = root

@@ -12,7 +12,11 @@ used nowhere else.
 The module simulates the full protocol (deterministically seeded):
 :func:`_first_bits` alone decides which key bit each tree instance
 uses, and announcing, recovering and the audit read its table, or the
-per-instance steps :func:`consumption_schedule` expands it into.
+per-instance steps :func:`consumption_schedule` expands it into.  One
+core, :func:`_keying`, runs the protocol on link positions and node
+indices; :func:`run_packing_protocol` labels its tables as a
+:class:`ProtocolTranscript`, and the ``simulate`` command writes its
+answer from them.
 It also accounts the security budget and provides an exact secrecy
 audit that checks the conference key is uniform given the transcript.
 Each announcement is the XOR of two key bits and each conference bit is
@@ -54,9 +58,9 @@ PRNG_ALGORITHM = "python-random-mt19937"
 TOP_BIT = bytes(b >> 7 for b in range(256))
 
 #: Most tree-edge instances (tree instances times ``N - 1``) that
-#: :func:`run_packing_protocol` keys: 0.3 to 0.4 s of ``simulate``, at
-#: some 15 to 18 microseconds per instance (packing, output and
-#: interpreter start included) on a 2-vCPU Xeon VM.
+#: :func:`_keying` keys: about 0.15 s of ``simulate``, at some 7.3
+#: microseconds per instance (packing, output and interpreter start
+#: included) on a 2-vCPU Xeon VM.
 PROTOCOL_BUDGET = 20_000
 
 
@@ -99,7 +103,7 @@ class KeyMaterial:
 
 
 def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
-    """Key bits per edge over ``rounds`` rounds: ``rounds`` times its rate.
+    """Key bits per edge over ``rounds`` rounds, in key order: ``rounds`` times its rate.
 
     Raises:
         SchemaError: a round count that is not a positive integer.
@@ -110,27 +114,36 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     return capacities(g, rounds)
 
 
-def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
-    """Simulate ``rounds`` of pairwise key generation.
+def _pools(g: WeightedGraph, rounds: int, seed) -> list[bytes]:
+    """The one pool rule: each link's key bits over ``rounds`` rounds, by
+    link position (key order, as :meth:`WeightedGraph.integer_links` lists them).
 
-    Edge ``e`` with integer rate ``L`` receives ``rounds * L`` fresh bits
-    from a seeded Mersenne-Twister stream (edges in lexicographic order,
-    so the layout is reproducible across runs and platforms).  Each bit
-    is the top bit of one 32-bit output, as ``getrandbits(1)`` takes it;
-    a pool's outputs come in one ``getrandbits(32 * size)``, lowest
-    word first.
+    A link of integer rate ``L`` gets ``rounds * L`` bits from one seeded
+    Mersenne-Twister stream, links in key order, so the layout is
+    reproducible across runs and platforms.  Each bit is the top bit of
+    one 32-bit output, as ``getrandbits(1)`` takes it; a pool's outputs
+    come in one ``getrandbits(32 * size)``, lowest word first.
 
     Raises:
         SchemaError: a round count that is not a positive integer.
         PreconditionFailedError: non-integer rates.
     """
-    sizes = _pool_sizes(g, rounds)
     rng = random.Random(seed)
-    pools = {
-        key: rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4].translate(TOP_BIT)
-        for key, size in sizes.items()
-    }
-    return KeyMaterial(pools, seed=seed)
+    return [
+        rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4].translate(TOP_BIT)
+        for size in _pool_sizes(g, rounds).values()
+    ]
+
+
+def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
+    """Simulate ``rounds`` of pairwise key generation: :func:`_pools` by edge key.
+
+    Raises:
+        SchemaError: a round count that is not a positive integer.
+        PreconditionFailedError: non-integer rates.
+    """
+    pools = _pools(g, rounds, seed)
+    return KeyMaterial(dict(zip([key for key, _ in g.link_items()], pools)), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +183,54 @@ def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -
     and every other node after its parent.
 
     Raises:
-        InvalidEdgeError: the conference edge is not in the tree.
+        InvalidEdgeError: the tree is empty, or the conference edge is not in it.
     """
-    if not tree.edges:
-        raise InvalidEdgeError("cannot orient an empty tree")
-    ce = edge_key(*conference_edge) if conference_edge else tree.edges[0]
-    if ce not in tree.edges:
+    keys = tree.edges
+    ce = edge_key(*conference_edge) if conference_edge and keys else None
+    if ce is not None and ce not in keys:
         raise InvalidEdgeError(f"conference edge {ce} is not part of the tree")
-    adjacency: dict[str, list[EdgeKey]] = {}
-    for key in tree.edges:
-        adjacency.setdefault(key[0], []).append(key)
-        adjacency.setdefault(key[1], []).append(key)
-    in_edge: dict[str, EdgeKey] = {ce[0]: ce, ce[1]: ce}
-    parent: dict[str, Optional[str]] = {ce[0]: None, ce[1]: None}
-    out_edges: dict[str, tuple[EdgeKey, ...]] = {}
-    frontier = [ce[0], ce[1]]
+    in_edge, out_edges, parent = _orient(dict(zip(keys, keys)), keys, ce)
+    ce = ce or keys[0]
+    return TreeOrientation(tree, ce, ce, in_edge, out_edges, parent)
+
+
+def _orient(ends, edges: Sequence, ce=None) -> tuple[dict, dict, dict]:
+    """The one orientation rule: ``in_edge``, ``out_edges`` and ``parent`` of
+    the tree of ``edges`` toward ``ce`` (default: the first edge).
+
+    Nodes and edges are any ids, labels and keys for :func:`orient_tree`,
+    node indices and link positions for :func:`_keying`; edge ``e`` joins
+    the two nodes ``ends[e]``.  Each node's out-edges come in the order of
+    ``edges``; ``in_edge`` lists the conference edge's two ends first and
+    every other node after its parent.
+
+    Raises:
+        InvalidEdgeError: ``edges`` is empty.
+    """
+    if not edges:
+        raise InvalidEdgeError("cannot orient an empty tree")
+    adjacency: dict = {}  # per node, (edge, other end) in the order of edges
+    for e in edges:
+        i, j = ends[e]
+        adjacency.setdefault(i, []).append((e, j))
+        adjacency.setdefault(j, []).append((e, i))
+    ce = edges[0] if ce is None else ce
+    a, b = ends[ce]
+    in_edge, parent, out_edges = {a: ce, b: ce}, {a: None, b: None}, {}
+    frontier = [a, b]
     while frontier:
         node = frontier.pop()
         own = in_edge[node]
-        out = [key for key in adjacency[node] if key != own]
+        out = []
+        for e, other in adjacency[node]:
+            if e != own:
+                out.append(e)
+                if other not in in_edge:
+                    in_edge[other] = e
+                    parent[other] = node
+                    frontier.append(other)
         out_edges[node] = tuple(out)
-        for key in out:
-            other = key[1] if key[0] == node else key[0]
-            if other not in in_edge:
-                in_edge[other] = key
-                parent[other] = node
-                frontier.append(other)
-    return TreeOrientation(tree, ce, ce, in_edge, out_edges, parent)
+    return in_edge, out_edges, parent
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +352,10 @@ def recover(
 # full protocol run
 # ---------------------------------------------------------------------------
 
-def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, dict]:
+def _first_bits(sizes: Sequence[int], position: Mapping[EdgeKey, int], pk: TreePacking) -> tuple:
     """Per tree of ``pk``, the key bit its first copy uses on each tree
-    edge, and the bits the packing uses per edge, from pools of ``sizes``.
+    edge, and the bits the packing uses per link, from pools of ``sizes``;
+    both by link position, edge key ``k`` being link ``position[k]``.
 
     This table is the one place that assigns key bits: instances are
     processed in packing order, each taking the next unused bit of every
@@ -332,10 +367,10 @@ def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, di
         KeyDepletedError: the packing overuses some edge; the message names
             the key of the first instance (then key) to run out.
     """
-    used: dict[EdgeKey, int] = dict.fromkeys(sizes, 0)
+    used = [0] * len(sizes)
     table = []
     for tree, mult in zip(pk.trees, pk.multiplicities):
-        first: dict[EdgeKey, int] = {}
+        first: dict[int, int] = {}
         table.append(first)
         if not mult:
             continue
@@ -343,15 +378,16 @@ def _first_bits(sizes: Mapping[EdgeKey, int], pk: TreePacking) -> tuple[list, di
         # an unknown edge or an empty pool fails copy 0, so it raises at once
         short, short_key = mult, None
         for key in tree.edges:
-            if key not in sizes:
+            p = position.get(key)
+            if p is None:
                 raise InvalidPackingError(f"tree uses unknown edge {key}")
-            spare = sizes[key] - used[key]
+            spare = sizes[p] - used[p]
             if spare < short:
                 if not spare:
                     raise KeyDepletedError(f"edge {key} ran out of key bits")
                 short, short_key = spare, key
-            first[key] = used[key]
-            used[key] += mult
+            first[p] = used[p]
+            used[p] += mult
         if short_key is not None:
             raise KeyDepletedError(f"edge {short_key} ran out of key bits")
     return table, used
@@ -367,9 +403,11 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
-    table, _ = _first_bits(_pool_sizes(g, pk.rounds), pk)
+    sizes = _pool_sizes(g, pk.rounds)
+    keys = list(sizes)
+    table, _ = _first_bits(list(sizes.values()), {key: p for p, key in enumerate(keys)}, pk)
     return [
-        {key: bit + copy for key, bit in first.items()}
+        {keys[p]: bit + copy for p, bit in first.items()}
         for first, mult in zip(table, pk.multiplicities)
         for copy in range(mult)
     ]
@@ -443,20 +481,83 @@ class ProtocolTranscript(NamedTuple):
 def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTranscript:
     """Execute the keying protocol for every tree instance of ``pk``.
 
-    Keys are generated for the packing's round count from ``seed``.  Each
-    distinct tree is oriented once, and its relays and its parents-first
-    recovery order are laid out once; each copy then reads its key bits
-    from :func:`_first_bits`'s table, announces as :func:`announce` does
-    and recovers at every node the bits of :func:`recover`, one XOR per
-    node down that order.  The conference key concatenates one bit per
-    instance; the table's count of bits used per edge is ``consumed``.
+    The run is :func:`_keying`'s; this labels its tables.  Each copy's
+    announcements are those of :func:`announce` and each node's bits those
+    of :func:`recover`, on the key bits of :func:`_first_bits`' table.  The
+    conference key concatenates one bit per instance; the table's count of
+    bits used per edge is ``consumed``.
 
     Raises:
         HeuristicFailedError: the tree-edge instances pass
             ``PROTOCOL_BUDGET``, checked before any key is generated.
-        InvalidPackingError / KeyDepletedError: the packing does not fit.
-        InvalidEdgeError: a tree misses a node of the network.
+        SchemaError: the packing's round count is not a positive integer.
         PreconditionFailedError: non-integer rates.
+        InvalidPackingError / KeyDepletedError: the packing does not fit.
+        InvalidEdgeError: a tree is empty or misses a node of the network.
+    """
+    run = _keying(g, pk, seed)
+    labels = run.labels
+    keys = [(labels[i], labels[j]) for i, j in run.ends]
+    recovered = dict(zip(labels, map(tuple, run.recovered)))
+    return ProtocolTranscript(
+        rounds=pk.rounds,
+        conference_key=tuple(run.key),
+        unanimity=run.unanimity,
+        announcements=tuple([
+            Announcement(tree, copy, labels[v], keys[out], bits[copy], keys[into], b + copy, a + copy)
+            for tree, copies, relays, values in run.trees
+            for copy in range(copies)
+            for (v, into, out, a, b), bits in zip(relays, values)
+        ]),
+        recovered={v: recovered[v] for v in g.node_ids},
+        consumed=dict(zip(keys, run.used)),
+        budget=security_budget(pk, g.epsilon_map()),
+        prng_algorithm=PRNG_ALGORITHM,
+        seed=seed,
+    )
+
+
+class _Keying(NamedTuple):
+    """One protocol run on node indices and link positions, as :func:`_keying` lays it out.
+
+    Node ``i`` is ``labels[i]`` and link ``p`` joins the nodes ``ends[p]``,
+    as :meth:`WeightedGraph.integer_links` orders them.  ``trees`` holds,
+    per tree with copies, ``(tree index, copies, relays, values)``: the
+    relays ``(announcer, in-link, out-link, in-link's first bit, out-link's
+    first bit)`` in publishing order, and per relay the bit it announces in
+    each copy.  ``key`` and each node's ``recovered`` hold one bit per
+    instance, as bytes of 0 and 1.
+    """
+
+    labels: tuple[str, ...]
+    ends: list[tuple[int, int]]
+    used: list[int]  # per link, the key bits the schedule used
+    trees: list[tuple]
+    key: bytes
+    recovered: list[bytes]
+    unanimity: bool
+
+
+def _keying(g: WeightedGraph, pk: TreePacking, seed) -> _Keying:
+    """The keying protocol for every tree instance of ``pk``, on link
+    positions and node indices: the one run both exits read,
+    :func:`run_packing_protocol` and the ``simulate`` command.
+
+    Keys are drawn by :func:`_pools` for the packing's round count from
+    ``seed``, and :func:`_first_bits` assigns them.  Each distinct tree is
+    oriented once by :func:`_orient`; its copies then run together, each
+    link's bits over the copies read as one integer, so one XOR per relay
+    gives a relay's announcements in every copy, and one XOR per node down
+    ``in_edge`` (parents first) the node's chain of announcements back to
+    the conference edge, as :func:`recover` walks it.
+
+    Raises:
+        HeuristicFailedError: the tree-edge instances pass
+            ``PROTOCOL_BUDGET``, checked before any key is generated.
+        SchemaError: the packing's round count is not a positive integer.
+        PreconditionFailedError: non-integer rates.
+        InvalidPackingError / KeyDepletedError: the packing does not fit.
+        InvalidEdgeError: a tree is empty or misses a node of the network.
     """
     instances = pk.tree_count * (g.node_count - 1)
     if instances > PROTOCOL_BUDGET:
@@ -464,59 +565,48 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
             f"running the protocol on {instances} tree-edge instances passes "
             f"the budget of {PROTOCOL_BUDGET}"
         )
-    km = generate_keys(g, pk.rounds, seed)
-    pools = km.pools
-    table, used = _first_bits({key: len(pool) for key, pool in pools.items()}, pk)
-    nodes = g.node_ids
-    announcements: list[Announcement] = []
-    conference: list[int] = []
-    rows: list[list[int]] = []  # per instance, every node's bit in node order
+    pools = _pools(g, pk.rounds, seed)
+    labels, _, links = g.integer_links()
+    ends = [(i, j) for i, j, _ in links]
+    position = {(labels[i], labels[j]): p for p, (i, j) in enumerate(ends)}
+    table, used = _first_bits([len(pool) for pool in pools], position, pk)
+    n = len(labels)
+    trees, key, rows = [], [], [[] for _ in range(n)]  # rows: per node, its bits per tree
     for tree_idx, (tree, mult, first) in enumerate(zip(pk.trees, pk.multiplicities, table)):
         if not mult:
             continue
-        orientation = orient_tree(tree)
-        in_edge, parent = orientation.in_edge, orientation.parent
-        if len(in_edge) < len(nodes):
-            missing = next(v for v in nodes if v not in in_edge)
+        edges = [position[k] for k in tree.edges]
+        in_edge, out_edges, parent = _orient(ends, edges)
+        if len(in_edge) < n:
+            spanned = {labels[v] for v in in_edge}
+            missing = next(v for v in g.node_ids if v not in spanned)
             raise InvalidEdgeError(f"node {missing!r} is not spanned by the tree")
-        relays = [
-            (node, in_key, key, pools[in_key], first[in_key], pools[key], first[key])
-            for node, in_key, key in orientation.relays()
-        ]
+        # each link's bits over the copies, copy 0 the most significant byte
+        word = {p: int.from_bytes(pools[p][b:b + mult], "big") for p, b in first.items()}
+        relays, values, sent = [], [], {}  # sent: per out-link, its announcement
+        for v in sorted(out_edges):
+            into = in_edge[v]
+            x, a = word[into], first[into]
+            for e in out_edges[v]:
+                relays.append((v, into, e, a, first[e]))
+                values.append(y := x ^ word[e])
+                sent[e] = y
         # in_edge lists the two roots, then every other node after its
         # parent: a node's chain XORs its parent's and the announcement on
         # its own in-edge
-        relay_on = {relay[2]: j for j, relay in enumerate(relays)}
-        chain_steps = [(v, parent[v], relay_on[key]) for v, key in in_edge.items()
-                       if parent[v] is not None]
-        own_bits = [(v, pools[in_edge[v]], first[in_edge[v]]) for v in nodes]
-        ce = orientation.conference_edge
-        ce_pool, ce_first = pools[ce], first[ce]
-        for copy in range(mult):
-            values = [pool[a + copy] ^ out_pool[b + copy]
-                      for _, _, _, pool, a, out_pool, b in relays]
-            for (node, in_key, key, _, a, _, b), value in zip(relays, values):
-                announcements.append(
-                    Announcement(tree_idx, copy, node, key, value, in_key, b + copy, a + copy)
-                )
-            chain = dict.fromkeys(orientation.roots, 0)
-            for v, p, j in chain_steps:
-                chain[v] = chain[p] ^ values[j]
-            rows.append([pool[a + copy] ^ chain[v] for v, pool, a in own_bits])
-            conference.append(ce_pool[ce_first + copy])  # the roots' chains are empty
-    key_bits = tuple(conference)
-    recovered = dict(zip(nodes, zip(*rows))) if rows else {v: () for v in nodes}
-    return ProtocolTranscript(
-        rounds=pk.rounds,
-        conference_key=key_bits,
-        unanimity=all(bits == key_bits for bits in recovered.values()),
-        announcements=tuple(announcements),
-        recovered=recovered,
-        consumed=used,
-        budget=security_budget(pk, g.epsilon_map()),
-        prng_algorithm=km.algorithm,
-        seed=seed,
-    )
+        chain = [0] * n
+        for v, e in in_edge.items():
+            p = parent[v]
+            if p is not None:
+                chain[v] = chain[p] ^ sent[e]
+        for v in range(n):
+            rows[v].append((word[in_edge[v]] ^ chain[v]).to_bytes(mult, "big"))
+        trees.append((tree_idx, mult, relays, [x.to_bytes(mult, "big") for x in values]))
+        key.append(pools[edges[0]][first[edges[0]]:first[edges[0]] + mult])  # the roots' chains are empty
+    key_bits = b"".join(key)
+    recovered = [b"".join(row) for row in rows]
+    return _Keying(labels, ends, used, trees, key_bits, recovered,
+                   all(bits == key_bits for bits in recovered))
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def relabelled(g, labels):
     """``g`` with node ``i`` (in label order) renamed ``labels[i]``."""
     name = dict(zip(g.sorted_nodes(), labels))
     return WeightedGraph([name[v] for v in g.node_ids],
-                         [(name[e.u], name[e.v], e.rate) for e in g.edges])
+                         [(name[e.u], name[e.v], e.rate, e.epsilon) for e in g.edges])
 
 
 def library_simulate_doc(g, rounds, seed, audit):
@@ -236,6 +236,19 @@ def simulate_cases():
         yield complete(4, rate=3), None, seed, seed == 0  # multiplicities above 1
         yield relabelled(complete(4, rate=3), AWKWARD_LABELS[:4]), 2, seed, False
     yield relabelled(ring(8), AWKWARD_LABELS), None, 5, True
+    # rational epsilons, one of them on a zero-rate link: the security
+    # budget and the consumed bits of a link no tree uses
+    for i, labels in enumerate((None, AWKWARD_LABELS[:6])):
+        g = with_epsilons(ring(6).with_edge("1", "4", 0), [Fraction(1, 3), Fraction(2, 7), 0])
+        g = relabelled(g, labels) if labels else g
+        yield g, [None, 2][i], 11 + i, i == 0
+        yield with_epsilons(complete(4, rate=3), [Fraction(5, 4), Fraction(1, 6)]), i + 1, i, False
+
+
+def with_epsilons(g, epsilons):
+    """``g`` with ``epsilons`` in turn on its links in key order."""
+    return WeightedGraph(g.node_ids, [(e.u, e.v, e.rate, epsilons[k % len(epsilons)])
+                                      for k, e in enumerate(g.edges)])
 
 
 def test_simulate_prints_the_library_transcript_byte_for_byte(capsys, graph_file):
@@ -444,8 +457,8 @@ def test_simulate_refuses_past_the_protocol_budget(capsys, graph_file, monkeypat
     # a 4-ring at rate 20,000 packs 80,000 trees over 3 rounds, 240,000
     # tree-edge instances: 13.6 s, 47 MB of output and a 321 MB peak
     # without the budget on a 2-vCPU VM.  At rate 2,500 it is 30,000, and
-    # the refusal comes before any key; pack still answers
-    keys = counting(monkeypatch, "qnet_stp.protocol.generate_keys")
+    # the refusal comes before any key is drawn; pack still answers
+    keys = counting(monkeypatch, "qnet_stp.protocol._pools")
     path = graph_file("ring.json", build(ring(4).node_ids, [(e.u, e.v, 2_500) for e in ring(4).edges]))
     start = time.process_time()
     code, out = run(capsys, "simulate", path)

@@ -762,3 +762,20 @@ def test_from_rgs_gives_the_from_blocks_partition():
                 blocks.setdefault(b, []).append(label)
             want = VertexPartition.from_blocks(blocks.values())
             assert VertexPartition.from_rgs(labels, ids) == want, (labels, ids)
+
+
+NOT_CONTAINERS = {
+    "no links": (["1"], None),
+    "no node list": (None, []),
+    "links an int": (["1", "2"], 5),
+    "node list a string": ("12", [("1", "2", 1)]),
+}
+
+
+@pytest.mark.parametrize("nodes,links", NOT_CONTAINERS.values(), ids=NOT_CONTAINERS)
+def test_the_node_list_and_the_links_are_iterables_other_than_strings(nodes, links):
+    # no TypeError escapes, and "12" does not build the nodes 1 and 2
+    what, bad = ("links", links) if nodes is not None and links in (None, 5) else ("node labels", nodes)
+    with pytest.raises(SchemaError) as info:
+        WeightedGraph(nodes, links)
+    assert str(info.value) == f"{what} must be an iterable other than a string, got {bad!r}"

@@ -836,3 +836,23 @@ def test_reweight_reaches_exact_rate_randomized():
         pk = reweight_by_lp(g, trees)
         assert packing_rate(pk) == nwt_rate(g).rate
         assert validate_packing(g, pk).ok
+
+
+def test_the_rate_descent_ends_on_a_view_whose_scale_is_above_one(monkeypatch):
+    # scale 2, rate 7/3: capacities floored at rounds * w // scale asked
+    # (3, 7) again and again; over rounds * scale rounds they are whole
+    g = random_connected_graph(random.Random(0), max_nodes=8, max_extra=12,
+                               rates=(1, 2, 3, Fraction(1, 2), Fraction(5, 3)))
+    view = g.integer_links()
+    assert view[1] == 2 and nwt_rate(g).rate == Fraction(7, 3)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        assert len(calls) < 50, calls[:5]
+        return exact_pack(*args)
+
+    exact_pack = packing._exact_pack
+    monkeypatch.setattr(packing, "_exact_pack", counting)
+    (trees, rounds), _, _ = packing._descend(view, 7, 19, fixed_rounds=False)
+    assert Fraction(sum(trees.values()), rounds) == Fraction(7, 3)

@@ -299,14 +299,17 @@ def test_run_and_audit_orient_each_tree_once(monkeypatch):
     g = complete(4, rate=3)
     pk = general_algorithm(g).packing
     assert pk.multiplicities == (4, 1, 4, 4, 1, 4)
+    # the run orients on link positions, the audit through orient_tree on
+    # keys: both by the one rule, so each call is read back as the tree's keys
     transcript, audit = run_packing_protocol(g, pk, seed=0), secrecy_audit(g, pk)
-    oriented = []
+    keys = [e.key for e in g.edges]
+    orient, oriented = protocol._orient, []
 
-    def counting(tree, *args):
-        oriented.append(tree)
-        return orient_tree(tree, *args)
+    def counting(ends, edges, *args):
+        oriented.append(SpanningTree(tuple(e if e in keys else keys[e] for e in edges)))
+        return orient(ends, edges, *args)
 
-    monkeypatch.setattr(protocol, "orient_tree", counting)
+    monkeypatch.setattr(protocol, "_orient", counting)
     assert run_packing_protocol(g, pk, seed=0) == transcript
     assert oriented == list(pk.trees)
     oriented.clear()
@@ -423,7 +426,7 @@ def test_run_refuses_past_its_budget_before_generating_keys(monkeypatch):
     monkeypatch.setattr(protocol, "PROTOCOL_BUDGET", 12)
     assert run_packing_protocol(g, pk, seed=0).unanimity
     monkeypatch.setattr(protocol, "PROTOCOL_BUDGET", 11)
-    monkeypatch.setattr(protocol, "generate_keys", lambda *args: pytest.fail("keys generated"))
+    monkeypatch.setattr(protocol, "_pools", lambda *args: pytest.fail("keys generated"))
     with pytest.raises(HeuristicFailedError, match="^running the protocol on 12 tree-edge "
                        "instances passes the budget of 11$"):
         run_packing_protocol(g, pk, seed=0)
