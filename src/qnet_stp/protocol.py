@@ -12,8 +12,9 @@ used nowhere else.
 The module simulates the full protocol (deterministically seeded):
 :func:`_first_bits` alone decides which key bit each tree instance
 uses, and announcing, recovering and the audit read its table, or the
-per-instance steps :func:`consumption_schedule` expands it into.  One
-core, :func:`_keying`, runs the protocol on link positions and node
+per-instance steps :func:`consumption_schedule` expands it into.
+:func:`_layout` alone reads the network's links.  One core,
+:func:`_keying`, runs the protocol on its link positions and node
 indices; :func:`run_packing_protocol` labels its tables as a
 :class:`ProtocolTranscript`, and the ``simulate`` command writes its
 answer from them.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -37,6 +39,7 @@ from .errors import (
     InvalidEdgeError,
     InvalidPackingError,
     KeyDepletedError,
+    SchemaError,
 )
 from .netgraph import (
     EdgeKey,
@@ -102,8 +105,14 @@ class KeyMaterial:
         return pool[index]
 
 
-def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
-    """Key bits per edge over ``rounds`` rounds, in key order: ``rounds`` times its rate.
+def _layout(g: WeightedGraph, rounds: int) -> tuple:
+    """The protocol's one reader of a network's links: ``(labels, ends,
+    sizes, position)`` over ``rounds`` rounds.
+
+    Node ``i`` is ``labels[i]`` and link ``p`` joins the nodes ``ends[p]``,
+    as :meth:`WeightedGraph.integer_links` orders them (key order); link
+    ``p``'s pool holds ``sizes[p]`` key bits, ``rounds`` times its rate by
+    :func:`capacities`, and edge key ``k`` is link ``position[k]``.
 
     Raises:
         SchemaError: a round count that is not a positive integer.
@@ -111,39 +120,40 @@ def _pool_sizes(g: WeightedGraph, rounds: int) -> dict[EdgeKey, int]:
     """
     check_rounds(rounds)
     integer_rates(g, "keys come in whole bits")
-    return capacities(g, rounds)
+    sizes = capacities(g, rounds)
+    labels, _, links = g.integer_links()
+    return (labels, [(i, j) for i, j, _ in links], list(sizes.values()),
+            {key: p for p, key in enumerate(sizes)})
 
 
-def _pools(g: WeightedGraph, rounds: int, seed) -> list[bytes]:
-    """The one pool rule: each link's key bits over ``rounds`` rounds, by
-    link position (key order, as :meth:`WeightedGraph.integer_links` lists them).
+def _pools(sizes: Sequence[int], seed) -> list[bytes]:
+    """The one pool rule: each link's key bits, by link position, for pools of
+    ``sizes`` (:func:`_layout`'s).
 
-    A link of integer rate ``L`` gets ``rounds * L`` bits from one seeded
-    Mersenne-Twister stream, links in key order, so the layout is
-    reproducible across runs and platforms.  Each bit is the top bit of
-    one 32-bit output, as ``getrandbits(1)`` takes it; a pool's outputs
-    come in one ``getrandbits(32 * size)``, lowest word first.
-
-    Raises:
-        SchemaError: a round count that is not a positive integer.
-        PreconditionFailedError: non-integer rates.
+    A link's pool of ``size`` bits comes from one seeded Mersenne-Twister
+    stream, links in key order, so the bits are reproducible across runs
+    and platforms.  Each bit is the top bit of one 32-bit output, as
+    ``getrandbits(1)`` takes it; a pool's outputs come in one
+    ``getrandbits(32 * size)``, lowest word first.
     """
     rng = random.Random(seed)
     return [
         rng.getrandbits(32 * size).to_bytes(4 * size, "little")[3::4].translate(TOP_BIT)
-        for size in _pool_sizes(g, rounds).values()
+        for size in sizes
     ]
 
 
 def generate_keys(g: WeightedGraph, rounds: int, seed) -> KeyMaterial:
     """Simulate ``rounds`` of pairwise key generation: :func:`_pools` by edge key.
 
+    A link of integer rate ``L`` gets ``rounds * L`` bits.
+
     Raises:
         SchemaError: a round count that is not a positive integer.
         PreconditionFailedError: non-integer rates.
     """
-    pools = _pools(g, rounds, seed)
-    return KeyMaterial(dict(zip([key for key, _ in g.link_items()], pools)), seed=seed)
+    _, _, sizes, position = _layout(g, rounds)
+    return KeyMaterial(dict(zip(position, _pools(sizes, seed))), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +193,16 @@ def orient_tree(tree: SpanningTree, conference_edge: Optional[EdgeKey] = None) -
     and every other node after its parent.
 
     Raises:
+        SchemaError: a conference edge that is not a tuple or list of two labels.
         InvalidEdgeError: the tree is empty, or the conference edge is not in it.
     """
     keys = tree.edges
-    ce = edge_key(*conference_edge) if conference_edge and keys else None
+    if conference_edge is not None and not (
+        isinstance(conference_edge, (tuple, list)) and len(conference_edge) == 2
+        and all(isinstance(v, str) for v in conference_edge)
+    ):
+        raise SchemaError(f"conference edge must be a pair of node labels, got {conference_edge!r}")
+    ce = edge_key(*conference_edge) if conference_edge is not None and keys else None
     if ce is not None and ce not in keys:
         raise InvalidEdgeError(f"conference edge {ce} is not part of the tree")
     in_edge, out_edges, parent = _orient(dict(zip(keys, keys)), keys, ce)
@@ -262,10 +278,19 @@ class Announcement(NamedTuple):
 
 
 def _bit_index(consumed: Mapping[EdgeKey, int], key: EdgeKey) -> int:
-    """``consumed[key]``; InvalidPackingError if the step misses tree edge ``key``."""
+    """``consumed[key]``: the one reader of a schedule step's key-bit index,
+    for :func:`announce`, :func:`recover` and :func:`secrecy_audit`.
+
+    Raises:
+        InvalidPackingError: the step misses tree edge ``key``.
+        SchemaError: the index is not an ``int`` (a ``bool`` is none).
+    """
     if key not in consumed:
         raise InvalidPackingError(f"schedule misses edge {key} of a tree")
-    return consumed[key]
+    index = consumed[key]
+    if type(index) is not int:
+        raise SchemaError(f"bit index of edge {key} must be an integer, got {index!r}")
+    return index
 
 
 def announce(
@@ -286,6 +311,7 @@ def announce(
 
     Raises:
         InvalidPackingError: ``consumed`` misses a tree edge.
+        SchemaError: an index in ``consumed`` that is not an ``int``.
         InvalidEdgeError / KeyDepletedError: an index ``km`` has no bit for.
     """
     announcements = []
@@ -327,7 +353,11 @@ def recover(
     one step toward the conference edge.
 
     Raises:
+        InvalidEdgeError: the tree does not span ``node``, or ``km`` has no
+            key material for an edge on its path.
         InvalidPackingError: ``consumed`` misses a tree edge.
+        SchemaError: an index in ``consumed`` that is not an ``int``.
+        KeyDepletedError: an index ``km`` has no bit for.
         IncompleteTranscriptError: a needed announcement is missing.
     """
     if node not in orientation.in_edge:
@@ -403,9 +433,9 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
-    sizes = _pool_sizes(g, pk.rounds)
-    keys = list(sizes)
-    table, _ = _first_bits(list(sizes.values()), {key: p for p, key in enumerate(keys)}, pk)
+    _, _, sizes, position = _layout(g, pk.rounds)
+    keys = list(position)
+    table, _ = _first_bits(sizes, position, pk)
     return [
         {keys[p]: bit + copy for p, bit in first.items()}
         for first, mult in zip(table, pk.multiplicities)
@@ -433,10 +463,19 @@ def security_budget(pk: TreePacking, epsilons: Mapping[EdgeKey, Fraction]) -> Se
     tree and (instances) * (edge count) * epsilon overall.  The sums run
     over integer numerators on the epsilons' least common denominator;
     each epsilon is read by :func:`parse_rational`.
+
+    Raises:
+        SchemaError: ``epsilons`` is not a mapping, or an epsilon is no rational.
+        InvalidEdgeError: ``epsilons`` lacks an edge of a tree with copies.
     """
+    if not isinstance(epsilons, Mapping):
+        raise SchemaError(f"epsilons must be a mapping from edge to epsilon, got {epsilons!r}")
     used = [(tree, mult) for tree, mult in zip(pk.trees, pk.multiplicities) if mult > 0]
-    keys = dict.fromkeys(key for tree, _ in used for key in tree.edges)
-    eps = {key: parse_rational(epsilons[key]) for key in keys}
+    eps = {}
+    for key in dict.fromkeys(key for tree, _ in used for key in tree.edges):
+        if key not in epsilons:
+            raise InvalidEdgeError(f"no epsilon for edge {key}")
+        eps[key] = parse_rational(epsilons[key])
     den = math.lcm(*(x.denominator for x in eps.values()))
     num = {key: x.numerator * (den // x.denominator) for key, x in eps.items()}
     sums: dict[int, Fraction] = {}  # one Fraction per distinct tree sum
@@ -543,8 +582,9 @@ def _keying(g: WeightedGraph, pk: TreePacking, seed) -> _Keying:
     positions and node indices: the one run both exits read,
     :func:`run_packing_protocol` and the ``simulate`` command.
 
-    Keys are drawn by :func:`_pools` for the packing's round count from
-    ``seed``, and :func:`_first_bits` assigns them.  Each distinct tree is
+    Keys are drawn by :func:`_pools` on :func:`_layout`'s links for the
+    packing's round count from ``seed``, and :func:`_first_bits` assigns
+    them.  Each distinct tree is
     oriented once by :func:`_orient`; its copies then run together, each
     link's bits over the copies read as one integer, so one XOR per relay
     gives a relay's announcements in every copy, and one XOR per node down
@@ -565,11 +605,9 @@ def _keying(g: WeightedGraph, pk: TreePacking, seed) -> _Keying:
             f"running the protocol on {instances} tree-edge instances passes "
             f"the budget of {PROTOCOL_BUDGET}"
         )
-    pools = _pools(g, pk.rounds, seed)
-    labels, _, links = g.integer_links()
-    ends = [(i, j) for i, j, _ in links]
-    position = {(labels[i], labels[j]): p for p, (i, j) in enumerate(ends)}
-    table, used = _first_bits([len(pool) for pool in pools], position, pk)
+    labels, ends, sizes, position = _layout(g, pk.rounds)
+    pools = _pools(sizes, seed)
+    table, used = _first_bits(sizes, position, pk)
     n = len(labels)
     trees, key, rows = [], [], [[] for _ in range(n)]  # rows: per node, its bits per tree
     for tree_idx, (tree, mult, first) in enumerate(zip(pk.trees, pk.multiplicities, table)):
@@ -664,41 +702,46 @@ def secrecy_audit(
     A custom ``schedule`` (per-instance edge -> bit index) may be passed
     to audit a corrupted consumption plan, e.g. one reusing a bit across
     two trees; the default is the protocol's own, :func:`consumption_schedule`.
+    The audit runs on :func:`_layout`'s link positions, as :func:`_keying`
+    does: link ``p``'s bits follow those of the links before it, and each
+    distinct tree is oriented once by :func:`_orient`, its relays listed in
+    the run's publishing order.
 
     Raises:
-        SchemaError: the packing's round count is not a positive integer.
+        SchemaError: the packing's round count is not a positive integer, the
+            schedule is not a list or tuple of mappings, or an index in it is
+            not an ``int``.
         InvalidPackingError: a tree uses an edge the network lacks, or the
             schedule misses a tree edge or does not match the instances.
+        KeyDepletedError: an index past its edge's pool, or negative.
+        InvalidEdgeError: a tree with copies is empty.
         PreconditionFailedError: non-integer rates.
     """
-    pool_sizes = _pool_sizes(g, pk.rounds)
-    total_bits = sum(pool_sizes.values())
-    schedule = consumption_schedule(g, pk) if schedule is None else schedule
+    _, ends, sizes, position = _layout(g, pk.rounds)
+    if schedule is None:
+        schedule = consumption_schedule(g, pk)
+    elif not isinstance(schedule, (list, tuple)) or not all(isinstance(s, Mapping) for s in schedule):
+        raise SchemaError("schedule must be a list or tuple of mappings from edge to bit index")
     instances = list(pk.instances())
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")
-
-    offsets = {}
-    base = 0
-    for key in sorted(pool_sizes):
-        offsets[key] = base
-        base += pool_sizes[key]
+    offsets = list(accumulate(sizes, initial=0))  # link p's bits start at offsets[p]
+    total_bits = offsets[-1]
 
     violations: list[str] = []
     seen_bits: dict[int, int] = {}
     ann_positions: list[tuple[int, int]] = []
     conference_positions: list[int] = []
     for (_, copy_idx, tree), consumed in zip(instances, schedule):
-        if not copy_idx:  # a tree's copies come together: orient it once
-            orientation = orient_tree(tree)
-        position = {}
+        bit = {}  # per link of the tree, the key bit this instance uses on it
         for key in tree.edges:
-            if key not in pool_sizes:
+            p = position.get(key)
+            if p is None:
                 raise InvalidPackingError(f"tree uses unknown edge {key}")
             index = _bit_index(consumed, key)
-            if not 0 <= index < pool_sizes[key]:
+            if not 0 <= index < sizes[p]:
                 raise KeyDepletedError(f"edge {key} has no bit at index {index}")
-            pos = offsets[key] + index
+            pos = offsets[p] + index
             if pos in seen_bits:
                 violations.append(
                     f"bit {index} of edge {key} reused by instances "
@@ -706,10 +749,13 @@ def secrecy_audit(
                 )
             else:
                 seen_bits[pos] = len(conference_positions)
-            position[key] = pos
-        for _, in_key, key in orientation.relays():
-            ann_positions.append((position[in_key], position[key]))
-        conference_positions.append(position[orientation.conference_edge])
+            bit[p] = pos
+        if not copy_idx:  # a tree's copies come together: orient it once
+            edges = [position[key] for key in tree.edges]
+            in_edge, out_edges, _ = _orient(ends, edges)
+            relays = [(in_edge[v], e) for v in sorted(out_edges) for e in out_edges[v]]
+        ann_positions += [(bit[a], bit[b]) for a, b in relays]
+        conference_positions.append(bit[edges[0]])
 
     edge_disjoint = not violations  # so far, only reuses are listed
     ground = total_bits

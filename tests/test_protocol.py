@@ -117,6 +117,7 @@ def test_orientation_of_relay_tree(relay_tree_edges):
     assert ori.out_edges["1"] == ()
     assert ori.parent["1"] == "4" and ori.parent["4"] == "6"
     assert ori.parent["6"] is None
+    assert orient_tree(t, ["7", "6"]) == ori  # a list, either way round
 
 
 def test_default_conference_edge_is_smallest(relay_tree_edges):
@@ -299,14 +300,17 @@ def test_run_and_audit_orient_each_tree_once(monkeypatch):
     g = complete(4, rate=3)
     pk = general_algorithm(g).packing
     assert pk.multiplicities == (4, 1, 4, 4, 1, 4)
-    # the run orients on link positions, the audit through orient_tree on
-    # keys: both by the one rule, so each call is read back as the tree's keys
+    # the run and the audit both orient on link positions and node indices,
+    # by the one rule: each call is read back as the tree's keys
     transcript, audit = run_packing_protocol(g, pk, seed=0), secrecy_audit(g, pk)
     keys = [e.key for e in g.edges]
+    labels = g.sorted_nodes()
     orient, oriented = protocol._orient, []
 
     def counting(ends, edges, *args):
-        oriented.append(SpanningTree(tuple(e if e in keys else keys[e] for e in edges)))
+        assert all(type(e) is int for e in edges)
+        assert [(labels[i], labels[j]) for i, j in ends] == keys
+        oriented.append(SpanningTree(tuple(keys[e] for e in edges)))
         return orient(ends, edges, *args)
 
     monkeypatch.setattr(protocol, "_orient", counting)
@@ -590,6 +594,79 @@ def test_announce_and_recover_reject_a_step_missing_a_tree_edge():
         announce(orientation, km, step)
     with pytest.raises(InvalidPackingError, match=message):
         recover("3", orientation, [], km, step)
+
+
+PATH_TREE3 = SpanningTree.of([("1", "2"), ("2", "3")])  # PATH3 itself
+
+
+def bit_index_entries() -> dict:
+    """Each entry point that reads a schedule step's key-bit index, on PATH3's
+    one instance; each reads the index of edge (2, 3)."""
+    km = generate_keys(PATH3, 1, seed=0)
+    orientation = orient_tree(PATH_TREE3)
+    sent = announce(orientation, km, {("1", "2"): 0, ("2", "3"): 0})
+    pk = TreePacking.multigraph([PATH_TREE3], [1], 1)
+    return {
+        "announce": lambda step: announce(orientation, km, step),
+        "recover": lambda step: recover("3", orientation, sent, km, step),
+        "secrecy_audit": lambda step: secrecy_audit(PATH3, pk, schedule=[step]),
+    }
+
+
+@pytest.mark.parametrize("entry", ["announce", "recover", "secrecy_audit"])
+@pytest.mark.parametrize("index,error,message", [
+    ("0", SchemaError, "bit index of edge ('2', '3') must be an integer, got '0'"),
+    (0.0, SchemaError, "bit index of edge ('2', '3') must be an integer, got 0.0"),
+    (1.5, SchemaError, "bit index of edge ('2', '3') must be an integer, got 1.5"),
+    (True, SchemaError, "bit index of edge ('2', '3') must be an integer, got True"),
+    (None, SchemaError, "bit index of edge ('2', '3') must be an integer, got None"),
+    (-1, KeyDepletedError, "edge ('2', '3') has no bit at index -1"),
+    (1, KeyDepletedError, "edge ('2', '3') has no bit at index 1"),
+], ids=["str", "float", "fraction-float", "bool", "None", "negative", "past-the-pool"])
+def test_every_reader_of_a_bit_index_refuses_what_is_no_index_alike(entry, index, error, message):
+    # one reader: no TypeError escapes, True is no bit 1, and ints outside
+    # the one-bit pool keep their depletion message
+    step = {("1", "2"): 0, ("2", "3"): index}
+    with pytest.raises(error) as caught:
+        bit_index_entries()[entry](step)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("schedule", [5, "abc", [None], ({("1", "2"): 0, ("2", "3"): 0}, None),
+                                      {0: {("1", "2"): 0, ("2", "3"): 0}}],
+                         ids=["int", "str", "None-step", "tuple-with-None", "dict"])
+def test_audit_refuses_a_schedule_that_is_not_a_list_of_mappings(schedule):
+    pk = TreePacking.multigraph([PATH_TREE3], [1], 1)
+    with pytest.raises(SchemaError, match="^schedule must be a list or tuple of mappings "
+                       "from edge to bit index$"):
+        secrecy_audit(PATH3, pk, schedule=schedule)
+    steps = ({("1", "2"): 0, ("2", "3"): 0},)
+    assert secrecy_audit(PATH3, pk, schedule=steps) == secrecy_audit(PATH3, pk)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: security_budget(TreePacking.multigraph([PATH_TREE3], [1], 1), None), SchemaError,
+     "epsilons must be a mapping from edge to epsilon, got None"),
+    (lambda: security_budget(TreePacking.multigraph([PATH_TREE3], [1], 1), 5), SchemaError,
+     "epsilons must be a mapping from edge to epsilon, got 5"),
+    (lambda: security_budget(TreePacking.multigraph([PATH_TREE3], [1], 1), {("1", "2"): 0}),
+     InvalidEdgeError, "no epsilon for edge ('2', '3')"),
+    (lambda: orient_tree(PATH_TREE3, "12"), SchemaError,
+     "conference edge must be a pair of node labels, got '12'"),
+    (lambda: orient_tree(PATH_TREE3, ("1",)), SchemaError,
+     "conference edge must be a pair of node labels, got ('1',)"),
+    (lambda: orient_tree(PATH_TREE3, ("1", "2", "3")), SchemaError,
+     "conference edge must be a pair of node labels, got ('1', '2', '3')"),
+    (lambda: orient_tree(PATH_TREE3, 12), SchemaError,
+     "conference edge must be a pair of node labels, got 12"),
+    (lambda: orient_tree(PATH_TREE3, ("1", 2)), SchemaError,
+     "conference edge must be a pair of node labels, got ('1', 2)"),
+], ids=["budget-None", "budget-int", "budget-missing-edge", "conference-str",
+        "conference-one-item", "conference-three-items", "conference-int", "conference-int-label"])
+def test_budget_and_orientation_refuse_inputs_of_the_wrong_shape(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_schedule_matches_run_consumption(tri_pendant):
