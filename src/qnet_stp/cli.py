@@ -43,13 +43,16 @@ DOT_PALETTE = (
 
 
 def load_graph(path: str) -> WeightedGraph:
+    """The network in the UTF-8 file ``path``, its line ends read as text mode reads them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # each \r\n and each lone \r is a \n
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_graph(text)
 
 
@@ -347,11 +350,45 @@ def cmd_export_dot(g: WeightedGraph, args) -> str:
 # dispatch
 # ---------------------------------------------------------------------------
 
+#: Each command word: its help, its function and its options, each
+#: ``(spelling, dest, kind, default, help)``, ``kind`` being "flag", ``int``,
+#: a tuple of choices or ``None`` for text.  :func:`build_parser` declares
+#: them to argparse, and :func:`_read_argv` reads argv against them.
+COMMANDS = {
+    "rate": ("exact conference key rate of a network", cmd_rate, (
+        ("--format", "format", ("json", "text"), "json", None),
+    )),
+    "pack": ("compute a spanning-tree packing", cmd_pack, (
+        ("--method", "method", ("basic", "general", "oracle"), "general", None),
+        ("--rounds", "rounds", int, None, "round count (oracle method only)"),
+        ("--format", "format", ("json", "dot", "text"), "json", None),
+    )),
+    "simulate": ("run the keying protocol over a packing", cmd_simulate, (
+        ("--rounds", "rounds", int, None, "pack exactly this many rounds (exact oracle)"),
+        ("--seed", "seed", int, 0, "PRNG seed (default 0)"),
+        ("--audit", "audit", "flag", False, "exact secrecy audit (GF(2) rank check)"),
+    )),
+    "analyze": ("bottleneck structure report", cmd_analyze, (
+        ("--format", "format", ("json", "text"), "json", None),
+    )),
+    "optimize": ("plan link additions", cmd_optimize, (
+        ("--candidates", "candidates", None, "", 'candidate links, e.g. "1-4,2-6"'),
+        ("--budget", "budget", int, 1, "number of links to add"),
+        ("--exhaustive", "exhaustive", "flag", False, "try all candidate subsets"),
+        ("--format", "format", ("json", "text"), "json", None),
+    )),
+    "export-dot": ("graph as DOT", cmd_export_dot, ()),
+}
+
+#: Per command word, each option's spelling -> ``(dest, kind)``.
+_SPELLINGS = {
+    word: {spelling: (dest, kind) for spelling, dest, kind, _, _ in options}
+    for word, (_, _, options) in COMMANDS.items()
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as :class:`SchemaError`, so they exit 2 with JSON."""
-
-    #: on the top-level parser: each command word's own parser
-    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise SchemaError(f"{self.prog}: {message}")
@@ -359,69 +396,73 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The ``qnet-stp`` parser, built on first use and shared by every :func:`main` call."""
+    """The ``qnet-stp`` parser of :data:`COMMANDS`, built on first use and shared by every call."""
     parser = _Parser(
         prog="qnet-stp",
         description="Conference-key rates and spanning-tree packings for QKD networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    p = sub.add_parser("rate", help="exact conference key rate of a network")
-    p.add_argument("input", help="graph JSON file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("pack", help="compute a spanning-tree packing")
-    p.add_argument("input", help="graph JSON file")
-    p.add_argument("--method", choices=["basic", "general", "oracle"], default="general")
-    p.add_argument("--rounds", type=int, help="round count (oracle method only)")
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("simulate", help="run the keying protocol over a packing")
-    p.add_argument("input", help="graph JSON file")
-    p.add_argument("--rounds", type=int, help="pack exactly this many rounds (exact oracle)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
-    p.add_argument("--audit", action="store_true", help="exact secrecy audit (GF(2) rank check)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="bottleneck structure report")
-    p.add_argument("input", help="graph JSON file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("optimize", help="plan link additions")
-    p.add_argument("input", help="graph JSON file")
-    p.add_argument("--candidates", default="", help='candidate links, e.g. "1-4,2-6"')
-    p.add_argument("--budget", type=int, default=1, help="number of links to add")
-    p.add_argument("--exhaustive", action="store_true", help="try all candidate subsets")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("export-dot", help="graph as DOT")
-    p.add_argument("input", help="graph JSON file")
-    p.set_defaults(func=cmd_export_dot)
-
+    for word, (summary, func, options) in COMMANDS.items():
+        p = sub.add_parser(word, help=summary)
+        p.add_argument("input", help="graph JSON file")
+        for spelling, dest, kind, default, text in options:
+            if kind == "flag":
+                p.add_argument(spelling, dest=dest, action="store_true", help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(spelling, dest=dest, choices=kind, default=default, help=text)
+            else:
+                p.add_argument(spelling, dest=dest, type=kind, default=default, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, by the command word's own parser where
-    ``argv`` starts with one.
+def _read_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace ``build_parser().parse_args(argv)`` builds, for ``argv`` of the form
+    ``command GRAPH (--option value | --flag)*``; None for any other argv.
 
-    The full parser hands everything after the command word to that
-    word's parser and reports what it leaves as unrecognized; this does
-    the same without the full parser's pass over ``argv``.
+    Each option must be spelled in full and each value taken as argparse
+    takes it: no leading ``-``, ``int()`` for an ``int``, a member of the
+    choices.  A repeated option keeps its last value, as in argparse.
     """
-    parser = build_parser()
-    own = parser.commands.get(argv[0]) if argv else None
-    if own is None:
-        return parser.parse_args(argv)
-    args, extras = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    if len(argv) < 2 or argv[0] not in COMMANDS or argv[1][:1] == "-":
+        return None
+    word = argv[0]
+    _, func, options = COMMANDS[word]
+    spellings = _SPELLINGS[word]
+    values = {dest: default for _, dest, _, default, _ in options}
+    i, n = 2, len(argv)
+    while i < n:
+        option = spellings.get(argv[i])
+        if option is None:
+            return None
+        dest, kind = option
+        if kind == "flag":
+            values[dest] = True
+            i += 1
+            continue
+        if i + 1 == n or argv[i + 1][:1] == "-":
+            return None
+        value = argv[i + 1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not None and value not in kind:
+            return None
+        values[dest] = value
+        i += 2
+    return argparse.Namespace(command=word, input=argv[1], func=func, **values)
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: read from :data:`COMMANDS` where
+    :func:`_read_argv` takes ``argv``, by argparse otherwise.
+
+    argparse is the only writer of help and of usage errors.
+    """
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

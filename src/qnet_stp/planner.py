@@ -292,20 +292,25 @@ def _normalize_candidates(candidates) -> list[tuple[str, str, Fraction]]:
 
 
 def _scanner(g: WeightedGraph, initial: RateReport, pool: list[tuple[str, str, Fraction]]):
-    """``scan(chosen, leader)``: the rate report of ``g`` with the candidates ``chosen`` added.
+    """``scan(chosen, leader)``: the partition scan of ``g`` with the candidates ``chosen`` added.
 
     Each candidate of ``pool`` is read once, as ``(i, j, num, den)``: its
     ends' node indices, ``i < j``, and its rate's numerator and
     denominator; ``chosen`` holds positions in ``pool``.  Each call scans
     ``g``'s integer links with the additions' weights merged in, one link
     per pair, all rescaled to the lcm of the scale and their denominators.
-    It gives ``None`` when some partition's value is at most the rate
-    ``leader``, which it tests in integers.  It first tries its
-    witnesses: ``initial``'s minimizer and each partition a scan returned
-    (its minimizer, or where it met its cutoff), kept with their cross
-    sums on ``g``'s links.  A witness's value is that sum times the
-    rescale factor plus the additions it separates, over its block count
-    less one; one at most ``leader`` gives ``None`` without a scan, and so
+    It returns ``(num, den, scale, links, found)``: the augmented rate,
+    ``num / den`` in integers, then the merged links at their scale and
+    the scan's result, from which :func:`_rate_report` builds a report.
+    ``leader`` is ``None`` or such a result, and the call gives ``None``
+    when some partition's value is at most the leader's rate, which it
+    tests in integers.  It first tries its witnesses: ``initial``'s
+    minimizer and each partition a scan returned (its minimizer, or where
+    it met its cutoff), kept with their cross sums on ``g``'s links: the
+    scan's cross less the additions the partition separates, over the
+    rescale factor.  A witness's value is that sum times the rescale
+    factor plus the additions it separates, over its block count less
+    one; one at most the leader's gives ``None`` without a scan, and so
     does a scan whose partition is.  Otherwise the scan returned the
     minimizer, and its report is the augmented network's :func:`nwt_rate`,
     because the scan takes the same path on any positive multiple of the
@@ -318,29 +323,29 @@ def _scanner(g: WeightedGraph, initial: RateReport, pool: list[tuple[str, str, F
     for u, v, rate in pool:
         i, j = sorted((index[u], index[v]))
         candidates.append((i, j, rate.numerator, rate.denominator))
-    witnesses: dict[tuple[int, ...], tuple[int, int]] = {}  # node blocks -> (cross, blocks - 1)
-
-    def keep(rgs: tuple[int, ...]) -> None:
-        if rgs not in witnesses:
-            witnesses[rgs] = (_crossing(links, rgs), max(rgs))
-
     block = initial.minimizing_partition.block_of()
-    keep(tuple(block[v] for v in labels))
+    rgs = tuple(block[v] for v in labels)
+    # node blocks -> (cross on g's links, blocks - 1)
+    witnesses: dict[tuple[int, ...], tuple[int, int]] = {rgs: (_crossing(links, rgs), max(rgs))}
 
-    def scan(chosen, leader: Optional[Fraction]) -> Optional[RateReport]:
+    def scan(chosen, leader: Optional[tuple]) -> Optional[tuple]:
         additions = [candidates[k] for k in chosen]
         new_scale = math.lcm(scale, *[den for _, _, _, den in additions])
         factor = new_scale // scale
         added = [(i, j, num * (new_scale // den)) for i, j, num, den in additions]
         cutoff = None
         if leader is not None:
-            # the cutoff leader * new_scale is cut_num / cut_den: a partition's
-            # cross over pm1 is at most it when cross * cut_den <= cut_num * pm1
-            cut_num, cut_den = leader.numerator * new_scale, leader.denominator
+            # the cutoff, the leader's rate times new_scale, is cut_num / den: a
+            # partition's cross over pm1 is at most it when cross * den <= cut_num * pm1
+            cut_num, den = leader[0] * new_scale, leader[1]
             for rgs, (cross, pm1) in witnesses.items():
-                if (cross * factor + _crossing(added, rgs)) * cut_den <= cut_num * pm1:
+                cross *= factor
+                for i, j, x in added:
+                    if rgs[i] != rgs[j]:
+                        cross += x
+                if cross * den <= cut_num * pm1:
                     return None
-            cutoff = Fraction(cut_num, cut_den)
+            cutoff = Fraction(cut_num, den)
         merged = list(links) if factor == 1 else [(i, j, x * factor) for i, j, x in links]
         unlinked: dict[tuple[int, int], int] = {}  # additions on pairs with no link
         for i, j, x in added:
@@ -351,10 +356,15 @@ def _scanner(g: WeightedGraph, initial: RateReport, pool: list[tuple[str, str, F
                 merged[k] = (i, j, merged[k][2] + x)
         merged += [(i, j, x) for (i, j), x in unlinked.items()]
         found = cross, pm1, rgs = _partition_scan(len(labels), merged, cutoff)
-        keep(rgs)
-        if cutoff is not None and cross * cut_den <= cut_num * pm1:
+        if rgs not in witnesses:
+            base = cross
+            for i, j, x in added:
+                if rgs[i] != rgs[j]:
+                    base -= x
+            witnesses[rgs] = (base // factor, pm1)
+        if cutoff is not None and cross * den <= cut_num * pm1:
             return None
-        return _rate_report(labels, new_scale, merged, found)
+        return cross, pm1 * new_scale, new_scale, merged, found
 
     return scan
 
@@ -431,17 +441,18 @@ def _greedy_choice(g: WeightedGraph, initial: RateReport, pool: list, budget: in
     for u, v, _ in pool:
         g.link_key(u, v)
     scan = _scanner(g, initial, pool)
+    labels = g.integer_links()[0]
     remaining = sorted(range(len(pool)), key=lambda k: (edge_key(*pool[k][:2]), pool[k][2]))
     choice: list[int] = []
     reports: list[RateReport] = []
     for _ in range(min(budget, len(pool))):
         leader = best = None
         for position, candidate in enumerate(remaining):
-            report = scan([*choice, candidate], None if best is None else best.rate)
-            if report is not None:
-                leader, best = position, report
+            found = scan([*choice, candidate], best)
+            if found is not None:
+                leader, best = position, found
         choice.append(remaining.pop(leader))
-        reports.append(best)
+        reports.append(_rate_report(labels, *best[2:]))
     return choice, reports
 
 
@@ -461,7 +472,9 @@ def _exhaustive_choice(g: WeightedGraph, initial: RateReport, pool: list, budget
     scan = _scanner(g, initial, pool)
     choice = best = None
     for combo in itertools.combinations(ordered, size):
-        report = scan(combo, None if best is None else best.rate)
-        if report is not None:
-            best, choice = report, combo
-    return choice, [scan(choice[:k], None) for k in range(1, size)] + [best]
+        found = scan(combo, best)
+        if found is not None:
+            best, choice = found, combo
+    labels = g.integer_links()[0]
+    prefixes = [scan(choice[:k], None) for k in range(1, size)]
+    return choice, [_rate_report(labels, *found[2:]) for found in prefixes + [best]]

@@ -95,12 +95,13 @@ class KeyMaterial:
 
         Raises:
             InvalidEdgeError: no key material for ``key``.
+            SchemaError: ``index`` is not an ``int`` (a ``bool`` is none).
             KeyDepletedError: the pool has no bit at ``index``.
         """
         pool = self.pools.get(key)
         if pool is None:
             raise InvalidEdgeError(f"no key material for edge {key}")
-        if not 0 <= index < len(pool):
+        if not 0 <= _checked_index(key, index) < len(pool):
             raise KeyDepletedError(f"edge {key} has no bit at index {index}")
         return pool[index]
 
@@ -279,15 +280,23 @@ class Announcement(NamedTuple):
 
 def _bit_index(consumed: Mapping[EdgeKey, int], key: EdgeKey) -> int:
     """``consumed[key]``: the one reader of a schedule step's key-bit index,
-    for :func:`announce`, :func:`recover` and :func:`secrecy_audit`.
+    for :func:`announce`, :func:`recover` and :func:`secrecy_audit`; the
+    index is read by :func:`_checked_index`, as :meth:`KeyMaterial.bit` reads one.
 
     Raises:
+        SchemaError: the step is not a mapping, or the index is not an
+            ``int`` (a ``bool`` is none).
         InvalidPackingError: the step misses tree edge ``key``.
-        SchemaError: the index is not an ``int`` (a ``bool`` is none).
     """
+    if not isinstance(consumed, Mapping):
+        raise SchemaError(f"a schedule step must be a mapping from edge to bit index, got {consumed!r}")
     if key not in consumed:
         raise InvalidPackingError(f"schedule misses edge {key} of a tree")
-    index = consumed[key]
+    return _checked_index(key, consumed[key])
+
+
+def _checked_index(key: EdgeKey, index) -> int:
+    """``index``, a key-bit index of edge ``key``; SchemaError unless an ``int`` (a ``bool`` is none)."""
     if type(index) is not int:
         raise SchemaError(f"bit index of edge {key} must be an integer, got {index!r}")
     return index
@@ -310,8 +319,9 @@ def announce(
     E - 1 announcements (nothing is announced on the conference edge).
 
     Raises:
+        SchemaError: ``consumed`` is not a mapping, or an index in it is
+            not an ``int``.
         InvalidPackingError: ``consumed`` misses a tree edge.
-        SchemaError: an index in ``consumed`` that is not an ``int``.
         InvalidEdgeError / KeyDepletedError: an index ``km`` has no bit for.
     """
     announcements = []
@@ -355,8 +365,9 @@ def recover(
     Raises:
         InvalidEdgeError: the tree does not span ``node``, or ``km`` has no
             key material for an edge on its path.
+        SchemaError: ``consumed`` is not a mapping, or an index in it is
+            not an ``int``.
         InvalidPackingError: ``consumed`` misses a tree edge.
-        SchemaError: an index in ``consumed`` that is not an ``int``.
         KeyDepletedError: an index ``km`` has no bit for.
         IncompleteTranscriptError: a needed announcement is missing.
     """
@@ -382,6 +393,23 @@ def recover(
 # full protocol run
 # ---------------------------------------------------------------------------
 
+def _copies(pk: TreePacking) -> tuple[int, ...]:
+    """``pk``'s multiplicities, checked as :meth:`TreePacking.multigraph`
+    checks them, which a packing built by the named-tuple constructor skips.
+
+    Raises:
+        InvalidPackingError: a multiplicity that is not an ``int`` (a
+            ``bool`` is none), then a negative one.
+    """
+    counts = pk.multiplicities
+    for m in counts:
+        if type(m) is not int:
+            raise InvalidPackingError(f"tree multiplicity must be an integer, got {m!r}")
+    if any(m < 0 for m in counts):
+        raise InvalidPackingError("negative tree multiplicity")
+    return counts
+
+
 def _first_bits(sizes: Sequence[int], position: Mapping[EdgeKey, int], pk: TreePacking) -> tuple:
     """Per tree of ``pk``, the key bit its first copy uses on each tree
     edge, and the bits the packing uses per link, from pools of ``sizes``;
@@ -393,13 +421,15 @@ def _first_bits(sizes: Sequence[int], position: Mapping[EdgeKey, int], pk: TreeP
     tree of multiplicity 0 has no instance and an empty entry.
 
     Raises:
-        InvalidPackingError: a tree uses an edge the network lacks.
+        InvalidPackingError: a multiplicity that is not a non-negative
+            ``int`` (:func:`_copies`), then a tree that uses an edge the
+            network lacks.
         KeyDepletedError: the packing overuses some edge; the message names
             the key of the first instance (then key) to run out.
     """
     used = [0] * len(sizes)
     table = []
-    for tree, mult in zip(pk.trees, pk.multiplicities):
+    for tree, mult in zip(pk.trees, _copies(pk)):
         first: dict[int, int] = {}
         table.append(first)
         if not mult:
@@ -429,7 +459,8 @@ def consumption_schedule(g: WeightedGraph, pk: TreePacking) -> list[dict[EdgeKey
 
     Raises:
         SchemaError: the packing's round count is not a positive integer.
-        InvalidPackingError: a tree uses an edge the network lacks.
+        InvalidPackingError: a multiplicity that is not a non-negative
+            ``int``, or a tree that uses an edge the network lacks.
         KeyDepletedError: the packing overuses some edge.
         PreconditionFailedError: non-integer rates.
     """
@@ -527,6 +558,8 @@ def run_packing_protocol(g: WeightedGraph, pk: TreePacking, seed) -> ProtocolTra
     bits used per edge is ``consumed``.
 
     Raises:
+        InvalidPackingError: a multiplicity that is not a non-negative
+            ``int``, checked first.
         HeuristicFailedError: the tree-edge instances pass
             ``PROTOCOL_BUDGET``, checked before any key is generated.
         SchemaError: the packing's round count is not a positive integer.
@@ -592,6 +625,8 @@ def _keying(g: WeightedGraph, pk: TreePacking, seed) -> _Keying:
     the conference edge, as :func:`recover` walks it.
 
     Raises:
+        InvalidPackingError: a multiplicity that is not a non-negative
+            ``int``, checked first.
         HeuristicFailedError: the tree-edge instances pass
             ``PROTOCOL_BUDGET``, checked before any key is generated.
         SchemaError: the packing's round count is not a positive integer.
@@ -599,7 +634,7 @@ def _keying(g: WeightedGraph, pk: TreePacking, seed) -> _Keying:
         InvalidPackingError / KeyDepletedError: the packing does not fit.
         InvalidEdgeError: a tree is empty or misses a node of the network.
     """
-    instances = pk.tree_count * (g.node_count - 1)
+    instances = sum(_copies(pk)) * (g.node_count - 1)
     if instances > PROTOCOL_BUDGET:
         raise HeuristicFailedError(
             f"running the protocol on {instances} tree-edge instances passes "
@@ -711,8 +746,9 @@ def secrecy_audit(
         SchemaError: the packing's round count is not a positive integer, the
             schedule is not a list or tuple of mappings, or an index in it is
             not an ``int``.
-        InvalidPackingError: a tree uses an edge the network lacks, or the
-            schedule misses a tree edge or does not match the instances.
+        InvalidPackingError: a multiplicity that is not a non-negative
+            ``int``, a tree that uses an edge the network lacks, or a
+            schedule that misses a tree edge or does not match the instances.
         KeyDepletedError: an index past its edge's pool, or negative.
         InvalidEdgeError: a tree with copies is empty.
         PreconditionFailedError: non-integer rates.
@@ -722,7 +758,7 @@ def secrecy_audit(
         schedule = consumption_schedule(g, pk)
     elif not isinstance(schedule, (list, tuple)) or not all(isinstance(s, Mapping) for s in schedule):
         raise SchemaError("schedule must be a list or tuple of mappings from edge to bit index")
-    instances = list(pk.instances())
+    instances = [(copy, tree) for tree, mult in zip(pk.trees, _copies(pk)) for copy in range(mult)]
     if len(schedule) != len(instances):
         raise InvalidPackingError("schedule length does not match the tree instances")
     offsets = list(accumulate(sizes, initial=0))  # link p's bits start at offsets[p]
@@ -732,7 +768,7 @@ def secrecy_audit(
     seen_bits: dict[int, int] = {}
     ann_positions: list[tuple[int, int]] = []
     conference_positions: list[int] = []
-    for (_, copy_idx, tree), consumed in zip(instances, schedule):
+    for (copy_idx, tree), consumed in zip(instances, schedule):
         bit = {}  # per link of the tree, the key bit this instance uses on it
         for key in tree.edges:
             p = position.get(key)

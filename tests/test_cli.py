@@ -10,7 +10,7 @@ from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qnet_stp import VertexPartition, WeightedGraph, finest_bound, partition_bound
 from qnet_stp import cli
@@ -98,6 +98,47 @@ def test_missing_file(capsys):
     code, out = run(capsys, "rate", "/nonexistent/graph.json")
     assert code == 2
     assert json.loads(out)["error"]["code"] == "Schema"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_a_graph_file_with_other_line_ends_prints_the_lf_file_bytes(capsys, tmp_path, newline):
+    # a label holding an escaped "\r" keeps it: only the file's own line ends change
+    g = build(["1", "2", "a\rb"], [("1", "2", 1), ("2", "a\rb", 2), ("1", "a\rb", 1)])
+    text = json.dumps(json.loads(g.to_json()), indent=2) + "\n"
+    lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+    lf.write_bytes(text.encode())
+    other.write_bytes(text.replace("\n", newline).encode())
+    for argv in (["rate"], ["analyze", "--format", "text"], ["pack"], ["simulate", "--audit"],
+                 ["optimize", "--candidates", "1-a\rb:3", "--format", "text"], ["export-dot"]):
+        expected = run(capsys, argv[0], str(lf), *argv[1:])
+        assert expected[0] == 0
+        assert run(capsys, argv[0], str(other), *argv[1:]) == expected
+    # JSON reads "\r" as white space, but its error positions count characters
+    for text in ('{\n  "nodes": [\n    "1",\n  oops\n}\n', '{\n  "nodes": ["1\n2"]}\n'):
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        expected = run(capsys, "rate", str(lf))
+        assert expected[0] == 2 and "line 1 " not in expected[1]
+        assert run(capsys, "rate", str(other)) == expected
+
+
+def test_unreadable_graph_files_exit_2_with_their_messages(capsys, tmp_path):
+    # the exit codes and messages of a text-mode read of each file
+    text = json.dumps({"nodes": ["1", "2"], "edges": [{"u": "1", "v": "2", "rate": 1}]})
+    bom, bad = tmp_path / "bom.json", tmp_path / "ff.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    bad.write_bytes(text.encode()[:10] + b"\xff" + text.encode()[10:])
+    missing, directory = tmp_path / "missing.json", tmp_path
+    for path, message in [
+        (bom, "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+              "line 1 column 1 (char 0)"),
+        (bad, f"{bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 10: "
+              "invalid start byte"),
+        (missing, f"cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        (directory, f"cannot read {directory}: [Errno 21] Is a directory: '{directory}'"),
+    ]:
+        code, out = run(capsys, "rate", str(path))
+        assert (code, json.loads(out)) == (2, {"error": {"code": "Schema", "message": message}})
 
 
 def test_malformed_json(capsys, tmp_path):
@@ -1074,6 +1115,26 @@ DISPATCH = [
     (["rate", "G", "--format", "text"], 0),
     (["simulate", "G", "--rounds", "2", "--audit"], 0),
     (["export-dot", "G"], 0),
+    # values argparse takes as they are, or reads otherwise, and other spellings
+    (["optimize", "G", "--candidates", "", "--budget", "0"], 0),
+    (["optimize", "G", "--candidates", "1-4", "--budget", "-3"], 2),
+    (["optimize", "G", "--candidates", "1-4", "--budget", "+1"], 0),
+    (["optimize", "G", "--candidates", "1-4", "--budget", "٣"], 0),
+    (["optimize", "G", "--candidates", "-1-4"], 2),
+    (["optimize", "G", "--candidates=1-4", "--budget=1"], 0),
+    (["optimize", "G", "--cand", "1-4", "--exhaustive", "--exhaustive"], 0),
+    (["simulate", "G", "--seed", " 5"], 0),
+    (["simulate", "G", "--seed", "-3"], 0),
+    (["simulate", "G", "--seed", ""], 2),
+    (["simulate", "G", "--audit", "--audit", "--seed", "2", "--seed", "3"], 0),
+    (["rate", "G", "--format", "text", "--format", "json"], 0),
+    (["rate", "G", "--format=text"], 0),
+    (["rate", "G", "--format", ""], 2),
+    (["rate", "G", "--format", "-h"], 2),
+    (["rate", "G", "-h"], ("exit", 0)),
+    (["rate", "G", "--format", "text", "--"], None),
+    (["rate", "G", "--audit"], 2),
+    (["export-dot", "G", "--format", "text"], 2),
 ]
 
 
@@ -1098,6 +1159,72 @@ def test_each_command_parses_its_own_argv_as_the_full_parser_does(
     assert own[0] == code or code is None
     if own[0] == 2:
         assert json.loads(own[1])["error"]["code"] == "Schema"
+
+
+#: what the reader's argv is drawn from: command words, option spellings
+#: full, abbreviated and with "=", values and stray tokens
+WORDS = [*cli.COMMANDS, "rat", "-h", "--help", "--"]
+SPELLINGS = [
+    "--format", "--method", "--rounds", "--seed", "--audit", "--candidates", "--budget",
+    "--exhaustive", "--meth", "--form", "--cand", "--exh", "--format=text", "--budget=2",
+    "--bogus", "-h", "--", "-q",
+]
+VALUES = ["json", "text", "dot", "basic", "general", "oracle", "", "-3", "+4", " 5", "٣", "2",
+          "1-4", "1-4,2-6", "x", "g.json"]
+
+
+#: values of each kind that argparse takes as they are
+FITS = {int: ["2", "0", "+4", " 5", "٣", "1_0"], None: ["", "1-4", "1-4,2-6", " x", "g.json"]}
+
+
+@st.composite
+def argvs(draw, plain=False):
+    """A command word, a graph path, then options of the word's own, each
+    with a value unless a flag.  Unless ``plain``: any word, the path only
+    maybe, values of any kind, and stray tokens too."""
+    word = draw(st.sampled_from(list(cli.COMMANDS) if plain else WORDS))
+    own = cli.COMMANDS[word][2] if word in cli.COMMANDS else ()
+
+    def option(o):
+        spelling, _, kind, _, _ = o
+        if kind == "flag":
+            return st.just([spelling])
+        fits = FITS.get(kind, kind)
+        return st.sampled_from([*fits] if plain else [*fits, *VALUES]).map(
+            lambda v: [spelling, v])
+
+    pieces = [st.sampled_from(own).flatmap(option)] if own else []
+    if not plain:
+        pieces.append(st.sampled_from(SPELLINGS + VALUES).map(lambda t: [t]))
+    graph = ["g.json"] if plain or draw(st.booleans()) else []
+    tail = draw(st.lists(st.one_of(*pieces), max_size=5)) if pieces else []
+    return [word, *graph, *[t for piece in tail for t in piece]]
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_the_reader_builds_the_namespace_argparse_builds_wherever_it_reads_argv(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert args == build_parser().parse_args(argv)
+
+
+@settings(max_examples=300)
+@given(argvs(plain=True))
+def test_the_reader_reads_every_plain_argv(argv):
+    args = cli._read_argv(argv)
+    assert args is not None and args == build_parser().parse_args(argv)
+
+
+def test_the_reader_leaves_every_other_argv_to_argparse():
+    for argv in (["pack", "g.json", "--meth", "basic"], ["rate", "g.json", "--format=text"],
+                 ["rate", "--", "g.json"], ["rate", "g.json", "-h"], ["rate", "-g.json"],
+                 ["rate"], [], ["rat", "g.json"], ["rate", "g.json", "extra"],
+                 ["rate", "g.json", "--format"], ["rate", "g.json", "--format", "text", "--"],
+                 ["simulate", "g.json", "--seed", "-3"], ["simulate", "g.json", "--seed", "x"],
+                 ["simulate", "g.json", "--seed", ""], ["pack", "g.json", "--method", "x"],
+                 ["optimize", "g.json", "--candidates", "-1-4"], ["rate", "g.json", "--audit"]):
+        assert cli._read_argv(argv) is None, argv
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, hexagon_path):

@@ -632,6 +632,56 @@ def test_every_reader_of_a_bit_index_refuses_what_is_no_index_alike(entry, index
     assert type(caught.value) is error and str(caught.value) == message
 
 
+@pytest.mark.parametrize("entry", ["announce", "recover"])
+@pytest.mark.parametrize("step", [None, [], 5, "12"], ids=["None", "list", "int", "str"])
+def test_a_step_that_is_not_a_mapping_is_a_schema_error(entry, step):
+    # no TypeError escapes from the membership test
+    with pytest.raises(SchemaError) as caught:
+        bit_index_entries()[entry](step)
+    assert str(caught.value) == (
+        f"a schedule step must be a mapping from edge to bit index, got {step!r}")
+
+
+@pytest.mark.parametrize("index,error,message", [
+    ("0", SchemaError, "bit index of edge ('1', '2') must be an integer, got '0'"),
+    (True, SchemaError, "bit index of edge ('1', '2') must be an integer, got True"),
+    (0.0, SchemaError, "bit index of edge ('1', '2') must be an integer, got 0.0"),
+    (None, SchemaError, "bit index of edge ('1', '2') must be an integer, got None"),
+    (1, KeyDepletedError, "edge ('1', '2') has no bit at index 1"),
+    (-1, KeyDepletedError, "edge ('1', '2') has no bit at index -1"),
+], ids=["str", "bool", "float", "None", "past-the-pool", "negative"])
+def test_key_material_reads_a_bit_index_as_the_schedule_readers_do(index, error, message):
+    km = generate_keys(PATH3, 1, seed=0)
+    assert km.bit(("1", "2"), 0) in (0, 1)
+    with pytest.raises(error) as caught:
+        km.bit(("1", "2"), index)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pk: run_packing_protocol(PATH3, pk, seed=0),
+    lambda pk: consumption_schedule(PATH3, pk),
+    lambda pk: secrecy_audit(PATH3, pk),
+    lambda pk: secrecy_audit(PATH3, pk, schedule=[{("1", "2"): 0, ("2", "3"): 0}]),
+], ids=["run", "schedule", "audit", "audit-with-a-schedule"])
+@pytest.mark.parametrize("mult,message", [
+    (True, "tree multiplicity must be an integer, got True"),
+    ("1", "tree multiplicity must be an integer, got '1'"),
+    (1.0, "tree multiplicity must be an integer, got 1.0"),
+    (-1, "negative tree multiplicity"),
+], ids=["bool", "str", "float", "negative"])
+def test_a_packing_built_without_multigraph_has_its_counts_checked(entry, mult, message):
+    # the named-tuple constructor skips multigraph's check; the protocol
+    # refuses with its class and messages
+    with pytest.raises(InvalidPackingError) as caught:
+        TreePacking.multigraph([PATH_TREE3], [mult], 1)
+    assert str(caught.value) == message
+    with pytest.raises(InvalidPackingError) as caught:
+        entry(TreePacking((PATH_TREE3,), (mult,), 1))
+    assert str(caught.value) == message
+    assert entry(TreePacking((PATH_TREE3,), (1,), 1))
+
+
 @pytest.mark.parametrize("schedule", [5, "abc", [None], ({("1", "2"): 0, ("2", "3"): 0}, None),
                                       {0: {("1", "2"): 0, ("2", "3"): 0}}],
                          ids=["int", "str", "None-step", "tuple-with-None", "dict"])
